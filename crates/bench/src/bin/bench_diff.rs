@@ -157,10 +157,9 @@ fn main() {
     );
     // The trace artifact also carries the same scenario's wall clock with
     // tracing *disabled* (the traced-off overhead guard: a disabled tracer
-    // must stay a no-op) and with the *parallel pump* on (threading must
-    // not cost wall time). Both obey the ordinary wall gate (relative
+    // must stay a no-op). It obeys the ordinary wall gate (relative
     // threshold + absolute noise floor), nothing tighter.
-    for key in ["wall_ms_untraced", "wall_ms_par", "wall_ms_static"] {
+    for key in ["wall_ms_untraced", "wall_ms_static"] {
         if baseline.get(key).is_some() && fresh.get(key).is_some() {
             gate.check_wall(
                 key,

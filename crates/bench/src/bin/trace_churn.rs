@@ -1,9 +1,6 @@
-//! Tracing bench: runs a churn scenario three times — tracing **off**,
-//! tracing **on** into a bounded ring, then tracing on with the
-//! **parallel pump** — and ships the recorded virtual-clock trace as
-//! reviewable artifacts. The parallel pass must reproduce the sequential
-//! traced pass bit for bit (keys, counters, event fingerprint); its wall
-//! clock is exported as `wall_ms_par`.
+//! Tracing bench: runs a churn scenario twice — tracing **off**, then
+//! tracing **on** into a bounded ring — and ships the recorded
+//! virtual-clock trace as reviewable artifacts.
 //!
 //! ```text
 //! cargo run --release -p egka-bench --bin trace_churn
@@ -163,32 +160,6 @@ fn main() {
         events.len()
     );
 
-    // Pass 3 — tracing on AND the parallel pump on. The per-node sweep
-    // buffers are merged in node-index order, so the threaded run must
-    // reproduce the sequential traced pass bit for bit — same keys, same
-    // counters, same *event stream* — while (on multi-core hosts) beating
-    // its wall clock. This is the determinism proof the `parallel_pump`
-    // knob ships with.
-    let (tc_par, ring_par) = TraceConfig::ring(1 << 22);
-    config.trace = Some(tc_par);
-    config.parallel_pump = true;
-    let par = run_churn(&config);
-    config.parallel_pump = false;
-    let wall_ms_par = par.wall.as_secs_f64() * 1e3;
-    println!("parallel: {:.1} ms", wall_ms_par);
-    assert_transparent(&traced, &par);
-    assert_eq!(
-        TraceSink::dropped(&*ring_par),
-        0,
-        "the parallel ring saturated — raise its capacity"
-    );
-    let par_fingerprint = export::event_fingerprint(&ring_par.events());
-    assert_eq!(
-        fingerprint, par_fingerprint,
-        "parallel pumping perturbed the trace event stream"
-    );
-    println!("parallel trace fingerprint matches sequential ✓");
-
     // Chrome export + in-process validation.
     let chrome = export::chrome_trace_json(&events);
     validate_chrome_json(&chrome);
@@ -244,7 +215,6 @@ fn main() {
          \"energy_mj\": {:.3},\n  \
          \"wall_ms\": {wall_ms_traced:.1},\n  \
          \"wall_ms_untraced\": {wall_ms_untraced:.1},\n  \
-         \"wall_ms_par\": {wall_ms_par:.1},\n  \
          \"trace_drops\": {},\n  \
          \"suites\": {{{suites}}},\n  \
          \"metrics\": {},\n  \

@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use crate::bd;
 use crate::ident::{ring_position, UserId};
 use crate::machine::{
-    two_round_script, Dest, Engine, Execution, Faults, Metered, Outgoing, PhaseOut, Pump,
+    two_round_script, Dest, Engine, Execution, Faults, Metered, NetError, Outgoing, PhaseOut, Pump,
 };
 use crate::proposed::{NodeReport, RunReport};
 use crate::wire::{kind, Reader, Writer};
@@ -477,7 +477,7 @@ impl AuthBdRun {
     }
 
     /// Terminal failure, if one surfaced (deadline expiry).
-    pub fn failure(&self) -> Option<egka_net::NetError> {
+    pub fn failure(&self) -> Option<NetError> {
         self.exec.failure()
     }
 
@@ -556,17 +556,6 @@ impl AuthBdRun {
         assert!(report.keys_agree(), "authenticated BD keys must agree");
         report
     }
-
-    /// Drives to completion with parallel per-node sweeps.
-    pub(crate) fn run_to_completion(&mut self) {
-        loop {
-            match self.exec.pump_par() {
-                Pump::Done => return,
-                Pump::Progressed => {}
-                other => panic!("authenticated BD cannot {other:?} on a reliable medium"),
-            }
-        }
-    }
 }
 
 /// Runs an authenticated-BD exchange over `bd_group` with the credentials
@@ -591,7 +580,7 @@ pub fn run_with_trust(
     already_trusts: impl Fn(usize, usize) -> bool,
 ) -> RunReport {
     let mut auth = AuthBdRun::new(bd_group, kit, seed, &Faults::none(), already_trusts);
-    auth.run_to_completion();
+    auth.exec.run_to_completion();
     auth.finish()
 }
 

@@ -273,7 +273,7 @@ impl JoinRun {
 fn newcomer_phases(
     id: UserId,
     gq_key: GqSecretKey,
-    announce_to: [egka_net::NodeId; 2],
+    announce_to: [egka_medium::NodeId; 2],
 ) -> Vec<Phase<NodeState>> {
     vec![
         Phase::immediate(move |s: &mut NodeState, _| {
@@ -337,7 +337,7 @@ fn controller_phases(
     zn: Ubig,
     old_key: Ubig,
     composable: bool,
-    old_group_minus_u1: Vec<egka_net::NodeId>,
+    old_group_minus_u1: Vec<egka_medium::NodeId>,
 ) -> Vec<Phase<NodeState>> {
     vec![
         Phase::gather(kind::JOIN_ANNOUNCE, 1, move |s: &mut NodeState, pkts| {
@@ -411,8 +411,8 @@ fn controller_phases(
 /// newcomer under the DH key.
 fn sponsor_phases(
     member: MemberState,
-    everyone_else: Vec<egka_net::NodeId>,
-    newcomer_ep: egka_net::NodeId,
+    everyone_else: Vec<egka_medium::NodeId>,
+    newcomer_ep: egka_medium::NodeId,
 ) -> Vec<Phase<NodeState>> {
     vec![
         Phase::gather(kind::JOIN_ANNOUNCE, 1, move |s: &mut NodeState, pkts| {

@@ -80,12 +80,12 @@ impl Metered for NodeState {
     }
 }
 
-fn node_machine(state: NodeState, peers: Vec<egka_net::NodeId>) -> Engine<NodeState> {
+fn node_machine(state: NodeState, peers: Vec<egka_medium::NodeId>) -> Engine<NodeState> {
     let n_rem = state.n_rem;
     let k = state.k;
     // One recipient list (everyone but self), shared by all three sending
     // phases.
-    let others: Vec<egka_net::NodeId> = peers
+    let others: Vec<egka_medium::NodeId> = peers
         .iter()
         .enumerate()
         .filter(|&(j, _)| j != k)
@@ -213,7 +213,7 @@ fn node_machine(state: NodeState, peers: Vec<egka_net::NodeId>) -> Engine<NodeSt
     Engine::new(state, phases)
 }
 
-fn round2_msg(s: &NodeState, targets: &[egka_net::NodeId]) -> Outgoing {
+fn round2_msg(s: &NodeState, targets: &[egka_medium::NodeId]) -> Outgoing {
     let mut w = Writer::new();
     w.put_id(s.id).put_ubig(&s.xs[s.k]).put_ubig(&s.ss[s.k]);
     Outgoing {

@@ -84,9 +84,9 @@ struct CtrlSpec {
 
 fn controller_phases(
     spec: CtrlSpec,
-    peer_ctrl: egka_net::NodeId,
-    r2_targets: Vec<egka_net::NodeId>,
-    r3_targets: Vec<egka_net::NodeId>,
+    peer_ctrl: egka_medium::NodeId,
+    r2_targets: Vec<egka_medium::NodeId>,
+    r3_targets: Vec<egka_medium::NodeId>,
 ) -> Vec<Phase<NodeState>> {
     let CtrlSpec {
         member,

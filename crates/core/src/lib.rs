@@ -30,10 +30,11 @@
 //!
 //! Every protocol executes **for real** — keys are derived by actual
 //! modular arithmetic on every simulated node, signatures really verify —
-//! over the `egka-net` broadcast medium, with per-node [`egka_energy::Meter`]
-//! instrumentation at exactly the granularity the paper's cost model
-//! prices. The `egka-sim` crate turns these runs into Figure 1 and
-//! Tables 1/4/5.
+//! over a broadcast medium each run owns ([`machine::Execution`]; packets
+//! and the optional virtual-time radio come from `egka-medium`), with
+//! per-node [`egka_energy::Meter`] instrumentation at exactly the
+//! granularity the paper's cost model prices. The `egka-sim` crate turns
+//! these runs into Figure 1 and Tables 1/4/5.
 //!
 //! ```
 //! use egka_core::{proposed, Pkg, RunConfig, SecurityProfile};

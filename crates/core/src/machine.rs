@@ -18,9 +18,10 @@
 //!   bookkeeping every machine needs — out-of-round packets are stashed
 //!   and replayed when their round starts, so interleaved delivery (the
 //!   whole point of sans-IO) cannot crash a protocol.
-//! * [`Execution`] — one protocol run: a private [`Medium`], an
-//!   [`egka_net::Reactor`] fanning packets to per-node mailboxes, and one
-//!   machine per node. `pump` advances the run as far as it can without
+//! * [`Execution`] — one protocol run: one machine per node over a medium
+//!   the run owns outright (per-node mailboxes, traffic counters and power
+//!   flags, one seeded loss stream, and optionally a virtual-time
+//!   [`RadioMedium`]). `pump` advances the run as far as it can without
 //!   blocking and reports whether anything progressed — the primitive a
 //!   shard scheduler interleaves round-robin across many groups.
 //! * [`Faults`] — loss/detachment injection for liveness testing: a
@@ -38,8 +39,10 @@ use std::time::Duration;
 
 use egka_bigint::Ubig;
 use egka_energy::{comp_energy_mj, Meter, OpCounts};
-use egka_medium::{BatteryBank, RadioMedium, RadioProfile};
-use egka_net::{Endpoint, Medium, NetError, NodeId, Packet, Reactor, ReactorEvent, Token};
+use egka_medium::{
+    BatteryBank, NodeId, Packet, RadioMedium, RadioProfile, TrafficStats, Transmission,
+    Xorshift64Star,
+};
 
 use crate::ident::UserId;
 
@@ -49,9 +52,9 @@ pub type SessionKey = Ubig;
 /// Where an outgoing message goes.
 #[derive(Clone, Debug)]
 pub enum Dest {
-    /// Every other attached endpoint on the medium.
+    /// Every other node of the execution.
     Broadcast,
-    /// Exactly one endpoint.
+    /// Exactly one node.
     Unicast(NodeId),
     /// An explicit recipient set (the paper's intended-recipient
     /// accounting; self is skipped if present).
@@ -71,6 +74,27 @@ pub struct Outgoing {
     pub nominal_bits: u64,
 }
 
+/// A network-level failure surfaced into a machine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NetError {
+    /// A node heard nothing within its silence deadline
+    /// ([`Execution::set_deadline`], measured on the radio's virtual clock).
+    Timeout {
+        /// How long the node was silent.
+        waited: Duration,
+    },
+}
+
+impl core::fmt::Display for NetError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            NetError::Timeout { waited } => write!(f, "no packet arrived within {waited:?}"),
+        }
+    }
+}
+
+impl std::error::Error for NetError {}
+
 /// What a machine wants after a `poll`.
 #[derive(Debug)]
 pub enum Step {
@@ -80,8 +104,8 @@ pub enum Step {
     NeedMore,
     /// Protocol finished; the node derived this group key.
     Done(SessionKey),
-    /// Protocol failed with a network-level error (e.g. a surfaced
-    /// deadline). Terminal.
+    /// Protocol failed with a network-level error (a surfaced deadline).
+    /// Terminal.
     Failed(NetError),
 }
 
@@ -337,12 +361,6 @@ pub struct Faults {
     /// buffer. Never consulted by any fault or scheduling decision, so
     /// attaching it cannot change a run's outcome.
     pub trace: Option<egka_trace::StepTrace>,
-    /// Fan the per-node machine work of every [`Execution::pump`] across
-    /// threads. Safe under any fault mix — a sweep's sends are buffered
-    /// per node and dispatched in node-index order after the machines
-    /// join, so the medium (and therefore the loss draws, the radio
-    /// schedule and the trace stream) sees exactly the sequential order.
-    pub parallel: bool,
 }
 
 impl Faults {
@@ -367,27 +385,128 @@ pub enum Pump {
     Progressed,
     /// Nothing can move: no packets in flight, every unfinished machine
     /// blocked. On a private medium this is permanent — the scheduler
-    /// should time the run out or retry it.
+    /// should give up on the run or retry it.
     Stalled,
     /// A machine failed (e.g. a surfaced timeout). Terminal.
     Failed(NetError),
 }
 
-/// One in-flight protocol run: a private medium, a reactor fanning packets
-/// into per-node mailboxes, and one machine per node.
+/// The packet medium an [`Execution`] owns: what is in flight to each
+/// node, per-node traffic counters and power flags, and one seeded loss
+/// stream. Nodes are addressed by their index in the execution.
+struct Medium {
+    /// Packets each node hears at the top of the next sweep. A send made
+    /// during a sweep lands here, so no machine observes another's output
+    /// within the sweep that produced it.
+    in_flight: Vec<Vec<Packet>>,
+    traffic: Vec<TrafficStats>,
+    /// Powered-off nodes neither send nor receive (a detached member, or
+    /// a mote whose battery died on the radio).
+    detached: Vec<bool>,
+    /// Per-delivery drop probability on the instant path.
+    loss: f64,
+    loss_rng: Xorshift64Star,
+    /// Radio executions park each sweep's resolved sends here; the radio
+    /// owns their loss and delivery time. `None` = instant delivery.
+    outbox: Option<Vec<Transmission>>,
+}
+
+impl Medium {
+    /// Transmits `o` from `from`: a detached sender is silent and
+    /// uncharged; otherwise tx is charged now and every audible recipient
+    /// (multicast and broadcast skip the sender) is resolved in order.
+    fn send(&mut self, from: NodeId, o: Outgoing) {
+        if self.detached[from as usize] {
+            return;
+        }
+        let packet = Packet {
+            from,
+            kind: o.kind,
+            payload: o.payload,
+            nominal_bits: o.nominal_bits,
+        };
+        self.traffic[from as usize].charge_tx(&packet);
+        let n = self.detached.len() as NodeId;
+        match &mut self.outbox {
+            Some(outbox) => {
+                let mut targets = Vec::new();
+                for_each_target(&o.to, from, n, |to| {
+                    if !self.detached[to as usize] {
+                        targets.push(to);
+                    }
+                });
+                outbox.push(Transmission {
+                    from,
+                    targets,
+                    packet,
+                });
+            }
+            None => for_each_target(&o.to, from, n, |to| self.hear_now(to, &packet)),
+        }
+    }
+
+    /// Instant path: one loss draw per audible recipient, at send time;
+    /// rx is charged only for a delivered copy.
+    fn hear_now(&mut self, to: NodeId, packet: &Packet) {
+        if self.detached[to as usize] {
+            return;
+        }
+        if self.loss > 0.0 && self.loss_rng.unit() < self.loss {
+            return;
+        }
+        self.traffic[to as usize].charge_rx(packet);
+        self.in_flight[to as usize].push(packet.clone());
+    }
+
+    /// Radio path: puts this sweep's sends on the air, in send order.
+    fn put_on_air(&mut self, radio: &mut RadioMedium) {
+        let Some(outbox) = &mut self.outbox else {
+            return;
+        };
+        for tx in outbox.drain(..) {
+            radio.transmit(tx, &mut self.detached);
+        }
+    }
+
+    /// Radio path: advances the air to its next delivery instant; each
+    /// delivered copy charges rx and is heard at the next sweep.
+    fn advance_air(&mut self, radio: &mut RadioMedium) -> Option<u64> {
+        let (traffic, in_flight) = (&mut self.traffic, &mut self.in_flight);
+        radio.advance(&mut self.detached, |to, packet| {
+            traffic[to as usize].charge_rx(&packet);
+            in_flight[to as usize].push(packet);
+        })
+    }
+}
+
+/// Calls `f` on each recipient of a send from `from`, in delivery order
+/// (broadcast and multicast skip the sender).
+fn for_each_target(to: &Dest, from: NodeId, n: NodeId, f: impl FnMut(NodeId)) {
+    match to {
+        Dest::Broadcast => (0..n).filter(|&t| t != from).for_each(f),
+        Dest::Unicast(t) => std::iter::once(*t).for_each(f),
+        Dest::Multicast(set) => set.iter().copied().filter(|&t| t != from).for_each(f),
+    }
+}
+
+/// One in-flight protocol run: one machine per node over a medium the run
+/// owns (per-node mailboxes, traffic counters and power flags, one seeded
+/// loss stream), optionally paced by a virtual-time radio.
 pub struct Execution<S> {
     medium: Medium,
-    /// Virtual-time radio beneath `medium` when [`Faults::radio`] is set;
+    /// Packets each node consumes in the current sweep (swapped in from
+    /// the in-flight buffers at the top of every sweep, empty after it).
+    mailboxes: Vec<Vec<Packet>>,
+    /// Virtual-time radio beneath the run when [`Faults::radio`] is set;
     /// `pump` advances its clock whenever the machines are otherwise
     /// blocked on in-flight airtime.
     radio: Option<RadioMedium>,
-    /// Node order → user id, for battery accounting.
-    users: Vec<UserId>,
+    /// Per-node silence deadline on the radio clock, `(fires_at_ns,
+    /// timeout_ns)`.
+    deadlines: Vec<Option<(u64, u64)>>,
     /// Compute energy (mJ) already debited per node, so each pump charges
     /// only the delta since the last sweep.
     comp_mj_charged: Vec<f64>,
-    reactor: Reactor,
-    tokens: Vec<Token>,
     machines: Vec<Engine<S>>,
     keys: Vec<Option<SessionKey>>,
     failed: Option<NetError>,
@@ -397,20 +516,20 @@ pub struct Execution<S> {
     trace: Option<egka_trace::StepTrace>,
     last_round: Option<usize>,
     sweeps: u64,
-    /// From [`Faults::parallel`]: fan machine sweeps across threads.
-    parallel: bool,
 }
 
 impl<S: Send + Metered> Execution<S> {
-    /// Builds a run: joins `ids.len()` endpoints on a fresh medium,
-    /// applies `faults`, and constructs each node's machine via `mk`
-    /// (called with the node index and the slice of all net ids, in node
-    /// order — machines address peers through it).
+    /// Builds a run over `ids.len()` nodes, applies `faults`, and
+    /// constructs each node's machine via `mk` (called with the node index
+    /// and the slice of all node ids, in node order — machines address
+    /// peers through it).
     pub fn new(
         ids: &[UserId],
         faults: &Faults,
         mut mk: impl FnMut(usize, &[NodeId]) -> Engine<S>,
     ) -> Self {
+        let n = ids.len();
+        let mut detached: Vec<bool> = ids.iter().map(|id| faults.detached.contains(id)).collect();
         let radio = faults.radio.as_ref().map(|spec| {
             let mut profile = spec.profile.clone();
             if faults.loss > 0.0 {
@@ -419,48 +538,38 @@ impl<S: Send + Metered> Execution<S> {
                 profile.loss = faults.loss;
             }
             let bank = spec.bank.clone().unwrap_or_default();
-            let radio = RadioMedium::with_bank(profile, spec.seed ^ faults.loss_seed, bank);
+            let mut radio = RadioMedium::with_bank(profile, spec.seed ^ faults.loss_seed, bank);
             if let Some(trace) = &faults.trace {
                 radio.set_trace(trace.clone());
             }
+            for (id, off) in ids.iter().zip(&mut detached) {
+                // A user whose battery is already dead joins powered off.
+                *off |= !radio.join(id.0);
+            }
             radio
         });
-        let medium = match &radio {
-            Some(r) => r.net().clone(),
-            None => Medium::new(),
+        let medium = Medium {
+            in_flight: vec![Vec::new(); n],
+            traffic: vec![TrafficStats::default(); n],
+            detached,
+            loss: faults.loss,
+            loss_rng: Xorshift64Star::new(faults.loss_seed),
+            outbox: radio.as_ref().map(|_| Vec::new()),
         };
-        if faults.loss > 0.0 && radio.is_none() {
-            medium.set_loss_seeded(faults.loss, faults.loss_seed);
-        }
-        let mut reactor = Reactor::new();
-        let mut tokens = Vec::with_capacity(ids.len());
-        let mut net_ids = Vec::with_capacity(ids.len());
-        for id in ids {
-            let ep = match &radio {
-                Some(r) => r.join(id.0),
-                None => medium.join(),
-            };
-            net_ids.push(ep.id());
-            if faults.detached.contains(id) {
-                medium.detach(ep.id());
-            }
-            tokens.push(reactor.register(ep));
-        }
-        let machines = (0..ids.len()).map(|i| mk(i, &net_ids)).collect();
+        let node_ids: Vec<NodeId> = (0..n as NodeId).collect();
+        let machines = (0..n).map(|i| mk(i, &node_ids)).collect();
         Execution {
             medium,
+            mailboxes: vec![Vec::new(); n],
             radio,
-            users: ids.to_vec(),
-            comp_mj_charged: vec![0.0; ids.len()],
-            reactor,
-            tokens,
-            keys: vec![None; ids.len()],
+            deadlines: vec![None; n],
+            comp_mj_charged: vec![0.0; n],
+            keys: vec![None; n],
             machines,
             failed: None,
             trace: faults.trace.clone(),
             last_round: None,
             sweeps: 0,
-            parallel: faults.parallel,
         }
     }
 
@@ -480,9 +589,8 @@ impl<S: Send + Metered> Execution<S> {
     }
 
     /// The medium's traffic counters for node `i`.
-    pub fn traffic(&self, i: usize) -> egka_net::TrafficStats {
-        self.medium
-            .stats(self.reactor.endpoint(self.tokens[i]).id())
+    pub fn traffic(&self, i: usize) -> TrafficStats {
+        self.medium.traffic[i]
     }
 
     /// The machine (and through it the node state) of node `i`.
@@ -495,27 +603,22 @@ impl<S: Send + Metered> Execution<S> {
         self.keys[i].as_ref()
     }
 
-    /// Arms a silence deadline on every node; an expiry fails the stalled
-    /// machine with [`NetError::Timeout`] at the next pump.
+    /// Arms (or with `None` disarms) a silence deadline on every node of a
+    /// radio execution; an expiry fails the stalled machine with
+    /// [`NetError::Timeout`] at the next pump.
     ///
-    /// On a radio execution the deadline is armed on the **virtual
-    /// clock** — a run simulating a slow channel must never time out
-    /// because the host was slow, so wall-clock deadlines are ignored
-    /// there.
+    /// The deadline runs on the radio's **virtual clock** — a run
+    /// simulating a slow channel must never time out because the host was
+    /// slow. On the instant medium this is a no-op: a silent peer already
+    /// makes the run [`Pump::Stalled`] at once and for good.
     pub fn set_deadline(&mut self, timeout: Option<Duration>) {
-        match &self.radio {
-            Some(radio) => {
-                let now = radio.now_ns();
-                for &t in &self.tokens {
-                    self.reactor
-                        .set_virtual_deadline(t, now, timeout.map(|d| d.as_nanos() as u64));
-                }
-            }
-            None => {
-                for &t in &self.tokens {
-                    self.reactor.set_deadline(t, timeout);
-                }
-            }
+        if let Some(radio) = &self.radio {
+            let now = radio.now_ns();
+            let armed = timeout.map(|d| {
+                let t = d.as_nanos() as u64;
+                (now + t, t)
+            });
+            self.deadlines.fill(armed);
         }
     }
 
@@ -534,53 +637,67 @@ impl<S: Send + Metered> Execution<S> {
     /// last sweep (radio executions only — the instant medium has no
     /// batteries).
     fn charge_compute(&mut self) {
-        let Some(radio) = &self.radio else {
+        let Some(radio) = &mut self.radio else {
             return;
         };
         let cpu = radio.profile().cpu.clone();
-        for i in 0..self.machines.len() {
-            let mj = comp_energy_mj(&cpu, &self.machines[i].state().meter().snapshot());
+        for (i, machine) in self.machines.iter().enumerate() {
+            let mj = comp_energy_mj(&cpu, &machine.state().meter().snapshot());
             let delta = mj - self.comp_mj_charged[i];
             if delta > 0.0 {
                 self.comp_mj_charged[i] = mj;
-                radio.debit_compute_mj(self.users[i].0, delta);
+                radio.debit_compute_mj(i as NodeId, delta, &mut self.medium.detached);
             }
         }
     }
 
-    fn dispatch(ep: &Endpoint, outs: Vec<Outgoing>) {
-        for o in outs {
-            match o.to {
-                Dest::Broadcast => ep.broadcast(o.kind, o.payload, o.nominal_bits),
-                Dest::Unicast(to) => ep.unicast(to, o.kind, o.payload, o.nominal_bits),
-                Dest::Multicast(ts) => ep.multicast(&ts, o.kind, o.payload, o.nominal_bits),
+    /// Re-arms the deadline of every node that heard something this sweep
+    /// (deadlines bound *silence*, not session length) and fires those the
+    /// radio clock has passed with nothing heard; firing disarms. Returns
+    /// each node's surfaced timeout, or an empty vector if none fired.
+    fn expire_deadlines(&mut self) -> Vec<Option<Duration>> {
+        let Some(radio) = &self.radio else {
+            return Vec::new();
+        };
+        let now = radio.now_ns();
+        let mut fired = Vec::new();
+        for (i, deadline) in self.deadlines.iter_mut().enumerate() {
+            let Some((at, t)) = *deadline else {
+                continue;
+            };
+            if !self.mailboxes[i].is_empty() {
+                *deadline = Some((now + t, t));
+            } else if now >= at {
+                *deadline = None;
+                fired.resize(self.machines.len(), None);
+                fired[i] = Some(Duration::from_nanos(t));
             }
         }
+        fired
     }
 
-    /// Feeds `packets` and then polls machine `i` until it blocks; sends
-    /// accumulate into `out` in poll order (the caller dispatches them —
-    /// the machine cannot observe the medium mid-sweep, so deferring the
-    /// dispatch to the end of the node's poll loop is exact). Returns
-    /// whether the node progressed; records a terminal failure in
-    /// `failed`.
+    /// Feeds node `i`'s mailbox and then polls its machine until it
+    /// blocks; sends accumulate into `out` in poll order (the caller
+    /// dispatches them — the machine cannot observe the medium mid-sweep,
+    /// so deferring the dispatch to the end of the node's poll loop is
+    /// exact). Empties the mailbox, returns whether the node progressed,
+    /// and records a terminal failure in `failed`.
     fn pump_node(
         machine: &mut Engine<S>,
         key: &mut Option<SessionKey>,
-        packets: Vec<Packet>,
+        mailbox: &mut Vec<Packet>,
         timed_out: Option<Duration>,
         failed: &mut Option<NetError>,
         out: &mut Vec<Outgoing>,
     ) -> bool {
+        let mut inbox = mailbox.drain(..);
         if key.is_some() {
             return false;
         }
         let mut progressed = false;
-        let mut inbox = packets.into_iter();
         if let Some(waited) = timed_out {
-            // A reactor deadline expired for this node while it was
-            // blocked; surface it through the machine's timeout hook with
-            // the duration the reactor actually waited.
+            // The node's silence deadline expired while it was blocked;
+            // surface it through the machine's timeout hook.
             match machine.on_timeout(waited) {
                 Step::Failed(e) => {
                     *failed = Some(e);
@@ -620,9 +737,10 @@ impl<S: Send + Metered> Execution<S> {
         }
     }
 
-    /// One non-blocking scheduling sweep: fan arrived packets to their
-    /// mailboxes, then give every unfinished machine a chance to consume
-    /// and send. Never waits; interleave freely with other executions.
+    /// One non-blocking scheduling sweep: hand every node what reached it
+    /// since the last sweep, then give every unfinished machine a chance
+    /// to consume and send. Never waits; interleave freely with other
+    /// executions.
     ///
     /// On a radio execution the sweep also keeps the air moving: sends
     /// are scheduled onto the channel, batteries are debited, and — when
@@ -631,18 +749,22 @@ impl<S: Send + Metered> Execution<S> {
     /// still means what schedulers rely on: nothing in flight, nobody can
     /// move, permanently.
     pub fn pump(&mut self) -> Pump {
-        self.pump_impl(self.parallel)
+        self.sweep(false)
     }
 
-    /// One sweep with `parallel` machine fan-out. Both modes produce the
-    /// bit-identical event stream: the reactor only fills mailboxes at the
-    /// top of a sweep (mid-sweep sends sit in endpoint channels until the
-    /// next `poll_all`), so machines cannot observe each other within a
-    /// sweep, and the parallel mode dispatches each node's buffered sends
-    /// in node-index order after the machines join — the same medium
-    /// interaction order (loss draws, radio schedule, trace events) as the
-    /// sequential loop.
-    fn pump_impl(&mut self, parallel: bool) -> Pump {
+    /// One sweep with the per-node machine work fanned across threads
+    /// (`crate::par`) — the blocking `run()` wrappers use this to keep the
+    /// big-sweep wall-clock of the lock-step drivers. Both modes produce
+    /// the bit-identical event stream: machines cannot observe each
+    /// other's sends within a sweep, and the parallel mode dispatches each
+    /// node's buffered sends in node-index order after the machines join —
+    /// the same medium interaction order (loss draws, radio schedule,
+    /// trace events) as the sequential loop.
+    fn pump_par(&mut self) -> Pump {
+        self.sweep(true)
+    }
+
+    fn sweep(&mut self, parallel: bool) -> Pump {
         if let Some(e) = self.failed {
             return Pump::Failed(e);
         }
@@ -650,29 +772,19 @@ impl<S: Send + Metered> Execution<S> {
             return Pump::Done;
         }
         self.sweeps += 1;
-        let events = match &self.radio {
-            Some(radio) => self.reactor.poll_all_at(radio.now_ns()),
-            None => self.reactor.poll_all(),
-        };
-        let mut timeouts: Vec<Option<Duration>> = vec![None; self.machines.len()];
-        for ev in events {
-            if let ReactorEvent::TimedOut(token, NetError::Timeout { waited }) = ev {
-                if let Some(i) = self.tokens.iter().position(|&t| t == token) {
-                    timeouts[i] = Some(waited);
-                }
-            }
-        }
+        // Every mailbox is empty after a sweep, so the swap leaves the
+        // in-flight buffers empty (keeping their capacity).
+        std::mem::swap(&mut self.mailboxes, &mut self.medium.in_flight);
+        let timeouts = self.expire_deadlines();
         let mut progressed = false;
-        if parallel && self.machines.len() > 1 && timeouts.iter().all(Option::is_none) {
+        if parallel && self.machines.len() > 1 && timeouts.is_empty() {
             // Parallel sweep. Timeout sweeps stay sequential: a surfaced
             // timeout stops the sweep at the failing node, and later
             // nodes' meters must not advance past that point.
-            let inboxes: Vec<Vec<Packet>> =
-                self.tokens.iter().map(|&t| self.reactor.drain(t)).collect();
             struct NodeCell<'a, S> {
                 machine: &'a mut Engine<S>,
                 key: &'a mut Option<SessionKey>,
-                inbox: Vec<Packet>,
+                mailbox: &'a mut Vec<Packet>,
                 out: Vec<Outgoing>,
                 failed: Option<NetError>,
                 progressed: bool,
@@ -681,11 +793,11 @@ impl<S: Send + Metered> Execution<S> {
                 .machines
                 .iter_mut()
                 .zip(self.keys.iter_mut())
-                .zip(inboxes)
-                .map(|((machine, key), inbox)| NodeCell {
+                .zip(self.mailboxes.iter_mut())
+                .map(|((machine, key), mailbox)| NodeCell {
                     machine,
                     key,
-                    inbox,
+                    mailbox,
                     out: Vec::new(),
                     failed: None,
                     progressed: false,
@@ -695,7 +807,7 @@ impl<S: Send + Metered> Execution<S> {
                 cell.progressed = Self::pump_node(
                     cell.machine,
                     cell.key,
-                    std::mem::take(&mut cell.inbox),
+                    cell.mailbox,
                     None,
                     &mut cell.failed,
                     &mut cell.out,
@@ -706,44 +818,48 @@ impl<S: Send + Metered> Execution<S> {
             // sequential loop would have stopped there).
             for (i, cell) in cells.into_iter().enumerate() {
                 progressed |= cell.progressed;
-                Self::dispatch(self.reactor.endpoint(self.tokens[i]), cell.out);
+                for o in cell.out {
+                    self.medium.send(i as NodeId, o);
+                }
                 if let Some(e) = cell.failed {
                     self.failed = Some(e);
                     return Pump::Failed(e);
                 }
             }
         } else {
-            for (i, &fired) in timeouts.iter().enumerate() {
-                let packets = self.reactor.drain(self.tokens[i]);
-                if packets.is_empty() && fired.is_none() && self.keys[i].is_some() {
+            let mut out = Vec::new();
+            for i in 0..self.machines.len() {
+                let fired = timeouts.get(i).copied().flatten();
+                if self.mailboxes[i].is_empty() && fired.is_none() && self.keys[i].is_some() {
                     continue;
                 }
-                let mut out = Vec::new();
                 progressed |= Self::pump_node(
                     &mut self.machines[i],
                     &mut self.keys[i],
-                    packets,
+                    &mut self.mailboxes[i],
                     fired,
                     &mut self.failed,
                     &mut out,
                 );
-                Self::dispatch(self.reactor.endpoint(self.tokens[i]), out);
+                for o in out.drain(..) {
+                    self.medium.send(i as NodeId, o);
+                }
                 if let Some(e) = self.failed {
                     return Pump::Failed(e);
                 }
             }
         }
-        if self.radio.is_some() {
-            self.charge_compute();
-            let radio = self.radio.as_ref().expect("checked above");
-            radio.pump_air();
-            if !progressed && !self.is_done() {
-                if radio.advance().is_some() {
+        self.charge_compute();
+        let all_done = self.is_done();
+        if let Some(radio) = &mut self.radio {
+            self.medium.put_on_air(radio);
+            if !progressed && !all_done {
+                if self.medium.advance_air(radio).is_some() {
                     progressed = true;
-                } else if let Some(at) = self.reactor.next_virtual_deadline() {
+                } else if let Some(at) = self.deadlines.iter().flatten().map(|&(at, _)| at).min() {
                     // Quiet air, armed timer: the deadline itself is the
                     // next discrete event — jump the clock onto it so the
-                    // next poll fires it.
+                    // next sweep fires it.
                     radio.advance_to(at);
                     progressed = true;
                 }
@@ -792,23 +908,12 @@ impl<S: Send + Metered> Execution<S> {
         }
     }
 
-    /// Like [`Execution::pump`] but always fanning the per-node machine
-    /// work across threads (`crate::par`), regardless of
-    /// [`Faults::parallel`] — the blocking `run()` wrappers use this to
-    /// keep the big-sweep wall-clock of the lock-step drivers. Radio and
-    /// trace runs are parallel too: buffered in-order dispatch makes the
-    /// channel schedule and event stream bit-identical to [`Execution::pump`]
-    /// (pinned by the `pump_parallel_matches_sequential_*` tests).
-    pub fn pump_par(&mut self) -> Pump {
-        self.pump_impl(true)
-    }
-
-    /// Drives the run to completion with parallel sweeps (reliable-medium
-    /// path used by the blocking `run()` wrappers).
+    /// Drives the run to completion with parallel sweeps (the reliable,
+    /// fault-free path of the blocking `run()` wrappers).
     ///
     /// # Panics
     /// Panics if the run stalls or fails — on a fault-free private medium
-    /// either indicates a protocol scripting bug.
+    /// either indicates a protocol scripting bug — or if a machine panics.
     pub fn run_to_completion(&mut self) {
         loop {
             match self.pump_par() {
@@ -1015,27 +1120,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_surfaces_timeout_into_the_machines() {
-        let ids: Vec<UserId> = (0..3).map(UserId).collect();
-        let faults = Faults {
-            detached: vec![UserId(2)],
-            ..Faults::default()
-        };
-        let mut exec = Execution::new(&ids, &faults, |i, _| echo_engine(i, 3));
-        exec.set_deadline(Some(Duration::from_millis(1)));
-        while exec.pump() == Pump::Progressed {}
-        std::thread::sleep(Duration::from_millis(5));
-        match exec.pump() {
-            Pump::Failed(NetError::Timeout { waited }) => {
-                // The armed deadline, not a placeholder, reaches the error.
-                assert_eq!(waited, Duration::from_millis(1));
-            }
-            other => panic!("expected surfaced timeout, got {other:?}"),
-        }
-        assert!(matches!(exec.failure(), Some(NetError::Timeout { .. })));
-    }
-
-    #[test]
     fn radio_execution_agrees_and_spends_virtual_time() {
         let ids: Vec<UserId> = (0..4).map(UserId).collect();
         let faults = Faults {
@@ -1140,6 +1224,93 @@ mod tests {
         }
     }
 
+    fn radio_faults(seed: u64) -> Faults {
+        Faults {
+            radio: Some(RadioSpec {
+                profile: RadioProfile::sensor_100kbps(),
+                seed,
+                bank: None,
+            }),
+            ..Faults::default()
+        }
+    }
+
+    #[test]
+    fn virtual_deadline_rearms_on_traffic_and_fires_once() {
+        const MS: u64 = 1_000_000;
+        let ids: Vec<UserId> = (0..2).map(UserId).collect();
+        let mut exec = Execution::new(&ids, &radio_faults(1), |i, _| echo_engine(i, 2));
+        let at = |exec: &mut Execution<Echo>, ns: u64| {
+            exec.radio.as_mut().unwrap().advance_to(ns);
+            exec.expire_deadlines()
+        };
+        // Watch node 1 only.
+        exec.set_deadline(Some(Duration::from_millis(1)));
+        exec.deadlines[0] = None;
+        // The radio clock alone decides: nothing fires before 1 virtual ms.
+        assert!(at(&mut exec, MS - 1).is_empty());
+        // Crossing the deadline with an empty mailbox fires exactly once.
+        let waited = Some(Duration::from_millis(1));
+        assert_eq!(at(&mut exec, MS), vec![None, waited]);
+        assert!(at(&mut exec, 2 * MS).is_empty(), "expiry disarms");
+        assert_eq!(exec.deadlines[1], None);
+        // Re-armed at 2 ms, then traffic heard at 3 ms re-arms the silence
+        // window instead of timing out.
+        exec.set_deadline(Some(Duration::from_millis(1)));
+        exec.deadlines[0] = None;
+        exec.mailboxes[1].push(Packet {
+            from: 0,
+            kind: 1,
+            payload: Bytes::new(),
+            nominal_bits: 8,
+        });
+        assert!(at(&mut exec, 3 * MS).is_empty(), "traffic re-arms");
+        exec.mailboxes[1].clear();
+        assert!(at(&mut exec, 4 * MS - 1).is_empty(), "re-armed at 3 ms");
+        assert_eq!(
+            at(&mut exec, 4 * MS),
+            vec![None, waited],
+            "fires at 3 + 1 ms"
+        );
+        assert!(at(&mut exec, 5 * MS).is_empty(), "expiry disarms again");
+    }
+
+    #[test]
+    fn radio_deadline_counts_silence_from_the_last_packet_heard() {
+        // Node 2 is detached, so nodes 0 and 1 hear each other and then
+        // wait forever. Node 2's own deadline is disarmed: the run must
+        // fail exactly 50 ms after the earlier of the two last receptions.
+        let ids: Vec<UserId> = (0..3).map(UserId).collect();
+        let faults = Faults {
+            detached: vec![UserId(2)],
+            ..radio_faults(5)
+        };
+        let mut exec = Execution::new(&ids, &faults, |i, _| echo_engine(i, 3));
+        exec.set_deadline(Some(Duration::from_millis(50)));
+        exec.deadlines[2] = None;
+        let mut heard_ns = [0u64; 2];
+        let mut seen = [0u64; 2];
+        while exec.pump() == Pump::Progressed {
+            let now = exec.radio().unwrap().now_ns();
+            for i in 0..2 {
+                let rx = exec.traffic(i).msgs_rx;
+                if rx != seen[i] {
+                    (seen[i], heard_ns[i]) = (rx, now);
+                }
+            }
+        }
+        assert_eq!(seen, [1, 1], "each live node heard its live peer");
+        assert!(heard_ns.iter().all(|&t| t > 0));
+        assert_eq!(
+            exec.failure(),
+            Some(NetError::Timeout {
+                waited: Duration::from_millis(50)
+            })
+        );
+        let fired_at = heard_ns.iter().min().unwrap() + 50_000_000;
+        assert_eq!(exec.radio().unwrap().now_ns(), fired_at);
+    }
+
     /// Drives an echo run with either pump flavor and snapshots everything
     /// observable: per-node keys, merged op counts, the virtual clock and
     /// the drained trace events (timestamps included).
@@ -1215,42 +1386,28 @@ mod tests {
     }
 
     #[test]
-    fn faults_parallel_flag_routes_pump_through_the_parallel_sweep() {
-        let faults = Faults {
-            loss: 0.2,
-            loss_seed: 3,
-            parallel: true,
-            ..Faults::default()
-        };
-        let sequential = Faults {
-            loss: 0.2,
-            loss_seed: 3,
-            ..Faults::default()
-        };
-        // `pump()` with the flag ≡ `pump()` without it: the flag may only
-        // change wall-clock, never observable state.
-        assert_eq!(echo_run(&faults, 4, false), echo_run(&sequential, 4, false));
-    }
-
-    #[test]
     fn parallel_pump_surfaces_deadline_timeouts() {
-        // The old pump_par dropped reactor timeout events; the unified
-        // sweep must fail the run exactly like the sequential pump.
+        // A sweep with a fired deadline must fail the run exactly like the
+        // sequential pump, on the parallel path too.
         let ids: Vec<UserId> = (0..3).map(UserId).collect();
         let faults = Faults {
             detached: vec![UserId(2)],
+            radio: Some(RadioSpec {
+                profile: RadioProfile::sensor_100kbps(),
+                seed: 5,
+                bank: None,
+            }),
             ..Faults::default()
         };
         let mut exec = Execution::new(&ids, &faults, |i, _| echo_engine(i, 3));
-        exec.set_deadline(Some(Duration::from_millis(1)));
+        exec.set_deadline(Some(Duration::from_millis(50)));
         while exec.pump_par() == Pump::Progressed {}
-        std::thread::sleep(Duration::from_millis(5));
-        match exec.pump_par() {
-            Pump::Failed(NetError::Timeout { waited }) => {
-                assert_eq!(waited, Duration::from_millis(1));
-            }
-            other => panic!("expected surfaced timeout, got {other:?}"),
-        }
+        assert_eq!(
+            exec.failure(),
+            Some(NetError::Timeout {
+                waited: Duration::from_millis(50)
+            })
+        );
     }
 
     #[test]
@@ -1266,5 +1423,140 @@ mod tests {
         // Nodes 1 and 2 still transmitted their announcements.
         let counts = exec.partial_counts();
         assert_eq!(counts.msgs_tx, 2);
+    }
+
+    /// A bare instant medium over `n` nodes.
+    fn medium(n: usize, loss: f64, seed: u64) -> Medium {
+        Medium {
+            in_flight: vec![Vec::new(); n],
+            traffic: vec![TrafficStats::default(); n],
+            detached: vec![false; n],
+            loss,
+            loss_rng: Xorshift64Star::new(seed),
+            outbox: None,
+        }
+    }
+
+    fn out(to: Dest, kind: u16, payload: &'static [u8], nominal_bits: u64) -> Outgoing {
+        Outgoing {
+            to,
+            kind,
+            payload: Bytes::from_static(payload),
+            nominal_bits,
+        }
+    }
+
+    /// Which kinds each node has in flight.
+    fn heard(w: &Medium) -> Vec<Vec<u16>> {
+        w.in_flight
+            .iter()
+            .map(|b| b.iter().map(|p| p.kind).collect())
+            .collect()
+    }
+
+    #[test]
+    fn broadcast_unicast_and_multicast_reach_exactly_their_targets() {
+        let mut w = medium(4, 0.0, 1);
+        w.send(0, out(Dest::Broadcast, 7, b"hello", 2080));
+        assert_eq!(
+            heard(&w),
+            vec![vec![], vec![7], vec![7], vec![7]],
+            "no self-delivery"
+        );
+        let p = &w.in_flight[2][0];
+        assert_eq!((p.from, p.payload.as_ref()), (0, &b"hello"[..]));
+        let mut w = medium(3, 0.0, 1);
+        w.send(0, out(Dest::Unicast(1), 1, b"x", 8));
+        assert_eq!(heard(&w), vec![vec![], vec![1], vec![]]);
+        let mut w = medium(4, 0.0, 1);
+        w.send(0, out(Dest::Multicast(vec![1, 3, 0]), 5, b"m", 64));
+        assert_eq!(
+            heard(&w),
+            vec![vec![], vec![5], vec![], vec![5]],
+            "self in the set is skipped"
+        );
+        assert_eq!(w.traffic[0].msgs_tx, 1);
+        assert_eq!(w.traffic[2].msgs_rx, 0);
+    }
+
+    #[test]
+    fn nominal_and_actual_bits_accounted() {
+        let mut w = medium(2, 0.0, 1);
+        w.send(0, out(Dest::Broadcast, 0, b"abcd", 2080)); // 4 bytes actual
+        let (a, b) = (w.traffic[0], w.traffic[1]);
+        assert_eq!((a.tx_bits, a.tx_bits_actual, a.msgs_tx), (2080, 32, 1));
+        assert_eq!((b.rx_bits, b.rx_bits_actual, b.msgs_rx), (2080, 32, 1));
+        // n nodes, each broadcasting 2 messages: every node receives 2(n−1).
+        let n = 5;
+        let mut w = medium(n, 0.0, 1);
+        for from in 0..n as NodeId {
+            w.send(from, out(Dest::Broadcast, 1, b"", 100));
+            w.send(from, out(Dest::Broadcast, 2, b"", 100));
+        }
+        for t in &w.traffic {
+            assert_eq!((t.msgs_tx, t.msgs_rx), (2, 2 * (n as u64 - 1)));
+        }
+    }
+
+    #[test]
+    fn detached_node_is_silent_and_uncharged() {
+        let mut w = medium(2, 0.0, 1);
+        w.detached[1] = true;
+        w.send(1, out(Dest::Broadcast, 0, b"", 8));
+        w.send(0, out(Dest::Broadcast, 0, b"", 8));
+        assert_eq!(heard(&w), vec![vec![], vec![]]);
+        assert_eq!(
+            w.traffic[1],
+            TrafficStats::default(),
+            "detached sends are not charged"
+        );
+        assert_eq!(w.traffic[0].msgs_tx, 1);
+    }
+
+    #[test]
+    fn dropped_copy_charges_tx_only() {
+        let mut w = medium(2, 0.5, 1);
+        for _ in 0..1000 {
+            w.send(0, out(Dest::Broadcast, 0, b"", 8));
+        }
+        let got = w.traffic[1].msgs_rx;
+        assert!((300..700).contains(&got), "50% loss delivered {got}/1000");
+        assert_eq!(
+            w.in_flight[1].len() as u64,
+            got,
+            "rx charged per delivered copy"
+        );
+        assert_eq!(w.traffic[0].msgs_tx, 1000, "every transmission is charged");
+    }
+
+    #[test]
+    fn same_seed_gives_the_same_drops() {
+        let pattern = |seed: u64| {
+            let mut w = medium(3, 0.4, seed);
+            for k in 0..64 {
+                w.send(0, out(Dest::Broadcast, k, b"", 8));
+            }
+            heard(&w)
+        };
+        assert_eq!(pattern(7), pattern(7));
+        assert_ne!(pattern(1), pattern(2), "seeds decorrelate the pattern");
+    }
+
+    #[test]
+    fn a_send_is_visible_only_from_the_next_sweep() {
+        // Sweep 1: node 0 announces before node 1 is polled, yet node 1
+        // must not see it until sweep 2 (every golden depends on this
+        // boundary).
+        let ids: Vec<UserId> = (0..2).map(UserId).collect();
+        let mut exec = Execution::new(&ids, &Faults::none(), |i, _| echo_engine(i, 2));
+        assert_eq!(exec.pump(), Pump::Progressed);
+        assert_eq!(exec.key(1), None);
+        assert_eq!(
+            exec.medium.in_flight[1].len(),
+            1,
+            "node 0's packet waits for sweep 2"
+        );
+        assert_eq!(exec.pump(), Pump::Done);
+        assert_eq!(exec.key(1), Some(&Ubig::from_u64(1)));
     }
 }

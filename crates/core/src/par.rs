@@ -7,6 +7,8 @@
 //! `2n+4` exponentiations per node) this is the difference between minutes
 //! and seconds of wall-clock.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Applies `f` to every element, in parallel across up to
@@ -15,12 +17,26 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Work is distributed by atomic work-stealing counter rather than fixed
 /// chunks: protocol roles are asymmetric (the controller does more), so
 /// static chunking would leave threads idle.
+///
+/// # Panics
+/// If `f` panics on any element, this re-raises the original payload of
+/// the lowest-index element that panicked — the same panic a sequential
+/// loop would surface, whatever the host's core count.
 pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let threads = worker_count().min(items.len().max(1));
+    par_for_each_mut_on(worker_count(), items, f);
+}
+
+/// [`par_for_each_mut`] on at most `workers` threads.
+fn par_for_each_mut_on<T, F>(workers: usize, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let threads = workers.min(items.len().max(1));
     if threads <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
@@ -28,24 +44,40 @@ where
         return;
     }
     let next = AtomicUsize::new(0);
-    // Hand out &mut T cells through a Vec of Options guarded by the atomic
-    // ticket: each index is claimed exactly once, so the unsafe-free way is
-    // to wrap items in Mutexes — but that serializes nothing here since
-    // each lock is taken once. parking_lot would do; std Mutex suffices.
+    // Hand out &mut T cells through a Vec of Mutexes claimed by the atomic
+    // ticket: each index is claimed exactly once, so every lock is
+    // uncontended and the whole thing stays free of unsafe code.
     let cells: Vec<std::sync::Mutex<&mut T>> =
         items.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let mut guard = cells[i].lock().expect("ticketed lock is uncontended");
-                f(i, &mut guard);
-            });
-        }
+    // A worker stops at its first panicking element and returns it with
+    // the payload; tickets are claimed in index order, so every element
+    // below a panicking one has run by the time all workers are joined.
+    let panicked: Option<(usize, Box<dyn Any + Send>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= cells.len() {
+                        return None;
+                    }
+                    let mut guard = cells[i].lock().expect("ticketed lock is uncontended");
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, &mut guard))) {
+                        return Some((i, payload));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| Some((usize::MAX, payload)))
+            })
+            .min_by_key(|&(i, _)| i)
     });
+    if let Some((_, payload)) = panicked {
+        resume_unwind(payload);
+    }
 }
 
 /// Number of worker threads used for per-node fan-out (the machine's
@@ -93,5 +125,24 @@ mod tests {
             *x = acc;
         });
         assert!(v.iter().all(|&x| x > 0));
+    }
+
+    #[test]
+    fn worker_panic_keeps_the_lowest_index_payload() {
+        // Four workers regardless of the host's core count; items 3 and 5
+        // both panic, and the caller sees item 3's own message.
+        let mut v = vec![0u32; 16];
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            par_for_each_mut_on(4, &mut v, |i, _| {
+                if i == 3 || i == 5 {
+                    panic!("item {i} failed");
+                }
+            })
+        }))
+        .expect_err("a worker panicked");
+        assert_eq!(
+            caught.downcast_ref::<String>().map(String::as_str),
+            Some("item 3 failed")
+        );
     }
 }

@@ -31,7 +31,6 @@ use egka_bigint::{mod_mul, Ubig};
 use egka_energy::complexity::InitialProtocol;
 use egka_energy::{CompOp, Meter, OpCounts, Scheme};
 use egka_hash::ChaChaRng;
-use egka_net::NetError;
 use egka_sig::GqSecretKey;
 use rand::SeedableRng;
 
@@ -39,7 +38,7 @@ use crate::bd;
 use crate::group::{GroupSession, MemberState};
 use crate::ident::{ring_position, UserId};
 use crate::machine::{
-    two_round_script, Dest, Engine, Execution, Faults, Metered, Outgoing, PhaseOut, Pump,
+    two_round_script, Dest, Engine, Execution, Faults, Metered, NetError, Outgoing, PhaseOut, Pump,
 };
 use crate::params::Params;
 use crate::wire::{kind, Reader, Writer};
@@ -382,11 +381,6 @@ impl GkaRun {
         self.exec.virtual_now_ms()
     }
 
-    /// Drives the run to completion with parallel per-node sweeps.
-    pub(crate) fn run_to_completion(&mut self) {
-        self.exec.run_to_completion();
-    }
-
     /// Assembles the reports and the post-agreement session.
     ///
     /// # Panics
@@ -446,7 +440,7 @@ pub fn run(
     config: RunConfig,
 ) -> (RunReport, GroupSession) {
     let mut gka = GkaRun::new(params, keys, seed, config, &Faults::none());
-    gka.run_to_completion();
+    gka.exec.run_to_completion();
     gka.finish()
 }
 

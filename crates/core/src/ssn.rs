@@ -40,7 +40,7 @@ use rand::SeedableRng;
 use crate::bd;
 use crate::ident::{ring_position, UserId};
 use crate::machine::{
-    two_round_script, Dest, Engine, Execution, Faults, Metered, Outgoing, PhaseOut, Pump,
+    two_round_script, Dest, Engine, Execution, Faults, Metered, NetError, Outgoing, PhaseOut, Pump,
 };
 use crate::params::Params;
 use crate::proposed::{NodeReport, RunReport};
@@ -265,7 +265,7 @@ impl SsnRun {
     }
 
     /// Terminal failure, if one surfaced (deadline expiry).
-    pub fn failure(&self) -> Option<egka_net::NetError> {
+    pub fn failure(&self) -> Option<NetError> {
         self.exec.failure()
     }
 

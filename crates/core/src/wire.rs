@@ -1,11 +1,12 @@
 //! Wire encoding helpers and message-kind tags.
 //!
-//! Real payload bytes travel over `egka-net`; the *accounting* size of each
-//! message is the paper's nominal size (from `egka_energy::wire` and
-//! `egka_energy::complexity`), passed separately as `nominal_bits`. The
-//! encodings here are honest little codecs (length-prefixed big-endian
-//! integers), so the "actual bits" column of the reports reflects a real
-//! serialization rather than the paper's idealized sizes.
+//! Real payload bytes travel in the medium's packets; the *accounting*
+//! size of each message is the paper's nominal size (from
+//! `egka_energy::wire` and `egka_energy::complexity`), passed separately
+//! as `nominal_bits`. The encodings here are honest little codecs
+//! (length-prefixed big-endian integers), so the "actual bits" column of
+//! the reports reflects a real serialization rather than the paper's
+//! idealized sizes.
 
 use bytes::Bytes;
 use egka_bigint::Ubig;

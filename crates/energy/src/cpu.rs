@@ -16,8 +16,6 @@
 //! rounding (≤ 0.5 %; the paper's Tate-pairing energy row is internally
 //! inconsistent by ~2 % — see `EXPERIMENTS.md`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ops::{CompOp, Scheme};
 
 /// StrongARM SA-1110 power draw in milliwatts (paper §6).
@@ -30,7 +28,7 @@ pub const STRONGARM_MODEXP_MS: f64 = 37.92;
 pub const P3_1GHZ_TO_450_SCALE: f64 = 1000.0 / 450.0;
 
 /// One row of Table 2.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostRow {
     /// Energy on the 133 MHz StrongARM, millijoules.
     pub strongarm_mj: f64,
@@ -69,7 +67,7 @@ pub fn table2_row(op: CompOp) -> Option<CostRow> {
 }
 
 /// A microprocessor energy model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CpuModel {
     /// Human-readable name.
     pub name: String,

@@ -6,10 +6,8 @@
 //! these into a [`crate::meter::Meter`]; analytic formulas produce the same
 //! [`OpCounts`] shape so instrumented and closed-form counts can be diffed.
 
-use serde::{Deserialize, Serialize};
-
 /// Signature schemes priced by Table 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// 1024-bit DSA.
     Dsa,
@@ -37,7 +35,7 @@ impl Scheme {
 }
 
 /// A computational operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CompOp {
     /// Modular exponentiation (1024-bit modulus).
     ModExp,
@@ -119,7 +117,7 @@ fn scheme_index(s: Scheme) -> usize {
 }
 
 /// A snapshot of per-node operation and traffic counts.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Computational op counts indexed by [`CompOp::index`].
     pub comp: Vec<u64>,

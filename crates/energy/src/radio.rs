@@ -10,10 +10,8 @@
 //! Every derived row of Table 3 (certificates, signatures) is exactly
 //! `size_bits × per-bit cost`; tests pin each printed value.
 
-use serde::{Deserialize, Serialize};
-
 /// A radio transceiver energy model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Transceiver {
     /// Human-readable name.
     pub name: String,

@@ -1,16 +1,16 @@
 //! The discrete-event radio: a virtual clock, a serialized channel, and a
 //! delivery queue.
 //!
-//! A [`RadioMedium`] wraps a *deferred* [`egka_net::Medium`]: protocol
-//! code sends through ordinary [`Endpoint`]s, but instead of instant
-//! fan-out each transmission parks in the outbox until [`RadioMedium::
-//! pump_air`] schedules it — serializing airtime on the shared channel,
-//! drawing per-link jitter, applying seeded loss, and debiting the
+//! A [`RadioMedium`] sits beside a protocol execution, which owns the
+//! nodes' mailboxes, traffic counters and power state. The execution
+//! resolves each send's audible recipients and hands the [`Transmission`]
+//! to [`RadioMedium::transmit`], which serializes airtime on the shared
+//! channel, draws per-link jitter, applies seeded loss, and debits the
 //! transmitter's battery. [`RadioMedium::advance`] then moves the virtual
-//! clock to the next scheduled delivery and hands the packet to its
-//! receiver (debiting *its* battery), so a driver alternates "pump the
-//! machines" / "advance the air" and reads the rekey's latency straight
-//! off [`RadioMedium::now_ms`].
+//! clock to the next scheduled delivery and hands each packet back to the
+//! execution (debiting the receiver's battery), so a driver alternates
+//! "pump the machines" / "advance the air" and reads the rekey's latency
+//! straight off [`RadioMedium::now_ms`].
 //!
 //! Everything is deterministic per seed: the jitter and loss draws come
 //! from one xorshift64* stream advanced in transmission order.
@@ -18,10 +18,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use egka_net::{Endpoint, Medium, NodeId, Packet};
-use parking_lot::Mutex;
-
 use crate::battery::BatteryBank;
+use crate::packet::{NodeId, Packet, Xorshift64Star};
 use crate::profile::RadioProfile;
 
 /// One scheduled hand-off to a receiver. Ordered by `(at_ns, seq)` so a
@@ -53,44 +51,42 @@ impl Ord for Delivery {
     }
 }
 
-struct AirState {
+/// A send whose sender is already charged and whose recipients are
+/// resolved (detached nodes filtered out at send time); the radio decides
+/// when — and whether — each target hears it.
+#[derive(Clone, Debug)]
+pub struct Transmission {
+    /// Transmitting node.
+    pub from: NodeId,
+    /// Audible recipients, in delivery-draw order.
+    pub targets: Vec<NodeId>,
+    /// The packet itself.
+    pub packet: Packet,
+}
+
+/// A virtual-time wireless medium: per-link delay, airtime contention on
+/// one shared channel, seeded loss, and battery-driven node death.
+///
+/// Node power state lives with the caller: every method that can kill a
+/// node takes the caller's per-node `detached` flags and sets the flag of
+/// a node whose battery browns out.
+pub struct RadioMedium {
+    profile: RadioProfile,
+    bank: BatteryBank,
     /// Node index → raw user id (battery cell key).
     users: Vec<u32>,
     now_ns: u64,
     /// The shared channel is busy until this instant; the next
     /// transmission starts no earlier.
     channel_free_ns: u64,
-    /// xorshift64* stream for jitter and loss draws.
-    rng: u64,
+    /// Jitter and loss draws.
+    rng: Xorshift64Star,
     seq: u64,
     queue: BinaryHeap<Reverse<Delivery>>,
-    /// Users whose battery died on this medium, in death order.
-    newly_dead: Vec<u32>,
     /// Observational trace hook: airtime spans, loss drops and battery
     /// debits are reported here when attached. Never read back, so it
     /// cannot perturb the schedule or the RNG stream.
     trace: Option<egka_trace::StepTrace>,
-}
-
-impl AirState {
-    /// Uniform draw in `[0, 1)` (xorshift64*, same generator as the
-    /// instant medium's loss state).
-    fn unit(&mut self) -> f64 {
-        self.rng ^= self.rng >> 12;
-        self.rng ^= self.rng << 25;
-        self.rng ^= self.rng >> 27;
-        let x = self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        (x >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// A virtual-time wireless medium: per-link delay, airtime contention on
-/// one shared channel, seeded loss, and battery-driven node death.
-pub struct RadioMedium {
-    net: Medium,
-    profile: RadioProfile,
-    bank: BatteryBank,
-    state: Mutex<AirState>,
 }
 
 impl RadioMedium {
@@ -104,33 +100,22 @@ impl RadioMedium {
     /// medium, so drain accumulates across protocol runs.
     pub fn with_bank(profile: RadioProfile, seed: u64, bank: BatteryBank) -> Self {
         RadioMedium {
-            net: Medium::deferred(),
             profile,
             bank,
-            state: Mutex::new(AirState {
-                users: Vec::new(),
-                now_ns: 0,
-                channel_free_ns: 0,
-                // xorshift64* needs a non-zero state.
-                rng: seed | 1,
-                seq: 0,
-                queue: BinaryHeap::new(),
-                newly_dead: Vec::new(),
-                trace: None,
-            }),
+            users: Vec::new(),
+            now_ns: 0,
+            channel_free_ns: 0,
+            rng: Xorshift64Star::new(seed),
+            seq: 0,
+            queue: BinaryHeap::new(),
+            trace: None,
         }
     }
 
     /// Attaches an observational trace: subsequent transmissions report
     /// airtime spans, drops, and battery debits into it.
-    pub fn set_trace(&self, trace: egka_trace::StepTrace) {
-        self.state.lock().trace = Some(trace);
-    }
-
-    /// The wrapped (deferred) packet medium — endpoints, partitions and
-    /// traffic counters live there.
-    pub fn net(&self) -> &Medium {
-        &self.net
+    pub fn set_trace(&mut self, trace: egka_trace::StepTrace) {
+        self.trace = Some(trace);
     }
 
     /// The radio's hardware/channel profile.
@@ -143,137 +128,110 @@ impl RadioMedium {
         &self.bank
     }
 
-    /// Registers a node for `user`. A user whose battery is already dead
-    /// joins powered off (its endpoint is detached immediately).
-    pub fn join(&self, user: u32) -> Endpoint {
-        let ep = self.net.join();
-        self.state.lock().users.push(user);
-        if self.bank.is_dead(user) {
-            self.net.detach(ep.id());
-        }
-        ep
+    /// Registers the next node (node ids count up from 0) for `user`.
+    /// Returns `false` if the user's battery is already dead: the node
+    /// joins powered off, and the caller must keep it detached.
+    pub fn join(&mut self, user: u32) -> bool {
+        self.users.push(user);
+        !self.bank.is_dead(user)
     }
 
-    /// Drains the net outbox and puts every parked transmission on the
-    /// air: debits the transmitter's battery, serializes the shared
-    /// channel, draws loss and per-link jitter, and schedules each
-    /// surviving copy's delivery. Returns how many transmissions were
-    /// scheduled.
-    pub fn pump_air(&self) -> usize {
-        let txs = self.net.take_outbox();
-        if txs.is_empty() {
-            return 0;
+    /// Powers `node` off after its battery browned out (once).
+    fn power_off(&mut self, node: NodeId, detached: &mut [bool]) {
+        if detached[node as usize] {
+            return;
         }
-        let mut st = self.state.lock();
-        let trace = st.trace.clone();
-        let scheduled = txs.len();
-        for tx in txs {
-            let bits = tx.packet.nominal_bits;
-            let user = st.users[tx.from as usize];
-            let tx_uj = bits as f64 * self.profile.transceiver.tx_uj_per_bit;
-            if !self.bank.debit(user, tx_uj) && !self.net.is_detached(tx.from) {
-                // The battery browned out radiating this packet: it still
-                // leaves the antenna, but the node is off from here on.
-                self.net.detach(tx.from);
-                st.newly_dead.push(user);
-                if let Some(t) = &trace {
-                    t.air_death(user, st.now_ns);
-                }
-            }
-            let start = st.now_ns.max(st.channel_free_ns);
-            let end = start + self.profile.airtime_ns(bits);
-            st.channel_free_ns = end;
-            if let Some(t) = &trace {
-                t.air_tx(bits, tx_uj, start, end);
-            }
-            for &to in &tx.targets {
-                if self.profile.loss > 0.0 && st.unit() < self.profile.loss {
-                    if let Some(t) = &trace {
-                        t.air_drop(st.users[to as usize], end);
-                    }
-                    continue;
-                }
-                let jitter_ns = if self.profile.delay.jitter_ms > 0.0 {
-                    (st.unit() * self.profile.delay.jitter_ms * 1e6) as u64
-                } else {
-                    0
-                };
-                let at_ns = end + (self.profile.delay.base_ms * 1e6) as u64 + jitter_ns;
-                let seq = st.seq;
-                st.seq += 1;
-                st.queue.push(Reverse(Delivery {
-                    at_ns,
-                    seq,
-                    to,
-                    packet: tx.packet.clone(),
-                }));
-            }
+        detached[node as usize] = true;
+        if let Some(t) = &self.trace {
+            t.air_death(self.users[node as usize], self.now_ns);
         }
-        scheduled
     }
 
-    /// Advances the virtual clock to the next scheduled delivery and hands
-    /// over every packet due at that instant, debiting each receiver's
-    /// battery (a receiver that dies mid-reception hears nothing). Returns
-    /// the new virtual now in nanoseconds, or `None` if nothing is in
-    /// flight.
-    pub fn advance(&self) -> Option<u64> {
-        let mut st = self.state.lock();
-        let Reverse(first) = st.queue.pop()?;
-        st.now_ns = st.now_ns.max(first.at_ns);
-        let due_at = first.at_ns;
-        let mut due = vec![first];
-        while let Some(Reverse(d)) = st.queue.peek() {
-            if d.at_ns != due_at {
-                break;
-            }
-            let Reverse(d) = st.queue.pop().expect("peeked");
-            due.push(d);
+    /// Puts `tx` on the air: debits the transmitter's battery, serializes
+    /// the shared channel, draws loss and per-link jitter, and schedules
+    /// each surviving copy's delivery.
+    pub fn transmit(&mut self, tx: Transmission, detached: &mut [bool]) {
+        let bits = tx.packet.nominal_bits;
+        let user = self.users[tx.from as usize];
+        let tx_uj = bits as f64 * self.profile.transceiver.tx_uj_per_bit;
+        if !self.bank.debit(user, tx_uj) {
+            // The battery browned out radiating this packet: it still
+            // leaves the antenna, but the node is off from here on.
+            self.power_off(tx.from, detached);
         }
-        let trace = st.trace.clone();
-        for d in due {
-            if self.net.is_detached(d.to) {
-                continue; // powered off since the packet went on the air
-            }
-            let user = st.users[d.to as usize];
-            let rx_uj = d.packet.nominal_bits as f64 * self.profile.transceiver.rx_uj_per_bit;
-            if !self.bank.debit(user, rx_uj) {
-                self.net.detach(d.to);
-                st.newly_dead.push(user);
-                if let Some(t) = &trace {
-                    t.air_death(user, st.now_ns);
+        let start = self.now_ns.max(self.channel_free_ns);
+        let end = start + self.profile.airtime_ns(bits);
+        self.channel_free_ns = end;
+        if let Some(t) = &self.trace {
+            t.air_tx(bits, tx_uj, start, end);
+        }
+        for &to in &tx.targets {
+            if self.profile.loss > 0.0 && self.rng.unit() < self.profile.loss {
+                if let Some(t) = &self.trace {
+                    t.air_drop(self.users[to as usize], end);
                 }
                 continue;
             }
-            if let Some(t) = &trace {
-                t.air_rx(user, rx_uj, st.now_ns);
-            }
-            self.net.deliver_to(d.to, &d.packet);
+            let jitter_ns = if self.profile.delay.jitter_ms > 0.0 {
+                (self.rng.unit() * self.profile.delay.jitter_ms * 1e6) as u64
+            } else {
+                0
+            };
+            let at_ns = end + (self.profile.delay.base_ms * 1e6) as u64 + jitter_ns;
+            let seq = self.seq;
+            self.seq += 1;
+            self.queue.push(Reverse(Delivery {
+                at_ns,
+                seq,
+                to,
+                packet: tx.packet.clone(),
+            }));
         }
-        Some(st.now_ns)
+    }
+
+    /// Advances the virtual clock to the next scheduled delivery and hands
+    /// every packet due at that instant to `deliver`, debiting each
+    /// receiver's battery (a receiver that is detached, or dies
+    /// mid-reception, hears nothing). Returns the new virtual now in
+    /// nanoseconds, or `None` if nothing is in flight.
+    pub fn advance(
+        &mut self,
+        detached: &mut [bool],
+        mut deliver: impl FnMut(NodeId, Packet),
+    ) -> Option<u64> {
+        let due_at = self.queue.peek()?.0.at_ns;
+        self.now_ns = self.now_ns.max(due_at);
+        while self.queue.peek().is_some_and(|d| d.0.at_ns == due_at) {
+            let Reverse(d) = self.queue.pop().expect("peeked");
+            if detached[d.to as usize] {
+                continue; // powered off since the packet went on the air
+            }
+            let user = self.users[d.to as usize];
+            let rx_uj = d.packet.nominal_bits as f64 * self.profile.transceiver.rx_uj_per_bit;
+            if !self.bank.debit(user, rx_uj) {
+                self.power_off(d.to, detached);
+                continue;
+            }
+            if let Some(t) = &self.trace {
+                t.air_rx(user, rx_uj, self.now_ns);
+            }
+            deliver(d.to, d.packet);
+        }
+        Some(self.now_ns)
     }
 
     /// Debits compute energy (millijoules, the unit the CPU model prices
-    /// in) from `user`'s battery; a drained battery powers the node off.
+    /// in) from `node`'s battery; a drained battery powers the node off.
     /// Returns whether the node is still alive.
-    pub fn debit_compute_mj(&self, user: u32, mj: f64) -> bool {
+    pub fn debit_compute_mj(&mut self, node: NodeId, mj: f64, detached: &mut [bool]) -> bool {
+        let user = self.users[node as usize];
         if mj <= 0.0 {
             return !self.bank.is_dead(user);
         }
         if self.bank.debit(user, mj * 1000.0) {
             return true;
         }
-        let mut st = self.state.lock();
-        if let Some(idx) = st.users.iter().position(|&u| u == user) {
-            let node = idx as NodeId;
-            if !self.net.is_detached(node) {
-                self.net.detach(node);
-                st.newly_dead.push(user);
-                if let Some(t) = &st.trace {
-                    t.air_death(user, st.now_ns);
-                }
-            }
-        }
+        self.power_off(node, detached);
         false
     }
 
@@ -281,30 +239,18 @@ impl RadioMedium {
     /// realizes a *timer* event (e.g. a silence deadline) when nothing is
     /// on the air. With deliveries pending, use [`RadioMedium::advance`]
     /// instead so the timer cannot leapfrog traffic.
-    pub fn advance_to(&self, at_ns: u64) {
-        let mut st = self.state.lock();
-        st.now_ns = st.now_ns.max(at_ns);
+    pub fn advance_to(&mut self, at_ns: u64) {
+        self.now_ns = self.now_ns.max(at_ns);
     }
 
     /// Virtual now, nanoseconds.
     pub fn now_ns(&self) -> u64 {
-        self.state.lock().now_ns
+        self.now_ns
     }
 
     /// Virtual now, milliseconds.
     pub fn now_ms(&self) -> f64 {
-        self.now_ns() as f64 / 1e6
-    }
-
-    /// True iff deliveries are scheduled (callers should [`RadioMedium::
-    /// pump_air`] first so parked sends are counted).
-    pub fn has_pending(&self) -> bool {
-        !self.state.lock().queue.is_empty()
-    }
-
-    /// Users whose battery died on this medium so far, in death order.
-    pub fn newly_dead(&self) -> Vec<u32> {
-        self.state.lock().newly_dead.clone()
+        self.now_ns as f64 / 1e6
     }
 }
 
@@ -327,25 +273,63 @@ mod tests {
         }
     }
 
+    /// A radio with `users` joined, and their (all attached) power flags.
+    fn radio_of(
+        profile: RadioProfile,
+        seed: u64,
+        bank: BatteryBank,
+        users: &[u32],
+    ) -> (RadioMedium, Vec<bool>) {
+        let mut radio = RadioMedium::with_bank(profile, seed, bank);
+        let detached = users.iter().map(|&u| !radio.join(u)).collect();
+        (radio, detached)
+    }
+
+    fn tx(from: NodeId, targets: &[NodeId], kind: u16, bits: u64) -> Transmission {
+        Transmission {
+            from,
+            targets: targets.to_vec(),
+            packet: Packet {
+                from,
+                kind,
+                payload: Bytes::new(),
+                nominal_bits: bits,
+            },
+        }
+    }
+
+    /// Advances until the air is quiet; returns the delivered kinds per node.
+    fn drain(radio: &mut RadioMedium, detached: &mut [bool]) -> Vec<Vec<u16>> {
+        let mut heard = vec![Vec::new(); detached.len()];
+        while radio
+            .advance(detached, |to, p| heard[to as usize].push(p.kind))
+            .is_some()
+        {}
+        heard
+    }
+
     #[test]
     fn airtime_serializes_the_shared_channel() {
-        // The ISSUE's example: a 3000-bit broadcast at 100 kbps occupies
-        // the channel for 30 virtual ms; two back-to-back broadcasts end
-        // at 30 and 60 ms.
-        let radio = RadioMedium::new(quiet(), 1);
-        let a = radio.join(10);
-        let b = radio.join(11);
-        a.broadcast(1, Bytes::new(), 3000);
-        a.broadcast(2, Bytes::new(), 3000);
-        assert_eq!(radio.pump_air(), 2);
-        radio.advance().unwrap();
+        // A 3000-bit broadcast at 100 kbps occupies the channel for 30
+        // virtual ms; two back-to-back broadcasts end at 30 and 60 ms.
+        let (mut radio, mut detached) = radio_of(quiet(), 1, BatteryBank::infinite(), &[10, 11]);
+        radio.transmit(tx(0, &[1], 1, 3000), &mut detached);
+        radio.transmit(tx(0, &[1], 2, 3000), &mut detached);
+        let mut heard = Vec::new();
+        radio
+            .advance(&mut detached, |_, p| heard.push(p.kind))
+            .unwrap();
         assert!((radio.now_ms() - 30.0).abs() < 1e-9, "{}", radio.now_ms());
-        assert_eq!(b.try_recv().unwrap().kind, 1);
-        assert!(b.try_recv().is_none(), "second packet still on the air");
-        radio.advance().unwrap();
+        assert_eq!(heard, vec![1], "second packet still on the air");
+        radio
+            .advance(&mut detached, |_, p| heard.push(p.kind))
+            .unwrap();
         assert!((radio.now_ms() - 60.0).abs() < 1e-9);
-        assert_eq!(b.try_recv().unwrap().kind, 2);
-        assert!(radio.advance().is_none(), "air is quiet again");
+        assert_eq!(heard, vec![1, 2]);
+        assert!(
+            radio.advance(&mut detached, |_, _| {}).is_none(),
+            "air is quiet again"
+        );
     }
 
     #[test]
@@ -356,12 +340,10 @@ mod tests {
             jitter_ms: 2.0,
         };
         let arrival = |seed: u64| {
-            let radio = RadioMedium::new(profile.clone(), seed);
-            let a = radio.join(0);
-            let _b = radio.join(1);
-            a.broadcast(1, Bytes::new(), 1000); // 10 ms airtime
-            radio.pump_air();
-            radio.advance().unwrap()
+            let (mut radio, mut detached) =
+                radio_of(profile.clone(), seed, BatteryBank::infinite(), &[0, 1]);
+            radio.transmit(tx(0, &[1], 1, 1000), &mut detached); // 10 ms airtime
+            radio.advance(&mut detached, |_, _| {}).unwrap()
         };
         let t = arrival(7);
         // 10 ms airtime + 5 ms base + jitter ∈ [0, 2) ms.
@@ -375,19 +357,12 @@ mod tests {
         let mut profile = quiet();
         profile.loss = 0.5;
         let delivered = |seed: u64| {
-            let radio = RadioMedium::new(profile.clone(), seed);
-            let a = radio.join(0);
-            let b = radio.join(1);
+            let (mut radio, mut detached) =
+                radio_of(profile.clone(), seed, BatteryBank::infinite(), &[0, 1]);
             for _ in 0..200 {
-                a.broadcast(1, Bytes::new(), 8);
+                radio.transmit(tx(0, &[1], 1, 8), &mut detached);
             }
-            radio.pump_air();
-            while radio.advance().is_some() {}
-            let mut n = 0;
-            while b.try_recv().is_some() {
-                n += 1;
-            }
-            n
+            drain(&mut radio, &mut detached)[1].len()
         };
         let n = delivered(3);
         assert!((60..140).contains(&n), "50% loss delivered {n}/200");
@@ -398,24 +373,20 @@ mod tests {
     fn battery_death_powers_a_node_off_mid_air() {
         let bank = BatteryBank::new(40_000.0); // 40 mJ
         bank.set_capacity(0, f64::INFINITY); // the transmitter is mains-powered
-        let radio = RadioMedium::with_bank(quiet(), 1, bank.clone());
-        let a = radio.join(0);
-        let b = radio.join(1);
+        let (mut radio, mut detached) = radio_of(quiet(), 1, bank.clone(), &[0, 1]);
         // Receiving 1000 bits costs 7510 µJ on the sensor radio; node 1
         // can afford five receptions, then dies mid-reception of the sixth.
         for _ in 0..8 {
-            a.broadcast(1, Bytes::new(), 1000);
+            radio.transmit(tx(0, &[1], 1, 1000), &mut detached);
         }
-        radio.pump_air();
-        while radio.advance().is_some() {}
-        let mut heard = 0;
-        while b.try_recv().is_some() {
-            heard += 1;
-        }
-        assert_eq!(heard, 5, "the sixth reception browned out the battery");
+        let heard = drain(&mut radio, &mut detached);
+        assert_eq!(
+            heard[1].len(),
+            5,
+            "the sixth reception browned out the battery"
+        );
         assert!(bank.is_dead(1));
-        assert_eq!(radio.newly_dead(), vec![1]);
-        assert!(radio.net().is_detached(b.id()));
+        assert!(detached[1]);
         // Node 0 paid 8 × 1000 × 10.8 µJ of transmit energy.
         assert!((bank.spent_uj(0) - 86_400.0).abs() < 1e-6);
     }
@@ -424,19 +395,20 @@ mod tests {
     fn dead_user_joins_powered_off() {
         let bank = BatteryBank::new(1.0);
         bank.debit(9, 2.0);
-        let radio = RadioMedium::with_bank(quiet(), 1, bank);
-        let ep = radio.join(9);
-        assert!(radio.net().is_detached(ep.id()));
+        let (_, detached) = radio_of(quiet(), 1, bank, &[9]);
+        assert_eq!(detached, vec![true]);
     }
 
     #[test]
     fn compute_debit_can_kill_too() {
         let bank = BatteryBank::new(10_000.0); // 10 mJ
-        let radio = RadioMedium::with_bank(quiet(), 1, bank);
-        let ep = radio.join(4);
-        assert!(radio.debit_compute_mj(4, 9.0));
-        assert!(!radio.debit_compute_mj(4, 2.0), "11 mJ of compute: dead");
-        assert!(radio.net().is_detached(ep.id()));
-        assert_eq!(radio.newly_dead(), vec![4]);
+        let (mut radio, mut detached) = radio_of(quiet(), 1, bank.clone(), &[4]);
+        assert!(radio.debit_compute_mj(0, 9.0, &mut detached));
+        assert!(
+            !radio.debit_compute_mj(0, 2.0, &mut detached),
+            "11 mJ of compute: dead"
+        );
+        assert!(detached[0]);
+        assert!(bank.is_dead(4));
     }
 }

@@ -15,10 +15,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// One node's budget snapshot.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BatteryStatus {
     /// Raw 32-bit user identity.
     pub user: u32,

@@ -5,26 +5,31 @@
 //! models into *simulated radio time* and *battery drain* instead of
 //! leaving them as after-the-fact pricing.
 //!
-//! The instant [`egka_net::Medium`] delivers every packet in zero time on
-//! the host clock; good enough for counting bits, useless for answering
-//! "how long does a rekey take on a 100 kbps sensor radio, and which mote
-//! dies first?". This crate answers both:
+//! It also defines what every medium carries and counts: [`Packet`],
+//! [`NodeId`] and [`TrafficStats`]. A protocol execution
+//! (`egka_core::machine::Execution`) owns its packet medium: per-node
+//! mailboxes, traffic counters and power flags. Without a radio that
+//! medium delivers every [`Packet`] in zero time; good enough for
+//! counting bits, useless for answering "how long does a rekey take on a
+//! 100 kbps sensor radio, and which mote dies first?". This crate answers
+//! both:
 //!
-//! * [`RadioMedium`] wraps a *deferred* net medium: sends park in an
-//!   outbox, [`RadioMedium::pump_air`] puts them on the air and
-//!   [`RadioMedium::advance`] moves a virtual clock from delivery to
-//!   delivery;
+//! * [`RadioMedium`] takes each resolved [`Transmission`] from the
+//!   execution ([`RadioMedium::transmit`]), and [`RadioMedium::advance`]
+//!   moves a virtual clock from delivery to delivery, handing each packet
+//!   back to the execution;
 //! * **airtime contention** — one shared channel, serialized at the
 //!   transceiver's `data_rate_bps` (a 3000-bit broadcast on the 100 kbps
 //!   radio occupies the channel for 30 virtual ms);
 //! * **per-link delay** — fixed base + seeded uniform jitter per delivery
 //!   ([`DelaySpec`]);
-//! * **seeded loss** — the same xorshift64* family as the instant medium,
-//!   applied per delivery at schedule time;
+//! * **seeded loss** — the same [`Xorshift64Star`] stream family as the
+//!   instant path, applied per delivery at transmit time;
 //! * **battery-driven death** — every tx/rx bit and compute millijoule is
 //!   debited from a shared [`BatteryBank`]; a drained node is powered off
-//!   *mid-protocol* (detached on the net medium), which is exactly the
-//!   fault the scheduler layers above already know how to survive.
+//!   *mid-protocol* (its execution's detached flag is set), which is
+//!   exactly the fault the scheduler layers above already know how to
+//!   survive.
 //!
 //! Everything is deterministic per seed, and the
 //! [`RadioProfile::ideal()`] configuration (zero delay, zero jitter, zero
@@ -49,8 +54,10 @@
 
 mod air;
 mod battery;
+mod packet;
 mod profile;
 
-pub use air::RadioMedium;
+pub use air::{RadioMedium, Transmission};
 pub use battery::{BatteryBank, BatteryStatus};
+pub use packet::{NodeId, Packet, TrafficStats, Xorshift64Star};
 pub use profile::{DelaySpec, RadioProfile};

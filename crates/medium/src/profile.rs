@@ -7,11 +7,10 @@
 //! per-delivery loss probability.
 
 use egka_energy::{CpuModel, Transceiver};
-use serde::{Deserialize, Serialize};
 
 /// Per-link propagation delay: a fixed base plus seeded uniform jitter in
 /// `[0, jitter_ms)`, drawn independently per delivery.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DelaySpec {
     /// Fixed one-way propagation/processing delay, milliseconds.
     pub base_ms: f64,
@@ -30,7 +29,7 @@ impl DelaySpec {
 }
 
 /// Everything the virtual radio needs to price and pace one deployment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RadioProfile {
     /// Transceiver: per-bit tx/rx energy and the channel's data rate.
     pub transceiver: Transceiver,

@@ -44,7 +44,7 @@
 //!   **interleaves** all pending groups' round machines round-robin
 //!   (`pump` in the diagram). A group stalled by a powered-off member or
 //!   persistent loss is detected, retried with fresh randomness, and
-//!   finally timed out — keeping its pre-epoch key, requeueing its events
+//!   finally given up on — keeping its pre-epoch key, requeueing its events
 //!   — while every other group on the shard completes in the same epoch.
 //! * **Epoch-batched rekey coordinator** ([`plan`]): membership events
 //!   queue per group between ticks; each tick collapses a queue into the
@@ -56,7 +56,7 @@
 //! * **Metrics** ([`metrics`]): per-epoch and cumulative — groups active,
 //!   events coalesced, rekeys executed/failed, steps retransmitted,
 //!   priced energy (mJ), operation counts, and cumulative
-//!   `egka_net::TrafficStats`.
+//!   `egka_medium::TrafficStats`.
 //!
 //! Every rekey executes the real protocols over the simulated medium —
 //! keys are derived by actual modular arithmetic on every simulated node

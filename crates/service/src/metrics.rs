@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use egka_core::suite::SuiteId;
 use egka_energy::OpCounts;
-use egka_net::TrafficStats;
+use egka_medium::TrafficStats;
 use egka_trace::Histogram;
 
 use crate::event::{GroupId, MembershipEvent, RejectReason};
@@ -94,7 +94,7 @@ pub struct ServiceMetrics {
     /// Cumulative operation counts across all rekeys.
     pub ops: OpCounts,
     /// Cumulative nominal/actual traffic across all rekeys, pulled from
-    /// the per-run `egka-net` medium accounting.
+    /// each protocol execution's medium accounting.
     pub traffic: TrafficStats,
     /// Cumulative rekeys and priced energy per GKA suite (group creations
     /// included) — the multi-backend cost ledger.

@@ -106,7 +106,6 @@ pub(crate) struct Config {
     pub loss: f64,
     pub store: Option<StoreConfig>,
     pub trace: Tracer,
-    pub parallel_pump: bool,
     pub eviction: Option<EvictionPolicy>,
     pub rebalancer: Option<Rebalancer>,
 }
@@ -123,7 +122,6 @@ impl Default for Config {
             loss: 0.0,
             store: None,
             trace: Tracer::disabled(),
-            parallel_pump: false,
             eviction: None,
             rebalancer: None,
         }
@@ -204,16 +202,6 @@ impl ServiceBuilder {
     /// `SuitePolicy::Fixed(SuiteId::Proposed)`).
     pub fn suite_policy(mut self, policy: SuitePolicy) -> Self {
         self.cfg.policy = policy;
-        self
-    }
-
-    /// Fans every protocol step's per-node machine work across threads
-    /// (default off). Purely a wall-clock knob: the parallel sweep
-    /// dispatches sends in node-index order after the machines join, so
-    /// keys, meters, loss draws, radio schedules and trace streams are
-    /// bit-identical to the sequential pump.
-    pub fn parallel_pump(mut self, on: bool) -> Self {
-        self.cfg.parallel_pump = on;
         self
     }
 
@@ -1111,7 +1099,6 @@ impl KeyService {
         };
         let faults_for = |_seed: u64| Faults {
             trace: strace.clone(),
-            parallel: self.config.parallel_pump,
             ..Faults::none()
         };
         let ctx = StepCtx {
@@ -1263,7 +1250,6 @@ impl KeyService {
         let detached: Vec<UserId> = self.detached.iter().copied().collect();
         let loss = self.loss;
         let step_retries = self.config.step_retries;
-        let parallel_pump = self.config.parallel_pump;
         let radio = self.radio_epoch();
         par::par_for_each_mut(&mut self.shards, |i, shard| {
             shard.run_epoch(&EpochCtx {
@@ -1278,7 +1264,6 @@ impl KeyService {
                 radio: radio.as_ref(),
                 pid: i as u32 + 1,
                 trace_enabled,
-                parallel_pump,
             });
         });
 
@@ -2026,7 +2011,6 @@ impl KeyService {
                     bank: self.bank.clone(),
                 }),
                 trace: trace.cloned(),
-                parallel: self.config.parallel_pump,
             };
             let ctx = StepCtx {
                 pkg: &self.pkg,

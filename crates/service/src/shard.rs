@@ -87,9 +87,6 @@ pub(crate) struct EpochCtx<'a> {
     /// and the coordinator drains the buffers in shard order, so the
     /// recorded stream is deterministic despite the parallel fan-out.
     pub trace_enabled: bool,
-    /// Fan each protocol step's per-node machine sweeps across threads
-    /// (bit-identical outcome; see [`Faults::parallel`]).
-    pub parallel_pump: bool,
 }
 
 impl EpochCtx<'_> {
@@ -104,7 +101,6 @@ impl EpochCtx<'_> {
                 bank: Some(r.bank.clone()),
             }),
             trace: None,
-            parallel: self.parallel_pump,
         }
     }
 

@@ -155,10 +155,6 @@ pub struct ChurnConfig {
     /// keyed to the virtual clock, the recorded events themselves are
     /// deterministic per seed.
     pub trace: Option<egka_trace::TraceConfig>,
-    /// Fan each protocol step's per-node machine sweeps across threads
-    /// (wall-clock only; every fingerprint, counter and trace event is
-    /// bit-identical to the sequential pump — `trace_churn` asserts it).
-    pub parallel_pump: bool,
     /// Arm the service's identifiable-abort eviction engine (`None`, the
     /// default, keeps the legacy golden-pinned behaviour: stalled groups
     /// retry forever).
@@ -187,7 +183,6 @@ impl Default for ChurnConfig {
             radio: None,
             suite_policy: SuitePolicy::default(),
             trace: None,
-            parallel_pump: false,
             eviction: None,
             faults: Vec::new(),
             reshard: None,
@@ -473,8 +468,7 @@ fn assemble_builder(
     let mut builder = KeyService::builder()
         .shards(config.shards)
         .seed(config.seed)
-        .suite_policy(config.suite_policy.clone())
-        .parallel_pump(config.parallel_pump);
+        .suite_policy(config.suite_policy.clone());
     if let Some(r) = &config.radio {
         builder = builder.radio(RadioConfig {
             profile: r.profile.clone(),
@@ -1007,7 +1001,6 @@ mod tests {
             radio: None,
             suite_policy: SuitePolicy::default(),
             trace: None,
-            parallel_pump: false,
             eviction: None,
             faults: Vec::new(),
             reshard: None,
@@ -1052,23 +1045,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pump_reproduces_the_golden_bit_for_bit() {
-        // The parallel sweep buffers per-node output and dispatches it in
-        // node-index order, so churn over threads must land on the exact
-        // same fingerprint, counters and priced energy as the sequential
-        // golden above.
-        let mut config = small();
-        config.parallel_pump = true;
-        let report = run_churn(&config);
-        assert_eq!(report.key_fingerprint, 0x6e14_e41f_677b_0a8b);
-        assert_eq!(report.events_applied, 55);
-        assert_eq!(report.rekeys_executed, 36);
-        assert!((report.energy_mj - 41_399.819_52).abs() < 1e-3);
-    }
-
-    #[test]
     fn churn_over_ideal_radio_matches_the_instant_golden_bit_for_bit() {
-        // Medium/reactor equivalence: with zero delay, zero loss and
+        // Medium equivalence: with zero delay, zero loss and
         // infinite batteries, a churn run over `egka-medium` (airtime
         // serialization and all) reproduces the instant-medium golden
         // (`churn_matches_blocking_driver_golden`) exactly — fingerprint,
@@ -1143,6 +1121,24 @@ mod tests {
         let again = run_churn(&config);
         assert_eq!(report.key_fingerprint, again.key_fingerprint);
         assert_eq!(report.steps_retried, again.steps_retried);
+    }
+
+    #[test]
+    fn lossy_churn_matches_the_instant_loss_golden() {
+        // Pins the instant medium's seeded loss path: one xorshift64* draw
+        // per audible recipient, in recipient order, at send time, and the
+        // scheduler's retries that the resulting drops trigger. Captured
+        // before the medium moved inside `Execution`; any change to the
+        // draw order, the charging or the sweep boundary moves it.
+        let mut config = small();
+        config.loss = 0.01;
+        let report = run_churn(&config);
+        assert_eq!(report.key_fingerprint, 0x9275_99ab_cbfb_f355);
+        assert_eq!(report.events_applied, 50);
+        assert_eq!(report.rekeys_executed, 33);
+        assert_eq!(report.groups_stalled, 2);
+        assert_eq!(report.steps_retried, 9);
+        assert!((report.energy_mj - 53_566.753_44).abs() < 1e-3);
     }
 
     #[test]

@@ -21,10 +21,9 @@
 
 use egka_energy::complexity::InitialProtocol;
 use egka_energy::{CompOp, CpuModel, OpCounts, Transceiver, NUM_OPS};
-use serde::{Deserialize, Serialize};
 
 /// Per-node latency split.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LatencyEstimate {
     /// Compute time, milliseconds.
     pub comp_ms: f64,

@@ -1,8 +1,8 @@
 //! # egka-sim
 //!
 //! The experiment harness: turns real, instrumented protocol runs (from
-//! `egka-core` over `egka-net`) plus the paper's energy model (from
-//! `egka-energy`) into the paper's evaluation artifacts:
+//! `egka-core`, each over the medium it owns) plus the paper's energy
+//! model (from `egka-energy`) into the paper's evaluation artifacts:
 //!
 //! * [`figure1`] — total per-node energy of the five authenticated GKA
 //!   protocols, `n ∈ {10, 50, 100, 500}`, both transceivers (Figure 1);
@@ -12,8 +12,7 @@
 //!   equal the closed forms before anything is priced;
 //! * [`churn`] — Poisson join/leave traffic over thousands of concurrent
 //!   groups, driving the `egka-service` epoch-batched rekey coordinator;
-//! * [`report`] — serde-able datasets with CSV/markdown/ASCII-chart
-//!   renderers.
+//! * [`report`] — datasets with CSV/markdown/ASCII-chart renderers.
 //!
 //! The `egka-bench` crate's `repro_*` binaries are thin wrappers over this
 //! crate.

@@ -2,12 +2,11 @@
 //! tables and figure, plus the radio-scenario summary.
 
 use egka_medium::BatteryStatus;
-use serde::{Deserialize, Serialize};
 
 /// What running a scenario over the virtual-time radio adds to its
 /// report: rekey latency in **virtual radio milliseconds** and the
 /// battery ledger.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RadioSummary {
     /// `(p50, p95, p99)` virtual-ms latency across every committed rekey.
     pub latency_quantiles_ms: Option<(f64, f64, f64)>,
@@ -71,7 +70,7 @@ impl RadioSummary {
 }
 
 /// How a data point's operation counts were obtained.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Source {
     /// Real protocol execution over the simulated medium, instrumented.
     Instrumented,
@@ -91,7 +90,7 @@ impl Source {
 }
 
 /// One point of Figure 1: per-node energy for (protocol, n, transceiver).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Figure1Point {
     /// Protocol key (`proposed`, `bd_sok`, …).
     pub protocol: String,
@@ -112,7 +111,7 @@ pub struct Figure1Point {
 }
 
 /// The full Figure 1 dataset.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Figure1 {
     /// All points (5 protocols × sizes × 2 transceivers).
     pub points: Vec<Figure1Point>,
@@ -203,7 +202,7 @@ impl Figure1 {
 }
 
 /// One row of the reproduced Table 5.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table5Row {
     /// "BD Join", "Our Join Protocol", …
     pub protocol: String,
@@ -225,7 +224,7 @@ impl Table5Row {
 }
 
 /// The reproduced Table 5.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Table5 {
     /// All rows, paper order.
     pub rows: Vec<Table5Row>,

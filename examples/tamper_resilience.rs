@@ -79,12 +79,11 @@ fn main() {
         lemma_mj - clean_mj
     );
 
-    // Lossy medium: the envelope/medium machinery also survives packet
-    // loss at the transport layer (the paper assumes reliable broadcast;
-    // our medium can drop packets to show where that assumption bites).
+    // Lossy medium: the paper assumes reliable broadcast; each run's medium
+    // can drop packets to show where that assumption bites.
     println!(
-        "\n(see egka_net::Medium::set_loss for loss injection; the GKA drivers\n\
-         assume the paper's reliable broadcast and would block on a dropped\n\
-         round message — a deliberate fidelity choice documented in DESIGN.md)"
+        "\n(see egka_core::Faults::loss for loss injection: a dropped round\n\
+         message stalls the run instead of blocking it, and the key service\n\
+         retries the step with a fresh loss seed — KeyService::set_loss)"
     );
 }

@@ -55,9 +55,8 @@
 //! | [`symmetric`] | AES-128/192/256, CBC/CTR, the `E_K(·)` envelope |
 //! | [`ec`] | prime fields, curves, wNAF, supersingular Tate pairing |
 //! | [`sig`] | GQ (+ batch), DSA, ECDSA, SOK, certificates, CA |
-//! | [`net`] | broadcast medium with per-node bit accounting |
 //! | [`energy`] | Tables 2/3 cost models, meters, Tables 1/4/5 closed forms |
-//! | [`medium`] | virtual-time radio: link delay, airtime contention, batteries |
+//! | [`medium`] | packets, per-node bit accounting, virtual-time radio (link delay, airtime contention, batteries) |
 //! | [`core`] | the five GKA protocols + Join/Leave/Merge/Partition |
 //! | [`store`] | durable group state: checksummed WAL + compacting snapshots |
 //! | [`service`] | sharded multi-group key management, epoch-batched rekeying, crash recovery |
@@ -74,7 +73,6 @@ pub use egka_ec as ec;
 pub use egka_energy as energy;
 pub use egka_hash as hash;
 pub use egka_medium as medium;
-pub use egka_net as net;
 pub use egka_robust as robust;
 pub use egka_service as service;
 pub use egka_sig as sig;

@@ -26,9 +26,13 @@
 //!   to 4 ms is noise, a 2 s scenario jumping to 3 s is a regression.
 //! * **Speedup ratios** (`egka-primitives/1` only): the artifact's
 //!   `*_speedup` fields are old-vs-new ratios measured inside one binary,
-//!   so they are machine-independent; the gated pair
-//!   (`fixed_base_mul_speedup`, `fixed_base_modexp_speedup`) must stay
+//!   so they are machine-independent; `field_mul_speedup` must stay above
+//!   4×, and `fixed_base_mul_speedup` and `fixed_base_modexp_speedup`
 //!   above the absolute `--speedup-floor` (default 2×).
+//!
+//! A top-level `groups_stalled` count fails outright when nonzero in the
+//! live-resharding artifact, and must equal the baseline's in every other
+//! churn artifact (it is deterministic per seed).
 //!
 //! Improvements (fresh below baseline) never fail; they print as a
 //! reminder to refresh the committed baseline. Exit code 1 on any failed
@@ -36,6 +40,10 @@
 
 use egka_bench::arg_value;
 use egka_bench::json::Json;
+
+/// Floor on `field_mul_speedup`: fixed-limb Montgomery multiplication
+/// against `Ubig` multiply-and-reduce on secp160r1's field.
+const FIELD_MUL_FLOOR: f64 = 4.0;
 
 struct Gate {
     max_regress: f64,
@@ -71,6 +79,37 @@ impl Gate {
             self.failures.push(line);
         } else {
             self.notes.push(line);
+        }
+    }
+
+    /// `groups_stalled` (top level, churn artifacts only). The resharding
+    /// scenario grows its pool live and hands groups off between epochs,
+    /// so any stall there is a liveness violation: outright failure. Every
+    /// other churn scenario is deterministic per seed (stalls come from
+    /// seeded loss or injected faults), so its count must equal the
+    /// baseline's exactly.
+    fn check_groups_stalled(&mut self, schema: &str, baseline: Option<f64>, fresh: Option<f64>) {
+        let Some(fresh) = fresh else {
+            return;
+        };
+        if schema == "egka-massive-churn/1" {
+            if fresh > 0.0 {
+                self.failures.push(format!(
+                    "groups_stalled: {fresh:.0} group-epoch(s) stalled during \
+                     live resharding — handoffs must never block an epoch"
+                ));
+            } else {
+                self.notes.push("groups_stalled: 0".into());
+            }
+        } else if baseline == Some(fresh) {
+            self.notes
+                .push(format!("groups_stalled: {fresh:.0} (equals the baseline)"));
+        } else {
+            let baseline = baseline.map_or("absent".into(), |b| format!("{b:.0}"));
+            self.failures.push(format!(
+                "groups_stalled: baseline {baseline} → fresh {fresh:.0} — the count \
+                 is deterministic per seed, so any change is a behavior change"
+            ));
         }
     }
 
@@ -196,39 +235,32 @@ fn main() {
             gate.notes.push("stalled_faulted_groups: 0".into());
         }
     }
-    // The resharding artifact counts group-epochs stalled while the pool
-    // was growing live. Handoffs run between epochs by construction, so
-    // any stall is a liveness violation — outright failure.
-    if let Some(stalled) = fresh.get("groups_stalled").and_then(Json::as_f64) {
-        if stalled > 0.0 {
-            gate.failures.push(format!(
-                "groups_stalled: {stalled:.0} group-epoch(s) stalled during \
-                 live resharding — handoffs must never block an epoch"
-            ));
-        } else {
-            gate.notes.push("groups_stalled: 0".into());
-        }
-    }
+    gate.check_groups_stalled(
+        &schema,
+        baseline.get("groups_stalled").and_then(Json::as_f64),
+        fresh.get("groups_stalled").and_then(Json::as_f64),
+    );
 
     if primitives {
         // The primitives artifact carries no energy model — its subject is
-        // the in-binary old/new ratios. The two fixed-base accelerations
-        // are the headline claims and must hold the absolute floor; the
-        // remaining ratios are informational (batch verification trades
-        // point additions for attribution guarantees and hovers near 1x).
-        for key in ["fixed_base_mul_speedup", "fixed_base_modexp_speedup"] {
+        // the in-binary old/new ratios. The fixed-limb field kernel and the
+        // two fixed-base accelerations are the headline claims and must
+        // hold their absolute floors; the remaining ratios are
+        // informational (batch verification trades work for attribution
+        // guarantees and hovers near 1x).
+        for (key, floor) in [
+            ("field_mul_speedup", FIELD_MUL_FLOOR),
+            ("fixed_base_mul_speedup", speedup_floor),
+            ("fixed_base_modexp_speedup", speedup_floor),
+        ] {
             gate.check_speedup(
                 key,
-                speedup_floor,
+                floor,
                 num(&baseline, &baseline_path, key),
                 num(&fresh, &fresh_path, key),
             );
         }
-        for key in [
-            "pairing_fixed_speedup",
-            "ecdsa_batch_speedup",
-            "gq_batch_speedup",
-        ] {
+        for key in ["pairing_fixed_speedup", "gq_batch_speedup"] {
             if baseline.get(key).is_some() && fresh.get(key).is_some() {
                 gate.notes.push(format!(
                     "{key}: baseline {:.2}x → fresh {:.2}x (informational)",
@@ -325,5 +357,51 @@ fn main() {
             max_regress * 100.0
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gate() -> Gate {
+        Gate {
+            max_regress: 0.25,
+            wall_floor_ms: 500.0,
+            failures: Vec::new(),
+            notes: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn any_stall_during_live_resharding_fails() {
+        let mut g = gate();
+        g.check_groups_stalled("egka-massive-churn/1", Some(0.0), Some(0.0));
+        assert!(g.failures.is_empty());
+        g.check_groups_stalled("egka-massive-churn/1", Some(1.0), Some(1.0));
+        assert_eq!(
+            g.failures.len(),
+            1,
+            "even a count equal to the baseline fails"
+        );
+    }
+
+    #[test]
+    fn other_churn_stalls_must_equal_the_baseline() {
+        let mut g = gate();
+        // The radio baseline's 1 % loss stalls two group-epochs by design.
+        g.check_groups_stalled("egka-service-churn/1", Some(2.0), Some(2.0));
+        assert!(g.failures.is_empty(), "{:?}", g.failures);
+        for fresh in [0.0, 3.0] {
+            let mut g = gate();
+            g.check_groups_stalled("egka-service-churn/1", Some(2.0), Some(fresh));
+            assert_eq!(g.failures.len(), 1, "fresh {fresh}");
+        }
+        let mut g = gate();
+        g.check_groups_stalled("egka-service-churn/1", None, Some(0.0));
+        assert_eq!(g.failures.len(), 1, "a count the baseline lacks is drift");
+        let mut g = gate();
+        g.check_groups_stalled("egka-primitives/1", None, None);
+        assert!(g.failures.is_empty() && g.notes.is_empty());
     }
 }

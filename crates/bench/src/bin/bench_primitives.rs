@@ -1,6 +1,6 @@
-//! Primitive micro-bench: old-vs-new timings for the fixed-base and batch
-//! accelerations, measured **in one binary** so the ratios cannot drift
-//! with toolchains or machines.
+//! Primitive micro-bench: old-vs-new timings for the field kernel, the
+//! fixed-base and the batch accelerations, measured **in one binary** so
+//! the ratios cannot drift with toolchains or machines.
 //!
 //! ```text
 //! cargo run --release -p egka-bench --bin bench_primitives
@@ -12,6 +12,9 @@
 //! Each pair times the *pre-acceleration* shape against the shipped one on
 //! the identical deterministic workload, asserting bit-equal results first:
 //!
+//! * **Field multiplication** (secp160r1's `p`) — `Ubig` multiply then
+//!   long-division reduce vs the fixed-limb Montgomery multiplication every
+//!   scalar multiplication runs on ([`Curve::field_mul_chain`]).
 //! * **Fixed-base EC scalar mult** — generic wNAF `curve.mul(k, G)` vs the
 //!   comb-backed [`Curve::mul_gen`].
 //! * **Fixed-base modexp** — per-call `Montgomery::new(p)` + windowed `pow`
@@ -20,14 +23,17 @@
 //! * **Fixed-argument pairing** — full Miller loop vs
 //!   [`PairingGroup::pairing_fixed`] over a cached [`egka_ec::MillerPrecomp`].
 //! * **Epoch batch verification** — per-item `verify` loops vs the
-//!   `egka-sig` batch entry points (ECDSA RLC chunks, DSA amortized loop,
-//!   GQ split-form RLC).
+//!   `egka-sig` batch entry points (DSA amortized loop, GQ split-form RLC).
+//!
+//! It also records single timings with no pair: variable-base EC scalar
+//! mult on a non-generator point, and ECDSA sign and verify on secp160r1.
 //!
 //! The artifact (`BENCH_primitives.json`, schema `egka-primitives/1`)
 //! carries each pair as `*_ns` plus a `*_speedup` ratio; `bench_diff`
-//! holds `fixed_base_mul_speedup` and `fixed_base_modexp_speedup` above an
-//! absolute floor (2×) in CI. `--check-determinism` regenerates every
-//! workload from the seed and asserts the result fingerprint reproduces.
+//! holds `field_mul_speedup` above 4× and `fixed_base_mul_speedup` and
+//! `fixed_base_modexp_speedup` above 2× in CI. `--check-determinism`
+//! regenerates every workload from the seed and asserts the result
+//! fingerprint reproduces.
 
 use std::time::Instant;
 
@@ -39,8 +45,8 @@ use egka_bigint::{
 use egka_ec::{secp160r1, Curve, PairingGroup, Point};
 use egka_hash::ChaChaRng;
 use egka_sig::{
-    dsa_batch_verify, ecdsa_batch_verify, gq_batch_verify_split, Dsa, DsaBatchItem, DsaSignature,
-    Ecdsa, EcdsaBatchItem, EcdsaSignature, GqPkg, GqSplitItem,
+    dsa_batch_verify, gq_batch_verify_split, Dsa, DsaBatchItem, DsaSignature, Ecdsa,
+    EcdsaSignature, GqPkg, GqSplitItem,
 };
 use rand::SeedableRng;
 
@@ -87,7 +93,58 @@ impl Pair {
     }
 }
 
-// ------------------------------------------------------- fixed-base EC mul
+// ------------------------------------------------------ field multiplication
+
+/// Chained multiplications per timed call, so the per-call conversions in
+/// and out of Montgomery form are amortized away.
+const MUL_CHAIN: u32 = 256;
+
+fn field_mul_workload(seed: u64, curve: &Curve, fp: &mut Fnv) -> Vec<(Ubig, Ubig)> {
+    let mut rng = ChaChaRng::seed_from_u64(seed ^ 0xf1e1d);
+    let f = curve.field();
+    let pairs: Vec<(Ubig, Ubig)> = (0..16)
+        .map(|_| (f.random(&mut rng), f.random(&mut rng)))
+        .collect();
+    for (a, b) in &pairs {
+        let new = curve.field_mul_chain(a, b, MUL_CHAIN);
+        assert_eq!(
+            new,
+            ubig_mul_chain(a, b, f.modulus()),
+            "field_mul_chain disagrees"
+        );
+        fp.push(&new.to_bytes_be());
+    }
+    pairs
+}
+
+/// The pre-rewrite field multiplication: `Ubig` product, then `rem`.
+fn ubig_mul_chain(a: &Ubig, b: &Ubig, p: &Ubig) -> Ubig {
+    let mut acc = a.clone();
+    for _ in 0..MUL_CHAIN {
+        acc = acc.mul_ref(b).rem_ref(p);
+    }
+    acc
+}
+
+fn bench_field_mul(seed: u64, fp: &mut Fnv) -> Pair {
+    let curve = secp160r1();
+    let pairs = field_mul_workload(seed, &curve, fp);
+    let p = curve.field().modulus();
+    let mut i = 0usize;
+    let old_ns = per_op_ns(64, || {
+        let (a, b) = &pairs[i % pairs.len()];
+        std::hint::black_box(ubig_mul_chain(a, b, p));
+        i += 1;
+    }) / f64::from(MUL_CHAIN);
+    let new_ns = per_op_ns(64, || {
+        let (a, b) = &pairs[i % pairs.len()];
+        std::hint::black_box(curve.field_mul_chain(a, b, MUL_CHAIN));
+        i += 1;
+    }) / f64::from(MUL_CHAIN);
+    Pair { old_ns, new_ns }
+}
+
+// ------------------------------------------------------------ EC scalar mul
 
 fn ec_workload(seed: u64, curve: &Curve, fp: &mut Fnv) -> Vec<Ubig> {
     let mut rng = ChaChaRng::seed_from_u64(seed ^ 0xec);
@@ -100,10 +157,13 @@ fn ec_workload(seed: u64, curve: &Curve, fp: &mut Fnv) -> Vec<Ubig> {
     scalars
 }
 
-fn bench_ec(seed: u64, fp: &mut Fnv) -> Pair {
+/// The fixed-base pair (wNAF on `G` vs the comb), plus the variable-base
+/// time: wNAF on a point that is not the generator, so no table is cached.
+fn bench_ec(seed: u64, fp: &mut Fnv) -> (Pair, f64) {
     let curve = secp160r1();
     let scalars = ec_workload(seed, &curve, fp); // also warms the comb
     let g = curve.generator().clone();
+    let base = curve.mul_gen(&scalars[0]);
     let mut i = 0usize;
     let old_ns = per_op_ns(256, || {
         std::hint::black_box(curve.mul(&scalars[i % scalars.len()], &g));
@@ -113,7 +173,11 @@ fn bench_ec(seed: u64, fp: &mut Fnv) -> Pair {
         std::hint::black_box(curve.mul_gen(&scalars[i % scalars.len()]));
         i += 1;
     });
-    Pair { old_ns, new_ns }
+    let variable_ns = per_op_ns(256, || {
+        std::hint::black_box(curve.mul(&scalars[i % scalars.len()], &base));
+        i += 1;
+    });
+    (Pair { old_ns, new_ns }, variable_ns)
 }
 
 // --------------------------------------------------------- fixed-base modexp
@@ -175,35 +239,34 @@ fn bench_pairing(seed: u64, fp: &mut Fnv) -> Pair {
 
 // ------------------------------------------------------------ batch verify
 
-fn bench_ecdsa_batch(seed: u64, fp: &mut Fnv) -> Pair {
+/// ECDSA sign and verify on secp160r1, in ns per call.
+fn bench_ecdsa(seed: u64, fp: &mut Fnv) -> (f64, f64) {
     let scheme = Ecdsa::new(secp160r1());
     let mut rng = ChaChaRng::seed_from_u64(seed ^ 0xba7c);
-    let triples: Vec<(Point, Vec<u8>, EcdsaSignature)> = (0..16)
+    let triples: Vec<(_, Vec<u8>, EcdsaSignature)> = (0..16)
         .map(|i| {
             let kp = scheme.keygen(&mut rng);
             let msg = format!("epoch share {i}").into_bytes();
             let sig = scheme.sign(&mut rng, &kp, &msg);
-            (kp.q, msg, sig)
+            (kp, msg, sig)
         })
         .collect();
-    let items: Vec<EcdsaBatchItem<'_>> = triples
-        .iter()
-        .map(|(q, msg, sig)| EcdsaBatchItem { q, msg, sig })
-        .collect();
-    assert_eq!(ecdsa_batch_verify(&scheme, &items), Ok(()));
-    for (_, _, sig) in &triples {
+    for (kp, msg, sig) in &triples {
+        assert!(scheme.verify(&kp.q, msg, sig));
         fp.push(&sig.r.to_bytes_be());
     }
-    let n = items.len() as f64;
-    let old_ns = per_op_ns(8, || {
-        for it in &items {
-            assert!(scheme.verify(it.q, it.msg, it.sig));
+    let n = triples.len() as f64;
+    let sign_ns = per_op_ns(8, || {
+        for (kp, msg, _) in &triples {
+            std::hint::black_box(scheme.sign(&mut rng, kp, msg));
         }
     }) / n;
-    let new_ns = per_op_ns(8, || {
-        ecdsa_batch_verify(&scheme, &items).unwrap();
+    let verify_ns = per_op_ns(8, || {
+        for (kp, msg, sig) in &triples {
+            assert!(scheme.verify(&kp.q, msg, sig));
+        }
     }) / n;
-    Pair { old_ns, new_ns }
+    (sign_ns, verify_ns)
 }
 
 fn bench_dsa_batch(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> Pair {
@@ -289,14 +352,18 @@ fn main() {
     let group = gen_schnorr_group(&mut group_rng, p_bits, q_bits);
 
     let mut fp = Fnv::new();
-    let ec = bench_ec(seed, &mut fp);
+    let field_mul = bench_field_mul(seed, &mut fp);
+    field_mul.print("field_mul");
+    let (ec, variable_base_ns) = bench_ec(seed, &mut fp);
     ec.print("fixed_base_mul");
+    println!("{:24} {variable_base_ns:>12.0} ns", "variable_base_mul");
     let modexp = bench_modexp(seed, &group, &mut fp);
     modexp.print("fixed_base_modexp");
     let pairing = bench_pairing(seed, &mut fp);
     pairing.print("pairing_fixed");
-    let ecdsa = bench_ecdsa_batch(seed, &mut fp);
-    ecdsa.print("ecdsa_batch (per item)");
+    let (ecdsa_sign_ns, ecdsa_verify_ns) = bench_ecdsa(seed, &mut fp);
+    println!("{:24} {ecdsa_sign_ns:>12.0} ns", "ecdsa_sign");
+    println!("{:24} {ecdsa_verify_ns:>12.0} ns", "ecdsa_verify");
     let dsa = bench_dsa_batch(seed, &group, &mut fp);
     dsa.print("dsa_batch (per item)");
     let gq = bench_gq_batch(seed, &mut fp);
@@ -308,10 +375,11 @@ fn main() {
         println!("re-deriving every workload for the determinism check…");
         let mut again = Fnv::new();
         let curve = secp160r1();
+        field_mul_workload(seed, &curve, &mut again);
         ec_workload(seed, &curve, &mut again);
         modexp_workload(seed, &group, &mut again);
         bench_pairing(seed, &mut again);
-        bench_ecdsa_batch(seed, &mut again);
+        bench_ecdsa(seed, &mut again);
         bench_dsa_batch(seed, &group, &mut again);
         bench_gq_batch(seed, &mut again);
         assert_eq!(
@@ -329,7 +397,11 @@ fn main() {
          \"p_bits\": {p_bits},\n  \
          \"q_bits\": {q_bits},\n  \
          \"workload_fingerprint\": \"{fingerprint:016x}\",\n  \
-         \"variable_base_mul_ns\": {:.0},\n  \
+         \"plain_field_mul_ns\": {:.1},\n  \
+         \"field_mul_ns\": {:.1},\n  \
+         \"field_mul_speedup\": {:.3},\n  \
+         \"variable_base_mul_ns\": {variable_base_ns:.0},\n  \
+         \"generator_wnaf_mul_ns\": {:.0},\n  \
          \"fixed_base_mul_ns\": {:.0},\n  \
          \"fixed_base_mul_speedup\": {:.3},\n  \
          \"plain_modexp_ns\": {:.0},\n  \
@@ -338,15 +410,17 @@ fn main() {
          \"pairing_ns\": {:.0},\n  \
          \"pairing_fixed_ns\": {:.0},\n  \
          \"pairing_fixed_speedup\": {:.3},\n  \
-         \"ecdsa_verify_ns\": {:.0},\n  \
-         \"ecdsa_batch_item_ns\": {:.0},\n  \
-         \"ecdsa_batch_speedup\": {:.3},\n  \
+         \"ecdsa_sign_ns\": {ecdsa_sign_ns:.0},\n  \
+         \"ecdsa_verify_ns\": {ecdsa_verify_ns:.0},\n  \
          \"dsa_verify_ns\": {:.0},\n  \
          \"dsa_batch_item_ns\": {:.0},\n  \
          \"gq_verify_ns\": {:.0},\n  \
          \"gq_batch_item_ns\": {:.0},\n  \
          \"gq_batch_speedup\": {:.3},\n  \
          \"wall_ms\": {wall_ms:.1}\n}}\n",
+        field_mul.old_ns,
+        field_mul.new_ns,
+        field_mul.speedup(),
         ec.old_ns,
         ec.new_ns,
         ec.speedup(),
@@ -356,9 +430,6 @@ fn main() {
         pairing.old_ns,
         pairing.new_ns,
         pairing.speedup(),
-        ecdsa.old_ns,
-        ecdsa.new_ns,
-        ecdsa.speedup(),
         dsa.old_ns,
         dsa.new_ns,
         gq.old_ns,

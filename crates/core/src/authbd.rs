@@ -22,9 +22,9 @@ use egka_energy::complexity::InitialProtocol;
 use egka_energy::{CompOp, Meter, Scheme};
 use egka_hash::ChaChaRng;
 use egka_sig::{
-    dsa_batch_verify, ecdsa_batch_verify, CaPublic, CertCheck, CertStore, Certificate,
-    CertificateAuthority, Dsa, DsaBatchItem, DsaKeyPair, DsaSignature, Ecdsa, EcdsaBatchItem,
-    EcdsaKeyPair, EcdsaSignature, SokParams, SokPkg, SokSecretKey, SokSignature, SubjectKey,
+    dsa_batch_verify, CaPublic, CertCheck, CertStore, Certificate, CertificateAuthority, Dsa,
+    DsaBatchItem, DsaKeyPair, DsaSignature, Ecdsa, EcdsaKeyPair, EcdsaSignature, SokParams, SokPkg,
+    SokSecretKey, SokSignature, SubjectKey,
 };
 use rand::{Rng, SeedableRng};
 
@@ -587,13 +587,13 @@ pub fn run_with_trust(
 /// Verifies all `n − 1` Round-2 signatures for one node.
 ///
 /// SOK verifies message by message ([`verify_one`] — its pairing reuse
-/// lives in the scheme's fixed-argument Miller precomputation); ECDSA and
-/// DSA hand the whole set to `egka_sig::batch` as one epoch batch. The
-/// meter records are **identical** to the one-by-one path — one
+/// lives in the scheme's fixed-argument Miller precomputation); ECDSA
+/// decodes every peer's signature and then verifies them in ring order,
+/// and DSA hands the whole set to `egka_sig::batch` as one epoch batch.
+/// The meter records are **identical** to the one-by-one path — one
 /// `SignVerify` per peer message, charged up front — because the paper
 /// prices the protocol's verification count, not the implementation
-/// shortcut. A batch rejection names the lowest-index culprit (the batch
-/// layer falls back to individual verification for attribution).
+/// shortcut. A rejection names the lowest-index culprit.
 ///
 /// # Panics
 /// Panics if any signature (or its certificate key) fails — these
@@ -630,17 +630,10 @@ fn verify_round2_sigs(node: &mut NodeState, z_prod: &Ubig) {
                 qs.push(q);
                 sigs.push(EcdsaSignature { r: sr, s: ss });
             }
-            let items: Vec<EcdsaBatchItem<'_>> = peers
-                .iter()
-                .enumerate()
-                .map(|(k, _)| EcdsaBatchItem {
-                    q: &qs[k],
-                    msg: &msgs[k],
-                    sig: &sigs[k],
-                })
-                .collect();
-            if let Err(k) = ecdsa_batch_verify(scheme, &items) {
-                panic!("honest-run signature from U{} rejected", peers[k]);
+            for (k, q) in qs.iter().enumerate() {
+                if !scheme.verify(q, &msgs[k], &sigs[k]) {
+                    panic!("honest-run signature from U{} rejected", peers[k]);
+                }
             }
         }
         NodeAuth::Dsa { scheme, .. } => {

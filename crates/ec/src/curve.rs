@@ -1,14 +1,21 @@
 //! Short-Weierstrass elliptic curves `y² = x³ + a·x + b` over a prime field.
 //!
-//! Points are exposed in affine coordinates ([`Point`]); scalar
-//! multiplication internally uses Jacobian projective coordinates with a
-//! width-4 wNAF window, which is where essentially all curve time is spent
-//! (ECDSA and SOK signing/verifying).
+//! Points are exposed in affine `Ubig` coordinates ([`Point`]), and the
+//! affine group law ([`Curve::add`], [`Curve::double`]) runs on the `Ubig`
+//! field [`Fp`]. Scalar multiplication — where essentially all curve time
+//! is spent (ECDSA and SOK signing/verifying) — converts its points once
+//! into fixed-limb Montgomery coordinates and runs Jacobian width-5 wNAF,
+//! Straus and Lim–Lee comb evaluation there (the private `jacobian`
+//! module), with no allocation or division per field operation.
+
+use std::sync::Arc;
 
 use egka_bigint::Ubig;
 use rand::Rng;
 
 use crate::field::Fp;
+use crate::jacobian::AnyEngine;
+use crate::mont::{with_width, AnyField, MAX_LIMBS};
 
 /// An affine curve point, or the point at infinity.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,14 +51,6 @@ impl Point {
     }
 }
 
-/// Jacobian coordinates `(X : Y : Z)` representing `(X/Z², Y/Z³)`.
-#[derive(Clone, Debug)]
-struct Jacobian {
-    x: Ubig,
-    y: Ubig,
-    z: Ubig, // zero ⇔ infinity
-}
-
 /// A short-Weierstrass curve with a distinguished prime-order subgroup.
 #[derive(Clone, Debug)]
 pub struct Curve {
@@ -65,79 +64,19 @@ pub struct Curve {
     /// Cofactor `#E / order`.
     cofactor: Ubig,
     gen: Point,
-    /// True when `a ≡ -3 (mod p)`, enabling the faster doubling formula.
-    a_is_minus_3: bool,
-    /// Lazily built fixed-base comb for `gen`; clones share it (`Arc`).
-    gen_comb: std::sync::Arc<std::sync::OnceLock<GenComb>>,
+    /// Fixed-limb arithmetic; clones share it, and with it the lazily
+    /// built generator tables.
+    arith: Arc<Arith>,
 }
 
-/// Lim–Lee comb for the generator: the scalar (up to `order` bits) is
-/// viewed as [`GenComb::TEETH`] rows of `cols` bits, and
-/// `table[t - 1] = (Σ_{j ∈ t} 2^{j·cols}) · G` for every non-empty tooth
-/// subset `t`. Evaluation is `cols` doublings + at most `cols` mixed
-/// additions — roughly `TEETH`× fewer doublings than a wNAF walk.
+/// The fixed-limb machinery behind a [`Curve`].
 #[derive(Debug)]
-struct GenComb {
-    cols: u32,
-    /// `2^TEETH − 1` subset sums, affine (entries may be `∞` on tiny
-    /// curves where subset sums cancel; evaluation skips those).
-    table: Vec<Point>,
-}
-
-impl GenComb {
-    const TEETH: u32 = 8;
-
-    fn new(curve: &Curve) -> Self {
-        let bits = curve.order.bit_length().max(1);
-        let cols = bits.div_ceil(Self::TEETH);
-        // powers[j] = 2^(j·cols) · G
-        let mut powers = Vec::with_capacity(Self::TEETH as usize);
-        powers.push(curve.gen.clone());
-        for j in 1..Self::TEETH as usize {
-            let mut p = powers[j - 1].clone();
-            for _ in 0..cols {
-                p = curve.double(&p);
-            }
-            powers.push(p);
-        }
-        // Subset sums, each built from a smaller subset with one addition.
-        let mut table = Vec::with_capacity((1usize << Self::TEETH) - 1);
-        for t in 1usize..(1 << Self::TEETH) {
-            let low = t.trailing_zeros() as usize;
-            let rest = t & (t - 1);
-            let entry = if rest == 0 {
-                powers[low].clone()
-            } else {
-                curve.add(&table[rest - 1], &powers[low])
-            };
-            table.push(entry);
-        }
-        GenComb { cols, table }
-    }
-
-    /// `k · G` for `k` already reduced below the subgroup order.
-    fn eval(&self, curve: &Curve, k: &Ubig) -> Point {
-        let mut acc = Jacobian {
-            x: Ubig::one(),
-            y: Ubig::one(),
-            z: Ubig::zero(),
-        };
-        for col in (0..self.cols).rev() {
-            acc = curve.jac_double(&acc);
-            let mut t = 0usize;
-            for j in 0..Self::TEETH {
-                if k.bit(j * self.cols + col) {
-                    t |= 1 << j;
-                }
-            }
-            if t != 0 {
-                if let Point::Affine { x, y } = &self.table[t - 1] {
-                    acc = curve.jac_add_affine(&acc, x, y);
-                }
-            }
-        }
-        curve.to_affine(&acc)
-    }
+struct Arith {
+    engine: AnyEngine,
+    /// Arithmetic modulo the subgroup order (`None` for an even or
+    /// over-wide order; only pairing-group generation's full-group curve,
+    /// of even order `p + 1`, has one).
+    scalars: Option<AnyField>,
 }
 
 impl Curve {
@@ -145,7 +84,8 @@ impl Curve {
     /// have the claimed order.
     ///
     /// # Panics
-    /// Panics if the generator is off-curve or `order · gen ≠ ∞`.
+    /// Panics if the field modulus is wider than 256 bits, or the generator
+    /// is off-curve or `order · gen ≠ ∞`.
     pub fn new(
         name: &'static str,
         field: Fp,
@@ -155,9 +95,18 @@ impl Curve {
         cofactor: Ubig,
         gen: Point,
     ) -> Self {
+        assert!(
+            field.bits() <= 64 * MAX_LIMBS as u32,
+            "{name}: field wider than the {}-bit fixed-limb capacity",
+            64 * MAX_LIMBS
+        );
         let a = field.reduce(&a);
         let b = field.reduce(&b);
-        let a_is_minus_3 = field.add(&a, &Ubig::from_u64(3)).is_zero();
+        let arith = Arc::new(Arith {
+            engine: AnyEngine::new(&field, &a, &gen, &order),
+            scalars: (order.is_odd() && order.bit_length() <= 64 * MAX_LIMBS as u32)
+                .then(|| AnyField::new(&order)),
+        });
         let c = Curve {
             name,
             field,
@@ -165,15 +114,12 @@ impl Curve {
             b,
             order,
             cofactor,
-            gen: Point::Infinity,
-            a_is_minus_3,
-            gen_comb: std::sync::Arc::new(std::sync::OnceLock::new()),
+            gen,
+            arith,
         };
-        assert!(c.is_on_curve(&gen), "{name}: generator not on curve");
-        let mut c = c;
-        c.gen = gen;
+        assert!(c.is_on_curve(&c.gen), "{name}: generator not on curve");
         assert!(
-            c.mul_raw(&c.order.clone(), &c.gen.clone()).is_infinity(),
+            c.mul_raw(&c.order, &c.gen).is_infinity(),
             "{name}: generator order mismatch"
         );
         c
@@ -278,104 +224,12 @@ impl Curve {
         Point::Affine { x: x3, y: y3 }
     }
 
-    // ----- Jacobian internals -----
-
-    fn to_affine(&self, p: &Jacobian) -> Point {
-        if p.z.is_zero() {
-            return Point::Infinity;
-        }
-        let f = &self.field;
-        let zinv = f.inv(&p.z).expect("non-zero z");
-        let zinv2 = f.sqr(&zinv);
-        let zinv3 = f.mul(&zinv2, &zinv);
-        Point::Affine {
-            x: f.mul(&p.x, &zinv2),
-            y: f.mul(&p.y, &zinv3),
-        }
-    }
-
-    /// Jacobian doubling ("dbl-2007-bl" shape; the `a = -3` fast path folds
-    /// the `a·Z⁴` term into a product of sums).
-    fn jac_double(&self, p: &Jacobian) -> Jacobian {
-        let f = &self.field;
-        if p.z.is_zero() || p.y.is_zero() {
-            return Jacobian {
-                x: Ubig::one(),
-                y: Ubig::one(),
-                z: Ubig::zero(),
-            };
-        }
-        let xx = f.sqr(&p.x);
-        let yy = f.sqr(&p.y);
-        let yyyy = f.sqr(&yy);
-        let zz = f.sqr(&p.z);
-        // S = 2·((X+YY)² − XX − YYYY)
-        let s = {
-            let t = f.sub(&f.sub(&f.sqr(&f.add(&p.x, &yy)), &xx), &yyyy);
-            f.add(&t, &t)
-        };
-        // M = 3·XX + a·ZZ²
-        let m = if self.a_is_minus_3 {
-            // 3·(X−ZZ)(X+ZZ)
-            f.mul_u64(&f.mul(&f.sub(&p.x, &zz), &f.add(&p.x, &zz)), 3)
-        } else {
-            f.add(&f.mul_u64(&xx, 3), &f.mul(&self.a, &f.sqr(&zz)))
-        };
-        let x3 = f.sub(&f.sqr(&m), &f.add(&s, &s));
-        let y3 = f.sub(&f.mul(&m, &f.sub(&s, &x3)), &f.mul_u64(&yyyy, 8));
-        let z3 = f.sub(&f.sub(&f.sqr(&f.add(&p.y, &p.z)), &yy), &zz);
-        Jacobian {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
-    }
-
-    /// Mixed addition: `p` Jacobian + `q` affine (z = 1).
-    fn jac_add_affine(&self, p: &Jacobian, qx: &Ubig, qy: &Ubig) -> Jacobian {
-        let f = &self.field;
-        if p.z.is_zero() {
-            return Jacobian {
-                x: qx.clone(),
-                y: qy.clone(),
-                z: Ubig::one(),
-            };
-        }
-        let zz = f.sqr(&p.z);
-        let u2 = f.mul(qx, &zz);
-        let s2 = f.mul(qy, &f.mul(&zz, &p.z));
-        let h = f.sub(&u2, &p.x);
-        let r = f.sub(&s2, &p.y);
-        if h.is_zero() {
-            return if r.is_zero() {
-                self.jac_double(p)
-            } else {
-                Jacobian {
-                    x: Ubig::one(),
-                    y: Ubig::one(),
-                    z: Ubig::zero(),
-                }
-            };
-        }
-        let hh = f.sqr(&h);
-        let hhh = f.mul(&hh, &h);
-        let v = f.mul(&p.x, &hh);
-        let x3 = f.sub(&f.sub(&f.sqr(&r), &hhh), &f.add(&v, &v));
-        let y3 = f.sub(&f.mul(&r, &f.sub(&v, &x3)), &f.mul(&p.y, &hhh));
-        let z3 = f.mul(&p.z, &h);
-        Jacobian {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
-    }
-
-    /// Scalar multiplication `k · p` with a width-4 wNAF window. The scalar
-    /// is reduced modulo the subgroup order first (every honest input lies
-    /// in the subgroup); use [`Curve::mul_raw`] for membership checks where
-    /// that reduction would be circular.
+    /// Scalar multiplication `k · p` (width-5 wNAF). The scalar is reduced
+    /// modulo the subgroup order first (every honest input lies in the
+    /// subgroup); use [`Curve::mul_raw`] for membership checks where that
+    /// reduction would be circular.
     pub fn mul(&self, k: &Ubig, p: &Point) -> Point {
-        self.mul_inner(&k.rem_ref(&self.order), p)
+        self.mul_raw(&k.rem_ref(&self.order), p)
     }
 
     /// Scalar multiplication without reducing `k` modulo the subgroup order.
@@ -385,50 +239,7 @@ impl Curve {
     /// point. Used by the constructor's generator check and by signature
     /// verifiers validating attacker-supplied points.
     pub fn mul_raw(&self, k: &Ubig, p: &Point) -> Point {
-        self.mul_inner(k, p)
-    }
-
-    fn mul_inner(&self, k: &Ubig, p: &Point) -> Point {
-        if k.is_zero() || p.is_infinity() {
-            return Point::Infinity;
-        }
-        // Precompute odd multiples P, 3P, ..., 15P in affine form (cheap
-        // enough at protocol scale and makes every loop addition "mixed").
-        let (odd, neg_odd) = self.odd_multiples(p);
-        let naf = wnaf(k, 4);
-        let mut acc = Jacobian {
-            x: Ubig::one(),
-            y: Ubig::one(),
-            z: Ubig::zero(),
-        };
-        for &digit in naf.iter().rev() {
-            acc = self.jac_double(&acc);
-            if digit != 0 {
-                let q = if digit > 0 {
-                    &odd[(digit as usize - 1) / 2]
-                } else {
-                    &neg_odd[((-digit) as usize - 1) / 2]
-                };
-                if let Point::Affine { x, y } = q {
-                    acc = self.jac_add_affine(&acc, x, y);
-                }
-            }
-        }
-        self.to_affine(&acc)
-    }
-
-    /// Odd multiples `P, 3P, …, 15P` (and their negations) in affine form —
-    /// the width-4 wNAF window table. Entries can be `∞` on tiny curves.
-    fn odd_multiples(&self, p: &Point) -> (Vec<Point>, Vec<Point>) {
-        let mut odd = Vec::with_capacity(8);
-        odd.push(p.clone());
-        let twop = self.double(p);
-        for i in 1..8 {
-            let next = self.add(&odd[i - 1], &twop);
-            odd.push(next);
-        }
-        let neg_odd: Vec<Point> = odd.iter().map(|q| self.neg(q)).collect();
-        (odd, neg_odd)
+        with_width!(&self.arith.engine, e => e.mul_multi(&self.gen, &[(k, p)]))
     }
 
     /// `k1·P + k2·Q` (used by ECDSA verification): interleaved width-4
@@ -438,50 +249,13 @@ impl Curve {
     }
 
     /// `Σ kᵢ·Pᵢ` — Straus' interleaved multi-scalar multiplication: one
-    /// shared doubling chain, per-term width-4 wNAF digit streams and
-    /// odd-multiples tables. Scalars are reduced modulo the subgroup
-    /// order. Used by ECDSA verification (`m = 2`) and batch signature
-    /// verification (`m` terms, one chain).
+    /// shared doubling chain, per-term width-5 wNAF digit streams and
+    /// odd-multiples tables (the generator's is cached). Scalars are
+    /// reduced modulo the subgroup order.
     pub fn mul_multi(&self, terms: &[(&Ubig, &Point)]) -> Point {
-        let mut tables = Vec::with_capacity(terms.len());
-        let mut nafs = Vec::with_capacity(terms.len());
-        let mut longest = 0usize;
-        for (k, p) in terms {
-            let k = k.rem_ref(&self.order);
-            if k.is_zero() || p.is_infinity() {
-                continue;
-            }
-            let naf = wnaf(&k, 4);
-            longest = longest.max(naf.len());
-            tables.push(self.odd_multiples(p));
-            nafs.push(naf);
-        }
-        if nafs.is_empty() {
-            return Point::Infinity;
-        }
-        let mut acc = Jacobian {
-            x: Ubig::one(),
-            y: Ubig::one(),
-            z: Ubig::zero(),
-        };
-        for i in (0..longest).rev() {
-            acc = self.jac_double(&acc);
-            for (naf, (odd, neg_odd)) in nafs.iter().zip(&tables) {
-                let digit = naf.get(i).copied().unwrap_or(0);
-                if digit == 0 {
-                    continue;
-                }
-                let q = if digit > 0 {
-                    &odd[(digit as usize - 1) / 2]
-                } else {
-                    &neg_odd[((-digit) as usize - 1) / 2]
-                };
-                if let Point::Affine { x, y } = q {
-                    acc = self.jac_add_affine(&acc, x, y);
-                }
-            }
-        }
-        self.to_affine(&acc)
+        let reduced: Vec<Ubig> = terms.iter().map(|(k, _)| k.rem_ref(&self.order)).collect();
+        let terms: Vec<(&Ubig, &Point)> = reduced.iter().zip(terms.iter().map(|t| t.1)).collect();
+        with_width!(&self.arith.engine, e => e.mul_multi(&self.gen, &terms))
     }
 
     /// `k · G` for the distinguished generator, via a lazily built (and
@@ -489,11 +263,40 @@ impl Curve {
     /// additions instead of a full wNAF walk.
     pub fn mul_gen(&self, k: &Ubig) -> Point {
         let k = k.rem_ref(&self.order);
-        if k.is_zero() || self.gen.is_infinity() {
-            return Point::Infinity;
-        }
-        let comb = self.gen_comb.get_or_init(|| GenComb::new(self));
-        comb.eval(self, &k)
+        with_width!(&self.arith.engine, e => e.mul_gen(&k))
+    }
+
+    /// `a · b mod order`, for signature scalars.
+    ///
+    /// # Panics
+    /// Panics if the subgroup order is even or wider than 256 bits.
+    pub fn scalar_mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
+        self.scalars().mul(a, b)
+    }
+
+    /// `a⁻¹ mod order` by Fermat's little theorem, or `None` for
+    /// `a ≡ 0`. The order must be prime, as every named curve's is.
+    ///
+    /// # Panics
+    /// Panics if the subgroup order is even or wider than 256 bits.
+    pub fn scalar_inv(&self, a: &Ubig) -> Option<Ubig> {
+        self.scalars().inv(a)
+    }
+
+    /// `a · bʳ mod p` by `rounds` chained multiplications in the
+    /// fixed-limb Montgomery field that scalar multiplication runs on (one
+    /// conversion in and one out). It exists so `bench_primitives` can time
+    /// that kernel against `Ubig` multiply-and-reduce.
+    #[doc(hidden)]
+    pub fn field_mul_chain(&self, a: &Ubig, b: &Ubig, rounds: u32) -> Ubig {
+        with_width!(&self.arith.engine, e => e.field().mul_chain(a, b, rounds))
+    }
+
+    fn scalars(&self) -> &AnyField {
+        self.arith
+            .scalars
+            .as_ref()
+            .expect("scalar arithmetic needs an odd prime subgroup order of ≤ 256 bits")
     }
 
     /// Uniformly random scalar in `[1, order)`.
@@ -540,31 +343,6 @@ impl Curve {
         }
         Some(Point::Affine { x, y })
     }
-}
-
-/// Computes the width-`w` non-adjacent form of `k`, least-significant digit
-/// first. Digits are odd in `(-2^(w-1), 2^(w-1))` or zero.
-fn wnaf(k: &Ubig, w: u32) -> Vec<i8> {
-    let mut k = k.clone();
-    let mut out = Vec::with_capacity(k.bit_length() as usize + 1);
-    let window = 1u64 << w;
-    let half = 1i64 << (w - 1);
-    while !k.is_zero() {
-        if k.is_odd() {
-            let m = (k.low_u64() % window) as i64;
-            let digit = if m >= half { m - window as i64 } else { m };
-            out.push(digit as i8);
-            if digit > 0 {
-                k = k.checked_sub(&Ubig::from_u64(digit as u64)).unwrap();
-            } else {
-                k = k.add_ref(&Ubig::from_u64((-digit) as u64));
-            }
-        } else {
-            out.push(0);
-        }
-        k = k.shr_bits(1);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -699,18 +477,120 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wnaf_reconstructs_value() {
-        for v in [1u64, 2, 3, 7, 15, 16, 255, 1000, 0xdead_beef] {
-            let naf = wnaf(&Ubig::from_u64(v), 4);
-            let mut acc: i128 = 0;
-            for (i, &d) in naf.iter().enumerate() {
-                acc += (d as i128) << i;
+    /// `k · p` by textbook MSB-first affine double-and-add on the `Ubig`
+    /// field — an oracle independent of the fixed-limb engine.
+    fn naive_mul(c: &Curve, k: &Ubig, p: &Point) -> Point {
+        let mut acc = Point::Infinity;
+        for i in (0..k.bit_length()).rev() {
+            acc = c.double(&acc);
+            if k.bit(i) {
+                acc = c.add(&acc, p);
             }
-            assert_eq!(acc, v as i128, "v = {v}");
-            // Non-adjacency: no two consecutive non-zero digits.
-            for w in naf.windows(2) {
-                assert!(w[0] == 0 || w[1] == 0, "adjacent digits in {naf:?}");
+        }
+        acc
+    }
+
+    #[test]
+    fn secp160r1_scalars_at_and_above_2_pow_160() {
+        let c = crate::secp160r1();
+        let n = c.order().clone(); // 161 bits: just above 2^160
+        let g = c.generator().clone();
+        let p = c.mul_gen(&Ubig::from_u64(7));
+        let two = |e: u32| Ubig::one().shl_bits(e);
+        let one = Ubig::one();
+        let scalars = [
+            two(160),
+            two(160).add_ref(&one),
+            n.checked_sub(&one).unwrap(),
+            n.clone(),
+            n.add_ref(&one),
+            two(161).checked_sub(&one).unwrap(),
+            two(200).add_ref(&Ubig::from_u64(3)),
+            two(300).add_ref(&Ubig::from_u64(7)), // five limbs
+        ];
+        for k in &scalars {
+            let reduced = k.rem_ref(&n);
+            for base in [&g, &p] {
+                let want = naive_mul(&c, &reduced, base);
+                assert_eq!(c.mul(k, base), want, "mul, k = {k}");
+                // Both bases have order n, so the unreduced walk agrees.
+                assert_eq!(c.mul_raw(k, base), want, "mul_raw, k = {k}");
+            }
+            assert_eq!(
+                c.mul_gen(k),
+                naive_mul(&c, &reduced, &g),
+                "mul_gen, k = {k}"
+            );
+        }
+    }
+
+    /// `y² = x³ + 2x + 3` over `F_97`: 100 points, with `(3, 6)` generating
+    /// the order-5 subgroup (cofactor 20), so most points lie outside it.
+    fn tiny97() -> Curve {
+        Curve::new(
+            "tiny97",
+            Fp::new(Ubig::from_u64(97)),
+            Ubig::from_u64(2),
+            Ubig::from_u64(3),
+            Ubig::from_u64(5),
+            Ubig::from_u64(20),
+            Point::affine(Ubig::from_u64(3), Ubig::from_u64(6)),
+        )
+    }
+
+    #[test]
+    fn mul_raw_order_exposes_points_outside_the_subgroup() {
+        let c = tiny97();
+        let pts = enumerate_points(&c);
+        assert_eq!(pts.len(), 100);
+        let mut outside = 0;
+        for p in &pts {
+            let raw = c.mul_raw(c.order(), p);
+            assert_eq!(raw, naive_mul(&c, c.order(), p));
+            // Reducing the scalar first would make every point look fine.
+            assert!(c.mul(c.order(), p).is_infinity());
+            if !raw.is_infinity() {
+                outside += 1;
+            }
+        }
+        assert_eq!(outside, 95, "only the 5 subgroup points satisfy 5·P = ∞");
+    }
+
+    #[test]
+    fn window_tables_of_small_order_points_match_double_and_add() {
+        // Points of order 2, 4 and 5 make the odd-multiples chain add a
+        // point to itself or to its negation; scalars up to 70 use every
+        // table entry, negative digits and the final wNAF carry.
+        let c = tiny97();
+        for p in enumerate_points(&c) {
+            for k in 0..=70u64 {
+                let k = Ubig::from_u64(k);
+                assert_eq!(c.mul_raw(&k, &p), naive_mul(&c, &k, &p), "k = {k}, {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn mul_multi_with_repeated_and_cancelling_terms_matches_separate() {
+        for c in [tiny(), crate::secp160r1()] {
+            let g = c.generator().clone();
+            let neg_g = c.neg(&g);
+            let p = c.mul_gen(&Ubig::from_u64(11));
+            let k = Ubig::from_u64(123_456_789).rem_ref(c.order());
+            let minus_k = c.order().checked_sub(&k).unwrap();
+            let three = Ubig::from_u64(3);
+            let cases: [&[(&Ubig, &Point)]; 5] = [
+                &[(&k, &p), (&k, &p)],
+                &[(&k, &p), (&minus_k, &p)],
+                &[(&k, &g), (&k, &neg_g)],
+                &[(&k, &g), (&three, &p), (&k, &g), (&k, &Point::Infinity)],
+                &[(&k, &p), (&k, &p), (&k, &p), (&minus_k, &p), (&minus_k, &p)],
+            ];
+            for terms in cases {
+                let want = terms
+                    .iter()
+                    .fold(Point::Infinity, |acc, (k, q)| c.add(&acc, &c.mul(k, q)));
+                assert_eq!(c.mul_multi(terms), want, "{}: {terms:?}", c.name);
             }
         }
     }

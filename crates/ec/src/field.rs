@@ -1,9 +1,13 @@
-//! Prime-field arithmetic contexts.
+//! Prime-field arithmetic contexts on `Ubig` values.
 //!
 //! A [`Fp`] bundles an odd prime modulus with its Montgomery context from
 //! `egka-bigint`; field elements are plain [`Ubig`] values reduced into
-//! `[0, p)`. Keeping elements context-free (no `Arc` per element) makes the
-//! point types in [`crate::curve`] plain data and keeps clones cheap.
+//! `[0, p)`, and each multiplication is a `Ubig` product followed by a
+//! division. This is the field of the public API: affine points, the
+//! affine group law, point compression, and the `F_p²` Miller loop of the
+//! pairing. Scalar multiplication does not run here: it converts its points
+//! once into the crate's fixed-limb Montgomery field, which neither
+//! allocates nor divides (see [`crate::curve`]).
 
 use egka_bigint::{mod_inverse, Montgomery, Ubig};
 use rand::Rng;

@@ -15,8 +15,9 @@
 //!
 //! * [`field`] — prime fields `F_p` (Montgomery-backed) and the quadratic
 //!   extension `F_p²` with `i² = −1`;
-//! * [`curve`] — short-Weierstrass curves, Jacobian arithmetic, wNAF scalar
-//!   multiplication, SEC1 point compression;
+//! * [`curve`] — short-Weierstrass curves, SEC1 point compression, and
+//!   scalar multiplication (wNAF, Straus, Lim–Lee comb) on allocation-free
+//!   fixed-limb Montgomery coordinates in Jacobian form;
 //! * [`curves`] — secp160r1 (the paper's 160-bit ECDSA curve), secp192r1,
 //!   secp256k1 and a toy curve for exhaustive tests;
 //! * [`pairing`] — the modified Tate pairing on a supersingular curve
@@ -43,6 +44,8 @@
 pub mod curve;
 pub mod curves;
 pub mod field;
+mod jacobian;
+mod mont;
 pub mod pairing;
 
 pub use curve::{Curve, Point};

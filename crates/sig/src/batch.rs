@@ -1,20 +1,10 @@
-//! Seeded random-linear-combination (RLC) batch verification.
+//! Epoch batch verification.
 //!
 //! A coordinator rekey verifies one signature per member — dozens of
 //! independent `(key, message, signature)` triples under the same scheme.
-//! This module verifies such an *epoch batch* faster than a loop of
-//! individual verifications, without weakening soundness:
+//! This module verifies such an *epoch batch* with lowest-failing-index
+//! attribution:
 //!
-//! * **ECDSA** ([`ecdsa_batch_verify`]) — the classic small-exponent test.
-//!   Each verification equation `u1_i·G + u2_i·Q_i = R_i` is scaled by a
-//!   random 64-bit coefficient `a_i` and the equations are summed, so one
-//!   multi-scalar multiplication (plus a fixed-base comb evaluation for the
-//!   aggregated generator term) replaces the per-item double-scalar
-//!   multiplications. ECDSA transmits only `r_i = x(R_i) mod n`, so `R_i`
-//!   is recovered by decompressing `r_i` and the unknown `y` parities are
-//!   resolved with a Gray-code walk over sign vectors — which is why the
-//!   batch works on small chunks ([`ECDSA_CHUNK`]) rather than the whole
-//!   epoch at once.
 //! * **DSA** ([`dsa_batch_verify`]) — **no RLC exists** for unmodified DSA:
 //!   the verifier checks `r_i = (g^{u1_i} y_i^{u2_i} mod p) mod q`, and the
 //!   outer `mod q` is not a group homomorphism, so per-equation scaling
@@ -33,6 +23,10 @@
 //!   checks a *hash equality* `c = H(t, m)`) cannot be combined this way;
 //!   the paper's own aggregate check (eq. (2), [`crate::gq`]) stays as-is.
 //!
+//! ECDSA has no batch entry point: recovering each `R_i` from `r_i` for a
+//! random-linear-combination check costs more per item than an individual
+//! verification, so callers loop over [`Ecdsa::verify`](crate::Ecdsa::verify).
+//!
 //! **Coefficient seeding.** The RLC coefficients must be unpredictable to
 //! whoever chose the signatures, and must *not* consume protocol RNG (node
 //! RNG draw order is golden-pinned by the simulator). They are therefore
@@ -41,40 +35,19 @@
 //! expands from `(seed, i)`. Flipping any bit of any input reshuffles every
 //! coefficient.
 //!
-//! **Attribution.** All entry points return `Result<(), usize>` with the
-//! lowest failing index. A failed RLC check falls back to individual
-//! verification (ECDSA) or bisection over sub-batches (GQ) to find the
-//! culprit — and since a batch of valid signatures satisfies the combined
-//! equation *identically* (not just with high probability), the fallback
-//! also absorbs the rare false rejection (e.g. an `R_i` that decompresses
-//! to the wrong curve twist) without ever rejecting a valid batch.
+//! **Attribution.** Both entry points return `Result<(), usize>` with the
+//! lowest failing index. A failed GQ RLC check bisects over sub-batches to
+//! find the culprit — and since a batch of valid signatures satisfies the
+//! combined equation *identically* (not just with high probability), a
+//! valid batch is never rejected.
 
-use egka_bigint::{mod_inverse, mod_mul, mod_pow, mont_ctx, MontForm, Montgomery, Ubig};
-use egka_ec::Point;
+use egka_bigint::{mod_mul, mod_pow, mont_ctx, MontForm, Montgomery, Ubig};
 use egka_hash::mgf1;
 
 use crate::dsa::{Dsa, DsaSignature};
-use crate::ecdsa::{Ecdsa, EcdsaSignature};
 use crate::gq::GqParams;
 
-/// ECDSA chunk width: sign recovery enumerates `2^ECDSA_CHUNK` sign
-/// vectors per chunk (Gray-coded, one point addition each), so this stays
-/// small.
-pub const ECDSA_CHUNK: usize = 4;
-
-const ECDSA_TAG: &[u8] = b"egka.batch.ecdsa.v1";
 const GQ_TAG: &[u8] = b"egka.batch.gq.v1";
-
-/// One ECDSA triple in an epoch batch.
-#[derive(Clone, Copy, Debug)]
-pub struct EcdsaBatchItem<'a> {
-    /// Signer public key.
-    pub q: &'a Point,
-    /// Signed message.
-    pub msg: &'a [u8],
-    /// The signature.
-    pub sig: &'a EcdsaSignature,
-}
 
 /// One DSA triple in an epoch batch.
 #[derive(Clone, Copy, Debug)]
@@ -111,133 +84,6 @@ fn coefficient(tag: &[u8], seed: &[u8], i: usize) -> u64 {
 fn push_field(transcript: &mut Vec<u8>, bytes: &[u8]) {
     transcript.extend_from_slice(&(bytes.len() as u64).to_be_bytes());
     transcript.extend_from_slice(bytes);
-}
-
-// ---------------------------------------------------------------- ECDSA
-
-/// Batch-verifies ECDSA signatures; `Err(i)` is the lowest failing index.
-///
-/// Accepts exactly the set of batches whose every item passes
-/// [`Ecdsa::verify`]: the RLC path is an accelerator, and any chunk it
-/// cannot certify (combined equation fails for every sign vector, or an
-/// `r_i` that does not decompress) is re-checked item by item.
-pub fn ecdsa_batch_verify(scheme: &Ecdsa, items: &[EcdsaBatchItem<'_>]) -> Result<(), usize> {
-    let seed = ecdsa_seed(scheme, items);
-    for (chunk_idx, chunk) in items.chunks(ECDSA_CHUNK).enumerate() {
-        let base = chunk_idx * ECDSA_CHUNK;
-        if chunk.len() >= 2 && ecdsa_chunk_holds(scheme, chunk, base, &seed) {
-            continue;
-        }
-        // Single-item chunk, or the RLC check failed: attribute (and
-        // rescue any false rejection) by individual verification.
-        for (j, it) in chunk.iter().enumerate() {
-            if !scheme.verify(it.q, it.msg, it.sig) {
-                return Err(base + j);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Hashes the whole batch transcript into a coefficient seed.
-fn ecdsa_seed(scheme: &Ecdsa, items: &[EcdsaBatchItem<'_>]) -> Vec<u8> {
-    let curve = scheme.curve();
-    let mut transcript = Vec::new();
-    for it in items {
-        push_field(&mut transcript, &curve.compress(it.q));
-        push_field(&mut transcript, it.msg);
-        push_field(&mut transcript, &it.sig.r.to_bytes_be());
-        push_field(&mut transcript, &it.sig.s.to_bytes_be());
-    }
-    mgf1(ECDSA_TAG, &transcript, 32)
-}
-
-/// Runs the RLC check on one chunk; `true` certifies every item in it.
-fn ecdsa_chunk_holds(
-    scheme: &Ecdsa,
-    chunk: &[EcdsaBatchItem<'_>],
-    base: usize,
-    seed: &[u8],
-) -> bool {
-    let curve = scheme.curve();
-    let n = curve.order();
-    let f = curve.field();
-    if !f.is_3_mod_4() {
-        return false; // no fast sqrt → cannot recover R; fall back
-    }
-
-    // Per-item scalars and recovered commitment points.
-    let mut sg = Ubig::zero(); // Σ a_i·u1_i mod n, aggregated generator scalar
-    let mut u2s = Vec::with_capacity(chunk.len()); // a_i·u2_i mod n
-    let mut coeffs = Vec::with_capacity(chunk.len()); // a_i as Ubig
-    let mut r_pts = Vec::with_capacity(chunk.len()); // R_i candidates
-    let mut neg_r_pts = Vec::with_capacity(chunk.len());
-    for (j, it) in chunk.iter().enumerate() {
-        if it.sig.r.is_zero() || &it.sig.r >= n || it.sig.s.is_zero() || &it.sig.s >= n {
-            return false;
-        }
-        if it.q.is_infinity() || !curve.is_on_curve(it.q) {
-            return false;
-        }
-        let Some(w) = mod_inverse(&it.sig.s, n) else {
-            return false;
-        };
-        // Recover R_i from its x-coordinate r_i. (If n < p the true
-        // x-coordinate could also be r_i + n; that rare case surfaces as
-        // a chunk failure and is rescued by the individual fallback.)
-        if &it.sig.r >= f.modulus() {
-            return false;
-        }
-        let rhs = f.add(
-            &f.mul(&f.add(&f.sqr(&it.sig.r), curve.a()), &it.sig.r),
-            curve.b(),
-        );
-        let Some(y) = f.sqrt(&rhs) else {
-            return false;
-        };
-        let r_pt = Point::affine(it.sig.r.clone(), y);
-        let a_i = Ubig::from_u64(coefficient(ECDSA_TAG, seed, base + j));
-        let h = scheme.hash_msg(it.msg);
-        let u1 = mod_mul(&h, &w, n);
-        let u2 = mod_mul(&it.sig.r, &w, n);
-        sg = (sg.add_ref(&mod_mul(&a_i, &u1, n))).rem_ref(n);
-        u2s.push(mod_mul(&a_i, &u2, n));
-        neg_r_pts.push(curve.neg(&r_pt));
-        r_pts.push(r_pt);
-        coeffs.push(a_i);
-    }
-
-    // U(ε = all +1) = (Σ a_i u1_i)·G + Σ a_i u2_i·Q_i − Σ a_i·R_i.
-    let mut terms: Vec<(&Ubig, &Point)> = Vec::with_capacity(2 * chunk.len());
-    for (j, it) in chunk.iter().enumerate() {
-        terms.push((&u2s[j], it.q));
-        terms.push((&coeffs[j], &neg_r_pts[j]));
-    }
-    let mut u = curve.add(&curve.mul_gen(&sg), &curve.mul_multi(&terms));
-    if u.is_infinity() {
-        return true;
-    }
-
-    // Gray-code walk over the remaining 2^k − 1 sign vectors: each step
-    // flips one ε_j, shifting U by ±2a_j·R_j (points built lazily —
-    // low-index flips happen exponentially more often).
-    let mut minus = vec![false; chunk.len()];
-    let mut steps: Vec<Option<(Point, Point)>> = vec![None; chunk.len()];
-    for step in 1usize..(1 << chunk.len()) {
-        let j = step.trailing_zeros() as usize;
-        let (e_j, neg_e_j) = steps[j].get_or_insert_with(|| {
-            let two_a = Ubig::from_u64(2).mul_ref(&coeffs[j]);
-            let e = curve.mul(&two_a, &r_pts[j]);
-            let neg_e = curve.neg(&e);
-            (e, neg_e)
-        });
-        minus[j] = !minus[j];
-        u = curve.add(&u, if minus[j] { e_j } else { neg_e_j });
-        if u.is_infinity() {
-            return true;
-        }
-    }
-    false
 }
 
 // ------------------------------------------------------------------ DSA
@@ -397,99 +243,6 @@ mod tests {
     use crate::gq::GqPkg;
     use egka_hash::ChaChaRng;
     use rand::SeedableRng;
-
-    // ------------------------------------------------------------ ECDSA
-
-    fn ecdsa_batch(n: usize, rng_seed: u64) -> (Ecdsa, Vec<(Point, Vec<u8>, EcdsaSignature)>) {
-        let scheme = Ecdsa::new(egka_ec::secp160r1());
-        let mut rng = ChaChaRng::seed_from_u64(rng_seed);
-        let triples = (0..n)
-            .map(|i| {
-                let kp = scheme.keygen(&mut rng);
-                let msg = format!("epoch rekey share {i}").into_bytes();
-                let sig = scheme.sign(&mut rng, &kp, &msg);
-                (kp.q, msg, sig)
-            })
-            .collect();
-        (scheme, triples)
-    }
-
-    fn as_items(triples: &[(Point, Vec<u8>, EcdsaSignature)]) -> Vec<EcdsaBatchItem<'_>> {
-        triples
-            .iter()
-            .map(|(q, msg, sig)| EcdsaBatchItem { q, msg, sig })
-            .collect()
-    }
-
-    #[test]
-    fn ecdsa_accepts_valid_batches_of_all_sizes() {
-        for n in [0usize, 1, 2, 3, 4, 5, 9] {
-            let (scheme, triples) = ecdsa_batch(n, 0xb47c + n as u64);
-            assert_eq!(
-                ecdsa_batch_verify(&scheme, &as_items(&triples)),
-                Ok(()),
-                "n = {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn ecdsa_attributes_each_forged_position() {
-        let n = 6;
-        for bad in 0..n {
-            let (scheme, mut triples) = ecdsa_batch(n, 0xf0f0);
-            triples[bad].2.s = triples[bad]
-                .2
-                .s
-                .add_ref(&Ubig::one())
-                .rem_ref(scheme.curve().order());
-            let got = ecdsa_batch_verify(&scheme, &as_items(&triples));
-            // s+1 could be 0 (rejected) or a wrong-but-in-range scalar;
-            // either way the forged index is the one reported.
-            assert_eq!(got, Err(bad), "forged position {bad}");
-        }
-    }
-
-    #[test]
-    fn ecdsa_reports_lowest_of_several_forgeries() {
-        let (scheme, mut triples) = ecdsa_batch(8, 0xdead);
-        for bad in [2usize, 5, 6] {
-            triples[bad].2.r = triples[bad]
-                .2
-                .r
-                .add_ref(&Ubig::one())
-                .rem_ref(scheme.curve().order());
-        }
-        assert_eq!(ecdsa_batch_verify(&scheme, &as_items(&triples)), Err(2));
-    }
-
-    #[test]
-    fn ecdsa_rejects_swapped_messages() {
-        let (scheme, mut triples) = ecdsa_batch(4, 0xcafe);
-        let m = triples[1].1.clone();
-        triples[1].1 = triples[2].1.clone();
-        triples[2].1 = m;
-        let got = ecdsa_batch_verify(&scheme, &as_items(&triples));
-        assert_eq!(got, Err(1));
-    }
-
-    #[test]
-    fn ecdsa_batch_agrees_with_individual_on_random_corruption() {
-        // The batch accepts iff every individual verification accepts.
-        for seed in 0..8u64 {
-            let (scheme, mut triples) = ecdsa_batch(5, 0x5eed + seed);
-            if seed % 2 == 0 {
-                let i = (seed as usize / 2) % triples.len();
-                triples[i].2.r = Ubig::from_u64(12345 + seed);
-            }
-            let items = as_items(&triples);
-            let individual = items
-                .iter()
-                .position(|it| !scheme.verify(it.q, it.msg, it.sig));
-            let batch = ecdsa_batch_verify(&scheme, &items);
-            assert_eq!(batch.err(), individual, "seed {seed}");
-        }
-    }
 
     // -------------------------------------------------------------- DSA
 

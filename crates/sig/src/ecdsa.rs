@@ -4,8 +4,12 @@
 //! 86 bytes. Table 2 prices signing at one scalar multiplication (8.8 mJ)
 //! and verification at ~1.24 scalar multiplications (10.9 mJ) — our
 //! verifier's fused double-scalar multiplication matches that shape.
+//!
+//! The order-`n` scalar arithmetic (`k⁻¹`, `s⁻¹`, `u1`, `u2`) runs on the
+//! curve's fixed-limb Montgomery field ([`Curve::scalar_mul`],
+//! [`Curve::scalar_inv`]).
 
-use egka_bigint::{mod_inverse, mod_mul, Ubig};
+use egka_bigint::Ubig;
 use egka_ec::{Curve, Point};
 use egka_hash::hash_to_below;
 use rand::Rng;
@@ -66,18 +70,19 @@ impl Ecdsa {
         key: &EcdsaKeyPair,
         msg: &[u8],
     ) -> EcdsaSignature {
-        let n = self.curve.order();
+        let c = &self.curve;
+        let n = c.order();
         let h = self.hash_msg(msg);
         loop {
-            let k = self.curve.random_scalar(rng);
-            let kg = self.curve.mul_gen(&k);
+            let k = c.random_scalar(rng);
+            let kg = c.mul_gen(&k);
             let Some((x, _)) = kg.xy() else { continue };
             let r = x.rem_ref(n);
             if r.is_zero() {
                 continue;
             }
-            let k_inv = mod_inverse(&k, n).expect("order prime, k != 0");
-            let s = mod_mul(&k_inv, &h.add_ref(&mod_mul(&key.d, &r, n)), n);
+            let k_inv = c.scalar_inv(&k).expect("order prime, k != 0");
+            let s = c.scalar_mul(&k_inv, &h.add_ref(&c.scalar_mul(&key.d, &r)));
             if s.is_zero() {
                 continue;
             }
@@ -94,15 +99,15 @@ impl Ecdsa {
         if q.is_infinity() || !self.curve.is_on_curve(q) {
             return false;
         }
-        let Some(w) = mod_inverse(&sig.s, n) else {
+        let c = &self.curve;
+        let Some(w) = c.scalar_inv(&sig.s) else {
             return false;
         };
         let h = self.hash_msg(msg);
-        let u1 = mod_mul(&h, &w, n);
-        let u2 = mod_mul(&sig.r, &w, n);
+        let u1 = c.scalar_mul(&h, &w);
+        let u2 = c.scalar_mul(&sig.r, &w);
         // One fused double-scalar multiplication: u1·G + u2·Q.
-        let g = self.curve.generator().clone();
-        let pt = self.curve.mul_mul_add(&u1, &g, &u2, q);
+        let pt = c.mul_mul_add(&u1, c.generator(), &u2, q);
         match pt.xy() {
             None => false,
             Some((x, _)) => x.rem_ref(n) == sig.r,

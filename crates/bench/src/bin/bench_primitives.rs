@@ -22,11 +22,12 @@
 //!   q-sized exponents under a Schnorr modulus — the BD/DSA shape.
 //! * **Fixed-argument pairing** — full Miller loop vs
 //!   [`PairingGroup::pairing_fixed`] over a cached [`egka_ec::MillerPrecomp`].
-//! * **Epoch batch verification** — per-item `verify` loops vs the
-//!   `egka-sig` batch entry points (DSA amortized loop, GQ split-form RLC).
+//! * **Epoch batch verification** — per-item GQ checks vs the `egka-sig`
+//!   split-form RLC batch entry point.
 //!
 //! It also records single timings with no pair: variable-base EC scalar
-//! mult on a non-generator point, and ECDSA sign and verify on secp160r1.
+//! mult on a non-generator point, ECDSA sign and verify on secp160r1, and
+//! DSA verify under the Schnorr group.
 //!
 //! The artifact (`BENCH_primitives.json`, schema `egka-primitives/1`)
 //! carries each pair as `*_ns` plus a `*_speedup` ratio; `bench_diff`
@@ -45,8 +46,7 @@ use egka_bigint::{
 use egka_ec::{secp160r1, Curve, PairingGroup, Point};
 use egka_hash::ChaChaRng;
 use egka_sig::{
-    dsa_batch_verify, gq_batch_verify_split, Dsa, DsaBatchItem, DsaSignature, Ecdsa,
-    EcdsaSignature, GqPkg, GqSplitItem,
+    gq_batch_verify_split, Dsa, DsaSignature, Ecdsa, EcdsaSignature, GqPkg, GqSplitItem,
 };
 use rand::SeedableRng;
 
@@ -237,7 +237,7 @@ fn bench_pairing(seed: u64, fp: &mut Fnv) -> Pair {
     Pair { old_ns, new_ns }
 }
 
-// ------------------------------------------------------------ batch verify
+// ------------------------------------------------------------ signatures
 
 /// ECDSA sign and verify on secp160r1, in ns per call.
 fn bench_ecdsa(seed: u64, fp: &mut Fnv) -> (f64, f64) {
@@ -269,7 +269,8 @@ fn bench_ecdsa(seed: u64, fp: &mut Fnv) -> (f64, f64) {
     (sign_ns, verify_ns)
 }
 
-fn bench_dsa_batch(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> Pair {
+/// DSA verify on the Schnorr group, in ns per call.
+fn bench_dsa(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> f64 {
     let scheme = Dsa::new(group.clone());
     let mut rng = ChaChaRng::seed_from_u64(seed ^ 0xd5a);
     let triples: Vec<(Ubig, Vec<u8>, DsaSignature)> = (0..8)
@@ -280,24 +281,15 @@ fn bench_dsa_batch(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> Pair {
             (kp.y, msg, sig)
         })
         .collect();
-    let items: Vec<DsaBatchItem<'_>> = triples
-        .iter()
-        .map(|(y, msg, sig)| DsaBatchItem { y, msg, sig })
-        .collect();
-    assert_eq!(dsa_batch_verify(&scheme, &items), Ok(()));
-    for (_, _, sig) in &triples {
+    for (y, msg, sig) in &triples {
+        assert!(scheme.verify(y, msg, sig));
         fp.push(&sig.s.to_bytes_be());
     }
-    let n = items.len() as f64;
-    let old_ns = per_op_ns(8, || {
-        for it in &items {
-            assert!(scheme.verify(it.y, it.msg, it.sig));
+    per_op_ns(8, || {
+        for (y, msg, sig) in &triples {
+            assert!(scheme.verify(y, msg, sig));
         }
-    }) / n;
-    let new_ns = per_op_ns(8, || {
-        dsa_batch_verify(&scheme, &items).unwrap();
-    }) / n;
-    Pair { old_ns, new_ns }
+    }) / triples.len() as f64
 }
 
 fn bench_gq_batch(seed: u64, fp: &mut Fnv) -> Pair {
@@ -364,8 +356,8 @@ fn main() {
     let (ecdsa_sign_ns, ecdsa_verify_ns) = bench_ecdsa(seed, &mut fp);
     println!("{:24} {ecdsa_sign_ns:>12.0} ns", "ecdsa_sign");
     println!("{:24} {ecdsa_verify_ns:>12.0} ns", "ecdsa_verify");
-    let dsa = bench_dsa_batch(seed, &group, &mut fp);
-    dsa.print("dsa_batch (per item)");
+    let dsa_verify_ns = bench_dsa(seed, &group, &mut fp);
+    println!("{:24} {dsa_verify_ns:>12.0} ns", "dsa_verify");
     let gq = bench_gq_batch(seed, &mut fp);
     gq.print("gq_batch (per item)");
     let fingerprint = fp.0;
@@ -380,7 +372,7 @@ fn main() {
         modexp_workload(seed, &group, &mut again);
         bench_pairing(seed, &mut again);
         bench_ecdsa(seed, &mut again);
-        bench_dsa_batch(seed, &group, &mut again);
+        bench_dsa(seed, &group, &mut again);
         bench_gq_batch(seed, &mut again);
         assert_eq!(
             fingerprint, again.0,
@@ -412,8 +404,7 @@ fn main() {
          \"pairing_fixed_speedup\": {:.3},\n  \
          \"ecdsa_sign_ns\": {ecdsa_sign_ns:.0},\n  \
          \"ecdsa_verify_ns\": {ecdsa_verify_ns:.0},\n  \
-         \"dsa_verify_ns\": {:.0},\n  \
-         \"dsa_batch_item_ns\": {:.0},\n  \
+         \"dsa_verify_ns\": {dsa_verify_ns:.0},\n  \
          \"gq_verify_ns\": {:.0},\n  \
          \"gq_batch_item_ns\": {:.0},\n  \
          \"gq_batch_speedup\": {:.3},\n  \
@@ -430,8 +421,6 @@ fn main() {
         pairing.old_ns,
         pairing.new_ns,
         pairing.speedup(),
-        dsa.old_ns,
-        dsa.new_ns,
         gq.old_ns,
         gq.new_ns,
         gq.speedup(),

@@ -14,10 +14,10 @@
 //! reproduce it bit for bit — the health plane is passive accounting —
 //! and is then audited three ways:
 //!
-//! * the per-shard [`egka_service::ShardStats`] must sum **exactly** to
-//!   the `ServiceMetrics` totals (integer counters) and to f64
-//!   association order (energy) — the same partition property the
-//!   service-level proptest pins;
+//! * the per-shard [`egka_service::ShardStats`] must sum to the
+//!   `ServiceMetrics` totals in every `Counters` field — exactly for
+//!   integers, to f64 association order for energy — the same partition
+//!   check the service-level proptest runs;
 //! * the registry's Prometheus exposition must parse line by line
 //!   (`# HELP`/`# TYPE` discipline, label syntax, finite sample values)
 //!   and, under `--check-determinism`, render **byte-identically** on a
@@ -112,52 +112,12 @@ fn validate_exposition(text: &str) {
     assert!(samples > 0, "exposition cannot be empty");
 }
 
-/// Σ-shards == metrics, exactly for the integer counters, to f64
-/// association order for energy.
+/// Σ-shards == metrics in every counter (see
+/// [`egka_service::ShardStats::reconcile`]).
 fn assert_reconciles(report: &ChurnReport) {
-    let m = &report.metrics;
-    let sum =
-        |f: &dyn Fn(&egka_service::ShardStats) -> u64| report.shards.iter().map(f).sum::<u64>();
-    assert_eq!(
-        sum(&|s| s.events_applied),
-        m.events_applied,
-        "events_applied"
-    );
-    assert_eq!(
-        sum(&|s| s.events_rejected),
-        m.events_rejected,
-        "events_rejected"
-    );
-    assert_eq!(
-        sum(&|s| s.events_cancelled),
-        m.events_cancelled,
-        "events_cancelled"
-    );
-    assert_eq!(
-        sum(&|s| s.rekeys_executed),
-        m.rekeys_executed,
-        "rekeys_executed"
-    );
-    assert_eq!(sum(&|s| s.rekeys_failed), m.rekeys_failed, "rekeys_failed");
-    assert_eq!(
-        sum(&|s| s.groups_stalled),
-        m.groups_stalled,
-        "groups_stalled"
-    );
-    assert_eq!(sum(&|s| s.steps_retried), m.steps_retried, "steps_retried");
-    assert_eq!(sum(&|s| s.groups), m.groups_active, "groups_active");
-    let lat: u64 = report
-        .shards
-        .iter()
-        .map(|s| s.latency_virtual.count())
-        .sum();
-    assert_eq!(lat, m.latency_virtual.count(), "latency samples");
-    let energy: f64 = report.shards.iter().map(|s| s.energy_mj).sum();
-    assert!(
-        (energy - m.energy_mj).abs() <= 1e-9 * m.energy_mj.abs().max(1.0),
-        "shard energy {energy} != metrics {}",
-        m.energy_mj
-    );
+    if let Err(e) = egka_service::ShardStats::reconcile(&report.shards, &report.metrics) {
+        panic!("per-shard stats do not partition the service totals: {e}");
+    }
 }
 
 fn health_label(report: &ChurnReport) -> &'static str {
@@ -202,9 +162,10 @@ fn main() {
         untraced.key_fingerprint, report.key_fingerprint,
         "telemetry perturbed the keys"
     );
-    assert_eq!(untraced.events_applied, report.events_applied);
-    assert_eq!(untraced.rekeys_executed, report.rekeys_executed);
-    assert!((untraced.energy_mj - report.energy_mj).abs() < 1e-9);
+    assert_eq!(
+        untraced.metrics.counters, report.metrics.counters,
+        "telemetry perturbed the counters"
+    );
     let trace_drops = report.trace_drops.unwrap_or(0);
     assert_eq!(trace_drops, 0, "the ring saturated");
 
@@ -296,7 +257,7 @@ fn main() {
         config.epochs,
         health_label(&report),
         exposition.len(),
-        report.energy_mj,
+        report.metrics.energy_mj,
         report.metrics.to_json(),
         report.key_fingerprint,
     );

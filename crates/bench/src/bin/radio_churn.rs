@@ -118,7 +118,7 @@ fn main() {
             "a nearly-flat mote must die mid-scenario"
         );
         assert!(
-            report.rekeys_executed > report.groups_stalled,
+            report.metrics.rekeys_executed > report.metrics.groups_stalled,
             "liveness: the fleet keeps rekeying around the corpses"
         );
     }

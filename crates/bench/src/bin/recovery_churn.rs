@@ -88,7 +88,10 @@ fn main() {
         crashed.key_fingerprint, uninterrupted.key_fingerprint,
         "recovered fingerprint must equal the uninterrupted run's"
     );
-    assert_eq!(crashed.groups_active, uninterrupted.groups_active);
+    assert_eq!(
+        crashed.metrics.groups_active,
+        uninterrupted.metrics.groups_active
+    );
     let recovery = crashed.recovery.expect("crash ran");
     assert_eq!(recovery.kill_epoch, kill_epoch);
     println!(

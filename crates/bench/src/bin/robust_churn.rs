@@ -168,7 +168,7 @@ fn main() {
         report.metrics.blame_certs,
         report.metrics.members_readmitted,
         report.stalled_faulted_groups,
-        report.energy_mj,
+        report.metrics.energy_mj,
         report.metrics.to_json(),
         report.key_fingerprint,
     );

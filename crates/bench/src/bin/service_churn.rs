@@ -97,11 +97,11 @@ fn main() {
     // Acceptance assert: batching must actually save protocol executions.
     // Only binding at meaningful workload sizes — a tiny or idle run can
     // legitimately see one rekey per event (ratio exactly 1).
-    if report.events_applied >= 50 {
+    if report.metrics.events_applied >= 50 {
         assert!(
-            report.coalesce_ratio > 1.0,
+            report.metrics.coalesce_ratio() > 1.0,
             "epoch batching must coalesce events (ratio {:.2} <= 1)",
-            report.coalesce_ratio
+            report.metrics.coalesce_ratio()
         );
     } else {
         println!("\n(workload too small for the coalesce-ratio acceptance assert)");
@@ -133,9 +133,12 @@ fn main() {
             report.key_fingerprint, again.key_fingerprint,
             "same seed must reproduce identical keys"
         );
-        assert_eq!(report.rekeys_executed, again.rekeys_executed);
         assert_eq!(
-            report.steps_retried, again.steps_retried,
+            report.metrics.rekeys_executed,
+            again.metrics.rekeys_executed
+        );
+        assert_eq!(
+            report.metrics.steps_retried, again.metrics.steps_retried,
             "retransmission schedule must be deterministic too"
         );
         if mixed_preset {

@@ -113,10 +113,10 @@ fn assert_transparent(untraced: &ChurnReport, traced: &ChurnReport) {
         untraced.key_fingerprint, traced.key_fingerprint,
         "tracing perturbed the keys"
     );
-    assert_eq!(untraced.events_applied, traced.events_applied);
-    assert_eq!(untraced.rekeys_executed, traced.rekeys_executed);
-    assert_eq!(untraced.steps_retried, traced.steps_retried);
-    assert!((untraced.energy_mj - traced.energy_mj).abs() < 1e-9);
+    assert_eq!(
+        untraced.metrics.counters, traced.metrics.counters,
+        "tracing perturbed the counters"
+    );
 }
 
 fn main() {
@@ -223,7 +223,7 @@ fn main() {
         config.epochs,
         events.len(),
         chrome.len(),
-        traced.energy_mj,
+        traced.metrics.energy_mj,
         traced.trace_drops.unwrap_or(0),
         traced.metrics.to_json(),
         traced.key_fingerprint,

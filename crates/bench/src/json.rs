@@ -256,7 +256,7 @@ mod tests {
         let v = Json::parse(&json).unwrap();
         assert_eq!(
             v.get("rekeys_executed").unwrap().as_f64(),
-            Some(report.rekeys_executed as f64)
+            Some(report.metrics.rekeys_executed as f64)
         );
         assert!(v.get("suites").unwrap().members().is_some());
     }

@@ -107,8 +107,9 @@ pub fn churn_report_json(report: &egka_sim::ChurnReport) -> String {
     }
     // An idle run has rekeys == 0 and a coalesce ratio of ∞, which is not
     // representable in JSON; `null` keeps the artifact parseable.
-    let coalesce = if report.coalesce_ratio.is_finite() {
-        format!("{:.4}", report.coalesce_ratio)
+    let m = &report.metrics;
+    let coalesce = if m.coalesce_ratio().is_finite() {
+        format!("{:.4}", m.coalesce_ratio())
     } else {
         "null".to_string()
     };
@@ -159,22 +160,22 @@ pub fn churn_report_json(report: &egka_sim::ChurnReport) -> String {
          \"metrics\": {},\n  \
          \"key_fingerprint\": \"{:016x}\"\n}}\n",
         report.groups,
-        report.groups_active,
+        m.groups_active,
         report.events_submitted,
-        report.events_applied,
-        report.rekeys_executed,
+        m.events_applied,
+        m.rekeys_executed,
         coalesce,
-        report.energy_mj,
+        m.energy_mj,
         report.throughput_eps,
         report.wall.as_secs_f64() * 1e3,
-        report.groups_stalled,
-        report.steps_retried,
+        m.groups_stalled,
+        m.steps_retried,
         nodes_died,
         battery_spent_uj,
         quantiles_ms(wall_q),
         quantiles_ms(virtual_q),
         suites,
-        report.metrics.to_json(),
+        m.to_json(),
         report.key_fingerprint,
     )
 }

@@ -22,9 +22,9 @@ use egka_energy::complexity::InitialProtocol;
 use egka_energy::{CompOp, Meter, Scheme};
 use egka_hash::ChaChaRng;
 use egka_sig::{
-    dsa_batch_verify, CaPublic, CertCheck, CertStore, Certificate, CertificateAuthority, Dsa,
-    DsaBatchItem, DsaKeyPair, DsaSignature, Ecdsa, EcdsaKeyPair, EcdsaSignature, SokParams, SokPkg,
-    SokSecretKey, SokSignature, SubjectKey,
+    CaPublic, CertCheck, CertStore, Certificate, CertificateAuthority, Dsa, DsaKeyPair,
+    DsaSignature, Ecdsa, EcdsaKeyPair, EcdsaSignature, SokParams, SokPkg, SokSecretKey,
+    SokSignature, SubjectKey,
 };
 use rand::{Rng, SeedableRng};
 
@@ -651,17 +651,10 @@ fn verify_round2_sigs(node: &mut NodeState, z_prod: &Ubig) {
                 ys.push(y);
                 sigs.push(DsaSignature { r: sr, s: ss });
             }
-            let items: Vec<DsaBatchItem<'_>> = peers
-                .iter()
-                .enumerate()
-                .map(|(k, _)| DsaBatchItem {
-                    y: &ys[k],
-                    msg: &msgs[k],
-                    sig: &sigs[k],
-                })
-                .collect();
-            if let Err(k) = dsa_batch_verify(scheme, &items) {
-                panic!("honest-run signature from U{} rejected", peers[k]);
+            for (k, y) in ys.iter().enumerate() {
+                if !scheme.verify(y, &msgs[k], &sigs[k]) {
+                    panic!("honest-run signature from U{} rejected", peers[k]);
+                }
             }
         }
     }

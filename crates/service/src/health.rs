@@ -22,22 +22,25 @@ use egka_core::UserId;
 use egka_trace::{Histogram, StallCause};
 
 use crate::event::GroupId;
+use crate::metrics::{Counters, EpochReport, ServiceMetrics};
 
 /// Consecutive stalled epochs after which [`HealthReport::Stalled`]
 /// flags a group (below this, stalls surface as
 /// [`HealthReport::Degraded`] reasons).
 pub const STALLED_AFTER_EPOCHS: u64 = 3;
 
-/// Cumulative load and outcome counters for one shard, plus the live
-/// gauges [`crate::KeyService::shard_stats`] fills at snapshot time.
+/// One shard's row: the cumulative [`Counters`] of the work billed to
+/// it, its WAL bytes and rekey-latency histogram, and the live gauges
+/// [`crate::KeyService::shard_stats`] fills at snapshot time.
 ///
-/// The counter fields sum to the matching [`crate::ServiceMetrics`]
-/// totals across shards — exactly for the integer counters, and to
-/// floating-point association order for `energy_mj` (the proptest in
-/// `tests/health.rs` pins both). Merge-phase work is attributed to the
-/// *host* group's shard; group-creation energy to the created group's
-/// shard; WAL bytes to the shard of the record's group (epoch commits
-/// and config records are coordinator-wide and unattributed).
+/// Every counter delta the service produces is tagged with the shard
+/// that owns the group and added, once, both to that shard's row and to
+/// the service total, so the rows sum to [`crate::ServiceMetrics`]'s
+/// counters by construction ([`ShardStats::reconcile`] checks it).
+/// Merge-phase work is billed to the *host* group's shard;
+/// group-creation work to the created group's shard; WAL bytes to the
+/// shard of the record's group (epoch commits and config records are
+/// coordinator-wide and unattributed).
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
     /// Shard index.
@@ -46,48 +49,62 @@ pub struct ShardStats {
     pub groups: u64,
     /// Events sitting in this shard's pending queues (gauge).
     pub pending_events: u64,
-    /// Events applied as membership changes.
-    pub events_applied: u64,
-    /// Events rejected at their epoch.
-    pub events_rejected: u64,
-    /// Join/leave pairs that cancelled without a rekey.
-    pub events_cancelled: u64,
-    /// §7 dynamic rekeys committed (creations excluded, matching
-    /// [`crate::ServiceMetrics::rekeys_executed`]).
-    pub rekeys_executed: u64,
-    /// Rekey steps that timed out.
-    pub rekeys_failed: u64,
-    /// Group-epochs aborted by a stalled rekey.
-    pub groups_stalled: u64,
-    /// Loss-stalled steps retried with fresh randomness.
-    pub steps_retried: u64,
-    /// Priced energy attributed to this shard's groups, mJ.
-    pub energy_mj: f64,
     /// WAL bytes appended for records addressed to this shard's groups.
     pub wal_bytes: u64,
     /// Virtual radio milliseconds per committed rekey (fixed-bucket
     /// histogram; empty off-radio).
     pub latency_virtual: Histogram,
+    /// Everything billed to this shard's groups (creations count no
+    /// `rekeys_executed`, matching the service total).
+    pub counters: Counters,
 }
 
 impl ShardStats {
-    /// Folds another shard's cumulative counters into this one — used when
-    /// a shard is removed, so its history is absorbed (by convention into
-    /// shard 0) instead of vanishing and breaking the stats-sum-to-metrics
-    /// partition invariant. Gauges (`groups`, `pending_events`) are *not*
-    /// summed: they describe live residency, which the relocations already
-    /// moved.
-    pub(crate) fn absorb(&mut self, other: &ShardStats) {
-        self.events_applied += other.events_applied;
-        self.events_rejected += other.events_rejected;
-        self.events_cancelled += other.events_cancelled;
-        self.rekeys_executed += other.rekeys_executed;
-        self.rekeys_failed += other.rekeys_failed;
-        self.groups_stalled += other.groups_stalled;
-        self.steps_retried += other.steps_retried;
-        self.energy_mj += other.energy_mj;
-        self.wal_bytes += other.wal_bytes;
-        self.latency_virtual.merge(&other.latency_virtual);
+    /// Adds one epoch delta billed to this shard: its counters and its
+    /// virtual rekey latencies.
+    pub(crate) fn record(&mut self, delta: &EpochReport) {
+        self.counters.add(&delta.counters);
+        for &ms in &delta.rekey_latencies_virtual_ms {
+            self.latency_virtual.observe(ms);
+        }
+    }
+
+    /// Folds a retired shard's cumulative history into this row, so it
+    /// is absorbed (by convention into shard 0) instead of vanishing and
+    /// breaking the partition. Gauges (`groups`, `pending_events`) are
+    /// *not* summed: they describe live residency, which the relocations
+    /// already moved.
+    pub(crate) fn absorb(&mut self, retired: &ShardStats) {
+        self.counters.add(&retired.counters);
+        self.wal_bytes += retired.wal_bytes;
+        self.latency_virtual.merge(&retired.latency_virtual);
+    }
+
+    /// The sum of the rows' counters.
+    pub fn total(rows: &[ShardStats]) -> Counters {
+        let mut sum = Counters::default();
+        for row in rows {
+            sum.add(&row.counters);
+        }
+        sum
+    }
+
+    /// Checks the partition: the rows' counters sum to `metrics`' in
+    /// every field (see [`Counters::reconcile`]), their `groups` gauges
+    /// to `groups_active`, and their latency histograms hold as many
+    /// samples as the service's. `Err` describes the divergence.
+    pub fn reconcile(rows: &[ShardStats], metrics: &ServiceMetrics) -> Result<(), String> {
+        ShardStats::total(rows).reconcile(&metrics.counters)?;
+        let groups: u64 = rows.iter().map(|s| s.groups).sum();
+        let samples: u64 = rows.iter().map(|s| s.latency_virtual.count()).sum();
+        let (want_groups, want_samples) = (metrics.groups_active, metrics.latency_virtual.count());
+        if (groups, samples) != (want_groups, want_samples) {
+            return Err(format!(
+                "shard rows hold {groups} groups and {samples} latency samples, \
+                 the service {want_groups} and {want_samples}"
+            ));
+        }
+        Ok(())
     }
 }
 

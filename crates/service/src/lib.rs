@@ -53,10 +53,12 @@
 //!   Merge (whichever the paper's own closed-form energy model prices
 //!   cheaper), a join cancelled by a leave of the same pending user costs
 //!   nothing, and cross-group merge requests fold with one `merge_many`.
-//! * **Metrics** ([`metrics`]): per-epoch and cumulative — groups active,
-//!   events coalesced, rekeys executed/failed, steps retransmitted,
-//!   priced energy (mJ), operation counts, and cumulative
-//!   `egka_medium::TrafficStats`.
+//! * **Metrics** ([`metrics`]): one [`Counters`] block — events
+//!   coalesced, rekeys executed/failed, steps retransmitted, priced
+//!   energy (mJ), operation counts and `egka_medium::TrafficStats` —
+//!   embedded per epoch ([`EpochReport`]), per shard ([`ShardStats`]) and
+//!   cumulatively ([`ServiceMetrics`]), so the shard rows partition the
+//!   total by construction.
 //!
 //! Every rekey executes the real protocols over the simulated medium —
 //! keys are derived by actual modular arithmetic on every simulated node
@@ -79,7 +81,7 @@
 //!   of the five Table 1 protocols behind `egka_core::suite::Suite` —
 //!   fixed fleet-wide, or picked per group by the closed-form energy
 //!   argmin for a hardware profile (`Cheapest`), with per-suite costs
-//!   surfaced in [`EpochReport::per_suite`].
+//!   surfaced in [`Counters::per_suite`].
 //! * **Durability** ([`StoreConfig`], [`ServiceBuilder::store`],
 //!   [`ServiceBuilder::recover`]): state-changing calls are write-ahead
 //!   logged to an `egka-store` backend with one commit record per applied
@@ -137,7 +139,7 @@ pub use health::{
     HealthReport, MemberStall, PhaseBucket, PhaseProfile, ShardStats, StallEvent, StallLedger,
     StallRecord, STALLED_AFTER_EPOCHS,
 };
-pub use metrics::{quantiles3, EpochReport, ServiceMetrics, SuiteUsage};
+pub use metrics::{quantiles3, Counters, EpochReport, ServiceMetrics, SuiteUsage};
 pub use persist::{RecoveryReport, StoreConfig};
 pub use plan::{plan_group, plan_group_suite, CostModel, RekeyPlan, RekeyStep, SuitePolicy};
 pub use service::{KeyService, RadioConfig, Rebalancer, ServiceBuilder};

@@ -14,61 +14,243 @@ use crate::health::{PhaseProfile, StallEvent};
 /// What one suite did (and cost) over some accounting window.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SuiteUsage {
-    /// Committed rekeys executed under the suite (creations count as one
-    /// in the cumulative [`ServiceMetrics`] view).
+    /// Committed rekeys executed under the suite (a group creation counts
+    /// as one).
     pub rekeys: u64,
     /// Priced energy attributed to the suite, mJ — committed rekeys *and*
     /// charged failed attempts.
     pub energy_mj: f64,
 }
 
-/// Merges per-suite usage maps component-wise.
-pub(crate) fn add_per_suite(
-    into: &mut BTreeMap<SuiteId, SuiteUsage>,
-    from: &BTreeMap<SuiteId, SuiteUsage>,
-) {
-    for (&suite, usage) in from {
-        let e = into.entry(suite).or_default();
-        e.rekeys += usage.rekeys;
-        e.energy_mj += usage.energy_mj;
-    }
-}
-
-/// Cumulative service counters (monotone across epochs).
-#[derive(Clone, Debug, Default)]
-pub struct ServiceMetrics {
-    /// Groups currently holding an agreed key.
-    pub groups_active: u64,
-    /// Groups ever created.
-    pub groups_created: u64,
-    /// Groups dissolved (membership fell below two).
-    pub groups_dissolved: u64,
-    /// Groups absorbed into another group by a merge.
-    pub groups_merged_away: u64,
-    /// Events accepted into queues by `submit`.
-    pub events_submitted: u64,
-    /// Events applied by epoch ticks as membership changes. Join/leave
-    /// pairs that cancelled each other are *excluded* here and counted in
-    /// `events_cancelled` instead.
+/// The additive ledger of what rekeys did and what they cost — events,
+/// protocol runs, failures, operation counts, bits on air and priced
+/// energy. Declared once and embedded three times: in [`EpochReport`]
+/// (one epoch), in [`crate::ShardStats`] (one shard, cumulative) and in
+/// [`ServiceMetrics`] (the service, cumulative); each of the three
+/// dereferences to it, so `report.events_applied` reads through.
+///
+/// The service bills every piece of work into one delta tagged with the
+/// shard that owns the group, and folds that delta with [`Counters::add`]
+/// into both the epoch report and the owning shard's row. The shard rows
+/// therefore sum to the service total by construction.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Counters {
+    /// Events applied as membership changes (merges count one per
+    /// committed fold). Join/leave pairs that cancelled each other are
+    /// *excluded* here and counted in `events_cancelled` instead.
     pub events_applied: u64,
     /// Events rejected at their epoch (invalid against the live state).
     pub events_rejected: u64,
     /// Join/leave pairs that cancelled without any rekey.
     pub events_cancelled: u64,
     /// §7 dynamic protocol executions (one Partition covering k leaves
-    /// counts once — that is the point).
+    /// counts once — that is the point). Group creations are excluded.
     pub rekeys_executed: u64,
     /// Full initial-GKA re-runs (fallbacks and batched-join GKAs).
     pub full_gka_runs: u64,
     /// Rekey steps that timed out after exhausting their retransmission
     /// budget (the group kept its pre-epoch key; its events requeued).
     pub rekeys_failed: u64,
-    /// Groups whose epoch was aborted by a stalled rekey (a powered-off
-    /// member, or persistent loss).
+    /// Group-epochs aborted by a stalled rekey (a powered-off member, or
+    /// persistent loss).
     pub groups_stalled: u64,
+    /// Groups dissolved (membership fell below two).
+    pub groups_dissolved: u64,
     /// Loss-stalled protocol steps that were retried with fresh
     /// randomness ("all members retransmit" at the scheduler level).
     pub steps_retried: u64,
+    /// Priced energy across all nodes of the groups concerned, in mJ —
+    /// committed rekeys, charged failed attempts and group creations.
+    pub energy_mj: f64,
+    /// Operation counts of the same work. Merge them with
+    /// [`Counters::add_ops`], which keeps `traffic` in step.
+    pub ops: OpCounts,
+    /// Nominal/actual traffic of the same work: always
+    /// `traffic_of(&ops)`, derived by [`Counters::add_ops`].
+    pub traffic: TrafficStats,
+    /// Rekeys and priced energy per GKA suite — the multi-backend cost
+    /// ledger. Group creations count one rekey each here.
+    pub per_suite: BTreeMap<SuiteId, SuiteUsage>,
+}
+
+impl Counters {
+    /// Adds `delta` field by field. The exhaustive destructure makes a
+    /// field this sum forgets a compile error.
+    pub fn add(&mut self, delta: &Counters) {
+        let Counters {
+            events_applied,
+            events_rejected,
+            events_cancelled,
+            rekeys_executed,
+            full_gka_runs,
+            rekeys_failed,
+            groups_stalled,
+            groups_dissolved,
+            steps_retried,
+            energy_mj,
+            ops,
+            traffic: _, // derived from `ops`
+            per_suite,
+        } = delta;
+        self.events_applied += events_applied;
+        self.events_rejected += events_rejected;
+        self.events_cancelled += events_cancelled;
+        self.rekeys_executed += rekeys_executed;
+        self.full_gka_runs += full_gka_runs;
+        self.rekeys_failed += rekeys_failed;
+        self.groups_stalled += groups_stalled;
+        self.groups_dissolved += groups_dissolved;
+        self.steps_retried += steps_retried;
+        self.energy_mj += energy_mj;
+        self.add_ops(ops);
+        for (&suite, usage) in per_suite {
+            let e = self.per_suite.entry(suite).or_default();
+            e.rekeys += usage.rekeys;
+            e.energy_mj += usage.energy_mj;
+        }
+    }
+
+    /// Charges operation counts, re-deriving `traffic` from the sum.
+    pub fn add_ops(&mut self, ops: &OpCounts) {
+        self.ops.merge(ops);
+        self.traffic = traffic_of(&self.ops);
+    }
+
+    /// Events applied per rekey executed — the coalescing win. Greater
+    /// than 1.0 means batching saved protocol executions.
+    pub fn coalesce_ratio(&self) -> f64 {
+        if self.rekeys_executed == 0 {
+            if self.events_applied == 0 {
+                return 1.0;
+            }
+            return f64::INFINITY;
+        }
+        self.events_applied as f64 / self.rekeys_executed as f64
+    }
+
+    /// Checks that `self` (a sum of shard rows) equals `total` in every
+    /// field: energies (the total and each suite's) to a relative 1e-9,
+    /// since the two sides may associate the same f64 terms differently,
+    /// and everything else exactly.
+    pub fn reconcile(&self, total: &Counters) -> Result<(), String> {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
+        let suites_close = self.per_suite.len() == total.per_suite.len()
+            && (self.per_suite.iter().zip(&total.per_suite)).all(|((s, u), (t, v))| {
+                s == t && u.rekeys == v.rekeys && close(u.energy_mj, v.energy_mj)
+            });
+        let exact = |c: &Counters| {
+            // An empty `comp` vector and an all-zero one count the same ops.
+            let mut ops = OpCounts::new();
+            ops.merge(&c.ops);
+            Counters {
+                energy_mj: 0.0,
+                ops,
+                per_suite: BTreeMap::new(),
+                ..c.clone()
+            }
+        };
+        if close(self.energy_mj, total.energy_mj) && suites_close && exact(self) == exact(total) {
+            Ok(())
+        } else {
+            Err(format!(
+                "shard rows sum to {self:?}, the total is {total:?}"
+            ))
+        }
+    }
+
+    /// Renders the counters as the `"key": value` members of a JSON
+    /// object (no surrounding braces), for [`ServiceMetrics::to_json`]
+    /// to splice in. Exhaustive like [`Counters::add`]: a field left out
+    /// of the artifact is a compile error. Op counts render as their
+    /// computational-op total; traffic and the per-suite ledger in full.
+    pub fn json_fields(&self) -> String {
+        let Counters {
+            events_applied,
+            events_rejected,
+            events_cancelled,
+            rekeys_executed,
+            full_gka_runs,
+            rekeys_failed,
+            groups_stalled,
+            groups_dissolved,
+            steps_retried,
+            energy_mj,
+            ops,
+            traffic,
+            per_suite,
+        } = self;
+        let suites = per_suite
+            .iter()
+            .map(|(id, u)| {
+                format!(
+                    "\"{}\": {{\"rekeys\": {}, \"energy_mj\": {:.3}}}",
+                    id.key(),
+                    u.rekeys,
+                    u.energy_mj
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(", ");
+        let comp_ops: u64 = ops.comp.iter().sum();
+        format!(
+            "\"groups_dissolved\": {groups_dissolved}, \
+             \"events_applied\": {events_applied}, \
+             \"events_rejected\": {events_rejected}, \
+             \"events_cancelled\": {events_cancelled}, \
+             \"rekeys_executed\": {rekeys_executed}, \
+             \"full_gka_runs\": {full_gka_runs}, \
+             \"rekeys_failed\": {rekeys_failed}, \
+             \"groups_stalled\": {groups_stalled}, \
+             \"steps_retried\": {steps_retried}, \
+             \"energy_mj\": {energy_mj:.3}, \
+             \"comp_ops\": {comp_ops}, \
+             \"traffic\": {{\"tx_bits\": {}, \"rx_bits\": {}, \
+             \"tx_bits_actual\": {}, \"rx_bits_actual\": {}, \
+             \"msgs_tx\": {}, \"msgs_rx\": {}}}, \
+             \"per_suite\": {{{suites}}}",
+            traffic.tx_bits,
+            traffic.rx_bits,
+            traffic.tx_bits_actual,
+            traffic.rx_bits_actual,
+            traffic.msgs_tx,
+            traffic.msgs_rx,
+        )
+    }
+}
+
+/// `Deref`/`DerefMut` to the embedded [`Counters`], so the embedding
+/// structs read and write the shared counters as their own fields.
+macro_rules! embeds_counters {
+    ($($t:ty),*) => {$(
+        impl std::ops::Deref for $t {
+            type Target = Counters;
+            fn deref(&self) -> &Counters {
+                &self.counters
+            }
+        }
+        impl std::ops::DerefMut for $t {
+            fn deref_mut(&mut self) -> &mut Counters {
+                &mut self.counters
+            }
+        }
+    )*};
+}
+
+embeds_counters!(ServiceMetrics, EpochReport, crate::health::ShardStats);
+
+/// Cumulative service counters (monotone across epochs): the summed
+/// [`Counters`] of every epoch and group creation, plus the counts only
+/// the coordinator produces.
+#[derive(Clone, Debug, Default)]
+pub struct ServiceMetrics {
+    /// Groups currently holding an agreed key.
+    pub groups_active: u64,
+    /// Groups ever created.
+    pub groups_created: u64,
+    /// Groups absorbed into another group by a merge.
+    pub groups_merged_away: u64,
+    /// Events accepted into queues by `submit`.
+    pub events_submitted: u64,
     /// Epochs ticked.
     pub epochs: u64,
     /// Members whose battery drained to zero under a radio medium — each
@@ -89,16 +271,6 @@ pub struct ServiceMetrics {
     /// come from bucket interpolation with exact min/max clamping. Empty
     /// off-radio.
     pub latency_virtual: Histogram,
-    /// Total priced energy across all nodes of all groups, in mJ.
-    pub energy_mj: f64,
-    /// Cumulative operation counts across all rekeys.
-    pub ops: OpCounts,
-    /// Cumulative nominal/actual traffic across all rekeys, pulled from
-    /// each protocol execution's medium accounting.
-    pub traffic: TrafficStats,
-    /// Cumulative rekeys and priced energy per GKA suite (group creations
-    /// included) — the multi-backend cost ledger.
-    pub per_suite: BTreeMap<SuiteId, SuiteUsage>,
     /// Shards added to the live pool by [`crate::KeyService::add_shard`].
     pub shards_added: u64,
     /// Shards retired by [`crate::KeyService::remove_shard`].
@@ -114,19 +286,21 @@ pub struct ServiceMetrics {
     /// Durability barriers (fsyncs or their in-memory equivalent) the
     /// store has performed on this service's behalf.
     pub store_syncs: u64,
+    /// Everything the epochs and group creations did and cost.
+    pub counters: Counters,
 }
 
 impl ServiceMetrics {
-    /// Events applied per rekey executed — the coalescing win. Greater
-    /// than 1.0 means batching saved protocol executions.
-    pub fn coalesce_ratio(&self) -> f64 {
-        if self.rekeys_executed == 0 {
-            if self.events_applied == 0 {
-                return 1.0;
-            }
-            return f64::INFINITY;
+    /// Folds a finished epoch into the cumulative counters.
+    pub(crate) fn add_epoch(&mut self, report: &EpochReport) {
+        self.counters.add(&report.counters);
+        self.nodes_died += report.nodes_died;
+        self.members_evicted += report.members_evicted;
+        self.blame_certs += report.blame_certs;
+        for &v in &report.rekey_latencies_virtual_ms {
+            self.latency_virtual.observe(v);
         }
-        self.events_applied as f64 / self.rekeys_executed as f64
+        self.epochs += 1;
     }
 
     /// `(p50, p95, p99)` rekey latency in **virtual radio milliseconds**
@@ -145,40 +319,27 @@ impl ServiceMetrics {
     /// The exhaustive destructuring is deliberate: adding a field to
     /// [`ServiceMetrics`] without exporting it here is a compile error,
     /// not a silently stale artifact. Latencies are summarized as
-    /// `{p50,p95,p99}` quantiles plus the retained sample count; op
-    /// counts as their computational-op total (traffic is exported in
-    /// full, separately).
+    /// `{p50,p95,p99}` quantiles plus the retained sample count; the
+    /// [`Counters`] render through [`Counters::json_fields`].
     pub fn to_json(&self) -> String {
         let ServiceMetrics {
             groups_active,
             groups_created,
-            groups_dissolved,
             groups_merged_away,
             events_submitted,
-            events_applied,
-            events_rejected,
-            events_cancelled,
-            rekeys_executed,
-            full_gka_runs,
-            rekeys_failed,
-            groups_stalled,
-            steps_retried,
             epochs,
             nodes_died,
             members_evicted,
             blame_certs,
             members_readmitted,
             latency_virtual,
-            energy_mj,
-            ops,
-            traffic,
-            per_suite,
             shards_added,
             shards_removed,
             groups_moved,
             wal_appends,
             snapshots_written,
             store_syncs,
+            counters,
         } = self;
         let lat_snap = latency_virtual.snapshot();
         let latency = match (
@@ -191,58 +352,26 @@ impl ServiceMetrics {
             }
             _ => "null".to_string(),
         };
-        let suites = per_suite
-            .iter()
-            .map(|(id, u)| {
-                format!(
-                    "\"{}\": {{\"rekeys\": {}, \"energy_mj\": {:.3}}}",
-                    id.key(),
-                    u.rekeys,
-                    u.energy_mj
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let comp_ops: u64 = ops.comp.iter().sum();
         format!(
             "{{\"groups_active\": {groups_active}, \
              \"groups_created\": {groups_created}, \
-             \"groups_dissolved\": {groups_dissolved}, \
              \"groups_merged_away\": {groups_merged_away}, \
              \"events_submitted\": {events_submitted}, \
-             \"events_applied\": {events_applied}, \
-             \"events_rejected\": {events_rejected}, \
-             \"events_cancelled\": {events_cancelled}, \
-             \"rekeys_executed\": {rekeys_executed}, \
-             \"full_gka_runs\": {full_gka_runs}, \
-             \"rekeys_failed\": {rekeys_failed}, \
-             \"groups_stalled\": {groups_stalled}, \
-             \"steps_retried\": {steps_retried}, \
+             {}, \
              \"epochs\": {epochs}, \
              \"nodes_died\": {nodes_died}, \
              \"members_evicted\": {members_evicted}, \
              \"blame_certs\": {blame_certs}, \
              \"members_readmitted\": {members_readmitted}, \
-             \"energy_mj\": {energy_mj:.3}, \
-             \"comp_ops\": {comp_ops}, \
-             \"traffic\": {{\"tx_bits\": {}, \"rx_bits\": {}, \
-             \"tx_bits_actual\": {}, \"rx_bits_actual\": {}, \
-             \"msgs_tx\": {}, \"msgs_rx\": {}}}, \
              \"latency_virtual_ms\": {latency}, \
              \"latency_samples\": {}, \
-             \"per_suite\": {{{suites}}}, \
              \"shards_added\": {shards_added}, \
              \"shards_removed\": {shards_removed}, \
              \"groups_moved\": {groups_moved}, \
              \"wal_appends\": {wal_appends}, \
              \"snapshots_written\": {snapshots_written}, \
              \"store_syncs\": {store_syncs}}}",
-            traffic.tx_bits,
-            traffic.rx_bits,
-            traffic.tx_bits_actual,
-            traffic.rx_bits_actual,
-            traffic.msgs_tx,
-            traffic.msgs_rx,
+            counters.json_fields(),
             latency_virtual.count(),
         )
     }
@@ -268,40 +397,21 @@ pub fn quantiles3(xs: &[f64]) -> Option<(f64, f64, f64)> {
     }
 }
 
-/// What one [`crate::KeyService::tick`] did.
+/// What one [`crate::KeyService::tick`] did: its [`Counters`], plus the
+/// per-epoch detail (rejections, stalls, latencies, phases) that only
+/// makes sense for one epoch.
+///
+/// The same type carries the deltas the tick folds together: each
+/// shard's scheduler output and each merge host's coordinator work.
 #[derive(Clone, Debug, Default)]
 pub struct EpochReport {
     /// Epoch number (1-based; incremented per tick).
     pub epoch: u64,
     /// Groups whose queues were non-empty this epoch.
     pub groups_touched: u64,
-    /// Events applied this epoch.
-    pub events_applied: u64,
-    /// Events rejected this epoch (`rejections.len()`).
-    pub events_rejected: u64,
-    /// The rejected events themselves, with the group and reason.
+    /// The rejected events themselves, with the group and reason
+    /// (`events_rejected` counts them).
     pub rejections: Vec<(GroupId, MembershipEvent, RejectReason)>,
-    /// Join/leave pairs cancelled this epoch.
-    pub events_cancelled: u64,
-    /// §7 rekeys executed this epoch.
-    pub rekeys_executed: u64,
-    /// Full initial-GKA executions among them.
-    pub full_gka_runs: u64,
-    /// Rekey steps that timed out this epoch (their groups kept their
-    /// pre-epoch keys; events requeued).
-    pub rekeys_failed: u64,
-    /// Groups stalled (epoch aborted) this epoch.
-    pub groups_stalled: u64,
-    /// Loss-stalled steps retried with fresh randomness this epoch.
-    pub steps_retried: u64,
-    /// Groups dissolved this epoch.
-    pub groups_dissolved: u64,
-    /// Priced energy of this epoch's rekeys, in mJ.
-    pub energy_mj: f64,
-    /// Operation counts of this epoch's rekeys.
-    pub ops: OpCounts,
-    /// Traffic of this epoch's rekeys.
-    pub traffic: TrafficStats,
     /// Members whose battery died this epoch.
     pub nodes_died: u64,
     /// Members the robustness engine evicted at the top of this tick,
@@ -323,10 +433,6 @@ pub struct EpochReport {
     /// over its plan's steps and any retransmitted attempts), measured on
     /// the simulated clock. Empty off-radio.
     pub rekey_latencies_virtual_ms: Vec<f64>,
-    /// This epoch's rekeys and priced energy per GKA suite — under a
-    /// [`crate::SuitePolicy::Cheapest`] service, the per-protocol cost
-    /// split the planner's selections produced.
-    pub per_suite: BTreeMap<SuiteId, SuiteUsage>,
     /// Every aborted group-epoch, attributed: the stalled group, the
     /// scheduler's cause classification, and the unreachable members the
     /// plan needed. Feeds the service's stall ledger.
@@ -338,20 +444,12 @@ pub struct EpochReport {
     /// commit / snapshot. Wall buckets are nondeterministic and never fed
     /// to traces or the metrics registry.
     pub phases: PhaseProfile,
+    /// This epoch's events, rekeys, operation counts, traffic and priced
+    /// energy (in total and per GKA suite).
+    pub counters: Counters,
 }
 
 impl EpochReport {
-    /// Events applied per rekey this epoch.
-    pub fn coalesce_ratio(&self) -> f64 {
-        if self.rekeys_executed == 0 {
-            if self.events_applied == 0 {
-                return 1.0;
-            }
-            return f64::INFINITY;
-        }
-        self.events_applied as f64 / self.rekeys_executed as f64
-    }
-
     /// `(p50, p95, max)` rekey latency of this epoch, if any rekeys ran.
     pub fn latency_quantiles(&self) -> Option<(Duration, Duration, Duration)> {
         if self.rekey_latencies.is_empty() {
@@ -369,44 +467,43 @@ impl EpochReport {
         quantiles3(&self.rekey_latencies_virtual_ms)
     }
 
-    /// Folds this epoch into the cumulative service counters.
-    pub(crate) fn fold_into(&self, m: &mut ServiceMetrics) {
-        m.events_applied += self.events_applied;
-        m.events_rejected += self.events_rejected;
-        m.events_cancelled += self.events_cancelled;
-        m.rekeys_executed += self.rekeys_executed;
-        m.full_gka_runs += self.full_gka_runs;
-        m.rekeys_failed += self.rekeys_failed;
-        m.groups_stalled += self.groups_stalled;
-        m.steps_retried += self.steps_retried;
-        m.groups_dissolved += self.groups_dissolved;
-        m.nodes_died += self.nodes_died;
-        m.members_evicted += self.members_evicted;
-        m.blame_certs += self.blame_certs;
-        for &v in &self.rekey_latencies_virtual_ms {
-            m.latency_virtual.observe(v);
-        }
-        m.energy_mj += self.energy_mj;
-        m.ops.merge(&self.ops);
-        add_traffic(&mut m.traffic, &self.traffic);
-        add_per_suite(&mut m.per_suite, &self.per_suite);
-        m.epochs += 1;
+    /// Appends a delta (one shard's or one merge host's work) to this
+    /// report: counters add, lists extend in order.
+    pub(crate) fn absorb(&mut self, delta: EpochReport) {
+        let EpochReport {
+            epoch: _,
+            groups_touched,
+            rejections,
+            nodes_died,
+            evicted,
+            members_evicted,
+            blame_certs,
+            rekey_latencies,
+            rekey_latencies_virtual_ms,
+            stall_events,
+            rekeyed_groups,
+            phases,
+            counters,
+        } = delta;
+        self.counters.add(&counters);
+        self.groups_touched += groups_touched;
+        self.rejections.extend(rejections);
+        self.nodes_died += nodes_died;
+        self.evicted.extend(evicted);
+        self.members_evicted += members_evicted;
+        self.blame_certs += blame_certs;
+        self.rekey_latencies.extend(rekey_latencies);
+        self.rekey_latencies_virtual_ms
+            .extend(rekey_latencies_virtual_ms);
+        self.stall_events.extend(stall_events);
+        self.rekeyed_groups.extend(rekeyed_groups);
+        self.phases.add(&phases);
     }
-}
-
-/// Component-wise sum of [`TrafficStats`].
-pub(crate) fn add_traffic(into: &mut TrafficStats, from: &TrafficStats) {
-    into.tx_bits += from.tx_bits;
-    into.rx_bits += from.rx_bits;
-    into.tx_bits_actual += from.tx_bits_actual;
-    into.rx_bits_actual += from.rx_bits_actual;
-    into.msgs_tx += from.msgs_tx;
-    into.msgs_rx += from.msgs_rx;
 }
 
 /// Extracts the traffic components of an [`OpCounts`] (protocol reports
 /// embed the medium's per-node counters there).
-pub(crate) fn traffic_of(counts: &OpCounts) -> TrafficStats {
+fn traffic_of(counts: &OpCounts) -> TrafficStats {
     TrafficStats {
         tx_bits: counts.tx_bits,
         rx_bits: counts.rx_bits,
@@ -484,10 +581,10 @@ mod tests {
     fn metrics_json_is_parseable_and_complete() {
         let mut m = ServiceMetrics {
             groups_active: 3,
-            rekeys_executed: 9,
-            energy_mj: 1.5,
             ..ServiceMetrics::default()
         };
+        m.rekeys_executed = 9;
+        m.energy_mj = 1.5;
         m.latency_virtual.observe(2.0);
         m.per_suite.insert(
             SuiteId::Proposed,
@@ -498,6 +595,8 @@ mod tests {
         );
         let json = m.to_json();
         assert!(json.contains("\"groups_active\": 3"));
+        assert!(json.contains("\"rekeys_executed\": 9"));
+        assert!(json.contains("\"energy_mj\": 1.500"));
         assert!(json.contains("\"latency_virtual_ms\": {\"p50\": 2.000"));
         assert!(json.contains("\"proposed\""));
         // Balanced braces — the cheap structural sanity check available
@@ -506,5 +605,130 @@ mod tests {
         let opens = json.matches('{').count();
         assert_eq!(opens, json.matches('}').count());
         assert!(opens >= 4);
+    }
+
+    /// A random delta with dyadic energies, so every f64 sum is exact.
+    fn random_delta(rng: &mut egka_hash::ChaChaRng) -> Counters {
+        use rand::Rng;
+        let mut small = || rng.next_u64() % 1000;
+        let mut ops = OpCounts::new();
+        for c in ops.comp.iter_mut() {
+            *c = small();
+        }
+        ops.tx_bits = small();
+        ops.rx_bits = small();
+        ops.tx_bits_actual = small();
+        ops.rx_bits_actual = small();
+        ops.msgs_tx = small();
+        ops.msgs_rx = small();
+        let mut delta = Counters {
+            events_applied: small(),
+            events_rejected: small(),
+            events_cancelled: small(),
+            rekeys_executed: small(),
+            full_gka_runs: small(),
+            rekeys_failed: small(),
+            groups_stalled: small(),
+            groups_dissolved: small(),
+            steps_retried: small(),
+            energy_mj: small() as f64 / 8.0,
+            ..Counters::default()
+        };
+        delta.add_ops(&ops);
+        for suite in SuiteId::ALL {
+            if rng.next_u64().is_multiple_of(2) {
+                let usage = SuiteUsage {
+                    rekeys: rng.next_u64() % 100,
+                    energy_mj: (rng.next_u64() % 1000) as f64 / 4.0,
+                };
+                delta.per_suite.insert(suite, usage);
+            }
+        }
+        delta
+    }
+
+    /// Folding deltas one at a time equals adding their pre-summed total,
+    /// in every field, and `traffic` always reads `traffic_of(&ops)`.
+    #[test]
+    fn counters_add_is_a_sum() {
+        use rand::SeedableRng;
+        let mut rng = egka_hash::ChaChaRng::seed_from_u64(0xc0de);
+        for n in [1usize, 2, 7, 16] {
+            let deltas: Vec<Counters> = (0..n).map(|_| random_delta(&mut rng)).collect();
+            let mut folded = Counters::default();
+            for d in &deltas {
+                folded.add(d);
+            }
+            // Every field summed directly, without `Counters::add`.
+            let sum = |f: fn(&Counters) -> u64| deltas.iter().map(f).sum::<u64>();
+            let mut ops = OpCounts::new();
+            let mut per_suite: BTreeMap<SuiteId, SuiteUsage> = BTreeMap::new();
+            let mut traffic = TrafficStats::default();
+            for d in &deltas {
+                assert_eq!(d.traffic, traffic_of(&d.ops));
+                ops.merge(&d.ops);
+                traffic.tx_bits += d.traffic.tx_bits;
+                traffic.rx_bits += d.traffic.rx_bits;
+                traffic.tx_bits_actual += d.traffic.tx_bits_actual;
+                traffic.rx_bits_actual += d.traffic.rx_bits_actual;
+                traffic.msgs_tx += d.traffic.msgs_tx;
+                traffic.msgs_rx += d.traffic.msgs_rx;
+                for (&suite, usage) in &d.per_suite {
+                    let e = per_suite.entry(suite).or_default();
+                    e.rekeys += usage.rekeys;
+                    e.energy_mj += usage.energy_mj;
+                }
+            }
+            let total = Counters {
+                events_applied: sum(|d| d.events_applied),
+                events_rejected: sum(|d| d.events_rejected),
+                events_cancelled: sum(|d| d.events_cancelled),
+                rekeys_executed: sum(|d| d.rekeys_executed),
+                full_gka_runs: sum(|d| d.full_gka_runs),
+                rekeys_failed: sum(|d| d.rekeys_failed),
+                groups_stalled: sum(|d| d.groups_stalled),
+                groups_dissolved: sum(|d| d.groups_dissolved),
+                steps_retried: sum(|d| d.steps_retried),
+                energy_mj: deltas.iter().map(|d| d.energy_mj).sum(),
+                ops,
+                traffic,
+                per_suite,
+            };
+            let mut once = Counters::default();
+            once.add(&total);
+            assert_eq!(folded, once, "{n} deltas");
+            assert_eq!(folded.traffic, traffic_of(&folded.ops));
+            assert_eq!(folded.traffic, total.traffic);
+            assert_eq!(folded.reconcile(&total), Ok(()));
+        }
+    }
+
+    #[test]
+    fn reconcile_checks_every_field() {
+        let mut rng = {
+            use rand::SeedableRng;
+            egka_hash::ChaChaRng::seed_from_u64(7)
+        };
+        let base = random_delta(&mut rng);
+        assert_eq!(base.reconcile(&base), Ok(()));
+        let mut off = base.clone();
+        off.energy_mj *= 1.0 + 1e-12;
+        off.per_suite
+            .values_mut()
+            .for_each(|u| u.energy_mj *= 1.0 - 1e-12);
+        assert_eq!(off.reconcile(&base), Ok(()), "within the f64 tolerance");
+        let nudges: [fn(&mut Counters); 6] = [
+            |c| c.full_gka_runs += 1,
+            |c| c.groups_dissolved += 1,
+            |c| c.energy_mj *= 1.0 + 1e-6,
+            |c| c.traffic.msgs_rx += 1,
+            |c| c.ops.comp[0] += 1,
+            |c| c.per_suite.entry(SuiteId::Ssn).or_default().rekeys += 1,
+        ];
+        for (i, nudge) in nudges.iter().enumerate() {
+            let mut off = base.clone();
+            nudge(&mut off);
+            assert!(off.reconcile(&base).is_err(), "nudge {i} went unnoticed");
+        }
     }
 }

@@ -23,7 +23,7 @@ use crate::hashing::ShardDirectory;
 use crate::health::{
     HealthReport, PhaseProfile, ShardStats, StallEvent, StallLedger, STALLED_AFTER_EPOCHS,
 };
-use crate::metrics::{add_per_suite, add_traffic, traffic_of, EpochReport, ServiceMetrics};
+use crate::metrics::{Counters, EpochReport, ServiceMetrics, SuiteUsage};
 use crate::persist::{
     decode_snapshot, encode_snapshot, seal_group_state, unseal_group_state, RecoveryReport,
     SnapshotState, StoreConfig, WalRecord,
@@ -62,6 +62,9 @@ impl RadioConfig {
 /// identical to the pre-directory `jump_hash` salt so existing
 /// deployments' placements — and goldens — are unchanged).
 const PLACEMENT_SALT: u64 = 0x051a_6d0f_5ead;
+
+/// Epoch deltas, each tagged with the index of the shard it is billed to.
+type ShardDeltas = Vec<(usize, EpochReport)>;
 
 /// Load-driven shard rebalancing policy ([`ServiceBuilder::rebalancer`]).
 ///
@@ -1116,19 +1119,24 @@ impl KeyService {
             }
         }
         let out = run.finish();
-        let mut created_mj = 0.0;
+        let mut created = Counters::default();
         for node in &out.reports {
-            self.metrics.ops.merge(&node.counts);
-            created_mj += self.config.cost.price_mj(&node.counts);
-            add_traffic(&mut self.metrics.traffic, &traffic_of(&node.counts));
+            created.add_ops(&node.counts);
+            created.energy_mj += self.config.cost.price_mj(&node.counts);
         }
-        self.metrics.energy_mj += created_mj;
-        // Provisioning energy lands on the shard the group will live on
-        // (creations count no shard rekey — they are not epoch dynamics).
-        self.health_shards[shard].energy_mj += created_mj;
-        let usage = self.metrics.per_suite.entry(suite_id).or_default();
-        usage.rekeys += 1;
-        usage.energy_mj += created_mj;
+        let created_mj = created.energy_mj;
+        // One suite rekey, but no `rekeys_executed`: creations are not
+        // epoch dynamics. The work lands on the shard the group will
+        // live on.
+        created.per_suite.insert(
+            suite_id,
+            SuiteUsage {
+                rekeys: 1,
+                energy_mj: created_mj,
+            },
+        );
+        self.metrics.add(&created);
+        self.health_shards[shard].add(&created);
         if let Some(st) = strace {
             st.close();
             let end = st.end_ns();
@@ -1232,11 +1240,15 @@ impl KeyService {
         let (evicted_pairs, certs_signed) = self.synthesize_evictions(epoch);
 
         let merges_started = Instant::now();
-        let (mut merge_report, deferred_merges) = self.resolve_merges(epoch);
-        merge_report.phases.execute.wall += merges_started.elapsed();
-        merge_report.members_evicted = evicted_pairs.len() as u64;
-        merge_report.blame_certs = certs_signed;
-        merge_report.evicted = evicted_pairs;
+        let (host_deltas, deferred_merges) = self.resolve_merges(epoch);
+        let mut report = EpochReport {
+            epoch,
+            members_evicted: evicted_pairs.len() as u64,
+            blame_certs: certs_signed,
+            evicted: evicted_pairs,
+            ..EpochReport::default()
+        };
+        report.phases.execute.wall += merges_started.elapsed();
 
         // Fan out: shards are independent (no group spans two shards), so
         // this is lock-free parallelism; determinism is per-shard. The
@@ -1268,6 +1280,7 @@ impl KeyService {
         });
 
         let commit_started = Instant::now();
+        let mut shard_deltas: ShardDeltas = Vec::with_capacity(self.shards.len());
         for (i, shard) in self.shards.iter_mut().enumerate() {
             // Shards buffered their events locally during the parallel
             // phase; draining them here, in shard order, keeps the global
@@ -1277,41 +1290,14 @@ impl KeyService {
                     .trace
                     .emit_all(std::mem::take(&mut shard.scratch_trace));
             }
-            let scratch = std::mem::take(&mut shard.scratch);
-            let hs = &mut self.health_shards[i];
-            hs.events_applied += scratch.events_applied;
-            hs.events_rejected += scratch.events_rejected;
-            hs.events_cancelled += scratch.events_cancelled;
-            hs.rekeys_executed += scratch.rekeys_executed;
-            hs.rekeys_failed += scratch.rekeys_failed;
-            hs.groups_stalled += scratch.groups_stalled;
-            hs.steps_retried += scratch.steps_retried;
-            hs.energy_mj += scratch.energy_mj;
-            for &ms in &scratch.rekey_latencies_virtual_ms {
-                hs.latency_virtual.observe(ms);
-            }
-            merge_report.phases.add(&scratch.phases);
-            merge_report.stall_events.extend(scratch.stall_events);
-            merge_report.rekeyed_groups.extend(scratch.rekeyed_groups);
-            merge_report.groups_touched += scratch.groups_touched;
-            merge_report.events_applied += scratch.events_applied;
-            merge_report.events_rejected += scratch.events_rejected;
-            merge_report.rejections.extend(scratch.rejections);
-            merge_report.events_cancelled += scratch.events_cancelled;
-            merge_report.rekeys_executed += scratch.rekeys_executed;
-            merge_report.full_gka_runs += scratch.full_gka_runs;
-            merge_report.rekeys_failed += scratch.rekeys_failed;
-            merge_report.groups_stalled += scratch.groups_stalled;
-            merge_report.steps_retried += scratch.steps_retried;
-            merge_report.groups_dissolved += scratch.groups_dissolved;
-            merge_report.energy_mj += scratch.energy_mj;
-            merge_report.ops.merge(&scratch.ops);
-            add_traffic(&mut merge_report.traffic, &scratch.traffic);
-            merge_report.rekey_latencies.extend(scratch.rekey_latencies);
-            merge_report
-                .rekey_latencies_virtual_ms
-                .extend(scratch.rekey_latencies_virtual_ms);
-            add_per_suite(&mut merge_report.per_suite, &scratch.per_suite);
+            shard_deltas.push((i, std::mem::take(&mut shard.scratch)));
+        }
+        // Every delta lands once in the epoch report and once in its
+        // shard's row — merge hosts in host order, then shards in index
+        // order (the f64 energy sums depend on that order).
+        for (i, delta) in host_deltas.into_iter().chain(shard_deltas) {
+            self.health_shards[i].record(&delta);
+            report.absorb(delta);
         }
         // Directory hygiene: groups that dissolved this epoch must not
         // leave stale pins (or cooldown stamps) behind — a reused gid
@@ -1336,7 +1322,7 @@ impl KeyService {
             let u = UserId(user);
             if self.known_dead.insert(u) {
                 self.detached.insert(u);
-                merge_report.nodes_died += 1;
+                report.nodes_died += 1;
                 if trace_enabled {
                     let ts = self.coord_ts();
                     self.config.trace.emit(
@@ -1361,23 +1347,22 @@ impl KeyService {
                 // Already counted at its original submit; no re-count.
             }
         }
-        merge_report.epoch = epoch;
         // Feed the stall ledger: successes first (they close streaks),
         // then this epoch's stalls — a group that both merged and stalled
         // this epoch is, as of now, stalled.
-        for gid in &merge_report.rekeyed_groups {
+        for gid in &report.rekeyed_groups {
             self.ledger.record_success(*gid);
         }
-        for ev in &merge_report.stall_events {
+        for ev in &report.stall_events {
             self.ledger.record_stall(ev.group, ev.cause, &ev.culprits);
         }
-        merge_report.fold_into(&mut self.metrics);
+        self.metrics.add_epoch(&report);
         self.metrics.groups_active = self.shards.iter().map(|s| s.groups.len() as u64).sum();
         // Write-ahead commit: the epoch is durable before its report is
         // visible to the caller, so an acknowledged rekey can always be
         // reconstructed.
         self.log(WalRecord::EpochCommit { epoch });
-        merge_report.phases.commit.wall += commit_started.elapsed();
+        report.phases.commit.wall += commit_started.elapsed();
         let snapshot_due = self.config.store.as_ref().is_some_and(|store| {
             !self.replaying
                 && store.snapshot_every > 0
@@ -1386,26 +1371,26 @@ impl KeyService {
         if snapshot_due {
             let snapshot_started = Instant::now();
             self.snapshot_now();
-            merge_report.phases.snapshot.wall += snapshot_started.elapsed();
+            report.phases.snapshot.wall += snapshot_started.elapsed();
         }
-        self.phase_totals.add(&merge_report.phases);
+        self.phase_totals.add(&report.phases);
         if trace_enabled {
             if let Some(reg) = self.config.trace.registry() {
                 reg.add("epochs", 1);
-                reg.add("rekeys", merge_report.rekeys_executed);
-                reg.add("rekeys_failed", merge_report.rekeys_failed);
-                reg.add("steps_retried", merge_report.steps_retried);
-                reg.add("nodes_died", merge_report.nodes_died);
+                reg.add("rekeys", report.rekeys_executed);
+                reg.add("rekeys_failed", report.rekeys_failed);
+                reg.add("steps_retried", report.steps_retried);
+                reg.add("nodes_died", report.nodes_died);
                 // Robustness counters appear only once an eviction fires,
                 // keeping eviction-free expositions bit-identical.
-                if merge_report.members_evicted > 0 {
-                    reg.add("members_evicted", merge_report.members_evicted);
-                    reg.add("blame_certs", merge_report.blame_certs);
+                if report.members_evicted > 0 {
+                    reg.add("members_evicted", report.members_evicted);
+                    reg.add("blame_certs", report.blame_certs);
                 }
-                for ms in &merge_report.rekey_latencies_virtual_ms {
+                for ms in &report.rekey_latencies_virtual_ms {
                     reg.observe("rekey_latency_vms", *ms);
                 }
-                for (sid, usage) in &merge_report.per_suite {
+                for (sid, usage) in &report.per_suite {
                     reg.observe(
                         &labeled("suite_energy_mj", &[("suite", sid.key())]),
                         usage.energy_mj,
@@ -1426,9 +1411,9 @@ impl KeyService {
                     );
                 }
                 reg.set_gauge("groups_active", self.metrics.groups_active as f64);
-                reg.meter("events_applied", merge_report.events_applied as f64);
-                reg.meter("rekeys_executed", merge_report.rekeys_executed as f64);
-                reg.meter("energy_mj", merge_report.energy_mj);
+                reg.meter("events_applied", report.events_applied as f64);
+                reg.meter("rekeys_executed", report.rekeys_executed as f64);
+                reg.meter("energy_mj", report.energy_mj);
                 reg.roll_window();
             }
             let ts = self.coord_ts();
@@ -1439,7 +1424,7 @@ impl KeyService {
                 }),
             );
         }
-        merge_report
+        report
     }
 
     /// The eviction planner's tick-top pass: consults the stall ledger
@@ -1677,19 +1662,15 @@ impl KeyService {
     /// coordinator thread (merges are the one operation crossing shard
     /// boundaries). Host groups are processed in ascending id order;
     /// absorbed groups forward both their queued events and their pending
-    /// merge requests to their absorber. Folds that time out under the
-    /// fault plan are returned as deferred `(host, target)` requests; the
-    /// caller reinjects them after the shard phase so they retry next
-    /// tick.
-    fn resolve_merges(&mut self, epoch: u64) -> (EpochReport, Vec<(GroupId, GroupId)>) {
-        let mut report = EpochReport {
-            epoch,
-            ..EpochReport::default()
-        };
+    /// merge requests to their absorber. Each host's work — rejections,
+    /// committed folds and aborted attempts alike — is billed into one
+    /// delta, returned in host order tagged with the host's shard. Folds
+    /// that time out under the fault plan are returned as deferred
+    /// `(host, target)` requests; the caller reinjects them after the
+    /// shard phase so they retry next tick.
+    fn resolve_merges(&mut self, epoch: u64) -> (ShardDeltas, Vec<(GroupId, GroupId)>) {
+        let mut billed: ShardDeltas = Vec::new();
         let mut deferred: Vec<(GroupId, GroupId)> = Vec::new();
-        // Per-suite attribution of everything this coordinator phase
-        // charges (committed folds and aborted attempts alike).
-        let mut suite_ops: BTreeMap<SuiteId, OpCounts> = BTreeMap::new();
 
         // (host, target) pairs in deterministic order.
         let mut requests: Vec<(GroupId, GroupId)> = Vec::new();
@@ -1705,7 +1686,7 @@ impl KeyService {
             }
         }
         if requests.is_empty() {
-            return (report, deferred);
+            return (billed, deferred);
         }
         requests.sort();
 
@@ -1724,6 +1705,7 @@ impl KeyService {
         while i < requests.len() {
             let host = resolve(&absorbed, requests[i].0);
             let host_shard = self.shard_of(host);
+            let mut delta = EpochReport::default();
             // Gather every request whose resolved host is `host` in this
             // contiguous run (requests are sorted by original host id).
             let mut targets: Vec<GroupId> = Vec::new();
@@ -1732,38 +1714,32 @@ impl KeyService {
                 let raw_target = requests[i].1;
                 let target = resolve(&absorbed, raw_target);
                 let ev = MembershipEvent::MergeWith(raw_target);
-                if target == host {
-                    report.events_rejected += 1;
-                    self.health_shards[host_shard].events_rejected += 1;
-                    report.rejections.push((host, ev, RejectReason::SelfMerge));
+                let rejected = if target == host {
+                    Some(RejectReason::SelfMerge)
                 } else if !self.group_exists(target) {
-                    report.events_rejected += 1;
-                    self.health_shards[host_shard].events_rejected += 1;
-                    report
-                        .rejections
-                        .push((host, ev, RejectReason::UnknownPeerGroup));
-                } else if !targets.contains(&target) {
-                    targets.push(target);
+                    Some(RejectReason::UnknownPeerGroup)
+                } else if targets.contains(&target) {
+                    Some(RejectReason::DuplicateMerge)
                 } else {
-                    report.events_rejected += 1;
-                    self.health_shards[host_shard].events_rejected += 1;
-                    report
-                        .rejections
-                        .push((host, ev, RejectReason::DuplicateMerge));
+                    targets.push(target);
+                    None
+                };
+                if let Some(reason) = rejected {
+                    delta.events_rejected += 1;
+                    delta.rejections.push((host, ev, reason));
                 }
                 i += 1;
             }
             if !self.group_exists(host) {
-                report.events_rejected += targets.len() as u64;
-                self.health_shards[host_shard].events_rejected += targets.len() as u64;
-                report.rejections.extend(
+                delta.events_rejected += targets.len() as u64;
+                delta.rejections.extend(
                     targets
-                        .iter()
-                        .map(|&t| (host, MembershipEvent::MergeWith(t), RejectReason::GroupGone)),
+                        .drain(..)
+                        .map(|t| (host, MembershipEvent::MergeWith(t), RejectReason::GroupGone)),
                 );
-                continue;
             }
             if targets.is_empty() {
+                billed.push((host_shard, delta));
                 continue;
             }
 
@@ -1777,14 +1753,13 @@ impl KeyService {
             let seed = mix(mix(self.config.seed, host), epoch ^ 0x6d65);
             let mut acc = self.shards[host_shard].groups[&host].session.clone();
             let mut acc_suite = self.shards[host_shard].groups[&host].suite;
-            report.groups_touched += 1;
+            delta.groups_touched += 1;
             let mut folds_done = 0u64;
             let mut virtual_ms = 0.0f64;
-            // Everything this host's folds charge — committed and aborted
-            // attempts alike — so the host's shard can be billed exactly.
-            let mut host_ops = OpCounts::new();
+            // Per-suite split of the ops this host's folds charge, for
+            // the per-suite energy ledger.
+            let mut suite_ops: BTreeMap<SuiteId, OpCounts> = BTreeMap::new();
             let mut host_stalled = false;
-            let host_retried_before = report.steps_retried;
             for (j, &t) in targets.iter().enumerate() {
                 // merge_many's fold seeds: `seed` for the first fold,
                 // `seed ^ (k << 8)` for session index k ≥ 2.
@@ -1818,15 +1793,14 @@ impl KeyService {
                     None
                 };
                 let vms_before = virtual_ms;
-                let retried_before = report.steps_retried;
+                let retried_before = delta.steps_retried;
                 let folded = self.fold_one_merge(
                     fold_suite,
                     &acc,
                     &target_session,
                     fold_seed,
-                    &mut report,
+                    &mut delta,
                     suite_ops.entry(fold_suite).or_default(),
-                    &mut host_ops,
                     &mut virtual_ms,
                     fold_trace.as_ref(),
                 );
@@ -1839,7 +1813,7 @@ impl KeyService {
                             Payload::Step {
                                 suite: fold_suite.key(),
                                 step: j as u32,
-                                retries: (report.steps_retried - retried_before) as u32,
+                                retries: (delta.steps_retried - retried_before) as u32,
                                 vms: virtual_ms - vms_before,
                                 bits: 0,
                                 mj: 0.0,
@@ -1852,19 +1826,16 @@ impl KeyService {
                     Some(out) => {
                         let fold_ops = suite_ops.entry(fold_suite).or_default();
                         for r in &out.reports {
-                            report.ops.merge(&r.counts);
+                            delta.add_ops(&r.counts);
                             fold_ops.merge(&r.counts);
-                            host_ops.merge(&r.counts);
                         }
-                        report.full_gka_runs += out.gka_runs;
-                        report.per_suite.entry(fold_suite).or_default().rekeys += 1;
+                        delta.full_gka_runs += out.gka_runs;
+                        delta.per_suite.entry(fold_suite).or_default().rekeys += 1;
                         acc = out.session;
                         acc_suite = fold_suite;
                         folds_done += 1;
-                        report.rekeys_executed += 1;
-                        report.events_applied += 1;
-                        self.health_shards[host_shard].rekeys_executed += 1;
-                        self.health_shards[host_shard].events_applied += 1;
+                        delta.rekeys_executed += 1;
+                        delta.events_applied += 1;
                         // The absorbed group's pending events forward to
                         // the host.
                         absorbed.insert(t, host);
@@ -1886,10 +1857,8 @@ impl KeyService {
                         // This fold (and, with the host ring unchanged,
                         // every later one) cannot complete now; defer the
                         // unserved requests past this tick's shard phase.
-                        report.rekeys_failed += 1;
-                        report.groups_stalled += 1;
-                        self.health_shards[host_shard].rekeys_failed += 1;
-                        self.health_shards[host_shard].groups_stalled += 1;
+                        delta.rekeys_failed += 1;
+                        delta.groups_stalled += 1;
                         // Attribute the stall exactly as the shard
                         // scheduler would: unreachable members of either
                         // ring are the culprits; none means pure loss.
@@ -1912,7 +1881,7 @@ impl KeyService {
                         } else {
                             StallCause::Detached
                         };
-                        report.stall_events.push(StallEvent {
+                        delta.stall_events.push(StallEvent {
                             group: host,
                             cause,
                             culprits,
@@ -1932,32 +1901,23 @@ impl KeyService {
                 state.suite = acc_suite;
                 state.rekeys += folds_done;
                 if !host_stalled {
-                    report.rekeyed_groups.push(host);
+                    delta.rekeyed_groups.push(host);
                 }
-                report.rekey_latencies.push(started.elapsed());
+                delta.rekey_latencies.push(started.elapsed());
                 if self.config.radio.is_some() {
-                    report.rekey_latencies_virtual_ms.push(virtual_ms);
-                    self.health_shards[host_shard]
-                        .latency_virtual
-                        .observe(virtual_ms);
+                    delta.rekey_latencies_virtual_ms.push(virtual_ms);
                 }
             }
-            // Bill the host's shard for this coordinator work — committed
-            // folds and aborted attempts alike. Pricing per host (instead
-            // of one `price_mj` over the phase total) is exact up to f64
-            // association order: `price_mj` is linear in the counts.
-            let host_mj = self.config.cost.price_mj(&host_ops);
-            report.energy_mj += host_mj;
-            self.health_shards[host_shard].energy_mj += host_mj;
-            self.health_shards[host_shard].steps_retried +=
-                report.steps_retried - host_retried_before;
+            // Price the host's work — committed folds and aborted
+            // attempts alike — in total and per suite.
+            delta.energy_mj = self.config.cost.price_mj(&delta.ops);
+            for (suite_id, ops) in &suite_ops {
+                delta.per_suite.entry(*suite_id).or_default().energy_mj +=
+                    self.config.cost.price_mj(ops);
+            }
+            billed.push((host_shard, delta));
         }
-        for (suite_id, ops) in &suite_ops {
-            report.per_suite.entry(*suite_id).or_default().energy_mj +=
-                self.config.cost.price_mj(ops);
-        }
-        add_traffic(&mut report.traffic, &traffic_of(&report.ops));
-        (report, deferred)
+        (billed, deferred)
     }
 
     /// The per-tick radio context (profile + shared bank), if configured.
@@ -1972,8 +1932,8 @@ impl KeyService {
     /// `fold_suite`'s [`egka_core::Suite::merge_groups`] realization —
     /// retrying loss stalls with fresh randomness. `None` means the fold
     /// timed out (its wasted transmissions are already charged, into
-    /// `report.ops`, `fold_ops` and `host_ops`). `virtual_ms` accumulates
-    /// the fold's radio time, aborted attempts included.
+    /// `host` and `fold_ops`). `virtual_ms` accumulates the fold's radio
+    /// time, aborted attempts included.
     #[allow(clippy::too_many_arguments)] // one accumulator per ledger, by design
     fn fold_one_merge(
         &self,
@@ -1981,9 +1941,8 @@ impl KeyService {
         acc: &GroupSession,
         target: &GroupSession,
         fold_seed: u64,
-        report: &mut EpochReport,
+        host: &mut Counters,
         fold_ops: &mut OpCounts,
-        host_ops: &mut OpCounts,
         virtual_ms: &mut f64,
         trace: Option<&StepTrace>,
     ) -> Option<SuiteOutcome> {
@@ -2029,15 +1988,15 @@ impl KeyService {
                     Pump::Stalled | Pump::Failed(_) => break,
                 }
             }
-            report.ops.merge(&run.partial_counts());
-            fold_ops.merge(&run.partial_counts());
-            host_ops.merge(&run.partial_counts());
+            let wasted = run.partial_counts();
+            host.add_ops(&wasted);
+            fold_ops.merge(&wasted);
             *virtual_ms += run.virtual_elapsed_ms();
             if involves_detached || retry >= self.config.step_retries {
                 return None;
             }
             retry += 1;
-            report.steps_retried += 1;
+            host.steps_retried += 1;
         }
     }
 

@@ -33,7 +33,7 @@ use egka_trace::{Event, Payload, Phase, StallCause, StepTrace, CONTROL_TID, EPOC
 
 use crate::event::{GroupId, MembershipEvent, RejectReason};
 use crate::health::StallEvent;
-use crate::metrics::{add_traffic, traffic_of, EpochReport};
+use crate::metrics::EpochReport;
 use crate::plan::{plan_group_suite, CostModel, RekeyPlan, RekeyStep, SuitePolicy};
 
 /// One managed group.
@@ -146,8 +146,8 @@ struct ActiveGroup {
 pub(crate) struct Shard {
     pub groups: BTreeMap<GroupId, GroupState>,
     pub pending: BTreeMap<GroupId, Vec<MembershipEvent>>,
-    /// Scratch output of the last `run_epoch` (read by the coordinator
-    /// after the parallel fan-out joins).
+    /// This shard's epoch delta from the last `run_epoch`, folded by the
+    /// coordinator after the parallel fan-out joins.
     pub scratch: EpochReport,
     /// Trace events buffered during the last `run_epoch`, drained by the
     /// coordinator in shard order after the join.
@@ -164,10 +164,7 @@ impl Shard {
     /// keeps its pre-epoch key and its events are requeued for the next
     /// tick.
     pub fn run_epoch(&mut self, ctx: &EpochCtx<'_>) {
-        let mut report = EpochReport {
-            epoch: ctx.epoch,
-            ..EpochReport::default()
-        };
+        let mut report = EpochReport::default();
         let mut tr: Vec<Event> = Vec::new();
         let slot = ctx.epoch * EPOCH_NS;
         let queues: Vec<(GroupId, Vec<MembershipEvent>)> = std::mem::take(&mut self.pending)
@@ -292,9 +289,9 @@ impl Shard {
                     }),
                 );
             }
+            report.phases.execute.virtual_ms += g.virtual_ms;
             let usage = report.per_suite.entry(g.plan.suite).or_default();
             usage.energy_mj += step_energy_mj;
-            report.phases.execute.virtual_ms += g.virtual_ms;
             if g.failed {
                 // Atomic epoch: the group keeps its pre-epoch session and
                 // key; its events go back to the head of the queue so the
@@ -306,8 +303,7 @@ impl Shard {
                 *queue = requeued;
                 // The wasted transmissions and computations are real
                 // energy; charge them even though no key changed.
-                report.ops.merge(&g.ops);
-                add_traffic(&mut report.traffic, &traffic_of(&g.ops));
+                report.add_ops(&g.ops);
                 report.energy_mj += step_energy_mj;
                 continue;
             }
@@ -315,8 +311,7 @@ impl Shard {
             fold_plan_accounting(&mut report, g.gid, &g.plan);
             report.rekeys_executed += g.rekeys;
             report.full_gka_runs += g.gka_runs;
-            report.ops.merge(&g.ops);
-            add_traffic(&mut report.traffic, &traffic_of(&g.ops));
+            report.add_ops(&g.ops);
             report.energy_mj += step_energy_mj;
             if g.dissolved {
                 self.groups.remove(&g.gid);

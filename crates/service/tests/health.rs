@@ -2,8 +2,9 @@
 //!
 //! 1. Per-shard [`ShardStats`] are an exact *partition* of the service
 //!    totals: over random churn (creates, joins, leaves, merges,
-//!    detaches, loss) the integer counters sum precisely to
-//!    [`ServiceMetrics`], and energy matches to floating-point
+//!    detaches, loss) and across a shard's retirement, every
+//!    [`egka_service::Counters`] field sums precisely to
+//!    [`egka_service::ServiceMetrics`]'s, energy to floating-point
 //!    association order.
 //! 2. The stall ledger's consecutive-epoch counter grows while a member
 //!    keeps a group stalled and resets on the first successful rekey,
@@ -13,9 +14,7 @@ use std::sync::Arc;
 
 use egka_core::{Pkg, SecurityProfile, UserId};
 use egka_hash::ChaChaRng;
-use egka_service::{
-    HealthReport, KeyService, MembershipEvent, ServiceMetrics, ShardStats, STALLED_AFTER_EPOCHS,
-};
+use egka_service::{HealthReport, KeyService, MembershipEvent, ShardStats, STALLED_AFTER_EPOCHS};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -30,27 +29,10 @@ fn founders(g: u64, size: u32) -> Vec<UserId> {
     (0..size).map(|i| UserId(g as u32 * 100 + i)).collect()
 }
 
-/// Asserts Σ-shards == metrics for every counter the stats partition,
-/// and energy up to f64 association order.
-fn assert_reconciles(stats: &[ShardStats], m: &ServiceMetrics) {
-    let sum = |f: &dyn Fn(&ShardStats) -> u64| stats.iter().map(f).sum::<u64>();
-    assert_eq!(sum(&|s| s.events_applied), m.events_applied);
-    assert_eq!(sum(&|s| s.events_rejected), m.events_rejected);
-    assert_eq!(sum(&|s| s.events_cancelled), m.events_cancelled);
-    assert_eq!(sum(&|s| s.rekeys_executed), m.rekeys_executed);
-    assert_eq!(sum(&|s| s.rekeys_failed), m.rekeys_failed);
-    assert_eq!(sum(&|s| s.groups_stalled), m.groups_stalled);
-    assert_eq!(sum(&|s| s.steps_retried), m.steps_retried);
-    assert_eq!(sum(&|s| s.groups), m.groups_active);
-    let lat_count: u64 = stats.iter().map(|s| s.latency_virtual.count()).sum();
-    assert_eq!(lat_count, m.latency_virtual.count());
-    let energy: f64 = stats.iter().map(|s| s.energy_mj).sum();
-    let tol = 1e-9 * m.energy_mj.abs().max(1.0);
-    assert!(
-        (energy - m.energy_mj).abs() <= tol,
-        "shard energy {energy} != metrics {}",
-        m.energy_mj
-    );
+fn assert_reconciles(svc: &KeyService) {
+    if let Err(e) = ShardStats::reconcile(&svc.shard_stats(), svc.metrics()) {
+        panic!("per-shard stats do not partition the service totals: {e}");
+    }
 }
 
 proptest! {
@@ -95,9 +77,54 @@ proptest! {
                 }
             }
             svc.tick();
-            assert_reconciles(&svc.shard_stats(), svc.metrics());
+            assert_reconciles(&svc);
         }
     }
+}
+
+/// Retiring a shard folds its history into shard 0's row: the rows still
+/// partition the totals, and nothing the retired shard counted is lost.
+#[test]
+fn retiring_a_shard_keeps_the_partition() {
+    let mut svc = service(11, 3);
+    for g in 0..6 {
+        svc.create_group(g, &founders(g, 4)).unwrap();
+    }
+    // Make sure the shard to retire hosts work: pin a group onto it.
+    svc.move_group(0, 2).unwrap();
+    for e in 0..3u32 {
+        for g in svc.group_ids() {
+            let u = UserId(g as u32 * 100 + 50 + e);
+            svc.submit(g, MembershipEvent::Join(u)).unwrap();
+        }
+        svc.submit(0, MembershipEvent::MergeWith(5 - e as u64))
+            .unwrap();
+        svc.tick();
+    }
+    let before = svc.shard_stats();
+    let retired = before[2].clone();
+    assert!(retired.rekeys_executed > 0 && retired.energy_mj > 0.0);
+    assert!(retired.full_gka_runs + retired.events_applied > 0);
+    svc.remove_shard(2).unwrap();
+    assert_reconciles(&svc);
+    let after = svc.shard_stats();
+    assert_eq!(after.len(), 2);
+    assert_eq!(
+        after[0].rekeys_executed,
+        before[0].rekeys_executed + retired.rekeys_executed
+    );
+    assert_eq!(after[0].ops, {
+        let mut sum = before[0].counters.clone();
+        sum.add(&retired.counters);
+        sum.ops
+    });
+    // Work after the retirement keeps reconciling.
+    for g in svc.group_ids() {
+        svc.submit(g, MembershipEvent::Join(UserId(9_000 + g as u32)))
+            .unwrap();
+    }
+    svc.tick();
+    assert_reconciles(&svc);
 }
 
 #[test]

@@ -2,30 +2,27 @@
 //!
 //! A coordinator rekey verifies one signature per member — dozens of
 //! independent `(key, message, signature)` triples under the same scheme.
-//! This module verifies such an *epoch batch* with lowest-failing-index
-//! attribution:
+//! This module verifies a GQ *epoch batch* with lowest-failing-index
+//! attribution ([`gq_batch_verify_split`]): a random linear combination
+//! (RLC) over the *split* (shared challenge) form used by the GKA
+//! protocols. Each member's response satisfies `s_i^e = t_i · h_i^c
+//! (mod n)`, a genuine multiplicative relation, so scaled equations
+//! multiply into `(∏ s_i^{a_i})^e = ∏ t_i^{a_i} · (∏ h_i^{a_i})^c` —
+//! three full-size exponentiations plus short 64-bit
+//! multi-exponentiations, regardless of batch size. The
+//! independent-signature form (`GqSignature`, which checks a *hash
+//! equality* `c = H(t, m)`) cannot be combined this way; the paper's own
+//! aggregate check (eq. (2), [`crate::gq`]) stays as-is.
 //!
-//! * **DSA** ([`dsa_batch_verify`]) — **no RLC exists** for unmodified DSA:
-//!   the verifier checks `r_i = (g^{u1_i} y_i^{u2_i} mod p) mod q`, and the
-//!   outer `mod q` is not a group homomorphism, so per-equation scaling
-//!   does not distribute over a product of the `r_i`. (Known DSA batch
-//!   schemes require the signer to transmit the full `g^{k}` value.) The
-//!   batch entry point instead amortizes shared state — one interned
-//!   Montgomery context and one fixed-base comb for `g` across the whole
-//!   batch — and reports the first failing index like its siblings.
-//! * **GQ** ([`gq_batch_verify_split`]) — RLC over the *split* (shared
-//!   challenge) form used by the GKA protocols: each member's response
-//!   satisfies `s_i^e = t_i · h_i^c (mod n)`, a genuine multiplicative
-//!   relation, so scaled equations multiply into
-//!   `(∏ s_i^{a_i})^e = ∏ t_i^{a_i} · (∏ h_i^{a_i})^c` — three full-size
-//!   exponentiations plus short 64-bit multi-exponentiations, regardless
-//!   of batch size. The independent-signature form (`GqSignature`, which
-//!   checks a *hash equality* `c = H(t, m)`) cannot be combined this way;
-//!   the paper's own aggregate check (eq. (2), [`crate::gq`]) stays as-is.
-//!
-//! ECDSA has no batch entry point: recovering each `R_i` from `r_i` for a
-//! random-linear-combination check costs more per item than an individual
-//! verification, so callers loop over [`Ecdsa::verify`](crate::Ecdsa::verify).
+//! DSA and ECDSA have no batch entry point; callers loop over
+//! [`Dsa::verify`](crate::Dsa::verify) and
+//! [`Ecdsa::verify`](crate::Ecdsa::verify). No RLC exists for unmodified
+//! DSA: the verifier checks `r_i = (g^{u1_i} y_i^{u2_i} mod p) mod q`, and
+//! the outer `mod q` is not a group homomorphism, so per-equation scaling
+//! does not distribute over a product of the `r_i` (known DSA batch
+//! schemes require the signer to transmit the full `g^{k}` value). For
+//! ECDSA, recovering each `R_i` from `r_i` for an RLC check costs more per
+//! item than an individual verification.
 //!
 //! **Coefficient seeding.** The RLC coefficients must be unpredictable to
 //! whoever chose the signatures, and must *not* consume protocol RNG (node
@@ -35,8 +32,8 @@
 //! expands from `(seed, i)`. Flipping any bit of any input reshuffles every
 //! coefficient.
 //!
-//! **Attribution.** Both entry points return `Result<(), usize>` with the
-//! lowest failing index. A failed GQ RLC check bisects over sub-batches to
+//! **Attribution.** The entry point returns `Result<(), usize>` with the
+//! lowest failing index. A failed RLC check bisects over sub-batches to
 //! find the culprit — and since a batch of valid signatures satisfies the
 //! combined equation *identically* (not just with high probability), a
 //! valid batch is never rejected.
@@ -44,21 +41,9 @@
 use egka_bigint::{mod_mul, mod_pow, mont_ctx, MontForm, Montgomery, Ubig};
 use egka_hash::mgf1;
 
-use crate::dsa::{Dsa, DsaSignature};
 use crate::gq::GqParams;
 
 const GQ_TAG: &[u8] = b"egka.batch.gq.v1";
-
-/// One DSA triple in an epoch batch.
-#[derive(Clone, Copy, Debug)]
-pub struct DsaBatchItem<'a> {
-    /// Signer public key `y = g^x`.
-    pub y: &'a Ubig,
-    /// Signed message.
-    pub msg: &'a [u8],
-    /// The signature.
-    pub sig: &'a DsaSignature,
-}
 
 /// One member's split-form GQ values (shared challenge `c`).
 #[derive(Clone, Copy, Debug)]
@@ -84,23 +69,6 @@ fn coefficient(tag: &[u8], seed: &[u8], i: usize) -> u64 {
 fn push_field(transcript: &mut Vec<u8>, bytes: &[u8]) {
     transcript.extend_from_slice(&(bytes.len() as u64).to_be_bytes());
     transcript.extend_from_slice(bytes);
-}
-
-// ------------------------------------------------------------------ DSA
-
-/// Verifies a DSA epoch batch; `Err(i)` is the lowest failing index.
-///
-/// See the module docs for why DSA admits no random-linear-combination:
-/// this entry point amortizes the shared Montgomery context and the
-/// fixed-base comb for `g` (both interned in `egka-bigint`) across the
-/// batch, which is where the per-item savings actually come from.
-pub fn dsa_batch_verify(scheme: &Dsa, items: &[DsaBatchItem<'_>]) -> Result<(), usize> {
-    for (i, it) in items.iter().enumerate() {
-        if !scheme.verify(it.y, it.msg, it.sig) {
-            return Err(i);
-        }
-    }
-    Ok(())
 }
 
 // ------------------------------------------------------------------- GQ
@@ -243,36 +211,6 @@ mod tests {
     use crate::gq::GqPkg;
     use egka_hash::ChaChaRng;
     use rand::SeedableRng;
-
-    // -------------------------------------------------------------- DSA
-
-    #[test]
-    fn dsa_batch_accepts_valid_and_attributes_forgery() {
-        let mut rng = ChaChaRng::seed_from_u64(0xd5a);
-        let group = egka_bigint::gen_schnorr_group(&mut rng, 256, 96);
-        let scheme = Dsa::new(group);
-        let triples: Vec<(Ubig, Vec<u8>, DsaSignature)> = (0..4)
-            .map(|i| {
-                let kp = scheme.keygen(&mut rng);
-                let msg = format!("share {i}").into_bytes();
-                let sig = scheme.sign(&mut rng, &kp, &msg);
-                (kp.y, msg, sig)
-            })
-            .collect();
-        let items: Vec<DsaBatchItem<'_>> = triples
-            .iter()
-            .map(|(y, msg, sig)| DsaBatchItem { y, msg, sig })
-            .collect();
-        assert_eq!(dsa_batch_verify(&scheme, &items), Ok(()));
-
-        let mut forged = triples.clone();
-        forged[2].2.s = forged[2].2.s.add_ref(&Ubig::one());
-        let items: Vec<DsaBatchItem<'_>> = forged
-            .iter()
-            .map(|(y, msg, sig)| DsaBatchItem { y, msg, sig })
-            .collect();
-        assert_eq!(dsa_batch_verify(&scheme, &items), Err(2));
-    }
 
     // --------------------------------------------------------------- GQ
 

@@ -11,8 +11,8 @@
 //! * [`sok`] — the Sakai–Ohgishi–Kasahara pairing-based ID-based signature
 //!   (2 scalar-mul sign, 3-pairing verify, MapToPoint per identity/message);
 //! * [`batch`] — seeded random-linear-combination **epoch batch
-//!   verification** for split-form GQ (plus an amortized DSA batch loop),
-//!   with lowest-failing-index attribution;
+//!   verification** for split-form GQ, with lowest-failing-index
+//!   attribution;
 //! * [`certs`] — an X.509-like certificate format, DSA/ECDSA certifying
 //!   authorities, and the [`certs::CertStore`] verified-certificate cache
 //!   that reproduces the paper's "returning members don't re-verify
@@ -51,7 +51,7 @@ pub mod ecdsa;
 pub mod gq;
 pub mod sok;
 
-pub use batch::{dsa_batch_verify, gq_batch_verify_split, DsaBatchItem, GqSplitItem};
+pub use batch::{gq_batch_verify_split, GqSplitItem};
 pub use blame::{BlamePublic, CoordinatorKey};
 pub use certs::{
     CaPublic, CaSignature, CertCheck, CertScheme, CertStore, Certificate, CertificateAuthority,

@@ -289,24 +289,9 @@ pub struct ChurnEpoch {
 pub struct ChurnReport {
     /// Config echoed back.
     pub groups: u64,
-    /// Total events submitted across all epochs.
+    /// Total events the scenario submitted across all epochs (the service's
+    /// own totals are in `metrics`).
     pub events_submitted: u64,
-    /// Total events applied.
-    pub events_applied: u64,
-    /// Total §7/fallback rekeys executed.
-    pub rekeys_executed: u64,
-    /// Applied / rekeys — the batching win; > 1 whenever coalescing saved
-    /// protocol executions.
-    pub coalesce_ratio: f64,
-    /// Total priced energy across all epochs, mJ.
-    pub energy_mj: f64,
-    /// Groups still alive at the end.
-    pub groups_active: u64,
-    /// Group-epochs aborted by a stalled rekey (non-zero only under
-    /// loss/detachment; the events requeue and apply later).
-    pub groups_stalled: u64,
-    /// Loss-stalled protocol steps retried with fresh randomness.
-    pub steps_retried: u64,
     /// Per-epoch breakdown.
     pub epochs: Vec<ChurnEpoch>,
     /// `(p50, p95, p99)` wall-clock rekey latency across every committed
@@ -767,13 +752,6 @@ fn run_churn_inner(config: &ChurnConfig, crash: Option<(StoreConfig, u64)>) -> C
     ChurnReport {
         groups: config.groups,
         events_submitted,
-        events_applied: metrics.events_applied,
-        rekeys_executed: metrics.rekeys_executed,
-        coalesce_ratio: metrics.coalesce_ratio(),
-        energy_mj: metrics.energy_mj,
-        groups_active: metrics.groups_active,
-        groups_stalled: metrics.groups_stalled,
-        steps_retried: metrics.steps_retried,
         epochs,
         wall_latency,
         radio,
@@ -833,7 +811,10 @@ impl ChurnReport {
         let _ = writeln!(
             out,
             "groups: {} live / {} created   events: {} applied / {} submitted",
-            self.groups_active, self.groups, self.events_applied, self.events_submitted
+            self.metrics.groups_active,
+            self.groups,
+            self.metrics.events_applied,
+            self.events_submitted
         );
         if let Some(radio) = &self.radio {
             let _ = write!(out, "{}", radio.render());
@@ -858,13 +839,15 @@ impl ChurnReport {
         let _ = writeln!(
             out,
             "rekeys: {}   events-coalesced ratio: {:.2}   total energy: {:.1} mJ",
-            self.rekeys_executed, self.coalesce_ratio, self.energy_mj
+            self.metrics.rekeys_executed,
+            self.metrics.coalesce_ratio(),
+            self.metrics.energy_mj
         );
-        if self.groups_stalled > 0 || self.steps_retried > 0 {
+        if self.metrics.groups_stalled > 0 || self.metrics.steps_retried > 0 {
             let _ = writeln!(
                 out,
                 "faults: {} group-epochs stalled   {} steps retransmitted",
-                self.groups_stalled, self.steps_retried
+                self.metrics.groups_stalled, self.metrics.steps_retried
             );
         }
         if !self.shards.is_empty() {
@@ -1010,10 +993,13 @@ mod tests {
     #[test]
     fn churn_scenario_runs_and_coalesces() {
         let report = run_churn(&small());
-        assert_eq!(report.groups_active, 12, "leaves never shrink below three");
-        assert!(report.events_applied > 0);
-        assert!(report.coalesce_ratio >= 1.0);
-        assert!(report.energy_mj > 0.0);
+        assert_eq!(
+            report.metrics.groups_active, 12,
+            "leaves never shrink below three"
+        );
+        assert!(report.metrics.events_applied > 0);
+        assert!(report.metrics.coalesce_ratio() >= 1.0);
+        assert!(report.metrics.energy_mj > 0.0);
         assert_eq!(report.epochs.len(), 3);
         assert!(!report.render().is_empty());
     }
@@ -1023,8 +1009,8 @@ mod tests {
         let a = run_churn(&small());
         let b = run_churn(&small());
         assert_eq!(a.key_fingerprint, b.key_fingerprint);
-        assert_eq!(a.events_applied, b.events_applied);
-        assert_eq!(a.rekeys_executed, b.rekeys_executed);
+        assert_eq!(a.metrics.events_applied, b.metrics.events_applied);
+        assert_eq!(a.metrics.rekeys_executed, b.metrics.rekeys_executed);
         let mut other = small();
         other.seed ^= 1;
         let c = run_churn(&other);
@@ -1039,9 +1025,9 @@ mod tests {
         // must all be observationally transparent.
         let report = run_churn(&small());
         assert_eq!(report.key_fingerprint, 0x6e14_e41f_677b_0a8b);
-        assert_eq!(report.events_applied, 55);
-        assert_eq!(report.rekeys_executed, 36);
-        assert!((report.energy_mj - 41_399.819_52).abs() < 1e-3);
+        assert_eq!(report.metrics.events_applied, 55);
+        assert_eq!(report.metrics.rekeys_executed, 36);
+        assert!((report.metrics.energy_mj - 41_399.819_52).abs() < 1e-3);
     }
 
     #[test]
@@ -1055,10 +1041,10 @@ mod tests {
         config.radio = Some(RadioChurnConfig::ideal());
         let report = run_churn(&config);
         assert_eq!(report.key_fingerprint, 0x6e14_e41f_677b_0a8b);
-        assert_eq!(report.events_applied, 55);
-        assert_eq!(report.rekeys_executed, 36);
-        assert!((report.energy_mj - 41_399.819_52).abs() < 1e-3);
-        assert_eq!(report.groups_stalled, 0);
+        assert_eq!(report.metrics.events_applied, 55);
+        assert_eq!(report.metrics.rekeys_executed, 36);
+        assert!((report.metrics.energy_mj - 41_399.819_52).abs() < 1e-3);
+        assert_eq!(report.metrics.groups_stalled, 0);
         // And the radio view is populated: every rekey has a virtual
         // latency (airtime is real even with zero link delay).
         let radio = report.radio.expect("radio summary");
@@ -1082,15 +1068,15 @@ mod tests {
         assert!(radio.nodes_died >= 1, "a weak mote must die mid-epoch");
         assert!(radio.died.iter().all(|&u| u < 2), "only the weak die");
         assert!(
-            report.groups_stalled >= 1,
+            report.metrics.groups_stalled >= 1,
             "the dying mote's group times out for its epoch"
         );
         // Liveness: the scenario as a whole keeps rekeying — stalls stay
         // a small minority, and at most the weak motes' own group is lost
         // (evicting every member a group has left legitimately dissolves
         // it; both weak motes are founders of group 0).
-        assert!(report.rekeys_executed > report.groups_stalled * 4);
-        assert!(report.groups_active >= config.groups - 1);
+        assert!(report.metrics.rekeys_executed > report.metrics.groups_stalled * 4);
+        assert!(report.metrics.groups_active >= config.groups - 1);
         let (p50, p95, p99) = radio.latency_quantiles_ms.expect("virtual quantiles");
         assert!(p50 <= p95 && p95 <= p99);
         assert!(p50 > 10.0, "kilobit rounds on 100 kbps take tens of vms");
@@ -1110,17 +1096,17 @@ mod tests {
         let mut config = small();
         config.loss = 0.01;
         let report = run_churn(&config);
-        assert_eq!(report.groups_active, 12);
-        assert!(report.events_applied > 0);
+        assert_eq!(report.metrics.groups_active, 12);
+        assert!(report.metrics.events_applied > 0);
         // 1% loss must not wipe out the workload: most group-epochs still
         // rekey, and stalls stay bounded by the total attempted.
-        assert!(report.rekeys_executed > report.groups_stalled);
-        assert!(report.groups_stalled <= report.groups * report.epochs.len() as u64);
+        assert!(report.metrics.rekeys_executed > report.metrics.groups_stalled);
+        assert!(report.metrics.groups_stalled <= report.groups * report.epochs.len() as u64);
         assert!(!report.render().is_empty());
         // Determinism holds under loss too.
         let again = run_churn(&config);
         assert_eq!(report.key_fingerprint, again.key_fingerprint);
-        assert_eq!(report.steps_retried, again.steps_retried);
+        assert_eq!(report.metrics.steps_retried, again.metrics.steps_retried);
     }
 
     #[test]
@@ -1134,11 +1120,11 @@ mod tests {
         config.loss = 0.01;
         let report = run_churn(&config);
         assert_eq!(report.key_fingerprint, 0x9275_99ab_cbfb_f355);
-        assert_eq!(report.events_applied, 50);
-        assert_eq!(report.rekeys_executed, 33);
-        assert_eq!(report.groups_stalled, 2);
-        assert_eq!(report.steps_retried, 9);
-        assert!((report.energy_mj - 53_566.753_44).abs() < 1e-3);
+        assert_eq!(report.metrics.events_applied, 50);
+        assert_eq!(report.metrics.rekeys_executed, 33);
+        assert_eq!(report.metrics.groups_stalled, 2);
+        assert_eq!(report.metrics.steps_retried, 9);
+        assert!((report.metrics.energy_mj - 53_566.753_44).abs() < 1e-3);
     }
 
     #[test]
@@ -1162,8 +1148,8 @@ mod tests {
         );
         assert!(report.suites.iter().any(|s| s.suite == SuiteId::Proposed));
         assert!(report.suites.iter().all(|s| s.energy_mj > 0.0));
-        assert!(report.events_applied > 0);
-        assert_eq!(report.groups_active, 12);
+        assert!(report.metrics.events_applied > 0);
+        assert_eq!(report.metrics.groups_active, 12);
         assert!(report.render().contains("suites:"));
         let again = run_churn(&config);
         assert_eq!(report.key_fingerprint, again.key_fingerprint);
@@ -1190,8 +1176,8 @@ mod tests {
         assert_eq!(report.suites.len(), 1);
         assert_eq!(report.suites[0].suite, SuiteId::BdEcdsa);
         assert_eq!(report.suites[0].groups, 6);
-        assert!(report.events_applied > 0);
-        assert!(report.rekeys_executed > 0);
+        assert!(report.metrics.events_applied > 0);
+        assert!(report.metrics.rekeys_executed > 0);
         let again = run_churn(&config);
         assert_eq!(report.key_fingerprint, again.key_fingerprint);
     }
@@ -1215,7 +1201,10 @@ mod tests {
                 crashed.key_fingerprint, baseline.key_fingerprint,
                 "seed {seed:#x}, killed at epoch {kill_epoch}"
             );
-            assert_eq!(crashed.groups_active, baseline.groups_active);
+            assert_eq!(
+                crashed.metrics.groups_active,
+                baseline.metrics.groups_active
+            );
             let rec = crashed.recovery.expect("crash ran");
             assert_eq!(rec.kill_epoch, kill_epoch);
             assert_eq!(rec.groups_recovered, config.groups);
@@ -1264,9 +1253,9 @@ mod tests {
         let (config, ring) = traced(small());
         let report = run_churn(&config);
         assert_eq!(report.key_fingerprint, 0x6e14_e41f_677b_0a8b);
-        assert_eq!(report.events_applied, 55);
-        assert_eq!(report.rekeys_executed, 36);
-        assert!((report.energy_mj - 41_399.819_52).abs() < 1e-3);
+        assert_eq!(report.metrics.events_applied, 55);
+        assert_eq!(report.metrics.rekeys_executed, 36);
+        assert!((report.metrics.energy_mj - 41_399.819_52).abs() < 1e-3);
         assert_eq!(
             egka_trace::TraceSink::dropped(&*ring),
             0,
@@ -1334,15 +1323,9 @@ mod tests {
             "registry table rides along in the report"
         );
         assert!(report.render().contains("health:"));
-        let rekeys: u64 = report.shards.iter().map(|s| s.rekeys_executed).sum();
-        assert_eq!(rekeys, report.metrics.rekeys_executed);
-        let applied: u64 = report.shards.iter().map(|s| s.events_applied).sum();
-        assert_eq!(applied, report.metrics.events_applied);
-        let energy: f64 = report.shards.iter().map(|s| s.energy_mj).sum();
-        assert!(
-            (energy - report.metrics.energy_mj).abs() <= 1e-9 * report.metrics.energy_mj.max(1.0),
-            "shard energy {energy} vs metrics {}",
-            report.metrics.energy_mj
+        assert_eq!(
+            egka_service::ShardStats::reconcile(&report.shards, &report.metrics),
+            Ok(())
         );
     }
 
@@ -1497,7 +1480,7 @@ mod tests {
             proptest::prop_assert_eq!(crashed.key_fingerprint, baseline.key_fingerprint);
             proptest::prop_assert_eq!(&crashed.quarantine, &baseline.quarantine);
             proptest::prop_assert_eq!(&crashed.member_stalls, &baseline.member_stalls);
-            proptest::prop_assert_eq!(crashed.groups_active, baseline.groups_active);
+            proptest::prop_assert_eq!(crashed.metrics.groups_active, baseline.metrics.groups_active);
             proptest::prop_assert_eq!(
                 crashed.stalled_faulted_groups,
                 baseline.stalled_faulted_groups
@@ -1520,10 +1503,13 @@ mod tests {
         });
         let report = run_churn(&config);
         assert_eq!(report.key_fingerprint, 0x6e14_e41f_677b_0a8b);
-        assert_eq!(report.events_applied, 55);
-        assert_eq!(report.rekeys_executed, 36);
-        assert!((report.energy_mj - 41_399.819_52).abs() < 1e-3);
-        assert_eq!(report.groups_stalled, 0, "live handoffs stall nothing");
+        assert_eq!(report.metrics.events_applied, 55);
+        assert_eq!(report.metrics.rekeys_executed, 36);
+        assert!((report.metrics.energy_mj - 41_399.819_52).abs() < 1e-3);
+        assert_eq!(
+            report.metrics.groups_stalled, 0,
+            "live handoffs stall nothing"
+        );
         assert_eq!(report.shards.len(), 9, "the pool grew to target");
         assert_eq!(report.metrics.shards_added, 5);
         assert!(report.metrics.groups_moved > 0, "growth relocated movers");
@@ -1542,11 +1528,11 @@ mod tests {
         let report = run_churn(&config);
         assert_eq!(report.shards.len(), 16);
         assert_eq!(report.metrics.shards_added, 12);
-        assert_eq!(report.groups_stalled, 0);
-        let applied: u64 = report.shards.iter().map(|s| s.events_applied).sum();
-        assert_eq!(applied, report.metrics.events_applied);
-        let rekeys: u64 = report.shards.iter().map(|s| s.rekeys_executed).sum();
-        assert_eq!(rekeys, report.metrics.rekeys_executed);
+        assert_eq!(report.metrics.groups_stalled, 0);
+        assert_eq!(
+            egka_service::ShardStats::reconcile(&report.shards, &report.metrics),
+            Ok(())
+        );
         let again = run_churn(&config);
         assert_eq!(report.key_fingerprint, again.key_fingerprint);
         assert_eq!(report.metrics.groups_moved, again.metrics.groups_moved);
@@ -1613,14 +1599,9 @@ mod tests {
             }
             svc.tick();
             let stats = svc.shard_stats();
-            let m = svc.metrics();
             proptest::prop_assert_eq!(stats.len(), svc.shard_count());
-            let applied: u64 = stats.iter().map(|s| s.events_applied).sum();
-            proptest::prop_assert_eq!(applied, m.events_applied);
-            let rekeys: u64 = stats.iter().map(|s| s.rekeys_executed).sum();
-            proptest::prop_assert_eq!(rekeys, m.rekeys_executed);
-            let groups: u64 = stats.iter().map(|s| s.groups).sum();
-            proptest::prop_assert_eq!(groups, m.groups_active);
+            let partition = egka_service::ShardStats::reconcile(&stats, svc.metrics());
+            proptest::prop_assert_eq!(partition, Ok(()));
         }
 
         #[test]
@@ -1654,13 +1635,13 @@ mod tests {
             let crashed = run_churn_with_crash(&config(), store, kill_epoch);
             proptest::prop_assert_eq!(crashed.key_fingerprint, baseline.key_fingerprint);
             proptest::prop_assert_eq!(crashed.shards.len(), baseline.shards.len());
-            proptest::prop_assert_eq!(crashed.groups_active, baseline.groups_active);
+            proptest::prop_assert_eq!(crashed.metrics.groups_active, baseline.metrics.groups_active);
             let place = |r: &ChurnReport| -> Vec<u64> {
                 r.shards.iter().map(|s| s.groups).collect()
             };
             proptest::prop_assert_eq!(place(&crashed), place(baseline));
             let groups: u64 = crashed.shards.iter().map(|s| s.groups).sum();
-            proptest::prop_assert_eq!(groups, crashed.groups_active);
+            proptest::prop_assert_eq!(groups, crashed.metrics.groups_active);
         }
     }
 

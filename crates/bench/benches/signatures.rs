@@ -70,12 +70,10 @@ fn bench_gq_batch(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("individual", n), &n, |b, _| {
             b.iter(|| {
                 for j in 0..n {
-                    let se = egka_bigint::mod_pow(&responses[j], &pkg.params.e, &pkg.params.n);
-                    let h = pkg.params.hash_id(&ids[j]);
-                    let h_inv = egka_bigint::mod_inverse(&h, &pkg.params.n).unwrap();
-                    let hc = egka_bigint::mod_pow(&h_inv, &c_shared, &pkg.params.n);
-                    let t = egka_bigint::mod_mul(&se, &hc, &pkg.params.n);
-                    assert_eq!(t, ts[j]);
+                    let t = pkg
+                        .params
+                        .recover_commitment(&ids[j], &responses[j], &c_shared);
+                    assert_eq!(t.as_ref(), Some(&ts[j]));
                 }
             });
         });

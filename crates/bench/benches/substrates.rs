@@ -7,7 +7,7 @@
 //! (e.g. pairing ≈ 5× a 1024-bit modexp on the paper's hardware).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use egka_bigint::{mod_pow, Montgomery, Ubig};
+use egka_bigint::{mod_pow, Ubig};
 use egka_ec::PairingGroup;
 use egka_hash::{ChaChaRng, Digest, Sha256};
 use egka_symmetric::Aes;
@@ -24,10 +24,6 @@ fn bench_modexp(c: &mut Criterion) {
         let exp = egka_bigint::random_bits(&mut rng, 160); // paper: 160-bit exponents
         group.bench_with_input(BenchmarkId::new("mont_160bit_exp", bits), &bits, |b, _| {
             b.iter(|| mod_pow(black_box(&base), black_box(&exp), black_box(&p)));
-        });
-        let mont = Montgomery::new(p.clone());
-        group.bench_with_input(BenchmarkId::new("mont_reuse_ctx", bits), &bits, |b, _| {
-            b.iter(|| mont.pow(black_box(&base), black_box(&exp)));
         });
     }
     group.finish();

@@ -15,24 +15,27 @@
 //! * **Field multiplication** (secp160r1's `p`) — `Ubig` multiply then
 //!   long-division reduce vs the fixed-limb Montgomery multiplication every
 //!   scalar multiplication runs on ([`Curve::field_mul_chain`]).
+//! * **1024-bit modular multiplication** — the same pair at the paper's
+//!   BD/GQ modulus size, against the 16-limb kernel under every 1024-bit
+//!   exponentiation ([`MontField::mul_chain`]).
 //! * **Fixed-base EC scalar mult** — generic wNAF `curve.mul(k, G)` vs the
 //!   comb-backed [`Curve::mul_gen`].
-//! * **Fixed-base modexp** — per-call `Montgomery::new(p)` + windowed `pow`
-//!   vs [`mod_pow_fixed`] (interned context + exponent-sized comb), on
-//!   q-sized exponents under a Schnorr modulus — the BD/DSA shape.
+//! * **Fixed-base modexp** — the kernel's windowed [`mod_pow`] vs
+//!   [`mod_pow_fixed`] (exponent-sized comb), on q-sized exponents under a
+//!   Schnorr modulus — the BD/DSA shape.
 //! * **Fixed-argument pairing** — full Miller loop vs
 //!   [`PairingGroup::pairing_fixed`] over a cached [`egka_ec::MillerPrecomp`].
-//! * **Epoch batch verification** — per-item GQ checks vs the `egka-sig`
-//!   split-form RLC batch entry point.
 //!
 //! It also records single timings with no pair: variable-base EC scalar
-//! mult on a non-generator point, ECDSA sign and verify on secp160r1, and
-//! DSA verify under the Schnorr group.
+//! mult on a non-generator point, ECDSA sign and verify on secp160r1, DSA
+//! verify under the Schnorr group, and GQ commitment recovery
+//! ([`egka_sig::GqParams::recover_commitment`], the per-member check).
 //!
 //! The artifact (`BENCH_primitives.json`, schema `egka-primitives/1`)
 //! carries each pair as `*_ns` plus a `*_speedup` ratio; `bench_diff`
-//! holds `field_mul_speedup` above 4× and `fixed_base_mul_speedup` and
-//! `fixed_base_modexp_speedup` above 2× in CI. `--check-determinism`
+//! holds `field_mul_speedup` above 4× and `modmul_1024_speedup`,
+//! `fixed_base_mul_speedup` and `fixed_base_modexp_speedup` above 2× in
+//! CI. `--check-determinism`
 //! regenerates every workload from the seed and asserts the result
 //! fingerprint reproduces.
 
@@ -40,14 +43,12 @@ use std::time::Instant;
 
 use egka_bench::{arg_value, has_flag};
 use egka_bigint::{
-    gen_schnorr_group, mod_mul, mod_pow, mod_pow_fixed, random_below, Montgomery, SchnorrGroup,
+    gen_schnorr_group, mod_pow, mod_pow_fixed, random_below, random_bits, MontField, SchnorrGroup,
     Ubig,
 };
 use egka_ec::{secp160r1, Curve, PairingGroup, Point};
 use egka_hash::ChaChaRng;
-use egka_sig::{
-    gq_batch_verify_split, Dsa, DsaSignature, Ecdsa, EcdsaSignature, GqPkg, GqSplitItem,
-};
+use egka_sig::{Dsa, DsaSignature, Ecdsa, EcdsaSignature, GqPkg};
 use rand::SeedableRng;
 
 /// FNV-1a over every workload result — the determinism witness.
@@ -144,6 +145,41 @@ fn bench_field_mul(seed: u64, fp: &mut Fnv) -> Pair {
     Pair { old_ns, new_ns }
 }
 
+// ------------------------------------------ 1024-bit modular multiplication
+
+/// A 1024-bit odd modulus and operand pairs below it.
+fn modmul_workload(seed: u64, fp: &mut Fnv) -> (MontField<16>, Ubig, Vec<(Ubig, Ubig)>) {
+    let mut rng = ChaChaRng::seed_from_u64(seed ^ 0x1024);
+    let mut m = random_bits(&mut rng, 1024);
+    m.set_bit(0);
+    let kernel = MontField::<16>::new(&m);
+    let pairs: Vec<(Ubig, Ubig)> = (0..16)
+        .map(|_| (random_below(&mut rng, &m), random_below(&mut rng, &m)))
+        .collect();
+    for (a, b) in &pairs {
+        let new = kernel.mul_chain(a, b, MUL_CHAIN);
+        assert_eq!(new, ubig_mul_chain(a, b, &m), "kernel mul_chain disagrees");
+        fp.push(&new.to_bytes_be());
+    }
+    (kernel, m, pairs)
+}
+
+fn bench_modmul(seed: u64, fp: &mut Fnv) -> Pair {
+    let (kernel, m, pairs) = modmul_workload(seed, fp);
+    let mut i = 0usize;
+    let old_ns = per_op_ns(16, || {
+        let (a, b) = &pairs[i % pairs.len()];
+        std::hint::black_box(ubig_mul_chain(a, b, &m));
+        i += 1;
+    }) / f64::from(MUL_CHAIN);
+    let new_ns = per_op_ns(16, || {
+        let (a, b) = &pairs[i % pairs.len()];
+        std::hint::black_box(kernel.mul_chain(a, b, MUL_CHAIN));
+        i += 1;
+    }) / f64::from(MUL_CHAIN);
+    Pair { old_ns, new_ns }
+}
+
 // ------------------------------------------------------------ EC scalar mul
 
 fn ec_workload(seed: u64, curve: &Curve, fp: &mut Fnv) -> Vec<Ubig> {
@@ -187,21 +223,22 @@ fn modexp_workload(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> Vec<Ubig> {
     let exps: Vec<Ubig> = (0..64).map(|_| random_below(&mut rng, &group.q)).collect();
     for e in &exps {
         let new = mod_pow_fixed(&group.g, e, &group.p);
-        let ctx = Montgomery::new(group.p.clone());
-        assert_eq!(new, ctx.pow(&group.g, e), "mod_pow_fixed disagrees");
+        assert_eq!(
+            new,
+            mod_pow(&group.g, e, &group.p),
+            "mod_pow_fixed disagrees"
+        );
         fp.push(&new.to_bytes_be());
     }
     exps
 }
 
 fn bench_modexp(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> Pair {
-    let exps = modexp_workload(seed, group, fp); // also warms ctx + comb
+    let exps = modexp_workload(seed, group, fp); // also warms kernel + comb
     let mut i = 0usize;
-    // The pre-acceleration shape: every call pays Montgomery setup and a
-    // generic modulus-length window walk.
+    // The generic shape: a 4-bit window walk over the whole exponent.
     let old_ns = per_op_ns(128, || {
-        let ctx = Montgomery::new(group.p.clone());
-        std::hint::black_box(ctx.pow(&group.g, &exps[i % exps.len()]));
+        std::hint::black_box(mod_pow(&group.g, &exps[i % exps.len()], &group.p));
         i += 1;
     });
     let new_ns = per_op_ns(128, || {
@@ -292,45 +329,33 @@ fn bench_dsa(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> f64 {
     }) / triples.len() as f64
 }
 
-fn bench_gq_batch(seed: u64, fp: &mut Fnv) -> Pair {
+/// GQ commitment recovery `t = s^e · H(ID)^{−c}` (the per-member check
+/// of SSN's implicit authentication), in ns per member.
+fn bench_gq_verify(seed: u64, fp: &mut Fnv) -> f64 {
     let mut rng = ChaChaRng::seed_from_u64(seed ^ 0x60);
     let pkg = GqPkg::setup_with_e_bits(&mut rng, 128, 41);
     let p = &pkg.params;
     let n = 16usize;
     let ids: Vec<Vec<u8>> = (0..n).map(|i| format!("member-{i}").into_bytes()).collect();
-    let keys: Vec<_> = ids.iter().map(|id| pkg.extract(id)).collect();
     let commits: Vec<(Ubig, Ubig)> = (0..n).map(|_| p.commit(&mut rng)).collect();
     let t_agg =
         p.aggregate_commitments(&commits.iter().map(|(_, t)| t.clone()).collect::<Vec<_>>());
     let c = p.shared_challenge(&t_agg, b"bench epoch");
-    let values: Vec<(Vec<u8>, Ubig, Ubig)> = (0..n)
+    let values: Vec<(&[u8], &Ubig, Ubig)> = (0..n)
         .map(|i| {
-            let s = p.respond(&keys[i], &commits[i].0, &c);
-            (ids[i].clone(), commits[i].1.clone(), s)
+            let s = p.respond(&pkg.extract(&ids[i]), &commits[i].0, &c);
+            (ids[i].as_slice(), &commits[i].1, s)
         })
         .collect();
-    let items: Vec<GqSplitItem<'_>> = values
-        .iter()
-        .map(|(id, t, s)| GqSplitItem { id, t, s })
-        .collect();
-    assert_eq!(gq_batch_verify_split(p, &c, &items), Ok(()));
-    for (_, _, s) in &values {
+    for (id, t, s) in &values {
+        assert_eq!(p.recover_commitment(id, s, &c).as_ref(), Some(*t));
         fp.push(&s.to_bytes_be());
     }
-    let hs: Vec<Ubig> = items.iter().map(|it| p.hash_id(it.id)).collect();
-    let nf = items.len() as f64;
-    // The pre-batch shape: one full-size exponentiation pair per member.
-    let old_ns = per_op_ns(8, || {
-        for (it, h) in items.iter().zip(&hs) {
-            let lhs = mod_pow(it.s, &p.e, &p.n);
-            let rhs = mod_mul(it.t, &mod_pow(h, &c, &p.n), &p.n);
-            assert_eq!(lhs, rhs);
+    per_op_ns(8, || {
+        for (id, t, s) in &values {
+            assert_eq!(p.recover_commitment(id, s, &c).as_ref(), Some(*t));
         }
-    }) / nf;
-    let new_ns = per_op_ns(8, || {
-        gq_batch_verify_split(p, &c, &items).unwrap();
-    }) / nf;
-    Pair { old_ns, new_ns }
+    }) / n as f64
 }
 
 fn main() {
@@ -346,6 +371,8 @@ fn main() {
     let mut fp = Fnv::new();
     let field_mul = bench_field_mul(seed, &mut fp);
     field_mul.print("field_mul");
+    let modmul = bench_modmul(seed, &mut fp);
+    modmul.print("modmul_1024");
     let (ec, variable_base_ns) = bench_ec(seed, &mut fp);
     ec.print("fixed_base_mul");
     println!("{:24} {variable_base_ns:>12.0} ns", "variable_base_mul");
@@ -358,8 +385,8 @@ fn main() {
     println!("{:24} {ecdsa_verify_ns:>12.0} ns", "ecdsa_verify");
     let dsa_verify_ns = bench_dsa(seed, &group, &mut fp);
     println!("{:24} {dsa_verify_ns:>12.0} ns", "dsa_verify");
-    let gq = bench_gq_batch(seed, &mut fp);
-    gq.print("gq_batch (per item)");
+    let gq_verify_ns = bench_gq_verify(seed, &mut fp);
+    println!("{:24} {gq_verify_ns:>12.0} ns", "gq_verify");
     let fingerprint = fp.0;
     println!("\nworkload fingerprint {fingerprint:016x}");
 
@@ -368,12 +395,13 @@ fn main() {
         let mut again = Fnv::new();
         let curve = secp160r1();
         field_mul_workload(seed, &curve, &mut again);
+        modmul_workload(seed, &mut again);
         ec_workload(seed, &curve, &mut again);
         modexp_workload(seed, &group, &mut again);
         bench_pairing(seed, &mut again);
         bench_ecdsa(seed, &mut again);
         bench_dsa(seed, &group, &mut again);
-        bench_gq_batch(seed, &mut again);
+        bench_gq_verify(seed, &mut again);
         assert_eq!(
             fingerprint, again.0,
             "same seed must reproduce every workload result bit for bit"
@@ -392,6 +420,9 @@ fn main() {
          \"plain_field_mul_ns\": {:.1},\n  \
          \"field_mul_ns\": {:.1},\n  \
          \"field_mul_speedup\": {:.3},\n  \
+         \"plain_modmul_1024_ns\": {:.1},\n  \
+         \"modmul_1024_ns\": {:.1},\n  \
+         \"modmul_1024_speedup\": {:.3},\n  \
          \"variable_base_mul_ns\": {variable_base_ns:.0},\n  \
          \"generator_wnaf_mul_ns\": {:.0},\n  \
          \"fixed_base_mul_ns\": {:.0},\n  \
@@ -405,13 +436,14 @@ fn main() {
          \"ecdsa_sign_ns\": {ecdsa_sign_ns:.0},\n  \
          \"ecdsa_verify_ns\": {ecdsa_verify_ns:.0},\n  \
          \"dsa_verify_ns\": {dsa_verify_ns:.0},\n  \
-         \"gq_verify_ns\": {:.0},\n  \
-         \"gq_batch_item_ns\": {:.0},\n  \
-         \"gq_batch_speedup\": {:.3},\n  \
+         \"gq_verify_ns\": {gq_verify_ns:.0},\n  \
          \"wall_ms\": {wall_ms:.1}\n}}\n",
         field_mul.old_ns,
         field_mul.new_ns,
         field_mul.speedup(),
+        modmul.old_ns,
+        modmul.new_ns,
+        modmul.speedup(),
         ec.old_ns,
         ec.new_ns,
         ec.speedup(),
@@ -421,9 +453,6 @@ fn main() {
         pairing.old_ns,
         pairing.new_ns,
         pairing.speedup(),
-        gq.old_ns,
-        gq.new_ns,
-        gq.speedup(),
     );
     let json_path = arg_value("--json").unwrap_or_else(|| "BENCH_primitives.json".into());
     if json_path != "-" {

@@ -1,15 +1,16 @@
-//! Fixed-base precomputation: shared Montgomery contexts and Lim–Lee
+//! Fixed-base precomputation: shared Montgomery kernels and Lim–Lee
 //! comb tables for repeated exponentiation of the same base.
 //!
-//! Two observations drive this module. First, [`Montgomery::new`] costs
-//! two full-width divisions (`R mod n`, `R² mod n`), and the protocols
-//! exponentiate under a handful of long-lived moduli (the BD prime `p`,
-//! the DSA prime, the GQ ring `n`) thousands of times — so contexts are
-//! interned in a bounded global cache ([`mont_ctx`]). Second, most of
-//! those exponentiations share one *base* too (the group generator
-//! `g`), which a Lim–Lee comb turns from `≈ bits` squarings + `bits/4`
-//! multiplies into `bits/TEETH` of each ([`FixedBase`], [`mod_pow_fixed`]):
-//! a ≥4× saving at 1024-bit sizes on top of the shared context.
+//! Two observations drive this module. First, building a kernel
+//! ([`MontField::new`]) costs two full-width divisions (`R mod n`,
+//! `R² mod n`), and the protocols exponentiate under a handful of
+//! long-lived moduli (the BD prime `p`, the DSA prime, the GQ ring `n`)
+//! thousands of times — so kernels are interned in a bounded global cache
+//! (`mont_ctx`). Second, most of those exponentiations share one *base*
+//! too (the group generator `g`), which a Lim–Lee comb turns from
+//! `≈ bits` squarings + `bits/4` multiplies into `bits/TEETH` of each
+//! (`FixedBase`, [`mod_pow_fixed`]): a ≥4× saving at 1024-bit sizes on
+//! top of the shared kernel.
 //!
 //! Both caches are keyed by value (limb vectors), so distinct `Ubig`
 //! instances of the same modulus/base share entries; both are bounded
@@ -19,20 +20,20 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::mont::{MontForm, Montgomery};
+use crate::mont::{with_limbs, Fe, Kernel, Limbs, MontField};
 use crate::ubig::Ubig;
 
 /// Comb teeth: exponent bits are split into this many interleaved rows.
 const TEETH: u32 = 8;
 
-/// Bound on cached Montgomery contexts (flush-on-full).
+/// Bound on cached kernels (flush-on-full).
 const CTX_CAP: usize = 64;
 
 /// Bound on cached fixed-base tables (flush-on-full).
 const FIXED_CAP: usize = 32;
 
-fn ctx_cache() -> &'static Mutex<HashMap<Vec<u64>, Arc<Montgomery>>> {
-    static CACHE: OnceLock<Mutex<HashMap<Vec<u64>, Arc<Montgomery>>>> = OnceLock::new();
+fn ctx_cache() -> &'static Mutex<HashMap<Vec<u64>, Arc<Kernel>>> {
+    static CACHE: OnceLock<Mutex<HashMap<Vec<u64>, Arc<Kernel>>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -43,28 +44,25 @@ fn fixed_cache() -> &'static Mutex<HashMap<FixedKey, Arc<FixedBase>>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// The interned Montgomery context for odd modulus `m > 1`.
+/// The interned kernel for modulus `m`, or `None` when `m` is even,
+/// `m <= 1`, or wider than 16 limbs (see [`Kernel::new`]).
 ///
-/// Contexts are built outside the cache lock, so two threads racing on a
+/// Kernels are built outside the cache lock, so two threads racing on a
 /// new modulus may both build one; the loser's build is discarded.
-///
-/// # Panics
-/// Panics if `m` is even or `m <= 1` (the [`Montgomery::new`] contract).
-pub fn mont_ctx(m: &Ubig) -> Arc<Montgomery> {
-    let key = m.limbs().to_vec();
-    if let Some(ctx) = ctx_cache().lock().unwrap().get(&key) {
-        return Arc::clone(ctx);
+pub(crate) fn mont_ctx(m: &Ubig) -> Option<Arc<Kernel>> {
+    if let Some(ctx) = ctx_cache().lock().unwrap().get(m.limbs()) {
+        return Some(Arc::clone(ctx));
     }
-    let ctx = Arc::new(Montgomery::new(m.clone()));
+    let ctx = Arc::new(Kernel::new(m)?);
     let mut cache = ctx_cache().lock().unwrap();
     if cache.len() >= CTX_CAP {
         cache.clear();
     }
-    Arc::clone(cache.entry(key).or_insert(ctx))
+    Some(Arc::clone(cache.entry(m.limbs().to_vec()).or_insert(ctx)))
 }
 
-/// A Lim–Lee fixed-base comb over one `(base, modulus)` pair, sized for
-/// exponents of up to `cap_bits` bits.
+/// A Lim–Lee fixed-base comb over one `(base, modulus)` pair at one kernel
+/// width, sized for exponents of up to `TEETH · cols` bits.
 ///
 /// The exponent is viewed as `TEETH` (8) rows of `cols` bits;
 /// `table[t - 1] = base^(Σ_{j ∈ t} 2^{j·cols})` for every non-empty
@@ -75,25 +73,22 @@ pub fn mont_ctx(m: &Ubig) -> Arc<Montgomery> {
 /// Sizing the comb to the *exponent* capacity matters: BD and DSA
 /// exponentiate a 1024-bit generator by `q`-sized (~160-bit) exponents,
 /// so a modulus-sized comb would waste 6× the column walk.
-#[derive(Debug)]
-pub struct FixedBase {
-    ctx: Arc<Montgomery>,
+pub(crate) struct Comb<const N: usize> {
+    f: MontField<N>,
     cols: u32,
-    table: Vec<MontForm>,
+    table: Vec<Fe<N>>,
 }
 
-impl FixedBase {
-    /// Precomputes the comb for `base` under `ctx`'s modulus, for
-    /// exponents up to `cap_bits` bits (longer ones fall back).
-    pub fn new(base: &Ubig, ctx: Arc<Montgomery>, cap_bits: u32) -> Self {
+impl<const N: usize> Comb<N> {
+    fn new(base: &Ubig, f: &MontField<N>, cap_bits: u32) -> Self {
         let cols = cap_bits.max(1).div_ceil(TEETH);
         // powers[j] = base^(2^(j·cols)) in Montgomery form.
         let mut powers = Vec::with_capacity(TEETH as usize);
-        powers.push(ctx.to_mont(&base.rem_ref(ctx.modulus())));
+        powers.push(f.to_mont(base));
         for j in 1..TEETH as usize {
-            let mut p = powers[j - 1].clone();
+            let mut p = powers[j - 1];
             for _ in 0..cols {
-                p = ctx.sqr(&p);
+                p = f.sqr(&p);
             }
             powers.push(p);
         }
@@ -104,32 +99,26 @@ impl FixedBase {
             let low = t.trailing_zeros() as usize;
             let rest = t & (t - 1);
             let entry = if rest == 0 {
-                powers[low].clone()
+                powers[low]
             } else {
-                ctx.mul(&table[rest - 1], &powers[low])
+                f.mul(&table[rest - 1], &powers[low])
             };
             table.push(entry);
         }
-        FixedBase { ctx, cols, table }
+        Comb {
+            f: f.clone(),
+            cols,
+            table,
+        }
     }
 
-    /// `base^e mod m` via the comb. Falls back to the generic window
-    /// method when `e` overflows the comb's `TEETH · cols` bit capacity
-    /// (exponents in this workspace are reduced below the modulus, so
-    /// the fallback never fires on protocol paths).
-    pub fn pow(&self, e: &Ubig) -> Ubig {
-        if e.is_zero() {
-            return Ubig::one();
-        }
+    fn pow(&self, e: &Ubig) -> Ubig {
         if e.bit_length() > TEETH * self.cols {
-            let base = self.ctx.from_mont(&self.table[0]);
-            return self.ctx.pow(&base, e);
+            return self.f.to_ubig(&self.f.pow(&self.table[0], e.limbs()));
         }
-        let mut acc: Option<MontForm> = None;
+        let mut acc = self.f.one();
         for col in (0..self.cols).rev() {
-            if let Some(a) = acc.as_mut() {
-                *a = self.ctx.sqr(a);
-            }
+            acc = self.f.sqr(&acc);
             let mut t = 0usize;
             for j in 0..TEETH {
                 if e.bit(j * self.cols + col) {
@@ -137,44 +126,52 @@ impl FixedBase {
                 }
             }
             if t != 0 {
-                acc = Some(match acc {
-                    Some(a) => self.ctx.mul(&a, &self.table[t - 1]),
-                    None => self.table[t - 1].clone(),
-                });
+                acc = self.f.mul(&acc, &self.table[t - 1]);
             }
         }
-        let acc = acc.expect("non-zero exponent sets at least one column");
-        self.ctx.from_mont(&acc)
+        self.f.to_ubig(&acc)
     }
+}
 
-    /// The modulus this comb reduces under.
-    pub fn modulus(&self) -> &Ubig {
-        self.ctx.modulus()
+/// A comb at whichever kernel width its modulus needs.
+pub(crate) type FixedBase = Limbs<Comb<4>, Comb<8>, Comb<16>>;
+
+impl FixedBase {
+    /// `base^e mod m` via the comb. Falls back to the windowed kernel
+    /// exponentiation when `e` overflows the comb's `TEETH · cols` bit
+    /// capacity (exponents in this workspace are reduced below the
+    /// modulus, so the fallback never fires on protocol paths).
+    pub(crate) fn pow(&self, e: &Ubig) -> Ubig {
+        with_limbs!(self, comb => comb.pow(e))
     }
 }
 
 /// The interned comb for `(base, m)` sized for `cap_bits`-bit exponents;
-/// builds (and caches) on first use.
-///
-/// # Panics
-/// Panics if `m` is even or `m <= 1`.
-pub fn fixed_base(base: &Ubig, m: &Ubig, cap_bits: u32) -> Arc<FixedBase> {
+/// builds (and caches) on first use. `None` when `m` has no kernel (see
+/// [`mont_ctx`]).
+pub(crate) fn fixed_base(base: &Ubig, m: &Ubig, cap_bits: u32) -> Option<Arc<FixedBase>> {
     let cap_bits = cap_bits.max(1);
     let key = (m.limbs().to_vec(), base.limbs().to_vec(), cap_bits);
     if let Some(fb) = fixed_cache().lock().unwrap().get(&key) {
-        return Arc::clone(fb);
+        return Some(Arc::clone(fb));
     }
-    let fb = Arc::new(FixedBase::new(base, mont_ctx(m), cap_bits));
+    let ctx = mont_ctx(m)?;
+    let fb = Arc::new(match &*ctx {
+        Limbs::L4(f) => Limbs::L4(Comb::new(base, f, cap_bits)),
+        Limbs::L8(f) => Limbs::L8(Comb::new(base, f, cap_bits)),
+        Limbs::L16(f) => Limbs::L16(Comb::new(base, f, cap_bits)),
+    });
     let mut cache = fixed_cache().lock().unwrap();
     if cache.len() >= FIXED_CAP {
         cache.clear();
     }
-    Arc::clone(cache.entry(key).or_insert(fb))
+    Some(Arc::clone(cache.entry(key).or_insert(fb)))
 }
 
 /// `base^e mod m` through the fixed-base comb cache — a drop-in for
 /// [`crate::mod_pow`] at call sites whose base recurs (generators).
-/// Even moduli fall back to the generic path.
+/// Moduli without a kernel (even, or wider than 16 limbs) fall back to
+/// the generic path.
 ///
 /// The comb capacity is bucketed to the next multiple of 64 bits above
 /// `e.bit_length()`, so exponents of similar size (e.g. everything below
@@ -185,11 +182,14 @@ pub fn fixed_base(base: &Ubig, m: &Ubig, cap_bits: u32) -> Arc<FixedBase> {
 /// Panics if `m` is zero or one.
 pub fn mod_pow_fixed(base: &Ubig, e: &Ubig, m: &Ubig) -> Ubig {
     assert!(!m.is_zero() && !m.is_one(), "modulus must be > 1");
-    if m.is_even() {
-        return crate::modular::mod_pow(base, e, m);
+    if e.is_zero() {
+        return Ubig::one();
     }
     let bucket = e.bit_length().div_ceil(64).max(1) * 64;
-    fixed_base(base, m, bucket).pow(e)
+    match fixed_base(base, m, bucket) {
+        Some(fb) => fb.pow(e),
+        None => crate::modular::mod_pow(base, e, m),
+    }
 }
 
 #[cfg(test)]
@@ -232,8 +232,9 @@ mod tests {
     #[test]
     fn oversized_exponent_falls_back() {
         let m = u(9973);
-        let fb = fixed_base(&u(5), &m, 64);
-        let e = Ubig::one().shl_bits(TEETH * fb.cols + 3);
+        let fb = fixed_base(&u(5), &m, 64).unwrap();
+        let cols = with_limbs!(&*fb, comb => comb.cols);
+        let e = Ubig::one().shl_bits(TEETH * cols + 3);
         assert_eq!(fb.pow(&e), mod_pow(&u(5), &e, &m));
     }
 
@@ -245,18 +246,18 @@ mod tests {
     #[test]
     fn contexts_are_shared() {
         let m = u(1_000_003);
-        let a = mont_ctx(&m);
-        let b = mont_ctx(&Ubig::from_u64(1_000_003));
+        let a = mont_ctx(&m).unwrap();
+        let b = mont_ctx(&Ubig::from_u64(1_000_003)).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
     fn combs_are_shared_per_base() {
         let m = u(1_000_003);
-        let a = fixed_base(&u(7), &m, 64);
-        let b = fixed_base(&u(7), &m, 64);
-        let c = fixed_base(&u(8), &m, 64);
-        let d = fixed_base(&u(7), &m, 128);
+        let a = fixed_base(&u(7), &m, 64).unwrap();
+        let b = fixed_base(&u(7), &m, 64).unwrap();
+        let c = fixed_base(&u(8), &m, 64).unwrap();
+        let d = fixed_base(&u(7), &m, 128).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
         assert!(!Arc::ptr_eq(&a, &d));

@@ -10,17 +10,23 @@
 //! * the Burmester–Desmedt group: the order-`q` subgroup of `Z_p^*`
 //!   (1024-bit `p`, 160-bit `q`) — see [`prime::SchnorrGroup`];
 //! * the GQ signature ring `Z_n` for an RSA modulus `n = p'q'`
-//!   (512-bit prime factors) — see [`mont::Montgomery`].
+//!   (512-bit prime factors) — see [`mod_pow2`].
+//!
+//! Both run on one fixed-limb Montgomery kernel ([`MontField`]), which
+//! `egka-ec` also uses for its curve fields.
 //!
 //! ## Layout
 //!
 //! * [`ubig`] — the [`Ubig`] integer type (limb vector, schoolbook +
 //!   Karatsuba multiplication, conversions).
 //! * [`div`] — Knuth Algorithm D division.
-//! * [`modular`] — modular add/sub/mul/pow, gcd, inverse, Jacobi symbol.
-//! * [`mont`] — Montgomery contexts (the hot path for all exponentiation).
-//! * [`fixed`] — interned Montgomery contexts and Lim–Lee fixed-base combs
-//!   for generators exponentiated under a long-lived modulus.
+//! * [`modular`] — modular add/sub/mul, `mod_pow` and the two-base
+//!   `mod_pow2`, gcd, inverse, Jacobi symbol.
+//! * [`mont`] — the allocation-free fixed-limb Montgomery kernel
+//!   ([`Fe`], [`MontField`]; 4, 8 or 16 limbs for exponentiation), the hot
+//!   path for all exponentiation.
+//! * [`fixed`] — interned kernels and Lim–Lee fixed-base combs for
+//!   generators exponentiated under a long-lived modulus.
 //! * [`prime`] — Miller–Rabin, sequential & crossbeam-parallel prime search,
 //!   Schnorr-group generation.
 //! * [`rng`] — uniform sampling helpers over any [`rand::Rng`].
@@ -46,9 +52,11 @@ pub mod prime;
 pub mod rng;
 pub mod ubig;
 
-pub use fixed::{fixed_base, mod_pow_fixed, mont_ctx, FixedBase};
-pub use modular::{ext_gcd_mod, gcd, jacobi, mod_add, mod_inverse, mod_mul, mod_pow, mod_sub};
-pub use mont::{MontForm, Montgomery};
+pub use fixed::mod_pow_fixed;
+pub use modular::{
+    ext_gcd_mod, gcd, jacobi, mod_add, mod_inverse, mod_mul, mod_pow, mod_pow2, mod_sub,
+};
+pub use mont::{Fe, MontField};
 pub use prime::{gen_prime, gen_prime_parallel, gen_schnorr_group, is_prime, SchnorrGroup};
 pub use rng::{random_below, random_bits, random_range, random_unit};
 pub use ubig::{ParseUbigError, Ubig};

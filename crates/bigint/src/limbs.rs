@@ -60,31 +60,6 @@ pub fn sub_assign(acc: &mut [u64], rhs: &[u64]) -> u64 {
     borrow
 }
 
-/// Computes `acc += a * b` where `b` is a single limb, returning the carry.
-///
-/// `acc` must be at least as long as `a`.
-#[inline]
-pub fn mul_add_assign(acc: &mut [u64], a: &[u64], b: u64) -> u64 {
-    debug_assert!(acc.len() >= a.len());
-    let mut carry = 0u64;
-    for (dst, &x) in acc.iter_mut().zip(a.iter()) {
-        let t = (x as u128) * (b as u128) + (*dst as u128) + (carry as u128);
-        *dst = t as u64;
-        carry = (t >> 64) as u64;
-    }
-    if carry != 0 {
-        for dst in acc.iter_mut().skip(a.len()) {
-            let (s, c) = dst.overflowing_add(carry);
-            *dst = s;
-            carry = u64::from(c);
-            if carry == 0 {
-                break;
-            }
-        }
-    }
-    carry
-}
-
 /// Schoolbook multiplication: `out = a * b`.
 ///
 /// `out` must be zeroed and exactly `a.len() + b.len()` limbs long.

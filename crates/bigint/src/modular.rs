@@ -1,6 +1,9 @@
 //! Modular arithmetic on [`Ubig`]: add/sub/mul/pow mod m, gcd, inverse,
 //! Jacobi symbol.
 
+use core::cmp::Ordering;
+
+use crate::limbs;
 use crate::ubig::Ubig;
 
 /// `(a + b) mod m`. Operands need not be reduced.
@@ -26,10 +29,10 @@ pub fn mod_mul(a: &Ubig, b: &Ubig, m: &Ubig) -> Ubig {
 
 /// `a^e mod m`.
 ///
-/// Dispatches to Montgomery exponentiation for odd moduli (the common case
-/// throughout this workspace), reusing interned contexts from
-/// [`crate::fixed::mont_ctx`], and falls back to binary square-and-multiply
-/// with explicit reductions for even moduli.
+/// Runs on the fixed-limb Montgomery kernel ([`crate::mont`]) for every
+/// odd modulus of up to 16 limbs, reusing interned kernels, and falls
+/// back to binary square-and-multiply with explicit reductions for even
+/// or wider moduli.
 ///
 /// # Panics
 /// Panics if `m` is zero or one.
@@ -38,11 +41,10 @@ pub fn mod_pow(a: &Ubig, e: &Ubig, m: &Ubig) -> Ubig {
     if e.is_zero() {
         return Ubig::one();
     }
-    if m.is_odd() {
-        return crate::fixed::mont_ctx(m).pow(&a.rem_ref(m), e);
+    if let Some(ctx) = crate::fixed::mont_ctx(m) {
+        return ctx.pow(a, e);
     }
-    // Even modulus: plain left-to-right square-and-multiply.
-    let mut base = a.rem_ref(m);
+    let base = a.rem_ref(m);
     let mut acc = Ubig::one();
     for i in (0..e.bit_length()).rev() {
         acc = mod_mul(&acc, &acc, m);
@@ -50,11 +52,25 @@ pub fn mod_pow(a: &Ubig, e: &Ubig, m: &Ubig) -> Ubig {
             acc = mod_mul(&acc, &base, m);
         }
     }
-    let _ = &mut base;
     acc
 }
 
-/// Greatest common divisor (binary GCD).
+/// `a^x · b^y mod m` — one two-base (Straus) exponentiation, so both
+/// powers share their squarings. Moduli without a kernel multiply two
+/// [`mod_pow`]s.
+///
+/// # Panics
+/// Panics if `m` is zero or one.
+pub fn mod_pow2(a: &Ubig, x: &Ubig, b: &Ubig, y: &Ubig, m: &Ubig) -> Ubig {
+    assert!(!m.is_zero() && !m.is_one(), "modulus must be > 1");
+    match crate::fixed::mont_ctx(m) {
+        Some(ctx) => ctx.pow2(a, x, b, y),
+        None => mod_mul(&mod_pow(a, x, m), &mod_pow(b, y, m), m),
+    }
+}
+
+/// Greatest common divisor (binary GCD), on two limb buffers updated in
+/// place.
 pub fn gcd(a: &Ubig, b: &Ubig) -> Ubig {
     if a.is_zero() {
         return b.clone();
@@ -62,24 +78,38 @@ pub fn gcd(a: &Ubig, b: &Ubig) -> Ubig {
     if b.is_zero() {
         return a.clone();
     }
-    let mut a = a.clone();
-    let mut b = b.clone();
-    let az = a.trailing_zeros().unwrap();
-    let bz = b.trailing_zeros().unwrap();
-    let common = az.min(bz);
-    a = a.shr_bits(az);
-    b = b.shr_bits(bz);
-    // Both odd from here on.
+    let (az, bz) = (a.trailing_zeros().unwrap(), b.trailing_zeros().unwrap());
+    let mut x = a.limbs().to_vec();
+    let mut y = b.limbs().to_vec();
+    shr_in_place(&mut x, az);
+    shr_in_place(&mut y, bz);
+    // Both odd from here on: subtract the smaller from the larger, which
+    // leaves it even and non-zero, and shift its zeros away.
     loop {
-        if a > b {
-            core::mem::swap(&mut a, &mut b);
+        match limbs::cmp(&x, &y) {
+            Ordering::Equal => break,
+            Ordering::Greater => core::mem::swap(&mut x, &mut y),
+            Ordering::Less => {}
         }
-        b = b.checked_sub(&a).unwrap();
-        if b.is_zero() {
-            return a.shl_bits(common);
-        }
-        b = b.shr_bits(b.trailing_zeros().unwrap());
+        limbs::sub_assign(&mut y, &x);
+        y.truncate(limbs::normalized_len(&y));
+        let tz = trailing_zeros(&y);
+        shr_in_place(&mut y, tz);
     }
+    Ubig::from_limbs(x).shl_bits(az.min(bz))
+}
+
+/// Trailing zero bits of a non-zero limb buffer.
+fn trailing_zeros(v: &[u64]) -> u32 {
+    let i = v.iter().position(|&l| l != 0).expect("non-zero");
+    64 * i as u32 + v[i].trailing_zeros()
+}
+
+/// `v >>= sh`, keeping `v` normalized (no high zero limbs).
+fn shr_in_place(v: &mut Vec<u64>, sh: u32) {
+    v.drain(..(sh / 64) as usize);
+    limbs::shr_small(v, sh % 64);
+    v.truncate(limbs::normalized_len(v));
 }
 
 /// A signed magnitude pair used internally by the extended Euclid loop.
@@ -196,6 +226,7 @@ pub fn jacobi(a: &Ubig, n: &Ubig) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn u(v: u64) -> Ubig {
         Ubig::from_u64(v)
@@ -240,6 +271,67 @@ mod tests {
         assert_eq!(gcd(&u(17), &u(5)), u(1));
         assert_eq!(gcd(&u(0), &u(9)), u(9));
         assert_eq!(gcd(&u(9), &u(0)), u(9));
+    }
+
+    /// The allocating binary GCD the in-place loop replaced, kept as its
+    /// reference.
+    fn gcd_ref(a: &Ubig, b: &Ubig) -> Ubig {
+        if a.is_zero() {
+            return b.clone();
+        }
+        if b.is_zero() {
+            return a.clone();
+        }
+        let (az, bz) = (a.trailing_zeros().unwrap(), b.trailing_zeros().unwrap());
+        let mut a = a.shr_bits(az);
+        let mut b = b.shr_bits(bz);
+        loop {
+            if a > b {
+                core::mem::swap(&mut a, &mut b);
+            }
+            b = b.checked_sub(&a).unwrap();
+            if b.is_zero() {
+                return a.shl_bits(az.min(bz));
+            }
+            b = b.shr_bits(b.trailing_zeros().unwrap());
+        }
+    }
+
+    #[test]
+    fn gcd_edge_operands_match_reference() {
+        let big =
+            Ubig::from_hex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+                .unwrap();
+        let mut edges = vec![u(0), u(1), u(2), u(3), u(u64::MAX), big.clone()];
+        for sh in [1u32, 63, 64, 65, 128, 200, 1023] {
+            edges.push(Ubig::one().shl_bits(sh));
+            edges.push(big.shl_bits(sh));
+        }
+        for a in &edges {
+            for b in &edges {
+                assert_eq!(gcd(a, b), gcd_ref(a, b), "gcd({a}, {b})");
+            }
+            assert_eq!(gcd(a, a), a.clone(), "gcd of equal values");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn gcd_matches_reference(
+            a in prop::collection::vec(any::<u64>(), 0..=16),
+            b in prop::collection::vec(any::<u64>(), 0..=16),
+            common in 0u32..130,
+        ) {
+            // A shared power of two and a shared odd factor exercise the
+            // common-shift and non-trivial-result paths.
+            let (a, b) = (Ubig::from_limbs(a), Ubig::from_limbs(b));
+            let f = u(0x1234_5677);
+            let (a2, b2) = (a.mul_ref(&f).shl_bits(common), b.mul_ref(&f).shl_bits(common));
+            prop_assert_eq!(gcd(&a, &b), gcd_ref(&a, &b));
+            prop_assert_eq!(gcd(&a2, &b2), gcd_ref(&a2, &b2));
+        }
     }
 
     #[test]

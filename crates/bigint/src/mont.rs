@@ -1,174 +1,470 @@
-//! Montgomery-form modular arithmetic for odd moduli.
+//! Allocation-free Montgomery arithmetic on fixed limbs — the one kernel
+//! under every modular exponentiation and every EC scalar multiplication.
 //!
-//! All 1024-bit exponentiations in the GKA protocols go through
-//! [`Montgomery::pow`], so this module is the single hottest code path in the
-//! workspace. The REDC inner loop is written over flat limb buffers that are
-//! reused across iterations (perf-book: avoid allocation in hot loops).
+//! A [`MontField<N>`] holds an odd modulus `m < R = 2^(64·N)` with its
+//! Montgomery constants; an [`Fe<N>`] is `a·R mod m` in `N` little-endian
+//! limbs. Elements are `Copy` and live on the stack. Multiplication is CIOS
+//! (coarsely integrated operand scanning) followed by one conditional
+//! subtraction, so no product is ever allocated or divided.
+//!
+//! Exponentiation uses 4-bit fixed windows; [`MontField::pow2`] walks two
+//! exponents together (Straus), so `a^x·b^y` pays for one chain of
+//! squarings. Inversion ([`MontField::inv`]) is Fermat's `a^(m−2)` and is
+//! only meaningful for prime moduli.
+//!
+//! [`crate::mod_pow`] runs here for every odd modulus of up to 16 limbs
+//! (1024 bits), at the narrowest of 4, 8 or 16 limbs that holds it
+//! (`Limbs`); `egka-ec` picks its own 1–4 limb widths for curve fields.
 
-use crate::limbs;
 use crate::ubig::Ubig;
 
-/// Precomputed Montgomery context for an odd modulus `n`.
+/// A field element in Montgomery form, reduced into `[0, m)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fe<const N: usize>([u64; N]);
+
+impl<const N: usize> Fe<N> {
+    /// The zero element (zero is its own Montgomery form).
+    pub const ZERO: Self = Fe([0; N]);
+
+    /// True for the zero element.
+    pub fn is_zero(&self) -> bool {
+        self.0 == [0; N]
+    }
+}
+
+/// Montgomery arithmetic modulo an odd `m < 2^(64·N)`.
 #[derive(Clone, Debug)]
-pub struct Montgomery {
-    n: Ubig,
-    /// limb count of `n`
-    k: usize,
-    /// `-n^{-1} mod 2^64`
-    n0inv: u64,
-    /// `R^2 mod n` where `R = 2^(64k)`
-    r2: Ubig,
-    /// `R mod n` (the Montgomery form of 1)
-    r1: Ubig,
+pub struct MontField<const N: usize> {
+    m: [u64; N],
+    /// `−m⁻¹ mod 2⁶⁴`.
+    m_inv: u64,
+    /// `R² mod m`, the factor that moves a plain value into Montgomery form.
+    r2: [u64; N],
+    /// `R mod m`, the Montgomery form of 1.
+    one: Fe<N>,
+    /// `m − 2`, the Fermat inversion exponent.
+    inv_exp: [u64; N],
 }
 
-/// A value held in Montgomery form (`a * R mod n`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MontForm {
-    pub(crate) limbs: Vec<u64>,
+/// `acc + a·b + carry` as (low, high) words.
+#[inline(always)]
+fn mac(acc: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let t = acc as u128 + a as u128 * b as u128 + carry as u128;
+    (t as u64, (t >> 64) as u64)
 }
 
-impl Montgomery {
-    /// Builds a context for odd modulus `n > 1`.
-    ///
-    /// # Panics
-    /// Panics if `n` is even or `n <= 1`.
-    pub fn new(n: Ubig) -> Self {
-        assert!(n.is_odd(), "Montgomery requires an odd modulus");
-        assert!(!n.is_one(), "modulus must be > 1");
-        let k = n.limbs().len();
-        let n0inv = inv64(n.limbs()[0]).wrapping_neg();
-        // R mod n and R^2 mod n via shifting.
-        let r1 = Ubig::one().shl_bits(64 * k as u32).rem_ref(&n);
-        let r2 = Ubig::one().shl_bits(128 * k as u32).rem_ref(&n);
-        Montgomery {
-            n,
-            k,
-            n0inv,
-            r2,
-            r1,
-        }
-    }
-
-    /// The modulus.
-    pub fn modulus(&self) -> &Ubig {
-        &self.n
-    }
-
-    /// Converts `a` (must satisfy `a < n`) into Montgomery form.
-    pub fn to_mont(&self, a: &Ubig) -> MontForm {
-        debug_assert!(a < &self.n);
-        self.mul(&self.form_from_ubig(a), &self.form_from_ubig(&self.r2))
-    }
-
-    /// Converts back from Montgomery form.
-    pub fn from_mont(&self, a: &MontForm) -> Ubig {
-        let mut t = vec![0u64; 2 * self.k + 1];
-        t[..self.k].copy_from_slice(&a.limbs);
-        self.redc(&mut t)
-    }
-
-    /// Montgomery form of 1.
-    pub fn one(&self) -> MontForm {
-        self.form_from_ubig(&self.r1)
-    }
-
-    fn form_from_ubig(&self, a: &Ubig) -> MontForm {
-        let mut l = vec![0u64; self.k];
-        l[..a.limbs().len()].copy_from_slice(a.limbs());
-        MontForm { limbs: l }
-    }
-
-    /// Montgomery product: `redc(a * b)`.
-    pub fn mul(&self, a: &MontForm, b: &MontForm) -> MontForm {
-        let mut t = vec![0u64; 2 * self.k + 1];
-        limbs::mul_schoolbook(&mut t[..2 * self.k], &a.limbs, &b.limbs);
-        let r = self.redc(&mut t);
-        self.form_from_ubig(&r)
-    }
-
-    /// Montgomery square.
-    pub fn sqr(&self, a: &MontForm) -> MontForm {
-        self.mul(a, a)
-    }
-
-    /// REDC: given `t < n * R` (as `2k+1` limbs), returns `t * R^{-1} mod n`.
-    fn redc(&self, t: &mut [u64]) -> Ubig {
-        let k = self.k;
-        let n = self.n.limbs();
-        for i in 0..k {
-            let m = t[i].wrapping_mul(self.n0inv);
-            // t += m * n << (64*i)
-            let carry = limbs::mul_add_assign(&mut t[i..], n, m);
-            debug_assert_eq!(carry, 0, "t buffer sized to absorb all carries");
-        }
-        let mut r = Ubig::from_limbs(t[k..].to_vec());
-        if r >= self.n {
-            r = r.checked_sub(&self.n).unwrap();
-        }
-        r
-    }
-
-    /// `base^e mod n` using a fixed 4-bit window.
-    ///
-    /// `base` must already be reduced (`base < n`).
-    pub fn pow(&self, base: &Ubig, e: &Ubig) -> Ubig {
-        if e.is_zero() {
-            return Ubig::one().rem_ref(&self.n);
-        }
-        let bm = self.to_mont(base);
-        // Precompute base^0..base^15 in Montgomery form.
-        let mut table = Vec::with_capacity(16);
-        table.push(self.one());
-        for i in 1..16 {
-            let prev: &MontForm = &table[i - 1];
-            table.push(self.mul(prev, &bm));
-        }
-        let bits = e.bit_length();
-        let mut acc = self.one();
-        let mut started = false;
-        // Process 4-bit windows from the most significant end. Squarings are
-        // skipped until the first non-zero window (acc is still 1 there).
-        let top_window = bits.div_ceil(4);
-        for w in (0..top_window).rev() {
-            if started {
-                for _ in 0..4 {
-                    acc = self.sqr(&acc);
-                }
-            }
-            let mut nibble = 0usize;
-            for b in 0..4 {
-                let bit_idx = w * 4 + b;
-                if bit_idx < bits && e.bit(bit_idx) {
-                    nibble |= 1 << b;
-                }
-            }
-            if nibble != 0 {
-                acc = self.mul(&acc, &table[nibble]);
-                started = true;
-            }
-        }
-        debug_assert!(started, "non-zero exponent must set a window");
-        self.from_mont(&acc)
-    }
+/// `a + b + carry` as (sum, carry-out).
+#[inline(always)]
+fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let t = a as u128 + b as u128 + carry as u128;
+    (t as u64, (t >> 64) as u64)
 }
 
-/// Inverse of an odd `x` modulo 2^64 by Newton–Hensel lifting.
+/// `a − b − borrow` as (difference, borrow-out), borrows being 0 or 1.
+#[inline(always)]
+fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+    let t = (a as u128).wrapping_sub(b as u128 + borrow as u128);
+    (t as u64, (t >> 127) as u64)
+}
+
+/// Inverse of an odd `x` modulo 2⁶⁴: Newton's iteration doubles the
+/// correct low bits each step, 1 → 2 → … → 64.
 fn inv64(x: u64) -> u64 {
     debug_assert!(x & 1 == 1);
-    // Each iteration doubles the number of correct low bits.
-    let mut inv = x; // correct mod 2^3 already after first iterations below
+    let mut inv = 1u64;
     for _ in 0..6 {
         inv = inv.wrapping_mul(2u64.wrapping_sub(x.wrapping_mul(inv)));
     }
-    debug_assert_eq!(x.wrapping_mul(inv), 1);
     inv
+}
+
+/// The low `N` limbs of `v`, which must fit.
+fn to_limbs<const N: usize>(v: &Ubig) -> [u64; N] {
+    let mut out = [0u64; N];
+    out[..v.limbs().len()].copy_from_slice(v.limbs());
+    out
+}
+
+/// The 4-bit digit `i` (counted from the least significant) of `e`.
+#[inline(always)]
+fn nibble(e: &[u64], i: usize) -> usize {
+    e.get(i / 16)
+        .map_or(0, |l| ((l >> (4 * (i % 16))) & 15) as usize)
+}
+
+impl<const N: usize> MontField<N> {
+    /// Builds the context for modulus `m`.
+    ///
+    /// # Panics
+    /// Panics if `m` is even, `m <= 1`, or `m` needs more than `N` limbs,
+    /// or if `N` exceeds 16.
+    pub fn new(m: &Ubig) -> Self {
+        assert!(
+            N <= MAX_LIMBS,
+            "the kernel is at most {MAX_LIMBS} limbs wide"
+        );
+        assert!(
+            m.is_odd() && !m.is_one(),
+            "Montgomery modulus must be odd and > 1"
+        );
+        assert!(m.limbs().len() <= N, "modulus wider than {N} limbs");
+        let limbs = to_limbs::<N>(m);
+        let r = Ubig::one().shl_bits(64 * N as u32);
+        MontField {
+            m: limbs,
+            m_inv: inv64(limbs[0]).wrapping_neg(),
+            r2: to_limbs(&r.square().rem_ref(m)),
+            one: Fe(to_limbs(&r.rem_ref(m))),
+            inv_exp: to_limbs(&m.checked_sub(&Ubig::from_u64(2)).expect("m > 2")),
+        }
+    }
+
+    /// The Montgomery form of 1.
+    pub fn one(&self) -> Fe<N> {
+        self.one
+    }
+
+    /// Subtracts `m` once if `t + hi·R ≥ m`; requires `t + hi·R < 2m`.
+    #[inline(always)]
+    fn reduce_once(&self, t: [u64; N], hi: u64) -> [u64; N] {
+        let mut d = [0u64; N];
+        let mut borrow = 0;
+        for j in 0..N {
+            (d[j], borrow) = sbb(t[j], self.m[j], borrow);
+        }
+        if hi == 0 && borrow == 1 {
+            t
+        } else {
+            d
+        }
+    }
+
+    /// `a·b·R⁻¹ mod m` for `a < R` and `b < m`; the result is reduced.
+    #[inline(always)]
+    fn redc_mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let mut t = [0u64; N];
+        let mut hi = 0u64;
+        for &bi in b {
+            let mut c = 0;
+            for j in 0..N {
+                (t[j], c) = mac(t[j], a[j], bi, c);
+            }
+            let (top, top_carry) = adc(hi, c, 0);
+            // Add q·m with q chosen so the low word vanishes, then shift
+            // the accumulator down one word.
+            let q = t[0].wrapping_mul(self.m_inv);
+            let (_, mut c) = mac(t[0], q, self.m[0], 0);
+            for j in 1..N {
+                (t[j - 1], c) = mac(t[j], q, self.m[j], c);
+            }
+            let (word, carry) = adc(top, c, 0);
+            t[N - 1] = word;
+            hi = top_carry + carry;
+        }
+        self.reduce_once(t, hi)
+    }
+
+    /// `a · b`.
+    #[inline]
+    pub fn mul(&self, a: &Fe<N>, b: &Fe<N>) -> Fe<N> {
+        Fe(self.redc_mul(&a.0, &b.0))
+    }
+
+    /// `a²`: the square's cross products `aᵢ·aⱼ` (`i < j`) are computed
+    /// once and doubled, then the `2N`-word square is reduced, which saves
+    /// about a quarter of the word products of [`MontField::mul`].
+    #[inline]
+    pub fn sqr(&self, a: &Fe<N>) -> Fe<N> {
+        let a = &a.0;
+        let mut buf = [0u64; 2 * MAX_LIMBS];
+        let t = &mut buf[..2 * N];
+        for i in 0..N {
+            let mut c = 0;
+            for j in i + 1..N {
+                (t[i + j], c) = mac(t[i + j], a[i], a[j], c);
+            }
+            t[i + N] = c;
+        }
+        let mut top = 0;
+        for w in t.iter_mut() {
+            (*w, top) = ((*w << 1) | top, *w >> 63);
+        }
+        let mut c = 0;
+        for i in 0..N {
+            let (lo, hi) = mac(0, a[i], a[i], 0);
+            (t[2 * i], c) = adc(t[2 * i], lo, c);
+            (t[2 * i + 1], c) = adc(t[2 * i + 1], hi, c);
+        }
+        // Montgomery reduction, one word per row; `hi` carries each row's
+        // overflow into the next.
+        let mut hi = 0;
+        for i in 0..N {
+            let q = t[i].wrapping_mul(self.m_inv);
+            let mut c = 0;
+            for j in 0..N {
+                (t[i + j], c) = mac(t[i + j], q, self.m[j], c);
+            }
+            (t[i + N], hi) = adc(t[i + N], c, hi);
+        }
+        let mut out = [0u64; N];
+        out.copy_from_slice(&t[N..]);
+        Fe(self.reduce_once(out, hi))
+    }
+
+    /// `a + b`.
+    #[inline]
+    pub fn add(&self, a: &Fe<N>, b: &Fe<N>) -> Fe<N> {
+        let mut s = [0u64; N];
+        let mut c = 0;
+        for (s, (&x, &y)) in s.iter_mut().zip(a.0.iter().zip(&b.0)) {
+            (*s, c) = adc(x, y, c);
+        }
+        Fe(self.reduce_once(s, c))
+    }
+
+    /// `a − b`.
+    #[inline]
+    pub fn sub(&self, a: &Fe<N>, b: &Fe<N>) -> Fe<N> {
+        let mut d = [0u64; N];
+        let mut borrow = 0;
+        for (d, (&x, &y)) in d.iter_mut().zip(a.0.iter().zip(&b.0)) {
+            (*d, borrow) = sbb(x, y, borrow);
+        }
+        // On underflow add m back (masked, so no branch on the data).
+        let mask = borrow.wrapping_neg();
+        let mut c = 0;
+        for (d, &m) in d.iter_mut().zip(&self.m) {
+            (*d, c) = adc(*d, m & mask, c);
+        }
+        Fe(d)
+    }
+
+    /// `−a`.
+    #[inline]
+    pub fn neg(&self, a: &Fe<N>) -> Fe<N> {
+        self.sub(&Fe::ZERO, a)
+    }
+
+    /// `a⁰ … a¹⁵`, the 4-bit window table of `a`.
+    fn window_table(&self, a: &Fe<N>) -> [Fe<N>; 16] {
+        let mut table = [self.one; 16];
+        for i in 1..16 {
+            table[i] = self.mul(&table[i - 1], a);
+        }
+        table
+    }
+
+    /// `∏ baseᵢ^eᵢ` over window tables, sharing one chain of squarings
+    /// (leading zero digits skipped; every exponent zero gives 1).
+    fn multi_pow(&self, terms: &[(&[Fe<N>; 16], &[u64])]) -> Fe<N> {
+        let digits = 16 * terms.iter().map(|(_, e)| e.len()).max().unwrap_or(0);
+        let mut acc: Option<Fe<N>> = None;
+        for i in (0..digits).rev() {
+            if let Some(x) = acc.as_mut() {
+                for _ in 0..4 {
+                    *x = self.sqr(x);
+                }
+            }
+            for (table, e) in terms {
+                let digit = nibble(e, i);
+                if digit != 0 {
+                    acc = Some(match acc {
+                        None => table[digit],
+                        Some(x) => self.mul(&x, &table[digit]),
+                    });
+                }
+            }
+        }
+        acc.unwrap_or(self.one)
+    }
+
+    /// `a^e` for an exponent given as little-endian limbs (4-bit fixed
+    /// window).
+    pub fn pow(&self, a: &Fe<N>, e: &[u64]) -> Fe<N> {
+        self.multi_pow(&[(&self.window_table(a), e)])
+    }
+
+    /// `a^x · b^y` by Straus's interleaving: both exponents' windows
+    /// share one chain of squarings.
+    pub fn pow2(&self, a: &Fe<N>, x: &[u64], b: &Fe<N>, y: &[u64]) -> Fe<N> {
+        let (ta, tb) = (self.window_table(a), self.window_table(b));
+        self.multi_pow(&[(&ta, x), (&tb, y)])
+    }
+
+    /// `a⁻¹` by Fermat (`a^(m−2)`), or `None` for zero. Correct only for
+    /// a prime modulus.
+    pub fn inv(&self, a: &Fe<N>) -> Option<Fe<N>> {
+        (!a.is_zero()).then(|| self.pow(a, &self.inv_exp))
+    }
+
+    /// Montgomery form of an arbitrary integer (reduced modulo `m`).
+    pub fn to_mont(&self, a: &Ubig) -> Fe<N> {
+        // Any value below R is a valid CIOS operand; only wider ones need
+        // a division first.
+        let limbs = if a.limbs().len() > N {
+            to_limbs(&a.rem_ref(&Ubig::from_limbs(self.m.to_vec())))
+        } else {
+            to_limbs(a)
+        };
+        Fe(self.redc_mul(&limbs, &self.r2))
+    }
+
+    /// `a · bʳ mod m` by `rounds` chained multiplications, converting in
+    /// and out once.
+    pub fn mul_chain(&self, a: &Ubig, b: &Ubig, rounds: u32) -> Ubig {
+        let b = self.to_mont(b);
+        let mut acc = self.to_mont(a);
+        for _ in 0..rounds {
+            acc = self.mul(&acc, &b);
+        }
+        self.to_ubig(&acc)
+    }
+
+    /// The plain integer an element represents, in `[0, m)`.
+    pub fn to_ubig(&self, a: &Fe<N>) -> Ubig {
+        let mut one = [0u64; N];
+        one[0] = 1;
+        Ubig::from_limbs(self.redc_mul(&a.0, &one).to_vec())
+    }
+}
+
+/// The widest kernel, in 64-bit limbs (1024 bits).
+pub(crate) const MAX_LIMBS: usize = 16;
+
+/// One value per kernel width — 4, 8 or 16 limbs — chosen once from a
+/// modulus size.
+pub(crate) enum Limbs<T4, T8, T16> {
+    L4(T4),
+    L8(T8),
+    L16(T16),
+}
+
+/// Runs `$body` with `$v` bound to whichever width `$limbs` holds; the
+/// body is compiled once per limb count.
+macro_rules! with_limbs {
+    ($limbs:expr, $v:ident => $body:expr) => {
+        match $limbs {
+            $crate::mont::Limbs::L4($v) => $body,
+            $crate::mont::Limbs::L8($v) => $body,
+            $crate::mont::Limbs::L16($v) => $body,
+        }
+    };
+}
+pub(crate) use with_limbs;
+
+/// The kernel at the narrowest width that holds its modulus.
+pub(crate) type Kernel = Limbs<MontField<4>, MontField<8>, MontField<16>>;
+
+impl Kernel {
+    /// The kernel for `m`, or `None` when `m` is even, `m <= 1`, or `m` is
+    /// wider than [`MAX_LIMBS`] limbs.
+    pub(crate) fn new(m: &Ubig) -> Option<Self> {
+        if m.is_even() || m.is_one() {
+            return None;
+        }
+        Some(match m.limbs().len() {
+            0..=4 => Limbs::L4(MontField::new(m)),
+            5..=8 => Limbs::L8(MontField::new(m)),
+            9..=MAX_LIMBS => Limbs::L16(MontField::new(m)),
+            _ => return None,
+        })
+    }
+
+    /// `a^e mod m`.
+    pub(crate) fn pow(&self, a: &Ubig, e: &Ubig) -> Ubig {
+        with_limbs!(self, f => f.to_ubig(&f.pow(&f.to_mont(a), e.limbs())))
+    }
+
+    /// `a^x · b^y mod m`.
+    pub(crate) fn pow2(&self, a: &Ubig, x: &Ubig, b: &Ubig, y: &Ubig) -> Ubig {
+        with_limbs!(self, f => {
+            f.to_ubig(&f.pow2(&f.to_mont(a), x.limbs(), &f.to_mont(b), y.limbs()))
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modular::mod_pow;
+    use crate::modular::{mod_add, mod_mul, mod_pow, mod_sub};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    fn u(v: u64) -> Ubig {
+        Ubig::from_u64(v)
+    }
+
+    /// Left-to-right square-and-multiply on `Ubig`, the reference for
+    /// every exponentiation here.
+    fn pow_ref(a: &Ubig, e: &Ubig, m: &Ubig) -> Ubig {
+        let base = a.rem_ref(m);
+        let mut acc = Ubig::one().rem_ref(m);
+        for i in (0..e.bit_length()).rev() {
+            acc = acc.mul_ref(&acc).rem_ref(m);
+            if e.bit(i) {
+                acc = acc.mul_ref(&base).rem_ref(m);
+            }
+        }
+        acc
+    }
+
+    /// An odd number of exactly `bits` bits drawn from `seed`.
+    fn odd_modulus(bits: u32, seed: u64) -> Ubig {
+        let mut v = crate::random_bits(&mut SmallRng::seed_from_u64(seed), bits);
+        v.set_bit(0);
+        v
+    }
+
+    /// Checks the `N`-limb kernel's multiply, square, add, subtract,
+    /// negate and conversions against `mul_ref` + `rem_ref`.
+    fn check<const N: usize>(m: &Ubig, a: &Ubig, b: &Ubig) {
+        let f = MontField::<N>::new(m);
+        let (fa, fb) = (f.to_mont(a), f.to_mont(b));
+        let (ra, rb) = (a.rem_ref(m), b.rem_ref(m));
+        assert_eq!(f.to_ubig(&fa), ra, "round trip, m = {m}");
+        assert_eq!(f.to_ubig(&f.mul(&fa, &fb)), a.mul_ref(b).rem_ref(m), "mul");
+        assert_eq!(f.to_ubig(&f.sqr(&fa)), a.mul_ref(a).rem_ref(m), "sqr");
+        assert_eq!(f.to_ubig(&f.add(&fa, &fb)), mod_add(&ra, &rb, m), "add");
+        assert_eq!(f.to_ubig(&f.sub(&fa, &fb)), mod_sub(&ra, &rb, m), "sub");
+        assert_eq!(
+            f.to_ubig(&f.neg(&fa)),
+            mod_sub(&Ubig::zero(), &ra, m),
+            "neg"
+        );
+    }
+
+    /// [`check`] at every kernel width that holds `m`.
+    fn check_fitting(m: &Ubig, a: &Ubig, b: &Ubig) {
+        check::<16>(m, a, b);
+        if m.limbs().len() <= 8 {
+            check::<8>(m, a, b);
+        }
+        if m.limbs().len() <= 4 {
+            check::<4>(m, a, b);
+        }
+    }
+
+    fn edges(m: &Ubig) -> [Ubig; 4] {
+        [
+            Ubig::zero(),
+            Ubig::one(),
+            m.checked_sub(&u(2)).unwrap(),
+            m.checked_sub(&Ubig::one()).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn kernel_edge_operands_at_every_width() {
+        for (bits, seed) in [(64, 1), (256, 2), (257, 3), (512, 4), (640, 5), (1024, 6)] {
+            let m = odd_modulus(bits, seed);
+            for a in &edges(&m) {
+                for b in &edges(&m) {
+                    check_fitting(&m, a, b);
+                }
+            }
+        }
+    }
 
     #[test]
     fn inv64_is_inverse() {
@@ -180,70 +476,107 @@ mod tests {
     #[test]
     fn roundtrip_mont_form() {
         let n = Ubig::from_hex("ffffffffffffffffffffffffffffff61").unwrap();
-        let m = Montgomery::new(n.clone());
+        let f = MontField::<4>::new(&n);
         let a = Ubig::from_hex("123456789abcdef0123456789abcdef").unwrap();
-        assert_eq!(m.from_mont(&m.to_mont(&a)), a);
+        assert_eq!(f.to_ubig(&f.to_mont(&a)), a);
     }
 
     #[test]
     fn mont_mul_matches_plain() {
         let n = Ubig::from_hex("f0000000000000000000000000000001").unwrap();
-        let m = Montgomery::new(n.clone());
+        let f = MontField::<4>::new(&n);
         let a = Ubig::from_hex("deadbeefcafebabe").unwrap();
         let b = Ubig::from_hex("0123456789abcdef0011223344556677").unwrap();
-        let am = m.to_mont(&a);
-        let bm = m.to_mont(&b.rem_ref(&n));
-        let prod = m.from_mont(&m.mul(&am, &bm));
-        assert_eq!(prod, crate::modular::mod_mul(&a, &b, &n));
+        let prod = f.to_ubig(&f.mul(&f.to_mont(&a), &f.to_mont(&b)));
+        assert_eq!(prod, mod_mul(&a, &b, &n));
     }
 
     #[test]
     fn pow_matches_small_modulus() {
-        let n = Ubig::from_u64(1000003); // odd prime
-        let m = Montgomery::new(n.clone());
-        let base = Ubig::from_u64(123456);
-        let e = Ubig::from_u64(789);
-        let expect = {
-            // plain repeated multiplication
-            let mut acc = Ubig::one();
-            for _ in 0..789 {
-                acc = crate::modular::mod_mul(&acc, &base, &n);
-            }
-            acc
-        };
-        assert_eq!(m.pow(&base, &e), expect);
+        let n = u(1000003); // odd prime
+        let (base, e) = (u(123456), u(789));
+        let mut expect = Ubig::one();
+        for _ in 0..789 {
+            expect = mod_mul(&expect, &base, &n);
+        }
+        assert_eq!(mod_pow(&base, &e, &n), expect);
     }
 
     #[test]
     fn pow_zero_exponent_is_one() {
-        let n = Ubig::from_u64(9973);
-        let m = Montgomery::new(n);
-        assert_eq!(m.pow(&Ubig::from_u64(5), &Ubig::zero()), Ubig::one());
+        let f = MontField::<4>::new(&u(9973));
+        assert_eq!(f.to_ubig(&f.pow(&f.to_mont(&u(5)), &[])), Ubig::one());
+        assert_eq!(f.to_ubig(&f.pow(&f.to_mont(&u(5)), &[0, 0])), Ubig::one());
+        assert_eq!(mod_pow(&u(5), &Ubig::zero(), &u(9973)), Ubig::one());
     }
 
     #[test]
     fn pow_large_modulus_consistency() {
-        // mod_pow dispatches to Montgomery; cross-check against the even-path
-        // implementation by lifting to an even modulus identity:
-        // a^e mod n computed two ways.
         let n = Ubig::from_hex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
             .unwrap();
-        let n = if n.is_even() {
-            n.add_ref(&Ubig::one())
-        } else {
-            n
-        };
         let a = Ubig::from_hex("aabbccddeeff00112233445566778899").unwrap();
-        let e = Ubig::from_u64(65537);
-        let fast = mod_pow(&a, &e, &n);
-        // square-and-multiply reference
-        let mut acc = Ubig::one();
-        for i in (0..e.bit_length()).rev() {
-            acc = crate::modular::mod_mul(&acc, &acc, &n);
-            if e.bit(i) {
-                acc = crate::modular::mod_mul(&acc, &a, &n);
+        let e = u(65537);
+        assert_eq!(mod_pow(&a, &e, &n), pow_ref(&a, &e, &n));
+    }
+
+    #[test]
+    fn mod_pow_exponents_zero_and_one_at_every_width() {
+        for (bits, seed) in [(64, 7), (300, 8), (1024, 9)] {
+            let m = odd_modulus(bits, seed);
+            for a in edges(&m).iter().chain([&m.add_ref(&u(5))]) {
+                assert_eq!(mod_pow(a, &Ubig::zero(), &m), Ubig::one());
+                assert_eq!(mod_pow(a, &Ubig::one(), &m), a.rem_ref(&m));
             }
         }
-        assert_eq!(fast, acc);
+    }
+
+    #[test]
+    fn mod_pow_on_even_and_over_wide_moduli() {
+        let even = odd_modulus(1024, 10).add_ref(&Ubig::one());
+        let wide = odd_modulus(1088, 11); // 17 limbs: the fallback path
+        assert!(Kernel::new(&even).is_none() && Kernel::new(&wide).is_none());
+        let a = odd_modulus(900, 12);
+        for m in [&even, &wide] {
+            for e in [Ubig::zero(), Ubig::one(), u(65537), odd_modulus(160, 13)] {
+                assert_eq!(mod_pow(&a, &e, m), pow_ref(&a, &e, m), "e {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn straus_matches_two_powers() {
+        let m = odd_modulus(1024, 14);
+        let (a, b) = (odd_modulus(1000, 15), odd_modulus(700, 16));
+        let long = odd_modulus(161, 17);
+        let short = odd_modulus(20, 18);
+        let zero = Ubig::zero();
+        for (x, y) in [
+            (&long, &short),
+            (&short, &long),
+            (&zero, &long),
+            (&long, &zero),
+            (&zero, &zero),
+        ] {
+            let expect = mod_mul(&pow_ref(&a, x, &m), &pow_ref(&b, y, &m), &m);
+            assert_eq!(crate::mod_pow2(&a, x, &b, y, &m), expect, "x {x} y {y}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn kernel_matches_mul_ref_rem_ref(
+            seed in any::<u64>(),
+            sa in any::<u64>(),
+            sb in any::<u64>(),
+        ) {
+            for bits in [200u32, 256, 500, 512, 1000, 1024] {
+                let m = odd_modulus(bits, seed);
+                let a = odd_modulus(bits + 64, sa).rem_ref(&m);
+                let b = odd_modulus(bits, sb).rem_ref(&m);
+                check_fitting(&m, &a, &b);
+            }
+        }
     }
 }

@@ -173,15 +173,16 @@ fn node_machine(state: NodeState, n: usize) -> Engine<NodeState> {
                     continue;
                 }
                 let c = challenge(&s.params, s.ring[j], &s.zs[j], &s.xs[j], &s.ts[j], &z_prod);
-                // t_j == s_j^e · H(U_j)^{−c_j}: two modular exponentiations.
-                let se = mod_pow(&s.ss[j], &s.params.gq.e, &s.params.gq.n);
+                // t_j == s_j^e · H(U_j)^{−c_j}: priced as two modular
+                // exponentiations and one inversion.
+                let t_rec = s
+                    .params
+                    .gq
+                    .recover_commitment(&s.ring[j].to_bytes(), &s.ss[j], &c)
+                    .expect("unit");
                 s.meter.record(CompOp::ModExp);
-                let h = s.params.gq.hash_id(&s.ring[j].to_bytes());
-                let h_inv = egka_bigint::mod_inverse(&h, &s.params.gq.n).expect("unit");
-                let hc = mod_pow(&h_inv, &c, &s.params.gq.n);
                 s.meter.record(CompOp::ModExp);
                 s.meter.record(CompOp::ModInv);
-                let t_rec = mod_mul(&se, &hc, &s.params.gq.n);
                 assert_eq!(t_rec, s.ts[j], "implicit authentication of U{j} failed");
             }
             let share = s.share.as_ref().expect("round 1 done");

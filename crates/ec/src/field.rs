@@ -1,22 +1,21 @@
 //! Prime-field arithmetic contexts on `Ubig` values.
 //!
-//! A [`Fp`] bundles an odd prime modulus with its Montgomery context from
-//! `egka-bigint`; field elements are plain [`Ubig`] values reduced into
-//! `[0, p)`, and each multiplication is a `Ubig` product followed by a
-//! division. This is the field of the public API: affine points, the
+//! A [`Fp`] wraps an odd prime modulus; field elements are plain [`Ubig`]
+//! values reduced into `[0, p)`, and each multiplication is a `Ubig`
+//! product followed by a division. Exponentiation ([`Fp::pow`],
+//! [`Fp::sqrt`]) runs on `egka-bigint`'s fixed-limb Montgomery kernel. This is the field of the public API: affine points, the
 //! affine group law, point compression, and the `F_p²` Miller loop of the
 //! pairing. Scalar multiplication does not run here: it converts its points
 //! once into the crate's fixed-limb Montgomery field, which neither
 //! allocates nor divides (see [`crate::curve`]).
 
-use egka_bigint::{mod_inverse, Montgomery, Ubig};
+use egka_bigint::{mod_inverse, mod_pow, Ubig};
 use rand::Rng;
 
 /// A prime field `F_p` for an odd prime `p`.
 #[derive(Clone, Debug)]
 pub struct Fp {
     p: Ubig,
-    mont: Montgomery,
     /// `(p + 1) / 4`, defined only when `p ≡ 3 (mod 4)` (square-root exponent).
     sqrt_exp: Option<Ubig>,
 }
@@ -32,13 +31,12 @@ impl Fp {
             p.is_odd() && !p.is_one(),
             "field modulus must be an odd prime"
         );
-        let mont = Montgomery::new(p.clone());
         let sqrt_exp = if p.low_u64() & 3 == 3 {
             Some(p.add_ref(&Ubig::one()).shr_bits(2))
         } else {
             None
         };
-        Fp { p, mont, sqrt_exp }
+        Fp { p, sqrt_exp }
     }
 
     /// The modulus `p`.
@@ -109,9 +107,10 @@ impl Fp {
         self.mul(a, &Ubig::from_u64(k))
     }
 
-    /// `a^e mod p` (Montgomery ladder under the hood).
+    /// `a^e mod p` (4-bit fixed window on the fixed-limb Montgomery
+    /// kernel).
     pub fn pow(&self, a: &Ubig, e: &Ubig) -> Ubig {
-        self.mont.pow(&self.reduce(a), e)
+        mod_pow(a, e, &self.p)
     }
 
     /// `a^{-1} mod p`, or `None` for `a = 0`.
@@ -137,7 +136,7 @@ impl Fp {
         if a.is_zero() {
             return Some(Ubig::zero());
         }
-        let r = self.mont.pow(a, e);
+        let r = mod_pow(a, e, &self.p);
         if self.sqr(&r) == self.reduce(a) {
             Some(r)
         } else {

@@ -1,260 +1,18 @@
-//! Allocation-free Montgomery arithmetic on fixed limbs — the field under
-//! every scalar multiplication.
+//! The curve fields' limb widths. The fixed-limb Montgomery kernel itself
+//! ([`Fe<N>`], [`MontField<N>`]) lives in `egka-bigint`; this module
+//! picks its limb count for each curve modulus.
 //!
-//! A [`MontField<N>`] holds an odd modulus `m < R = 2^(64·N)` with its
-//! Montgomery constants; an [`Fe<N>`] is `a·R mod m` in `N` little-endian
-//! limbs. Elements are `Copy` and live on the stack. Multiplication is CIOS
-//! (coarsely integrated operand scanning) followed by one conditional
-//! subtraction, so no product is ever allocated or divided. Inversion is
-//! Fermat's `a^(m−2)`, which is why every modulus used here must be prime.
-//!
-//! [`MAX_LIMBS`] (4) covers every modulus the workspace builds: the 160–256
+//! [`MAX_LIMBS`] (4) covers every modulus the crate builds: the 160–256
 //! bit curve fields and orders, the 194-bit pairing field and the toy
-//! moduli. [`Width`] picks the limb count once, from the modulus size.
+//! moduli. [`Width`] picks the limb count once, from the modulus size, so
+//! a 160-bit field runs on 3 limbs rather than the 4 `egka-bigint` would
+//! choose for exponentiation.
 
 use egka_bigint::Ubig;
+pub(crate) use egka_bigint::{Fe, MontField};
 
 /// The widest modulus supported, in 64-bit limbs (256 bits).
 pub(crate) const MAX_LIMBS: usize = 4;
-
-/// A field element in Montgomery form, reduced into `[0, m)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Fe<const N: usize>([u64; N]);
-
-impl<const N: usize> Fe<N> {
-    pub(crate) const ZERO: Self = Fe([0; N]);
-
-    pub(crate) fn is_zero(&self) -> bool {
-        self.0 == [0; N]
-    }
-}
-
-/// Montgomery arithmetic modulo an odd prime `m < 2^(64·N)`.
-#[derive(Clone, Debug)]
-pub(crate) struct MontField<const N: usize> {
-    m: [u64; N],
-    /// `−m⁻¹ mod 2⁶⁴`.
-    m_inv: u64,
-    /// `R² mod m`, the factor that moves a plain value into Montgomery form.
-    r2: [u64; N],
-    /// `R mod m`, the Montgomery form of 1.
-    one: Fe<N>,
-    /// `m − 2`, the Fermat inversion exponent.
-    inv_exp: [u64; N],
-}
-
-/// `acc + a·b + carry` as (low, high) words.
-#[inline(always)]
-fn mac(acc: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
-    let t = acc as u128 + a as u128 * b as u128 + carry as u128;
-    (t as u64, (t >> 64) as u64)
-}
-
-/// `a + b + carry` as (sum, carry-out).
-#[inline(always)]
-fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
-    let t = a as u128 + b as u128 + carry as u128;
-    (t as u64, (t >> 64) as u64)
-}
-
-/// `a − b − borrow` as (difference, borrow-out), borrows being 0 or 1.
-#[inline(always)]
-fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
-    let t = (a as u128).wrapping_sub(b as u128 + borrow as u128);
-    (t as u64, (t >> 127) as u64)
-}
-
-/// The low `N` limbs of `v`, which must fit.
-fn to_limbs<const N: usize>(v: &Ubig) -> [u64; N] {
-    let mut out = [0u64; N];
-    out[..v.limbs().len()].copy_from_slice(v.limbs());
-    out
-}
-
-impl<const N: usize> MontField<N> {
-    /// Builds the context for modulus `m`.
-    ///
-    /// # Panics
-    /// Panics if `m` is even, `m <= 1`, or `m` needs more than `N` limbs.
-    pub(crate) fn new(m: &Ubig) -> Self {
-        assert!(
-            m.is_odd() && !m.is_one(),
-            "Montgomery modulus must be odd and > 1"
-        );
-        assert!(m.limbs().len() <= N, "modulus wider than {N} limbs");
-        let limbs = to_limbs::<N>(m);
-        // Newton's iteration doubles the correct low bits of m⁻¹ mod 2⁶⁴
-        // each step: 1 → 2 → … → 64 bits.
-        let mut inv = 1u64;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(limbs[0].wrapping_mul(inv)));
-        }
-        let r = Ubig::one().shl_bits(64 * N as u32);
-        MontField {
-            m: limbs,
-            m_inv: inv.wrapping_neg(),
-            r2: to_limbs(&r.square().rem_ref(m)),
-            one: Fe(to_limbs(&r.rem_ref(m))),
-            inv_exp: to_limbs(&m.checked_sub(&Ubig::from_u64(2)).expect("m > 2")),
-        }
-    }
-
-    /// The Montgomery form of 1.
-    pub(crate) fn one(&self) -> Fe<N> {
-        self.one
-    }
-
-    /// Subtracts `m` once if `t + hi·R ≥ m`; requires `t + hi·R < 2m`.
-    #[inline(always)]
-    fn reduce_once(&self, t: [u64; N], hi: u64) -> [u64; N] {
-        let mut d = [0u64; N];
-        let mut borrow = 0;
-        for j in 0..N {
-            (d[j], borrow) = sbb(t[j], self.m[j], borrow);
-        }
-        if hi == 0 && borrow == 1 {
-            t
-        } else {
-            d
-        }
-    }
-
-    /// `a·b·R⁻¹ mod m` for `a < R` and `b < m`; the result is reduced.
-    #[inline(always)]
-    fn redc_mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
-        let mut t = [0u64; N];
-        let mut hi = 0u64;
-        for &bi in b {
-            let mut c = 0;
-            for j in 0..N {
-                (t[j], c) = mac(t[j], a[j], bi, c);
-            }
-            let (top, top_carry) = adc(hi, c, 0);
-            // Add q·m with q chosen so the low word vanishes, then shift
-            // the accumulator down one word.
-            let q = t[0].wrapping_mul(self.m_inv);
-            let (_, mut c) = mac(t[0], q, self.m[0], 0);
-            for j in 1..N {
-                (t[j - 1], c) = mac(t[j], q, self.m[j], c);
-            }
-            let (word, carry) = adc(top, c, 0);
-            t[N - 1] = word;
-            hi = top_carry + carry;
-        }
-        self.reduce_once(t, hi)
-    }
-
-    /// `a · b`.
-    #[inline]
-    pub(crate) fn mul(&self, a: &Fe<N>, b: &Fe<N>) -> Fe<N> {
-        Fe(self.redc_mul(&a.0, &b.0))
-    }
-
-    /// `a²`.
-    #[inline]
-    pub(crate) fn sqr(&self, a: &Fe<N>) -> Fe<N> {
-        Fe(self.redc_mul(&a.0, &a.0))
-    }
-
-    /// `a + b`.
-    #[inline]
-    pub(crate) fn add(&self, a: &Fe<N>, b: &Fe<N>) -> Fe<N> {
-        let mut s = [0u64; N];
-        let mut c = 0;
-        for (s, (&x, &y)) in s.iter_mut().zip(a.0.iter().zip(&b.0)) {
-            (*s, c) = adc(x, y, c);
-        }
-        Fe(self.reduce_once(s, c))
-    }
-
-    /// `a − b`.
-    #[inline]
-    pub(crate) fn sub(&self, a: &Fe<N>, b: &Fe<N>) -> Fe<N> {
-        let mut d = [0u64; N];
-        let mut borrow = 0;
-        for (d, (&x, &y)) in d.iter_mut().zip(a.0.iter().zip(&b.0)) {
-            (*d, borrow) = sbb(x, y, borrow);
-        }
-        // On underflow add m back (masked, so no branch on the data).
-        let mask = borrow.wrapping_neg();
-        let mut c = 0;
-        for (d, &m) in d.iter_mut().zip(&self.m) {
-            (*d, c) = adc(*d, m & mask, c);
-        }
-        Fe(d)
-    }
-
-    /// `−a`.
-    #[inline]
-    pub(crate) fn neg(&self, a: &Fe<N>) -> Fe<N> {
-        self.sub(&Fe::ZERO, a)
-    }
-
-    /// `a^e` for an exponent given as `N` little-endian limbs (4-bit fixed
-    /// window, leading zero digits skipped).
-    fn pow(&self, a: &Fe<N>, e: &[u64; N]) -> Fe<N> {
-        let mut table = [self.one; 16];
-        for i in 1..16 {
-            table[i] = self.mul(&table[i - 1], a);
-        }
-        let mut acc: Option<Fe<N>> = None;
-        for limb in e.iter().rev() {
-            for nibble in (0..16).rev() {
-                let digit = ((limb >> (4 * nibble)) & 15) as usize;
-                acc = match acc {
-                    None if digit == 0 => None,
-                    None => Some(table[digit]),
-                    Some(mut x) => {
-                        for _ in 0..4 {
-                            x = self.sqr(&x);
-                        }
-                        Some(if digit == 0 {
-                            x
-                        } else {
-                            self.mul(&x, &table[digit])
-                        })
-                    }
-                };
-            }
-        }
-        acc.unwrap_or(self.one)
-    }
-
-    /// `a⁻¹` by Fermat (`a^(m−2)`), or `None` for zero.
-    pub(crate) fn inv(&self, a: &Fe<N>) -> Option<Fe<N>> {
-        (!a.is_zero()).then(|| self.pow(a, &self.inv_exp))
-    }
-
-    /// Montgomery form of an arbitrary integer (reduced modulo `m`).
-    pub(crate) fn to_mont(&self, a: &Ubig) -> Fe<N> {
-        // Any value below R is a valid CIOS operand; only wider ones need
-        // a division first.
-        let limbs = if a.limbs().len() > N {
-            to_limbs(&a.rem_ref(&Ubig::from_limbs(self.m.to_vec())))
-        } else {
-            to_limbs(a)
-        };
-        Fe(self.redc_mul(&limbs, &self.r2))
-    }
-
-    /// `a · bʳ mod m` by `rounds` chained multiplications, converting in
-    /// and out once.
-    pub(crate) fn mul_chain(&self, a: &Ubig, b: &Ubig, rounds: u32) -> Ubig {
-        let b = self.to_mont(b);
-        let mut acc = self.to_mont(a);
-        for _ in 0..rounds {
-            acc = self.mul(&acc, &b);
-        }
-        self.to_ubig(&acc)
-    }
-
-    /// The plain integer an element represents, in `[0, m)`.
-    pub(crate) fn to_ubig(&self, a: &Fe<N>) -> Ubig {
-        let mut one = [0u64; N];
-        one[0] = 1;
-        Ubig::from_limbs(self.redc_mul(&a.0, &one).to_vec())
-    }
-}
 
 /// One value per supported limb width, chosen once from a modulus size.
 #[derive(Debug)]

@@ -20,16 +20,39 @@
 //! replaces `n` individual verifications — that is what makes the proposed
 //! protocol's "Sign Ver" row in Table 1 a constant 1.
 //!
+//! Both checks recover a commitment as one two-base exponentiation,
+//! `s^e · (H(ID)⁻¹)^c` ([`egka_bigint::mod_pow2`]), over identity inverses
+//! `H(ID)⁻¹ mod n` held in a bounded cache: members' ids recur on every
+//! rekey, and one inversion mod `n` costs about as much as the
+//! exponentiation itself. The cache holds public values only.
+//!
 //! Security parameters follow the paper: 512-bit prime factors (1024-bit
 //! `n`), 160-bit challenges, and a prime `e` one bit longer than the
 //! challenge (classic GQ requires `e > 2^l` for soundness).
 
-use egka_bigint::{gcd, gen_prime, mod_inverse, mod_mul, mod_pow, random_unit, Ubig};
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
+
+use egka_bigint::{gcd, gen_prime, mod_inverse, mod_mul, mod_pow, mod_pow2, random_unit, Ubig};
 use egka_hash::{challenge_hash, hash_to_unit};
 use rand::Rng;
 
 /// Domain-separation tag for identity hashing.
 const ID_TAG: &[u8] = b"egka.gq.id.v1";
+
+/// Bound on identities whose inverse is cached per modulus (flush-on-full).
+const ID_INVERSE_CAP: usize = 1024;
+
+/// Bound on moduli with an identity cache (flush-on-full).
+const MODULI_CAP: usize = 8;
+
+/// `H(ID)⁻¹ mod n`, first by modulus limbs, then by identity.
+type IdInverses = HashMap<Vec<u64>, HashMap<Vec<u8>, Ubig>>;
+
+fn id_inverse_cache() -> &'static Mutex<IdInverses> {
+    static CACHE: OnceLock<Mutex<IdInverses>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
 
 /// Public parameters of a GQ instance: `(n, e)` plus the hash conventions.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -176,26 +199,43 @@ impl GqParams {
         if sig.s.is_zero() || sig.s >= self.n {
             return false;
         }
-        let h = self.hash_id(id);
-        let t = match self.recover_commitment(&[h], &sig.s, &sig.c) {
-            Some(t) => t,
-            None => return false,
-        };
-        self.challenge(&t, msg) == sig.c
+        match self.recover_commitment(id, &sig.s, &sig.c) {
+            Some(t) => self.challenge(&t, msg) == sig.c,
+            None => false,
+        }
     }
 
-    /// `s^e · (∏ h_i)^{−c} mod n` — the commitment-recovery core shared by
-    /// single and aggregate verification. Returns `None` if the identity
-    /// product is not invertible (cannot happen for honest hashes).
-    fn recover_commitment(&self, id_hashes: &[Ubig], s: &Ubig, c: &Ubig) -> Option<Ubig> {
-        let mut h_prod = Ubig::one();
-        for h in id_hashes {
-            h_prod = mod_mul(&h_prod, h, &self.n);
+    /// The commitment `t = s^e · H(ID)^{−c} mod n` that a response `s` to
+    /// challenge `c` by identity `id` answers — one two-base exponentiation
+    /// over the cached `H(ID)⁻¹`. Returns `None` if `H(ID)` is not
+    /// invertible (cannot happen for honest hashes).
+    pub fn recover_commitment(&self, id: &[u8], s: &Ubig, c: &Ubig) -> Option<Ubig> {
+        let h_inv = self.id_inverse(id)?;
+        Some(mod_pow2(s, &self.e, &h_inv, c, &self.n))
+    }
+
+    /// `H(ID)⁻¹ mod n`, from a bounded cache shared by every instance with
+    /// this modulus.
+    fn id_inverse(&self, id: &[u8]) -> Option<Ubig> {
+        let cached = id_inverse_cache()
+            .lock()
+            .unwrap()
+            .get(self.n.limbs())
+            .and_then(|ids| ids.get(id).cloned());
+        if cached.is_some() {
+            return cached;
         }
-        let h_inv = mod_inverse(&h_prod, &self.n)?;
-        let se = mod_pow(s, &self.e, &self.n);
-        let hc = mod_pow(&h_inv, c, &self.n);
-        Some(mod_mul(&se, &hc, &self.n))
+        let h_inv = mod_inverse(&self.hash_id(id), &self.n)?;
+        let mut cache = id_inverse_cache().lock().unwrap();
+        if cache.len() >= MODULI_CAP && !cache.contains_key(self.n.limbs()) {
+            cache.clear();
+        }
+        let ids = cache.entry(self.n.limbs().to_vec()).or_default();
+        if ids.len() >= ID_INVERSE_CAP {
+            ids.clear();
+        }
+        ids.insert(id.to_vec(), h_inv.clone());
+        Some(h_inv)
     }
 
     // ----- split API used by the GKA protocol -----
@@ -229,7 +269,8 @@ impl GqParams {
     ///
     /// Costs two modular exponentiations regardless of the number of
     /// signers — this is the row that makes the proposed scheme's Table 1
-    /// column constant.
+    /// column constant. Here they run as one two-base exponentiation, and
+    /// the identity product's inverse is a product of cached inverses.
     pub fn aggregate_verify(
         &self,
         ids: &[&[u8]],
@@ -247,11 +288,15 @@ impl GqParams {
             }
             s_prod = mod_mul(&s_prod, s, &self.n);
         }
-        let id_hashes: Vec<Ubig> = ids.iter().map(|id| self.hash_id(id)).collect();
-        let t = match self.recover_commitment(&id_hashes, &s_prod, c) {
-            Some(t) => t,
-            None => return false,
-        };
+        // (∏ h_i)⁻¹ = ∏ h_i⁻¹, so the cached inverses give the same t.
+        let mut h_inv = Ubig::one();
+        for id in ids {
+            match self.id_inverse(id) {
+                Some(inv) => h_inv = mod_mul(&h_inv, &inv, &self.n),
+                None => return false,
+            }
+        }
+        let t = mod_pow2(&s_prod, &self.e, &h_inv, c, &self.n);
         &self.shared_challenge(&t, bind) == c
     }
 }
@@ -484,6 +529,86 @@ mod tests {
             &params.n,
         );
         assert_eq!(recovered, key.s_id, "full ID-key recovery from τ reuse");
+    }
+
+    #[test]
+    fn cached_inverse_equals_fresh_inversion() {
+        let pkg = pkg();
+        let p = &pkg.params;
+        for id in [b"alice".as_slice(), b"bob", b""] {
+            let fresh = mod_inverse(&p.hash_id(id), &p.n).unwrap();
+            assert_eq!(p.id_inverse(id).unwrap(), fresh, "miss");
+            assert_eq!(p.id_inverse(id).unwrap(), fresh, "hit");
+        }
+    }
+
+    #[test]
+    fn cached_inverses_stay_correct_across_a_flush() {
+        let pkg = pkg();
+        let p = &pkg.params;
+        let ids: Vec<Vec<u8>> = (0..ID_INVERSE_CAP + 40)
+            .map(|i| format!("flush-{i}").into_bytes())
+            .collect();
+        for id in &ids {
+            p.id_inverse(id).unwrap();
+        }
+        let cached = id_inverse_cache().lock().unwrap()[p.n.limbs()].len();
+        assert!(cached <= ID_INVERSE_CAP, "{cached} entries");
+        for id in ids.iter().step_by(97).chain(ids.last()) {
+            let fresh = mod_inverse(&p.hash_id(id), &p.n).unwrap();
+            assert_eq!(p.id_inverse(id).unwrap(), fresh);
+        }
+    }
+
+    #[test]
+    fn moduli_sharing_an_id_do_not_collide() {
+        let a = pkg();
+        let b = GqPkg::setup_with_e_bits(&mut ChaChaRng::seed_from_u64(0x4752), 128, 41);
+        assert_ne!(a.params.n, b.params.n);
+        for p in [&a.params, &b.params, &a.params] {
+            let fresh = mod_inverse(&p.hash_id(b"shared"), &p.n).unwrap();
+            assert_eq!(p.id_inverse(b"shared").unwrap(), fresh);
+            let sig = p.sign(
+                &mut ChaChaRng::seed_from_u64(10),
+                &a.extract(b"shared"),
+                b"m",
+            );
+            assert_eq!(p.verify(b"shared", b"m", &sig), p == &a.params);
+        }
+    }
+
+    #[test]
+    fn warm_cache_still_rejects_a_corrupted_response() {
+        let pkg = pkg();
+        let p = &pkg.params;
+        let mut rng = ChaChaRng::seed_from_u64(11);
+        let ids = [b"w0".as_slice(), b"w1", b"w2"];
+        let (taus, ts): (Vec<Ubig>, Vec<Ubig>) = ids.iter().map(|_| p.commit(&mut rng)).unzip();
+        let c = p.shared_challenge(&p.aggregate_commitments(&ts), b"Z");
+        let mut responses: Vec<Ubig> = ids
+            .iter()
+            .zip(&taus)
+            .map(|(id, tau)| p.respond(&pkg.extract(id), tau, &c))
+            .collect();
+        assert!(
+            p.aggregate_verify(&ids, &responses, &c, b"Z"),
+            "warms the cache"
+        );
+        responses[1] = mod_mul(&responses[1], &Ubig::from_u64(5), &p.n);
+        assert!(!p.aggregate_verify(&ids, &responses, &c, b"Z"));
+    }
+
+    #[test]
+    fn recovered_commitment_matches_the_two_power_form() {
+        let pkg = pkg();
+        let p = &pkg.params;
+        let (tau, t) = p.commit(&mut ChaChaRng::seed_from_u64(12));
+        let c = p.shared_challenge(&t, b"bind");
+        let s = p.respond(&pkg.extract(b"carol"), &tau, &c);
+        let h_inv = mod_inverse(&p.hash_id(b"carol"), &p.n).unwrap();
+        let two_powers = mod_mul(&mod_pow(&s, &p.e, &p.n), &mod_pow(&h_inv, &c, &p.n), &p.n);
+        assert_eq!(p.recover_commitment(b"carol", &s, &c), Some(two_powers));
+        assert_eq!(p.recover_commitment(b"carol", &s, &c), Some(t));
     }
 
     #[test]

@@ -10,9 +10,6 @@
 //! * [`ecdsa`] — ECDSA over secp160r1 (and any other `egka-ec` curve);
 //! * [`sok`] — the Sakai–Ohgishi–Kasahara pairing-based ID-based signature
 //!   (2 scalar-mul sign, 3-pairing verify, MapToPoint per identity/message);
-//! * [`batch`] — seeded random-linear-combination **epoch batch
-//!   verification** for split-form GQ, with lowest-failing-index
-//!   attribution;
 //! * [`certs`] — an X.509-like certificate format, DSA/ECDSA certifying
 //!   authorities, and the [`certs::CertStore`] verified-certificate cache
 //!   that reproduces the paper's "returning members don't re-verify
@@ -43,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod blame;
 pub mod certs;
 pub mod dsa;
@@ -51,7 +47,6 @@ pub mod ecdsa;
 pub mod gq;
 pub mod sok;
 
-pub use batch::{gq_batch_verify_split, GqSplitItem};
 pub use blame::{BlamePublic, CoordinatorKey};
 pub use certs::{
     CaPublic, CaSignature, CertCheck, CertScheme, CertStore, Certificate, CertificateAuthority,

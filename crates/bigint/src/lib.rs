@@ -27,8 +27,7 @@
 //!   path for all exponentiation.
 //! * [`fixed`] — interned kernels and Lim–Lee fixed-base combs for
 //!   generators exponentiated under a long-lived modulus.
-//! * [`prime`] — Miller–Rabin, sequential & crossbeam-parallel prime search,
-//!   Schnorr-group generation.
+//! * [`prime`] — Miller–Rabin, prime search, Schnorr-group generation.
 //! * [`rng`] — uniform sampling helpers over any [`rand::Rng`].
 //!
 //! ```
@@ -57,6 +56,6 @@ pub use modular::{
     ext_gcd_mod, gcd, jacobi, mod_add, mod_inverse, mod_mul, mod_pow, mod_pow2, mod_sub,
 };
 pub use mont::{Fe, MontField};
-pub use prime::{gen_prime, gen_prime_parallel, gen_schnorr_group, is_prime, SchnorrGroup};
+pub use prime::{gen_prime, gen_schnorr_group, is_prime, SchnorrGroup};
 pub use rng::{random_below, random_bits, random_range, random_unit};
 pub use ubig::{ParseUbigError, Ubig};

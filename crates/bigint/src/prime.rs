@@ -4,7 +4,7 @@
 //! parameter generators the paper's protocols need:
 //!
 //! * [`gen_prime`] — a random prime of a given bit length (used pairwise for
-//!   the GQ modulus `n = p'q'`), with a crossbeam-parallel search variant.
+//!   the GQ modulus `n = p'q'`).
 //! * [`gen_schnorr_group`] — primes `(p, q)` with `q | p - 1` and a generator
 //!   `g` of the order-`q` subgroup of `Z_p^*` (the BD group).
 
@@ -99,52 +99,6 @@ pub fn gen_prime<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> Ubig {
             return cand;
         }
     }
-}
-
-/// Parallel prime search across `threads` crossbeam-scoped workers, each with
-/// an RNG forked from `seed_rng`. Returns the first prime found.
-///
-/// With T workers the expected wall-clock is ~1/T of the sequential search
-/// (candidate tests are embarrassingly parallel).
-pub fn gen_prime_parallel<R: Rng + ?Sized>(seed_rng: &mut R, bits: u32, threads: usize) -> Ubig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::mpsc;
-
-    assert!(threads >= 1);
-    if threads == 1 {
-        return gen_prime(seed_rng, bits);
-    }
-    let seeds: Vec<u64> = (0..threads).map(|_| seed_rng.next_u64()).collect();
-    let found = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<Ubig>();
-
-    crossbeam::scope(|scope| {
-        for seed in seeds {
-            let tx = tx.clone();
-            let found = &found;
-            scope.spawn(move |_| {
-                use rand::rngs::SmallRng;
-                use rand::SeedableRng;
-                let mut rng = SmallRng::seed_from_u64(seed);
-                while !found.load(Ordering::Relaxed) {
-                    let mut cand = random_bits(&mut rng, bits);
-                    cand.set_bit(0);
-                    if bits >= 2 {
-                        cand.set_bit(bits - 2);
-                    }
-                    if is_prime(&cand, &mut rng) {
-                        found.store(true, Ordering::Relaxed);
-                        let _ = tx.send(cand);
-                        return;
-                    }
-                }
-            });
-        }
-        drop(tx);
-    })
-    .expect("prime search worker panicked");
-
-    rx.recv().expect("at least one worker finds a prime")
 }
 
 /// A Schnorr group: primes `p` (modulus) and `q` (subgroup order) with
@@ -252,14 +206,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let p = gen_prime(&mut rng, 96);
         assert_eq!(p.bit_length(), 96);
-        assert!(is_prime(&p, &mut rng));
-    }
-
-    #[test]
-    fn gen_prime_parallel_finds_prime() {
-        let mut rng = SmallRng::seed_from_u64(6);
-        let p = gen_prime_parallel(&mut rng, 128, 4);
-        assert_eq!(p.bit_length(), 128);
         assert!(is_prime(&p, &mut rng));
     }
 

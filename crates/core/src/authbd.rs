@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use crate::bd;
 use crate::ident::{ring_position, UserId};
 use crate::machine::{
-    two_round_script, Dest, Engine, Execution, Faults, Metered, NetError, Outgoing, PhaseOut, Pump,
+    two_round_script, Dest, Engine, Execution, Faults, Metered, Outgoing, PhaseOut, Pump,
 };
 use crate::proposed::{NodeReport, RunReport};
 use crate::wire::{kind, Reader, Writer};
@@ -474,11 +474,6 @@ impl AuthBdRun {
     /// True iff every member derived the key.
     pub fn is_done(&self) -> bool {
         self.exec.is_done()
-    }
-
-    /// Terminal failure, if one surfaced (deadline expiry).
-    pub fn failure(&self) -> Option<NetError> {
-        self.exec.failure()
     }
 
     /// Ops + traffic spent so far — the cost a scheduler charges for an

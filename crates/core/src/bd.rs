@@ -19,7 +19,7 @@
 //! Functions here are pure algebra; operation metering happens at the
 //! protocol layer (every function documents what the paper charges for it).
 
-use egka_bigint::{mod_inverse, mod_mul, mod_pow, mod_pow_fixed, random_below, SchnorrGroup, Ubig};
+use egka_bigint::{mod_mul, mod_pow, mod_pow2, mod_pow_fixed, random_below, SchnorrGroup, Ubig};
 use rand::Rng;
 
 /// A user's Round-1 state: the secret exponent and the public share.
@@ -43,16 +43,17 @@ pub fn round1_share<R: Rng + ?Sized>(rng: &mut R, group: &SchnorrGroup) -> Share
     Share { r, z }
 }
 
-/// Computes `X_i = (z_next / z_prev)^{r_i}` (1 exponentiation + 1 modular
-/// inversion, the latter negligible in the paper's cost model).
+/// Computes `X_i = (z_next / z_prev)^{r_i}`, which the paper prices as
+/// 1 exponentiation + 1 modular inversion (the latter negligible).
 ///
-/// # Panics
-/// Panics if `z_prev` is not invertible mod `p` (impossible for honest
-/// shares, which lie in the order-`q` subgroup).
+/// Shares lie in the order-`q` subgroup, where `z_prev^{−r} = z_prev^{q−r}`,
+/// so this evaluates `z_next^r · z_prev^{q−r}` as one two-base
+/// exponentiation instead of inverting: bit-identical to the inversion form
+/// on subgroup shares, and a value (never a panic) for any peer-supplied
+/// `z_prev`.
 pub fn round2_x(group: &SchnorrGroup, r: &Ubig, z_prev: &Ubig, z_next: &Ubig) -> Ubig {
-    let prev_inv = mod_inverse(z_prev, &group.p).expect("shares are units mod p");
-    let base = mod_mul(z_next, &prev_inv, &group.p);
-    mod_pow(&base, r, &group.p)
+    let neg_r = group.q.checked_sub(r).expect("r_i < q");
+    mod_pow2(z_next, r, z_prev, &neg_r, &group.p)
 }
 
 /// Lemma 1: `∏ X_i ≡ 1 (mod p)`. Used by the proposed protocol to detect a
@@ -220,6 +221,29 @@ mod tests {
         let s = round1_share(&mut rng, &g);
         assert!(mod_pow(&s.z, &g.q, &g.p).is_one());
         assert!(!s.r.is_zero() && s.r < g.q);
+    }
+
+    #[test]
+    fn round2_x_equals_the_inversion_form() {
+        for seed in 1..=4u64 {
+            let mut rng = ChaChaRng::seed_from_u64(0x5832 ^ seed);
+            // The Toy profile's sizes.
+            let g = egka_bigint::gen_schnorr_group(&mut rng, 256, 96);
+            for _ in 0..4 {
+                let [me, prev, next] = [(); 3].map(|_| round1_share(&mut rng, &g));
+                let prev_inv = egka_bigint::mod_inverse(&prev.z, &g.p).expect("a unit");
+                let want = mod_pow(&mod_mul(&next.z, &prev_inv, &g.p), &me.r, &g.p);
+                assert_eq!(round2_x(&g, &me.r, &prev.z, &next.z), want, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn round2_x_of_a_zero_share_is_a_value() {
+        let g = group();
+        let mut rng = ChaChaRng::seed_from_u64(8);
+        let [me, next] = [(); 2].map(|_| round1_share(&mut rng, &g));
+        assert!(round2_x(&g, &me.r, &Ubig::zero(), &next.z).is_zero());
     }
 
     #[test]

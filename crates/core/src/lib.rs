@@ -69,7 +69,9 @@ pub mod wire;
 pub use authbd::AuthKit;
 pub use group::{GroupSession, MemberState};
 pub use ident::UserId;
-pub use machine::{Dest, Faults, Outgoing, Pump, RadioSpec, RoundMachine, SessionKey, Step};
+pub use machine::{
+    Dest, Faults, Outgoing, ProtocolFault, Pump, RadioSpec, RoundMachine, SessionKey, Step,
+};
 pub use params::{paper_fixture, Params, Pkg, SecurityProfile};
 pub use proposed::{Fault, NodeReport, RunConfig, RunReport};
 pub use suite::{suite, StepCtx, Suite, SuiteId, SuiteOutcome, SuiteRun};

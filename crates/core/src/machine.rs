@@ -35,7 +35,6 @@
 //! lock-step implementation.
 
 use std::collections::VecDeque;
-use std::time::Duration;
 
 use egka_bigint::Ubig;
 use egka_energy::{comp_energy_mj, Meter, OpCounts};
@@ -74,39 +73,41 @@ pub struct Outgoing {
     pub nominal_bits: u64,
 }
 
-/// A network-level failure surfaced into a machine.
+/// Why a protocol run gave up. Every machine of a run evaluates the same
+/// deterministic checks, so an honest run never produces one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetError {
-    /// A node heard nothing within its silence deadline
-    /// ([`Execution::set_deadline`], measured on the radio's virtual clock).
-    Timeout {
-        /// How long the node was silent.
-        waited: Duration,
+pub enum ProtocolFault {
+    /// The group's checks failed on every one of the run's `attempts`
+    /// ("all members retransmit" until the budget ran out).
+    RetryExhausted {
+        /// Attempts made, the last of them failed.
+        attempts: u32,
     },
 }
 
-impl core::fmt::Display for NetError {
+impl core::fmt::Display for ProtocolFault {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            NetError::Timeout { waited } => write!(f, "no packet arrived within {waited:?}"),
+            ProtocolFault::RetryExhausted { attempts } => {
+                write!(f, "checks failed on all {attempts} attempts")
+            }
         }
     }
 }
 
-impl std::error::Error for NetError {}
+impl std::error::Error for ProtocolFault {}
 
 /// What a machine wants after a `poll`.
 #[derive(Debug)]
 pub enum Step {
     /// Transmit these, then poll again.
     Send(Vec<Outgoing>),
-    /// Blocked until another packet (or a timeout) arrives.
+    /// Blocked until another packet arrives.
     NeedMore,
     /// Protocol finished; the node derived this group key.
     Done(SessionKey),
-    /// Protocol failed with a network-level error (a surfaced deadline).
-    /// Terminal.
-    Failed(NetError),
+    /// Protocol gave up. Terminal.
+    Failed(ProtocolFault),
 }
 
 /// A poll-driven protocol state machine for one node. No IO inside: the
@@ -116,13 +117,6 @@ pub trait RoundMachine {
     /// packet (ownership transfers even if the machine only buffers it);
     /// `None` asks it to make progress on what it already has.
     fn poll(&mut self, incoming: Option<Packet>) -> Step;
-
-    /// A deadline expired while the machine was blocked. The default
-    /// surfaces the timeout as a terminal failure; protocols with a
-    /// retransmission story may restart instead.
-    fn on_timeout(&mut self, waited: Duration) -> Step {
-        Step::Failed(NetError::Timeout { waited })
-    }
 }
 
 /// What one phase waits for before its action runs.
@@ -149,6 +143,8 @@ pub enum PhaseOut {
     /// Jump back to phase 0 — the "all members retransmit" path. The
     /// stash survives (the next attempt's packets may already be queued).
     Restart,
+    /// The protocol gave up with this fault. Terminal.
+    Fail(ProtocolFault),
 }
 
 /// A phase's action: node state + gathered packets → decision.
@@ -195,7 +191,7 @@ pub struct Engine<S> {
     gathered: Vec<Packet>,
     stash: VecDeque<Packet>,
     done: Option<SessionKey>,
-    failed: Option<NetError>,
+    failed: Option<ProtocolFault>,
 }
 
 impl<S> Engine<S> {
@@ -305,15 +301,12 @@ impl<S> RoundMachine for Engine<S> {
                     self.pc = 0;
                     self.gathered.clear();
                 }
+                PhaseOut::Fail(fault) => {
+                    self.failed = Some(fault);
+                    return Step::Failed(fault);
+                }
             }
         }
-    }
-
-    fn on_timeout(&mut self, waited: Duration) -> Step {
-        if self.done.is_none() && self.failed.is_none() {
-            self.failed = Some(NetError::Timeout { waited });
-        }
-        self.poll(None)
     }
 }
 
@@ -387,8 +380,8 @@ pub enum Pump {
     /// blocked. On a private medium this is permanent — the scheduler
     /// should give up on the run or retry it.
     Stalled,
-    /// A machine failed (e.g. a surfaced timeout). Terminal.
-    Failed(NetError),
+    /// A machine gave up; the lowest-index failing node's fault. Terminal.
+    Failed(ProtocolFault),
 }
 
 /// The packet medium an [`Execution`] owns: what is in flight to each
@@ -501,15 +494,12 @@ pub struct Execution<S> {
     /// `pump` advances its clock whenever the machines are otherwise
     /// blocked on in-flight airtime.
     radio: Option<RadioMedium>,
-    /// Per-node silence deadline on the radio clock, `(fires_at_ns,
-    /// timeout_ns)`.
-    deadlines: Vec<Option<(u64, u64)>>,
     /// Compute energy (mJ) already debited per node, so each pump charges
     /// only the delta since the last sweep.
     comp_mj_charged: Vec<f64>,
     machines: Vec<Engine<S>>,
     keys: Vec<Option<SessionKey>>,
-    failed: Option<NetError>,
+    failed: Option<ProtocolFault>,
     /// Observational trace hook (from [`Faults::trace`]); `last_round` and
     /// `sweeps` drive round-transition detection and the off-radio
     /// pseudo-clock.
@@ -562,7 +552,6 @@ impl<S: Send + Metered> Execution<S> {
             medium,
             mailboxes: vec![Vec::new(); n],
             radio,
-            deadlines: vec![None; n],
             comp_mj_charged: vec![0.0; n],
             keys: vec![None; n],
             machines,
@@ -583,11 +572,6 @@ impl<S: Send + Metered> Execution<S> {
         self.failed.is_none() && self.keys.iter().all(|k| k.is_some())
     }
 
-    /// The failure that terminated the run, if any.
-    pub fn failure(&self) -> Option<NetError> {
-        self.failed
-    }
-
     /// The medium's traffic counters for node `i`.
     pub fn traffic(&self, i: usize) -> TrafficStats {
         self.medium.traffic[i]
@@ -601,25 +585,6 @@ impl<S: Send + Metered> Execution<S> {
     /// The key node `i` derived, if it finished.
     pub fn key(&self, i: usize) -> Option<&SessionKey> {
         self.keys[i].as_ref()
-    }
-
-    /// Arms (or with `None` disarms) a silence deadline on every node of a
-    /// radio execution; an expiry fails the stalled machine with
-    /// [`NetError::Timeout`] at the next pump.
-    ///
-    /// The deadline runs on the radio's **virtual clock** — a run
-    /// simulating a slow channel must never time out because the host was
-    /// slow. On the instant medium this is a no-op: a silent peer already
-    /// makes the run [`Pump::Stalled`] at once and for good.
-    pub fn set_deadline(&mut self, timeout: Option<Duration>) {
-        if let Some(radio) = &self.radio {
-            let now = radio.now_ns();
-            let armed = timeout.map(|d| {
-                let t = d.as_nanos() as u64;
-                (now + t, t)
-            });
-            self.deadlines.fill(armed);
-        }
     }
 
     /// The radio beneath this execution, if it runs on virtual time.
@@ -651,31 +616,6 @@ impl<S: Send + Metered> Execution<S> {
         }
     }
 
-    /// Re-arms the deadline of every node that heard something this sweep
-    /// (deadlines bound *silence*, not session length) and fires those the
-    /// radio clock has passed with nothing heard; firing disarms. Returns
-    /// each node's surfaced timeout, or an empty vector if none fired.
-    fn expire_deadlines(&mut self) -> Vec<Option<Duration>> {
-        let Some(radio) = &self.radio else {
-            return Vec::new();
-        };
-        let now = radio.now_ns();
-        let mut fired = Vec::new();
-        for (i, deadline) in self.deadlines.iter_mut().enumerate() {
-            let Some((at, t)) = *deadline else {
-                continue;
-            };
-            if !self.mailboxes[i].is_empty() {
-                *deadline = Some((now + t, t));
-            } else if now >= at {
-                *deadline = None;
-                fired.resize(self.machines.len(), None);
-                fired[i] = Some(Duration::from_nanos(t));
-            }
-        }
-        fired
-    }
-
     /// Feeds node `i`'s mailbox and then polls its machine until it
     /// blocks; sends accumulate into `out` in poll order (the caller
     /// dispatches them — the machine cannot observe the medium mid-sweep,
@@ -686,8 +626,7 @@ impl<S: Send + Metered> Execution<S> {
         machine: &mut Engine<S>,
         key: &mut Option<SessionKey>,
         mailbox: &mut Vec<Packet>,
-        timed_out: Option<Duration>,
-        failed: &mut Option<NetError>,
+        failed: &mut Option<ProtocolFault>,
         out: &mut Vec<Outgoing>,
     ) -> bool {
         let mut inbox = mailbox.drain(..);
@@ -695,21 +634,6 @@ impl<S: Send + Metered> Execution<S> {
             return false;
         }
         let mut progressed = false;
-        if let Some(waited) = timed_out {
-            // The node's silence deadline expired while it was blocked;
-            // surface it through the machine's timeout hook.
-            match machine.on_timeout(waited) {
-                Step::Failed(e) => {
-                    *failed = Some(e);
-                    return true;
-                }
-                Step::Done(k) => {
-                    *key = Some(k);
-                    return true;
-                }
-                _ => progressed = true,
-            }
-        }
         loop {
             let pkt = inbox.next();
             let had_packet = pkt.is_some();
@@ -759,7 +683,10 @@ impl<S: Send + Metered> Execution<S> {
     /// other's sends within a sweep, and the parallel mode dispatches each
     /// node's buffered sends in node-index order after the machines join —
     /// the same medium interaction order (loss draws, radio schedule,
-    /// trace events) as the sequential loop.
+    /// trace events) as the sequential loop. A sweep in which a machine
+    /// fails surfaces the same fault as the sequential loop, but the nodes
+    /// after the failing one have also run (their meters moved); the run
+    /// is over either way.
     fn pump_par(&mut self) -> Pump {
         self.sweep(true)
     }
@@ -775,18 +702,14 @@ impl<S: Send + Metered> Execution<S> {
         // Every mailbox is empty after a sweep, so the swap leaves the
         // in-flight buffers empty (keeping their capacity).
         std::mem::swap(&mut self.mailboxes, &mut self.medium.in_flight);
-        let timeouts = self.expire_deadlines();
         let mut progressed = false;
-        if parallel && self.machines.len() > 1 && timeouts.is_empty() {
-            // Parallel sweep. Timeout sweeps stay sequential: a surfaced
-            // timeout stops the sweep at the failing node, and later
-            // nodes' meters must not advance past that point.
+        if parallel && self.machines.len() > 1 {
             struct NodeCell<'a, S> {
                 machine: &'a mut Engine<S>,
                 key: &'a mut Option<SessionKey>,
                 mailbox: &'a mut Vec<Packet>,
                 out: Vec<Outgoing>,
-                failed: Option<NetError>,
+                failed: Option<ProtocolFault>,
                 progressed: bool,
             }
             let mut cells: Vec<NodeCell<'_, S>> = self
@@ -808,7 +731,6 @@ impl<S: Send + Metered> Execution<S> {
                     cell.machine,
                     cell.key,
                     cell.mailbox,
-                    None,
                     &mut cell.failed,
                     &mut cell.out,
                 );
@@ -829,15 +751,13 @@ impl<S: Send + Metered> Execution<S> {
         } else {
             let mut out = Vec::new();
             for i in 0..self.machines.len() {
-                let fired = timeouts.get(i).copied().flatten();
-                if self.mailboxes[i].is_empty() && fired.is_none() && self.keys[i].is_some() {
+                if self.mailboxes[i].is_empty() && self.keys[i].is_some() {
                     continue;
                 }
                 progressed |= Self::pump_node(
                     &mut self.machines[i],
                     &mut self.keys[i],
                     &mut self.mailboxes[i],
-                    fired,
                     &mut self.failed,
                     &mut out,
                 );
@@ -853,16 +773,8 @@ impl<S: Send + Metered> Execution<S> {
         let all_done = self.is_done();
         if let Some(radio) = &mut self.radio {
             self.medium.put_on_air(radio);
-            if !progressed && !all_done {
-                if self.medium.advance_air(radio).is_some() {
-                    progressed = true;
-                } else if let Some(at) = self.deadlines.iter().flatten().map(|&(at, _)| at).min() {
-                    // Quiet air, armed timer: the deadline itself is the
-                    // next discrete event — jump the clock onto it so the
-                    // next sweep fires it.
-                    radio.advance_to(at);
-                    progressed = true;
-                }
+            if !progressed && !all_done && self.medium.advance_air(radio).is_some() {
+                progressed = true;
             }
         }
         self.trace_rounds();
@@ -912,8 +824,9 @@ impl<S: Send + Metered> Execution<S> {
     /// fault-free path of the blocking `run()` wrappers).
     ///
     /// # Panics
-    /// Panics if the run stalls or fails — on a fault-free private medium
-    /// either indicates a protocol scripting bug — or if a machine panics.
+    /// Panics if the run stalls (on a fault-free private medium, a protocol
+    /// scripting bug), fails (an injected fault outlasted the retry
+    /// budget), or if a machine panics.
     pub fn run_to_completion(&mut self) {
         loop {
             match self.pump_par() {
@@ -927,21 +840,13 @@ impl<S: Send + Metered> Execution<S> {
 }
 
 impl<S: Send + Metered> Execution<S> {
-    /// Sums every node's metered operations *and* medium traffic — valid
-    /// mid-run, which is how an aborted (stalled/timed-out) attempt's
+    /// Sums every node's [`Execution::node_counts`] — valid mid-run,
+    /// which is how an aborted (stalled or failed) attempt's
     /// retransmission energy gets charged.
     pub fn partial_counts(&self) -> OpCounts {
         let mut total = OpCounts::new();
         for i in 0..self.n() {
-            let mut c = self.machines[i].state().meter().snapshot();
-            let t = self.traffic(i);
-            c.tx_bits = t.tx_bits;
-            c.rx_bits = t.rx_bits;
-            c.tx_bits_actual = t.tx_bits_actual;
-            c.rx_bits_actual = t.rx_bits_actual;
-            c.msgs_tx = t.msgs_tx;
-            c.msgs_rx = t.msgs_rx;
-            total.merge(&c);
+            total.merge(&self.node_counts(i));
         }
         total
     }
@@ -1198,119 +1103,6 @@ mod tests {
         assert!(!next.is_done());
     }
 
-    #[test]
-    fn radio_deadline_fires_on_the_virtual_clock() {
-        let ids: Vec<UserId> = (0..3).map(UserId).collect();
-        let faults = Faults {
-            detached: vec![UserId(2)],
-            radio: Some(RadioSpec {
-                profile: RadioProfile::sensor_100kbps(),
-                seed: 5,
-                bank: None,
-            }),
-            ..Faults::default()
-        };
-        let mut exec = Execution::new(&ids, &faults, |i, _| echo_engine(i, 3));
-        exec.set_deadline(Some(Duration::from_millis(50)));
-        loop {
-            match exec.pump() {
-                Pump::Progressed => {}
-                Pump::Failed(NetError::Timeout { waited }) => {
-                    assert_eq!(waited, Duration::from_millis(50));
-                    break;
-                }
-                other => panic!("expected a virtual timeout, got {other:?}"),
-            }
-        }
-    }
-
-    fn radio_faults(seed: u64) -> Faults {
-        Faults {
-            radio: Some(RadioSpec {
-                profile: RadioProfile::sensor_100kbps(),
-                seed,
-                bank: None,
-            }),
-            ..Faults::default()
-        }
-    }
-
-    #[test]
-    fn virtual_deadline_rearms_on_traffic_and_fires_once() {
-        const MS: u64 = 1_000_000;
-        let ids: Vec<UserId> = (0..2).map(UserId).collect();
-        let mut exec = Execution::new(&ids, &radio_faults(1), |i, _| echo_engine(i, 2));
-        let at = |exec: &mut Execution<Echo>, ns: u64| {
-            exec.radio.as_mut().unwrap().advance_to(ns);
-            exec.expire_deadlines()
-        };
-        // Watch node 1 only.
-        exec.set_deadline(Some(Duration::from_millis(1)));
-        exec.deadlines[0] = None;
-        // The radio clock alone decides: nothing fires before 1 virtual ms.
-        assert!(at(&mut exec, MS - 1).is_empty());
-        // Crossing the deadline with an empty mailbox fires exactly once.
-        let waited = Some(Duration::from_millis(1));
-        assert_eq!(at(&mut exec, MS), vec![None, waited]);
-        assert!(at(&mut exec, 2 * MS).is_empty(), "expiry disarms");
-        assert_eq!(exec.deadlines[1], None);
-        // Re-armed at 2 ms, then traffic heard at 3 ms re-arms the silence
-        // window instead of timing out.
-        exec.set_deadline(Some(Duration::from_millis(1)));
-        exec.deadlines[0] = None;
-        exec.mailboxes[1].push(Packet {
-            from: 0,
-            kind: 1,
-            payload: Bytes::new(),
-            nominal_bits: 8,
-        });
-        assert!(at(&mut exec, 3 * MS).is_empty(), "traffic re-arms");
-        exec.mailboxes[1].clear();
-        assert!(at(&mut exec, 4 * MS - 1).is_empty(), "re-armed at 3 ms");
-        assert_eq!(
-            at(&mut exec, 4 * MS),
-            vec![None, waited],
-            "fires at 3 + 1 ms"
-        );
-        assert!(at(&mut exec, 5 * MS).is_empty(), "expiry disarms again");
-    }
-
-    #[test]
-    fn radio_deadline_counts_silence_from_the_last_packet_heard() {
-        // Node 2 is detached, so nodes 0 and 1 hear each other and then
-        // wait forever. Node 2's own deadline is disarmed: the run must
-        // fail exactly 50 ms after the earlier of the two last receptions.
-        let ids: Vec<UserId> = (0..3).map(UserId).collect();
-        let faults = Faults {
-            detached: vec![UserId(2)],
-            ..radio_faults(5)
-        };
-        let mut exec = Execution::new(&ids, &faults, |i, _| echo_engine(i, 3));
-        exec.set_deadline(Some(Duration::from_millis(50)));
-        exec.deadlines[2] = None;
-        let mut heard_ns = [0u64; 2];
-        let mut seen = [0u64; 2];
-        while exec.pump() == Pump::Progressed {
-            let now = exec.radio().unwrap().now_ns();
-            for i in 0..2 {
-                let rx = exec.traffic(i).msgs_rx;
-                if rx != seen[i] {
-                    (seen[i], heard_ns[i]) = (rx, now);
-                }
-            }
-        }
-        assert_eq!(seen, [1, 1], "each live node heard its live peer");
-        assert!(heard_ns.iter().all(|&t| t > 0));
-        assert_eq!(
-            exec.failure(),
-            Some(NetError::Timeout {
-                waited: Duration::from_millis(50)
-            })
-        );
-        let fired_at = heard_ns.iter().min().unwrap() + 50_000_000;
-        assert_eq!(exec.radio().unwrap().now_ns(), fired_at);
-    }
-
     /// Drives an echo run with either pump flavor and snapshots everything
     /// observable: per-node keys, merged op counts, the virtual clock and
     /// the drained trace events (timestamps included).
@@ -1385,29 +1177,33 @@ mod tests {
         assert!(!seq.3.is_empty(), "trace must have recorded rounds");
     }
 
+    /// [`echo_engine`], except that nodes 1 and 3 give up instead of
+    /// deriving, each naming itself as the fault's attempt count.
+    fn failing_echo_engine(idx: usize, n: usize) -> Engine<Echo> {
+        let mut engine = echo_engine(idx, n);
+        if idx == 1 || idx == 3 {
+            let fault = ProtocolFault::RetryExhausted {
+                attempts: idx as u32,
+            };
+            engine.phases[1].act = Box::new(move |_, _| PhaseOut::Fail(fault));
+        }
+        engine
+    }
+
     #[test]
-    fn parallel_pump_surfaces_deadline_timeouts() {
-        // A sweep with a fired deadline must fail the run exactly like the
-        // sequential pump, on the parallel path too.
-        let ids: Vec<UserId> = (0..3).map(UserId).collect();
-        let faults = Faults {
-            detached: vec![UserId(2)],
-            radio: Some(RadioSpec {
-                profile: RadioProfile::sensor_100kbps(),
-                seed: 5,
-                bank: None,
-            }),
-            ..Faults::default()
-        };
-        let mut exec = Execution::new(&ids, &faults, |i, _| echo_engine(i, 3));
-        exec.set_deadline(Some(Duration::from_millis(50)));
-        while exec.pump_par() == Pump::Progressed {}
-        assert_eq!(
-            exec.failure(),
-            Some(NetError::Timeout {
-                waited: Duration::from_millis(50)
-            })
-        );
+    fn both_pumps_surface_the_lowest_failing_nodes_fault() {
+        let ids: Vec<UserId> = (0..5).map(UserId).collect();
+        let want = Pump::Failed(ProtocolFault::RetryExhausted { attempts: 1 });
+        for par in [false, true] {
+            let mut exec = Execution::new(&ids, &Faults::none(), |i, _| failing_echo_engine(i, 5));
+            let mut last = Pump::Progressed;
+            while last == Pump::Progressed {
+                last = if par { exec.pump_par() } else { exec.pump() };
+            }
+            assert_eq!(last, want, "parallel: {par}");
+            assert_eq!(exec.pump(), want, "a failed run stays failed");
+            assert!(!exec.is_done());
+        }
     }
 
     #[test]

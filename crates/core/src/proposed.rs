@@ -13,8 +13,9 @@
 //!
 //! `U_1` acts as the trusted controller and broadcasts its Round-2 message
 //! last. If either check fails, *all members retransmit* (fresh randomness,
-//! bounded retries here); [`Fault`] injects the two corruptions the checks
-//! are designed to catch.
+//! bounded retries here: a run still failing on its last attempt ends in
+//! [`ProtocolFault::RetryExhausted`]); [`Fault`] injects the two
+//! corruptions the checks are designed to catch.
 //!
 //! Every node is a sans-IO [`crate::machine::RoundMachine`]: the protocol
 //! logic never touches an endpoint, it consumes packets and emits outgoing
@@ -38,7 +39,8 @@ use crate::bd;
 use crate::group::{GroupSession, MemberState};
 use crate::ident::{ring_position, UserId};
 use crate::machine::{
-    two_round_script, Dest, Engine, Execution, Faults, Metered, NetError, Outgoing, PhaseOut, Pump,
+    two_round_script, Dest, Engine, Execution, Faults, Metered, Outgoing, PhaseOut, ProtocolFault,
+    Pump,
 };
 use crate::params::Params;
 use crate::wire::{kind, Reader, Writer};
@@ -153,7 +155,8 @@ impl Metered for NodeState {
 /// Builds node `idx`'s machine. Phases (the shared two-round shape):
 /// announce `m_i`, absorb the other `n−1` and derive Round-2 values,
 /// exchange `m'_i` controller-last, then verify-and-derive — restarting
-/// the whole script on a failed check ("all members retransmit").
+/// the whole script on a failed check ("all members retransmit") until the
+/// attempt budget runs out.
 fn node_machine(state: NodeState) -> Engine<NodeState> {
     let n = state.ring.len();
     let phases = two_round_script(
@@ -164,11 +167,6 @@ fn node_machine(state: NodeState) -> Engine<NodeState> {
         // Round 1: fresh (r_i, τ_i), broadcast m_i = U_i ‖ z_i ‖ t_i.
         move |s: &mut NodeState| {
             s.attempts += 1;
-            assert!(
-                s.attempts <= s.max_attempts,
-                "protocol did not converge within {} attempts",
-                s.max_attempts
-            );
             let share = bd::round1_share(&mut s.rng, &s.params.bd);
             s.meter.record(CompOp::ModExp); // z_i = g^{r_i}
             let (tau, t) = s.params.gq.commit(&mut s.rng);
@@ -272,7 +270,13 @@ fn node_machine(state: NodeState) -> Engine<NodeState> {
             // One priced batch verification, however it came out.
             s.meter.record(CompOp::SignVerify(Scheme::Gq));
             if !batch_ok || !bd::lemma1_holds(&s.params.bd, &s.xs) {
-                return PhaseOut::Restart;
+                return if s.attempts >= s.max_attempts {
+                    PhaseOut::Fail(ProtocolFault::RetryExhausted {
+                        attempts: s.attempts,
+                    })
+                } else {
+                    PhaseOut::Restart
+                };
             }
             let share = s.share.as_ref().expect("round 1 done");
             let ring: Vec<Ubig> = (0..n).map(|j| s.xs[(s.idx + j) % n].clone()).collect();
@@ -299,7 +303,8 @@ impl GkaRun {
     /// injection on the private medium.
     ///
     /// # Panics
-    /// Panics if fewer than two keys are supplied.
+    /// Panics if fewer than two keys are supplied or if
+    /// `config.max_attempts` is zero.
     pub fn new(
         params: &Params,
         keys: &[GqSecretKey],
@@ -309,6 +314,7 @@ impl GkaRun {
     ) -> Self {
         let n = keys.len();
         assert!(n >= 2, "a group needs at least two members");
+        assert!(config.max_attempts >= 1, "a run needs at least one attempt");
         // Identities come from the extracted keys (a merged ring's members
         // are not numbered 0..n), positions from slice order.
         let ring: Vec<UserId> = keys
@@ -362,11 +368,6 @@ impl GkaRun {
     /// True iff every member derived the key.
     pub fn is_done(&self) -> bool {
         self.exec.is_done()
-    }
-
-    /// Terminal failure, if one surfaced (deadline expiry).
-    pub fn failure(&self) -> Option<NetError> {
-        self.exec.failure()
     }
 
     /// Ops + traffic spent so far — the cost a scheduler charges for an
@@ -536,8 +537,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "did not converge")]
-    fn fault_with_no_retry_budget_panics() {
+    fn fault_with_no_retry_budget_fails_the_run() {
         let (params, keys) = setup(3);
         let config = RunConfig {
             max_attempts: 1,
@@ -546,7 +546,15 @@ mod tests {
                 on_attempt: 0,
             }),
         };
-        let _ = run(&params, &keys, 11, config);
+        let mut gka = GkaRun::new(&params, &keys, 11, config, &Faults::none());
+        let mut last = Pump::Progressed;
+        while last == Pump::Progressed {
+            last = gka.pump();
+        }
+        let want = Pump::Failed(ProtocolFault::RetryExhausted { attempts: 1 });
+        assert_eq!(last, want);
+        assert_eq!(gka.pump(), want, "a failed run stays failed");
+        assert!(!gka.is_done());
     }
 
     #[test]

@@ -40,7 +40,7 @@ use rand::SeedableRng;
 use crate::bd;
 use crate::ident::{ring_position, UserId};
 use crate::machine::{
-    two_round_script, Dest, Engine, Execution, Faults, Metered, NetError, Outgoing, PhaseOut, Pump,
+    two_round_script, Dest, Engine, Execution, Faults, Metered, Outgoing, PhaseOut, Pump,
 };
 use crate::params::Params;
 use crate::proposed::{NodeReport, RunReport};
@@ -263,11 +263,6 @@ impl SsnRun {
     /// True iff every member derived the key.
     pub fn is_done(&self) -> bool {
         self.exec.is_done()
-    }
-
-    /// Terminal failure, if one surfaced (deadline expiry).
-    pub fn failure(&self) -> Option<NetError> {
-        self.exec.failure()
     }
 
     /// Ops + traffic spent so far — the cost a scheduler charges for an

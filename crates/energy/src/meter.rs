@@ -1,8 +1,8 @@
 //! Thread-safe per-node operation meters.
 //!
-//! Nodes run concurrently in the simulator (crossbeam scoped threads), so the
-//! meter is a bank of relaxed atomics — contention-free counting, snapshot
-//! on demand.
+//! Nodes run concurrently in the simulator (scoped threads), so the meter
+//! is a bank of relaxed atomics — contention-free counting, snapshot on
+//! demand.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -235,14 +235,6 @@ impl RadioMedium {
         false
     }
 
-    /// Jumps the clock forward to `at_ns` (never backward) — how a driver
-    /// realizes a *timer* event (e.g. a silence deadline) when nothing is
-    /// on the air. With deliveries pending, use [`RadioMedium::advance`]
-    /// instead so the timer cannot leapfrog traffic.
-    pub fn advance_to(&mut self, at_ns: u64) {
-        self.now_ns = self.now_ns.max(at_ns);
-    }
-
     /// Virtual now, nanoseconds.
     pub fn now_ns(&self) -> u64 {
         self.now_ns

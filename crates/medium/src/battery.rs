@@ -12,9 +12,11 @@
 //! this crate sits below `egka-core` and cannot name the typed id.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+/// `lock` fails only after a thread panicked while holding the lock,
+/// leaving its update half done: a bug, not a state to recover.
+const POISONED: &str = "a thread panicked while holding the battery bank";
 
 /// One node's budget snapshot.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -85,7 +87,7 @@ impl BatteryBank {
     /// energy is preserved, so shrinking a budget below what is already
     /// spent kills the node at its next debit check.
     pub fn set_capacity(&self, user: u32, capacity_uj: f64) {
-        let mut bank = self.inner.lock();
+        let mut bank = self.inner.lock().expect(POISONED);
         let default = bank.default_capacity_uj;
         bank.cells
             .entry(user)
@@ -100,7 +102,7 @@ impl BatteryBank {
     /// still alive afterwards. Dead nodes keep accepting debits (their
     /// radio may be mid-packet when the battery browns out) but stay dead.
     pub fn debit(&self, user: u32, uj: f64) -> bool {
-        let mut bank = self.inner.lock();
+        let mut bank = self.inner.lock().expect(POISONED);
         let default = bank.default_capacity_uj;
         let cell = bank.cells.entry(user).or_insert(Cell {
             capacity_uj: default,
@@ -112,7 +114,7 @@ impl BatteryBank {
 
     /// Whether `user` has exhausted its budget.
     pub fn is_dead(&self, user: u32) -> bool {
-        let bank = self.inner.lock();
+        let bank = self.inner.lock().expect(POISONED);
         match bank.cells.get(&user) {
             Some(c) => c.spent_uj >= c.capacity_uj,
             None => bank.default_capacity_uj <= 0.0,
@@ -123,6 +125,7 @@ impl BatteryBank {
     pub fn spent_uj(&self, user: u32) -> f64 {
         self.inner
             .lock()
+            .expect(POISONED)
             .cells
             .get(&user)
             .map_or(0.0, |c| c.spent_uj)
@@ -132,6 +135,7 @@ impl BatteryBank {
     pub fn dead(&self) -> Vec<u32> {
         self.inner
             .lock()
+            .expect(POISONED)
             .cells
             .iter()
             .filter(|(_, c)| c.spent_uj >= c.capacity_uj)
@@ -143,6 +147,7 @@ impl BatteryBank {
     pub fn snapshot(&self) -> Vec<BatteryStatus> {
         self.inner
             .lock()
+            .expect(POISONED)
             .cells
             .iter()
             .map(|(&user, c)| BatteryStatus {

@@ -8,10 +8,8 @@
 //! instrumented SOK run at `n = 500` costs ~750k Tate pairings, which is
 //! paid only when explicitly requested.
 //!
-//! Cells of the (protocol × n) sweep run in parallel on crossbeam scoped
-//! threads.
+//! Cells of the (protocol × n) sweep run in parallel on scoped threads.
 
-use crossbeam::channel::unbounded;
 use egka_energy::complexity::InitialProtocol;
 use egka_energy::{comm_energy_mj, comp_energy_mj, CpuModel, OpCounts, Transceiver};
 
@@ -64,23 +62,19 @@ pub fn generate(config: &Figure1Config) -> Figure1 {
         .flat_map(|&p| config.sizes.iter().map(move |&n| (p, n)))
         .collect();
 
-    let (tx, rx) = unbounded();
-    crossbeam::scope(|scope| {
-        for &(protocol, n) in &cells {
-            let tx = tx.clone();
-            let config = config.clone();
-            scope.spawn(move |_| {
-                let (counts, source) = cell_counts(protocol, n, &config);
-                tx.send((protocol, n, counts, source))
-                    .expect("collector alive");
-            });
-        }
-        drop(tx);
-    })
-    .expect("sweep worker panicked");
+    let counted: Vec<(OpCounts, Source)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = cells
+            .iter()
+            .map(|&(protocol, n)| scope.spawn(move || cell_counts(protocol, n, config)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
 
     let mut points = Vec::new();
-    for (protocol, n, counts, source) in rx.iter() {
+    for (&(protocol, n), (counts, source)) in cells.iter().zip(counted) {
         for (ri, radio) in radios.iter().enumerate() {
             let comp_j = comp_energy_mj(&cpu, &counts) / 1000.0;
             let comm_j = comm_energy_mj(radio, &counts) / 1000.0;

@@ -3,11 +3,10 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::wal::frame;
-use crate::{Store, StoreError};
+use crate::{Store, StoreError, POISONED};
 
 #[derive(Debug)]
 struct FileState {
@@ -83,7 +82,7 @@ impl FileStore {
 
 impl Store for FileStore {
     fn append(&self, payload: &[u8]) -> Result<(), StoreError> {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().expect(POISONED);
         state.wal.write_all(&frame(payload))?;
         state.wal.sync_data()?;
         state.syncs += 1;
@@ -98,7 +97,7 @@ impl Store for FileStore {
         if stream == 0 {
             return self.append(payload);
         }
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().expect(POISONED);
         let f = match state.streams.entry(stream) {
             std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::btree_map::Entry::Vacant(e) => e.insert(
@@ -140,7 +139,7 @@ impl Store for FileStore {
     }
 
     fn install_snapshot(&self, snapshot: &[u8]) -> Result<(), StoreError> {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().expect(POISONED);
         // Durable snapshot first (tmp + fsync + rename), *then* truncate
         // the log: a crash between the two leaves snapshot + stale tail,
         // and replaying a tail of already-snapshotted records is prevented
@@ -201,6 +200,6 @@ impl Store for FileStore {
     }
 
     fn sync_count(&self) -> u64 {
-        self.state.lock().syncs
+        self.state.lock().expect(POISONED).syncs
     }
 }

@@ -60,6 +60,10 @@ pub use file::FileStore;
 pub use mem::MemStore;
 pub use wal::{crc32, frame, scan, Tail};
 
+/// `lock` fails only after a thread panicked while holding the lock,
+/// leaving its update half done: a bug, not a state to recover.
+pub(crate) const POISONED: &str = "a thread panicked while holding a store lock";
+
 /// Typed persistence failures.
 #[derive(Debug)]
 pub enum StoreError {

@@ -1,9 +1,9 @@
 //! The in-memory backend: hermetic tests, byte-identical persistence.
 
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::wal::frame;
-use crate::{Store, StoreError};
+use crate::{Store, StoreError, POISONED};
 
 #[derive(Debug, Default)]
 struct MemState {
@@ -24,7 +24,7 @@ struct MemState {
 /// openings of one directory would.
 #[derive(Clone, Debug, Default)]
 pub struct MemStore {
-    inner: std::sync::Arc<Mutex<MemState>>,
+    inner: Arc<Mutex<MemState>>,
 }
 
 impl MemStore {
@@ -38,7 +38,7 @@ impl MemStore {
     /// stream and watch recovery cope.
     pub fn with_raw(wal: Vec<u8>, snapshot: Option<Vec<u8>>) -> Self {
         MemStore {
-            inner: std::sync::Arc::new(Mutex::new(MemState {
+            inner: Arc::new(Mutex::new(MemState {
                 wal,
                 streams: std::collections::BTreeMap::new(),
                 snapshot: snapshot.map(|payload| frame(&payload)),
@@ -50,7 +50,7 @@ impl MemStore {
     /// Replaces one stream's raw bytes (framing included) — the
     /// multi-stream torture constructor. Stream 0 aliases the main WAL.
     pub fn set_raw_stream(&self, stream: u32, bytes: Vec<u8>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         if stream == 0 {
             inner.wal = bytes;
         } else {
@@ -61,13 +61,13 @@ impl MemStore {
     /// The raw snapshot bytes as persisted (framing included), for tests
     /// that want to damage them.
     pub fn raw_snapshot(&self) -> Option<Vec<u8>> {
-        self.inner.lock().snapshot.clone()
+        self.inner.lock().expect(POISONED).snapshot.clone()
     }
 
     /// Replaces the persisted bytes wholesale (framing and all) — the
     /// other half of the torture-test API.
     pub fn set_raw(&self, wal: Vec<u8>, framed_snapshot: Option<Vec<u8>>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         inner.wal = wal;
         inner.snapshot = framed_snapshot;
     }
@@ -75,21 +75,21 @@ impl MemStore {
 
 impl Store for MemStore {
     fn append(&self, payload: &[u8]) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         inner.wal.extend_from_slice(&frame(payload));
         inner.syncs += 1;
         Ok(())
     }
 
     fn wal_bytes(&self) -> Result<Vec<u8>, StoreError> {
-        Ok(self.inner.lock().wal.clone())
+        Ok(self.inner.lock().expect(POISONED).wal.clone())
     }
 
     fn append_stream(&self, stream: u32, payload: &[u8]) -> Result<(), StoreError> {
         if stream == 0 {
             return self.append(payload);
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         let buf = inner.streams.entry(stream).or_default();
         buf.extend_from_slice(&frame(payload));
         inner.syncs += 1;
@@ -103,6 +103,7 @@ impl Store for MemStore {
         Ok(self
             .inner
             .lock()
+            .expect(POISONED)
             .streams
             .get(&stream)
             .cloned()
@@ -110,7 +111,7 @@ impl Store for MemStore {
     }
 
     fn wal_streams(&self) -> Result<Vec<u32>, StoreError> {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().expect(POISONED);
         let mut ids = vec![0];
         ids.extend(
             inner
@@ -123,7 +124,7 @@ impl Store for MemStore {
     }
 
     fn install_snapshot(&self, snapshot: &[u8]) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         inner.snapshot = Some(frame(snapshot));
         inner.wal.clear();
         inner.streams.clear();
@@ -132,7 +133,7 @@ impl Store for MemStore {
     }
 
     fn snapshot_bytes(&self) -> Result<Option<Vec<u8>>, StoreError> {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().expect(POISONED);
         inner
             .snapshot
             .as_deref()
@@ -141,6 +142,6 @@ impl Store for MemStore {
     }
 
     fn sync_count(&self) -> u64 {
-        self.inner.lock().syncs
+        self.inner.lock().expect(POISONED).syncs
     }
 }

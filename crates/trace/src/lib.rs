@@ -2,10 +2,10 @@
 //!
 //! The paper's argument is an *accounting* argument: per-member compute,
 //! communication, and energy attributed to protocol rounds. This crate is
-//! the attribution layer for the reproduction — a zero-dependency (beyond
-//! the vendored `parking_lot`) tracing and metrics substrate keyed to the
-//! **virtual clock**, so that traces are deterministic for a given seed and
-//! config, byte-identical across runs, and therefore golden-pinnable.
+//! the attribution layer for the reproduction — a zero-dependency tracing
+//! and metrics substrate keyed to the **virtual clock**, so that traces are
+//! deterministic for a given seed and config, byte-identical across runs,
+//! and therefore golden-pinnable.
 //!
 //! ## Pieces
 //!
@@ -66,6 +66,10 @@ pub use sink::{NoopSink, RingSink, TraceSink};
 pub use step::StepTrace;
 
 use std::sync::Arc;
+
+/// `lock` fails only after a thread panicked while holding the lock,
+/// leaving its update half done: a bug, not a state to recover.
+pub(crate) const POISONED: &str = "a thread panicked while holding a trace lock";
 
 /// Virtual nanoseconds allotted to one service epoch on the trace
 /// timeline. Every event of epoch `e` has `ts_ns` in

@@ -9,8 +9,10 @@
 //! registry — wall-clock durations would break the byte-equality the
 //! determinism smokes assert.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
+
+use crate::POISONED;
 
 /// Default histogram bucket upper bounds, tuned for the quantities the
 /// service observes (virtual milliseconds, millijoules): spans five
@@ -178,13 +180,13 @@ impl MetricsRegistry {
 
     /// Adds `delta` to counter `name`, creating it at zero if absent.
     pub fn add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         *inner.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Sets gauge `name` to `value` (last write wins).
     pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         inner.gauges.insert(name.to_string(), value);
     }
 
@@ -194,7 +196,7 @@ impl MetricsRegistry {
     ///
     /// [`roll_window`]: MetricsRegistry::roll_window
     pub fn meter(&self, name: &str, delta: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         let m = inner.meters.entry(name.to_string()).or_default();
         m.current += delta;
         m.total += delta;
@@ -204,7 +206,7 @@ impl MetricsRegistry {
     /// pushed into a ring of the last [`METER_WINDOWS`] windows and the
     /// current accumulator resets. Call once per epoch tick.
     pub fn roll_window(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         for m in inner.meters.values_mut() {
             m.windows.push(m.current);
             m.current = 0.0;
@@ -217,7 +219,7 @@ impl MetricsRegistry {
     /// Registers help text for metric `name` (the *base* name, without
     /// labels), used by the Prometheus exposition's `# HELP` line.
     pub fn describe(&self, name: &str, help: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         inner.help.insert(name.to_string(), help.to_string());
     }
 
@@ -229,7 +231,7 @@ impl MetricsRegistry {
     /// Records `value` into histogram `name`; `bounds` are used only on
     /// first touch (a histogram's buckets are fixed for its lifetime).
     pub fn observe_with(&self, name: &str, bounds: &[f64], value: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         inner
             .histograms
             .entry(name.to_string())
@@ -239,7 +241,7 @@ impl MetricsRegistry {
 
     /// A stable, name-ordered snapshot of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().expect(POISONED);
         MetricsSnapshot {
             counters: inner
                 .counters
@@ -282,7 +284,7 @@ impl MetricsRegistry {
 
 impl core::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().expect(POISONED);
         f.debug_struct("MetricsRegistry")
             .field("counters", &inner.counters.len())
             .field("gauges", &inner.gauges.len())

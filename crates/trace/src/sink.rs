@@ -1,8 +1,8 @@
 //! Event destinations.
 
-use crate::Event;
-use parking_lot::Mutex;
+use crate::{Event, POISONED};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Destination for trace events. Implementations must be internally
 /// synchronized: the coordinator emits directly while shard buffers are
@@ -58,12 +58,12 @@ impl RingSink {
 
     /// Snapshot of the recorded events, in record order.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().clone()
+        self.events.lock().expect(POISONED).clone()
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events.lock().expect(POISONED).len()
     }
 
     /// Whether nothing has been recorded.
@@ -73,7 +73,7 @@ impl RingSink {
 
     /// Discards recorded events and resets the drop counter.
     pub fn clear(&self) {
-        self.events.lock().clear();
+        self.events.lock().expect(POISONED).clear();
         self.dropped.store(0, Ordering::Relaxed);
     }
 }
@@ -86,7 +86,7 @@ impl Default for RingSink {
 
 impl TraceSink for RingSink {
     fn record(&self, ev: Event) {
-        let mut evs = self.events.lock();
+        let mut evs = self.events.lock().expect(POISONED);
         if evs.len() >= self.cap {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         } else {

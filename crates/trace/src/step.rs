@@ -1,8 +1,7 @@
 //! Per-protocol-step trace buffer shared down the execution stack.
 
-use crate::{air_tid, group_tid, Event, Payload, Phase, StallCause};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use crate::{air_tid, group_tid, Event, Payload, Phase, StallCause, POISONED};
+use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -53,7 +52,7 @@ impl StepTrace {
     /// closes the open round span (if any) and opens the new one.
     pub fn round_transition(&self, round: u32, rel_ns: u64) {
         let ts = self.base_ns + rel_ns;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         if let Some(open) = inner.open_round.take() {
             Self::push(
                 &mut inner,
@@ -72,7 +71,7 @@ impl StepTrace {
     /// Closes the open round span at `rel_ns` (step completed).
     pub fn finish_rounds(&self, rel_ns: u64) {
         let ts = self.base_ns + rel_ns;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         if let Some(open) = inner.open_round.take() {
             Self::push(
                 &mut inner,
@@ -86,7 +85,7 @@ impl StepTrace {
     /// by the shard after tearing a step down (stall/abort paths), so the
     /// exported trace always balances.
     pub fn close(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         if let Some(open) = inner.open_round.take() {
             let ts = inner.max_ns.max(self.base_ns);
             Self::push(
@@ -101,7 +100,7 @@ impl StepTrace {
     /// to `end_rel` (radio-relative ns), `bits` on the channel, `uj`
     /// microjoules debited from the sender.
     pub fn air_tx(&self, bits: u64, uj: f64, start_rel_ns: u64, end_rel_ns: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         Self::push(
             &mut inner,
             Event::new(
@@ -128,7 +127,7 @@ impl StepTrace {
 
     /// A receiver missed this transmission (loss draw).
     pub fn air_drop(&self, user: u32, rel_ns: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         Self::push(
             &mut inner,
             Event::new(
@@ -144,7 +143,7 @@ impl StepTrace {
 
     /// A receive-side battery debit at delivery time.
     pub fn air_rx(&self, user: u32, uj: f64, rel_ns: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         Self::push(
             &mut inner,
             Event::new(
@@ -161,7 +160,7 @@ impl StepTrace {
     /// A member's battery died on the air (mid-transmit, mid-receive, or
     /// from a compute debit).
     pub fn air_death(&self, user: u32, rel_ns: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         Self::push(
             &mut inner,
             Event::new(
@@ -178,7 +177,7 @@ impl StepTrace {
     /// A stall cause observed mid-step (recorded by the shard, kept here
     /// for symmetry with the air events).
     pub fn stall(&self, cause: StallCause, rel_ns: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         Self::push(
             &mut inner,
             Event::new(
@@ -195,14 +194,14 @@ impl StepTrace {
     /// Where the step's lane clock ended: `base_ns` plus the furthest
     /// relative timestamp any event reached.
     pub fn end_ns(&self) -> u64 {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().expect(POISONED);
         inner.max_ns.max(self.base_ns)
     }
 
     /// Takes the buffered events (record order). The shard calls this once
     /// after the step settles; a second call returns an empty vec.
     pub fn drain(&self) -> Vec<Event> {
-        std::mem::take(&mut self.inner.lock().events)
+        std::mem::take(&mut self.inner.lock().expect(POISONED).events)
     }
 }
 

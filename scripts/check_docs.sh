@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Docs-consistency gate (CI lint job): every crate, bench binary, or
-# example that docs/*.md or README.md mentions must actually exist in
-# the workspace, so a rename can't silently strand the prose.
+# Docs-consistency gate (CI lint job): every crate, bench binary,
+# example or vendored shim that docs/*.md or README.md mentions must
+# actually exist in the workspace, so a rename or deletion can't silently
+# strand the prose.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,8 +37,16 @@ for ex in $(grep -rhoE '[-][-]example [a-z0-9_]+' "${pages[@]}" | awk '{print $2
   fi
 done
 
+# `vendor/foo` must be a vendored shim crate.
+for shim in $(grep -rhoE 'vendor/[A-Za-z0-9_-]+' "${pages[@]}" | sort -u); do
+  if [[ ! -d "$shim" ]]; then
+    echo "docs mention '$shim' but that directory does not exist" >&2
+    fail=1
+  fi
+done
+
 if [[ $fail -ne 0 ]]; then
   echo "docs are out of date with the workspace — fix the prose or restore the artifact" >&2
   exit 1
 fi
-echo "docs consistent: every mentioned crate, binary and example exists"
+echo "docs consistent: every mentioned crate, binary, example and shim exists"

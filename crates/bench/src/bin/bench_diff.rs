@@ -1,360 +1,179 @@
-//! Perf-regression gate: compare a freshly generated bench artifact
-//! (`BENCH_service_churn.json` / `BENCH_radio_churn.json` /
-//! `BENCH_trace_churn.json` / `BENCH_health_churn.json` /
-//! `BENCH_robust_churn.json` / `BENCH_massive_churn.json` /
-//! `BENCH_primitives.json`) against the committed baseline and fail on
-//! regression. Artifacts that carry a `trace_drops` count additionally
-//! fail outright when the fresh run's bounded ring dropped any event.
+//! Regression gate: compare a freshly generated bench artifact against
+//! its committed baseline and fail on any difference that matters.
 //!
 //! ```text
 //! cargo run --release -p egka-bench --bin bench_diff -- \
-//!     --baseline baselines/BENCH_service_churn.json \
-//!     --fresh BENCH_service_churn.json \
-//!     [--max-regress 0.25] [--wall-floor-ms 500] [--speedup-floor 2.0]
+//!     --baseline baselines/BENCH_churn.json --fresh BENCH_churn.json
 //! ```
 //!
-//! Three families of gates:
+//! Both artifacts must carry the same schema: `egka-churn/1` (the `churn`
+//! runner) or `egka-primitives/1` (`bench_primitives`). The gate is the
+//! same for both:
 //!
-//! * **Energy** (`energy_mj`, total and per suite): fully deterministic
-//!   per seed, so *any* drift means the code changed behavior; the gate
-//!   fails when fresh exceeds baseline by more than `--max-regress`
-//!   (default 25%), and also when a suite present in the baseline vanished
-//!   — a disappeared protocol is a behavior change, not a speedup.
-//! * **Wall clock** (`wall_ms`): inherently noisy across machines, so the
-//!   relative threshold only applies once the absolute slowdown also
-//!   clears `--wall-floor-ms` (default 500 ms) — a 3 ms scenario jumping
-//!   to 4 ms is noise, a 2 s scenario jumping to 3 s is a regression.
-//! * **Speedup ratios** (`egka-primitives/1` only): the artifact's
-//!   `*_speedup` fields are old-vs-new ratios measured inside one binary,
-//!   so they are machine-independent; `field_mul_speedup` must stay above
-//!   4×, and `modmul_1024_speedup`, `fixed_base_mul_speedup` and
-//!   `fixed_base_modexp_speedup` above the absolute `--speedup-floor`
-//!   (default 2×).
+//! * **Exact values.** Every value in the baseline must appear in the
+//!   fresh artifact, unchanged. The churn artifact is deterministic per
+//!   seed — counters, energy, fingerprints, suite rows — so one extra
+//!   rekey, one more stalled group or an energy change in the third
+//!   decimal is a behaviour change. A preset, counter or invariant the
+//!   fresh artifact lacks fails too. Values only the fresh artifact has
+//!   are listed as a reminder to refresh the baseline.
+//! * **Invariants.** Any `false` in the fresh artifact fails.
+//! * **Timings** (`*_ns`, `*_speedup`, `wall_ms`; only the primitives
+//!   artifact has them) are machine-dependent and exempt from the exact
+//!   check. Instead, the in-binary old/new ratios, which cancel the
+//!   runner's speed, must clear absolute floors: `field_mul_speedup` 4×,
+//!   and `modmul_1024_speedup`, `fixed_base_mul_speedup` and
+//!   `fixed_base_modexp_speedup` 2×. Wall time is perfbench's job.
 //!
-//! A top-level `groups_stalled` count fails outright when nonzero in the
-//! live-resharding artifact, and must equal the baseline's in every other
-//! churn artifact (it is deterministic per seed).
-//!
-//! Improvements (fresh below baseline) never fail; they print as a
-//! reminder to refresh the committed baseline. Exit code 1 on any failed
-//! gate, with every finding listed.
+//! Exit code 1 on any failure, with every finding listed.
 
 use egka_bench::arg_value;
 use egka_bench::json::Json;
 
-/// Floor on `field_mul_speedup`: fixed-limb Montgomery multiplication
-/// against `Ubig` multiply-and-reduce on secp160r1's field.
-const FIELD_MUL_FLOOR: f64 = 4.0;
+/// The artifact schemas the gate understands.
+const SCHEMAS: [&str; 2] = ["egka-churn/1", "egka-primitives/1"];
 
+/// Floors on the primitives artifact's in-binary old/new ratios.
+const SPEEDUP_FLOORS: [(&str, f64); 4] = [
+    ("field_mul_speedup", 4.0),
+    ("modmul_1024_speedup", 2.0),
+    ("fixed_base_mul_speedup", 2.0),
+    ("fixed_base_modexp_speedup", 2.0),
+];
+
+/// Machine-dependent keys, exempt from the exact comparison.
+fn is_timing(key: &str) -> bool {
+    key.ends_with("_ns") || key.ends_with("_speedup") || key == "wall_ms"
+}
+
+#[derive(Default)]
 struct Gate {
-    max_regress: f64,
-    wall_floor_ms: f64,
     failures: Vec<String>,
     notes: Vec<String>,
 }
 
+/// `path.key`, or `key` at the top level.
+fn child(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+fn show(v: &Json) -> String {
+    match v {
+        Json::Null => "null".into(),
+        Json::Bool(b) => b.to_string(),
+        Json::Num(n) => n.to_string(),
+        Json::Str(s) => format!("\"{s}\""),
+        Json::Arr(_) => "[…]".into(),
+        Json::Obj(_) => "{…}".into(),
+    }
+}
+
 impl Gate {
-    fn ratio_line(name: &str, baseline: f64, fresh: f64) -> String {
-        let pct = if baseline > 0.0 {
-            format!("{:+.1}%", (fresh / baseline - 1.0) * 100.0)
-        } else {
-            "n/a".into()
-        };
-        format!("{name}: baseline {baseline:.3} → fresh {fresh:.3} ({pct})")
-    }
-
-    /// Deterministic quantities: relative threshold only.
-    fn check_energy(&mut self, name: &str, baseline: f64, fresh: f64) {
-        let line = Self::ratio_line(name, baseline, fresh);
-        if fresh > baseline * (1.0 + self.max_regress) {
-            self.failures.push(line);
-        } else {
-            self.notes.push(line);
-        }
-    }
-
-    /// Noisy quantities: relative threshold gated by an absolute floor.
-    fn check_wall(&mut self, name: &str, baseline: f64, fresh: f64) {
-        let line = Self::ratio_line(name, baseline, fresh);
-        if fresh > baseline * (1.0 + self.max_regress) && fresh - baseline > self.wall_floor_ms {
-            self.failures.push(line);
-        } else {
-            self.notes.push(line);
-        }
-    }
-
-    /// `groups_stalled` (top level, churn artifacts only). The resharding
-    /// scenario grows its pool live and hands groups off between epochs,
-    /// so any stall there is a liveness violation: outright failure. Every
-    /// other churn scenario is deterministic per seed (stalls come from
-    /// seeded loss or injected faults), so its count must equal the
-    /// baseline's exactly.
-    fn check_groups_stalled(&mut self, schema: &str, baseline: Option<f64>, fresh: Option<f64>) {
+    /// Every baseline value under `path` must reappear unchanged in
+    /// `fresh`.
+    fn exact(&mut self, path: &str, baseline: &Json, fresh: Option<&Json>) {
         let Some(fresh) = fresh else {
+            self.failures
+                .push(format!("{path}: missing from the fresh artifact"));
             return;
         };
-        if schema == "egka-massive-churn/1" {
-            if fresh > 0.0 {
-                self.failures.push(format!(
-                    "groups_stalled: {fresh:.0} group-epoch(s) stalled during \
-                     live resharding — handoffs must never block an epoch"
-                ));
-            } else {
-                self.notes.push("groups_stalled: 0".into());
+        match (baseline, fresh) {
+            (Json::Obj(base), Json::Obj(members)) => {
+                for (key, b) in base.iter().filter(|(k, _)| !is_timing(k)) {
+                    self.exact(&child(path, key), b, fresh.get(key));
+                }
+                for (key, _) in members {
+                    if baseline.get(key).is_none() && !is_timing(key) {
+                        self.notes
+                            .push(format!("{}: new in the fresh artifact", child(path, key)));
+                    }
+                }
             }
-        } else if baseline == Some(fresh) {
-            self.notes
-                .push(format!("groups_stalled: {fresh:.0} (equals the baseline)"));
-        } else {
-            let baseline = baseline.map_or("absent".into(), |b| format!("{b:.0}"));
-            self.failures.push(format!(
-                "groups_stalled: baseline {baseline} → fresh {fresh:.0} — the count \
-                 is deterministic per seed, so any change is a behavior change"
-            ));
+            _ if baseline == fresh => {}
+            _ => self.failures.push(format!(
+                "{path}: baseline {} → fresh {}",
+                show(baseline),
+                show(fresh)
+            )),
         }
     }
 
-    /// In-binary old/new ratios: machine-independent, so an absolute floor
-    /// applies (and the baseline value is shown for context only).
-    fn check_speedup(&mut self, name: &str, floor: f64, baseline: f64, fresh: f64) {
-        let line = format!("{name}: baseline {baseline:.2}x → fresh {fresh:.2}x (floor {floor}x)");
-        if fresh < floor {
-            self.failures.push(line);
-        } else {
-            self.notes.push(line);
+    /// Every `false` in the fresh artifact is a broken invariant.
+    fn invariants(&mut self, path: &str, fresh: &Json) {
+        match fresh {
+            Json::Bool(false) => self.failures.push(format!("{path}: false")),
+            Json::Obj(members) => {
+                for (key, v) in members {
+                    self.invariants(&child(path, key), v);
+                }
+            }
+            _ => {}
         }
     }
+
+    /// In-binary old/new ratios must clear their floors.
+    fn speedups(&mut self, fresh: &Json) {
+        for (key, floor) in SPEEDUP_FLOORS {
+            match fresh.get(key).and_then(Json::as_f64) {
+                Some(x) if x >= floor => {
+                    self.notes.push(format!("{key}: {x:.2}x (floor {floor}x)"))
+                }
+                Some(x) => self
+                    .failures
+                    .push(format!("{key}: {x:.2}x is below its {floor}x floor")),
+                None => self.failures.push(format!("{key}: missing")),
+            }
+        }
+    }
+}
+
+/// Compares two parsed artifacts.
+fn diff(baseline: &Json, fresh: &Json) -> Gate {
+    let mut gate = Gate::default();
+    let schema = baseline.get("schema").and_then(Json::as_str).unwrap_or("?");
+    if !SCHEMAS.contains(&schema) {
+        gate.failures.push(format!(
+            "baseline schema {schema} is not one of {SCHEMAS:?}"
+        ));
+        return gate;
+    }
+    gate.exact("", baseline, Some(fresh));
+    gate.invariants("", fresh);
+    if schema == "egka-primitives/1" {
+        gate.speedups(fresh);
+    }
+    gate
 }
 
 fn load(path: &str) -> Json {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("reading {path}: {e} (run the churn bench first?)"));
+        .unwrap_or_else(|e| panic!("reading {path}: {e} (run the bench first?)"));
     Json::parse(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
-}
-
-fn num(doc: &Json, path: &str, key: &str) -> f64 {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|| panic!("{path} has no numeric \"{key}\""))
 }
 
 fn main() {
     let baseline_path = arg_value("--baseline").expect("--baseline PATH");
     let fresh_path = arg_value("--fresh").expect("--fresh PATH");
-    let max_regress: f64 = arg_value("--max-regress")
-        .map(|v| v.parse().expect("--max-regress F"))
-        .unwrap_or(0.25);
-    let wall_floor_ms: f64 = arg_value("--wall-floor-ms")
-        .map(|v| v.parse().expect("--wall-floor-ms F"))
-        .unwrap_or(500.0);
-    let speedup_floor: f64 = arg_value("--speedup-floor")
-        .map(|v| v.parse().expect("--speedup-floor F"))
-        .unwrap_or(2.0);
+    let gate = diff(&load(&baseline_path), &load(&fresh_path));
 
-    let baseline = load(&baseline_path);
-    let fresh = load(&fresh_path);
-    const SCHEMAS: [&str; 6] = [
-        "egka-service-churn/1",
-        "egka-trace-churn/1",
-        "egka-health-churn/1",
-        "egka-robust-churn/1",
-        "egka-massive-churn/1",
-        "egka-primitives/1",
-    ];
-    for (doc, path) in [(&baseline, &baseline_path), (&fresh, &fresh_path)] {
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("?");
-        assert!(
-            SCHEMAS.contains(&schema),
-            "{path}: unexpected schema {schema}"
-        );
-    }
-    // Comparing a trace artifact against a service artifact (or vice
-    // versa) silently gates the wrong numbers — require the same schema.
-    assert_eq!(
-        baseline.get("schema").and_then(Json::as_str),
-        fresh.get("schema").and_then(Json::as_str),
-        "baseline and fresh artifacts carry different schemas"
-    );
-
-    let mut gate = Gate {
-        max_regress,
-        wall_floor_ms,
-        failures: Vec::new(),
-        notes: Vec::new(),
-    };
-
-    let schema = baseline
-        .get("schema")
-        .and_then(Json::as_str)
-        .unwrap_or("?")
-        .to_string();
-    let primitives = schema == "egka-primitives/1";
-
-    gate.check_wall(
-        "wall_ms",
-        num(&baseline, &baseline_path, "wall_ms"),
-        num(&fresh, &fresh_path, "wall_ms"),
-    );
-    // The trace artifact also carries the same scenario's wall clock with
-    // tracing *disabled* (the traced-off overhead guard: a disabled tracer
-    // must stay a no-op). It obeys the ordinary wall gate (relative
-    // threshold + absolute noise floor), nothing tighter.
-    for key in ["wall_ms_untraced", "wall_ms_static"] {
-        if baseline.get(key).is_some() && fresh.get(key).is_some() {
-            gate.check_wall(
-                key,
-                num(&baseline, &baseline_path, key),
-                num(&fresh, &fresh_path, key),
-            );
-        }
-    }
-    // Trace/telemetry artifacts record how many events the bounded ring
-    // had to drop. A lossy trace is not a slower trace — it is a broken
-    // one (fingerprints and metrics silently under-count) — so any
-    // nonzero drop count in the fresh run is an outright failure, not a
-    // relative-threshold question.
-    if let Some(drops) = fresh.get("trace_drops").and_then(Json::as_f64) {
-        if drops > 0.0 {
-            gate.failures.push(format!(
-                "trace_drops: fresh run dropped {drops:.0} event(s)"
-            ));
-        } else {
-            gate.notes.push("trace_drops: 0".into());
-        }
-    }
-    // The robustness artifact counts fault-injected groups that finished
-    // the scenario stalled. With the eviction engine armed that number is
-    // a liveness violation, not a perf question — any nonzero value in
-    // the fresh run fails outright.
-    if let Some(stalled) = fresh.get("stalled_faulted_groups").and_then(Json::as_f64) {
-        if stalled > 0.0 {
-            gate.failures.push(format!(
-                "stalled_faulted_groups: {stalled:.0} fault-injected group(s) \
-                 never completed — the eviction engine failed them"
-            ));
-        } else {
-            gate.notes.push("stalled_faulted_groups: 0".into());
-        }
-    }
-    gate.check_groups_stalled(
-        &schema,
-        baseline.get("groups_stalled").and_then(Json::as_f64),
-        fresh.get("groups_stalled").and_then(Json::as_f64),
-    );
-
-    if primitives {
-        // The primitives artifact carries no energy model — its subject is
-        // the in-binary old/new ratios. The fixed-limb kernel (at curve
-        // and at 1024-bit sizes) and the two fixed-base accelerations are
-        // the headline claims and must hold their absolute floors; the
-        // pairing ratio is informational.
-        for (key, floor) in [
-            ("field_mul_speedup", FIELD_MUL_FLOOR),
-            ("modmul_1024_speedup", speedup_floor),
-            ("fixed_base_mul_speedup", speedup_floor),
-            ("fixed_base_modexp_speedup", speedup_floor),
-        ] {
-            gate.check_speedup(
-                key,
-                floor,
-                num(&baseline, &baseline_path, key),
-                num(&fresh, &fresh_path, key),
-            );
-        }
-        let key = "pairing_fixed_speedup";
-        if baseline.get(key).is_some() && fresh.get(key).is_some() {
-            gate.notes.push(format!(
-                "{key}: baseline {:.2}x → fresh {:.2}x (informational)",
-                num(&baseline, &baseline_path, key),
-                num(&fresh, &fresh_path, key),
-            ));
-        }
-    } else {
-        gate.check_energy(
-            "energy_mj",
-            num(&baseline, &baseline_path, "energy_mj"),
-            num(&fresh, &fresh_path, "energy_mj"),
-        );
-    }
-
-    // Per-suite energy: every suite the baseline fielded must still exist
-    // and stay within the threshold.
-    let empty: Vec<(String, Json)> = Vec::new();
-    let base_suites = baseline
-        .get("suites")
-        .and_then(Json::members)
-        .unwrap_or(&empty);
-    let fresh_suites = fresh
-        .get("suites")
-        .and_then(Json::members)
-        .unwrap_or(&empty);
-    for (suite, base_usage) in base_suites {
-        let name = format!("suites.{suite}.energy_mj");
-        let base_mj = base_usage
-            .get("energy_mj")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        match fresh_suites.iter().find(|(k, _)| k == suite) {
-            Some((_, fresh_usage)) => {
-                let fresh_mj = fresh_usage
-                    .get("energy_mj")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0);
-                gate.check_energy(&name, base_mj, fresh_mj);
-            }
-            None => gate
-                .failures
-                .push(format!("{name}: suite vanished from the fresh run")),
-        }
-    }
-    for (suite, _) in fresh_suites {
-        if !base_suites.iter().any(|(k, _)| k == suite) {
-            gate.notes.push(format!(
-                "suites.{suite}: new in the fresh run (not in baseline)"
-            ));
-        }
-    }
-
-    // Determinism cross-checks, informational: a fingerprint change with
-    // unchanged config means intended behavior drift — refresh baselines.
-    // (`event_fingerprint` is the trace artifact's analogue: the
-    // (name, phase) → count shape of the recorded events.)
-    for key in [
-        "key_fingerprint",
-        "event_fingerprint",
-        "workload_fingerprint",
-    ] {
-        let base_fp = baseline.get(key).and_then(Json::as_str);
-        let fresh_fp = fresh.get(key).and_then(Json::as_str);
-        if let (Some(b), Some(f)) = (base_fp, fresh_fp) {
-            if b != f {
-                gate.notes.push(format!(
-                    "{key} changed ({b} → {f}): behavior drift — \
-                     refresh the baseline if intended"
-                ));
-            }
-        }
-    }
-
-    println!(
-        "bench_diff: {fresh_path} vs {baseline_path} \
-         (max regress {:.0}%, wall floor {wall_floor_ms} ms)\n",
-        max_regress * 100.0
-    );
+    println!("bench_diff: {fresh_path} vs {baseline_path}\n");
     for note in &gate.notes {
-        println!("  ok   {note}");
+        println!("  note {note}");
     }
     for failure in &gate.failures {
         println!("  FAIL {failure}");
     }
     if gate.failures.is_empty() {
-        println!("\nno perf regression ✓");
+        println!("\nidentical in every deterministic value ✓");
     } else {
         println!(
-            "\n{} perf regression(s) beyond {:.0}% — investigate, or refresh \
-             the committed baseline if the cost is intended",
-            gate.failures.len(),
-            max_regress * 100.0
+            "\n{} difference(s) — investigate, or regenerate the committed \
+             baseline if the change in behaviour is intended",
+            gate.failures.len()
         );
         std::process::exit(1);
     }
@@ -364,44 +183,209 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn gate() -> Gate {
-        Gate {
-            max_regress: 0.25,
-            wall_floor_ms: 500.0,
-            failures: Vec::new(),
-            notes: Vec::new(),
+    const CHURN: &str = r#"{
+      "schema": "egka-churn/1",
+      "presets": {
+        "service": {
+          "counters": {"events_applied": 443, "rekeys_executed": 320,
+                       "groups_stalled": 0, "energy_mj": 329286.759,
+                       "latency_virtual_ms": null,
+                       "per_suite": {"proposed": {"rekeys": 420, "energy_mj": 329286.759}}},
+          "suites": {"proposed": {"groups": 100, "rekeys": 420, "energy_mj": 329286.759}},
+          "fingerprints": {"key": "512af6ab3a97622e", "event": "b41fe1f95b902539"},
+          "invariants": {"coalescing": true, "trace_drop_free": true}
+        },
+        "reshard": {
+          "counters": {"groups_stalled": 0},
+          "suites": {},
+          "fingerprints": {"key": "89d50d15fd4b5e9a", "event": "0000000000000001"},
+          "invariants": {"no_stall_during_reshard": true}
+        }
+      }
+    }"#;
+
+    const PRIMITIVES: &str = r#"{
+      "schema": "egka-primitives/1",
+      "seed": 37153,
+      "workload_fingerprint": "0a6f7e3e03939675",
+      "field_mul_ns": 24.3,
+      "field_mul_speedup": 10.715,
+      "modmul_1024_speedup": 3.488,
+      "fixed_base_mul_speedup": 3.387,
+      "fixed_base_modexp_speedup": 3.983,
+      "wall_ms": 1139.0
+    }"#;
+
+    fn failures(baseline: &str, fresh: &str) -> Vec<String> {
+        diff(
+            &Json::parse(baseline).unwrap(),
+            &Json::parse(fresh).unwrap(),
+        )
+        .failures
+    }
+
+    #[test]
+    fn exact_gate_fails_on_any_deterministic_change() {
+        // (what changed, edit of the fresh artifact, must the gate fail?)
+        let cases: &[(&str, &str, &str, bool)] = &[
+            ("identical", "", "", false),
+            (
+                "an extra rekey",
+                "\"rekeys_executed\": 320",
+                "\"rekeys_executed\": 321",
+                true,
+            ),
+            (
+                "a stalled group",
+                "\"groups_stalled\": 0, \"energy_mj\"",
+                "\"groups_stalled\": 1, \"energy_mj\"",
+                true,
+            ),
+            (
+                "a stall during resharding",
+                "\"counters\": {\"groups_stalled\": 0}",
+                "\"counters\": {\"groups_stalled\": 1}",
+                true,
+            ),
+            (
+                "energy in the third decimal",
+                "\"energy_mj\": 329286.759,",
+                "\"energy_mj\": 329286.758,",
+                true,
+            ),
+            (
+                "the key fingerprint",
+                "512af6ab3a97622e",
+                "512af6ab3a97622f",
+                true,
+            ),
+            (
+                "the event fingerprint",
+                "b41fe1f95b902539",
+                "b41fe1f95b902538",
+                true,
+            ),
+            (
+                "a broken invariant",
+                "\"trace_drop_free\": true",
+                "\"trace_drop_free\": false",
+                true,
+            ),
+            (
+                "a missing invariant",
+                "\"coalescing\": true, \"trace_drop_free\": true",
+                "\"trace_drop_free\": true",
+                true,
+            ),
+            ("a missing preset", "\"reshard\": {", "\"renamed\": {", true),
+            (
+                "a new counter (a note, not a failure)",
+                "\"events_applied\": 443,",
+                "\"events_applied\": 443, \"new_counter\": 7,",
+                false,
+            ),
+        ];
+        for &(what, from, to, fails) in cases {
+            let fresh = CHURN.replacen(from, to, 1);
+            assert!(
+                from.is_empty() || fresh != CHURN,
+                "{what}: edit did not apply"
+            );
+            let found = failures(CHURN, &fresh);
+            assert_eq!(!found.is_empty(), fails, "{what}: {found:?}");
         }
     }
 
     #[test]
     fn any_stall_during_live_resharding_fails() {
-        let mut g = gate();
-        g.check_groups_stalled("egka-massive-churn/1", Some(0.0), Some(0.0));
-        assert!(g.failures.is_empty());
-        g.check_groups_stalled("egka-massive-churn/1", Some(1.0), Some(1.0));
+        assert!(failures(CHURN, CHURN).is_empty());
+        // The reshard preset records a stall as a broken invariant, so the
+        // fresh run fails even against a baseline that stalled the same way.
+        let stalled = CHURN
+            .replacen(
+                "\"counters\": {\"groups_stalled\": 0}",
+                "\"counters\": {\"groups_stalled\": 1}",
+                1,
+            )
+            .replacen(
+                "\"no_stall_during_reshard\": true",
+                "\"no_stall_during_reshard\": false",
+                1,
+            );
+        assert_ne!(stalled, CHURN);
+        let found = failures(&stalled, &stalled);
         assert_eq!(
-            g.failures.len(),
-            1,
+            found,
+            vec!["presets.reshard.invariants.no_stall_during_reshard: false".to_string()],
             "even a count equal to the baseline fails"
         );
     }
 
     #[test]
     fn other_churn_stalls_must_equal_the_baseline() {
-        let mut g = gate();
-        // The radio baseline's 1 % loss stalls two group-epochs by design.
-        g.check_groups_stalled("egka-service-churn/1", Some(2.0), Some(2.0));
-        assert!(g.failures.is_empty(), "{:?}", g.failures);
-        for fresh in [0.0, 3.0] {
-            let mut g = gate();
-            g.check_groups_stalled("egka-service-churn/1", Some(2.0), Some(fresh));
-            assert_eq!(g.failures.len(), 1, "fresh {fresh}");
+        // A lossy preset stalls two group-epochs by design.
+        let lossy = CHURN.replacen(
+            "\"groups_stalled\": 0, \"energy_mj\"",
+            "\"groups_stalled\": 2, \"energy_mj\"",
+            1,
+        );
+        assert_ne!(lossy, CHURN);
+        assert!(failures(&lossy, &lossy).is_empty());
+        for fresh in [0, 3] {
+            let fresh_doc = lossy.replacen(
+                "\"groups_stalled\": 2,",
+                &format!("\"groups_stalled\": {fresh},"),
+                1,
+            );
+            let found = failures(&lossy, &fresh_doc);
+            assert_eq!(found.len(), 1, "fresh {fresh}: {found:?}");
+            assert!(found[0].starts_with("presets.service.counters.groups_stalled"));
         }
-        let mut g = gate();
-        g.check_groups_stalled("egka-service-churn/1", None, Some(0.0));
-        assert_eq!(g.failures.len(), 1, "a count the baseline lacks is drift");
-        let mut g = gate();
-        g.check_groups_stalled("egka-primitives/1", None, None);
-        assert!(g.failures.is_empty() && g.notes.is_empty());
+        let without = CHURN.replacen("\"groups_stalled\": 0, ", "", 1);
+        assert_ne!(without, CHURN);
+        let found = failures(CHURN, &without);
+        assert_eq!(found.len(), 1, "a count the fresh run lacks is drift");
+    }
+
+    #[test]
+    fn primitives_gate_is_exact_on_the_workload_and_floors_the_ratios() {
+        let cases: &[(&str, &str, &str, bool)] = &[
+            ("identical", "", "", false),
+            (
+                "a slower host",
+                "\"field_mul_ns\": 24.3",
+                "\"field_mul_ns\": 90.0",
+                false,
+            ),
+            (
+                "wall time",
+                "\"wall_ms\": 1139.0",
+                "\"wall_ms\": 9999.0",
+                false,
+            ),
+            (
+                "the workload fingerprint",
+                "0a6f7e3e03939675",
+                "0a6f7e3e03939676",
+                true,
+            ),
+            (
+                "a ratio below its floor",
+                "\"modmul_1024_speedup\": 3.488",
+                "\"modmul_1024_speedup\": 1.9",
+                true,
+            ),
+        ];
+        for &(what, from, to, fails) in cases {
+            let fresh = PRIMITIVES.replacen(from, to, 1);
+            assert!(
+                from.is_empty() || fresh != PRIMITIVES,
+                "{what}: edit did not apply"
+            );
+            let found = failures(PRIMITIVES, &fresh);
+            assert_eq!(!found.is_empty(), fails, "{what}: {found:?}");
+        }
+        let churn_against_primitives = failures(PRIMITIVES, CHURN);
+        assert!(!churn_against_primitives.is_empty());
     }
 }

@@ -252,13 +252,19 @@ mod tests {
             shards: 2,
             ..egka_sim::ChurnConfig::default()
         });
-        let json = crate::churn_report_json(&report);
+        let json = crate::churn_preset_json(&report, 1, &[("coalescing", true)]);
         let v = Json::parse(&json).unwrap();
         assert_eq!(
-            v.get("rekeys_executed").unwrap().as_f64(),
+            v.get("counters")
+                .and_then(|c| c.get("rekeys_executed"))
+                .and_then(Json::as_f64),
             Some(report.metrics.rekeys_executed as f64)
         );
         assert!(v.get("suites").unwrap().members().is_some());
+        assert_eq!(
+            v.get("invariants").and_then(|i| i.get("coalescing")),
+            Some(&Json::Bool(true))
+        );
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //!
 //! Run e.g. `cargo run --release -p egka-bench --bin repro_figure1`.
 //!
+//! ## Service benches and the gate
+//!
+//! | Binary | What it does |
+//! |---|---|
+//! | `churn` | every service-churn scenario as a named preset (`--preset NAME`, all by default): untraced, traced and traced-rerun passes plus the preset's extra pass, each check a named invariant, one `egka-churn/1` artifact ([`churn_preset_json`]) |
+//! | `bench_primitives` | old-vs-new primitive timings on seeded workloads (`egka-primitives/1`) |
+//! | `bench_diff` | compares a fresh artifact exactly against its committed baseline under `baselines/` (read back with [`json`]) |
+//!
 //! ## Criterion benches
 //!
 //! * `substrates` — bigint/Montgomery, SHA-256, AES, curve and pairing ops;
@@ -64,66 +72,23 @@ pub fn has_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// Parses a `--policy` value: `cheapest` (StrongARM + 100 kbps radio),
-/// `cheapest-wlan` (StrongARM + WLAN card), or a suite key (`proposed`,
-/// `bd_sok`, `bd_ecdsa`, `bd_dsa`, `ssn`) for a fixed fleet.
+/// Renders one preset's entry in the `egka-churn/1` artifact that the
+/// `churn` runner writes and `bench_diff` compares exactly:
+/// `{counters, suites, fingerprints, invariants}`. Every value is
+/// deterministic per seed — the artifact carries no wall-clock keys.
 ///
-/// # Panics
-/// Panics on an unrecognized value.
-pub fn parse_suite_policy(value: &str) -> egka_service::SuitePolicy {
-    use egka_energy::{CpuModel, Transceiver};
-    use egka_service::{SuiteId, SuitePolicy};
-    match value {
-        "cheapest" => SuitePolicy::Cheapest {
-            cpu: CpuModel::strongarm_133(),
-            transceiver: Transceiver::radio_100kbps(),
-        },
-        "cheapest-wlan" => SuitePolicy::Cheapest {
-            cpu: CpuModel::strongarm_133(),
-            transceiver: Transceiver::wlan_spectrum24(),
-        },
-        key => match SuiteId::from_key(key) {
-            Some(id) => SuitePolicy::Fixed(id),
-            None => panic!("unknown --policy {key} (try: cheapest, cheapest-wlan, or a suite key)"),
-        },
-    }
-}
-
-/// Renders a churn report as a flat JSON object — the machine-readable
-/// artifact (`BENCH_service_churn.json`) that tracks the perf trajectory
-/// across PRs. Hand-rolled (no JSON dependency in this environment): every
-/// value is a number, a hex string, or a `{p50,p95,p99}` object — plus a
-/// nested `"metrics"` object carrying the service's *complete* counter
-/// set via [`egka_service::ServiceMetrics::to_json`] (the legacy flat
-/// keys stay, so committed baselines keep parsing).
-pub fn churn_report_json(report: &egka_sim::ChurnReport) -> String {
-    fn quantiles_ms(q: Option<(f64, f64, f64)>) -> String {
-        match q {
-            Some((p50, p95, p99)) => {
-                format!("{{\"p50\": {p50:.3}, \"p95\": {p95:.3}, \"p99\": {p99:.3}}}")
-            }
-            None => "null".to_string(),
-        }
-    }
-    // An idle run has rekeys == 0 and a coalesce ratio of ∞, which is not
-    // representable in JSON; `null` keeps the artifact parseable.
-    let m = &report.metrics;
-    let coalesce = if m.coalesce_ratio().is_finite() {
-        format!("{:.4}", m.coalesce_ratio())
-    } else {
-        "null".to_string()
-    };
-    let wall_q = report.wall_latency.map(|(a, b, c)| {
-        (
-            a.as_secs_f64() * 1e3,
-            b.as_secs_f64() * 1e3,
-            c.as_secs_f64() * 1e3,
-        )
-    });
-    let (virtual_q, nodes_died, battery_spent_uj) = match &report.radio {
-        Some(r) => (r.latency_quantiles_ms, r.nodes_died, r.total_spent_uj),
-        None => (None, 0, 0.0),
-    };
+/// * `counters` is [`egka_service::ServiceMetrics::to_json`], the
+///   service's complete counter set;
+/// * `suites` holds each GKA suite's live groups, rekeys and priced
+///   energy;
+/// * `fingerprints` holds the key fingerprint and the traced pass's
+///   `(name, phase) → count` event fingerprint;
+/// * `invariants` maps each named check the runner made to its outcome.
+pub fn churn_preset_json(
+    report: &egka_sim::ChurnReport,
+    event_fingerprint: u64,
+    invariants: &[(&str, bool)],
+) -> String {
     let suites = report
         .suites
         .iter()
@@ -138,90 +103,19 @@ pub fn churn_report_json(report: &egka_sim::ChurnReport) -> String {
         })
         .collect::<Vec<_>>()
         .join(", ");
+    let invariants = invariants
+        .iter()
+        .map(|(name, ok)| format!("\"{name}\": {ok}"))
+        .collect::<Vec<_>>()
+        .join(", ");
     format!(
-        "{{\n  \
-         \"schema\": \"egka-service-churn/1\",\n  \
-         \"groups\": {},\n  \
-         \"groups_active\": {},\n  \
-         \"events_submitted\": {},\n  \
-         \"events_applied\": {},\n  \
-         \"rekeys_executed\": {},\n  \
-         \"coalesce_ratio\": {},\n  \
-         \"energy_mj\": {:.3},\n  \
-         \"throughput_eps\": {:.1},\n  \
-         \"wall_ms\": {:.1},\n  \
-         \"groups_stalled\": {},\n  \
-         \"steps_retried\": {},\n  \
-         \"nodes_died\": {},\n  \
-         \"battery_spent_uj\": {:.1},\n  \
-         \"latency_wall_ms\": {},\n  \
-         \"latency_virtual_ms\": {},\n  \
-         \"suites\": {{{}}},\n  \
-         \"metrics\": {},\n  \
-         \"key_fingerprint\": \"{:016x}\"\n}}\n",
-        report.groups,
-        m.groups_active,
-        report.events_submitted,
-        m.events_applied,
-        m.rekeys_executed,
-        coalesce,
-        m.energy_mj,
-        report.throughput_eps,
-        report.wall.as_secs_f64() * 1e3,
-        m.groups_stalled,
-        m.steps_retried,
-        nodes_died,
-        battery_spent_uj,
-        quantiles_ms(wall_q),
-        quantiles_ms(virtual_q),
-        suites,
-        m.to_json(),
+        "{{\n      \
+         \"counters\": {},\n      \
+         \"suites\": {{{suites}}},\n      \
+         \"fingerprints\": {{\"key\": \"{:016x}\", \"event\": \"{event_fingerprint:016x}\"}},\n      \
+         \"invariants\": {{{invariants}}}\n    }}",
+        report.metrics.to_json(),
         report.key_fingerprint,
-    )
-}
-
-/// Renders the crash-recovery scenario's artifact
-/// (`BENCH_recovery_churn.json`): the uninterrupted and recovered runs'
-/// fingerprints (the acceptance equality), what recovery replayed, and
-/// both wall clocks.
-pub fn recovery_churn_json(
-    uninterrupted: &egka_sim::ChurnReport,
-    crashed: &egka_sim::ChurnReport,
-) -> String {
-    let rec = crashed
-        .recovery
-        .expect("the crashed run carries a recovery summary");
-    let snapshot_epoch = match rec.snapshot_epoch {
-        Some(e) => e.to_string(),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\n  \
-         \"schema\": \"egka-recovery-churn/1\",\n  \
-         \"groups\": {},\n  \
-         \"epochs\": {},\n  \
-         \"kill_epoch\": {},\n  \
-         \"snapshot_epoch\": {},\n  \
-         \"records_replayed\": {},\n  \
-         \"epochs_replayed\": {},\n  \
-         \"groups_recovered\": {},\n  \
-         \"uninterrupted_fingerprint\": \"{:016x}\",\n  \
-         \"recovered_fingerprint\": \"{:016x}\",\n  \
-         \"fingerprints_equal\": {},\n  \
-         \"uninterrupted_wall_ms\": {:.1},\n  \
-         \"recovered_wall_ms\": {:.1}\n}}\n",
-        uninterrupted.groups,
-        uninterrupted.epochs.len(),
-        rec.kill_epoch,
-        snapshot_epoch,
-        rec.records_replayed,
-        rec.epochs_replayed,
-        rec.groups_recovered,
-        uninterrupted.key_fingerprint,
-        crashed.key_fingerprint,
-        uninterrupted.key_fingerprint == crashed.key_fingerprint,
-        uninterrupted.wall.as_secs_f64() * 1e3,
-        crashed.wall.as_secs_f64() * 1e3,
     )
 }
 
@@ -246,22 +140,23 @@ mod tests {
             radio: Some(egka_sim::RadioChurnConfig::ideal()),
             ..egka_sim::ChurnConfig::default()
         });
-        let json = churn_report_json(&report);
+        let json = churn_preset_json(&report, 0xabc, &[("coalescing", true), ("drops", false)]);
         for key in [
-            "\"schema\"",
+            "\"counters\"",
             "\"events_applied\"",
             "\"rekeys_executed\"",
-            "\"coalesce_ratio\"",
-            "\"throughput_eps\"",
-            "\"latency_wall_ms\"",
-            "\"latency_virtual_ms\"",
-            "\"p99\"",
-            "\"key_fingerprint\"",
-            "\"metrics\"",
             "\"wal_appends\"",
+            "\"suites\"",
+            "\"fingerprints\"",
+            "\"event\": \"0000000000000abc\"",
+            "\"invariants\"",
+            "\"coalescing\": true",
+            "\"drops\": false",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        // No wall-clock value may leak into an exactly compared artifact.
+        assert!(!json.contains("wall"), "{json}");
         // Balanced braces — cheap structural sanity for the hand-rolled
         // encoder.
         assert_eq!(

@@ -15,8 +15,8 @@ use egka_energy::{CpuModel, Transceiver};
 use egka_hash::ChaChaRng;
 use egka_medium::RadioProfile;
 use egka_service::{
-    EvictionPolicy, GroupId, KeyService, MembershipEvent, RadioConfig, Rebalancer, RecoveryReport,
-    StoreConfig, SuiteId, SuitePolicy, SuiteUsage,
+    EpochReport, EvictionPolicy, GroupId, KeyService, MembershipEvent, RadioConfig, Rebalancer,
+    RecoveryReport, StoreConfig, SuiteId, SuitePolicy, SuiteUsage,
 };
 use rand::{Rng, SeedableRng};
 
@@ -107,7 +107,7 @@ pub struct ReshardPlan {
 }
 
 impl ReshardPlan {
-    /// The `reshard_churn` scenario's schedule: grow 4 → 16 shards,
+    /// The `reshard` churn preset's schedule: grow 4 → 16 shards,
     /// three per epoch from epoch 2, with the default rebalancer armed.
     pub fn four_to_sixteen() -> Self {
         ReshardPlan {
@@ -191,9 +191,9 @@ impl Default for ChurnConfig {
 }
 
 impl ChurnConfig {
-    /// The `radio_churn` bench scenario: 40 groups over the sensor-field
-    /// radio (finite batteries, two nearly-flat motes). One definition,
-    /// shared by the bench binary and CI, so knobs cannot drift.
+    /// The radio scenario: 40 groups over the sensor-field radio (finite
+    /// batteries, two nearly-flat motes). The `churn` runner's `radio`
+    /// preset adds 1 % loss to it; the tests drive it as is.
     pub fn radio_bench() -> Self {
         ChurnConfig {
             groups: 40,
@@ -233,10 +233,10 @@ impl ChurnConfig {
         self
     }
 
-    /// The `robust_churn` bench scenario: 60 groups, eviction armed with
-    /// the default policy, one byzantine-silent member and one flapper
-    /// whose cadence forces the full evict → readmit → re-evict arc
-    /// inside the run. One definition shared by the bench binary and CI.
+    /// The robustness scenario (the `churn` runner's `robust` preset): 60
+    /// groups, eviction armed with the default policy, one
+    /// byzantine-silent member and one flapper whose cadence forces the
+    /// full evict → readmit → re-evict arc inside the run.
     pub fn robust_bench() -> Self {
         ChurnConfig {
             groups: 60,
@@ -248,11 +248,11 @@ impl ChurnConfig {
         .flapping(5, 4)
     }
 
-    /// The `reshard_churn` scenario: 400 groups on 4 shards, grown live
-    /// to 16 mid-churn under Poisson load with the rebalancer armed. One
-    /// definition shared by the bench binary, CI and the tests — the
-    /// acceptance gate is zero stalled epochs and a fingerprint
-    /// bit-identical to the same workload on a static pool.
+    /// The live-resharding scenario (the `churn` runner's `reshard`
+    /// preset): 400 groups on 4 shards, grown live to 16 mid-churn under
+    /// Poisson load with the rebalancer armed. The acceptance gate is zero
+    /// stalled epochs and a fingerprint bit-identical to the same workload
+    /// on a static pool.
     pub fn reshard_bench() -> Self {
         ChurnConfig {
             groups: 400,
@@ -264,24 +264,14 @@ impl ChurnConfig {
     }
 }
 
-/// One epoch's aggregates.
+/// One epoch: the events submitted for it and the service's tick report
+/// (epoch number, rekeys, coalescing, energy, latencies).
 #[derive(Clone, Debug)]
 pub struct ChurnEpoch {
-    /// Epoch number (1-based).
-    pub epoch: u64,
     /// Events submitted for this epoch.
     pub events: u64,
-    /// Rekeys executed.
-    pub rekeys: u64,
-    /// Events applied / rekeys executed.
-    pub coalesce_ratio: f64,
-    /// Priced energy of the epoch's rekeys, mJ.
-    pub energy_mj: f64,
-    /// `(p50, p95, max)` per-group rekey latency, if any rekeys ran.
-    pub latency: Option<(Duration, Duration, Duration)>,
-    /// `(p50, p95, p99)` rekey latency in **virtual radio ms** (radio
-    /// scenarios only).
-    pub virtual_latency: Option<(f64, f64, f64)>,
+    /// The epoch's [`KeyService::tick`] report.
+    pub report: EpochReport,
 }
 
 /// Scenario outcome.
@@ -294,9 +284,6 @@ pub struct ChurnReport {
     pub events_submitted: u64,
     /// Per-epoch breakdown.
     pub epochs: Vec<ChurnEpoch>,
-    /// `(p50, p95, p99)` wall-clock rekey latency across every committed
-    /// rekey of the scenario.
-    pub wall_latency: Option<(Duration, Duration, Duration)>,
     /// Virtual-time summary (latency quantiles in virtual ms, battery
     /// ledger, deaths) — radio scenarios only.
     pub radio: Option<RadioSummary>,
@@ -505,7 +492,6 @@ fn run_churn_inner(config: &ChurnConfig, crash: Option<(StoreConfig, u64)>) -> C
 
     let mut epochs = Vec::with_capacity(config.epochs as usize);
     let mut events_submitted = 0u64;
-    let mut wall_latencies: Vec<Duration> = Vec::new();
     let mut evicted: std::collections::BTreeSet<UserId> = std::collections::BTreeSet::new();
     let mut recovery: Option<CrashSummary> = None;
     // Robustness bookkeeping: links the fault script holds down, homes of
@@ -669,30 +655,14 @@ fn run_churn_inner(config: &ChurnConfig, crash: Option<(StoreConfig, u64)>) -> C
             }
             evicted_home.insert(u.0, g);
         }
-        wall_latencies.extend_from_slice(&report.rekey_latencies);
         epochs.push(ChurnEpoch {
-            epoch: report.epoch,
             events: epoch_events,
-            rekeys: report.rekeys_executed,
-            coalesce_ratio: report.coalesce_ratio(),
-            energy_mj: report.energy_mj,
-            latency: report.latency_quantiles(),
-            virtual_latency: report.latency_quantiles_virtual(),
+            report,
         });
     }
 
     let metrics = svc.metrics().clone();
     let wall = started.elapsed();
-    let wall_latency = {
-        let ms: Vec<f64> = wall_latencies
-            .iter()
-            .map(|d| d.as_secs_f64() * 1e3)
-            .collect();
-        egka_service::quantiles3(&ms).map(|(p50, p95, p99)| {
-            let d = |ms: f64| Duration::from_secs_f64(ms / 1e3);
-            (d(p50), d(p95), d(p99))
-        })
-    };
     let radio = config.radio.as_ref().map(|_| {
         let mut batteries = svc.battery_status();
         let total_spent_uj = batteries.iter().map(|s| s.spent_uj).sum();
@@ -753,7 +723,6 @@ fn run_churn_inner(config: &ChurnConfig, crash: Option<(StoreConfig, u64)>) -> C
         groups: config.groups,
         events_submitted,
         epochs,
-        wall_latency,
         radio,
         suites,
         recovery,
@@ -781,18 +750,29 @@ impl ChurnReport {
             "{:>5} {:>8} {:>8} {:>9} {:>14} {:>12} {:>12} {:>12}",
             "epoch", "events", "rekeys", "coalesce", "energy (mJ)", "p50", "p95", "max"
         );
-        for e in &self.epochs {
-            let (p50, p95, max) = match e.latency {
+        for ChurnEpoch { events, report } in &self.epochs {
+            let (p50, p95, max) = match report.latency_quantiles() {
                 Some((a, b, c)) => (format!("{a:.1?}"), format!("{b:.1?}"), format!("{c:.1?}")),
                 None => ("-".into(), "-".into(), "-".into()),
             };
             let _ = writeln!(
                 out,
                 "{:>5} {:>8} {:>8} {:>9.2} {:>14.1} {:>12} {:>12} {:>12}",
-                e.epoch, e.events, e.rekeys, e.coalesce_ratio, e.energy_mj, p50, p95, max
+                report.epoch,
+                events,
+                report.rekeys_executed,
+                report.coalesce_ratio(),
+                report.energy_mj,
+                p50,
+                p95,
+                max
             );
         }
-        if self.epochs.iter().any(|e| e.virtual_latency.is_some()) {
+        if self
+            .epochs
+            .iter()
+            .any(|e| !e.report.rekey_latencies_virtual_ms.is_empty())
+        {
             let _ = writeln!(out);
             let _ = writeln!(
                 out,
@@ -800,11 +780,15 @@ impl ChurnReport {
                 "epoch", "v-p50", "v-p95", "v-p99"
             );
             for e in &self.epochs {
-                let (p50, p95, p99) = match e.virtual_latency {
+                let (p50, p95, p99) = match e.report.latency_quantiles_virtual() {
                     Some((a, b, c)) => (format!("{a:.1}"), format!("{b:.1}"), format!("{c:.1}")),
                     None => ("-".into(), "-".into(), "-".into()),
                 };
-                let _ = writeln!(out, "{:>5} {:>12} {:>12} {:>12}", e.epoch, p50, p95, p99);
+                let _ = writeln!(
+                    out,
+                    "{:>5} {:>12} {:>12} {:>12}",
+                    e.report.epoch, p50, p95, p99
+                );
             }
         }
         let _ = writeln!(out);

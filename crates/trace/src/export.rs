@@ -288,8 +288,8 @@ fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// A fingerprint over the event *counts* per (name, phase) plus the lane
 /// population — stable across refactors that only reorder equal-content
-/// buffers, sensitive to any event appearing or vanishing. This is what
-/// the `trace_churn` golden pins per seed.
+/// buffers, sensitive to any event appearing or vanishing. The sim's
+/// trace golden pins it per seed, and every `churn` preset records it.
 pub fn event_fingerprint(events: &[Event]) -> u64 {
     let mut counts: BTreeMap<(&'static str, u8), u64> = BTreeMap::new();
     let mut lanes: BTreeMap<(u32, u64), u64> = BTreeMap::new();

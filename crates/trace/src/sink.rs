@@ -30,8 +30,8 @@ impl TraceSink for NoopSink {
 ///
 /// Once full it drops *new* events (keeping the deterministic prefix) and
 /// counts them, rather than overwriting old ones — a truncated trace that
-/// admits its truncation beats a silently rewritten one. `trace_churn`
-/// asserts `dropped() == 0` so the golden event-count fingerprint can
+/// admits its truncation beats a silently rewritten one. The `churn`
+/// runner checks `dropped() == 0` so the golden event-count fingerprint can
 /// never be "stable" by accident of a full ring.
 #[derive(Debug)]
 pub struct RingSink {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Docs-consistency gate (CI lint job): every crate, bench binary,
-# example or vendored shim that docs/*.md or README.md mentions must
+# Docs-consistency gate (CI lint job): every crate, bench binary, churn
+# preset, example or vendored shim that docs/*.md or README.md mentions must
 # actually exist in the workspace, so a rename or deletion can't silently
 # strand the prose.
 set -euo pipefail
@@ -11,7 +11,7 @@ fail=0
 
 # Crate mentions (`egka-foo` in prose, `egka_foo` in paths): the package
 # egka-<dir> lives at crates/<dir>. The lookahead skips artifact schema
-# tags (`egka-radio-churn/1`), which are names of JSON shapes, not crates.
+# tags (`egka-churn/1`), which are names of JSON shapes, not crates.
 for name in $(grep -rhoP 'egka[-_][a-z0-9]+(?![a-z0-9/-])' "${pages[@]}" | sort -u); do
   dir=${name#egka-}
   dir=${dir#egka_}
@@ -25,6 +25,15 @@ done
 for bin in $(grep -rhoE '[-][-]bin [a-z0-9_]+' "${pages[@]}" | awk '{print $2}' | sort -u); do
   if [[ ! -f "crates/bench/src/bin/$bin.rs" ]]; then
     echo "docs mention binary '$bin' but crates/bench/src/bin/$bin.rs does not exist" >&2
+    fail=1
+  fi
+done
+
+# `--preset foo` must be a preset in the churn runner's table.
+presets=$(grep -oP '^\s+name: "\K[a-z0-9-]+(?=",)' crates/bench/src/bin/churn.rs)
+for preset in $(grep -rhoE '[-][-]preset [a-z0-9-]+' "${pages[@]}" | awk '{print $2}' | sort -u); do
+  if ! grep -qx -- "$preset" <<<"$presets"; then
+    echo "docs mention '--preset $preset' but crates/bench/src/bin/churn.rs has no such preset" >&2
     fail=1
   fi
 done
@@ -49,4 +58,4 @@ if [[ $fail -ne 0 ]]; then
   echo "docs are out of date with the workspace — fix the prose or restore the artifact" >&2
   exit 1
 fi
-echo "docs consistent: every mentioned crate, binary, example and shim exists"
+echo "docs consistent: every mentioned crate, binary, preset, example and shim exists"

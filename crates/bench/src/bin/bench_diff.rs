@@ -22,8 +22,9 @@
 //!   artifact has them) are machine-dependent and exempt from the exact
 //!   check. Instead, the in-binary old/new ratios, which cancel the
 //!   runner's speed, must clear absolute floors: `field_mul_speedup` 4×,
-//!   and `modmul_1024_speedup`, `fixed_base_mul_speedup` and
-//!   `fixed_base_modexp_speedup` 2×. Wall time is perfbench's job.
+//!   and `modmul_1024_speedup`, `fixed_base_mul_speedup`,
+//!   `fixed_base_modexp_speedup`, `inverse_1024_speedup` and
+//!   `gq_extract_speedup` 2×. Wall time is perfbench's job.
 //!
 //! Exit code 1 on any failure, with every finding listed.
 
@@ -34,11 +35,13 @@ use egka_bench::json::Json;
 const SCHEMAS: [&str; 2] = ["egka-churn/1", "egka-primitives/1"];
 
 /// Floors on the primitives artifact's in-binary old/new ratios.
-const SPEEDUP_FLOORS: [(&str, f64); 4] = [
+const SPEEDUP_FLOORS: [(&str, f64); 6] = [
     ("field_mul_speedup", 4.0),
     ("modmul_1024_speedup", 2.0),
     ("fixed_base_mul_speedup", 2.0),
     ("fixed_base_modexp_speedup", 2.0),
+    ("inverse_1024_speedup", 2.0),
+    ("gq_extract_speedup", 2.0),
 ];
 
 /// Machine-dependent keys, exempt from the exact comparison.
@@ -213,6 +216,8 @@ mod tests {
       "modmul_1024_speedup": 3.488,
       "fixed_base_mul_speedup": 3.387,
       "fixed_base_modexp_speedup": 3.983,
+      "inverse_1024_speedup": 4.262,
+      "gq_extract_speedup": 3.381,
       "wall_ms": 1139.0
     }"#;
 
@@ -373,6 +378,24 @@ mod tests {
                 "a ratio below its floor",
                 "\"modmul_1024_speedup\": 3.488",
                 "\"modmul_1024_speedup\": 1.9",
+                true,
+            ),
+            (
+                "the inverse below its floor",
+                "\"inverse_1024_speedup\": 4.262",
+                "\"inverse_1024_speedup\": 1.8",
+                true,
+            ),
+            (
+                "Extract below its floor",
+                "\"gq_extract_speedup\": 3.381",
+                "\"gq_extract_speedup\": 1.99",
+                true,
+            ),
+            (
+                "a missing ratio",
+                "\"gq_extract_speedup\": 3.381,",
+                "",
                 true,
             ),
         ];

@@ -25,6 +25,14 @@
 //!   Schnorr modulus — the BD/DSA shape.
 //! * **Fixed-argument pairing** — full Miller loop vs
 //!   [`PairingGroup::pairing_fixed`] over a cached [`egka_ec::MillerPrecomp`].
+//! * **1024-bit inverse** — the allocating extended Euclid
+//!   ([`ext_gcd_mod`]) vs [`mod_inverse`], Kaliski's almost inverse on 16
+//!   fixed limbs, on random values modulo a 1024-bit odd modulus.
+//! * **1024-bit product chain** — a fold of [`egka_bigint::mod_mul`] vs
+//!   [`mod_product`] (one [`egka_bigint::MulChain`] in Montgomery form), on
+//!   the 16-factor products of BD's Lemma 1 and GQ's aggregation.
+//! * **GQ Extract** — `mod_pow(H(ID), d, n)` vs the CRT [`GqPkg::extract`]
+//!   on the paper's 1024-bit fixture modulus.
 //!
 //! It also records single timings with no pair: variable-base EC scalar
 //! mult on a non-generator point, ECDSA sign and verify on secp160r1, DSA
@@ -34,8 +42,9 @@
 //! The artifact (`BENCH_primitives.json`, schema `egka-primitives/1`)
 //! carries each pair as `*_ns` plus a `*_speedup` ratio; `bench_diff`
 //! holds `field_mul_speedup` above 4× and `modmul_1024_speedup`,
-//! `fixed_base_mul_speedup` and `fixed_base_modexp_speedup` above 2× in
-//! CI. `--check-determinism`
+//! `fixed_base_mul_speedup`, `fixed_base_modexp_speedup`,
+//! `inverse_1024_speedup` and `gq_extract_speedup` above 2× in CI.
+//! `--check-determinism`
 //! regenerates every workload from the seed and asserts the result
 //! fingerprint reproduces.
 
@@ -43,8 +52,8 @@ use std::time::Instant;
 
 use egka_bench::{arg_value, has_flag};
 use egka_bigint::{
-    gen_schnorr_group, mod_pow, mod_pow_fixed, random_below, random_bits, MontField, SchnorrGroup,
-    Ubig,
+    ext_gcd_mod, gen_schnorr_group, mod_inverse, mod_mul, mod_pow, mod_pow_fixed, mod_product,
+    random_below, random_bits, MontField, SchnorrGroup, Ubig,
 };
 use egka_ec::{secp160r1, Curve, PairingGroup, Point};
 use egka_hash::ChaChaRng;
@@ -177,6 +186,95 @@ fn bench_modmul(seed: u64, fp: &mut Fnv) -> Pair {
         std::hint::black_box(kernel.mul_chain(a, b, MUL_CHAIN));
         i += 1;
     }) / f64::from(MUL_CHAIN);
+    Pair { old_ns, new_ns }
+}
+
+// ---------------------------------------------- 1024-bit inverse and product
+
+/// A 1024-bit odd modulus and values below it: every one is inverted, and
+/// the values form 16-factor products.
+fn inverse_workload(seed: u64, fp: &mut Fnv) -> (Ubig, Vec<Ubig>) {
+    let mut rng = ChaChaRng::seed_from_u64(seed ^ 0x1a7);
+    let mut m = random_bits(&mut rng, 1024);
+    m.set_bit(0);
+    let values: Vec<Ubig> = (0..64).map(|_| random_below(&mut rng, &m)).collect();
+    for a in &values {
+        let (g, x) = ext_gcd_mod(a, &m);
+        let new = mod_inverse(a, &m);
+        assert_eq!(new, g.is_one().then_some(x), "mod_inverse disagrees");
+        fp.push(&new.map_or(vec![0], |x| x.to_bytes_be()));
+    }
+    for chunk in values.chunks(16) {
+        let new = mod_product(chunk, &m);
+        assert_eq!(new, fold_mod_mul(chunk, &m), "mod_product disagrees");
+        fp.push(&new.to_bytes_be());
+    }
+    (m, values)
+}
+
+/// The pre-chain product: one allocating `mod_mul` per factor.
+fn fold_mod_mul(factors: &[Ubig], m: &Ubig) -> Ubig {
+    factors
+        .iter()
+        .fold(Ubig::one(), |acc, x| mod_mul(&acc, x, m))
+}
+
+/// The inverse pair, then the product-chain pair (per product).
+fn bench_inverse(seed: u64, fp: &mut Fnv) -> (Pair, Pair) {
+    let (m, values) = inverse_workload(seed, fp);
+    let mut i = 0usize;
+    let old_ns = per_op_ns(128, || {
+        std::hint::black_box(ext_gcd_mod(&values[i % values.len()], &m));
+        i += 1;
+    });
+    let new_ns = per_op_ns(128, || {
+        std::hint::black_box(mod_inverse(&values[i % values.len()], &m));
+        i += 1;
+    });
+    let inverse = Pair { old_ns, new_ns };
+    let chunks: Vec<&[Ubig]> = values.chunks(16).collect();
+    let old_ns = per_op_ns(64, || {
+        std::hint::black_box(fold_mod_mul(chunks[i % chunks.len()], &m));
+        i += 1;
+    }) / 16.0;
+    let new_ns = per_op_ns(64, || {
+        std::hint::black_box(mod_product(chunks[i % chunks.len()], &m));
+        i += 1;
+    }) / 16.0;
+    (inverse, Pair { old_ns, new_ns })
+}
+
+// ------------------------------------------------------------- GQ Extract
+
+/// Extract on the paper fixture's 1024-bit modulus (512-bit factors), and
+/// the identities it extracts for.
+fn extract_workload(fp: &mut Fnv) -> (GqPkg, Vec<Vec<u8>>) {
+    let pkg = egka_core::paper_fixture().gq().clone();
+    let ids: Vec<Vec<u8>> = (0..16u32).map(|i| i.to_be_bytes().to_vec()).collect();
+    for id in &ids {
+        let new = pkg.extract(id);
+        assert_eq!(new.s_id, plain_extract(&pkg, id), "CRT extract disagrees");
+        fp.push(&new.s_id.to_bytes_be());
+    }
+    (pkg, ids)
+}
+
+/// The pre-CRT Extract: one exponentiation by the full 1024-bit `d`.
+fn plain_extract(pkg: &GqPkg, id: &[u8]) -> Ubig {
+    mod_pow(&pkg.params.hash_id(id), &pkg.master().d, &pkg.params.n)
+}
+
+fn bench_extract(fp: &mut Fnv) -> Pair {
+    let (pkg, ids) = extract_workload(fp);
+    let mut i = 0usize;
+    let old_ns = per_op_ns(16, || {
+        std::hint::black_box(plain_extract(&pkg, &ids[i % ids.len()]));
+        i += 1;
+    });
+    let new_ns = per_op_ns(16, || {
+        std::hint::black_box(pkg.extract(&ids[i % ids.len()]));
+        i += 1;
+    });
     Pair { old_ns, new_ns }
 }
 
@@ -380,6 +478,11 @@ fn main() {
     modexp.print("fixed_base_modexp");
     let pairing = bench_pairing(seed, &mut fp);
     pairing.print("pairing_fixed");
+    let (inverse, product) = bench_inverse(seed, &mut fp);
+    inverse.print("inverse_1024");
+    product.print("mod_product_1024");
+    let extract = bench_extract(&mut fp);
+    extract.print("gq_extract");
     let (ecdsa_sign_ns, ecdsa_verify_ns) = bench_ecdsa(seed, &mut fp);
     println!("{:24} {ecdsa_sign_ns:>12.0} ns", "ecdsa_sign");
     println!("{:24} {ecdsa_verify_ns:>12.0} ns", "ecdsa_verify");
@@ -399,6 +502,8 @@ fn main() {
         ec_workload(seed, &curve, &mut again);
         modexp_workload(seed, &group, &mut again);
         bench_pairing(seed, &mut again);
+        inverse_workload(seed, &mut again);
+        extract_workload(&mut again);
         bench_ecdsa(seed, &mut again);
         bench_dsa(seed, &group, &mut again);
         bench_gq_verify(seed, &mut again);
@@ -433,6 +538,15 @@ fn main() {
          \"pairing_ns\": {:.0},\n  \
          \"pairing_fixed_ns\": {:.0},\n  \
          \"pairing_fixed_speedup\": {:.3},\n  \
+         \"plain_inverse_1024_ns\": {:.0},\n  \
+         \"inverse_1024_ns\": {:.0},\n  \
+         \"inverse_1024_speedup\": {:.3},\n  \
+         \"plain_mod_product_1024_ns\": {:.1},\n  \
+         \"mod_product_1024_ns\": {:.1},\n  \
+         \"mod_product_1024_speedup\": {:.3},\n  \
+         \"plain_gq_extract_ns\": {:.0},\n  \
+         \"gq_extract_ns\": {:.0},\n  \
+         \"gq_extract_speedup\": {:.3},\n  \
          \"ecdsa_sign_ns\": {ecdsa_sign_ns:.0},\n  \
          \"ecdsa_verify_ns\": {ecdsa_verify_ns:.0},\n  \
          \"dsa_verify_ns\": {dsa_verify_ns:.0},\n  \
@@ -453,6 +567,15 @@ fn main() {
         pairing.old_ns,
         pairing.new_ns,
         pairing.speedup(),
+        inverse.old_ns,
+        inverse.new_ns,
+        inverse.speedup(),
+        product.old_ns,
+        product.new_ns,
+        product.speedup(),
+        extract.old_ns,
+        extract.new_ns,
+        extract.speedup(),
     );
     let json_path = arg_value("--json").unwrap_or_else(|| "BENCH_primitives.json".into());
     if json_path != "-" {

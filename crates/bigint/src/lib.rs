@@ -24,7 +24,8 @@
 //!   `mod_pow2`, gcd, inverse, Jacobi symbol.
 //! * [`mont`] — the allocation-free fixed-limb Montgomery kernel
 //!   ([`Fe`], [`MontField`]; 4, 8 or 16 limbs for exponentiation), the hot
-//!   path for all exponentiation.
+//!   path for all exponentiation, inversion and product chains
+//!   ([`MulChain`]).
 //! * [`fixed`] — interned kernels and Lim–Lee fixed-base combs for
 //!   generators exponentiated under a long-lived modulus.
 //! * [`prime`] — Miller–Rabin, prime search, Schnorr-group generation.
@@ -53,9 +54,10 @@ pub mod ubig;
 
 pub use fixed::mod_pow_fixed;
 pub use modular::{
-    ext_gcd_mod, gcd, jacobi, mod_add, mod_inverse, mod_mul, mod_pow, mod_pow2, mod_sub,
+    ext_gcd_mod, gcd, jacobi, mod_add, mod_inverse, mod_mul, mod_pow, mod_pow2, mod_product,
+    mod_sub,
 };
-pub use mont::{Fe, MontField};
+pub use mont::{Fe, MontField, MulChain};
 pub use prime::{gen_prime, gen_schnorr_group, is_prime, SchnorrGroup};
 pub use rng::{random_below, random_bits, random_range, random_unit};
 pub use ubig::{ParseUbigError, Ubig};

@@ -128,6 +128,38 @@ pub fn shr_small(limbs: &mut [u64], sh: u32) {
     }
 }
 
+/// Shifts `limbs` right by any `sh` bits, filling with zeros.
+#[inline]
+pub fn shr_assign(limbs: &mut [u64], sh: u32) {
+    let words = ((sh / LIMB_BITS) as usize).min(limbs.len());
+    if words > 0 {
+        limbs.copy_within(words.., 0);
+        let len = limbs.len();
+        limbs[len - words..].fill(0);
+    }
+    shr_small(limbs, sh % LIMB_BITS);
+}
+
+/// Shifts `limbs` left by any `sh` bits; bits shifted past the top are
+/// dropped.
+#[inline]
+pub fn shl_assign(limbs: &mut [u64], sh: u32) {
+    let words = ((sh / LIMB_BITS) as usize).min(limbs.len());
+    if words > 0 {
+        let len = limbs.len();
+        limbs.copy_within(..len - words, words);
+        limbs[..words].fill(0);
+    }
+    shl_small(limbs, sh % LIMB_BITS);
+}
+
+/// Trailing zero bits of a non-zero limb buffer.
+#[inline]
+pub fn trailing_zeros(limbs: &[u64]) -> u32 {
+    let i = limbs.iter().position(|&l| l != 0).expect("non-zero");
+    LIMB_BITS * i as u32 + limbs[i].trailing_zeros()
+}
+
 /// Strips trailing (most-significant) zero limbs, returning the normalized
 /// length.
 #[inline]
@@ -190,6 +222,25 @@ mod tests {
         let mut w = vec![v[0], v[1], spill];
         shr_small(&mut w, 13);
         assert_eq!(&w[..2], &orig[..]);
+    }
+
+    #[test]
+    fn any_width_shifts_match_ubig() {
+        let v = crate::Ubig::from_hex("f00d0123456789abcdeffedcba9876543210deadbeefcafe").unwrap();
+        for sh in [0u32, 1, 63, 64, 65, 130, 191, 192, 400] {
+            let mut r = v.limbs().to_vec();
+            shr_assign(&mut r, sh);
+            assert_eq!(crate::Ubig::from_limbs(r), v.shr_bits(sh), "shr {sh}");
+            let mut l = v.limbs().to_vec();
+            l.resize(8, 0);
+            shl_assign(&mut l, sh);
+            let mask = crate::Ubig::one()
+                .shl_bits(512)
+                .checked_sub(&crate::Ubig::one());
+            let want = v.shl_bits(sh).bitand_ref(&mask.unwrap());
+            assert_eq!(crate::Ubig::from_limbs(l), want, "shl {sh}");
+        }
+        assert_eq!(trailing_zeros(&[0, 0, 8]), 131);
     }
 
     #[test]

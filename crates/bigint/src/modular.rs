@@ -1,9 +1,10 @@
-//! Modular arithmetic on [`Ubig`]: add/sub/mul/pow mod m, gcd, inverse,
-//! Jacobi symbol.
+//! Modular arithmetic on [`Ubig`]: add/sub/mul/pow mod m, products, gcd,
+//! inverse, Jacobi symbol.
 
 use core::cmp::Ordering;
 
 use crate::limbs;
+use crate::mont::{MulChain, MAX_LIMBS};
 use crate::ubig::Ubig;
 
 /// `(a + b) mod m`. Operands need not be reduced.
@@ -25,6 +26,18 @@ pub fn mod_sub(a: &Ubig, b: &Ubig, m: &Ubig) -> Ubig {
 /// `(a * b) mod m`.
 pub fn mod_mul(a: &Ubig, b: &Ubig, m: &Ubig) -> Ubig {
     a.mul_ref(b).rem_ref(m)
+}
+
+/// `∏ factors mod m` as one [`MulChain`] (1 for no factors).
+///
+/// # Panics
+/// Panics if `m` is zero or one.
+pub fn mod_product<'a>(factors: impl IntoIterator<Item = &'a Ubig>, m: &Ubig) -> Ubig {
+    let mut chain = MulChain::new(m);
+    for x in factors {
+        chain.mul(x);
+    }
+    chain.value()
 }
 
 /// `a^e mod m`.
@@ -69,8 +82,10 @@ pub fn mod_pow2(a: &Ubig, x: &Ubig, b: &Ubig, y: &Ubig, m: &Ubig) -> Ubig {
     }
 }
 
-/// Greatest common divisor (binary GCD), on two limb buffers updated in
-/// place.
+/// Greatest common divisor (binary GCD).
+///
+/// Operands of up to 16 limbs run in stack buffers of 4, 8 or 16 limbs;
+/// wider ones run the same loop in heap buffers.
 pub fn gcd(a: &Ubig, b: &Ubig) -> Ubig {
     if a.is_zero() {
         return b.clone();
@@ -78,38 +93,86 @@ pub fn gcd(a: &Ubig, b: &Ubig) -> Ubig {
     if b.is_zero() {
         return a.clone();
     }
-    let (az, bz) = (a.trailing_zeros().unwrap(), b.trailing_zeros().unwrap());
-    let mut x = a.limbs().to_vec();
-    let mut y = b.limbs().to_vec();
-    shr_in_place(&mut x, az);
-    shr_in_place(&mut y, bz);
+    match a.limbs().len().max(b.limbs().len()) {
+        0..=4 => gcd_in(&mut [0; 4], &mut [0; 4], a, b),
+        5..=8 => gcd_in(&mut [0; 8], &mut [0; 8], a, b),
+        9..=MAX_LIMBS => gcd_in(&mut [0; MAX_LIMBS], &mut [0; MAX_LIMBS], a, b),
+        n => gcd_in(&mut vec![0; n], &mut vec![0; n], a, b),
+    }
+}
+
+/// The binary GCD of non-zero `a` and `b` in two zeroed buffers of equal
+/// length that hold both.
+#[inline(always)]
+fn gcd_in<'a>(mut x: &'a mut [u64], mut y: &'a mut [u64], a: &Ubig, b: &Ubig) -> Ubig {
+    x[..a.limbs().len()].copy_from_slice(a.limbs());
+    y[..b.limbs().len()].copy_from_slice(b.limbs());
+    let (az, bz) = (limbs::trailing_zeros(x), limbs::trailing_zeros(y));
+    limbs::shr_assign(x, az);
+    limbs::shr_assign(y, bz);
     // Both odd from here on: subtract the smaller from the larger, which
-    // leaves it even and non-zero, and shift its zeros away.
+    // leaves it even and non-zero, and shift its zeros away. `len` limbs
+    // hold both as they shrink.
+    let mut len = x.len();
     loop {
-        match limbs::cmp(&x, &y) {
+        while len > 1 && x[len - 1] | y[len - 1] == 0 {
+            len -= 1;
+        }
+        match limbs::cmp(&x[..len], &y[..len]) {
             Ordering::Equal => break,
             Ordering::Greater => core::mem::swap(&mut x, &mut y),
             Ordering::Less => {}
         }
-        limbs::sub_assign(&mut y, &x);
-        y.truncate(limbs::normalized_len(&y));
-        let tz = trailing_zeros(&y);
-        shr_in_place(&mut y, tz);
+        limbs::sub_assign(&mut y[..len], &x[..len]);
+        let tz = limbs::trailing_zeros(&y[..len]);
+        limbs::shr_assign(&mut y[..len], tz);
     }
-    Ubig::from_limbs(x).shl_bits(az.min(bz))
+    Ubig::from_limbs(x[..len].to_vec()).shl_bits(az.min(bz))
 }
 
-/// Trailing zero bits of a non-zero limb buffer.
-fn trailing_zeros(v: &[u64]) -> u32 {
-    let i = v.iter().position(|&l| l != 0).expect("non-zero");
-    64 * i as u32 + v[i].trailing_zeros()
-}
-
-/// `v >>= sh`, keeping `v` normalized (no high zero limbs).
-fn shr_in_place(v: &mut Vec<u64>, sh: u32) {
-    v.drain(..(sh / 64) as usize);
-    limbs::shr_small(v, sh % 64);
-    v.truncate(limbs::normalized_len(v));
+/// Kaliski's almost inverse on `N` limbs: for an odd modulus `m > 1` and
+/// `a < m`, returns `(s, k)` with `a·s ≡ 2ᵏ (mod m)`, `s < m` and
+/// `0 < k < 128·N`, or `None` when `gcd(a, m) ≠ 1`.
+///
+/// A binary extended GCD that only subtracts and shifts: no division, no
+/// halving modulo `m`, no allocation. The caller divides the `2ᵏ` out
+/// ([`crate::MontField::inverse`]).
+pub(crate) fn almost_inverse<const N: usize>(
+    a: &[u64; N],
+    m: &[u64; N],
+) -> Option<([u64; N], u32)> {
+    if a.iter().all(|&l| l == 0) {
+        return None;
+    }
+    // Invariants: u·s + v·r = m, a·s ≡ v·2ᵏ and a·r ≡ −u·2ᵏ (mod m). So
+    // s, r ≤ m while u, v ≥ 1, and neither ever overflows `N` limbs.
+    let (mut u, mut v) = (*m, *a);
+    let (mut r, mut s) = ([0u64; N], [0u64; N]);
+    s[0] = 1;
+    let mut k = limbs::trailing_zeros(&v);
+    limbs::shr_assign(&mut v, k);
+    let mut len = N;
+    loop {
+        while len > 1 && u[len - 1] | v[len - 1] == 0 {
+            len -= 1;
+        }
+        // Both odd: the larger loses the smaller, its coefficient gains the
+        // other's, and its zeros shift out while the other coefficient
+        // doubles.
+        let (big, small, big_c, small_c) = match limbs::cmp(&u[..len], &v[..len]) {
+            Ordering::Equal => break,
+            Ordering::Greater => (&mut u, &v, &mut r, &mut s),
+            Ordering::Less => (&mut v, &u, &mut s, &mut r),
+        };
+        limbs::sub_assign(&mut big[..len], &small[..len]);
+        limbs::add_assign(big_c, small_c);
+        let tz = limbs::trailing_zeros(&big[..len]);
+        limbs::shr_assign(&mut big[..len], tz);
+        limbs::shl_assign(small_c, tz);
+        k += tz;
+    }
+    // u = v = gcd(a, m).
+    (u[0] == 1 && u[1..len].iter().all(|&l| l == 0)).then_some((s, k))
 }
 
 /// A signed magnitude pair used internally by the extended Euclid loop.
@@ -182,13 +245,16 @@ pub fn ext_gcd_mod(a: &Ubig, m: &Ubig) -> (Ubig, Ubig) {
 }
 
 /// Modular inverse: `a^-1 mod m`, or `None` when `gcd(a, m) != 1`.
+///
+/// Every odd modulus of up to 16 limbs runs Kaliski's almost inverse on
+/// its interned kernel's 4, 8 or 16 limbs, with no division and no
+/// allocation; even or wider moduli fall back to [`ext_gcd_mod`].
 pub fn mod_inverse(a: &Ubig, m: &Ubig) -> Option<Ubig> {
-    let (g, x) = ext_gcd_mod(a, m);
-    if g.is_one() {
-        Some(x)
-    } else {
-        None
+    if let Some(ctx) = crate::fixed::mont_ctx(m) {
+        return ctx.inverse(a);
     }
+    let (g, x) = ext_gcd_mod(a, m);
+    g.is_one().then_some(x)
 }
 
 /// Jacobi symbol `(a/n)` for odd `n > 0`. Returns -1, 0 or 1.
@@ -227,6 +293,8 @@ pub fn jacobi(a: &Ubig, n: &Ubig) -> i32 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     fn u(v: u64) -> Ubig {
         Ubig::from_u64(v)
@@ -332,6 +400,113 @@ mod tests {
             prop_assert_eq!(gcd(&a, &b), gcd_ref(&a, &b));
             prop_assert_eq!(gcd(&a2, &b2), gcd_ref(&a2, &b2));
         }
+    }
+
+    /// `mod_inverse` as [`ext_gcd_mod`] defines it.
+    fn inverse_ref(a: &Ubig, m: &Ubig) -> Option<Ubig> {
+        let (g, x) = ext_gcd_mod(a, m);
+        g.is_one().then_some(x)
+    }
+
+    /// An odd number of exactly `bits` bits drawn from `seed`.
+    fn odd_bits(bits: u32, seed: u64) -> Ubig {
+        let mut v = crate::random_bits(&mut SmallRng::seed_from_u64(seed), bits);
+        v.set_bit(0);
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn inverse_matches_ext_gcd_at_4_8_and_16_limbs(
+            width in 0usize..3,
+            m_raw in prop::collection::vec(any::<u64>(), 16..=16),
+            a_raw in prop::collection::vec(any::<u64>(), 0..=17),
+        ) {
+            // An odd modulus of exactly 4, 8 or 16 limbs, so the kernel
+            // runs it, and any operand up to one limb wider (often ≥ m).
+            // About one random pair in five shares a small factor.
+            let limbs = [4, 8, 16][width];
+            let mut m = m_raw[..limbs].to_vec();
+            m[0] |= 1;
+            m[limbs - 1] = m[limbs - 1].max(1);
+            let m = Ubig::from_limbs(m);
+            prop_assert!(crate::fixed::mont_ctx(&m).is_some());
+            let a = Ubig::from_limbs(a_raw);
+            let inv = mod_inverse(&a, &m);
+            prop_assert_eq!(&inv, &inverse_ref(&a, &m));
+            if let Some(x) = inv {
+                prop_assert!(mod_mul(&a, &x, &m).is_one());
+            }
+        }
+
+        #[test]
+        fn gcd_matches_reference_at_4_8_16_and_17_limbs(
+            width in 0usize..4,
+            a_raw in prop::collection::vec(any::<u64>(), 17..=17),
+            b_raw in prop::collection::vec(any::<u64>(), 17..=17),
+            f in 1u64..(1 << 40),
+            twos in 0u32..24,
+        ) {
+            // A shared factor and a shared power of two, kept inside the
+            // width: 4, 8 and 16 limbs run on the stack, 17 in the heap.
+            let limbs = [4, 8, 16, 17][width];
+            let x = Ubig::from_limbs(a_raw[..limbs].to_vec()).shr_bits(64);
+            let y = Ubig::from_limbs(b_raw[..limbs].to_vec()).shr_bits(64);
+            let (a, b) = (x.mul_ref(&u(f)).shl_bits(twos), y.mul_ref(&u(f)));
+            prop_assert!(a.limbs().len() <= limbs && b.limbs().len() <= limbs);
+            prop_assert_eq!(gcd(&a, &b), gcd_ref(&a, &b));
+            prop_assert_eq!(gcd(&x, &y), gcd_ref(&x, &y));
+        }
+    }
+
+    #[test]
+    fn inverse_edge_operands_on_the_kernel_and_the_fallback() {
+        // 1, 4, 5, 8, 11 and 16 limbs run on the kernel; an even modulus
+        // and a 17-limb one take `ext_gcd_mod`.
+        let mut moduli: Vec<Ubig> = [(61, 1), (256, 2), (300, 3), (512, 4), (700, 5), (1024, 6)]
+            .map(|(bits, seed)| odd_bits(bits, seed))
+            .to_vec();
+        moduli.push(odd_bits(1024, 7).add_ref(&Ubig::one()));
+        moduli.push(odd_bits(1088, 8));
+        // A top limb of all ones puts every carry at its limit.
+        moduli.push(Ubig::one().shl_bits(1024).checked_sub(&u(3)).unwrap());
+        let wide = Ubig::one().shl_bits(1100).add_ref(&u(7));
+        for m in &moduli {
+            let kernel = crate::fixed::mont_ctx(m).is_some();
+            assert_eq!(kernel, m.is_odd() && m.limbs().len() <= 16, "m = {m}");
+            let m_minus_1 = m.checked_sub(&Ubig::one()).unwrap();
+            for a in [
+                u(0),
+                u(1),
+                u(2),
+                m_minus_1.clone(),
+                m.clone(),
+                m.add_ref(&u(1)),
+                m.mul_ref(&u(3)).add_ref(&u(2)),
+                wide.clone(),
+            ] {
+                let inv = mod_inverse(&a, m);
+                assert_eq!(inv, inverse_ref(&a, m), "a = {a}, m = {m}");
+                if let Some(x) = inv {
+                    assert!(mod_mul(&a, &x, m).is_one(), "a = {a}, m = {m}");
+                }
+            }
+            assert_eq!(mod_inverse(&Ubig::one(), m), Some(Ubig::one()));
+            assert_eq!(mod_inverse(&m_minus_1, m), Some(m_minus_1.clone()));
+            assert!(mod_inverse(&u(0), m).is_none());
+            assert!(mod_inverse(m, m).is_none());
+        }
+        // Non-units of a kernel modulus with known factors 3 and k.
+        let k = odd_bits(1000, 9);
+        let m = k.mul_ref(&u(3));
+        assert!(crate::fixed::mont_ctx(&m).is_some());
+        for a in [u(3), u(6), k.clone(), k.shl_bits(1), k.mul_ref(&u(3))] {
+            assert_eq!(mod_inverse(&a, &m), None, "a = {a}");
+        }
+        let two = mod_inverse(&u(2), &m).expect("2 is a unit");
+        assert!(mod_mul(&two, &u(2), &m).is_one());
     }
 
     #[test]

@@ -10,11 +10,15 @@
 //! Exponentiation uses 4-bit fixed windows; [`MontField::pow2`] walks two
 //! exponents together (Straus), so `a^x·b^y` pays for one chain of
 //! squarings. Inversion ([`MontField::inv`]) is Fermat's `a^(m−2)` and is
-//! only meaningful for prime moduli.
+//! only meaningful for prime moduli; [`crate::mod_inverse`] runs a binary
+//! extended GCD on the same limbs for any odd modulus. [`MulChain`] keeps
+//! a chain of products on the kernel.
 //!
 //! [`crate::mod_pow`] runs here for every odd modulus of up to 16 limbs
 //! (1024 bits), at the narrowest of 4, 8 or 16 limbs that holds it
 //! (`Limbs`); `egka-ec` picks its own 1–4 limb widths for curve fields.
+
+use std::sync::Arc;
 
 use crate::ubig::Ubig;
 
@@ -326,6 +330,168 @@ impl<const N: usize> MontField<N> {
         one[0] = 1;
         Ubig::from_limbs(self.redc_mul(&a.0, &one).to_vec())
     }
+
+    /// `a⁻¹ mod m` as a plain integer, or `None` when `gcd(a, m) ≠ 1`.
+    ///
+    /// Unlike [`MontField::inv`] this needs no prime modulus: Kaliski's
+    /// almost inverse leaves `s = a⁻¹·2ᵏ`, and one or two Montgomery
+    /// products by powers of two divide the `2ᵏ` out.
+    pub(crate) fn inverse(&self, a: &Ubig) -> Option<Ubig> {
+        let a = match (a.limbs().len() <= N).then(|| to_limbs::<N>(a)) {
+            Some(l) if crate::limbs::cmp(&l, &self.m).is_lt() => l,
+            _ => to_limbs(&a.rem_ref(&Ubig::from_limbs(self.m.to_vec()))),
+        };
+        let (s, k) = crate::modular::almost_inverse(&a, &self.m)?;
+        // redc(x, 2ʲ) = x·2ʲ·R⁻¹ with R = 2^bits, so j = bits − k divides
+        // by 2ᵏ; a k above bits first spends one R⁻¹ (k < 2·bits).
+        let bits = 64 * N as u32;
+        let mut one = [0u64; N];
+        one[0] = 1;
+        let (s, k) = if k > bits {
+            (self.redc_mul(&s, &one), k - bits)
+        } else {
+            (s, k)
+        };
+        let mut pow2 = [0u64; N];
+        let j = bits - k;
+        pow2[(j / 64) as usize] = 1 << (j % 64);
+        Some(Ubig::from_limbs(self.redc_mul(&s, &pow2).to_vec()))
+    }
+}
+
+/// A product modulo `m` on the interned kernel, with no division and no
+/// allocation per product.
+///
+/// The chain holds `acc = value·Rᵉ mod m` and leaves the power `e` of the
+/// Montgomery radix `R` to the end: a Montgomery product `acc·x·R⁻¹` with
+/// a plain factor `x` costs one kernel multiply and lowers `e` by one, so
+/// no factor is converted in. [`MulChain::value`] divides the `Rᵉ` out
+/// once, with a few squarings of `R mod m`. Moduli without a kernel (even,
+/// or wider than 16 limbs) multiply with [`crate::mod_mul`].
+///
+/// ```
+/// use egka_bigint::{MulChain, Ubig};
+///
+/// let m = Ubig::from_u64(1_000_003);
+/// let mut chain = MulChain::pow(&Ubig::from_u64(5), &Ubig::from_u64(3), &m);
+/// chain.mul(&Ubig::from_u64(7));
+/// assert_eq!(chain.value(), Ubig::from_u64(125 * 7));
+/// ```
+#[derive(Clone, Debug)]
+pub struct MulChain(Chain);
+
+#[derive(Clone, Debug)]
+enum Chain {
+    /// `acc = value·Rᵉ mod m`, reduced, in the kernel's low limbs; `e ≤ 1`.
+    Kernel(Arc<Kernel>, [u64; MAX_LIMBS], i64),
+    /// The plain product, then the modulus.
+    Plain(Ubig, Ubig),
+}
+
+fn widen<const N: usize>(a: [u64; N]) -> [u64; MAX_LIMBS] {
+    let mut w = [0; MAX_LIMBS];
+    w[..N].copy_from_slice(&a);
+    w
+}
+
+fn narrow<const N: usize>(w: &[u64; MAX_LIMBS]) -> [u64; N] {
+    let mut a = [0; N];
+    a.copy_from_slice(&w[..N]);
+    a
+}
+
+impl<const N: usize> MontField<N> {
+    /// `acc·x·R⁻¹` for a reduced `acc` and any plain `x`.
+    fn mul_plain(&self, acc: &[u64; N], x: &Ubig) -> [u64; N] {
+        if x.limbs().len() > N {
+            self.redc_mul(
+                acc,
+                &to_limbs(&x.rem_ref(&Ubig::from_limbs(self.m.to_vec()))),
+            )
+        } else {
+            self.redc_mul(acc, &to_limbs(x))
+        }
+    }
+
+    /// The plain value `acc·R⁻ᵉ mod m` for `e ≤ 1`.
+    fn unscale(&self, acc: &[u64; N], e: i64) -> Ubig {
+        let mut factor = [0u64; N];
+        if e == 1 {
+            factor[0] = 1;
+        } else {
+            // Montgomery form of R^t is R^(t+1), and R's own is R² mod m.
+            let r = Fe(self.r2);
+            let t = e.unsigned_abs();
+            let mut p = self.one;
+            for i in (0..u64::BITS - t.leading_zeros()).rev() {
+                p = self.sqr(&p);
+                if t >> i & 1 == 1 {
+                    p = self.mul(&p, &r);
+                }
+            }
+            factor = p.0;
+        }
+        Ubig::from_limbs(self.redc_mul(acc, &factor).to_vec())
+    }
+}
+
+impl MulChain {
+    /// The chain holding 1, modulo `m`.
+    ///
+    /// # Panics
+    /// Panics if `m` is zero or one.
+    pub fn new(m: &Ubig) -> Self {
+        assert!(!m.is_zero() && !m.is_one(), "modulus must be > 1");
+        MulChain(match crate::fixed::mont_ctx(m) {
+            Some(k) => Chain::Kernel(k, widen([1]), 0),
+            None => Chain::Plain(Ubig::one(), m.clone()),
+        })
+    }
+
+    /// The chain holding `base^e mod m`.
+    ///
+    /// # Panics
+    /// Panics if `m` is zero or one.
+    pub fn pow(base: &Ubig, e: &Ubig, m: &Ubig) -> Self {
+        MulChain(match crate::fixed::mont_ctx(m) {
+            Some(k) => {
+                let acc = with_limbs!(&*k, f => widen(f.pow(&f.to_mont(base), e.limbs()).0));
+                Chain::Kernel(k, acc, 1)
+            }
+            None => Chain::Plain(crate::mod_pow(base, e, m), m.clone()),
+        })
+    }
+
+    /// `self · x`.
+    pub fn mul(&mut self, x: &Ubig) {
+        match &mut self.0 {
+            Chain::Kernel(k, acc, e) => {
+                *acc = with_limbs!(&**k, f => widen(f.mul_plain(&narrow(acc), x)));
+                *e -= 1;
+            }
+            Chain::Plain(acc, m) => *acc = crate::mod_mul(acc, x, m),
+        }
+    }
+
+    /// `self · other`, for a chain under the same modulus.
+    pub fn mul_chain(&mut self, other: &MulChain) {
+        match (&mut self.0, &other.0) {
+            (Chain::Kernel(k, acc, e), Chain::Kernel(_, b, eb)) => {
+                *acc = with_limbs!(&**k, f => widen(f.redc_mul(&narrow(acc), &narrow(b))));
+                *e += eb - 1;
+            }
+            _ => self.mul(&other.value()),
+        }
+    }
+
+    /// The product as a plain integer in `[0, m)`.
+    pub fn value(&self) -> Ubig {
+        match &self.0 {
+            Chain::Kernel(_, acc, 0) => Ubig::from_limbs(acc.to_vec()),
+            Chain::Kernel(k, acc, e) => with_limbs!(&**k, f => f.unscale(&narrow(acc), *e)),
+            Chain::Plain(acc, _) => acc.clone(),
+        }
+    }
 }
 
 /// The widest kernel, in 64-bit limbs (1024 bits).
@@ -333,6 +499,7 @@ pub(crate) const MAX_LIMBS: usize = 16;
 
 /// One value per kernel width — 4, 8 or 16 limbs — chosen once from a
 /// modulus size.
+#[derive(Debug)]
 pub(crate) enum Limbs<T4, T8, T16> {
     L4(T4),
     L8(T8),
@@ -380,6 +547,11 @@ impl Kernel {
         with_limbs!(self, f => {
             f.to_ubig(&f.pow2(&f.to_mont(a), x.limbs(), &f.to_mont(b), y.limbs()))
         })
+    }
+
+    /// `a⁻¹ mod m`, or `None` when `a` is not a unit.
+    pub(crate) fn inverse(&self, a: &Ubig) -> Option<Ubig> {
+        with_limbs!(self, f => f.inverse(a))
     }
 }
 
@@ -559,6 +731,43 @@ mod tests {
         ] {
             let expect = mod_mul(&pow_ref(&a, x, &m), &pow_ref(&b, y, &m), &m);
             assert_eq!(crate::mod_pow2(&a, x, &b, y, &m), expect, "x {x} y {y}");
+        }
+    }
+
+    #[test]
+    fn mul_chain_matches_mod_mul_folds() {
+        let even = odd_modulus(1024, 19).add_ref(&Ubig::one());
+        let wide = odd_modulus(1088, 20);
+        for m in [
+            odd_modulus(61, 21),
+            odd_modulus(256, 22),
+            odd_modulus(1024, 23),
+            even,
+            wide,
+        ] {
+            // Factors below m, above it, and wider than any kernel.
+            let xs: Vec<Ubig> = (0..24u64)
+                .map(|i| odd_modulus([40, 1000, 1100][i as usize % 3], 100 + i))
+                .collect();
+            let fold = xs.iter().fold(Ubig::one(), |acc, x| mod_mul(&acc, x, &m));
+            assert_eq!(crate::mod_product(&xs, &m), fold, "m = {m}");
+            assert_eq!(crate::mod_product(&[], &m), Ubig::one());
+            assert_eq!(MulChain::new(&m).value(), Ubig::one());
+            // BD's key chain: a = b^e, then a ·= x and key ·= a, in turn.
+            let e = odd_modulus(160, 24);
+            let mut a = MulChain::pow(&xs[1], &e, &m);
+            let mut key = a.clone();
+            let mut a_ref = pow_ref(&xs[1], &e, &m);
+            let mut key_ref = a_ref.clone();
+            assert_eq!(a.value(), a_ref);
+            for x in &xs {
+                a.mul(x);
+                key.mul_chain(&a);
+                a_ref = mod_mul(&a_ref, x, &m);
+                key_ref = mod_mul(&key_ref, &a_ref, &m);
+                assert_eq!(a.value(), a_ref, "m = {m}");
+                assert_eq!(key.value(), key_ref, "m = {m}");
+            }
         }
     }
 

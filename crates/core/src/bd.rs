@@ -19,7 +19,10 @@
 //! Functions here are pure algebra; operation metering happens at the
 //! protocol layer (every function documents what the paper charges for it).
 
-use egka_bigint::{mod_mul, mod_pow, mod_pow2, mod_pow_fixed, random_below, SchnorrGroup, Ubig};
+use egka_bigint::{
+    mod_mul, mod_pow, mod_pow2, mod_pow_fixed, mod_product, random_below, MulChain, SchnorrGroup,
+    Ubig,
+};
 use rand::Rng;
 
 /// A user's Round-1 state: the secret exponent and the public share.
@@ -60,10 +63,7 @@ pub fn round2_x(group: &SchnorrGroup, r: &Ubig, z_prev: &Ubig, z_next: &Ubig) ->
 /// corrupted Round-2 value before deriving the key (all-multiply, no
 /// exponentiations).
 pub fn lemma1_holds(group: &SchnorrGroup, xs: &[Ubig]) -> bool {
-    let prod = xs
-        .iter()
-        .fold(Ubig::one(), |acc, x| mod_mul(&acc, x, &group.p));
-    prod.is_one()
+    mod_product(xs, &group.p).is_one()
 }
 
 /// Derives the group key for the user at ring position 0 of `ring_xs`.
@@ -72,17 +72,18 @@ pub fn lemma1_holds(group: &SchnorrGroup, xs: &[Ubig]) -> bool {
 /// user's own `X_i`**: `[X_i, X_{i+1}, …, X_{i+n-1}]` (indices mod `n`);
 /// `z_prev` is the predecessor's share and `r` this user's secret.
 ///
-/// Cost: 1 exponentiation + `2(n−1)` modular multiplications.
+/// Cost: 1 exponentiation + `2(n−1)` modular multiplications, all in
+/// Montgomery form ([`MulChain`]).
 pub fn compute_key(group: &SchnorrGroup, r: &Ubig, z_prev: &Ubig, ring_xs: &[Ubig]) -> Ubig {
     // A_0 = z_{i-1}^{r_i} = g^{r_{i-1} r_i}
-    let mut a = mod_pow(z_prev, r, &group.p);
+    let mut a = MulChain::pow(z_prev, r, &group.p);
     let mut key = a.clone();
     // A_{j+1} = A_j · X_{i+j} = g^{r_{i+j} r_{i+j+1}}
     for x in &ring_xs[..ring_xs.len() - 1] {
-        a = mod_mul(&a, x, &group.p);
-        key = mod_mul(&key, &a, &group.p);
+        a.mul(x);
+        key.mul_chain(&a);
     }
-    key
+    key.value()
 }
 
 /// Reference (slow) key computation straight from the definition

@@ -96,6 +96,11 @@ impl Pkg {
         &self.params
     }
 
+    /// The GQ PKG behind [`Pkg::extract`].
+    pub fn gq(&self) -> &GqPkg {
+        &self.gq_pkg
+    }
+
     /// Extracts the ID-based key for `id` (paper's Extract).
     pub fn extract(&self, id: UserId) -> GqSecretKey {
         self.gq_pkg.extract(&id.to_bytes())
@@ -162,6 +167,19 @@ mod tests {
         let key = pkg.extract(UserId(0));
         let lhs = egka_bigint::mod_pow(&key.s_id, &pkg.params().gq.e, &pkg.params().gq.n);
         assert_eq!(lhs, pkg.params().gq.hash_id(&UserId(0).to_bytes()));
+    }
+
+    #[test]
+    fn crt_extract_equals_the_plain_exponentiation() {
+        let mut rng = ChaChaRng::seed_from_u64(5);
+        for pkg in [Pkg::setup(&mut rng, SecurityProfile::Toy), paper_fixture()] {
+            let gq = pkg.gq();
+            for id in [0u32, 1, 7, 1 << 20, u32::MAX].map(UserId) {
+                let h = gq.params.hash_id(&id.to_bytes());
+                let plain = egka_bigint::mod_pow(&h, &gq.master().d, &gq.params.n);
+                assert_eq!(pkg.extract(id).s_id, plain, "{id:?}");
+            }
+        }
     }
 
     #[test]

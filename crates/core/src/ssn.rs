@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use egka_bigint::{mod_mul, mod_pow, Ubig};
+use egka_bigint::{mod_pow, mod_product, Ubig};
 use egka_energy::complexity::InitialProtocol;
 use egka_energy::{CompOp, Meter};
 use egka_hash::{hash_to_below, ChaChaRng};
@@ -131,9 +131,7 @@ fn node_machine(state: NodeState, n: usize) -> Engine<NodeState> {
             );
             s.meter.record(CompOp::ModExp); // X_i
             s.meter.record(CompOp::ModInv);
-            let z_prod =
-                s.zs.iter()
-                    .fold(Ubig::one(), |acc, z| mod_mul(&acc, z, &s.params.bd.p));
+            let z_prod = mod_product(&s.zs, &s.params.bd.p);
             let c = challenge(&s.params, s.id, &share.z, &x, &s.ts[s.idx], &z_prod);
             let resp = s.params.gq.respond(&s.key, &s.tau, &c);
             s.meter.record(CompOp::ModExp); // S^{c_i}
@@ -165,9 +163,7 @@ fn node_machine(state: NodeState, n: usize) -> Engine<NodeState> {
         // Per-sender implicit authentication + key (with confirmation
         // exponent).
         move |s: &mut NodeState| {
-            let z_prod =
-                s.zs.iter()
-                    .fold(Ubig::one(), |acc, z| mod_mul(&acc, z, &s.params.bd.p));
+            let z_prod = mod_product(&s.zs, &s.params.bd.p);
             for j in 0..n {
                 if j == s.idx {
                     continue;

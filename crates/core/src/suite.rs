@@ -154,7 +154,7 @@ impl SuiteId {
 /// Per-step execution context a scheduler hands to a suite's run
 /// constructors.
 pub struct StepCtx<'a> {
-    /// The PKG identities/keys are extracted from.
+    /// The PKG that extracts the keys of members no session holds yet.
     pub pkg: &'a Pkg,
     /// The (retry-salted) step seed: all of the step's randomness derives
     /// from it via [`mix`].
@@ -271,15 +271,15 @@ pub trait Suite: Send + Sync {
     ) -> Box<dyn SuiteRun>;
 
     /// Full re-run of the initial GKA over `members` (the planner's
-    /// fallback step; identical to [`Suite::initial`]).
+    /// fallback step): [`Suite::initial`], except that every member of
+    /// `session` keeps the key it carries and only the others are
+    /// extracted.
     fn full_rekey(
         &self,
         ctx: &StepCtx<'_>,
-        params: &Params,
+        session: &GroupSession,
         members: &[UserId],
-    ) -> Box<dyn SuiteRun> {
-        self.initial(ctx, params, members)
-    }
+    ) -> Box<dyn SuiteRun>;
 
     // ---- closed-form complexity hooks (group totals) ----
 
@@ -355,8 +355,19 @@ pub fn roles_total(roles: &[RoleCounts]) -> OpCounts {
     total
 }
 
-fn extract_keys(pkg: &Pkg, members: &[UserId]) -> Vec<GqSecretKey> {
-    members.iter().map(|&u| pkg.extract(u)).collect()
+/// Each member's GQ key: the one a session in `sessions` already carries,
+/// else a fresh extraction. Extract is the PKG's one-off provisioning
+/// step, so a rekey extracts only the ids that join with it.
+fn session_keys(pkg: &Pkg, sessions: &[&GroupSession], members: &[UserId]) -> Vec<GqSecretKey> {
+    members
+        .iter()
+        .map(|&u| {
+            sessions
+                .iter()
+                .find_map(|s| s.position_of(u).map(|i| s.members[i].gq_key.clone()))
+                .unwrap_or_else(|| pkg.extract(u))
+        })
+        .collect()
 }
 
 // ===================== the proposed suite =====================
@@ -370,14 +381,18 @@ impl Suite for ProposedSuite {
     }
 
     fn initial(&self, ctx: &StepCtx<'_>, params: &Params, members: &[UserId]) -> Box<dyn SuiteRun> {
-        let keys = extract_keys(ctx.pkg, members);
-        Box::new(ProposedInitial(GkaRun::new(
-            params,
-            &keys,
-            ctx.seed,
-            RunConfig::default(),
-            &ctx.faults(),
-        )))
+        let keys = session_keys(ctx.pkg, &[], members);
+        Box::new(ProposedInitial(gka_run(ctx, params, &keys)))
+    }
+
+    fn full_rekey(
+        &self,
+        ctx: &StepCtx<'_>,
+        session: &GroupSession,
+        members: &[UserId],
+    ) -> Box<dyn SuiteRun> {
+        let keys = session_keys(ctx.pkg, &[session], members);
+        Box::new(ProposedInitial(gka_run(ctx, &session.params, &keys)))
     }
 
     fn join_one(
@@ -425,18 +440,12 @@ impl Suite for ProposedSuite {
         session: &GroupSession,
         newcomers: &[UserId],
     ) -> Box<dyn SuiteRun> {
-        let keys = extract_keys(ctx.pkg, newcomers);
+        let keys = session_keys(ctx.pkg, &[], newcomers);
         // The merge half's seed (and its loss/radio salt) derives from the
         // step seed, so a retried attempt re-rolls both halves.
         let merge_seed = mix(ctx.seed, 0x6d);
         Box::new(ProposedMergeNewcomers {
-            gka: Some(GkaRun::new(
-                &session.params,
-                &keys,
-                ctx.seed,
-                RunConfig::default(),
-                &ctx.faults(),
-            )),
+            gka: Some(gka_run(ctx, &session.params, &keys)),
             merge: None,
             base: session.clone(),
             merge_seed,
@@ -496,6 +505,12 @@ impl Suite for ProposedSuite {
     fn merge_total(&self, n: u64, m: u64) -> OpCounts {
         roles_total(&proposed_merge(n, m))
     }
+}
+
+/// The proposed initial GKA over the holders of `keys`, on the step's seed
+/// and primary medium.
+fn gka_run(ctx: &StepCtx<'_>, params: &Params, keys: &[GqSecretKey]) -> GkaRun {
+    GkaRun::new(params, keys, ctx.seed, RunConfig::default(), &ctx.faults())
 }
 
 struct ProposedInitial(GkaRun);
@@ -747,11 +762,17 @@ impl BaselineSuite {
     }
 
     /// The full protocol run over `members` — the baseline realization of
-    /// every step.
-    fn rerun(&self, ctx: &StepCtx<'_>, params: &Params, members: &[UserId]) -> Box<dyn SuiteRun> {
+    /// every step. Members of `sessions` keep the GQ keys they carry.
+    fn rerun(
+        &self,
+        ctx: &StepCtx<'_>,
+        params: &Params,
+        sessions: &[&GroupSession],
+        members: &[UserId],
+    ) -> Box<dyn SuiteRun> {
         assert!(members.len() >= 2, "a group needs at least two members");
         let faults = ctx.faults();
-        let gq_keys = extract_keys(ctx.pkg, members);
+        let gq_keys = session_keys(ctx.pkg, sessions, members);
         let inner = match self.provision(ctx.seed, members) {
             Some(kit) => BaselineInner::AuthBd(AuthBdRun::new(
                 &params.bd,
@@ -776,7 +797,16 @@ impl Suite for BaselineSuite {
     }
 
     fn initial(&self, ctx: &StepCtx<'_>, params: &Params, members: &[UserId]) -> Box<dyn SuiteRun> {
-        self.rerun(ctx, params, members)
+        self.rerun(ctx, params, &[], members)
+    }
+
+    fn full_rekey(
+        &self,
+        ctx: &StepCtx<'_>,
+        session: &GroupSession,
+        members: &[UserId],
+    ) -> Box<dyn SuiteRun> {
+        self.rerun(ctx, &session.params, &[session], members)
     }
 
     fn join_one(
@@ -787,7 +817,7 @@ impl Suite for BaselineSuite {
     ) -> Box<dyn SuiteRun> {
         let mut members = session.member_ids();
         members.push(newcomer);
-        self.rerun(ctx, &session.params, &members)
+        self.rerun(ctx, &session.params, &[session], &members)
     }
 
     fn partition(
@@ -801,7 +831,7 @@ impl Suite for BaselineSuite {
             .into_iter()
             .filter(|u| !leavers.contains(u))
             .collect();
-        self.rerun(ctx, &session.params, &members)
+        self.rerun(ctx, &session.params, &[session], &members)
     }
 
     fn merge_newcomers(
@@ -812,7 +842,7 @@ impl Suite for BaselineSuite {
     ) -> Box<dyn SuiteRun> {
         let mut members = session.member_ids();
         members.extend_from_slice(newcomers);
-        self.rerun(ctx, &session.params, &members)
+        self.rerun(ctx, &session.params, &[session], &members)
     }
 
     fn merge_groups(
@@ -823,7 +853,7 @@ impl Suite for BaselineSuite {
     ) -> Box<dyn SuiteRun> {
         let mut members = host.member_ids();
         members.extend(other.member_ids());
-        self.rerun(ctx, &host.params, &members)
+        self.rerun(ctx, &host.params, &[host, other], &members)
     }
 }
 
@@ -966,6 +996,61 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Marks every key `session` carries (`s_id` + 1), so a key that was
+    /// extracted again would show.
+    fn marked(mut session: GroupSession) -> GroupSession {
+        for m in &mut session.members {
+            m.gq_key.s_id = m.gq_key.s_id.add_ref(&egka_bigint::Ubig::one());
+        }
+        session
+    }
+
+    /// The key `session` carries for `id`.
+    fn carried(session: &GroupSession, id: UserId) -> &GqSecretKey {
+        &session.members[session.position_of(id).expect("a member")].gq_key
+    }
+
+    #[test]
+    fn steps_reuse_carried_keys_and_extract_only_newcomers() {
+        let pkg = pkg();
+        let faults_for = |_s: u64| Faults::none();
+        // BD+ECDSA carries GQ keys without signing with them, so marked
+        // keys still agree.
+        let s = suite(SuiteId::BdEcdsa);
+        let agreed = |ids: [u32; 3], seed: u64| {
+            let members = ids.map(UserId);
+            let mut run = s.initial(&ctx(pkg, &faults_for, seed), pkg.params(), &members);
+            run_to_done(run.as_mut());
+            marked(run.finish().session)
+        };
+        let (host, other) = (agreed([1, 2, 3], 0x51), agreed([20, 21, 22], 0x52));
+
+        let ids = [UserId(2), UserId(21), UserId(99)];
+        let keys = session_keys(pkg, &[&host, &other], &ids);
+        assert_eq!(&keys[0], carried(&host, UserId(2)));
+        assert_eq!(&keys[1], carried(&other, UserId(21)));
+        assert_eq!(keys[2], pkg.extract(UserId(99)), "a newcomer is extracted");
+        assert_ne!(keys[0], pkg.extract(UserId(2)));
+
+        let mut merge = s.merge_groups(&ctx(pkg, &faults_for, 0x53), &host, &other);
+        run_to_done(merge.as_mut());
+        let merged = merge.finish().session;
+        assert_eq!(merged.n(), 6);
+        for m in &merged.members {
+            let from = if host.contains(m.id) { &host } else { &other };
+            assert_eq!(&m.gq_key, carried(from, m.id), "{:?}", m.id);
+        }
+
+        let members = [UserId(3), UserId(1), UserId(99)];
+        let mut rekey = s.full_rekey(&ctx(pkg, &faults_for, 0x54), &host, &members);
+        run_to_done(rekey.as_mut());
+        let rekeyed = rekey.finish().session;
+        assert_eq!(rekeyed.member_ids(), members);
+        assert_eq!(&rekeyed.members[0].gq_key, carried(&host, UserId(3)));
+        assert_eq!(&rekeyed.members[1].gq_key, carried(&host, UserId(1)));
+        assert_eq!(rekeyed.members[2].gq_key, pkg.extract(UserId(99)));
     }
 
     #[test]

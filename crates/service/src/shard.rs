@@ -619,7 +619,7 @@ fn build_step(
         RekeyStep::Partition { leavers } => s.partition(&step_ctx, session, leavers),
         RekeyStep::JoinOne { newcomer } => s.join_one(&step_ctx, session, *newcomer),
         RekeyStep::MergeNewcomers { newcomers } => s.merge_newcomers(&step_ctx, session, newcomers),
-        RekeyStep::FullRekey { members } => s.full_rekey(&step_ctx, &session.params, members),
+        RekeyStep::FullRekey { members } => s.full_rekey(&step_ctx, session, members),
     }
 }
 

@@ -33,7 +33,10 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-use egka_bigint::{gcd, gen_prime, mod_inverse, mod_mul, mod_pow, mod_pow2, random_unit, Ubig};
+use egka_bigint::{
+    gcd, gen_prime, mod_inverse, mod_mul, mod_pow, mod_pow2, mod_product, mod_sub, random_unit,
+    MulChain, Ubig,
+};
 use egka_hash::{challenge_hash, hash_to_unit};
 use rand::Rng;
 
@@ -100,6 +103,18 @@ pub struct GqPkg {
     /// Public parameters.
     pub params: GqParams,
     master: GqMasterKey,
+    crt: Crt,
+}
+
+/// The master key's CRT form, precomputed once per PKG.
+#[derive(Clone, Debug)]
+struct Crt {
+    /// `d mod (p' − 1)`.
+    dp: Ubig,
+    /// `d mod (q' − 1)`.
+    dq: Ubig,
+    /// `q'⁻¹ mod p'`.
+    q_inv: Ubig,
 }
 
 impl GqPkg {
@@ -119,7 +134,6 @@ impl GqPkg {
             if p == q {
                 continue;
             }
-            let n = p.mul_ref(&q);
             let phi = p
                 .checked_sub(&Ubig::one())
                 .unwrap()
@@ -131,11 +145,7 @@ impl GqPkg {
                     break cand;
                 }
             };
-            let d = mod_inverse(&e, &phi).expect("e coprime to phi");
-            return GqPkg {
-                params: GqParams { n, e },
-                master: GqMasterKey { p, q, d },
-            };
+            return Self::from_master(p, q, e);
         }
     }
 
@@ -143,8 +153,9 @@ impl GqPkg {
     /// pinned parameter fixtures).
     ///
     /// # Panics
-    /// Panics if `e` is not invertible modulo `Φ(p·q)`. Primality of the
-    /// factors is the caller's responsibility (fixture tests re-validate).
+    /// Panics if `e` is not invertible modulo `Φ(p·q)` or if `p = q`.
+    /// Primality of the factors is the caller's responsibility (fixture
+    /// tests re-validate).
     pub fn from_master(p: Ubig, q: Ubig, e: Ubig) -> Self {
         let n = p.mul_ref(&q);
         let phi = p
@@ -152,18 +163,35 @@ impl GqPkg {
             .unwrap()
             .mul_ref(&q.checked_sub(&Ubig::one()).unwrap());
         let d = mod_inverse(&e, &phi).expect("fixture e must be a unit mod phi");
+        let one = Ubig::one();
+        let crt = Crt {
+            dp: d.rem_ref(&p.checked_sub(&one).expect("p' > 1")),
+            dq: d.rem_ref(&q.checked_sub(&one).expect("q' > 1")),
+            q_inv: mod_inverse(&q, &p).expect("distinct primes"),
+        };
         GqPkg {
             params: GqParams { n, e },
             master: GqMasterKey { p, q, d },
+            crt,
         }
     }
 
     /// Extracts the ID key `S_ID = H(ID)^d mod n` (paper's Extract).
+    ///
+    /// Runs by the CRT: `H(ID)^d` modulo each prime factor, with `d`
+    /// reduced modulo that factor minus one, then Garner's recombination
+    /// `s = s_q + q·((s_p − s_q)·q⁻¹ mod p)`. Two half-size exponentiations
+    /// cost about a quarter of one `mod_pow(H(ID), d, n)`, with the same
+    /// result.
     pub fn extract(&self, id: &[u8]) -> GqSecretKey {
         let h = self.params.hash_id(id);
+        let GqMasterKey { p, q, .. } = &self.master;
+        let s_p = mod_pow(&h, &self.crt.dp, p);
+        let s_q = mod_pow(&h, &self.crt.dq, q);
+        let t = mod_mul(&mod_sub(&s_p, &s_q, p), &self.crt.q_inv, p);
         GqSecretKey {
             id: id.to_vec(),
-            s_id: mod_pow(&h, &self.master.d, &self.params.n),
+            s_id: s_q.add_ref(&q.mul_ref(&t)),
         }
     }
 
@@ -189,7 +217,7 @@ impl GqParams {
         let tau = random_unit(rng, &self.n);
         let t = mod_pow(&tau, &self.e, &self.n);
         let c = self.challenge(&t, msg);
-        let s = mod_mul(&tau, &mod_pow(&key.s_id, &c, &self.n), &self.n);
+        let s = self.respond(key, &tau, &c);
         GqSignature { s, c }
     }
 
@@ -253,15 +281,17 @@ impl GqParams {
         challenge_hash(&[&t_agg.to_bytes_be(), bind])
     }
 
-    /// Round-2 response `s = τ·S_ID^c mod n`.
+    /// Round-2 response `s = τ·S_ID^c mod n` (also Sign's response), with
+    /// `S_ID^c` kept in Montgomery form for the product.
     pub fn respond(&self, key: &GqSecretKey, tau: &Ubig, c: &Ubig) -> Ubig {
-        mod_mul(tau, &mod_pow(&key.s_id, c, &self.n), &self.n)
+        let mut s = MulChain::pow(&key.s_id, c, &self.n);
+        s.mul(tau);
+        s.value()
     }
 
     /// Aggregates commitments: `T = ∏ t_i mod n`.
     pub fn aggregate_commitments(&self, ts: &[Ubig]) -> Ubig {
-        ts.iter()
-            .fold(Ubig::one(), |acc, t| mod_mul(&acc, t, &self.n))
+        mod_product(ts, &self.n)
     }
 
     /// The paper's batch verification (eq. (2)): checks
@@ -281,22 +311,19 @@ impl GqParams {
         if ids.is_empty() || ids.len() != responses.len() {
             return false;
         }
-        let mut s_prod = Ubig::one();
-        for s in responses {
-            if s.is_zero() || s >= &self.n {
-                return false;
-            }
-            s_prod = mod_mul(&s_prod, s, &self.n);
+        if responses.iter().any(|s| s.is_zero() || s >= &self.n) {
+            return false;
         }
+        let s_prod = mod_product(responses, &self.n);
         // (∏ h_i)⁻¹ = ∏ h_i⁻¹, so the cached inverses give the same t.
-        let mut h_inv = Ubig::one();
+        let mut h_inv = MulChain::new(&self.n);
         for id in ids {
             match self.id_inverse(id) {
-                Some(inv) => h_inv = mod_mul(&h_inv, &inv, &self.n),
+                Some(inv) => h_inv.mul(&inv),
                 None => return false,
             }
         }
-        let t = mod_pow2(&s_prod, &self.e, &h_inv, c, &self.n);
+        let t = mod_pow2(&s_prod, &self.e, &h_inv.value(), c, &self.n);
         &self.shared_challenge(&t, bind) == c
     }
 }

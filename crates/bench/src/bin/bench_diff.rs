@@ -23,8 +23,9 @@
 //!   check. Instead, the in-binary old/new ratios, which cancel the
 //!   runner's speed, must clear absolute floors: `field_mul_speedup` 4×,
 //!   and `modmul_1024_speedup`, `fixed_base_mul_speedup`,
-//!   `fixed_base_modexp_speedup`, `inverse_1024_speedup` and
-//!   `gq_extract_speedup` 2×. Wall time is perfbench's job.
+//!   `fixed_base_modexp_speedup`, `inverse_1024_speedup`,
+//!   `gq_extract_speedup` and `ecdsa_cert_verify_speedup` 2×. Wall time is
+//!   perfbench's job.
 //!
 //! Exit code 1 on any failure, with every finding listed.
 
@@ -35,13 +36,14 @@ use egka_bench::json::Json;
 const SCHEMAS: [&str; 2] = ["egka-churn/1", "egka-primitives/1"];
 
 /// Floors on the primitives artifact's in-binary old/new ratios.
-const SPEEDUP_FLOORS: [(&str, f64); 6] = [
+const SPEEDUP_FLOORS: [(&str, f64); 7] = [
     ("field_mul_speedup", 4.0),
     ("modmul_1024_speedup", 2.0),
     ("fixed_base_mul_speedup", 2.0),
     ("fixed_base_modexp_speedup", 2.0),
     ("inverse_1024_speedup", 2.0),
     ("gq_extract_speedup", 2.0),
+    ("ecdsa_cert_verify_speedup", 2.0),
 ];
 
 /// Machine-dependent keys, exempt from the exact comparison.
@@ -218,6 +220,7 @@ mod tests {
       "fixed_base_modexp_speedup": 3.983,
       "inverse_1024_speedup": 4.262,
       "gq_extract_speedup": 3.381,
+      "ecdsa_cert_verify_speedup": 3.104,
       "wall_ms": 1139.0
     }"#;
 
@@ -390,6 +393,12 @@ mod tests {
                 "Extract below its floor",
                 "\"gq_extract_speedup\": 3.381",
                 "\"gq_extract_speedup\": 1.99",
+                true,
+            ),
+            (
+                "certificate verification below its floor",
+                "\"ecdsa_cert_verify_speedup\": 3.104",
+                "\"ecdsa_cert_verify_speedup\": 1.97",
                 true,
             ),
             (

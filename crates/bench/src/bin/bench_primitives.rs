@@ -33,6 +33,10 @@
 //!   the 16-factor products of BD's Lemma 1 and GQ's aggregation.
 //! * **GQ Extract** — `mod_pow(H(ID), d, n)` vs the CRT [`GqPkg::extract`]
 //!   on the paper's 1024-bit fixture modulus.
+//! * **ECDSA certificate verification** — [`Ecdsa::verify`] under the CA's
+//!   point (Straus over wNAF tables) vs [`CaPublic::verify`], which walks
+//!   the generator's comb and the CA key's prepared comb together
+//!   ([`egka_sig::Ecdsa::verify_prepared`]), on secp160r1.
 //!
 //! It also records single timings with no pair: variable-base EC scalar
 //! mult on a non-generator point, ECDSA sign and verify on secp160r1, DSA
@@ -43,7 +47,8 @@
 //! carries each pair as `*_ns` plus a `*_speedup` ratio; `bench_diff`
 //! holds `field_mul_speedup` above 4× and `modmul_1024_speedup`,
 //! `fixed_base_mul_speedup`, `fixed_base_modexp_speedup`,
-//! `inverse_1024_speedup` and `gq_extract_speedup` above 2× in CI.
+//! `inverse_1024_speedup`, `gq_extract_speedup` and
+//! `ecdsa_cert_verify_speedup` above 2× in CI.
 //! `--check-determinism`
 //! regenerates every workload from the seed and asserts the result
 //! fingerprint reproduces.
@@ -57,7 +62,10 @@ use egka_bigint::{
 };
 use egka_ec::{secp160r1, Curve, PairingGroup, Point};
 use egka_hash::ChaChaRng;
-use egka_sig::{Dsa, DsaSignature, Ecdsa, EcdsaSignature, GqPkg};
+use egka_sig::{
+    CaPublic, CaSignature, Certificate, CertificateAuthority, Dsa, DsaSignature, Ecdsa,
+    EcdsaSignature, GqPkg, SubjectKey,
+};
 use rand::SeedableRng;
 
 /// FNV-1a over every workload result — the determinism witness.
@@ -404,6 +412,62 @@ fn bench_ecdsa(seed: u64, fp: &mut Fnv) -> (f64, f64) {
     (sign_ns, verify_ns)
 }
 
+/// One secp160r1 CA and the certificates it issued; verifying them all
+/// here also builds the CA key's comb.
+fn cert_workload(seed: u64, fp: &mut Fnv) -> (CaPublic, Vec<Certificate>) {
+    let scheme = Ecdsa::new(secp160r1());
+    let mut rng = ChaChaRng::seed_from_u64(seed ^ 0xce27);
+    let mut ca = CertificateAuthority::new_ecdsa(&mut rng, b"bench-ca", scheme.clone());
+    let certs: Vec<Certificate> = (0..16u32)
+        .map(|i| {
+            let user = scheme.keygen(&mut rng);
+            ca.issue(&mut rng, &i.to_be_bytes(), SubjectKey::Ecdsa(user.q))
+        })
+        .collect();
+    let public = ca.public();
+    for cert in &certs {
+        assert!(plain_cert_verify(&public, cert), "plain verify rejects");
+        assert!(public.verify(cert), "prepared verify rejects");
+        fp.push(&cert.encode());
+    }
+    (public, certs)
+}
+
+/// The pre-comb certificate check: [`Ecdsa::verify`] under the CA's point.
+fn plain_cert_verify(ca: &CaPublic, cert: &Certificate) -> bool {
+    match (ca, &cert.signature) {
+        (CaPublic::Ecdsa(scheme, key), CaSignature::Ecdsa(sig)) => {
+            scheme.verify(key.point(), &cert.tbs_bytes(), sig)
+        }
+        _ => false,
+    }
+}
+
+/// Old and new alternate, one pass over the certificates each, so a
+/// change in host load lands on both sides of the ratio.
+fn bench_cert_verify(seed: u64, fp: &mut Fnv) -> Pair {
+    let (ca, certs) = cert_workload(seed, fp);
+    let rounds = 8;
+    let n = f64::from(rounds) * certs.len() as f64;
+    let (mut old_ns, mut new_ns) = (0.0, 0.0);
+    for _ in 0..rounds {
+        old_ns += per_op_ns(1, || {
+            for cert in &certs {
+                assert!(plain_cert_verify(&ca, cert));
+            }
+        });
+        new_ns += per_op_ns(1, || {
+            for cert in &certs {
+                assert!(ca.verify(cert));
+            }
+        });
+    }
+    Pair {
+        old_ns: old_ns / n,
+        new_ns: new_ns / n,
+    }
+}
+
 /// DSA verify on the Schnorr group, in ns per call.
 fn bench_dsa(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> f64 {
     let scheme = Dsa::new(group.clone());
@@ -486,6 +550,8 @@ fn main() {
     let (ecdsa_sign_ns, ecdsa_verify_ns) = bench_ecdsa(seed, &mut fp);
     println!("{:24} {ecdsa_sign_ns:>12.0} ns", "ecdsa_sign");
     println!("{:24} {ecdsa_verify_ns:>12.0} ns", "ecdsa_verify");
+    let cert_verify = bench_cert_verify(seed, &mut fp);
+    cert_verify.print("ecdsa_cert_verify");
     let dsa_verify_ns = bench_dsa(seed, &group, &mut fp);
     println!("{:24} {dsa_verify_ns:>12.0} ns", "dsa_verify");
     let gq_verify_ns = bench_gq_verify(seed, &mut fp);
@@ -505,6 +571,7 @@ fn main() {
         inverse_workload(seed, &mut again);
         extract_workload(&mut again);
         bench_ecdsa(seed, &mut again);
+        cert_workload(seed, &mut again);
         bench_dsa(seed, &group, &mut again);
         bench_gq_verify(seed, &mut again);
         assert_eq!(
@@ -549,6 +616,9 @@ fn main() {
          \"gq_extract_speedup\": {:.3},\n  \
          \"ecdsa_sign_ns\": {ecdsa_sign_ns:.0},\n  \
          \"ecdsa_verify_ns\": {ecdsa_verify_ns:.0},\n  \
+         \"plain_ecdsa_cert_verify_ns\": {:.0},\n  \
+         \"ecdsa_cert_verify_ns\": {:.0},\n  \
+         \"ecdsa_cert_verify_speedup\": {:.3},\n  \
          \"dsa_verify_ns\": {dsa_verify_ns:.0},\n  \
          \"gq_verify_ns\": {gq_verify_ns:.0},\n  \
          \"wall_ms\": {wall_ms:.1}\n}}\n",
@@ -576,6 +646,9 @@ fn main() {
         extract.old_ns,
         extract.new_ns,
         extract.speedup(),
+        cert_verify.old_ns,
+        cert_verify.new_ns,
+        cert_verify.speedup(),
     );
     let json_path = arg_value("--json").unwrap_or_else(|| "BENCH_primitives.json".into());
     if json_path != "-" {

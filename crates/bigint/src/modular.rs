@@ -136,7 +136,7 @@ fn gcd_in<'a>(mut x: &'a mut [u64], mut y: &'a mut [u64], a: &Ubig, b: &Ubig) ->
 ///
 /// A binary extended GCD that only subtracts and shifts: no division, no
 /// halving modulo `m`, no allocation. The caller divides the `2ᵏ` out
-/// ([`crate::MontField::inverse`]).
+/// ([`crate::MontField::inv`]).
 pub(crate) fn almost_inverse<const N: usize>(
     a: &[u64; N],
     m: &[u64; N],

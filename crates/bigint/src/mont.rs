@@ -9,10 +9,10 @@
 //!
 //! Exponentiation uses 4-bit fixed windows; [`MontField::pow2`] walks two
 //! exponents together (Straus), so `a^x·b^y` pays for one chain of
-//! squarings. Inversion ([`MontField::inv`]) is Fermat's `a^(m−2)` and is
-//! only meaningful for prime moduli; [`crate::mod_inverse`] runs a binary
-//! extended GCD on the same limbs for any odd modulus. [`MulChain`] keeps
-//! a chain of products on the kernel.
+//! squarings. Inversion ([`MontField::inv`]) is Kaliski's almost inverse,
+//! a binary extended GCD on the same limbs, and holds for any odd modulus;
+//! [`crate::mod_inverse`] runs on it too. [`MulChain`] keeps a chain of
+//! products on the kernel.
 //!
 //! [`crate::mod_pow`] runs here for every odd modulus of up to 16 limbs
 //! (1024 bits), at the narrowest of 4, 8 or 16 limbs that holds it
@@ -46,8 +46,8 @@ pub struct MontField<const N: usize> {
     r2: [u64; N],
     /// `R mod m`, the Montgomery form of 1.
     one: Fe<N>,
-    /// `m − 2`, the Fermat inversion exponent.
-    inv_exp: [u64; N],
+    /// `R³ mod m`, the factor that restores `R²` after an inversion.
+    r3: [u64; N],
 }
 
 /// `acc + a·b + carry` as (low, high) words.
@@ -119,7 +119,7 @@ impl<const N: usize> MontField<N> {
             m_inv: inv64(limbs[0]).wrapping_neg(),
             r2: to_limbs(&r.square().rem_ref(m)),
             one: Fe(to_limbs(&r.rem_ref(m))),
-            inv_exp: to_limbs(&m.checked_sub(&Ubig::from_u64(2)).expect("m > 2")),
+            r3: to_limbs(&r.square().mul_ref(&r).rem_ref(m)),
         }
     }
 
@@ -295,10 +295,25 @@ impl<const N: usize> MontField<N> {
         self.multi_pow(&[(&ta, x), (&tb, y)])
     }
 
-    /// `a⁻¹` by Fermat (`a^(m−2)`), or `None` for zero. Correct only for
-    /// a prime modulus.
+    /// `a⁻¹`, or `None` when `a` is zero or shares a factor with `m`.
+    ///
+    /// Kaliski's almost inverse of the stored `a·R` leaves
+    /// `s = (a·R)⁻¹·2ᵏ` with `0 < k < 2·64·N`, and the Montgomery form of
+    /// `a⁻¹` is `s·R²·2⁻ᵏ`. Two Montgomery products reach it: by `R³` then
+    /// `2^(64·N − k)` when `k ≤ 64·N`, else by `R²` then `2^(2·64·N − k)`.
+    /// No prime modulus is needed.
     pub fn inv(&self, a: &Fe<N>) -> Option<Fe<N>> {
-        (!a.is_zero()).then(|| self.pow(a, &self.inv_exp))
+        let (s, k) = crate::modular::almost_inverse(&a.0, &self.m)?;
+        // redc(x, y) = x·y·R⁻¹ with R = 2^bits.
+        let bits = 64 * N as u32;
+        let (restore, j) = if k > bits {
+            (&self.r2, 2 * bits - k)
+        } else {
+            (&self.r3, bits - k)
+        };
+        let mut pow2 = [0u64; N];
+        pow2[(j / 64) as usize] = 1 << (j % 64);
+        Some(Fe(self.redc_mul(&self.redc_mul(&s, restore), &pow2)))
     }
 
     /// Montgomery form of an arbitrary integer (reduced modulo `m`).
@@ -329,33 +344,6 @@ impl<const N: usize> MontField<N> {
         let mut one = [0u64; N];
         one[0] = 1;
         Ubig::from_limbs(self.redc_mul(&a.0, &one).to_vec())
-    }
-
-    /// `a⁻¹ mod m` as a plain integer, or `None` when `gcd(a, m) ≠ 1`.
-    ///
-    /// Unlike [`MontField::inv`] this needs no prime modulus: Kaliski's
-    /// almost inverse leaves `s = a⁻¹·2ᵏ`, and one or two Montgomery
-    /// products by powers of two divide the `2ᵏ` out.
-    pub(crate) fn inverse(&self, a: &Ubig) -> Option<Ubig> {
-        let a = match (a.limbs().len() <= N).then(|| to_limbs::<N>(a)) {
-            Some(l) if crate::limbs::cmp(&l, &self.m).is_lt() => l,
-            _ => to_limbs(&a.rem_ref(&Ubig::from_limbs(self.m.to_vec()))),
-        };
-        let (s, k) = crate::modular::almost_inverse(&a, &self.m)?;
-        // redc(x, 2ʲ) = x·2ʲ·R⁻¹ with R = 2^bits, so j = bits − k divides
-        // by 2ᵏ; a k above bits first spends one R⁻¹ (k < 2·bits).
-        let bits = 64 * N as u32;
-        let mut one = [0u64; N];
-        one[0] = 1;
-        let (s, k) = if k > bits {
-            (self.redc_mul(&s, &one), k - bits)
-        } else {
-            (s, k)
-        };
-        let mut pow2 = [0u64; N];
-        let j = bits - k;
-        pow2[(j / 64) as usize] = 1 << (j % 64);
-        Some(Ubig::from_limbs(self.redc_mul(&s, &pow2).to_vec()))
     }
 }
 
@@ -551,7 +539,7 @@ impl Kernel {
 
     /// `a⁻¹ mod m`, or `None` when `a` is not a unit.
     pub(crate) fn inverse(&self, a: &Ubig) -> Option<Ubig> {
-        with_limbs!(self, f => f.inverse(a))
+        with_limbs!(self, f => f.inv(&f.to_mont(a)).map(|x| f.to_ubig(&x)))
     }
 }
 
@@ -636,6 +624,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `inv` of the `N`-limb kernel for prime `p`, against Fermat's
+    /// `a^(p−2)` on the same kernel.
+    fn check_inv<const N: usize>(p: &Ubig, seed: u64) {
+        let f = MontField::<N>::new(p);
+        let fermat = p.checked_sub(&u(2)).unwrap();
+        let mut values = edges(p).to_vec();
+        values.extend((0..8).map(|i| odd_modulus(p.bit_length() + 8, seed + i).rem_ref(p)));
+        for a in &values {
+            let fa = f.to_mont(a);
+            let want = (!a.is_zero()).then(|| f.pow(&fa, fermat.limbs()));
+            assert_eq!(f.inv(&fa), want, "a = {a}, p = {p}");
+        }
+    }
+
+    #[test]
+    fn inv_matches_fermat_at_every_width() {
+        let mut rng = SmallRng::seed_from_u64(30);
+        let prime = |bits: u32, rng: &mut SmallRng| crate::gen_prime(rng, bits);
+        check_inv::<1>(&prime(61, &mut rng), 31);
+        check_inv::<1>(&u(3), 32);
+        check_inv::<2>(&prime(127, &mut rng), 33);
+        check_inv::<3>(&prime(161, &mut rng), 34);
+        check_inv::<4>(&prime(256, &mut rng), 35);
+        check_inv::<8>(&prime(509, &mut rng), 36);
+        check_inv::<16>(&prime(1000, &mut rng), 37);
+        // A narrow prime in a wide kernel: k stays far below 64·N.
+        check_inv::<16>(&prime(64, &mut rng), 38);
+    }
+
+    #[test]
+    fn inv_of_a_non_unit_or_zero_is_none() {
+        // 3·5·7·11·13 and a 1024-bit odd composite with a known factor.
+        let small = u(15015);
+        let f = MontField::<1>::new(&small);
+        for a in [0u64, 3, 5, 7, 11, 13, 21, 15015 - 3] {
+            assert_eq!(f.inv(&f.to_mont(&u(a))), None, "a = {a}");
+        }
+        for a in [1u64, 2, 4, 16, 15014] {
+            let fa = f.to_mont(&u(a));
+            let inv = f.inv(&fa).expect("a unit");
+            assert_eq!(f.mul(&fa, &inv), f.one(), "a = {a}");
+        }
+        let q = odd_modulus(500, 39);
+        let m = q.mul_ref(&odd_modulus(520, 40));
+        let f = MontField::<16>::new(&m);
+        assert_eq!(f.inv(&Fe::ZERO), None);
+        assert_eq!(f.inv(&f.to_mont(&q)), None);
+        assert_eq!(f.inv(&f.to_mont(&q.mul_ref(&u(12345)))), None);
+        let unit = f.to_mont(&u(2).shl_bits(700));
+        let inv = f.inv(&unit).expect("a power of two is a unit");
+        assert_eq!(f.mul(&unit, &inv), f.one());
     }
 
     #[test]

@@ -20,14 +20,14 @@
 
 use std::sync::Arc;
 
-use egka_bigint::{mod_inverse, mod_mul, mod_pow, Ubig};
+use egka_bigint::{mod_mul, mod_pow, mod_pow_fixed, Ubig};
 use egka_energy::complexity::{JOIN_M1_BITS, JOIN_MNN_BITS, JOIN_MN_BITS, JOIN_M_NEW_BITS};
 use egka_energy::{CompOp, Meter, OpCounts, Scheme};
 use egka_hash::ChaChaRng;
 use egka_sig::{GqSecretKey, GqSignature};
 use rand::SeedableRng;
 
-use crate::dynamics::{open_key, seal_key};
+use crate::dynamics::{k_star, open_key, seal_key};
 use crate::group::{GroupSession, MemberState};
 use crate::ident::UserId;
 use crate::machine::{Dest, Engine, Execution, Faults, Metered, Outgoing, Phase, PhaseOut, Pump};
@@ -349,22 +349,14 @@ fn controller_phases(
                 }
             };
             // K* = K · (z_2 · z_n)^{−r_1} · (z_2 · z_{n+1})^{r'_1}  (eq. 5)
-            let a = mod_mul(&z2, &zn, &s.params.bd.p);
-            let a_inv = mod_inverse(&a, &s.params.bd.p).expect("unit");
+            let ks = k_star(&s.params.bd, &old_key, &z2, &zn, &member.r, &z_new, &r1p);
+            // The paper's operation count: the inversion and both powers.
             s.meter.record(CompOp::ModInv);
-            let term1 = mod_pow(&a_inv, &member.r, &s.params.bd.p);
             s.meter.record(CompOp::ModExp);
-            let b = mod_mul(&z2, &z_new, &s.params.bd.p);
-            let term2 = mod_pow(&b, &r1p, &s.params.bd.p);
             s.meter.record(CompOp::ModExp);
-            let ks = mod_mul(
-                &mod_mul(&old_key, &term1, &s.params.bd.p),
-                &term2,
-                &s.params.bd.p,
-            );
             // Composable mode: also derive and ship z'_1 (one extra exp).
             let z1p = if composable {
-                let z = mod_pow(&s.params.bd.g, &r1p, &s.params.bd.p);
+                let z = mod_pow_fixed(&s.params.bd.g, &r1p, &s.params.bd.p);
                 s.meter.record(CompOp::ModExp);
                 Some(z)
             } else {
@@ -384,7 +376,7 @@ fn controller_phases(
                 // Paper-exact mode: z'_1 exists mathematically but is never
                 // divulged; the omniscient session bookkeeping recomputes
                 // it un-metered (a real peer could not).
-                mod_pow(&s.params.bd.g, &r1p, &s.params.bd.p)
+                mod_pow_fixed(&s.params.bd.g, &r1p, &s.params.bd.p)
             }));
             s.new_r1 = Some(r1p);
             s.k_star = Some(ks);
@@ -538,6 +530,30 @@ mod tests {
     use super::*;
     use crate::dynamics::testutil::{new_member, session};
     use egka_energy::complexity::proposed_join;
+
+    #[test]
+    fn k_star_equals_the_inversion_form() {
+        use egka_bigint::mod_inverse;
+        use rand::SeedableRng;
+        for seed in 1..=4u64 {
+            let mut rng = egka_hash::ChaChaRng::seed_from_u64(0x4b53 ^ seed);
+            // The Toy profile's sizes.
+            let g = egka_bigint::gen_schnorr_group(&mut rng, 256, 96);
+            for _ in 0..4 {
+                let [u1, z2, zn, un1, key] = [(); 5].map(|_| crate::bd::round1_share(&mut rng, &g));
+                let r1p = crate::bd::round1_share(&mut rng, &g).r;
+                let p = &g.p;
+                let a_inv = mod_inverse(&mod_mul(&z2.z, &zn.z, p), p).expect("a unit");
+                let want = mod_mul(
+                    &mod_mul(&key.z, &mod_pow(&a_inv, &u1.r, p), p),
+                    &mod_pow(&mod_mul(&z2.z, &un1.z, p), &r1p, p),
+                    p,
+                );
+                let got = k_star(&g, &key.z, &z2.z, &zn.z, &u1.r, &un1.z, &r1p);
+                assert_eq!(got, want, "seed {seed}");
+            }
+        }
+    }
 
     #[test]
     fn join_agrees_and_preserves_invariant() {

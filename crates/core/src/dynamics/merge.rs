@@ -20,14 +20,14 @@
 
 use std::sync::Arc;
 
-use egka_bigint::{mod_inverse, mod_mul, mod_pow, Ubig};
+use egka_bigint::{mod_mul, mod_pow, mod_pow_fixed, Ubig};
 use egka_energy::complexity::{MERGE_R1_BITS, MERGE_R2_BITS, MERGE_R3_BITS};
 use egka_energy::{CompOp, Meter, OpCounts, Scheme};
 use egka_hash::ChaChaRng;
 use egka_sig::GqSignature;
 use rand::SeedableRng;
 
-use crate::dynamics::{open_key, seal_key};
+use crate::dynamics::{k_star, open_key, seal_key};
 use crate::group::{GroupSession, MemberState};
 use crate::ident::UserId;
 use crate::machine::{Dest, Engine, Execution, Faults, Metered, Outgoing, Phase, PhaseOut, Pump};
@@ -78,8 +78,6 @@ struct CtrlSpec {
     z_second: Ubig,
     /// `z_n` for A; `z_{n+m}` for B (own group's edge share).
     z_edge: Ubig,
-    /// True for group A's `U_1` (decides the eq. (7) vs (8) shape).
-    is_a: bool,
 }
 
 fn controller_phases(
@@ -94,7 +92,6 @@ fn controller_phases(
         peer_id,
         z_second,
         z_edge,
-        is_a,
     } = spec;
     let member2 = member.clone();
     let own_id = member.id;
@@ -109,7 +106,7 @@ fn controller_phases(
                     break r;
                 }
             };
-            let z_new = mod_pow(&s.params.bd.g, &r_new, &s.params.bd.p);
+            let z_new = mod_pow_fixed(&s.params.bd.g, &r_new, &s.params.bd.p);
             s.meter.record(CompOp::ModExp);
             let mut body = Writer::new();
             body.put_id(member.id)
@@ -153,26 +150,23 @@ fn controller_phases(
             let r_new = s.r_new.as_ref().expect("refreshed");
             let k_dh = mod_pow(&z_peer, r_new, &s.params.bd.p);
             s.meter.record(CompOp::ModExp);
-            let p = &s.params.bd.p;
-            let half = if is_a {
-                // K*_A = K_A · (z_2 z_n)^{−r_1} · (z_2 z_{n+m})^{r'_1}
-                let t1_base = mod_inverse(&mod_mul(&z_second, &z_edge, p), p).expect("unit");
-                s.meter.record(CompOp::ModInv);
-                let t1 = mod_pow(&t1_base, &member2.r, p);
-                s.meter.record(CompOp::ModExp);
-                let t2 = mod_pow(&mod_mul(&z_second, &edge_peer, p), r_new, p);
-                s.meter.record(CompOp::ModExp);
-                mod_mul(&mod_mul(&group_key, &t1, p), &t2, p)
-            } else {
-                // K*_B = K_B · (z_n z_{n+2})^{r'_{n+1}} · (z_{n+2} z_{n+m})^{−r_{n+1}}
-                let t1 = mod_pow(&mod_mul(&edge_peer, &z_second, p), r_new, p);
-                s.meter.record(CompOp::ModExp);
-                let t2_base = mod_inverse(&mod_mul(&z_second, &z_edge, p), p).expect("unit");
-                s.meter.record(CompOp::ModInv);
-                let t2 = mod_pow(&t2_base, &member2.r, p);
-                s.meter.record(CompOp::ModExp);
-                mod_mul(&mod_mul(&group_key, &t1, p), &t2, p)
-            };
+            // K*_A = K_A · (z_2 z_n)^{−r_1} · (z_2 z_{n+m})^{r'_1}
+            // K*_B = K_B · (z_n z_{n+2})^{r'_{n+1}} · (z_{n+2} z_{n+m})^{−r_{n+1}}
+            // Both pair the own second share with the own edge (power −r)
+            // and with the peer's edge (power r').
+            let half = k_star(
+                &s.params.bd,
+                &group_key,
+                &z_second,
+                &z_edge,
+                &member2.r,
+                &edge_peer,
+                r_new,
+            );
+            // The paper's operation count: the inversion and both powers.
+            s.meter.record(CompOp::ModInv);
+            s.meter.record(CompOp::ModExp);
+            s.meter.record(CompOp::ModExp);
             // Seal the half-key under the group key and under the DH key.
             let env_group = seal_key(&mut s.rng, &s.km, &half, member2.id, None);
             s.meter.record(CompOp::SymEnc);
@@ -326,7 +320,6 @@ impl MergeRun {
                         peer_id: un1.id,
                         z_second: a.z_of(1).clone(),
                         z_edge: a.z_of(n - 1).clone(),
-                        is_a: true,
                     },
                     net_ids[n],
                     // A's bystanders + the peer controller.
@@ -341,7 +334,6 @@ impl MergeRun {
                         peer_id: u1.id,
                         z_second: b.z_of(1).clone(),
                         z_edge: b.z_of(m - 1).clone(),
-                        is_a: false,
                     },
                     net_ids[0],
                     (n + 1..n + m)

@@ -36,12 +36,40 @@ pub use join::{join, JoinOutcome, JoinRun};
 pub use leave::{leave, partition, LeaveOutcome, LeaveRun};
 pub use merge::{merge, merge_many, MergeOutcome, MergeRun};
 
-use egka_bigint::Ubig;
+use egka_bigint::{mod_mul, mod_pow2, SchnorrGroup, Ubig};
 use egka_symmetric::Envelope;
 use rand::Rng;
 
 use crate::ident::UserId;
 use crate::wire::{Reader, Writer};
+
+/// A controller's re-keyed `K* = K · (z_a · z_b)^{−r} · (z_a · z_c)^{r'}`:
+/// Join's eq. (5) (`z_2`, `z_n`, the newcomer's `z_{n+1}`) and each half of
+/// Merge's eqs. (7)/(8) (own second share, own edge, the peer's edge). It
+/// runs as `K · (z_a · z_b)^{q−r} · (z_a · z_c)^{r'}`, one two-base
+/// exponentiation and no inversion, like [`crate::bd::round2_x`]:
+/// bit-identical to the inversion form on subgroup shares, and a value
+/// (never a panic) for any peer-supplied `z_c`.
+pub(crate) fn k_star(
+    bd: &SchnorrGroup,
+    key: &Ubig,
+    z_a: &Ubig,
+    z_b: &Ubig,
+    r: &Ubig,
+    z_c: &Ubig,
+    r_new: &Ubig,
+) -> Ubig {
+    let p = &bd.p;
+    let neg_r = bd.q.checked_sub(r).expect("r < q");
+    let t = mod_pow2(
+        &mod_mul(z_a, z_b, p),
+        &neg_r,
+        &mod_mul(z_a, z_c, p),
+        r_new,
+        p,
+    );
+    mod_mul(key, &t, p)
+}
 
 /// Seals `key_value ‖ sender_id` (and optionally an extra share) under
 /// symmetric key material, as the paper's `E_K(K* ‖ U)`.

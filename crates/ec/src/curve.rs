@@ -14,8 +14,14 @@ use egka_bigint::Ubig;
 use rand::Rng;
 
 use crate::field::Fp;
-use crate::jacobian::AnyEngine;
+use crate::jacobian::{AnyComb, AnyEngine};
 use crate::mont::{with_width, AnyField, MAX_LIMBS};
+
+/// Teeth of a [`PreparedPoint`]'s comb: 63 entries and `⌈bits/6⌉`
+/// columns. A prepared key is built for one CA and verified against a
+/// dozen times or so, where 6 teeth beat both 4 (cheaper table, longer
+/// walk) and 8 (shorter walk, four times the table).
+const PREPARED_TEETH: u32 = 6;
 
 /// An affine curve point, or the point at infinity.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,6 +55,18 @@ impl Point {
             Point::Affine { x, y } => Some((x, y)),
         }
     }
+}
+
+/// A point with its Lim–Lee comb, built by [`Curve::prepare`] for a point
+/// that is multiplied many times (a CA key verifying certificate after
+/// certificate): [`Curve::mul_gen_add`] then walks it and the
+/// generator's comb together.
+#[derive(Debug)]
+pub struct PreparedPoint {
+    point: Point,
+    /// The arithmetic of the curve that built the comb.
+    arith: Arc<Arith>,
+    comb: AnyComb,
 }
 
 /// A short-Weierstrass curve with a distinguished prime-order subgroup.
@@ -262,8 +280,30 @@ impl Curve {
     /// clone-shared) Lim–Lee comb: `⌈bits/8⌉` doublings + as many mixed
     /// additions instead of a full wNAF walk.
     pub fn mul_gen(&self, k: &Ubig) -> Point {
-        let k = k.rem_ref(&self.order);
-        with_width!(&self.arith.engine, e => e.mul_gen(&k))
+        self.arith.engine.mul_gen(&k.rem_ref(&self.order))
+    }
+
+    /// Builds `q`'s comb, for [`Curve::mul_gen_add`]. On secp160r1 it
+    /// costs about one [`Curve::mul_mul_add`], and each `mul_gen_add`
+    /// after it about a third of one.
+    pub fn prepare(&self, q: &Point) -> PreparedPoint {
+        PreparedPoint {
+            point: q.clone(),
+            arith: Arc::clone(&self.arith),
+            comb: self.arith.engine.prepare(q, PREPARED_TEETH),
+        }
+    }
+
+    /// `u1·G + u2·Q` (ECDSA verification under a prepared key): one column
+    /// walk over the generator's and `Q`'s combs, sharing one doubling
+    /// chain. Scalars are reduced modulo the subgroup order. A point
+    /// prepared by another curve is multiplied by [`Curve::mul_mul_add`].
+    pub fn mul_gen_add(&self, u1: &Ubig, u2: &Ubig, q: &PreparedPoint) -> Point {
+        if !Arc::ptr_eq(&self.arith, &q.arith) {
+            return self.mul_mul_add(u1, &self.gen, u2, &q.point);
+        }
+        let (u1, u2) = (u1.rem_ref(&self.order), u2.rem_ref(&self.order));
+        self.arith.engine.mul_gen_add(&u1, &u2, &q.comb)
     }
 
     /// `a · b mod order`, for signature scalars.
@@ -274,8 +314,8 @@ impl Curve {
         self.scalars().mul(a, b)
     }
 
-    /// `a⁻¹ mod order` by Fermat's little theorem, or `None` for
-    /// `a ≡ 0`. The order must be prime, as every named curve's is.
+    /// `a⁻¹ mod order`, or `None` for `a ≡ 0` (or, for a composite
+    /// order, any non-unit).
     ///
     /// # Panics
     /// Panics if the subgroup order is even or wider than 256 bits.
@@ -290,6 +330,13 @@ impl Curve {
     #[doc(hidden)]
     pub fn field_mul_chain(&self, a: &Ubig, b: &Ubig, rounds: u32) -> Ubig {
         with_width!(&self.arith.engine, e => e.field().mul_chain(a, b, rounds))
+    }
+
+    /// True when `other` shares this curve's fixed-limb arithmetic, and
+    /// with it the generator's tables.
+    #[cfg(test)]
+    pub(crate) fn shares_arith(&self, other: &Curve) -> bool {
+        Arc::ptr_eq(&self.arith, &other.arith)
     }
 
     fn scalars(&self) -> &AnyField {
@@ -592,6 +639,59 @@ mod tests {
                     .fold(Point::Infinity, |acc, (k, q)| c.add(&acc, &c.mul(k, q)));
                 assert_eq!(c.mul_multi(terms), want, "{}: {terms:?}", c.name);
             }
+        }
+    }
+
+    #[test]
+    fn comb_walk_matches_mul_mul_add() {
+        // tiny and tiny97 have one-column combs whose tables hold ∞, and
+        // tiny97's points mostly lie outside the order-5 subgroup.
+        for c in [tiny(), tiny97(), crate::secp160r1(), crate::secp256k1()] {
+            let g = c.generator().clone();
+            let n = c.order().clone();
+            let one = Ubig::one();
+            let mut scalars = vec![
+                Ubig::zero(),
+                one.clone(),
+                Ubig::from_u64(2),
+                n.checked_sub(&one).unwrap(),
+                n.clone(),
+            ];
+            let points = if n.bit_length() < 8 {
+                enumerate_points(&c)
+            } else {
+                let k = Ubig::from_u64(0x1234_5678_9abc_def1).shl_bits(90);
+                scalars.push(k.rem_ref(&n));
+                vec![g.clone(), c.neg(&g), c.mul_gen(&k), Point::Infinity]
+            };
+            for q in &points {
+                let prepared = c.prepare(q);
+                for u1 in &scalars {
+                    for u2 in &scalars {
+                        assert_eq!(
+                            c.mul_gen_add(u1, u2, &prepared),
+                            c.mul_mul_add(u1, &g, u2, q),
+                            "{}: u1 = {u1}, u2 = {u2}, Q = {q:?}",
+                            c.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_point_prepared_by_another_curve_is_still_multiplied_right() {
+        let (c, other) = (tiny(), tiny());
+        assert!(!c.shares_arith(&other));
+        let q = c.mul_gen(&Ubig::from_u64(4));
+        let prepared = other.prepare(&q);
+        for k in 0..21u64 {
+            let k = Ubig::from_u64(k);
+            assert_eq!(
+                c.mul_gen_add(&k, &Ubig::from_u64(3), &prepared),
+                c.mul_mul_add(&k, c.generator(), &Ubig::from_u64(3), &q)
+            );
         }
     }
 

@@ -9,6 +9,12 @@
 //! All constants are validated on construction ([`crate::curve::Curve::new`]
 //! checks the generator is on-curve and has the claimed order) and were
 //! additionally cross-checked against an independent implementation.
+//!
+//! Each curve is built once per process: every call returns a clone of
+//! that one build, and clones share its fixed-limb arithmetic, so the
+//! order check, the generator's comb and its wNAF table are paid once.
+
+use std::sync::OnceLock;
 
 use egka_bigint::Ubig;
 
@@ -24,56 +30,71 @@ fn h(s: &str) -> Ubig {
 /// This is the paper's ECDSA curve: 160-bit order gives the 2×160-bit
 /// signature of Table 3, and the `a = −3` fast doubling path.
 pub fn secp160r1() -> Curve {
-    let p = h("ffffffffffffffffffffffffffffffff7fffffff");
-    let a = p.checked_sub(&Ubig::from_u64(3)).unwrap();
-    Curve::new(
-        "secp160r1",
-        Fp::new(p),
-        a,
-        h("1c97befc54bd7a8b65acf89f81d4d4adc565fa45"),
-        h("0100000000000000000001f4c8f927aed3ca752257"),
-        Ubig::one(),
-        Point::affine(
-            h("4a96b5688ef573284664698968c38bb913cbfc82"),
-            h("23a628553168947d59dcc912042351377ac5fb32"),
-        ),
-    )
+    static CURVE: OnceLock<Curve> = OnceLock::new();
+    CURVE
+        .get_or_init(|| {
+            let p = h("ffffffffffffffffffffffffffffffff7fffffff");
+            let a = p.checked_sub(&Ubig::from_u64(3)).unwrap();
+            Curve::new(
+                "secp160r1",
+                Fp::new(p),
+                a,
+                h("1c97befc54bd7a8b65acf89f81d4d4adc565fa45"),
+                h("0100000000000000000001f4c8f927aed3ca752257"),
+                Ubig::one(),
+                Point::affine(
+                    h("4a96b5688ef573284664698968c38bb913cbfc82"),
+                    h("23a628553168947d59dcc912042351377ac5fb32"),
+                ),
+            )
+        })
+        .clone()
 }
 
 /// SEC 2 secp192r1 (NIST P-192): `p = 2^192 − 2^64 − 1`, `a = −3`.
 pub fn secp192r1() -> Curve {
-    let p = h("fffffffffffffffffffffffffffffffeffffffffffffffff");
-    let a = p.checked_sub(&Ubig::from_u64(3)).unwrap();
-    Curve::new(
-        "secp192r1",
-        Fp::new(p),
-        a,
-        h("64210519e59c80e70fa7e9ab72243049feb8deecc146b9b1"),
-        h("ffffffffffffffffffffffff99def836146bc9b1b4d22831"),
-        Ubig::one(),
-        Point::affine(
-            h("188da80eb03090f67cbf20eb43a18800f4ff0afd82ff1012"),
-            h("07192b95ffc8da78631011ed6b24cdd573f977a11e794811"),
-        ),
-    )
+    static CURVE: OnceLock<Curve> = OnceLock::new();
+    CURVE
+        .get_or_init(|| {
+            let p = h("fffffffffffffffffffffffffffffffeffffffffffffffff");
+            let a = p.checked_sub(&Ubig::from_u64(3)).unwrap();
+            Curve::new(
+                "secp192r1",
+                Fp::new(p),
+                a,
+                h("64210519e59c80e70fa7e9ab72243049feb8deecc146b9b1"),
+                h("ffffffffffffffffffffffff99def836146bc9b1b4d22831"),
+                Ubig::one(),
+                Point::affine(
+                    h("188da80eb03090f67cbf20eb43a18800f4ff0afd82ff1012"),
+                    h("07192b95ffc8da78631011ed6b24cdd573f977a11e794811"),
+                ),
+            )
+        })
+        .clone()
 }
 
 /// SEC 2 secp256k1: `p = 2^256 − 2^32 − 977`, `y² = x³ + 7`.
 pub fn secp256k1() -> Curve {
-    Curve::new(
-        "secp256k1",
-        Fp::new(h(
-            "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f",
-        )),
-        Ubig::zero(),
-        Ubig::from_u64(7),
-        h("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"),
-        Ubig::one(),
-        Point::affine(
-            h("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"),
-            h("483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"),
-        ),
-    )
+    static CURVE: OnceLock<Curve> = OnceLock::new();
+    CURVE
+        .get_or_init(|| {
+            Curve::new(
+                "secp256k1",
+                Fp::new(h(
+                    "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f",
+                )),
+                Ubig::zero(),
+                Ubig::from_u64(7),
+                h("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"),
+                Ubig::one(),
+                Point::affine(
+                    h("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"),
+                    h("483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"),
+                ),
+            )
+        })
+        .clone()
 }
 
 /// Toy curve `y² = x³ + x + 1` over `F_19` (21 points, generator `(0, 1)`).
@@ -81,15 +102,20 @@ pub fn secp256k1() -> Curve {
 /// Exhaustive group-law tests live on this curve; it is also handy for
 /// property tests that would be slow on real curves.
 pub fn tiny19() -> Curve {
-    Curve::new(
-        "tiny19",
-        Fp::new(Ubig::from_u64(19)),
-        Ubig::from_u64(1),
-        Ubig::from_u64(1),
-        Ubig::from_u64(21),
-        Ubig::from_u64(1),
-        Point::affine(Ubig::from_u64(0), Ubig::from_u64(1)),
-    )
+    static CURVE: OnceLock<Curve> = OnceLock::new();
+    CURVE
+        .get_or_init(|| {
+            Curve::new(
+                "tiny19",
+                Fp::new(Ubig::from_u64(19)),
+                Ubig::from_u64(1),
+                Ubig::from_u64(1),
+                Ubig::from_u64(21),
+                Ubig::from_u64(1),
+                Point::affine(Ubig::from_u64(0), Ubig::from_u64(1)),
+            )
+        })
+        .clone()
 }
 
 #[cfg(test)]
@@ -139,6 +165,13 @@ mod tests {
             assert_eq!(bytes.len(), 1 + c.field().byte_len());
             assert_eq!(c.decompress(&bytes).as_ref(), Some(&p), "{}", c.name);
         }
+    }
+
+    #[test]
+    fn every_call_shares_one_build() {
+        assert!(secp160r1().shares_arith(&secp160r1()));
+        assert!(tiny19().shares_arith(&tiny19()));
+        assert!(!secp160r1().shares_arith(&secp192r1()));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! the result out once. Window tables are built in Jacobian form and
 //! normalized with one batched inversion (Montgomery's trick). The
 //! generator's Lim–Lee comb and its wNAF window table are built lazily,
-//! once per curve.
+//! once per curve; a comb for any other point is built on request
+//! ([`AnyEngine::prepare`]) and walked together with the generator's.
 
 use std::sync::OnceLock;
 
@@ -14,7 +15,7 @@ use egka_bigint::Ubig;
 
 use crate::curve::Point;
 use crate::field::Fp;
-use crate::mont::{width_of, Fe, MontField, Width};
+use crate::mont::{width_of, with_width, Fe, MontField, Width};
 
 /// An affine point (never the identity).
 #[derive(Clone, Copy, Debug)]
@@ -43,20 +44,36 @@ impl<const N: usize> Jac<N> {
 /// `∞` (tiny curves only). Negative digits negate `y` on the fly.
 type OddTable<const N: usize> = [Option<Aff<N>>; 8];
 
-/// Lim–Lee comb for the generator: the scalar is viewed as
-/// [`GenComb::TEETH`] rows of `cols` bits, and
-/// `table[t - 1] = (Σ_{j ∈ t} 2^{j·cols}) · G` for every non-empty tooth
-/// subset `t`. Evaluation is `cols` doublings + at most `cols` mixed
-/// additions — roughly `TEETH`× fewer doublings than a wNAF walk.
+/// Lim–Lee comb for a point `P`: the scalar is viewed as `teeth` rows of
+/// `cols` bits, and `table[t - 1] = (Σ_{j ∈ t} 2^{j·cols}) · P` for every
+/// non-empty tooth subset `t` (`None` where that is `∞`; the table of `∞`
+/// is empty). Evaluation is `cols` doublings + at most `cols` mixed
+/// additions — roughly `teeth`× fewer doublings than a wNAF walk.
 #[derive(Debug)]
-struct GenComb<const N: usize> {
+pub(crate) struct Comb<const N: usize> {
+    teeth: u32,
     cols: u32,
     table: Vec<Option<Aff<N>>>,
 }
 
-impl<const N: usize> GenComb<N> {
-    const TEETH: u32 = 8;
+impl<const N: usize> Comb<N> {
+    /// The entry column `col` of the scalar `k` selects, `None` for an
+    /// all-zero column or an `∞` entry.
+    fn entry(&self, k: &[u64], col: u32) -> Option<&Aff<N>> {
+        let bit = |i: u32| {
+            k.get((i / 64) as usize)
+                .is_some_and(|limb| (limb >> (i % 64)) & 1 == 1)
+        };
+        let t = (0..self.teeth)
+            .filter(|&j| bit(j * self.cols + col))
+            .fold(0usize, |t, j| t | 1 << j);
+        self.table.get(t.checked_sub(1)?)?.as_ref()
+    }
 }
+
+/// Teeth of the generator's comb. It is built once per curve, so it takes
+/// the widest table that still pays: 255 entries, `⌈bits/8⌉` columns.
+const GEN_TEETH: u32 = 8;
 
 /// Curve arithmetic over an `N`-limb field.
 #[derive(Debug)]
@@ -69,12 +86,15 @@ pub(crate) struct Engine<const N: usize> {
     gen: Option<Aff<N>>,
     /// Bits of the subgroup order (the comb's row length).
     order_bits: u32,
-    gen_comb: OnceLock<GenComb<N>>,
+    gen_comb: OnceLock<Comb<N>>,
     gen_odd: OnceLock<OddTable<N>>,
 }
 
 /// The engine at whichever limb width the curve's field needs.
 pub(crate) type AnyEngine = Width<Engine<1>, Engine<2>, Engine<3>, Engine<4>>;
+
+/// A comb at whichever limb width its curve's field needs.
+pub(crate) type AnyComb = Width<Comb<1>, Comb<2>, Comb<3>, Comb<4>>;
 
 impl AnyEngine {
     /// Builds the engine for `y² = x³ + a·x + b` over `field` (the `b`
@@ -89,6 +109,33 @@ impl AnyEngine {
             3 => Width::W3(Engine::new(field, a, gen, order)),
             _ => Width::W4(Engine::new(field, a, gen, order)),
         }
+    }
+
+    /// The `teeth`-tooth comb of `p`.
+    pub(crate) fn prepare(&self, p: &Point, teeth: u32) -> AnyComb {
+        match self {
+            Width::W1(e) => Width::W1(e.build_comb(e.point_in(p), teeth)),
+            Width::W2(e) => Width::W2(e.build_comb(e.point_in(p), teeth)),
+            Width::W3(e) => Width::W3(e.build_comb(e.point_in(p), teeth)),
+            Width::W4(e) => Width::W4(e.build_comb(e.point_in(p), teeth)),
+        }
+    }
+
+    /// `u1·G + u2·Q` for `Q`'s comb, built by [`AnyEngine::prepare`] on
+    /// this engine; scalars below the order.
+    pub(crate) fn mul_gen_add(&self, u1: &Ubig, u2: &Ubig, q: &AnyComb) -> Point {
+        match (self, q) {
+            (Width::W1(e), Width::W1(q)) => e.mul_gen_add(u1, u2, q),
+            (Width::W2(e), Width::W2(q)) => e.mul_gen_add(u1, u2, q),
+            (Width::W3(e), Width::W3(q)) => e.mul_gen_add(u1, u2, q),
+            (Width::W4(e), Width::W4(q)) => e.mul_gen_add(u1, u2, q),
+            _ => unreachable!("a comb is walked by the engine that built it"),
+        }
+    }
+
+    /// `k·G` through the generator's comb, for `k` below the order.
+    pub(crate) fn mul_gen(&self, k: &Ubig) -> Point {
+        with_width!(self, e => e.comb_sum(&[(e.gen_comb(), k.limbs())]))
     }
 }
 
@@ -325,28 +372,27 @@ impl<const N: usize> Engine<N> {
         self.point_out(&acc)
     }
 
-    /// `k · G` through the lazily built comb, for `k` below the order.
-    pub(crate) fn mul_gen(&self, k: &Ubig) -> Point {
-        let Some(g) = self.gen else {
-            return Point::Infinity;
-        };
-        let comb = self.gen_comb.get_or_init(|| self.build_comb(&g));
-        let k = k.limbs();
-        let bit = |i: u32| {
-            k.get((i / 64) as usize)
-                .is_some_and(|limb| (limb >> (i % 64)) & 1 == 1)
-        };
+    fn mul_gen_add(&self, u1: &Ubig, u2: &Ubig, q: &Comb<N>) -> Point {
+        self.comb_sum(&[(self.gen_comb(), u1.limbs()), (q, u2.limbs())])
+    }
+
+    /// The generator's comb, built on first use.
+    fn gen_comb(&self) -> &Comb<N> {
+        self.gen_comb
+            .get_or_init(|| self.build_comb(self.gen, GEN_TEETH))
+    }
+
+    /// `Σ kᵢ·Pᵢ` over the combs of the `Pᵢ` as one column walk: one
+    /// doubling chain as long as the longest comb, and each comb adds in
+    /// its own last `cols` columns. Each scalar must fit its comb's
+    /// `teeth · cols` bits, as any scalar below the order does.
+    fn comb_sum(&self, terms: &[(&Comb<N>, &[u64])]) -> Point {
+        let cols = terms.iter().map(|(comb, _)| comb.cols).max().unwrap_or(0);
         let mut acc = Jac::INFINITY;
-        for col in (0..comb.cols).rev() {
+        for col in (0..cols).rev() {
             acc = self.double(&acc);
-            let mut t = 0usize;
-            for j in 0..GenComb::<N>::TEETH {
-                if bit(j * comb.cols + col) {
-                    t |= 1 << j;
-                }
-            }
-            if t != 0 {
-                if let Some(q) = &comb.table[t - 1] {
+            for (comb, k) in terms.iter().filter(|(comb, _)| col < comb.cols) {
+                if let Some(q) = comb.entry(k, col) {
                     acc = self.add_affine(&acc, q);
                 }
             }
@@ -354,18 +400,24 @@ impl<const N: usize> Engine<N> {
         self.point_out(&acc)
     }
 
-    fn build_comb(&self, g: &Aff<N>) -> GenComb<N> {
-        let teeth = GenComb::<N>::TEETH as usize;
-        let cols = self.order_bits.div_ceil(GenComb::<N>::TEETH);
-        // powers[j] = 2^(j·cols) · G
-        let mut powers = Vec::with_capacity(teeth);
-        powers.push(self.jac(g));
-        for j in 1..teeth {
-            let mut p = powers[j - 1];
+    fn build_comb(&self, p: Option<Aff<N>>, teeth: u32) -> Comb<N> {
+        let cols = self.order_bits.div_ceil(teeth);
+        let Some(p) = p else {
+            return Comb {
+                teeth,
+                cols,
+                table: Vec::new(),
+            };
+        };
+        // powers[j] = 2^(j·cols) · P
+        let mut powers = Vec::with_capacity(teeth as usize);
+        powers.push(self.jac(&p));
+        for j in 1..teeth as usize {
+            let mut q = powers[j - 1];
             for _ in 0..cols {
-                p = self.double(&p);
+                q = self.double(&q);
             }
-            powers.push(p);
+            powers.push(q);
         }
         // Subset sums, each built from a smaller subset with one addition.
         let mut table: Vec<Jac<N>> = Vec::with_capacity((1 << teeth) - 1);
@@ -379,7 +431,8 @@ impl<const N: usize> Engine<N> {
             };
             table.push(entry);
         }
-        GenComb {
+        Comb {
+            teeth,
             cols,
             table: self.normalize(&table),
         }

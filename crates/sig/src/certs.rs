@@ -23,7 +23,7 @@ use egka_hash::{Digest, Sha256};
 use rand::Rng;
 
 use crate::dsa::{Dsa, DsaKeyPair, DsaSignature};
-use crate::ecdsa::{Ecdsa, EcdsaKeyPair, EcdsaSignature};
+use crate::ecdsa::{Ecdsa, EcdsaKeyPair, EcdsaPreparedKey, EcdsaSignature};
 
 /// Which certificate-based scheme a credential belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -255,8 +255,10 @@ enum CaSigner {
 pub enum CaPublic {
     /// DSA verifier: scheme instance + CA public key.
     Dsa(Dsa, Ubig),
-    /// ECDSA verifier: scheme instance + CA public point.
-    Ecdsa(Ecdsa, Point),
+    /// ECDSA verifier: scheme instance + CA public point, prepared — its
+    /// comb is built on the first verification and shared by every clone
+    /// handed to a relying node.
+    Ecdsa(Ecdsa, EcdsaPreparedKey),
 }
 
 impl CertificateAuthority {
@@ -284,7 +286,9 @@ impl CertificateAuthority {
     pub fn public(&self) -> CaPublic {
         match &self.signer {
             CaSigner::Dsa { dsa, key } => CaPublic::Dsa(dsa.clone(), key.y.clone()),
-            CaSigner::Ecdsa { ecdsa, key } => CaPublic::Ecdsa(ecdsa.clone(), key.q.clone()),
+            CaSigner::Ecdsa { ecdsa, key } => {
+                CaPublic::Ecdsa(ecdsa.clone(), EcdsaPreparedKey::new(key.q.clone()))
+            }
         }
     }
 
@@ -332,7 +336,9 @@ impl CaPublic {
         let tbs = cert.tbs_bytes();
         match (self, &cert.signature) {
             (CaPublic::Dsa(dsa, y), CaSignature::Dsa(sig)) => dsa.verify(y, &tbs, sig),
-            (CaPublic::Ecdsa(ecdsa, q), CaSignature::Ecdsa(sig)) => ecdsa.verify(q, &tbs, sig),
+            (CaPublic::Ecdsa(ecdsa, key), CaSignature::Ecdsa(sig)) => {
+                ecdsa.verify_prepared(key, &tbs, sig)
+            }
             _ => false,
         }
     }
@@ -445,6 +451,76 @@ mod tests {
         let mut cert = ca.issue(&mut rng, b"user-1", SubjectKey::Ecdsa(user.q));
         cert.subject = b"user-2".to_vec(); // rebind to another identity
         assert!(!ca.public().verify(&cert));
+    }
+
+    #[test]
+    fn prepared_ca_agrees_with_plain_verify() {
+        let (mut ca, ecdsa) = ecdsa_ca();
+        let mut rng = ChaChaRng::seed_from_u64(11);
+        let mut other_ca = CertificateAuthority::new_ecdsa(&mut rng, b"egka-ca", ecdsa.clone());
+        let capub = ca.public();
+        let CaPublic::Ecdsa(_, key) = &capub else {
+            unreachable!("an ECDSA CA")
+        };
+        let n = ecdsa.curve().order().clone();
+        // Plain verification of `cert` under the CA's point.
+        let plain = |cert: &Certificate| match &cert.signature {
+            CaSignature::Ecdsa(sig) => ecdsa.verify(key.point(), &cert.tbs_bytes(), sig),
+            CaSignature::Dsa(_) => false,
+        };
+        let resign = |cert: &Certificate, f: &dyn Fn(&EcdsaSignature) -> EcdsaSignature| {
+            let CaSignature::Ecdsa(sig) = &cert.signature else {
+                unreachable!("an ECDSA certificate")
+            };
+            Certificate {
+                signature: CaSignature::Ecdsa(f(sig)),
+                ..cert.clone()
+            }
+        };
+        for i in 0..6u8 {
+            let user = ecdsa.keygen(&mut rng);
+            let good = ca.issue(&mut rng, &[i], SubjectKey::Ecdsa(user.q.clone()));
+            let cases = [
+                (good.clone(), true),
+                (
+                    other_ca.issue(&mut rng, &[i], SubjectKey::Ecdsa(user.q)),
+                    false,
+                ),
+                (
+                    resign(&good, &|s| EcdsaSignature {
+                        r: s.r.clone(),
+                        s: egka_bigint::mod_add(&s.s, &Ubig::one(), &n),
+                    }),
+                    false,
+                ),
+                (
+                    resign(&good, &|s| EcdsaSignature {
+                        r: s.r.add_ref(&n),
+                        s: s.s.clone(),
+                    }),
+                    false,
+                ),
+                (
+                    resign(&good, &|s| EcdsaSignature {
+                        r: s.r.clone(),
+                        s: n.clone(),
+                    }),
+                    false,
+                ),
+                (
+                    resign(&good, &|s| EcdsaSignature {
+                        r: Ubig::zero(),
+                        s: s.s.clone(),
+                    }),
+                    false,
+                ),
+            ];
+            for (cert, valid) in &cases {
+                assert_eq!(plain(cert), *valid, "cert {i}");
+                // Every clone shares one comb, built by whichever goes first.
+                assert_eq!(capub.clone().verify(cert), *valid, "cert {i}");
+            }
+        }
     }
 
     #[test]

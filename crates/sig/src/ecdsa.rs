@@ -8,9 +8,17 @@
 //! The order-`n` scalar arithmetic (`k⁻¹`, `s⁻¹`, `u1`, `u2`) runs on the
 //! curve's fixed-limb Montgomery field ([`Curve::scalar_mul`],
 //! [`Curve::scalar_inv`]).
+//!
+//! A key verified against again and again — a CA's, one verification per
+//! certificate — can be held as an [`EcdsaPreparedKey`]:
+//! [`Ecdsa::verify_prepared`] makes the same checks as [`Ecdsa::verify`]
+//! but evaluates `u1·G + u2·Q` as one walk over the generator's comb and
+//! a comb of `Q` built on first use ([`Curve::mul_gen_add`]).
+
+use std::sync::{Arc, OnceLock};
 
 use egka_bigint::Ubig;
-use egka_ec::{Curve, Point};
+use egka_ec::{Curve, Point, PreparedPoint};
 use egka_hash::hash_to_below;
 use rand::Rng;
 
@@ -33,6 +41,29 @@ pub struct EcdsaSignature {
     pub r: Ubig,
     /// `s = k⁻¹·(H(m) + d·r) mod order`.
     pub s: Ubig,
+}
+
+/// A public point whose comb is built on its first verification and
+/// shared by every clone; it is freed with the last clone.
+#[derive(Clone, Debug)]
+pub struct EcdsaPreparedKey {
+    q: Point,
+    comb: Arc<OnceLock<PreparedPoint>>,
+}
+
+impl EcdsaPreparedKey {
+    /// Wraps `q`; no work is done until a verification needs the comb.
+    pub fn new(q: Point) -> Self {
+        EcdsaPreparedKey {
+            q,
+            comb: Arc::default(),
+        }
+    }
+
+    /// The public point.
+    pub fn point(&self) -> &Point {
+        &self.q
+    }
 }
 
 /// ECDSA over a fixed curve.
@@ -92,23 +123,51 @@ impl Ecdsa {
 
     /// Verifies `(r, s)` on `msg` under public point `q`.
     pub fn verify(&self, q: &Point, msg: &[u8], sig: &EcdsaSignature) -> bool {
-        let n = self.curve.order();
+        let c = &self.curve;
+        // One fused double-scalar multiplication: u1·G + u2·Q.
+        self.verify_with(q, msg, sig, |u1, u2| {
+            c.mul_mul_add(u1, c.generator(), u2, q)
+        })
+    }
+
+    /// [`Ecdsa::verify`] under a prepared key: the same checks and result,
+    /// with `u1·G + u2·Q` walked over the two combs. The first call that
+    /// passes the checks builds `Q`'s comb.
+    pub fn verify_prepared(
+        &self,
+        key: &EcdsaPreparedKey,
+        msg: &[u8],
+        sig: &EcdsaSignature,
+    ) -> bool {
+        let c = &self.curve;
+        self.verify_with(&key.q, msg, sig, |u1, u2| {
+            c.mul_gen_add(u1, u2, key.comb.get_or_init(|| c.prepare(&key.q)))
+        })
+    }
+
+    /// The checks both verifiers share, with `u1·G + u2·Q` left to `mul`.
+    fn verify_with(
+        &self,
+        q: &Point,
+        msg: &[u8],
+        sig: &EcdsaSignature,
+        mul: impl FnOnce(&Ubig, &Ubig) -> Point,
+    ) -> bool {
+        let c = &self.curve;
+        let n = c.order();
         if sig.r.is_zero() || &sig.r >= n || sig.s.is_zero() || &sig.s >= n {
             return false;
         }
-        if q.is_infinity() || !self.curve.is_on_curve(q) {
+        if q.is_infinity() || !c.is_on_curve(q) {
             return false;
         }
-        let c = &self.curve;
         let Some(w) = c.scalar_inv(&sig.s) else {
             return false;
         };
         let h = self.hash_msg(msg);
         let u1 = c.scalar_mul(&h, &w);
         let u2 = c.scalar_mul(&sig.r, &w);
-        // One fused double-scalar multiplication: u1·G + u2·Q.
-        let pt = c.mul_mul_add(&u1, c.generator(), &u2, q);
-        match pt.xy() {
+        match mul(&u1, &u2).xy() {
             None => false,
             Some((x, _)) => x.rem_ref(n) == sig.r,
         }
@@ -125,13 +184,21 @@ mod tests {
         Ecdsa::new(egka_ec::secp160r1())
     }
 
+    /// [`Ecdsa::verify`], asserting that [`Ecdsa::verify_prepared`] agrees.
+    fn verify(e: &Ecdsa, q: &Point, msg: &[u8], sig: &EcdsaSignature) -> bool {
+        let plain = e.verify(q, msg, sig);
+        let key = EcdsaPreparedKey::new(q.clone());
+        assert_eq!(e.verify_prepared(&key, msg, sig), plain, "{sig:?}");
+        plain
+    }
+
     #[test]
     fn sign_verify_roundtrip() {
         let e = ecdsa();
         let mut rng = ChaChaRng::seed_from_u64(1);
         let kp = e.keygen(&mut rng);
         let sig = e.sign(&mut rng, &kp, b"message");
-        assert!(e.verify(&kp.q, b"message", &sig));
+        assert!(verify(&e, &kp.q, b"message", &sig));
     }
 
     #[test]
@@ -141,8 +208,8 @@ mod tests {
         let kp1 = e.keygen(&mut rng);
         let kp2 = e.keygen(&mut rng);
         let sig = e.sign(&mut rng, &kp1, b"message");
-        assert!(!e.verify(&kp1.q, b"other", &sig));
-        assert!(!e.verify(&kp2.q, b"message", &sig));
+        assert!(!verify(&e, &kp1.q, b"other", &sig));
+        assert!(!verify(&e, &kp2.q, b"message", &sig));
     }
 
     #[test]
@@ -151,17 +218,18 @@ mod tests {
         let mut rng = ChaChaRng::seed_from_u64(3);
         let kp = e.keygen(&mut rng);
         let sig = e.sign(&mut rng, &kp, b"m");
-        assert!(!e.verify(&Point::Infinity, b"m", &sig));
-        let bad = EcdsaSignature {
-            r: Ubig::zero(),
-            s: sig.s.clone(),
-        };
-        assert!(!e.verify(&kp.q, b"m", &bad));
-        let bad2 = EcdsaSignature {
-            r: sig.r.clone(),
-            s: e.curve().order().clone(),
-        };
-        assert!(!e.verify(&kp.q, b"m", &bad2));
+        let n = e.curve().order();
+        assert!(!verify(&e, &Point::Infinity, b"m", &sig));
+        let bad = [
+            (Ubig::zero(), sig.s.clone()),
+            (sig.r.clone(), n.clone()),
+            (sig.r.add_ref(n), sig.s.clone()),
+            (sig.r.clone(), sig.s.add_ref(n)),
+            (sig.r.clone(), egka_bigint::mod_add(&sig.s, &Ubig::one(), n)),
+        ];
+        for (r, s) in bad {
+            assert!(!verify(&e, &kp.q, b"m", &EcdsaSignature { r, s }));
+        }
     }
 
     #[test]
@@ -171,7 +239,7 @@ mod tests {
         let kp = e.keygen(&mut rng);
         let sig = e.sign(&mut rng, &kp, b"m");
         let off = Point::affine(Ubig::from_u64(1), Ubig::from_u64(1));
-        assert!(!e.verify(&off, b"m", &sig));
+        assert!(!verify(&e, &off, b"m", &sig));
     }
 
     #[test]
@@ -181,7 +249,7 @@ mod tests {
             let mut rng = ChaChaRng::seed_from_u64(5);
             let kp = e.keygen(&mut rng);
             let sig = e.sign(&mut rng, &kp, b"x");
-            assert!(e.verify(&kp.q, b"x", &sig), "{}", e.curve().name);
+            assert!(verify(&e, &kp.q, b"x", &sig), "{}", e.curve().name);
         }
     }
 }

@@ -53,6 +53,6 @@ pub use certs::{
     SubjectKey,
 };
 pub use dsa::{Dsa, DsaKeyPair, DsaSignature};
-pub use ecdsa::{Ecdsa, EcdsaKeyPair, EcdsaSignature};
+pub use ecdsa::{Ecdsa, EcdsaKeyPair, EcdsaPreparedKey, EcdsaSignature};
 pub use gq::{GqMasterKey, GqParams, GqPkg, GqSecretKey, GqSignature};
 pub use sok::{SokParams, SokPkg, SokSecretKey, SokSignature};

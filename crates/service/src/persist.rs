@@ -12,6 +12,18 @@
 //! Recovery replays the commands through the ordinary service entry
 //! points; determinism does the rest, bit for bit.
 //!
+//! ## Group commit
+//!
+//! Every record goes to one log. A [`WalRecord::Submit`] is written
+//! without a durability barrier (`Store::append_unsynced`); every other
+//! record is a durable `Store::append`, whose one barrier also covers the
+//! submits before it. So an epoch of many events costs one fsync, paid by
+//! its commit record, and the write-ahead rule still holds: an epoch's
+//! submits are durable before its commit, and the commit before its
+//! report. A process crash loses nothing (every record reached the
+//! backend when it was logged); a power or OS failure can lose the
+//! submits since the last durable record, which no report acknowledged.
+//!
 //! ## What is snapshotted
 //!
 //! Replaying a long history re-runs every rekey's cryptography. Every
@@ -733,6 +745,89 @@ mod tests {
         let mut bad_tag = payload;
         bad_tag[9] = 0xFF;
         assert!(WalRecord::decode(&bad_tag).is_err(), "unknown tag");
+    }
+
+    /// Stores written before the service moved to one log carry each
+    /// `CreateGroup`/`Submit` on its shard's stream (`k + 1`). Such a
+    /// store must still recover bit for bit, and its first snapshot must
+    /// truncate the leftover `wal.{k}.log` files.
+    #[test]
+    fn a_store_in_the_per_shard_stream_layout_still_recovers() {
+        use crate::KeyService;
+        use egka_core::SecurityProfile;
+        use egka_store::{wal_records, FileStore, MemStore};
+
+        let pkg = Arc::new(Pkg::setup(
+            &mut ChaChaRng::seed_from_u64(0x01d1),
+            SecurityProfile::Toy,
+        ));
+        let builder = |store: Arc<dyn Store>| {
+            KeyService::builder()
+                .shards(3)
+                .seed(0x1a7)
+                .store(StoreConfig::new(store).snapshot_every(0))
+        };
+        let mem = MemStore::new();
+        let mut live = builder(Arc::new(mem.clone())).build(Arc::clone(&pkg));
+        for g in 0..6u64 {
+            let base = g as u32 * 10;
+            let members: Vec<UserId> = (base..base + 4).map(UserId).collect();
+            live.create_group(g, &members).unwrap();
+        }
+        for epoch in 0..3u32 {
+            for g in 0..6u64 {
+                let user = UserId(1000 + epoch * 10 + g as u32);
+                live.submit(g, MembershipEvent::Join(user)).unwrap();
+            }
+            live.tick();
+            live.set_loss(0.01 * f64::from(epoch));
+        }
+        // Pending work at the cut: it must survive the layout change too.
+        live.submit(4, MembershipEvent::Join(UserId(77))).unwrap();
+
+        // Re-lay the log out the way the per-shard layout wrote it.
+        let dir = std::env::temp_dir().join(format!("egka-old-layout-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let old = FileStore::open(&dir).unwrap();
+            for payload in wal_records(&mem).unwrap() {
+                let stream = match WalRecord::decode(&payload).unwrap().1 {
+                    WalRecord::CreateGroup { gid, .. } | WalRecord::Submit { gid, .. } => {
+                        live.shard_of(gid) as u32 + 1
+                    }
+                    _ => 0,
+                };
+                old.append_stream(stream, &payload).unwrap();
+            }
+            assert_eq!(old.wal_streams().unwrap(), vec![0, 1, 2, 3]);
+        }
+
+        // Recovery opens fresh handles, as after a restart.
+        let old: Arc<dyn Store> = Arc::new(FileStore::open(&dir).unwrap());
+        let (mut recovered, _) = builder(Arc::clone(&old)).recover(Arc::clone(&pkg)).unwrap();
+        assert_eq!(recovered.epoch(), 3);
+        // Same LSN watermark and state, so the two snapshots (sealing
+        // IVs included) must be the same bytes.
+        live.snapshot_now();
+        recovered.snapshot_now();
+        assert_eq!(
+            old.snapshot_bytes().unwrap(),
+            mem.snapshot_bytes().unwrap(),
+            "recovered state differs from the live state"
+        );
+        for stream in 0..4 {
+            assert!(
+                old.wal_stream_bytes(stream).unwrap().is_empty(),
+                "stream {stream}"
+            );
+        }
+        for k in 1..4 {
+            let len = std::fs::metadata(dir.join(format!("wal.{k}.log")))
+                .unwrap()
+                .len();
+            assert_eq!(len, 0, "wal.{k}.log truncated");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

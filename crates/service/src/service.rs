@@ -222,9 +222,12 @@ impl ServiceBuilder {
     /// Attaches a durable [`egka_store::Store`]: every state-changing call
     /// is write-ahead logged, every applied epoch appends its commit record
     /// before the [`EpochReport`] is returned, and a compacting snapshot is
-    /// installed on the configured cadence. A service built *without* a
-    /// store behaves exactly as before — persistence is a pure observer of
-    /// the deterministic state machine.
+    /// installed on the configured cadence. A submit is written without a
+    /// barrier and made durable by the next commit, so an epoch costs one
+    /// fsync: a power loss can drop un-ticked submits, a process crash
+    /// drops nothing. A service built *without* a store behaves exactly
+    /// as before — persistence is a pure observer of the deterministic
+    /// state machine.
     pub fn store(mut self, store: StoreConfig) -> Self {
         self.cfg.store = Some(store);
         self
@@ -439,11 +442,11 @@ impl ServiceBuilder {
             report.snapshot_epoch = Some(restored.epoch);
         }
         let watermark = svc.next_lsn;
-        // The WAL is striped across streams (stream 0 = control, stream
-        // k+1 = shard k's group-addressed records). Each stream is an
-        // independent clean prefix; the global command order is the LSN
-        // order, so decode every stream and merge-sort by LSN before
-        // replaying.
+        // The service writes one log (stream 0); stores from its earlier
+        // layout also carry stream k+1 for shard k's group-addressed
+        // records. Each stream is an independent clean prefix and the
+        // global command order is the LSN order, so decode every stream
+        // and merge-sort by LSN before replaying.
         let mut tail: Vec<(u64, Vec<u8>, WalRecord)> = Vec::new();
         for stream in store.backend.wal_streams()? {
             for payload in wal_stream_records(store.backend.as_ref(), stream)? {
@@ -601,25 +604,29 @@ impl KeyService {
             });
         }
         // Group-addressed records are charged to their shard's WAL-byte
-        // ledger *and* routed to that shard's WAL stream (stream k+1), so
-        // appends against different shards never serialize through one
-        // log. Coordinator-wide records (epoch commits, config, fault
-        // toggles, resize/move records) stay unattributed on stream 0.
+        // ledger; coordinator-wide records (epoch commits, config, fault
+        // toggles, resize/move records) stay unattributed. Every record
+        // goes to the one log.
         let byte_shard = match &record {
             WalRecord::CreateGroup { gid, .. } | WalRecord::Submit { gid, .. } => {
                 Some(self.shard_of(*gid))
             }
             _ => None,
         };
-        let stream = byte_shard.map_or(0, |s| s as u32 + 1);
         let store = self.config.store.as_ref().expect("checked above");
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         let encoded = record.encode(lsn);
-        store
-            .backend
-            .append_stream(stream, &encoded)
-            .expect("write-ahead log append must not fail (fail-stop durability)");
+        // Group commit: nothing acknowledges a submit before the tick
+        // that commits it, so a submit is only written, and the next
+        // durable append (at the latest, its epoch's commit) syncs it with
+        // everything else before it. A process crash still loses nothing.
+        let written = if matches!(record, WalRecord::Submit { .. }) {
+            store.backend.append_unsynced(&encoded)
+        } else {
+            store.backend.append(&encoded)
+        };
+        written.expect("write-ahead log append must not fail (fail-stop durability)");
         if let Some(s) = byte_shard {
             self.health_shards[s].wal_bytes += encoded.len() as u64;
         }

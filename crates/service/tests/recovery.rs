@@ -9,6 +9,9 @@
 //!   prefix of the committed epochs, and flipping any byte either still
 //!   recovers a valid prefix (a torn tail) or reports a typed
 //!   [`StoreError::Corrupt`] — never a panic, never a wrong key.
+//! * **Group commit**: a power loss drops exactly the submits logged
+//!   since the last durable record, and a durable run takes one barrier
+//!   per epoch commit (plus the snapshot installs), not one per event.
 
 use std::sync::Arc;
 
@@ -16,8 +19,8 @@ use egka_core::{Pkg, SecurityProfile, UserId};
 use egka_hash::ChaChaRng;
 use egka_medium::RadioProfile;
 use egka_service::{
-    KeyService, MemStore, MembershipEvent, RadioConfig, ServiceBuilder, Store, StoreConfig,
-    StoreError,
+    FileStore, KeyService, MemStore, MembershipEvent, RadioConfig, ServiceBuilder, Store,
+    StoreConfig, StoreError,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -127,6 +130,136 @@ fn recover_reconstructs_shards_bit_for_bit() {
     recovered.tick();
     assert_same_state(&original, &recovered);
     assert!(original.session(1).unwrap().contains(UserId(77)));
+}
+
+#[test]
+fn power_loss_drops_only_the_submits_since_the_last_durable_record() {
+    let mem = MemStore::new();
+    let store = StoreConfig::new(Arc::new(mem.clone())).snapshot_every(0);
+    // What survives: committed epochs, a CreateGroup and control records,
+    // and a submit that a later durable record covered.
+    let survivors = |svc: &mut KeyService| {
+        svc.create_group(9, &users(90..94)).unwrap();
+        svc.submit(9, MembershipEvent::Join(UserId(78))).unwrap();
+        svc.detach_member(UserId(30));
+        svc.set_loss(0.05);
+    };
+    let mut original = scripted(store.clone(), 3);
+    survivors(&mut original);
+    // What a power loss drops: submits no commit has covered yet.
+    original
+        .submit(1, MembershipEvent::Join(UserId(77)))
+        .unwrap();
+    original
+        .submit(9, MembershipEvent::Leave(UserId(91)))
+        .unwrap();
+
+    // A process crash loses nothing: the submits reached the backend.
+    let (mut crashed, _) = builder(store.clone()).recover(Arc::clone(pkg())).unwrap();
+    mem.lose_unsynced();
+    let (mut recovered, report) = builder(store).recover(Arc::clone(pkg())).unwrap();
+    assert_eq!(report.epochs_replayed, 3, "committed epochs survive");
+    assert_eq!(report.groups_recovered, 5, "the CreateGroup survives");
+
+    // The state equals a service that never saw the lost submits.
+    let mut reference = scripted(
+        StoreConfig::new(Arc::new(MemStore::new())).snapshot_every(0),
+        3,
+    );
+    survivors(&mut reference);
+    assert_same_state(&reference, &recovered);
+    for svc in [&mut original, &mut crashed, &mut reference, &mut recovered] {
+        svc.attach_member(UserId(30));
+        svc.tick();
+    }
+    assert_same_state(&reference, &recovered);
+    assert_same_state(&original, &crashed);
+    assert!(recovered.session(9).unwrap().contains(UserId(78)));
+    assert!(recovered.session(9).unwrap().contains(UserId(91)));
+    assert!(!recovered.session(1).unwrap().contains(UserId(77)));
+    assert!(crashed.session(1).unwrap().contains(UserId(77)));
+}
+
+#[test]
+fn a_snapshot_between_submit_and_tick_keeps_the_pending_queues() {
+    let mem = MemStore::new();
+    let store = StoreConfig::new(Arc::new(mem.clone())).snapshot_every(0);
+    let mut original = scripted(store.clone(), 2);
+    original
+        .submit(1, MembershipEvent::Join(UserId(77)))
+        .unwrap();
+    original
+        .submit(2, MembershipEvent::Join(UserId(78)))
+        .unwrap();
+    original.snapshot_now();
+    mem.lose_unsynced();
+
+    let (mut recovered, report) = builder(store).recover(Arc::clone(pkg())).unwrap();
+    assert_eq!(report.snapshot_epoch, Some(2));
+    assert_eq!(report.records_replayed, 0);
+    original.tick();
+    recovered.tick();
+    assert_same_state(&original, &recovered);
+    assert!(recovered.session(1).unwrap().contains(UserId(77)));
+    assert!(recovered.session(2).unwrap().contains(UserId(78)));
+}
+
+/// Runs a durable service over a `FileStore` in a fresh directory and
+/// checks the barrier count epoch by epoch: submits take none, each
+/// commit takes one, and each snapshot install takes the file backend's
+/// two (snapshot file, then the truncated log).
+fn assert_one_sync_per_commit(tag: &str, traced: bool) {
+    let dir = std::env::temp_dir().join(format!("egka-sync-gate-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let backend: Arc<dyn Store> = Arc::new(FileStore::open(&dir).unwrap());
+    let mut b = builder(StoreConfig::new(backend).snapshot_every(3));
+    if traced {
+        let (cfg, _ring) = egka_trace::TraceConfig::ring(1 << 16);
+        b = b.trace(cfg);
+    }
+    let mut svc = b.build(Arc::clone(pkg()));
+    for g in 0..8u64 {
+        let base = g as u32 * 10;
+        svc.create_group(g, &users(base..base + 4)).unwrap();
+    }
+    let mut fresh = 1000u32;
+    for epoch in 1..=7u64 {
+        let before = svc.metrics().store_syncs;
+        for _ in 0..3 {
+            for g in 0..8u64 {
+                svc.submit(g, MembershipEvent::Join(UserId(fresh))).unwrap();
+                fresh += 1;
+            }
+        }
+        assert_eq!(
+            svc.metrics().store_syncs,
+            before,
+            "{tag}: submits take no barrier"
+        );
+        svc.tick();
+        let snapshot = if epoch % 3 == 0 { 2 } else { 0 };
+        assert_eq!(
+            svc.metrics().store_syncs,
+            before + 1 + snapshot,
+            "{tag}: epoch {epoch} takes one commit barrier"
+        );
+    }
+    drop(svc);
+    let reopened = StoreConfig::new(Arc::new(FileStore::open(&dir).unwrap())).snapshot_every(3);
+    let (recovered, report) = builder(reopened).recover(Arc::clone(pkg())).unwrap();
+    assert_eq!(report.snapshot_epoch, Some(6));
+    assert_eq!(recovered.epoch(), 7);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_durable_epoch_takes_one_barrier_behind_arc_dyn_store() {
+    assert_one_sync_per_commit("arc", false);
+}
+
+#[test]
+fn a_durable_epoch_takes_one_barrier_behind_the_traced_store() {
+    assert_one_sync_per_commit("traced", true);
 }
 
 #[test]
@@ -427,6 +560,27 @@ fn checkpoints(epochs: u64) -> Vec<std::collections::BTreeMap<u64, Vec<u8>>> {
         .collect()
 }
 
+/// Recovering the undamaged log must rebuild every reference group at the
+/// last epoch — otherwise a torture test over that log would pass even if
+/// the damaged records were never in it.
+fn assert_full_log_recovers_everything(
+    wal: &[u8],
+    reference: &[std::collections::BTreeMap<u64, Vec<u8>>],
+    epochs: u64,
+) {
+    let store = StoreConfig::new(Arc::new(MemStore::with_raw(wal.to_vec(), None)));
+    let (svc, _) = builder(store.snapshot_every(0))
+        .recover(Arc::clone(pkg()))
+        .unwrap();
+    assert_eq!(svc.epoch(), epochs);
+    let keys: std::collections::BTreeMap<u64, Vec<u8>> = svc
+        .group_ids()
+        .into_iter()
+        .map(|g| (g, svc.group_key(g).unwrap().to_bytes_be()))
+        .collect();
+    assert_eq!(&keys, &reference[epochs as usize]);
+}
+
 /// The torture acceptance: the recovered service sits at a committed
 /// epoch `≤ epochs`, holds a subset of the reference groups (a cut can
 /// land mid-epoch, after some creates/submits but before the commit), and
@@ -463,6 +617,7 @@ proptest! {
         let mem = MemStore::new();
         scripted(StoreConfig::new(Arc::new(mem.clone())).snapshot_every(0), EPOCHS);
         let wal = mem.wal_bytes().unwrap();
+        assert_full_log_recovers_everything(&wal, &reference, EPOCHS);
         let cut = (wal.len() as u64 * cut_permille / 1000) as usize;
         let damaged = MemStore::with_raw(wal[..cut].to_vec(), None);
         let store = StoreConfig::new(Arc::new(damaged)).snapshot_every(0);
@@ -484,6 +639,7 @@ proptest! {
         let mem = MemStore::new();
         scripted(StoreConfig::new(Arc::new(mem.clone())).snapshot_every(0), EPOCHS);
         let mut wal = mem.wal_bytes().unwrap();
+        assert_full_log_recovers_everything(&wal, &reference, EPOCHS);
         let at = (wal.len() as u64 * flip_permille / 1000) as usize % wal.len();
         wal[at] ^= 1 << bit;
         let damaged = MemStore::with_raw(wal, None);

@@ -18,8 +18,15 @@ struct FileState {
 
 /// A [`Store`] persisted in a directory.
 ///
-/// * `wal.log` — the append-only record stream ([`crate::wal`] framing);
-///   every append is written then `fsync`ed before returning.
+/// * `wal.log` — the append-only record stream ([`crate::wal`] framing).
+///   [`Store::append`] writes the frame then `fdatasync`s the file before
+///   returning; [`Store::append_unsynced`] only writes it (the kernel holds
+///   it, so a process crash keeps it), and the next [`Store::sync`] or
+///   durable append makes it survive a power loss too.
+/// * `wal.{k}.log` — streams `k > 0`, written only by
+///   [`Store::append_stream`] (each append fsynced). The service no longer
+///   writes them; stores from its earlier per-shard layout still hold them,
+///   and recovery still reads them.
 /// * `snapshot.bin` — the latest compacting snapshot (one checksummed
 ///   frame), installed by write-to-temp + rename so a crash never leaves a
 ///   half-written snapshot under the real name.
@@ -82,8 +89,20 @@ impl FileStore {
 
 impl Store for FileStore {
     fn append(&self, payload: &[u8]) -> Result<(), StoreError> {
+        self.append_unsynced(payload)?;
+        self.sync()
+    }
+
+    fn append_unsynced(&self, payload: &[u8]) -> Result<(), StoreError> {
         let mut state = self.state.lock().expect(POISONED);
         state.wal.write_all(&frame(payload))?;
+        Ok(())
+    }
+
+    fn sync(&self) -> Result<(), StoreError> {
+        // Only `wal.log` ever holds unsynced writes: `append_stream` on a
+        // stream > 0 syncs its own file before returning.
+        let mut state = self.state.lock().expect(POISONED);
         state.wal.sync_data()?;
         state.syncs += 1;
         Ok(())

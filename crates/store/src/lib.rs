@@ -6,7 +6,13 @@
 //! * a **write-ahead log** ([`wal`]): append-only, length-prefixed and
 //!   CRC-checksummed records. The service appends every state-changing
 //!   command (group creations, membership events, power events) and an
-//!   *epoch commit* record after every applied rekey epoch;
+//!   *epoch commit* record after every applied rekey epoch, all to one
+//!   log;
+//! * **group commit**: a record can be written without a durability
+//!   barrier ([`Store::append_unsynced`]) and made durable later by one
+//!   barrier ([`Store::sync`], or the next durable [`Store::append`]).
+//!   The service writes membership events that way, so an epoch of many
+//!   events costs one fsync, paid by its commit record;
 //! * **compacting snapshots**: periodically the service serializes all
 //!   per-shard group state (membership, suite, epoch, sealed session-key
 //!   material, battery ledger) and installs it atomically, truncating the
@@ -14,7 +20,8 @@
 //!   history;
 //! * the [`Store`] trait with two backends: [`MemStore`] (hermetic tests,
 //!   byte-identical to what the file backend persists) and [`FileStore`]
-//!   (a directory with `wal.log` + `snapshot.bin`, fsynced on append).
+//!   (a directory with `wal.log` + `snapshot.bin`; a durable append or a
+//!   sync is one `fdatasync`).
 //!
 //! The crate deals in *bytes*; what the records and snapshots mean is the
 //! service layer's business (`egka_service`). That split keeps the torture
@@ -29,22 +36,26 @@
 //!   checksum fails surfaces as [`StoreError::Corrupt`] — recovery either
 //!   reconstructs a strict prefix of committed epochs or reports the
 //!   damage; it never panics and never fabricates state.
+//! * **A power loss drops the unsynced tail**: records written by
+//!   [`Store::append_unsynced`] since the last barrier may be gone after
+//!   an OS or power failure (never after a process crash). Everything
+//!   before the last barrier survives.
 //!
 //! ```
-//! use egka_store::{wal_stream_records, MemStore, Store};
+//! use egka_store::{wal_records, MemStore, Store};
 //!
-//! // Per-stream WALs: stream 0 is the control log, stream k+1 belongs to
-//! // shard k. Each scans back independently, checksummed and in order.
 //! let store = MemStore::new();
-//! store.append(b"control record").unwrap();
-//! store.append_stream(1, b"shard-0 record").unwrap();
+//! store.append_unsynced(b"event 1").unwrap();
+//! store.append_unsynced(b"event 2").unwrap();
+//! store.append(b"commit").unwrap(); // one barrier covers all three
+//! store.append_unsynced(b"event 3").unwrap();
+//! assert_eq!(store.sync_count(), 1);
+//!
+//! // A power loss keeps what the barrier covered and nothing after it.
+//! store.lose_unsynced();
 //! assert_eq!(
-//!     wal_stream_records(&store, 0).unwrap(),
-//!     vec![b"control record".to_vec()]
-//! );
-//! assert_eq!(
-//!     wal_stream_records(&store, 1).unwrap(),
-//!     vec![b"shard-0 record".to_vec()]
+//!     wal_records(&store).unwrap(),
+//!     vec![b"event 1".to_vec(), b"event 2".to_vec(), b"commit".to_vec()]
 //! );
 //! ```
 
@@ -105,24 +116,50 @@ impl From<std::io::Error> for StoreError {
 /// service holds the store behind an `Arc` and appends from its
 /// coordinator thread, while tooling may read concurrently.
 ///
+/// ## Durability
+///
+/// [`Store::append`] returns only once the record is durable — the
+/// write-ahead guarantee. [`Store::append_unsynced`] hands the record to
+/// the backend without a barrier, and [`Store::sync`] is the barrier: it
+/// makes every earlier write durable. `append` is `append_unsynced`
+/// followed by `sync`, so a durable append also covers every unsynced
+/// record before it. A backend that does not override the pair keeps
+/// every append durable (`append_unsynced` defaults to `append`, `sync`
+/// to a no-op).
+///
 /// ## Streams
 ///
 /// The WAL is a family of independent append-only **streams**, addressed
 /// by a `u32` id. Stream 0 is the default (and what the stream-oblivious
 /// [`Store::append`] / [`Store::wal_bytes`] pair addresses); the service
-/// layer uses stream 0 for coordinator-wide control records and one
-/// stream per shard for group-addressed records, so appends against
-/// different shards never serialize through one file. Each stream has its
-/// own torn-tail contract (a clean prefix per stream); global ordering is
-/// the service layer's business — its records carry LSNs and recovery
-/// merges the streams by LSN. Backends that ignore the stream id (the
-/// default trait methods) still satisfy the contract: everything lands on
-/// one log, merged order equals append order.
+/// layer writes every record there. Stores written by its earlier layout
+/// also hold one stream per shard (`k + 1` for shard `k`). Each stream
+/// has its own torn-tail contract (a clean prefix per stream); global
+/// ordering is the service layer's business — its records carry LSNs and
+/// recovery merges the streams by LSN. Backends that ignore the stream id
+/// (the default trait methods) still satisfy the contract: everything
+/// lands on one log, merged order equals append order.
 pub trait Store: Send + Sync {
-    /// Appends one record (framing it) and makes it durable before
-    /// returning — the write-ahead guarantee. Equivalent to
-    /// [`Store::append_stream`] on stream 0.
+    /// Appends one record (framing it) to stream 0 and makes it, and every
+    /// record written before it, durable before returning — the
+    /// write-ahead guarantee. Equivalent to [`Store::append_stream`] on
+    /// stream 0.
     fn append(&self, payload: &[u8]) -> Result<(), StoreError>;
+
+    /// Appends one record (framing it) to stream 0 without a durability
+    /// barrier: a process crash keeps it, a power loss may drop it until
+    /// the next [`Store::sync`] or [`Store::append`]. The default is the
+    /// durable [`Store::append`].
+    fn append_unsynced(&self, payload: &[u8]) -> Result<(), StoreError> {
+        self.append(payload)
+    }
+
+    /// Makes every earlier write durable — one barrier. The default does
+    /// nothing: a backend whose appends are all durable has nothing left
+    /// to sync.
+    fn sync(&self) -> Result<(), StoreError> {
+        Ok(())
+    }
 
     /// The raw WAL byte stream, exactly as persisted (framing included).
     /// Equivalent to [`Store::wal_stream_bytes`] on stream 0.
@@ -170,6 +207,14 @@ impl<T: Store + ?Sized> Store for std::sync::Arc<T> {
         (**self).append(payload)
     }
 
+    fn append_unsynced(&self, payload: &[u8]) -> Result<(), StoreError> {
+        (**self).append_unsynced(payload)
+    }
+
+    fn sync(&self) -> Result<(), StoreError> {
+        (**self).sync()
+    }
+
     fn wal_bytes(&self) -> Result<Vec<u8>, StoreError> {
         (**self).wal_bytes()
     }
@@ -199,8 +244,8 @@ impl<T: Store + ?Sized> Store for std::sync::Arc<T> {
     }
 }
 
-/// A [`Store`] decorator that reports append / snapshot-install spans and
-/// sync instants into an [`egka_trace::Tracer`].
+/// A [`Store`] decorator that reports append, sync and snapshot-install
+/// spans into an [`egka_trace::Tracer`].
 ///
 /// The store has no virtual clock of its own, so spans are stamped on a
 /// per-store operation counter (one tick per call) on the dedicated store
@@ -256,6 +301,16 @@ impl<S: Store> TracedStore<S> {
 impl<S: Store> Store for TracedStore<S> {
     fn append(&self, payload: &[u8]) -> Result<(), StoreError> {
         self.span("store.append", payload.len() as u64, |s| s.append(payload))
+    }
+
+    fn append_unsynced(&self, payload: &[u8]) -> Result<(), StoreError> {
+        self.span("store.append", payload.len() as u64, |s| {
+            s.append_unsynced(payload)
+        })
+    }
+
+    fn sync(&self) -> Result<(), StoreError> {
+        self.span("store.sync", 0, S::sync)
     }
 
     fn wal_bytes(&self) -> Result<Vec<u8>, StoreError> {
@@ -385,9 +440,105 @@ mod tests {
         );
     }
 
+    /// Unsynced appends read back at once and take no barrier; one sync,
+    /// or one durable append, covers every one of them.
+    fn exercise_group_commit(store: &dyn Store) {
+        let (before, records) = (store.sync_count(), wal_records(store).unwrap().len());
+        for i in 0..5u8 {
+            store.append_unsynced(&[i]).unwrap();
+        }
+        assert_eq!(store.sync_count(), before, "no barrier per record");
+        let read = wal_records(store).unwrap().len();
+        assert_eq!(read, records + 5, "readers see them at once");
+        store.append(b"commit").unwrap();
+        assert_eq!(store.sync_count(), before + 1, "one barrier per commit");
+        store.sync().unwrap();
+        assert_eq!(store.sync_count(), before + 2);
+        assert_eq!(wal_records(store).unwrap().len(), records + 6);
+    }
+
     #[test]
     fn mem_store_contract() {
         exercise(&MemStore::new());
+    }
+
+    #[test]
+    fn group_commit_takes_one_barrier_on_every_backend_and_wrapper() {
+        exercise_group_commit(&MemStore::new());
+        let (cfg, ring) = egka_trace::TraceConfig::ring(1 << 10);
+        exercise_group_commit(&TracedStore::new(
+            MemStore::new(),
+            egka_trace::Tracer::from(cfg),
+        ));
+        egka_trace::export::validate(&ring.events()).expect("balanced spans");
+        // The service's shape: a backend behind `Arc<dyn Store>`, itself
+        // wrapped for tracing. A wrapper that forgot to forward the pair
+        // would fall back to the durable default and fail the count.
+        let dir = std::env::temp_dir().join(format!("egka-store-gc-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let file: std::sync::Arc<dyn Store> = std::sync::Arc::new(FileStore::open(&dir).unwrap());
+        exercise_group_commit(&file);
+        exercise_group_commit(&TracedStore::new(
+            std::sync::Arc::clone(&file),
+            egka_trace::Tracer::default(),
+        ));
+        drop(file);
+        let reopened = FileStore::open(&dir).unwrap();
+        assert_eq!(wal_records(&reopened).unwrap().len(), 12);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_store_without_the_pair_keeps_every_append_durable() {
+        struct Durable(MemStore);
+        impl Store for Durable {
+            fn append(&self, payload: &[u8]) -> Result<(), StoreError> {
+                self.0.append(payload)
+            }
+            fn wal_bytes(&self) -> Result<Vec<u8>, StoreError> {
+                self.0.wal_bytes()
+            }
+            fn install_snapshot(&self, snapshot: &[u8]) -> Result<(), StoreError> {
+                self.0.install_snapshot(snapshot)
+            }
+            fn snapshot_bytes(&self) -> Result<Option<Vec<u8>>, StoreError> {
+                self.0.snapshot_bytes()
+            }
+            fn sync_count(&self) -> u64 {
+                self.0.sync_count()
+            }
+        }
+        let store = Durable(MemStore::new());
+        store.append_unsynced(b"a").unwrap();
+        store.sync().unwrap();
+        assert_eq!(store.sync_count(), 1, "the default append_unsynced syncs");
+        store.0.lose_unsynced();
+        assert_eq!(wal_records(&store).unwrap(), vec![b"a".to_vec()]);
+    }
+
+    #[test]
+    fn mem_store_power_loss_drops_only_the_unsynced_tail() {
+        let store = MemStore::new();
+        store.append(b"durable").unwrap();
+        store.append_stream(2, b"old layout").unwrap();
+        store.append_unsynced(b"lost 1").unwrap();
+        store.append_unsynced(b"lost 2").unwrap();
+        store.lose_unsynced();
+        assert_eq!(wal_records(&store).unwrap(), vec![b"durable".to_vec()]);
+        assert_eq!(
+            wal_stream_records(&store, 2).unwrap(),
+            vec![b"old layout".to_vec()]
+        );
+        // Raw torture bytes count as durable, and a sync covers the tail.
+        store.set_raw_stream(0, frame(b"raw"));
+        store.append_unsynced(b"kept").unwrap();
+        store.sync().unwrap();
+        store.append_unsynced(b"lost").unwrap();
+        store.lose_unsynced();
+        assert_eq!(
+            wal_records(&store).unwrap(),
+            vec![b"raw".to_vec(), b"kept".to_vec()]
+        );
     }
 
     #[test]

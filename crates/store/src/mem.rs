@@ -1,16 +1,33 @@
 //! The in-memory backend: hermetic tests, byte-identical persistence.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::wal::frame;
 use crate::{Store, StoreError, POISONED};
 
+/// One stream's bytes, and how much of them a power loss would keep.
+#[derive(Debug, Default)]
+struct Log {
+    bytes: Vec<u8>,
+    /// Length of the prefix a durability barrier has covered.
+    synced: usize,
+}
+
+impl Log {
+    /// A log whose every byte counts as durable (raw torture input).
+    fn durable(bytes: Vec<u8>) -> Self {
+        Log {
+            synced: bytes.len(),
+            bytes,
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct MemState {
-    /// Stream 0 — the control log every store has.
-    wal: Vec<u8>,
-    /// Streams > 0, keyed by stream id; absent means empty.
-    streams: std::collections::BTreeMap<u32, Vec<u8>>,
+    /// Every stream's log by id, stream 0 included; absent means empty.
+    logs: BTreeMap<u32, Log>,
     snapshot: Option<Vec<u8>>,
     syncs: u64,
 }
@@ -22,6 +39,10 @@ struct MemState {
 /// bit) exercise exactly the framing a crash would tear — without touching
 /// the filesystem. Cloning shares the underlying state, the way two
 /// openings of one directory would.
+///
+/// Each log remembers how far its last durability barrier reached, so a
+/// test can also model a power loss ([`MemStore::lose_unsynced`]): what
+/// [`Store::append_unsynced`] wrote since the last [`Store::sync`] is gone.
 #[derive(Clone, Debug, Default)]
 pub struct MemStore {
     inner: Arc<Mutex<MemState>>,
@@ -37,25 +58,16 @@ impl MemStore {
     /// *payload* — the torture-test constructor: hand it a damaged byte
     /// stream and watch recovery cope.
     pub fn with_raw(wal: Vec<u8>, snapshot: Option<Vec<u8>>) -> Self {
-        MemStore {
-            inner: Arc::new(Mutex::new(MemState {
-                wal,
-                streams: std::collections::BTreeMap::new(),
-                snapshot: snapshot.map(|payload| frame(&payload)),
-                syncs: 0,
-            })),
-        }
+        let store = MemStore::new();
+        store.set_raw(wal, snapshot.map(|payload| frame(&payload)));
+        store
     }
 
     /// Replaces one stream's raw bytes (framing included) — the
-    /// multi-stream torture constructor. Stream 0 aliases the main WAL.
+    /// multi-stream torture constructor. Stream 0 is the main WAL.
     pub fn set_raw_stream(&self, stream: u32, bytes: Vec<u8>) {
         let mut inner = self.inner.lock().expect(POISONED);
-        if stream == 0 {
-            inner.wal = bytes;
-        } else {
-            inner.streams.insert(stream, bytes);
-        }
+        inner.logs.insert(stream, Log::durable(bytes));
     }
 
     /// The raw snapshot bytes as persisted (framing included), for tests
@@ -68,21 +80,46 @@ impl MemStore {
     /// other half of the torture-test API.
     pub fn set_raw(&self, wal: Vec<u8>, framed_snapshot: Option<Vec<u8>>) {
         let mut inner = self.inner.lock().expect(POISONED);
-        inner.wal = wal;
+        inner.logs.insert(0, Log::durable(wal));
         inner.snapshot = framed_snapshot;
+    }
+
+    /// Models a power loss: every log drops what was written after its
+    /// last durability barrier. (A process crash loses nothing — the
+    /// bytes already reached the backend.)
+    #[doc(hidden)]
+    pub fn lose_unsynced(&self) {
+        let mut inner = self.inner.lock().expect(POISONED);
+        for log in inner.logs.values_mut() {
+            log.bytes.truncate(log.synced);
+        }
     }
 }
 
 impl Store for MemStore {
     fn append(&self, payload: &[u8]) -> Result<(), StoreError> {
+        self.append_unsynced(payload)?;
+        self.sync()
+    }
+
+    fn append_unsynced(&self, payload: &[u8]) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect(POISONED);
-        inner.wal.extend_from_slice(&frame(payload));
+        let log = inner.logs.entry(0).or_default();
+        log.bytes.extend_from_slice(&frame(payload));
+        Ok(())
+    }
+
+    fn sync(&self) -> Result<(), StoreError> {
+        let mut inner = self.inner.lock().expect(POISONED);
+        for log in inner.logs.values_mut() {
+            log.synced = log.bytes.len();
+        }
         inner.syncs += 1;
         Ok(())
     }
 
     fn wal_bytes(&self) -> Result<Vec<u8>, StoreError> {
-        Ok(self.inner.lock().expect(POISONED).wal.clone())
+        self.wal_stream_bytes(0)
     }
 
     fn append_stream(&self, stream: u32, payload: &[u8]) -> Result<(), StoreError> {
@@ -90,23 +127,19 @@ impl Store for MemStore {
             return self.append(payload);
         }
         let mut inner = self.inner.lock().expect(POISONED);
-        let buf = inner.streams.entry(stream).or_default();
-        buf.extend_from_slice(&frame(payload));
+        let log = inner.logs.entry(stream).or_default();
+        log.bytes.extend_from_slice(&frame(payload));
+        log.synced = log.bytes.len();
         inner.syncs += 1;
         Ok(())
     }
 
     fn wal_stream_bytes(&self, stream: u32) -> Result<Vec<u8>, StoreError> {
-        if stream == 0 {
-            return self.wal_bytes();
-        }
-        Ok(self
-            .inner
-            .lock()
-            .expect(POISONED)
-            .streams
+        let inner = self.inner.lock().expect(POISONED);
+        Ok(inner
+            .logs
             .get(&stream)
-            .cloned()
+            .map(|log| log.bytes.clone())
             .unwrap_or_default())
     }
 
@@ -115,10 +148,10 @@ impl Store for MemStore {
         let mut ids = vec![0];
         ids.extend(
             inner
-                .streams
+                .logs
                 .iter()
-                .filter(|(_, b)| !b.is_empty())
-                .map(|(id, _)| *id),
+                .filter(|(&id, log)| id > 0 && !log.bytes.is_empty())
+                .map(|(&id, _)| id),
         );
         Ok(ids)
     }
@@ -126,8 +159,7 @@ impl Store for MemStore {
     fn install_snapshot(&self, snapshot: &[u8]) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect(POISONED);
         inner.snapshot = Some(frame(snapshot));
-        inner.wal.clear();
-        inner.streams.clear();
+        inner.logs.clear();
         inner.syncs += 1;
         Ok(())
     }

@@ -44,7 +44,8 @@ impl std::error::Error for EnvelopeError {}
 #[derive(Clone)]
 pub struct Envelope {
     enc: Aes,
-    mac_key: Vec<u8>,
+    /// HMAC keyed once; each tag starts from a clone of it.
+    mac: Hmac<Sha256>,
 }
 
 impl Envelope {
@@ -54,8 +55,14 @@ impl Envelope {
         let okm = hkdf(b"egka.envelope.v1", ikm, b"enc|mac", 16 + 32);
         Envelope {
             enc: Aes::new(&okm[..16]),
-            mac_key: okm[16..].to_vec(),
+            mac: Hmac::new(&okm[16..]),
         }
+    }
+
+    fn tag(&self, body: &[u8]) -> Vec<u8> {
+        let mut mac = self.mac.clone();
+        mac.update(body);
+        mac.finalize()
     }
 
     /// Seals `plaintext`: returns `IV || ciphertext || tag`.
@@ -66,7 +73,7 @@ impl Envelope {
         let mut out = Vec::with_capacity(16 + ct.len() + TAG_LEN);
         out.extend_from_slice(&iv);
         out.extend_from_slice(&ct);
-        let tag = Hmac::<Sha256>::mac(&self.mac_key, &out);
+        let tag = self.tag(&out);
         out.extend_from_slice(&tag[..TAG_LEN]);
         out
     }
@@ -77,7 +84,7 @@ impl Envelope {
             return Err(EnvelopeError::Truncated);
         }
         let (body, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let expect = Hmac::<Sha256>::mac(&self.mac_key, body);
+        let expect = self.tag(body);
         let ok = expect[..TAG_LEN]
             .iter()
             .zip(tag)
@@ -139,6 +146,20 @@ mod tests {
         let env2 = Envelope::from_key_material(b"key two");
         let sealed = env1.seal(&mut rng, b"secret");
         assert_eq!(env2.open(&sealed), Err(EnvelopeError::BadTag));
+    }
+
+    #[test]
+    fn tags_match_the_one_shot_hmac_over_the_derived_key() {
+        let mut rng = ChaChaRng::seed_from_u64(5);
+        for ikm in [&b"k"[..], b"group key material", &[0xa5; 96]] {
+            let env = Envelope::from_key_material(ikm);
+            let mac_key = &hkdf(b"egka.envelope.v1", ikm, b"enc|mac", 16 + 32)[16..];
+            for len in [0usize, 1, 16, 100] {
+                let sealed = env.seal(&mut rng, &vec![7u8; len]);
+                let (body, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+                assert_eq!(tag, &Hmac::<Sha256>::mac(mac_key, body)[..TAG_LEN]);
+            }
+        }
     }
 
     #[test]

@@ -58,15 +58,12 @@ impl Digest for Sha1 {
 
     fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-        }
-        // update() counts padding into total_len, but bit_len was latched first.
-        self.total_len = 0;
-        let mut tail = [0u8; 8];
-        tail.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&tail);
+        // 0x80, zeros up to 56 mod 64, then the bit length: one write.
+        let zeros = (64 + 55 - self.buffer_len) % 64;
+        let mut pad = [0u8; 1 + 63 + 8];
+        pad[0] = 0x80;
+        pad[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..9 + zeros]);
         debug_assert_eq!(self.buffer_len, 0);
         let mut out = Vec::with_capacity(20);
         for w in self.state {
@@ -168,6 +165,22 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha1::digest(data));
+        }
+    }
+
+    /// `n` bytes of `a` at the lengths where the padding spills into a
+    /// second block or fills one exactly; expected digests from `sha1sum`.
+    #[test]
+    fn padding_boundary_vectors() {
+        for (n, want) in [
+            (55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"),
+            (56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"),
+            (63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"),
+            (64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"),
+            (119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"),
+            (120, "f34c1488385346a55709ba056ddd08280dd4c6d6"),
+        ] {
+            assert_eq!(hex(&Sha1::digest(&vec![b'a'; n])), want, "{n} bytes");
         }
     }
 }

@@ -68,11 +68,12 @@ impl Digest for Sha256 {
 
     fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // 0x80, zeros up to 56 mod 64, then the bit length: one write.
+        let zeros = (64 + 55 - self.buffer_len) % 64;
+        let mut pad = [0u8; 1 + 63 + 8];
+        pad[0] = 0x80;
+        pad[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..9 + zeros]);
         debug_assert_eq!(self.buffer_len, 0);
         let mut out = Vec::with_capacity(32);
         for w in self.state {
@@ -191,6 +192,40 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha256::digest(&data));
+        }
+    }
+
+    /// `n` bytes of `a` at the lengths where the padding spills into a
+    /// second block or fills one exactly; expected digests from `sha256sum`.
+    #[test]
+    fn padding_boundary_vectors() {
+        for (n, want) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ] {
+            assert_eq!(hex(&Sha256::digest(&vec![b'a'; n])), want, "{n} bytes");
         }
     }
 }

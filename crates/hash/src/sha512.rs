@@ -146,11 +146,12 @@ impl Digest for Sha512 {
 
     fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 112 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // 0x80, zeros up to 112 mod 128, then the bit length: one write.
+        let zeros = (128 + 111 - self.buffer_len) % 128;
+        let mut pad = [0u8; 1 + 127 + 16];
+        pad[0] = 0x80;
+        pad[1 + zeros..17 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..17 + zeros]);
         debug_assert_eq!(self.buffer_len, 0);
         let mut out = Vec::with_capacity(64);
         for w in self.state {
@@ -235,6 +236,66 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha512::digest(&data));
+        }
+    }
+
+    /// `n` bytes of `a` at the lengths where the padding spills into a
+    /// second block or fills one exactly; expected digests from `sha512sum`.
+    #[test]
+    fn padding_boundary_vectors() {
+        for (n, want) in [
+            (
+                55,
+                "b0220c772cbf6c1822e2cb38a437d0e1d58772417a4bbb21c961364f8b6143e0\
+                 5aa6316dca8d1d7b19e16448419076395f6086cb55101fbd6d5497b148e1745f",
+            ),
+            (
+                56,
+                "962b64aae357d2a4fee3ded8b539bdc9d325081822b0bfc55583133aab44f18b\
+                 afe11d72a7ae16c79ce2ba620ae2242d5144809161945f1367f41b3972e26e04",
+            ),
+            (
+                63,
+                "c1b0f5c6d3b03dfe4a2602e67242f54e344090b66e01100a469b129f583f016c\
+                 7e27dddeaa438393dcc7ec54b0b57c9ba7af007f9b56db5f6fb677d972a31362",
+            ),
+            (
+                64,
+                "01d35c10c6c38c2dcf48f7eebb3235fb5ad74a65ec4cd016e2354c637a8fb49b\
+                 695ef3c1d6f7ae4cd74d78cc9c9bcac9d4f23a73019998a7f73038a5c9b2dbde",
+            ),
+            (
+                111,
+                "fa9121c7b32b9e01733d034cfc78cbf67f926c7ed83e82200ef8681819692176\
+                 0b4beff48404df811b953828274461673c68d04e297b0eb7b2b4d60fc6b566a2",
+            ),
+            (
+                112,
+                "c01d080efd492776a1c43bd23dd99d0a2e626d481e16782e75d54c2503b5dc32\
+                 bd05f0f1ba33e568b88fd2d970929b719ecbb152f58f130a407c8830604b70ca",
+            ),
+            (
+                119,
+                "130396a75cb483f2eee8c56d8a668bb3d2641f5243212c0bee2bd33da096ad9e\
+                 b8179fe18f9eaacf76e09fae9de4c3f14ba13341e345be05bf76c182cc3468cb",
+            ),
+            (
+                120,
+                "f241de612b01aa2fa3cf01531d2a8e5e17fc761dfd48a704a834a47f57d6eade\
+                 7804ecc39be42fdef16ec6adeaf7c01c2fd0c4cc97d3860907cfa4a3b36d0c05",
+            ),
+            (
+                127,
+                "828613968b501dc00a97e08c73b118aa8876c26b8aac93df128502ab360f91ba\
+                 b50a51e088769a5c1eff4782ace147dce3642554199876374291f5d921629502",
+            ),
+            (
+                128,
+                "b73d1929aa615934e61a871596b3f3b33359f42b8175602e89f7e06e5f658a24\
+                 3667807ed300314b95cacdd579f3e33abdfbe351909519a846d465c59582f321",
+            ),
+        ] {
+            assert_eq!(hex(&Sha512::digest(&vec![b'a'; n])), want, "{n} bytes");
         }
     }
 }

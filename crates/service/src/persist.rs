@@ -46,17 +46,29 @@
 //! ([`StoreConfig::seal_key`]). A snapshot opened with the wrong key — or
 //! a tampered one — surfaces as [`StoreError::Corrupt`], never as a wrong
 //! group key.
+//!
+//! Each group's IV is **synthetic** (SIV-style): the first 16 bytes of an
+//! HMAC-SHA256 over `gid ‖ session state`, under a key derived from the
+//! store key independently of the envelope's encryption and MAC keys. A
+//! sealed session is therefore a function of the group's id and state,
+//! so each group caches its blob ([`GroupState`]) and a snapshot seals
+//! only the groups whose session changed since the last one — on the
+//! shard workers, in parallel — and copies every other blob. An IV
+//! repeats only for a byte-identical plaintext under the same id, so what
+//! equal blobs in two snapshots reveal is that the group did not change
+//! between them, and nothing else. The blob format (IV, CBC ciphertext,
+//! tag) is the random-IV envelope's, so snapshots sealed with random IVs
+//! still open.
 
 use std::sync::Arc;
 
 use egka_core::suite::SuiteId;
 use egka_core::wire::{DecodeError, Reader, Writer};
 use egka_core::{GroupSession, Pkg, UserId};
-use egka_hash::ChaChaRng;
+use egka_hash::{hkdf, Hmac, Sha256};
 use egka_store::{Store, StoreError};
 use egka_symmetric::Envelope;
 use egka_trace::StallCause;
-use rand::SeedableRng;
 
 use crate::event::{GroupId, MembershipEvent};
 use crate::shard::GroupState;
@@ -106,8 +118,53 @@ impl StoreConfig {
         self
     }
 
-    pub(crate) fn envelope(&self) -> Envelope {
-        Envelope::from_key_material(&self.seal_key)
+    pub(crate) fn sealer(&self) -> Sealer {
+        Sealer::new(&self.seal_key)
+    }
+}
+
+/// Seals group sessions under a store key with a synthetic IV (module
+/// docs, "Sealing").
+pub(crate) struct Sealer {
+    envelope: Envelope,
+    /// Keyed with a key derived from the store key independently of the
+    /// envelope's encryption and MAC keys.
+    siv: Hmac<Sha256>,
+}
+
+impl Sealer {
+    pub(crate) fn new(seal_key: &[u8; 32]) -> Self {
+        Sealer {
+            envelope: Envelope::from_key_material(seal_key),
+            siv: Hmac::new(&hkdf(b"egka.snapshot.siv.v1", seal_key, b"siv", 32)),
+        }
+    }
+
+    /// Seals `gid`'s session under the IV `HMAC(siv, gid ‖ state)[..16]`.
+    pub(crate) fn seal(&self, gid: GroupId, session: &GroupSession) -> Box<[u8]> {
+        let mut w = Writer::new();
+        session.encode_state(&mut w);
+        let plain = w.finish();
+        let mut mac = self.siv.clone();
+        mac.update(&gid.to_be_bytes());
+        mac.update(&plain);
+        let iv: [u8; 16] = mac.finalize()[..16]
+            .try_into()
+            .expect("HMAC-SHA256 gives 32 bytes");
+        self.envelope.seal_with_iv(&iv, &plain).into_boxed_slice()
+    }
+
+    /// Opens a sealed session, whichever way its IV was chosen.
+    fn open(&self, sealed: &[u8], pkg: &Pkg) -> Result<GroupSession, StoreError> {
+        let plain = self.envelope.open(sealed).map_err(|_| {
+            corrupt("sealed session failed authentication (damaged or wrong seal key)")
+        })?;
+        let mut r = Reader::new(&plain);
+        let session = GroupSession::decode_state(&mut r, pkg.params())
+            .map_err(|_| corrupt("sealed session payload malformed"))?;
+        r.expect_end()
+            .map_err(|_| corrupt("sealed session has trailing bytes"))?;
+        Ok(session)
     }
 }
 
@@ -360,7 +417,8 @@ pub(crate) struct SnapshotState<'a> {
     pub known_dead: Vec<UserId>,
     /// `(user, capacity_uj, spent_uj)` battery cells, ascending by id.
     pub batteries: Vec<(u32, f64, f64)>,
-    /// `(gid, state)` for every live group, ascending by id.
+    /// `(gid, state)` for every live group, ascending by id; every state
+    /// holds its sealed blob.
     pub groups: Vec<(GroupId, &'a GroupState)>,
     /// `(gid, queued events)` for every non-empty queue, ascending by id.
     pub pending: Vec<(GroupId, &'a [MembershipEvent])>,
@@ -399,17 +457,9 @@ pub(crate) struct RestoredState {
     pub blame_certs: Vec<Vec<u8>>,
 }
 
-/// Serializes a snapshot, sealing each group's session state under
-/// `config`'s envelope. `seal_seed` drives the sealing IVs (deterministic
-/// per service seed + epoch, so snapshotting never perturbs protocol
-/// randomness).
-pub(crate) fn encode_snapshot(
-    state: &SnapshotState<'_>,
-    config: &StoreConfig,
-    seal_seed: u64,
-) -> Vec<u8> {
-    let envelope = config.envelope();
-    let mut rng = ChaChaRng::seed_from_u64(seal_seed ^ 0x5ea1_5ea1);
+/// Serializes a snapshot. The groups' sessions are already sealed
+/// ([`crate::shard::Shard::seal_groups`]); this only copies the blobs.
+pub(crate) fn encode_snapshot(state: &SnapshotState<'_>) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_bytes(SNAPSHOT_MAGIC);
     w.put_u32(state.shards).put_u64(state.seed);
@@ -439,14 +489,11 @@ pub(crate) fn encode_snapshot(
     }
     w.put_u32(state.groups.len() as u32);
     for (gid, g) in &state.groups {
-        w.put_u64(*gid)
-            .put_u8(g.suite.code())
-            .put_u64(g.created_epoch)
-            .put_u64(g.rekeys);
-        let mut sw = Writer::new();
-        g.session.encode_state(&mut sw);
-        let sealed = envelope.seal(&mut rng, &sw.finish());
-        w.put_blob(&sealed);
+        let sealed = g
+            .cached_seal()
+            .expect("snapshot_now seals every group before encoding");
+        w.put_u64(*gid);
+        put_group(&mut w, g, sealed);
     }
     w.put_u32(state.pending.len() as u32);
     for (gid, events) in &state.pending {
@@ -493,7 +540,7 @@ pub(crate) fn decode_snapshot(
     config: &StoreConfig,
     pkg: &Pkg,
 ) -> Result<RestoredState, StoreError> {
-    let envelope = config.envelope();
+    let sealer = config.sealer();
     let mut r = Reader::new(bytes);
     let de = |_: DecodeError| corrupt("snapshot truncated or malformed");
     if r.get_bytes().map_err(de)? != SNAPSHOT_MAGIC {
@@ -544,28 +591,7 @@ pub(crate) fn decode_snapshot(
     let mut groups = Vec::with_capacity((n_groups as usize).min(1 << 16));
     for _ in 0..n_groups {
         let gid = r.get_u64().map_err(de)?;
-        let suite = SuiteId::from_code(r.get_u8().map_err(de)?)
-            .ok_or_else(|| corrupt("unknown suite code in snapshot"))?;
-        let created_epoch = r.get_u64().map_err(de)?;
-        let rekeys = r.get_u64().map_err(de)?;
-        let sealed = r.get_blob().map_err(de)?;
-        let plain = envelope.open(sealed).map_err(|_| {
-            corrupt("sealed session failed authentication (damaged or wrong seal key)")
-        })?;
-        let mut sr = Reader::new(&plain);
-        let session = GroupSession::decode_state(&mut sr, pkg.params())
-            .map_err(|_| corrupt("sealed session payload malformed"))?;
-        sr.expect_end()
-            .map_err(|_| corrupt("sealed session has trailing bytes"))?;
-        groups.push((
-            gid,
-            GroupState {
-                session,
-                suite,
-                created_epoch,
-                rekeys,
-            },
-        ));
+        groups.push((gid, get_group(&mut r, &sealer, pkg)?));
     }
     let n_pending = r.get_u32().map_err(de)?;
     let mut pending = Vec::with_capacity((n_pending as usize).min(1 << 16));
@@ -634,58 +660,56 @@ pub(crate) fn decode_snapshot(
     })
 }
 
-/// Seals one group's state for shard-to-shard transit — the same
-/// `[suite][created_epoch][rekeys][sealed session]` layout the snapshot
-/// codec writes per group, so every live handoff exercises exactly the
-/// portability the snapshot guarantees (and nothing more: no membership
-/// replay, no re-keying).
-pub(crate) fn seal_group_state(g: &GroupState, envelope: &Envelope, seal_seed: u64) -> Vec<u8> {
-    let mut rng = ChaChaRng::seed_from_u64(seal_seed ^ 0x5ea1_5ea1);
-    let mut w = Writer::new();
+/// Writes one group's `[suite][created_epoch][rekeys][sealed session]`
+/// record, the layout both snapshots and handoffs carry.
+fn put_group(w: &mut Writer, g: &GroupState, sealed: &[u8]) {
     w.put_u8(g.suite.code())
         .put_u64(g.created_epoch)
-        .put_u64(g.rekeys);
-    let mut sw = Writer::new();
-    g.session.encode_state(&mut sw);
-    w.put_blob(&envelope.seal(&mut rng, &sw.finish()));
-    w.finish().to_vec()
+        .put_u64(g.rekeys)
+        .put_blob(sealed);
 }
 
-/// Opens a [`seal_group_state`] blob. Damage or a wrong envelope key is
-/// typed corruption, exactly as for a snapshot.
-pub(crate) fn unseal_group_state(
-    bytes: &[u8],
-    envelope: &Envelope,
-    pkg: &Pkg,
-) -> Result<GroupState, StoreError> {
-    let mut r = Reader::new(bytes);
+/// Reads a [`put_group`] record and opens its session. The returned state
+/// caches nothing: a blob read back may carry a random IV.
+fn get_group(r: &mut Reader<'_>, sealer: &Sealer, pkg: &Pkg) -> Result<GroupState, StoreError> {
     let de = |_: DecodeError| corrupt("sealed group state truncated or malformed");
     let suite = SuiteId::from_code(r.get_u8().map_err(de)?)
         .ok_or_else(|| corrupt("unknown suite code in sealed group state"))?;
     let created_epoch = r.get_u64().map_err(de)?;
     let rekeys = r.get_u64().map_err(de)?;
-    let sealed = r.get_blob().map_err(de)?;
-    let plain = envelope
-        .open(sealed)
-        .map_err(|_| corrupt("sealed session failed authentication (damaged or wrong seal key)"))?;
-    let mut sr = Reader::new(&plain);
-    let session = GroupSession::decode_state(&mut sr, pkg.params())
-        .map_err(|_| corrupt("sealed session payload malformed"))?;
-    sr.expect_end()
-        .map_err(|_| corrupt("sealed session has trailing bytes"))?;
+    let session = sealer.open(r.get_blob().map_err(de)?, pkg)?;
+    Ok(GroupState::new(session, suite, created_epoch, rekeys))
+}
+
+/// Encodes one group's state for shard-to-shard transit: the record a
+/// snapshot carries per group, so every live handoff exercises exactly the
+/// portability the snapshot guarantees (and nothing more: no membership
+/// replay, no re-keying). `sealed` is the group's sealed session.
+pub(crate) fn encode_group_state(g: &GroupState, sealed: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    put_group(&mut w, g, sealed);
+    w.finish().to_vec()
+}
+
+/// Decodes an [`encode_group_state`] record and opens its session. Damage
+/// or a wrong store key is typed corruption, exactly as for a snapshot.
+pub(crate) fn decode_group_state(
+    bytes: &[u8],
+    sealer: &Sealer,
+    pkg: &Pkg,
+) -> Result<GroupState, StoreError> {
+    let mut r = Reader::new(bytes);
+    let g = get_group(&mut r, sealer, pkg)?;
     r.expect_end()
         .map_err(|_| corrupt("sealed group state has trailing bytes"))?;
-    Ok(GroupState {
-        session,
-        suite,
-        created_epoch,
-        rekeys,
-    })
+    Ok(g)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egka_hash::ChaChaRng;
+    use rand::SeedableRng;
 
     #[test]
     fn wal_record_codec_roundtrips() {
@@ -806,8 +830,8 @@ mod tests {
         let old: Arc<dyn Store> = Arc::new(FileStore::open(&dir).unwrap());
         let (mut recovered, _) = builder(Arc::clone(&old)).recover(Arc::clone(&pkg)).unwrap();
         assert_eq!(recovered.epoch(), 3);
-        // Same LSN watermark and state, so the two snapshots (sealing
-        // IVs included) must be the same bytes.
+        // Same LSN watermark and state, so the two snapshots must be the
+        // same bytes (a seal is a function of group id and state).
         live.snapshot_now();
         recovered.snapshot_now();
         assert_eq!(
@@ -828,6 +852,216 @@ mod tests {
             assert_eq!(len, 0, "wal.{k}.log truncated");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn toy_pkg() -> Arc<Pkg> {
+        use egka_core::SecurityProfile;
+        Arc::new(Pkg::setup(
+            &mut ChaChaRng::seed_from_u64(0x5ea1),
+            SecurityProfile::Toy,
+        ))
+    }
+
+    fn durable(mem: &egka_store::MemStore) -> crate::ServiceBuilder {
+        crate::KeyService::builder()
+            .shards(2)
+            .seed(0x51f)
+            .store(StoreConfig::new(Arc::new(mem.clone())).snapshot_every(0))
+    }
+
+    fn members(gid: u64, n: u32) -> Vec<UserId> {
+        let base = gid as u32 * 10;
+        (base..base + n).map(UserId).collect()
+    }
+
+    fn state_bytes(session: &GroupSession) -> Vec<u8> {
+        let mut w = Writer::new();
+        session.encode_state(&mut w);
+        w.finish().to_vec()
+    }
+
+    /// Six groups, a cut, then two epochs that change only groups 0 and 3.
+    fn drive(svc: &mut crate::KeyService) {
+        for g in 0..6u64 {
+            svc.create_group(g, &members(g, 4)).unwrap();
+        }
+        svc.snapshot_now();
+        for epoch in 0..2u32 {
+            for g in [0u64, 3] {
+                let user = UserId(1000 + epoch * 10 + g as u32);
+                svc.submit(g, MembershipEvent::Join(user)).unwrap();
+            }
+            svc.tick();
+        }
+    }
+
+    #[test]
+    fn a_warm_snapshot_is_byte_equal_to_a_cold_one() {
+        use egka_store::MemStore;
+        let pkg = toy_pkg();
+        let (warm_mem, cold_mem) = (MemStore::new(), MemStore::new());
+        let mut warm = durable(&warm_mem).build(Arc::clone(&pkg));
+        let mut cold = durable(&cold_mem).build(Arc::clone(&pkg));
+        drive(&mut warm);
+        drive(&mut cold);
+        // The rekeyed groups dropped their blobs; the others kept theirs.
+        assert!(warm.cached_seal(0).is_none() && warm.cached_seal(3).is_none());
+        assert!(warm.cached_seal(1).is_some() && warm.cached_seal(5).is_some());
+        cold.forget_seals();
+        warm.snapshot_now();
+        cold.snapshot_now();
+        assert_eq!(
+            warm_mem.snapshot_bytes().unwrap(),
+            cold_mem.snapshot_bytes().unwrap()
+        );
+
+        // A recovered service (snapshot plus a replayed tail) caches
+        // nothing, and still cuts the live service's bytes.
+        warm.submit(1, MembershipEvent::Leave(UserId(11))).unwrap();
+        warm.tick();
+        let (mut recovered, report) = durable(&warm_mem).recover(Arc::clone(&pkg)).unwrap();
+        assert_eq!(report.epochs_replayed, 1);
+        assert!(recovered.cached_seal(2).is_none());
+        warm.snapshot_now();
+        let live = warm_mem.snapshot_bytes().unwrap();
+        recovered.snapshot_now();
+        assert_eq!(warm_mem.snapshot_bytes().unwrap(), live);
+    }
+
+    #[test]
+    fn a_rekey_a_merge_and_a_handoff_leave_each_blob_current() {
+        use egka_store::MemStore;
+        let pkg = toy_pkg();
+        let mem = MemStore::new();
+        let mut svc = durable(&mem).build(Arc::clone(&pkg));
+        for g in 0..3u64 {
+            svc.create_group(g, &members(g, 4)).unwrap();
+        }
+        svc.create_group(3, &members(3, 2)).unwrap();
+        svc.snapshot_now();
+        let sealer = StoreConfig::new(Arc::new(mem.clone())).sealer();
+        let blob = |svc: &crate::KeyService, gid| svc.cached_seal(gid).map(<[u8]>::to_vec);
+        let assert_opens = |svc: &crate::KeyService, gid| {
+            let opened = sealer.open(svc.cached_seal(gid).unwrap(), &pkg).unwrap();
+            assert_eq!(state_bytes(&opened), state_bytes(svc.session(gid).unwrap()));
+        };
+        let untouched = blob(&svc, 2).expect("every group sealed");
+
+        let before = blob(&svc, 0).expect("sealed");
+        svc.submit(0, MembershipEvent::Join(UserId(100))).unwrap();
+        svc.tick();
+        assert_eq!(blob(&svc, 0), None, "a rekey drops the blob");
+        svc.snapshot_now();
+        assert_ne!(blob(&svc, 0).unwrap(), before);
+        assert_opens(&svc, 0);
+
+        let before = blob(&svc, 0).unwrap();
+        svc.submit(0, MembershipEvent::MergeWith(1)).unwrap();
+        svc.tick();
+        assert!(svc.session(1).is_none(), "group 1 merged into 0");
+        assert_eq!(blob(&svc, 0), None, "a merge fold drops the blob");
+        svc.snapshot_now();
+        assert_ne!(blob(&svc, 0).unwrap(), before);
+        assert_opens(&svc, 0);
+
+        let before = blob(&svc, 0).unwrap();
+        let to = 1 - svc.shard_of(0);
+        svc.move_group(0, to).unwrap();
+        assert_eq!(svc.shard_of(0), to);
+        assert_eq!(
+            blob(&svc, 0).unwrap(),
+            before,
+            "the handoff reuses the blob"
+        );
+        assert_opens(&svc, 0);
+
+        svc.submit(3, MembershipEvent::Leave(UserId(30))).unwrap();
+        svc.submit(3, MembershipEvent::Leave(UserId(31))).unwrap();
+        svc.tick();
+        assert!(
+            svc.session(3).is_none() && blob(&svc, 3).is_none(),
+            "dissolved"
+        );
+        svc.snapshot_now();
+        assert_eq!(blob(&svc, 2).unwrap(), untouched, "group 2 never changed");
+        assert_opens(&svc, 2);
+
+        // Without a store a handoff neither reads nor fills the cache.
+        let mut bare = crate::KeyService::builder()
+            .shards(2)
+            .build(Arc::clone(&pkg));
+        bare.create_group(0, &members(0, 4)).unwrap();
+        let to = 1 - bare.shard_of(0);
+        bare.move_group(0, to).unwrap();
+        assert_eq!(bare.shard_of(0), to);
+        assert!(bare.cached_seal(0).is_none());
+    }
+
+    /// Snapshots cut before synthetic IVs sealed each group under a random
+    /// IV. The format is unchanged, so they still open, and the recovered
+    /// service's next cut is the live service's.
+    #[test]
+    fn a_snapshot_sealed_with_random_ivs_still_opens() {
+        use egka_store::MemStore;
+        let pkg = toy_pkg();
+        let mem = MemStore::new();
+        let mut svc = durable(&mem).build(Arc::clone(&pkg));
+        drive(&mut svc);
+        svc.submit(4, MembershipEvent::Join(UserId(77))).unwrap();
+        svc.snapshot_now();
+        let siv = mem.snapshot_bytes().unwrap().unwrap();
+        let config = StoreConfig::new(Arc::new(mem.clone()));
+        let restored = decode_snapshot(&siv, &config, &pkg).unwrap();
+
+        let envelope = Envelope::from_key_material(&config.seal_key);
+        let mut rng = ChaChaRng::seed_from_u64(9);
+        let mut groups = restored.groups;
+        for (_, g) in &mut groups {
+            let sealed = envelope.seal(&mut rng, &state_bytes(g.session()));
+            g.cache_seal(sealed.into_boxed_slice());
+        }
+        let old = encode_snapshot(&SnapshotState {
+            shards: restored.shards,
+            seed: restored.seed,
+            epoch: restored.epoch,
+            next_lsn: restored.next_lsn,
+            loss: restored.loss,
+            dir_shards: restored.dir_shards,
+            overrides: restored.overrides,
+            last_moved: restored.last_moved,
+            detached: restored.detached,
+            known_dead: restored.known_dead,
+            batteries: restored.batteries,
+            groups: groups.iter().map(|(gid, g)| (*gid, g)).collect(),
+            pending: restored
+                .pending
+                .iter()
+                .map(|(gid, q)| (*gid, q.as_slice()))
+                .collect(),
+            stall_groups: restored.stall_groups,
+            stall_members: restored.stall_members,
+            quarantine: restored.quarantine,
+            blame_certs: restored.blame_certs,
+        });
+        assert_eq!(old.len(), siv.len());
+        assert_ne!(old, siv, "random IVs");
+
+        let old_mem = MemStore::new();
+        old_mem.install_snapshot(&old).unwrap();
+        let (mut recovered, report) = durable(&old_mem).recover(Arc::clone(&pkg)).unwrap();
+        assert_eq!(report.groups_recovered, 6);
+        for gid in svc.group_ids() {
+            assert_eq!(
+                state_bytes(recovered.session(gid).unwrap()),
+                state_bytes(svc.session(gid).unwrap())
+            );
+        }
+        recovered.snapshot_now();
+        svc.snapshot_now();
+        assert_eq!(
+            old_mem.snapshot_bytes().unwrap(),
+            mem.snapshot_bytes().unwrap()
+        );
     }
 
     #[test]

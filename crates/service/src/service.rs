@@ -12,7 +12,6 @@ use egka_medium::{BatteryBank, BatteryStatus, RadioProfile};
 use egka_robust::{BlameCert, EvictionPolicy, MemberEvidence, Quarantine};
 use egka_sig::blame::{BlamePublic, CoordinatorKey};
 use egka_store::{wal_stream_records, StoreError, TracedStore};
-use egka_symmetric::Envelope;
 use egka_trace::{
     group_tid, labeled, Event, Payload, Phase, StallCause, StepTrace, TraceConfig, Tracer,
     CONTROL_TID, COORD_PID, EPOCH_NS, SWEEP_NS,
@@ -25,8 +24,8 @@ use crate::health::{
 };
 use crate::metrics::{Counters, EpochReport, ServiceMetrics, SuiteUsage};
 use crate::persist::{
-    decode_snapshot, encode_snapshot, seal_group_state, unseal_group_state, RecoveryReport,
-    SnapshotState, StoreConfig, WalRecord,
+    decode_group_state, decode_snapshot, encode_group_state, encode_snapshot, RecoveryReport,
+    Sealer, SnapshotState, StoreConfig, WalRecord,
 };
 use crate::plan::{CostModel, SuitePolicy};
 use crate::shard::{mix, EpochCtx, GroupState, RadioEpoch, Shard};
@@ -303,7 +302,6 @@ impl ServiceBuilder {
             health_shards,
             directory,
             last_moved: BTreeMap::new(),
-            handoffs: 0,
             ledger: StallLedger::default(),
             phase_totals: PhaseProfile::default(),
             epoch: 0,
@@ -514,9 +512,6 @@ pub struct KeyService {
     /// Epoch each group last moved at — the rebalancer's hysteresis
     /// stamps. Snapshotted alongside the directory.
     last_moved: BTreeMap<GroupId, u64>,
-    /// Live handoffs performed — salts the transit seal so no two sealed
-    /// group blobs share an IV stream.
-    handoffs: u64,
     /// Per-member stall attribution (see [`StallLedger`]).
     ledger: StallLedger,
     /// Where tick time has gone, cumulatively, across the service's life.
@@ -917,22 +912,32 @@ impl KeyService {
     /// the state is exactly as portable as a snapshot says it is, and a
     /// failure surfaces as the same typed corruption.
     fn relocate_group(&mut self, gid: GroupId, from: usize, to: usize) {
-        let state = self.shards[from]
+        let mut state = self.shards[from]
             .groups
             .remove(&gid)
             .expect("relocating a resident group");
-        let envelope = self
+        // With a store the handoff reuses the group's cached blob (sealing
+        // and caching one if none is current) and the target keeps it.
+        // Without one nothing is sealed at rest: the transit seal uses the
+        // development key and leaves the cache alone.
+        let cached = self.config.store.is_some();
+        let sealer = self
             .config
             .store
             .as_ref()
-            .map(StoreConfig::envelope)
-            .unwrap_or_else(|| Envelope::from_key_material(&[0u8; 32]));
-        self.handoffs += 1;
-        let seal_seed = mix(mix(self.config.seed, gid), self.handoffs ^ 0x6d0e);
-        let sealed = seal_group_state(&state, &envelope, seal_seed);
+            .map_or_else(|| Sealer::new(&[0u8; 32]), StoreConfig::sealer);
+        let sealed: Box<[u8]> = if cached {
+            state.sealed(gid, &sealer).into()
+        } else {
+            sealer.seal(gid, state.session())
+        };
+        let transit = encode_group_state(&state, &sealed);
         drop(state);
-        let restored = unseal_group_state(&sealed, &envelope, &self.pkg)
+        let mut restored = decode_group_state(&transit, &sealer, &self.pkg)
             .expect("transit-sealed group state must round-trip");
+        if cached {
+            restored.cache_seal(sealed);
+        }
         self.shards[to].groups.insert(gid, restored);
         if let Some(queue) = self.shards[from].pending.remove(&gid) {
             if !queue.is_empty() {
@@ -1162,15 +1167,9 @@ impl KeyService {
                 reg.add("groups_created", 1);
             }
         }
-        self.shards[shard].groups.insert(
-            gid,
-            GroupState {
-                session: out.session,
-                suite: suite_id,
-                created_epoch: self.epoch,
-                rekeys: 0,
-            },
-        );
+        self.shards[shard]
+            .groups
+            .insert(gid, GroupState::new(out.session, suite_id, self.epoch, 0));
         self.metrics.groups_created += 1;
         self.metrics.groups_active += 1;
         self.log(WalRecord::CreateGroup {
@@ -1460,7 +1459,7 @@ impl KeyService {
             }
             let shard = self.shard_of(rec.group);
             let in_session = self.shards[shard].groups[&rec.group]
-                .session
+                .session()
                 .member_ids()
                 .contains(&rec.member);
             let queue = self.shards[shard].pending.get(&rec.group);
@@ -1555,7 +1554,9 @@ impl KeyService {
     /// Serializes the full service state (sealing session-key material
     /// under the store's envelope key) and installs it atomically,
     /// truncating the WAL — the compaction point recovery replays from.
-    /// No-op without a configured store or during replay.
+    /// Only groups whose session changed since their last seal are sealed
+    /// again, in parallel on the shards; every other group's cached blob
+    /// is copied. No-op without a configured store or during replay.
     ///
     /// # Panics
     /// Like WAL appends, a failed snapshot install is fatal
@@ -1564,16 +1565,12 @@ impl KeyService {
         if self.config.store.is_none() || self.replaying {
             return;
         }
-        // Cutting a snapshot consumes one LSN. The LSN stream is persisted
-        // (snapshot header) and strictly monotone across the service's
-        // whole durable life — compaction, recovery and all — so deriving
-        // the sealing seed from it guarantees the envelope never reuses a
-        // (key, IV) pair across two snapshot bodies, even for back-to-back
-        // cuts in one epoch or cuts either side of a crash. (A counter
-        // like `snapshots_written` would reset with the process.)
-        let seal_lsn = self.next_lsn;
+        // Cutting a snapshot consumes one LSN (its trace span carries it).
+        let snapshot_lsn = self.next_lsn;
         self.next_lsn += 1;
         let store = self.config.store.as_ref().expect("checked above");
+        let sealer = store.sealer();
+        par::par_for_each_mut(&mut self.shards, |_, shard| shard.seal_groups(&sealer));
         let batteries = self
             .bank
             .as_ref()
@@ -1637,8 +1634,7 @@ impl KeyService {
             overrides: self.directory.overrides().collect(),
             last_moved: self.last_moved.iter().map(|(&g, &e)| (g, e)).collect(),
         };
-        let seal_seed = mix(mix(self.config.seed, seal_lsn), 0x5ea1);
-        let bytes = encode_snapshot(&state, store, seal_seed);
+        let bytes = encode_snapshot(&state);
         let snapshot_bytes = bytes.len() as u64;
         store
             .backend
@@ -1650,7 +1646,7 @@ impl KeyService {
             let begin = self.coord_ts();
             let end = self.coord_ts();
             let lsn = Payload::Lsn {
-                lsn: seal_lsn,
+                lsn: snapshot_lsn,
                 bytes: snapshot_bytes,
             };
             self.config.trace.emit(
@@ -1758,7 +1754,7 @@ impl KeyService {
             // every already-committed fold kept.
             let started = Instant::now();
             let seed = mix(mix(self.config.seed, host), epoch ^ 0x6d65);
-            let mut acc = self.shards[host_shard].groups[&host].session.clone();
+            let mut acc = self.shards[host_shard].groups[&host].session().clone();
             let mut acc_suite = self.shards[host_shard].groups[&host].suite;
             delta.groups_touched += 1;
             let mut folds_done = 0u64;
@@ -1775,7 +1771,7 @@ impl KeyService {
                 } else {
                     seed ^ ((j as u64 + 1) << 8)
                 };
-                let target_session = self.shards[self.shard_of(t)].groups[&t].session.clone();
+                let target_session = self.shards[self.shard_of(t)].groups[&t].session().clone();
                 // A native-dynamics host folds with its own Merge; a
                 // baseline host's "merge" is a full re-run over the union,
                 // so a Cheapest policy gets to re-pick the suite for the
@@ -1904,7 +1900,7 @@ impl KeyService {
                     .groups
                     .get_mut(&host)
                     .expect("host exists");
-                state.session = acc;
+                state.set_session(acc);
                 state.suite = acc_suite;
                 state.rekeys += folds_done;
                 if !host_stalled {
@@ -2016,7 +2012,7 @@ impl KeyService {
         self.shards[self.shard_of(gid)]
             .groups
             .get(&gid)
-            .map(|s| &s.session.key)
+            .map(|s| &s.session().key)
     }
 
     /// The group's live session, if any (omniscient test/inspection view).
@@ -2024,7 +2020,25 @@ impl KeyService {
         self.shards[self.shard_of(gid)]
             .groups
             .get(&gid)
-            .map(|s| &s.session)
+            .map(GroupState::session)
+    }
+
+    /// The group's cached sealed session, if one is current.
+    #[cfg(test)]
+    pub(crate) fn cached_seal(&self, gid: GroupId) -> Option<&[u8]> {
+        self.shards[self.shard_of(gid)]
+            .groups
+            .get(&gid)?
+            .cached_seal()
+    }
+
+    /// Drops every cached seal, so the next snapshot seals every group.
+    #[cfg(test)]
+    pub(crate) fn forget_seals(&mut self) {
+        for g in self.shards.iter_mut().flat_map(|s| s.groups.values_mut()) {
+            let session = g.session().clone();
+            g.set_session(session);
+        }
     }
 
     /// Number of live groups.

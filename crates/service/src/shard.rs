@@ -34,13 +34,16 @@ use egka_trace::{Event, Payload, Phase, StallCause, StepTrace, CONTROL_TID, EPOC
 use crate::event::{GroupId, MembershipEvent, RejectReason};
 use crate::health::StallEvent;
 use crate::metrics::EpochReport;
+use crate::persist::Sealer;
 use crate::plan::{plan_group_suite, CostModel, RekeyPlan, RekeyStep, SuitePolicy};
 
 /// One managed group.
 #[derive(Clone, Debug)]
 pub struct GroupState {
-    /// The live session (members, shares, current key).
-    pub session: GroupSession,
+    /// The live session (members, shares, current key). Private so that
+    /// every change goes through [`GroupState::set_session`], which drops
+    /// the sealed blob.
+    session: GroupSession,
     /// The GKA suite this group runs ([`crate::SuitePolicy`] chose it at
     /// creation; a `Cheapest` policy may migrate it at a full rekey).
     pub suite: SuiteId,
@@ -48,6 +51,70 @@ pub struct GroupState {
     pub created_epoch: u64,
     /// Rekeys this group has been through.
     pub rekeys: u64,
+    /// `session` sealed under the store's key, filled by the first
+    /// snapshot (or handoff) after the session last changed. A seal is a
+    /// function of the group id and the session, so a blob stays valid
+    /// until the session changes.
+    sealed: Option<Box<[u8]>>,
+}
+
+impl GroupState {
+    /// A group with nothing sealed yet.
+    pub(crate) fn new(
+        session: GroupSession,
+        suite: SuiteId,
+        created_epoch: u64,
+        rekeys: u64,
+    ) -> Self {
+        GroupState {
+            session,
+            suite,
+            created_epoch,
+            rekeys,
+            sealed: None,
+        }
+    }
+
+    /// The live session.
+    pub fn session(&self) -> &GroupSession {
+        &self.session
+    }
+
+    /// Replaces the session and drops the blob sealed from the old one.
+    pub(crate) fn set_session(&mut self, session: GroupSession) {
+        self.session = session;
+        self.sealed = None;
+    }
+
+    /// The session sealed under `sealer`: the cached blob if the session
+    /// has not changed since it was sealed, else a fresh seal, cached.
+    /// Debug builds re-seal on every cache hit and check the bytes, so a
+    /// session change that bypassed [`GroupState::set_session`] fails
+    /// loudly.
+    pub(crate) fn sealed(&mut self, gid: GroupId, sealer: &Sealer) -> &[u8] {
+        match &self.sealed {
+            Some(blob) => debug_assert_eq!(
+                **blob,
+                *sealer.seal(gid, &self.session),
+                "group {gid}: cached seal is stale"
+            ),
+            None => self.sealed = Some(sealer.seal(gid, &self.session)),
+        }
+        self.sealed.as_deref().expect("filled above")
+    }
+
+    /// The cached blob, if the session has been sealed since it last
+    /// changed.
+    pub(crate) fn cached_seal(&self) -> Option<&[u8]> {
+        self.sealed.as_deref()
+    }
+
+    /// Caches `blob` as the seal of the current session. The caller
+    /// vouches for it: a handoff installs the blob the session was just
+    /// unsealed from.
+    pub(crate) fn cache_seal(&mut self, blob: Box<[u8]>) {
+        self.sealed = Some(blob);
+    }
 }
 
 /// Deterministic 64-bit mixing for per-group / per-step seeds
@@ -155,6 +222,15 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
+    /// Seals every group whose session changed since its last seal; the
+    /// others keep their blobs. A snapshot runs this on every shard in
+    /// parallel, then only copies blobs.
+    pub fn seal_groups(&mut self, sealer: &Sealer) {
+        for (&gid, g) in &mut self.groups {
+            g.sealed(gid, sealer);
+        }
+    }
+
     /// Executes one epoch over this shard's groups: drain each non-empty
     /// queue, collapse it into a [`RekeyPlan`], then **interleave** every
     /// plan's protocol steps round-robin until each group completes,
@@ -187,7 +263,8 @@ impl Shard {
                 continue;
             };
             report.groups_touched += 1;
-            let plan = plan_group_suite(&state.session, &events, ctx.cost, state.suite, ctx.policy);
+            let plan =
+                plan_group_suite(state.session(), &events, ctx.cost, state.suite, ctx.policy);
             if plan.steps.is_empty() {
                 // Nothing to execute (e.g. a cancelled join/leave pair):
                 // the plan's accounting commits immediately.
@@ -231,7 +308,7 @@ impl Shard {
                 step_idx: 0,
                 runner: None,
                 retries: 0,
-                session: state.session.clone(),
+                session: state.session().clone(),
                 ops: OpCounts::new(),
                 rekeys: 0,
                 gka_runs: 0,
@@ -319,7 +396,7 @@ impl Shard {
             } else if g.rekeys > 0 {
                 report.rekeyed_groups.push(g.gid);
                 let state = self.groups.get_mut(&g.gid).expect("active group exists");
-                state.session = g.session;
+                state.set_session(g.session);
                 state.rekeys += g.rekeys;
                 // A full rekey is where a Cheapest policy migrates the
                 // group to the suite it re-keyed under.

@@ -417,36 +417,101 @@ fn recovering_a_radio_snapshot_without_a_radio_config_is_corrupt() {
 }
 
 #[test]
-fn same_epoch_snapshots_never_reuse_sealing_ivs() {
-    // snapshot_now is public: two snapshots cut in the same epoch must not
-    // seal different bodies under one (key, IV) stream.
+fn snapshots_of_one_state_differ_only_in_their_lsn() {
+    // Sealing IVs are synthetic: a keyed hash of the group id and its
+    // session state, so an IV repeats only for the same plaintext. Two
+    // cuts of one state therefore seal every group to the same bytes, and
+    // differ only in the LSN each cut consumes.
     let mem = MemStore::new();
     let store = StoreConfig::new(Arc::new(mem.clone())).snapshot_every(0);
     let mut svc = scripted(store, 1);
     svc.snapshot_now();
-    let first = mem.raw_snapshot().expect("snapshot installed");
-    // Same epoch, same state, same everything — only the cut counter
-    // advanced. Identical bytes here would mean the second snapshot
-    // sealed the same plaintexts under the same (key, IV) pairs.
+    let first = mem.snapshot_bytes().unwrap().expect("snapshot installed");
     svc.snapshot_now();
-    let second = mem.raw_snapshot().expect("snapshot installed");
-    assert_ne!(
-        first, second,
-        "back-to-back snapshots must draw fresh sealing IVs"
+    let second = mem.snapshot_bytes().unwrap().expect("snapshot installed");
+    assert_eq!(first.len(), second.len());
+    // Magic (2 + 8 bytes), shard count (4), seed (8), epoch (8), then
+    // the LSN watermark.
+    const LSN: std::ops::Range<usize> = 30..38;
+    let differing: Vec<usize> = (0..first.len())
+        .filter(|&i| first[i] != second[i])
+        .collect();
+    assert!(!differing.is_empty(), "each cut consumes an LSN");
+    assert!(
+        differing.iter().all(|i| LSN.contains(i)),
+        "bytes outside the LSN moved: {differing:?}"
     );
-    // And the stream stays fresh *across a crash*: the recovered process
-    // continues the persisted LSN stream, so its next cut — same epoch,
-    // same state — must not repeat either pre-crash seal.
+    assert_eq!(
+        u64::from_be_bytes(second[LSN].try_into().unwrap()),
+        u64::from_be_bytes(first[LSN].try_into().unwrap()) + 1
+    );
+    // A recovered process continues the persisted LSN stream and cuts
+    // exactly the bytes the live process would.
     let store = StoreConfig::new(Arc::new(mem.clone())).snapshot_every(0);
     let (mut recovered, _) = builder(store).recover(Arc::clone(pkg())).unwrap();
     assert_same_state(&svc, &recovered);
     recovered.snapshot_now();
-    let third = mem.raw_snapshot().expect("snapshot installed");
-    assert_ne!(
-        third, first,
-        "post-recovery seal must not reuse pre-crash IVs"
-    );
-    assert_ne!(third, second);
+    let third = mem.snapshot_bytes().unwrap().expect("snapshot installed");
+    assert_ne!(third, second, "the recovered cut consumed a fresh LSN");
+    svc.snapshot_now();
+    assert_eq!(mem.snapshot_bytes().unwrap().unwrap(), third);
+}
+
+#[test]
+fn a_zero_filled_wal_tail_recovers_every_committed_epoch() {
+    // Some filesystems grow a file before its data reaches the disk and
+    // leave zeros there after a power loss.
+    let mem = MemStore::new();
+    let store = StoreConfig::new(Arc::new(mem.clone())).snapshot_every(0);
+    let original = scripted(store, 3);
+    let mut wal = mem.wal_bytes().unwrap();
+    wal.extend_from_slice(&[0u8; 4096]);
+
+    let dir = std::env::temp_dir().join(format!("egka-zero-tail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("wal.log"), &wal).unwrap();
+    let mem_open = || -> Arc<dyn Store> { Arc::new(MemStore::with_raw(wal.clone(), None)) };
+    let file_open = || -> Arc<dyn Store> { Arc::new(FileStore::open(&dir).unwrap()) };
+    let backends: [&dyn Fn() -> Arc<dyn Store>; 2] = [&mem_open, &file_open];
+    for open in backends {
+        let store = open();
+        let (mut recovered, report) =
+            builder(StoreConfig::new(Arc::clone(&store)).snapshot_every(0))
+                .recover(Arc::clone(pkg()))
+                .unwrap();
+        assert_eq!(report.epochs_replayed, 3);
+        assert_same_state(&original, &recovered);
+        // Opening the store cut the zeros off, so the resumed service's
+        // records are not stranded behind them.
+        recovered
+            .submit(0, MembershipEvent::Join(UserId(555)))
+            .unwrap();
+        recovered.tick();
+        drop(recovered);
+        let (again, report) = builder(StoreConfig::new(store).snapshot_every(0))
+            .recover(Arc::clone(pkg()))
+            .unwrap();
+        assert_eq!(report.epochs_replayed, 4);
+        assert!(again.session(0).unwrap().contains(UserId(555)));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_zero_header_before_a_valid_frame_is_corrupt() {
+    let mem = MemStore::new();
+    let store = StoreConfig::new(Arc::new(mem.clone())).snapshot_every(0);
+    scripted(store, 1);
+    let mut wal = mem.wal_bytes().unwrap();
+    let records = egka_store::wal_records(&mem).unwrap();
+    wal.extend_from_slice(&[0u8; 8]);
+    wal.extend_from_slice(&egka_store::frame(records.last().unwrap()).unwrap());
+    let damaged = Arc::new(MemStore::with_raw(wal, None));
+    match builder(StoreConfig::new(damaged)).recover(Arc::clone(pkg())) {
+        Err(StoreError::Corrupt { .. }) => {}
+        other => panic!("expected Corrupt, got {:?}", other.map(|_| "a service")),
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::wal::frame;
+use crate::wal::{frame, scan, Tail};
 use crate::{Store, StoreError, POISONED};
 
 #[derive(Debug)]
@@ -22,7 +22,9 @@ struct FileState {
 ///   [`Store::append`] writes the frame then `fdatasync`s the file before
 ///   returning; [`Store::append_unsynced`] only writes it (the kernel holds
 ///   it, so a process crash keeps it), and the next [`Store::sync`] or
-///   durable append makes it survive a power loss too.
+///   durable append makes it survive a power loss too. Opening the store
+///   cuts a torn tail off `wal.log`, so new records start on a frame
+///   boundary instead of behind bytes that never became a record.
 /// * `wal.{k}.log` — streams `k > 0`, written only by
 ///   [`Store::append_stream`] (each append fsynced). The service no longer
 ///   writes them; stores from its earlier per-shard layout still hold them,
@@ -37,7 +39,12 @@ pub struct FileStore {
 }
 
 impl FileStore {
-    /// Opens (creating if needed) the store directory.
+    /// Opens (creating if needed) the store directory. A torn tail on
+    /// `wal.log` (an unfinished append, or the zeros a power loss can
+    /// leave) never became a record; it is truncated away here, or the
+    /// next append would land behind it and a later scan would stop at
+    /// the tear or report corruption. A damaged log is left as it is, for
+    /// recovery to report.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -46,6 +53,10 @@ impl FileStore {
             .append(true)
             .read(true)
             .open(dir.join("wal.log"))?;
+        if let Ok((_, Tail::Torn { torn_at })) = scan(&Self::read_file(&dir.join("wal.log"))?) {
+            wal.set_len(torn_at as u64)?;
+            wal.sync_data()?;
+        }
         Ok(FileStore {
             dir,
             state: Mutex::new(FileState {
@@ -94,8 +105,9 @@ impl Store for FileStore {
     }
 
     fn append_unsynced(&self, payload: &[u8]) -> Result<(), StoreError> {
+        let framed = frame(payload)?;
         let mut state = self.state.lock().expect(POISONED);
-        state.wal.write_all(&frame(payload))?;
+        state.wal.write_all(&framed)?;
         Ok(())
     }
 
@@ -116,6 +128,7 @@ impl Store for FileStore {
         if stream == 0 {
             return self.append(payload);
         }
+        let framed = frame(payload)?;
         let mut state = self.state.lock().expect(POISONED);
         let f = match state.streams.entry(stream) {
             std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
@@ -127,7 +140,7 @@ impl Store for FileStore {
                     .open(self.stream_path(stream))?,
             ),
         };
-        f.write_all(&frame(payload))?;
+        f.write_all(&framed)?;
         f.sync_data()?;
         state.syncs += 1;
         Ok(())
@@ -158,6 +171,7 @@ impl Store for FileStore {
     }
 
     fn install_snapshot(&self, snapshot: &[u8]) -> Result<(), StoreError> {
+        let framed = frame(snapshot)?;
         let mut state = self.state.lock().expect(POISONED);
         // Durable snapshot first (tmp + fsync + rename), *then* truncate
         // the log: a crash between the two leaves snapshot + stale tail,
@@ -165,7 +179,6 @@ impl Store for FileStore {
         // by the epoch guard in the snapshot header upstream — while the
         // reverse order could lose commits outright.
         let tmp = self.dir.join("snapshot.tmp");
-        let framed = frame(snapshot);
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&framed)?;

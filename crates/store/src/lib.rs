@@ -89,6 +89,9 @@ pub enum StoreError {
         /// Byte offset of the damaged structure within its stream.
         offset: u64,
     },
+    /// An append or a snapshot install was handed an empty payload. No
+    /// frame holds one: it would read back as a zero-filled tail.
+    EmptyRecord,
 }
 
 impl core::fmt::Display for StoreError {
@@ -98,6 +101,7 @@ impl core::fmt::Display for StoreError {
             StoreError::Corrupt { what, offset } => {
                 write!(f, "store corrupt at byte {offset}: {what}")
             }
+            StoreError::EmptyRecord => write!(f, "store refuses an empty record"),
         }
     }
 }
@@ -530,7 +534,7 @@ mod tests {
             vec![b"old layout".to_vec()]
         );
         // Raw torture bytes count as durable, and a sync covers the tail.
-        store.set_raw_stream(0, frame(b"raw"));
+        store.set_raw_stream(0, frame(b"raw").unwrap());
         store.append_unsynced(b"kept").unwrap();
         store.sync().unwrap();
         store.append_unsynced(b"lost").unwrap();
@@ -587,6 +591,41 @@ mod tests {
         assert_eq!(appends, 3, "alpha, beta, gamma");
         assert!(evs.iter().any(|e| e.name == "store.snapshot_install"));
         assert!(evs.iter().all(|e| e.pid == egka_trace::STORE_PID));
+    }
+
+    #[test]
+    fn opening_a_store_cuts_a_torn_tail() {
+        let dir = std::env::temp_dir().join(format!("egka-store-torn-{}", std::process::id()));
+        let committed = frame(b"committed").unwrap();
+        let partial = frame(b"in flight").unwrap()[..6].to_vec();
+        let expect = vec![b"committed".to_vec(), b"next".to_vec()];
+        for tail in [vec![0u8; 4096], partial] {
+            let log = [committed.clone(), tail].concat();
+            let mem = MemStore::with_raw(log.clone(), None);
+            assert_eq!(mem.wal_bytes().unwrap(), committed);
+            mem.append(b"next").unwrap();
+            assert_eq!(wal_records(&mem).unwrap(), expect);
+
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("wal.log"), &log).unwrap();
+            let store = FileStore::open(&dir).unwrap();
+            assert_eq!(store.wal_bytes().unwrap(), committed);
+            store.append(b"next").unwrap();
+            drop(store);
+            assert_eq!(
+                wal_records(&FileStore::open(&dir).unwrap()).unwrap(),
+                expect
+            );
+        }
+        // A damaged log stays as it is, for recovery to report.
+        let mut damaged = committed.clone();
+        *damaged.last_mut().unwrap() ^= 1;
+        let mem = MemStore::with_raw(damaged.clone(), None);
+        assert_eq!(mem.wal_bytes().unwrap(), damaged);
+        std::fs::write(dir.join("wal.log"), &damaged).unwrap();
+        assert_eq!(FileStore::open(&dir).unwrap().wal_bytes().unwrap(), damaged);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use crate::wal::frame;
+use crate::wal::{frame, scan, Tail};
 use crate::{Store, StoreError, POISONED};
 
 /// One stream's bytes, and how much of them a power loss would keep.
@@ -56,10 +56,19 @@ impl MemStore {
 
     /// A store pre-loaded with raw WAL bytes and an optional raw snapshot
     /// *payload* — the torture-test constructor: hand it a damaged byte
-    /// stream and watch recovery cope.
-    pub fn with_raw(wal: Vec<u8>, snapshot: Option<Vec<u8>>) -> Self {
+    /// stream and watch recovery cope. Like [`crate::FileStore::open`], it
+    /// cuts a torn tail off the WAL, so later appends start on a frame
+    /// boundary.
+    ///
+    /// # Panics
+    /// Panics if the snapshot payload is empty (no frame holds one).
+    pub fn with_raw(mut wal: Vec<u8>, snapshot: Option<Vec<u8>>) -> Self {
+        if let Ok((_, Tail::Torn { torn_at })) = scan(&wal) {
+            wal.truncate(torn_at);
+        }
         let store = MemStore::new();
-        store.set_raw(wal, snapshot.map(|payload| frame(&payload)));
+        let framed = snapshot.map(|payload| frame(&payload).expect("non-empty snapshot payload"));
+        store.set_raw(wal, framed);
         store
     }
 
@@ -103,9 +112,10 @@ impl Store for MemStore {
     }
 
     fn append_unsynced(&self, payload: &[u8]) -> Result<(), StoreError> {
+        let framed = frame(payload)?;
         let mut inner = self.inner.lock().expect(POISONED);
         let log = inner.logs.entry(0).or_default();
-        log.bytes.extend_from_slice(&frame(payload));
+        log.bytes.extend_from_slice(&framed);
         Ok(())
     }
 
@@ -126,9 +136,10 @@ impl Store for MemStore {
         if stream == 0 {
             return self.append(payload);
         }
+        let framed = frame(payload)?;
         let mut inner = self.inner.lock().expect(POISONED);
         let log = inner.logs.entry(stream).or_default();
-        log.bytes.extend_from_slice(&frame(payload));
+        log.bytes.extend_from_slice(&framed);
         log.synced = log.bytes.len();
         inner.syncs += 1;
         Ok(())
@@ -157,8 +168,9 @@ impl Store for MemStore {
     }
 
     fn install_snapshot(&self, snapshot: &[u8]) -> Result<(), StoreError> {
+        let framed = frame(snapshot)?;
         let mut inner = self.inner.lock().expect(POISONED);
-        inner.snapshot = Some(frame(snapshot));
+        inner.snapshot = Some(framed);
         inner.logs.clear();
         inner.syncs += 1;
         Ok(())

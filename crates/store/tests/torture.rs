@@ -6,12 +6,13 @@ use egka_store::{frame, scan, MemStore, StoreError, Tail};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
-/// Deterministic pseudo-random record payloads (length varies 0..200).
+/// Deterministic pseudo-random record payloads (length varies 1..=200;
+/// no frame holds an empty payload).
 fn records(seed: u64, n: usize) -> Vec<Vec<u8>> {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
-            let len = (rng.next_u64() % 200) as usize;
+            let len = 1 + (rng.next_u64() % 200) as usize;
             let mut payload = vec![0u8; len];
             rng.fill_bytes(&mut payload);
             payload
@@ -22,7 +23,7 @@ fn records(seed: u64, n: usize) -> Vec<Vec<u8>> {
 fn log_of(records: &[Vec<u8>]) -> Vec<u8> {
     let mut log = Vec::new();
     for r in records {
-        log.extend_from_slice(&frame(r));
+        log.extend_from_slice(&frame(r).unwrap());
     }
     log
 }

@@ -1,8 +1,16 @@
 //! AES block cipher (FIPS 197), supporting 128/192/256-bit keys.
 //!
-//! Straightforward S-box implementation: the simulated nodes' energy is
-//! metered by the paper's cost model, not wall-clock, so no T-tables or SIMD
-//! are needed (and the simple form is easier to audit against the spec).
+//! Straightforward byte-wise S-box implementation. Its wall-clock does
+//! matter: besides the protocols' `E_K(·)` envelopes (whose energy the
+//! paper's cost model prices, not the host clock), this cipher seals the
+//! key service's session state in every snapshot. The form stays because
+//! the alternatives measured worse trades: a word-wise S-box variant was
+//! only 1.25× faster per block (178 vs 223 ns on a 2-core Xeon), T-tables
+//! leak key-dependent timing through the cache, and AES-NI would need
+//! `unsafe`, which every crate forbids. The snapshot path instead seals
+//! only the groups that changed. `xtime` is branch-free, so `MixColumns`
+//! takes no branch on secret state; the S-box lookups are still
+//! secret-indexed loads.
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -38,10 +46,11 @@ const INV_SBOX: [u8; 256] = {
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-/// GF(2^8) multiply by x (xtime).
+/// GF(2^8) multiply by x (xtime). The reduction is masked in, not
+/// branched on: `b` is secret state.
 #[inline]
 fn xtime(b: u8) -> u8 {
-    (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
+    (b << 1) ^ (0x1b & 0u8.wrapping_sub(b >> 7))
 }
 
 /// GF(2^8) multiplication.
@@ -329,5 +338,17 @@ mod tests {
         // {57} · {83} = {c1} from FIPS 197 §4.2
         assert_eq!(gmul(0x57, 0x83), 0xc1);
         assert_eq!(gmul(0x57, 0x13), 0xfe);
+    }
+
+    #[test]
+    fn masked_xtime_matches_the_branching_definition() {
+        for b in 0..=255u8 {
+            let reference = if b & 0x80 != 0 {
+                (b << 1) ^ 0x1b
+            } else {
+                b << 1
+            };
+            assert_eq!(xtime(b), reference, "{b:#04x}");
+        }
     }
 }

@@ -6,7 +6,10 @@
 //! AES-128-CBC with a random IV plus an HMAC-SHA256 tag (encrypt-then-MAC),
 //! with the encryption and MAC keys derived from the group-key bytes via
 //! HKDF. The identity check the paper relies on is then performed by the
-//! protocol layer on the decrypted plaintext.
+//! protocol layer on the decrypted plaintext. [`Envelope::seal_with_iv`]
+//! writes the same format under a caller-chosen IV, for sealers that derive
+//! a synthetic IV from the plaintext so that equal inputs seal to equal
+//! bytes.
 
 use egka_hash::{hkdf, Hmac, Sha256};
 use rand::Rng;
@@ -65,13 +68,22 @@ impl Envelope {
         mac.finalize()
     }
 
-    /// Seals `plaintext`: returns `IV || ciphertext || tag`.
+    /// Seals `plaintext` under a random IV: returns `IV || ciphertext || tag`.
     pub fn seal<R: Rng + ?Sized>(&self, rng: &mut R, plaintext: &[u8]) -> Vec<u8> {
         let mut iv = [0u8; 16];
         rng.fill_bytes(&mut iv);
-        let ct = cbc_encrypt(&self.enc, &iv, plaintext);
+        self.seal_with_iv(&iv, plaintext)
+    }
+
+    /// Seals `plaintext` under a caller-chosen IV, in the same format as
+    /// [`Envelope::seal`]. CBC needs an IV the adversary cannot predict
+    /// before seeing the plaintext, so `iv` must be random or a keyed
+    /// function of the plaintext itself (a synthetic IV); a counter or any
+    /// other public value is not enough.
+    pub fn seal_with_iv(&self, iv: &[u8; 16], plaintext: &[u8]) -> Vec<u8> {
+        let ct = cbc_encrypt(&self.enc, iv, plaintext);
         let mut out = Vec::with_capacity(16 + ct.len() + TAG_LEN);
-        out.extend_from_slice(&iv);
+        out.extend_from_slice(iv);
         out.extend_from_slice(&ct);
         let tag = self.tag(&out);
         out.extend_from_slice(&tag[..TAG_LEN]);
@@ -166,6 +178,17 @@ mod tests {
     fn truncated_rejected() {
         let env = Envelope::from_key_material(b"k");
         assert_eq!(env.open(&[0u8; 10]), Err(EnvelopeError::Truncated));
+    }
+
+    #[test]
+    fn a_chosen_iv_seals_in_the_random_iv_format() {
+        let env = Envelope::from_key_material(b"k");
+        let iv = [0x5a; 16];
+        let a = env.seal_with_iv(&iv, b"same message");
+        assert_eq!(a, env.seal_with_iv(&iv, b"same message"));
+        assert_eq!(&a[..16], &iv);
+        assert_eq!(a.len(), Envelope::sealed_len(12));
+        assert_eq!(env.open(&a).unwrap(), b"same message");
     }
 
     #[test]

@@ -417,11 +417,16 @@ fn bench_ecdsa(seed: u64, fp: &mut Fnv) -> (f64, f64) {
 fn cert_workload(seed: u64, fp: &mut Fnv) -> (CaPublic, Vec<Certificate>) {
     let scheme = Ecdsa::new(secp160r1());
     let mut rng = ChaChaRng::seed_from_u64(seed ^ 0xce27);
-    let mut ca = CertificateAuthority::new_ecdsa(&mut rng, b"bench-ca", scheme.clone());
+    let ca = CertificateAuthority::new_ecdsa(&mut rng, b"bench-ca", scheme.clone());
     let certs: Vec<Certificate> = (0..16u32)
         .map(|i| {
             let user = scheme.keygen(&mut rng);
-            ca.issue(&mut rng, &i.to_be_bytes(), SubjectKey::Ecdsa(user.q))
+            ca.issue(
+                &mut rng,
+                &i.to_be_bytes(),
+                SubjectKey::Ecdsa(user.q),
+                u64::from(i) + 1,
+            )
         })
         .collect();
     let public = ca.public();

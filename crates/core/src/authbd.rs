@@ -14,17 +14,28 @@
 //! round machines ([`crate::machine`]) and the same metering as the
 //! proposed protocol, so Figure 1's curves come from directly comparable
 //! instrumented executions.
+//!
+//! Issuing credentials is one-time setup in the paper, which charges these
+//! baselines only for signing and verifying. A service's steps therefore
+//! build their kit with [`AuthKit::issued`] from the credentials its
+//! members carry (`MemberState::cred`): the PKG's [`Authority`] issues one
+//! only for a member that has none, and it travels with the member from
+//! step to step. With it travels the member's prepared ECDSA key, so a
+//! peer's Round-2 signature verifies through a comb built once per member
+//! — used only while it holds the key the peer's certificate carries on
+//! the wire.
 
 use std::sync::Arc;
 
 use egka_bigint::{mod_mul, SchnorrGroup, Ubig};
+use egka_ec::Point;
 use egka_energy::complexity::InitialProtocol;
 use egka_energy::{CompOp, Meter, Scheme};
 use egka_hash::ChaChaRng;
 use egka_sig::{
     CaPublic, CertCheck, CertStore, Certificate, CertificateAuthority, Dsa, DsaKeyPair,
-    DsaSignature, Ecdsa, EcdsaKeyPair, EcdsaSignature, SokParams, SokPkg, SokSecretKey,
-    SokSignature, SubjectKey,
+    DsaSignature, Ecdsa, EcdsaKeyPair, EcdsaPreparedKey, EcdsaSignature, SokParams, SokPkg,
+    SokSecretKey, SokSignature, SubjectKey,
 };
 use rand::{Rng, SeedableRng};
 
@@ -33,15 +44,24 @@ use crate::ident::{ring_position, UserId};
 use crate::machine::{
     two_round_script, Dest, Engine, Execution, Faults, Metered, Outgoing, PhaseOut, Pump,
 };
+use crate::params::{Authority, Credential};
 use crate::proposed::{NodeReport, RunReport};
 use crate::wire::{kind, Reader, Writer};
 
+/// Teeth of a member's prepared ECDSA key. A service holds one comb per
+/// live member, each verified by the member's `n − 1` peers per step, so
+/// the comb is kept small: 4 teeth make 15 entries (under 1 KB on
+/// secp160r1) where the CA's 6 make 63 (about 3.5 KB).
+pub const MEMBER_KEY_TEETH: u32 = 4;
+
 /// Credentials for one authenticated-BD variant, for the whole group.
 ///
-/// A kit is provisioned either for the canonical ring `U_0 … U_{n−1}`
-/// ([`AuthKit::setup_sok`] & co.) or for an arbitrary identity set
-/// ([`AuthKit::setup_sok_for`] & co.) — the latter is what lets these
-/// baselines run as service-managed suites over real member ids.
+/// A kit is built either for the canonical ring `U_0 … U_{n−1}` from a
+/// fresh deployment ([`AuthKit::setup_sok`] & co., the experiment
+/// harness's one-off runs) or from the credentials a service's
+/// [`Authority`] issued to an arbitrary identity ring
+/// ([`AuthKit::issued`]), which is what lets these baselines run as
+/// service-managed suites over real member ids.
 pub enum AuthKit {
     /// SOK (pairing-based, ID-based: no certificates).
     Sok {
@@ -64,6 +84,10 @@ pub enum AuthKit {
         ca: CaPublic,
         /// Member identities, ring order (certificate subjects).
         ids: Vec<UserId>,
+        /// Each member's public key, prepared (ring order). A verifier
+        /// uses one only while it equals the key in the certificate the
+        /// member sent.
+        prepared: Vec<EcdsaPreparedKey>,
     },
     /// DSA with certificates.
     Dsa {
@@ -109,69 +133,139 @@ impl AuthKit {
         (0..n as u32).map(UserId).collect()
     }
 
-    /// Provisions a SOK deployment: PKG setup + per-user extraction.
+    /// Provisions a SOK deployment for the canonical ring: PKG setup +
+    /// per-user extraction.
     pub fn setup_sok<R: Rng + ?Sized>(rng: &mut R, group: egka_ec::PairingGroup, n: usize) -> Self {
-        Self::setup_sok_for(rng, group, &Self::canonical_ids(n))
-    }
-
-    /// [`AuthKit::setup_sok`] for an explicit identity ring.
-    pub fn setup_sok_for<R: Rng + ?Sized>(
-        rng: &mut R,
-        group: egka_ec::PairingGroup,
-        ids: &[UserId],
-    ) -> Self {
+        let ids = Self::canonical_ids(n);
         let pkg = SokPkg::setup(rng, group);
         let keys = ids.iter().map(|u| pkg.extract(&u.to_bytes())).collect();
         AuthKit::Sok {
             params: pkg.params,
             keys,
-            ids: ids.to_vec(),
+            ids,
         }
     }
 
-    /// Provisions an ECDSA deployment: CA + per-user keys + certificates.
+    /// Provisions an ECDSA deployment for the canonical ring: CA +
+    /// per-user keys + certificates (serials `1 … n`).
     pub fn setup_ecdsa<R: Rng + ?Sized>(rng: &mut R, scheme: Ecdsa, n: usize) -> Self {
-        Self::setup_ecdsa_for(rng, scheme, &Self::canonical_ids(n))
-    }
-
-    /// [`AuthKit::setup_ecdsa`] for an explicit identity ring.
-    pub fn setup_ecdsa_for<R: Rng + ?Sized>(rng: &mut R, scheme: Ecdsa, ids: &[UserId]) -> Self {
-        let mut ca = CertificateAuthority::new_ecdsa(rng, b"egka-ca", scheme.clone());
+        let ids = Self::canonical_ids(n);
+        let ca = CertificateAuthority::new_ecdsa(rng, b"egka-ca", scheme.clone());
         let keys: Vec<EcdsaKeyPair> = ids.iter().map(|_| scheme.keygen(rng)).collect();
-        let certs = keys
+        let certs = ids
             .iter()
-            .zip(ids)
-            .map(|(k, u)| ca.issue(rng, &u.to_bytes(), SubjectKey::Ecdsa(k.q.clone())))
+            .zip(&keys)
+            .zip(1..)
+            .map(|((u, k), serial)| {
+                ca.issue(rng, &u.to_bytes(), SubjectKey::Ecdsa(k.q.clone()), serial)
+            })
             .collect();
         AuthKit::Ecdsa {
             ca: ca.public(),
+            prepared: keys
+                .iter()
+                .map(|k| EcdsaPreparedKey::with_teeth(k.q.clone(), MEMBER_KEY_TEETH))
+                .collect(),
             scheme,
             keys,
             certs,
-            ids: ids.to_vec(),
+            ids,
         }
     }
 
-    /// Provisions a DSA deployment: CA + per-user keys + certificates.
+    /// Provisions a DSA deployment for the canonical ring: CA + per-user
+    /// keys + certificates (serials `1 … n`).
     pub fn setup_dsa<R: Rng + ?Sized>(rng: &mut R, scheme: Dsa, n: usize) -> Self {
-        Self::setup_dsa_for(rng, scheme, &Self::canonical_ids(n))
-    }
-
-    /// [`AuthKit::setup_dsa`] for an explicit identity ring.
-    pub fn setup_dsa_for<R: Rng + ?Sized>(rng: &mut R, scheme: Dsa, ids: &[UserId]) -> Self {
-        let mut ca = CertificateAuthority::new_dsa(rng, b"egka-ca", scheme.clone());
+        let ids = Self::canonical_ids(n);
+        let ca = CertificateAuthority::new_dsa(rng, b"egka-ca", scheme.clone());
         let keys: Vec<DsaKeyPair> = ids.iter().map(|_| scheme.keygen(rng)).collect();
-        let certs = keys
+        let certs = ids
             .iter()
-            .zip(ids)
-            .map(|(k, u)| ca.issue(rng, &u.to_bytes(), SubjectKey::Dsa(k.y.clone())))
+            .zip(&keys)
+            .zip(1..)
+            .map(|((u, k), serial)| {
+                ca.issue(rng, &u.to_bytes(), SubjectKey::Dsa(k.y.clone()), serial)
+            })
             .collect();
         AuthKit::Dsa {
             ca: ca.public(),
             scheme,
             keys,
             certs,
-            ids: ids.to_vec(),
+            ids,
+        }
+    }
+
+    /// The kit of the ring `ids` from the credentials (ring order) that
+    /// `authority` issued them under `scheme`.
+    ///
+    /// # Panics
+    /// Panics if `creds` and `ids` differ in length, if a credential is
+    /// not a `scheme` credential, or if `scheme` is GQ.
+    pub fn issued(
+        authority: &Authority,
+        scheme: Scheme,
+        ids: &[UserId],
+        creds: &[Arc<Credential>],
+    ) -> Self {
+        assert_eq!(creds.len(), ids.len(), "one credential per member");
+        let ids = ids.to_vec();
+        let wrong = "a kit takes credentials of its own scheme";
+        match scheme {
+            Scheme::Sok => AuthKit::Sok {
+                params: authority.sok_params().clone(),
+                keys: creds
+                    .iter()
+                    .map(|c| match &**c {
+                        Credential::Sok(key) => key.clone(),
+                        _ => panic!("{wrong}"),
+                    })
+                    .collect(),
+                ids,
+            },
+            Scheme::Ecdsa => {
+                let (ecdsa, ca) = authority.ecdsa_public();
+                let (mut keys, mut certs, mut prepared) = (Vec::new(), Vec::new(), Vec::new());
+                for c in creds {
+                    let Credential::Ecdsa {
+                        key,
+                        cert,
+                        prepared: p,
+                    } = &**c
+                    else {
+                        panic!("{wrong}")
+                    };
+                    keys.push(key.clone());
+                    certs.push(cert.clone());
+                    prepared.push(p.clone());
+                }
+                AuthKit::Ecdsa {
+                    scheme: ecdsa.clone(),
+                    keys,
+                    certs,
+                    ca: ca.clone(),
+                    ids,
+                    prepared,
+                }
+            }
+            Scheme::Dsa => {
+                let (dsa, ca) = authority.dsa_public();
+                let (keys, certs) = creds
+                    .iter()
+                    .map(|c| match &**c {
+                        Credential::Dsa { key, cert } => (key.clone(), cert.clone()),
+                        _ => panic!("{wrong}"),
+                    })
+                    .unzip();
+                AuthKit::Dsa {
+                    scheme: dsa.clone(),
+                    keys,
+                    certs,
+                    ca: ca.clone(),
+                    ids,
+                }
+            }
+            Scheme::Gq => panic!("GQ is not an authenticated-BD baseline"),
         }
     }
 }
@@ -189,6 +283,9 @@ enum NodeAuth {
         key: EcdsaKeyPair,
         cert: Certificate,
         ca: CaPublic,
+        /// The ring's prepared public keys, shared by every node of the
+        /// run.
+        prepared: Arc<[EcdsaPreparedKey]>,
     },
     Dsa {
         scheme: Dsa,
@@ -403,6 +500,10 @@ impl AuthBdRun {
         let group = Arc::new(bd_group.clone());
         let ids: Vec<UserId> = kit.ids().to_vec();
         let ring = Arc::new(ids.clone());
+        let prepared: Arc<[EcdsaPreparedKey]> = match kit {
+            AuthKit::Ecdsa { prepared, .. } => prepared.as_slice().into(),
+            _ => Arc::new([]),
+        };
         let exec = Execution::new(&ids, faults, |i, _| {
             let mut state = NodeState {
                 idx: i,
@@ -424,6 +525,7 @@ impl AuthBdRun {
                         key: keys[i].clone(),
                         cert: certs[i].clone(),
                         ca: ca.clone(),
+                        prepared: Arc::clone(&prepared),
                     },
                     AuthKit::Dsa {
                         scheme,
@@ -490,9 +592,10 @@ impl AuthBdRun {
 
     /// Like [`AuthBdRun::finish`], but also assembles a
     /// [`crate::GroupSession`] over `params` so the run can seed service
-    /// state: each member carries its BD share; `gq_keys` (ring order)
-    /// fill the ID-key slots the session schema requires. The BD group of
-    /// `params` must be the one the run executed over.
+    /// state: each member carries its BD share and the credential it ran
+    /// with (`creds`, ring order), and `gq_keys` (ring order) fill the
+    /// ID-key slots the session schema requires. The BD group of `params`
+    /// must be the one the run executed over.
     ///
     /// The authenticated-BD baselines have no §7 dynamics — a membership
     /// change re-runs the whole protocol — so the GQ commitment slots are
@@ -500,14 +603,16 @@ impl AuthBdRun {
     ///
     /// # Panics
     /// Panics if the run has not finished, keys diverged, or `gq_keys`
-    /// does not match the ring.
+    /// or `creds` does not match the ring.
     pub fn finish_session(
         self,
         params: &crate::params::Params,
         gq_keys: &[egka_sig::GqSecretKey],
+        creds: &[Arc<Credential>],
     ) -> (RunReport, crate::GroupSession) {
         assert!(self.exec.is_done(), "finish() before the run completed");
         assert_eq!(gq_keys.len(), self.exec.n(), "one GQ key per member");
+        assert_eq!(creds.len(), self.exec.n(), "one credential per member");
         let members: Vec<crate::MemberState> = (0..self.exec.n())
             .map(|i| {
                 let state = self.exec.machine(i).state();
@@ -519,6 +624,7 @@ impl AuthBdRun {
                     z: share.z.clone(),
                     tau: Ubig::zero(),
                     t: Ubig::zero(),
+                    cred: Some(Arc::clone(&creds[i])),
                 }
             })
             .collect();
@@ -581,14 +687,16 @@ pub fn run_with_trust(
 
 /// Verifies all `n − 1` Round-2 signatures for one node.
 ///
-/// SOK verifies message by message ([`verify_one`] — its pairing reuse
+/// SOK verifies message by message ([`verify_sok`] — its pairing reuse
 /// lives in the scheme's fixed-argument Miller precomputation); ECDSA
-/// decodes every peer's signature and then verifies them in ring order,
-/// and DSA hands the whole set to `egka_sig::batch` as one epoch batch.
-/// The meter records are **identical** to the one-by-one path — one
-/// `SignVerify` per peer message, charged up front — because the paper
-/// prices the protocol's verification count, not the implementation
-/// shortcut. A rejection names the lowest-index culprit.
+/// decodes every peer's signature and then verifies them in ring order
+/// ([`verify_ecdsa_peer`], through the peer's prepared key while it is the
+/// key the peer's certificate carries), and DSA verifies them the same way
+/// under each certificate's `y`. The meter records are **identical** to
+/// the one-by-one path — one `SignVerify` per peer message, charged up
+/// front — because the paper prices the protocol's verification count,
+/// not the implementation shortcut. A rejection names the lowest-index
+/// culprit.
 ///
 /// # Panics
 /// Panics if any signature (or its certificate key) fails — these
@@ -602,14 +710,16 @@ fn verify_round2_sigs(node: &mut NodeState, z_prod: &Ubig) {
         .collect();
     if matches!(node.auth, NodeAuth::Sok { .. }) {
         for (k, &j) in peers.iter().enumerate() {
-            let ok = verify_one(node, j, &msgs[k]);
+            let ok = verify_sok(node, j, &msgs[k]);
             assert!(ok, "honest-run signature from U{j} rejected");
         }
         return;
     }
     match &node.auth {
         NodeAuth::Sok { .. } => unreachable!("handled above"),
-        NodeAuth::Ecdsa { scheme, .. } => {
+        NodeAuth::Ecdsa {
+            scheme, prepared, ..
+        } => {
             let mut qs = Vec::with_capacity(peers.len());
             let mut sigs = Vec::with_capacity(peers.len());
             for &j in &peers {
@@ -626,7 +736,8 @@ fn verify_round2_sigs(node: &mut NodeState, z_prod: &Ubig) {
                 sigs.push(EcdsaSignature { r: sr, s: ss });
             }
             for (k, q) in qs.iter().enumerate() {
-                if !scheme.verify(q, &msgs[k], &sigs[k]) {
+                let carried = &prepared[peers[k]];
+                if !verify_ecdsa_peer(scheme, carried, q, &msgs[k], &sigs[k]) {
                     panic!("honest-run signature from U{} rejected", peers[k]);
                 }
             }
@@ -655,54 +766,49 @@ fn verify_round2_sigs(node: &mut NodeState, z_prod: &Ubig) {
     }
 }
 
-/// Verifies sender `j`'s signature, recording the ops the paper prices:
-/// one `SignVerify` per message, plus (SOK) one `MapToPoint` per *new*
+/// Verifies a peer's Round-2 signature under `wire`, the key in the
+/// certificate the peer sent. The verdict is always plain
+/// [`Ecdsa::verify`]'s under `wire`: the `carried` prepared key (the
+/// credential the member travels with) only supplies its comb when it
+/// holds that very point.
+fn verify_ecdsa_peer(
+    scheme: &Ecdsa,
+    carried: &EcdsaPreparedKey,
+    wire: &Point,
+    msg: &[u8],
+    sig: &EcdsaSignature,
+) -> bool {
+    if carried.point() == wire {
+        scheme.verify_prepared(carried, msg, sig)
+    } else {
+        scheme.verify(wire, msg, sig)
+    }
+}
+
+/// Verifies sender `j`'s SOK signature, recording the ops the paper
+/// prices: one `SignVerify` per message, plus one `MapToPoint` per *new*
 /// identity. (The SOK verifier really performs a second MapToPoint for the
 /// message hash; the paper's Table 1 only counts the identity ones, so the
 /// message MapToPoint is recorded as a free `Hash` — see `EXPERIMENTS.md`.)
-fn verify_one(node: &mut NodeState, j: usize, msg: &[u8]) -> bool {
-    let jid = node.ring[j];
-    match &node.auth {
-        NodeAuth::Sok { params, .. } => {
-            if !node.mapped_ids[j] {
-                node.meter.record(CompOp::MapToPoint);
-                node.mapped_ids[j] = true;
-            }
-            node.meter.record(CompOp::Hash); // the Q_M MapToPoint, unpriced
-            node.meter.record(CompOp::SignVerify(Scheme::Sok));
-            let mut r = Reader::new(&node.sigs[j]);
-            let (Ok(s1), Ok(s2)) = (r.get_bytes(), r.get_bytes()) else {
-                return false;
-            };
-            let curve = params.group().curve();
-            let (Some(s1), Some(s2)) = (curve.decompress(s1), curve.decompress(s2)) else {
-                return false;
-            };
-            params.verify(&jid.to_bytes(), msg, &SokSignature { s1, s2 })
-        }
-        NodeAuth::Ecdsa { scheme, .. } => {
-            node.meter.record(CompOp::SignVerify(Scheme::Ecdsa));
-            let Some(SubjectKey::Ecdsa(q)) = node.certs[j].as_ref().map(|c| c.key.clone()) else {
-                return false;
-            };
-            let mut r = Reader::new(&node.sigs[j]);
-            let (Ok(sr), Ok(ss)) = (r.get_ubig(), r.get_ubig()) else {
-                return false;
-            };
-            scheme.verify(&q, msg, &EcdsaSignature { r: sr, s: ss })
-        }
-        NodeAuth::Dsa { scheme, .. } => {
-            node.meter.record(CompOp::SignVerify(Scheme::Dsa));
-            let Some(SubjectKey::Dsa(y)) = node.certs[j].as_ref().map(|c| c.key.clone()) else {
-                return false;
-            };
-            let mut r = Reader::new(&node.sigs[j]);
-            let (Ok(sr), Ok(ss)) = (r.get_ubig(), r.get_ubig()) else {
-                return false;
-            };
-            scheme.verify(&y, msg, &DsaSignature { r: sr, s: ss })
-        }
+fn verify_sok(node: &mut NodeState, j: usize, msg: &[u8]) -> bool {
+    let NodeAuth::Sok { params, .. } = &node.auth else {
+        unreachable!("only SOK nodes verify SOK signatures")
+    };
+    if !node.mapped_ids[j] {
+        node.meter.record(CompOp::MapToPoint);
+        node.mapped_ids[j] = true;
     }
+    node.meter.record(CompOp::Hash); // the Q_M MapToPoint, unpriced
+    node.meter.record(CompOp::SignVerify(Scheme::Sok));
+    let mut r = Reader::new(&node.sigs[j]);
+    let (Ok(s1), Ok(s2)) = (r.get_bytes(), r.get_bytes()) else {
+        return false;
+    };
+    let curve = params.group().curve();
+    let (Some(s1), Some(s2)) = (curve.decompress(s1), curve.decompress(s2)) else {
+        return false;
+    };
+    params.verify(&node.ring[j].to_bytes(), msg, &SokSignature { s1, s2 })
 }
 
 #[cfg(test)]
@@ -765,6 +871,88 @@ mod tests {
         let report = run(&g, &kit, 4);
         assert!(report.keys_agree());
         assert_counts(&report, &InitialProtocol::BdSok.per_user_counts(4));
+    }
+
+    #[test]
+    fn a_peer_key_other_than_the_wire_key_gets_the_plain_verdict() {
+        let mut rng = ChaChaRng::seed_from_u64(5);
+        let scheme = Ecdsa::new(egka_ec::secp160r1());
+        let (wire, carried) = (scheme.keygen(&mut rng), scheme.keygen(&mut rng));
+        let msg = b"U_j || z_j || X_j || prod z";
+        let valid = scheme.sign(&mut rng, &wire, msg);
+        let forged = scheme.sign(&mut rng, &carried, msg);
+        let other = EcdsaPreparedKey::new(carried.q.clone());
+        let same = EcdsaPreparedKey::new(wire.q.clone());
+        for (sig, verdict) in [(&valid, true), (&forged, false)] {
+            assert_eq!(scheme.verify(&wire.q, msg, sig), verdict);
+            assert_eq!(
+                verify_ecdsa_peer(&scheme, &other, &wire.q, msg, sig),
+                verdict
+            );
+            assert_eq!(
+                verify_ecdsa_peer(&scheme, &same, &wire.q, msg, sig),
+                verdict
+            );
+        }
+    }
+
+    /// A four-member ECDSA kit in which every verifier carries a prepared
+    /// key for member 2 other than the one member 2's certificate holds.
+    /// Member 2 signs with the certified key when `signs_with_wire_key`,
+    /// else with the carried one.
+    fn kit_with_a_stale_carried_key(signs_with_wire_key: bool) -> AuthKit {
+        let mut rng = ChaChaRng::seed_from_u64(6);
+        let scheme = Ecdsa::new(egka_ec::secp160r1());
+        let AuthKit::Ecdsa {
+            ca,
+            mut keys,
+            certs,
+            mut prepared,
+            ids,
+            ..
+        } = AuthKit::setup_ecdsa(&mut rng, scheme.clone(), 4)
+        else {
+            unreachable!("an ECDSA kit")
+        };
+        let carried = scheme.keygen(&mut rng);
+        prepared[2] = EcdsaPreparedKey::new(carried.q.clone());
+        if !signs_with_wire_key {
+            keys[2] = carried;
+        }
+        AuthKit::Ecdsa {
+            scheme,
+            keys,
+            certs,
+            ca,
+            ids,
+            prepared,
+        }
+    }
+
+    #[test]
+    fn round2_verifies_under_the_key_on_the_wire_not_the_carried_one() {
+        let g = bd_group();
+        let counts = InitialProtocol::BdEcdsa.per_user_counts(4);
+        // Signed under the certified key: accepted, as plain verification
+        // under the wire key accepts it.
+        let report = run(&g, &kit_with_a_stale_carried_key(true), 8);
+        assert!(report.keys_agree());
+        assert_counts(&report, &counts);
+
+        // Signed under the carried key, which the certificate does not
+        // hold: rejected, as plain verification under the wire key
+        // rejects it.
+        let kit = kit_with_a_stale_carried_key(false);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut auth = AuthBdRun::new(&g, &kit, 8, &Faults::none(), |_, _| false);
+            while auth.pump() == Pump::Progressed {}
+        }));
+        let payload = outcome.expect_err("a signature the wire key does not verify is rejected");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("signature from U2 rejected"), "{msg}");
     }
 
     #[test]

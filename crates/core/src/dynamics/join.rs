@@ -246,6 +246,7 @@ impl JoinRun {
             // "none".
             tau: Ubig::zero(),
             t: Ubig::zero(),
+            cred: None,
         });
         let reports: Vec<NodeReport> = (0..=n)
             .map(|i| NodeReport {

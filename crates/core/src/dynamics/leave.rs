@@ -370,6 +370,7 @@ impl LeaveRun {
                     z: s.z.clone(),
                     tau: s.tau.clone(),
                     t: s.t.clone(),
+                    cred: m.cred.clone(),
                 }
             })
             .collect();

@@ -14,11 +14,13 @@
 //! public `z` shares, which protocol code accesses through
 //! [`GroupSession::z_of`] to keep the "who knows what" discipline visible.
 
+use std::sync::Arc;
+
 use egka_bigint::Ubig;
 use egka_sig::GqSecretKey;
 
 use crate::ident::UserId;
-use crate::params::Params;
+use crate::params::{Credential, Params};
 use crate::wire::{DecodeError, Reader, Writer};
 
 /// One member's private protocol state.
@@ -36,6 +38,12 @@ pub struct MemberState {
     pub tau: Ubig,
     /// Last GQ commitment `t_i = τ_i^e` (known to the whole group).
     pub t: Ubig,
+    /// The baseline credential the member signs with (BD+SOK, BD+ECDSA,
+    /// BD+DSA), issued once by the PKG's authority and carried from step
+    /// to step like `gq_key`. `None` for the other suites and after
+    /// [`GroupSession::decode_state`]: a credential is a function of
+    /// (authority, id), so the next baseline step re-issues the same one.
+    pub cred: Option<Arc<Credential>>,
 }
 
 /// A group that has agreed on a key.
@@ -97,6 +105,7 @@ impl GroupSession {
     /// Serializes the full per-member session state (identities, BD
     /// exponents, public shares, GQ commitments and extracted ID keys)
     /// plus the group key — everything the §7 dynamics consume — into `w`.
+    /// Baseline credentials are not written; see [`MemberState::cred`].
     ///
     /// The shared [`Params`] are deliberately *not* written: they belong
     /// to the PKG the service runs on, and a store that duplicated them
@@ -134,6 +143,7 @@ impl GroupSession {
                 z: r.get_ubig()?,
                 tau: r.get_ubig()?,
                 t: r.get_ubig()?,
+                cred: None,
             });
         }
         let key = r.get_ubig()?;

@@ -14,12 +14,27 @@
 //! and wire bits the paper's cost model prices. The full 1024-bit
 //! [`SecurityProfile::Paper`] profile is embedded as a pinned fixture
 //! (regeneration takes minutes) and exercised by `#[ignore]`d slow tests.
+//!
+//! Next to the GQ master key, a [`Pkg`] holds the [`Authority`] that issues
+//! the baselines' credentials: an ECDSA CA, a DSA CA and a SOK PKG. Issuing
+//! is one-time setup, as Extract is: a member's [`Credential`] is a function
+//! of the authority and its id, so it is issued once and travels with the
+//! member (`MemberState::cred`).
+
+use std::sync::OnceLock;
 
 use egka_bigint::{gen_schnorr_group, SchnorrGroup, Ubig};
-use egka_sig::{GqPkg, GqSecretKey};
-use rand::Rng;
+use egka_energy::Scheme;
+use egka_hash::ChaChaRng;
+use egka_sig::{
+    CaPublic, Certificate, CertificateAuthority, Dsa, DsaKeyPair, Ecdsa, EcdsaKeyPair,
+    EcdsaPreparedKey, GqPkg, GqSecretKey, SokPkg, SokSecretKey, SubjectKey,
+};
+use rand::{Rng, SeedableRng};
 
+use crate::authbd::MEMBER_KEY_TEETH;
 use crate::ident::UserId;
+use crate::suite::mix;
 
 /// How big the actual algebra is. Accounting sizes are profile-independent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -57,10 +72,12 @@ pub struct Params {
     pub profile: SecurityProfile,
 }
 
-/// The Private Key Generator: owns the GQ master key and extracts ID keys.
+/// The Private Key Generator: owns the GQ master key and extracts ID keys,
+/// and holds the [`Authority`] that issues the baselines' credentials.
 pub struct Pkg {
     params: Params,
     gq_pkg: GqPkg,
+    authority: Authority,
 }
 
 impl Pkg {
@@ -76,6 +93,7 @@ impl Pkg {
                 profile,
             },
             gq_pkg,
+            authority: Authority::default(),
         }
     }
 
@@ -88,6 +106,7 @@ impl Pkg {
                 profile,
             },
             gq_pkg,
+            authority: Authority::default(),
         }
     }
 
@@ -109,6 +128,196 @@ impl Pkg {
     /// Extracts keys for ids `0..n` (the usual test group).
     pub fn extract_group(&self, n: u32) -> Vec<GqSecretKey> {
         (0..n).map(|i| self.extract(UserId(i))).collect()
+    }
+
+    /// The issuer of the certificate and SOK baselines' credentials.
+    pub fn authority(&self) -> &Authority {
+        &self.authority
+    }
+}
+
+/// Seed of every [`Authority`]. It is a constant, as the fixtures' seeds
+/// are, so every service (a recovered one included) builds the same CAs
+/// and the same SOK PKG, and issues the same credential to an id.
+const AUTHORITY_SEED: u64 = 0xa07_4017;
+
+/// The SOK fixture deployment: one deterministic pairing group. Energy is
+/// priced from operation counts and the paper's nominal wire sizes, so the
+/// fixture's curve size only affects the measured "actual bits" ablation,
+/// never the priced joules.
+fn sok_pairing() -> &'static egka_ec::PairingGroup {
+    static GROUP: OnceLock<egka_ec::PairingGroup> = OnceLock::new();
+    GROUP.get_or_init(|| {
+        let mut rng = ChaChaRng::seed_from_u64(0x50a1_c0de);
+        egka_ec::gen_pairing_group(&mut rng, 96, 64)
+    })
+}
+
+/// The DSA fixture scheme (deterministic Schnorr group), same rationale
+/// as [`sok_pairing`].
+fn dsa_scheme() -> &'static Dsa {
+    static SCHEME: OnceLock<Dsa> = OnceLock::new();
+    SCHEME.get_or_init(|| {
+        let mut rng = ChaChaRng::seed_from_u64(0xd5a_c0de);
+        Dsa::new(egka_bigint::gen_schnorr_group(&mut rng, 256, 96))
+    })
+}
+
+/// One certificate authority with its signing scheme and its public half
+/// (built once, so an ECDSA CA's comb is shared by every step).
+struct Issuer<S> {
+    scheme: S,
+    ca: CertificateAuthority,
+    public: CaPublic,
+}
+
+/// The issuer of the baselines' credentials: an ECDSA CA on secp160r1, a
+/// DSA CA on the DSA fixture and a SOK PKG on the pairing fixture. Each
+/// part is built on first use, so a service that runs only the proposed
+/// suite (or only one baseline) builds nothing it does not use.
+///
+/// A [`Credential`] is a function of (authority, scheme, id):
+/// [`Authority::credential`] draws the key pair and the CA's signing nonce
+/// from a generator seeded by the scheme and the id, and uses the id as
+/// the certificate's serial. Shards may issue in parallel, in any order,
+/// and a session decoded without its credentials is re-issued the same
+/// bytes.
+#[derive(Default)]
+pub struct Authority {
+    ecdsa: OnceLock<Issuer<Ecdsa>>,
+    dsa: OnceLock<Issuer<Dsa>>,
+    sok: OnceLock<SokPkg>,
+}
+
+/// A baseline member's credential, issued by an [`Authority`].
+// Variant sizes differ by scheme; a member carries one behind an `Arc`.
+#[allow(clippy::large_enum_variant)]
+#[derive(Clone, Debug)]
+pub enum Credential {
+    /// An ECDSA key pair, its certificate, and its public point prepared
+    /// for verification (the comb is built on first use and shared by
+    /// every clone).
+    Ecdsa {
+        /// The member's key pair.
+        key: EcdsaKeyPair,
+        /// The CA's certificate over `key.q`.
+        cert: Certificate,
+        /// `key.q`, prepared.
+        prepared: EcdsaPreparedKey,
+    },
+    /// A DSA key pair and its certificate.
+    Dsa {
+        /// The member's key pair.
+        key: DsaKeyPair,
+        /// The CA's certificate over `key.y`.
+        cert: Certificate,
+    },
+    /// A SOK ID key extracted by the authority's SOK PKG.
+    Sok(SokSecretKey),
+}
+
+impl Credential {
+    /// The signature scheme the credential signs with.
+    pub fn scheme(&self) -> Scheme {
+        match self {
+            Credential::Ecdsa { .. } => Scheme::Ecdsa,
+            Credential::Dsa { .. } => Scheme::Dsa,
+            Credential::Sok(_) => Scheme::Sok,
+        }
+    }
+}
+
+/// The authority's generator for `part`, and for `id` under it.
+fn authority_rng(part: Scheme, id: Option<UserId>) -> ChaChaRng {
+    let tag = match part {
+        Scheme::Ecdsa => 0xec,
+        Scheme::Dsa => 0xd5,
+        Scheme::Sok => 0x50c,
+        Scheme::Gq => 0x60,
+    };
+    let seed = mix(AUTHORITY_SEED, tag);
+    ChaChaRng::seed_from_u64(match id {
+        Some(id) => mix(seed, u64::from(id.0)),
+        None => seed,
+    })
+}
+
+impl Authority {
+    fn ecdsa(&self) -> &Issuer<Ecdsa> {
+        self.ecdsa.get_or_init(|| {
+            let scheme = Ecdsa::new(egka_ec::secp160r1());
+            let mut rng = authority_rng(Scheme::Ecdsa, None);
+            let ca = CertificateAuthority::new_ecdsa(&mut rng, b"egka-ca", scheme.clone());
+            let public = ca.public();
+            Issuer { scheme, ca, public }
+        })
+    }
+
+    fn dsa(&self) -> &Issuer<Dsa> {
+        self.dsa.get_or_init(|| {
+            let scheme = dsa_scheme().clone();
+            let mut rng = authority_rng(Scheme::Dsa, None);
+            let ca = CertificateAuthority::new_dsa(&mut rng, b"egka-ca", scheme.clone());
+            let public = ca.public();
+            Issuer { scheme, ca, public }
+        })
+    }
+
+    fn sok(&self) -> &SokPkg {
+        self.sok.get_or_init(|| {
+            let mut rng = authority_rng(Scheme::Sok, None);
+            SokPkg::setup(&mut rng, sok_pairing().clone())
+        })
+    }
+
+    /// The ECDSA scheme and CA key every ECDSA credential is checked with.
+    pub fn ecdsa_public(&self) -> (&Ecdsa, &CaPublic) {
+        let issuer = self.ecdsa();
+        (&issuer.scheme, &issuer.public)
+    }
+
+    /// The DSA scheme and CA key every DSA credential is checked with.
+    pub fn dsa_public(&self) -> (&Dsa, &CaPublic) {
+        let issuer = self.dsa();
+        (&issuer.scheme, &issuer.public)
+    }
+
+    /// The SOK public parameters every SOK credential verifies under.
+    pub fn sok_params(&self) -> &egka_sig::SokParams {
+        &self.sok().params
+    }
+
+    /// Issues `id`'s credential under `scheme`. The result depends only on
+    /// the authority and the arguments.
+    ///
+    /// # Panics
+    /// Panics for [`Scheme::Gq`], whose keys the [`Pkg`] extracts.
+    pub fn credential(&self, scheme: Scheme, id: UserId) -> Credential {
+        let mut rng = authority_rng(scheme, Some(id));
+        let serial = u64::from(id.0);
+        match scheme {
+            Scheme::Ecdsa => {
+                let issuer = self.ecdsa();
+                let key = issuer.scheme.keygen(&mut rng);
+                let subject = SubjectKey::Ecdsa(key.q.clone());
+                let cert = issuer.ca.issue(&mut rng, &id.to_bytes(), subject, serial);
+                let prepared = EcdsaPreparedKey::with_teeth(key.q.clone(), MEMBER_KEY_TEETH);
+                Credential::Ecdsa {
+                    key,
+                    cert,
+                    prepared,
+                }
+            }
+            Scheme::Dsa => {
+                let issuer = self.dsa();
+                let key = issuer.scheme.keygen(&mut rng);
+                let subject = SubjectKey::Dsa(key.y.clone());
+                let cert = issuer.ca.issue(&mut rng, &id.to_bytes(), subject, serial);
+                Credential::Dsa { key, cert }
+            }
+            Scheme::Sok => Credential::Sok(self.sok().extract(&id.to_bytes())),
+            Scheme::Gq => panic!("GQ keys are extracted by the PKG, not issued"),
+        }
     }
 }
 
@@ -179,6 +388,77 @@ mod tests {
                 let plain = egka_bigint::mod_pow(&h, &gq.master().d, &gq.params.n);
                 assert_eq!(pkg.extract(id).s_id, plain, "{id:?}");
             }
+        }
+    }
+
+    /// Everything an issued credential consists of, as bytes.
+    fn credential_bytes(c: &Credential) -> Vec<Vec<u8>> {
+        match c {
+            Credential::Ecdsa {
+                key,
+                cert,
+                prepared,
+            } => {
+                assert_eq!(prepared.point(), &key.q);
+                let (x, y) = key.q.xy().expect("a finite public key");
+                vec![
+                    key.d.to_bytes_be(),
+                    x.to_bytes_be(),
+                    y.to_bytes_be(),
+                    cert.encode(),
+                ]
+            }
+            Credential::Dsa { key, cert } => {
+                vec![key.x.to_bytes_be(), key.y.to_bytes_be(), cert.encode()]
+            }
+            Credential::Sok(key) => {
+                let (x, y) = key.s_id.xy().expect("a finite ID key");
+                vec![key.id.clone(), x.to_bytes_be(), y.to_bytes_be()]
+            }
+        }
+    }
+
+    #[test]
+    fn independent_authorities_issue_equal_credentials_in_any_order() {
+        let ids = [0u32, 5, 1, 900, 1 << 31, u32::MAX].map(UserId);
+        for scheme in [Scheme::Ecdsa, Scheme::Dsa, Scheme::Sok] {
+            let (a, b) = (Authority::default(), Authority::default());
+            let forward: Vec<Credential> = ids.iter().map(|&u| a.credential(scheme, u)).collect();
+            let mut backward: Vec<Credential> =
+                ids.iter().rev().map(|&u| b.credential(scheme, u)).collect();
+            backward.reverse();
+            for ((u, x), y) in ids.iter().zip(&forward).zip(&backward) {
+                assert_eq!(x.scheme(), scheme);
+                assert_eq!(credential_bytes(x), credential_bytes(y), "{scheme:?} {u:?}");
+            }
+            let distinct: std::collections::BTreeSet<_> =
+                forward.iter().map(credential_bytes).collect();
+            assert_eq!(
+                distinct.len(),
+                ids.len(),
+                "{scheme:?}: one credential per id"
+            );
+        }
+    }
+
+    #[test]
+    fn issued_certificates_verify_under_the_authority_and_bind_the_id() {
+        let authority = Authority::default();
+        let mut store = egka_sig::CertStore::new();
+        for u in [UserId(3), UserId(70_000)] {
+            let Credential::Ecdsa { cert, .. } = authority.credential(Scheme::Ecdsa, u) else {
+                unreachable!("an ECDSA credential")
+            };
+            assert_eq!(cert.serial, u64::from(u.0));
+            let ca = authority.ecdsa_public().1;
+            assert_eq!(
+                store.check(&cert, &u.to_bytes(), ca),
+                egka_sig::CertCheck::NewlyVerified
+            );
+            let Credential::Dsa { cert, .. } = authority.credential(Scheme::Dsa, u) else {
+                unreachable!("a DSA credential")
+            };
+            assert!(authority.dsa_public().1.verify(&cert));
         }
     }
 

@@ -413,6 +413,7 @@ impl GkaRun {
                         z: share.z.clone(),
                         tau: state.tau.clone(),
                         t: state.t.clone(),
+                        cred: None,
                     }
                 })
                 .collect(),

@@ -294,6 +294,7 @@ impl SsnRun {
                     z: share.z.clone(),
                     tau: state.tau.clone(),
                     t: state.ts[state.idx].clone(),
+                    cred: None,
                 }
             })
             .collect();

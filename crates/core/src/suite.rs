@@ -27,6 +27,13 @@
 //! closed-form hooks price, and what makes Table 5's 10–100× headline
 //! reproducible at the service layer.
 //!
+//! What a member carries survives the re-run. Its GQ key is extracted once
+//! and its baseline credential (SOK key, or ECDSA/DSA key pair and
+//! certificate) is issued once by the PKG's [`crate::params::Authority`];
+//! both travel with the member in its `MemberState` (a merge takes them
+//! from both sessions), so a step extracts and issues only for the ids
+//! that arrive with it.
+//!
 //! ```
 //! use egka_core::suite::{suite, SuiteId, StepCtx};
 //! use egka_core::{Faults, Pkg, Pump, SecurityProfile, UserId};
@@ -48,22 +55,20 @@
 //! }
 //! ```
 
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 use egka_energy::complexity::{
     proposed_join, proposed_merge, proposed_partition, InitialProtocol, RoleCounts,
 };
-use egka_energy::{CompOp, OpCounts};
-use egka_hash::ChaChaRng;
-use egka_sig::{Dsa, Ecdsa, GqSecretKey};
-use rand::SeedableRng;
+use egka_energy::{CompOp, OpCounts, Scheme};
+use egka_sig::GqSecretKey;
 
 use crate::authbd::{AuthBdRun, AuthKit};
 use crate::dynamics::{JoinRun, LeaveRun, MergeRun};
 use crate::group::GroupSession;
 use crate::ident::UserId;
 use crate::machine::{Faults, Pump};
-use crate::params::{Params, Pkg};
+use crate::params::{Credential, Params, Pkg};
 use crate::proposed::{GkaRun, NodeReport, RunConfig};
 use crate::ssn::SsnRun;
 
@@ -366,6 +371,29 @@ fn session_keys(pkg: &Pkg, sessions: &[&GroupSession], members: &[UserId]) -> Ve
                 .iter()
                 .find_map(|s| s.position_of(u).map(|i| s.members[i].gq_key.clone()))
                 .unwrap_or_else(|| pkg.extract(u))
+        })
+        .collect()
+}
+
+/// Each member's `scheme` credential: the one a session in `sessions`
+/// already carries, else a fresh issue by the PKG's authority. Issuing is
+/// one-off setup, like Extract, so a baseline step issues credentials
+/// only for the ids that arrive with it (and for every id of a session
+/// decoded from a snapshot, which carries none).
+fn session_creds(
+    pkg: &Pkg,
+    scheme: Scheme,
+    sessions: &[&GroupSession],
+    members: &[UserId],
+) -> Vec<Arc<Credential>> {
+    members
+        .iter()
+        .map(|&u| {
+            sessions
+                .iter()
+                .find_map(|s| s.position_of(u).and_then(|i| s.members[i].cred.clone()))
+                .filter(|c| c.scheme() == scheme)
+                .unwrap_or_else(|| Arc::new(pkg.authority().credential(scheme, u)))
         })
         .collect()
 }
@@ -712,57 +740,22 @@ impl SuiteRun for ProposedMergeNewcomers {
 /// GKA, full re-runs for every dynamic.
 struct BaselineSuite(SuiteId);
 
-/// The SOK fixture deployment: one deterministic pairing group shared by
-/// every SOK run (PKG setup per run is re-seeded from the step seed).
-/// Energy is priced from operation counts and the paper's nominal wire
-/// sizes, so the fixture's curve size only affects the measured
-/// "actual bits" ablation, never the priced joules.
-fn sok_pairing() -> &'static egka_ec::PairingGroup {
-    static GROUP: OnceLock<egka_ec::PairingGroup> = OnceLock::new();
-    GROUP.get_or_init(|| {
-        let mut rng = ChaChaRng::seed_from_u64(0x50a1_c0de);
-        egka_ec::gen_pairing_group(&mut rng, 96, 64)
-    })
-}
-
-/// The DSA fixture scheme (deterministic Schnorr group), same rationale
-/// as [`sok_pairing`].
-fn dsa_scheme() -> &'static Dsa {
-    static SCHEME: OnceLock<Dsa> = OnceLock::new();
-    SCHEME.get_or_init(|| {
-        let mut rng = ChaChaRng::seed_from_u64(0xd5a_c0de);
-        Dsa::new(egka_bigint::gen_schnorr_group(&mut rng, 256, 96))
-    })
-}
-
 impl BaselineSuite {
-    /// Provisions this suite's credentials for `members` — like the PKG's
-    /// `Extract`, provisioning happens off-air and is not metered.
-    fn provision(&self, seed: u64, members: &[UserId]) -> Option<AuthKit> {
-        let mut rng = ChaChaRng::seed_from_u64(mix(seed, 0x5e70b));
+    /// The scheme the suite's members sign with; `None` for SSN, which
+    /// signs with the GQ keys.
+    fn scheme(&self) -> Option<Scheme> {
         match self.0 {
-            SuiteId::BdSok => Some(AuthKit::setup_sok_for(
-                &mut rng,
-                sok_pairing().clone(),
-                members,
-            )),
-            SuiteId::BdEcdsa => Some(AuthKit::setup_ecdsa_for(
-                &mut rng,
-                Ecdsa::new(egka_ec::secp160r1()),
-                members,
-            )),
-            SuiteId::BdDsa => Some(AuthKit::setup_dsa_for(
-                &mut rng,
-                dsa_scheme().clone(),
-                members,
-            )),
+            SuiteId::BdSok => Some(Scheme::Sok),
+            SuiteId::BdEcdsa => Some(Scheme::Ecdsa),
+            SuiteId::BdDsa => Some(Scheme::Dsa),
             SuiteId::Ssn => None,
             SuiteId::Proposed => unreachable!("the proposed suite is not a baseline"),
         }
     }
 
     /// The full protocol run over `members` — the baseline realization of
-    /// every step. Members of `sessions` keep the GQ keys they carry.
+    /// every step. Members of `sessions` keep the GQ keys and credentials
+    /// they carry; only the others are extracted and issued.
     fn rerun(
         &self,
         ctx: &StepCtx<'_>,
@@ -773,14 +766,13 @@ impl BaselineSuite {
         assert!(members.len() >= 2, "a group needs at least two members");
         let faults = ctx.faults();
         let gq_keys = session_keys(ctx.pkg, sessions, members);
-        let inner = match self.provision(ctx.seed, members) {
-            Some(kit) => BaselineInner::AuthBd(AuthBdRun::new(
-                &params.bd,
-                &kit,
-                ctx.seed,
-                &faults,
-                |_, _| false,
-            )),
+        let inner = match self.scheme() {
+            Some(scheme) => {
+                let creds = session_creds(ctx.pkg, scheme, sessions, members);
+                let kit = AuthKit::issued(ctx.pkg.authority(), scheme, members, &creds);
+                let run = AuthBdRun::new(&params.bd, &kit, ctx.seed, &faults, |_, _| false);
+                BaselineInner::AuthBd(run, creds)
+            }
             None => BaselineInner::Ssn(SsnRun::new(params, &gq_keys, ctx.seed, &faults)),
         };
         Box::new(BaselineRun {
@@ -858,7 +850,8 @@ impl Suite for BaselineSuite {
 }
 
 enum BaselineInner {
-    AuthBd(AuthBdRun),
+    /// The run and the credentials (ring order) its members sign with.
+    AuthBd(AuthBdRun, Vec<Arc<Credential>>),
     Ssn(SsnRun),
 }
 
@@ -871,28 +864,28 @@ struct BaselineRun {
 impl SuiteRun for BaselineRun {
     fn pump(&mut self) -> Pump {
         match &mut self.inner {
-            BaselineInner::AuthBd(run) => run.pump(),
+            BaselineInner::AuthBd(run, _) => run.pump(),
             BaselineInner::Ssn(run) => run.pump(),
         }
     }
 
     fn is_done(&self) -> bool {
         match &self.inner {
-            BaselineInner::AuthBd(run) => run.is_done(),
+            BaselineInner::AuthBd(run, _) => run.is_done(),
             BaselineInner::Ssn(run) => run.is_done(),
         }
     }
 
     fn partial_counts(&self) -> OpCounts {
         match &self.inner {
-            BaselineInner::AuthBd(run) => run.partial_counts(),
+            BaselineInner::AuthBd(run, _) => run.partial_counts(),
             BaselineInner::Ssn(run) => run.partial_counts(),
         }
     }
 
     fn virtual_elapsed_ms(&self) -> f64 {
         match &self.inner {
-            BaselineInner::AuthBd(run) => run.virtual_elapsed_ms(),
+            BaselineInner::AuthBd(run, _) => run.virtual_elapsed_ms(),
             BaselineInner::Ssn(run) => run.virtual_elapsed_ms(),
         }
         .unwrap_or(0.0)
@@ -900,7 +893,9 @@ impl SuiteRun for BaselineRun {
 
     fn finish(self: Box<Self>) -> SuiteOutcome {
         let (report, session) = match self.inner {
-            BaselineInner::AuthBd(run) => run.finish_session(&self.params, &self.gq_keys),
+            BaselineInner::AuthBd(run, creds) => {
+                run.finish_session(&self.params, &self.gq_keys, &creds)
+            }
             BaselineInner::Ssn(run) => run.finish_session(&self.params),
         };
         SuiteOutcome {
@@ -915,7 +910,9 @@ impl SuiteRun for BaselineRun {
 mod tests {
     use super::*;
     use crate::params::SecurityProfile;
-    use egka_energy::Scheme;
+    use egka_hash::ChaChaRng;
+    use rand::SeedableRng;
+    use std::sync::OnceLock;
 
     fn pkg() -> &'static Pkg {
         static PKG: OnceLock<Pkg> = OnceLock::new();
@@ -1051,6 +1048,89 @@ mod tests {
         assert_eq!(&rekeyed.members[0].gq_key, carried(&host, UserId(3)));
         assert_eq!(&rekeyed.members[1].gq_key, carried(&host, UserId(1)));
         assert_eq!(rekeyed.members[2].gq_key, pkg.extract(UserId(99)));
+    }
+
+    /// The credential `session` carries for `id`.
+    fn cred_of(session: &GroupSession, id: UserId) -> &Arc<Credential> {
+        let m = &session.members[session.position_of(id).expect("a member")];
+        m.cred
+            .as_ref()
+            .expect("a baseline member carries a credential")
+    }
+
+    /// A credential's certificate and secret key, as bytes.
+    fn cert_and_key(c: &Credential) -> (Vec<u8>, Vec<u8>) {
+        match c {
+            Credential::Ecdsa { key, cert, .. } => (cert.encode(), key.d.to_bytes_be()),
+            Credential::Dsa { key, cert } => (cert.encode(), key.x.to_bytes_be()),
+            Credential::Sok(_) => unreachable!("certificate schemes only"),
+        }
+    }
+
+    #[test]
+    fn steps_carry_credentials_and_issue_only_for_arrivals() {
+        let pkg = pkg();
+        let faults_for = |_s: u64| Faults::none();
+        let s = suite(SuiteId::BdEcdsa);
+        let finish = |mut run: Box<dyn SuiteRun>| {
+            run_to_done(run.as_mut());
+            run.finish().session
+        };
+        let agreed = |ids: [u32; 3], seed: u64| {
+            finish(s.initial(&ctx(pkg, &faults_for, seed), pkg.params(), &ids.map(UserId)))
+        };
+        let (host, other) = (agreed([1, 2, 3], 0x61), agreed([20, 21, 22], 0x62));
+        let issued = |u: u32| pkg.authority().credential(Scheme::Ecdsa, UserId(u));
+
+        // A merge carries both sides' credentials: the same allocations,
+        // not re-issued copies.
+        let merged = finish(s.merge_groups(&ctx(pkg, &faults_for, 0x63), &host, &other));
+        for m in &merged.members {
+            let from = if host.contains(m.id) { &host } else { &other };
+            assert!(Arc::ptr_eq(cred_of(&merged, m.id), cred_of(from, m.id)));
+        }
+
+        // A rekey with an arrival issues only the arrival's credential.
+        let members = [UserId(3), UserId(1), UserId(99)];
+        let rekeyed = finish(s.full_rekey(&ctx(pkg, &faults_for, 0x64), &host, &members));
+        for u in [UserId(3), UserId(1)] {
+            assert!(Arc::ptr_eq(cred_of(&rekeyed, u), cred_of(&host, u)));
+        }
+        assert_eq!(
+            cert_and_key(cred_of(&rekeyed, UserId(99))),
+            cert_and_key(&issued(99))
+        );
+
+        // A session decoded from its state carries none; its next step
+        // re-issues byte-equal credentials.
+        let mut w = crate::wire::Writer::new();
+        rekeyed.encode_state(&mut w);
+        let buf = w.finish();
+        let decoded =
+            GroupSession::decode_state(&mut crate::wire::Reader::new(&buf), pkg.params()).unwrap();
+        assert!(decoded.members.iter().all(|m| m.cred.is_none()));
+        let again = finish(s.full_rekey(&ctx(pkg, &faults_for, 0x65), &decoded, &members));
+        for u in members {
+            assert_eq!(
+                cert_and_key(cred_of(&again, u)),
+                cert_and_key(cred_of(&rekeyed, u)),
+                "{u:?}"
+            );
+        }
+
+        // A group that switches scheme gets credentials of the new one.
+        let dsa = finish(suite(SuiteId::BdDsa).full_rekey(
+            &ctx(pkg, &faults_for, 0x66),
+            &host,
+            &host.member_ids(),
+        ));
+        for u in host.member_ids() {
+            assert_eq!(cred_of(&dsa, u).scheme(), Scheme::Dsa);
+            assert_eq!(
+                cert_and_key(cred_of(&dsa, u)),
+                cert_and_key(&pkg.authority().credential(Scheme::Dsa, u))
+            );
+        }
     }
 
     #[test]

@@ -17,11 +17,11 @@ use crate::field::Fp;
 use crate::jacobian::{AnyComb, AnyEngine};
 use crate::mont::{with_width, AnyField, MAX_LIMBS};
 
-/// Teeth of a [`PreparedPoint`]'s comb: 63 entries and `⌈bits/6⌉`
-/// columns. A prepared key is built for one CA and verified against a
-/// dozen times or so, where 6 teeth beat both 4 (cheaper table, longer
-/// walk) and 8 (shorter walk, four times the table).
-const PREPARED_TEETH: u32 = 6;
+/// Teeth of a [`Curve::prepare`]d point's comb: 63 entries and
+/// `⌈bits/6⌉` columns. A prepared key is built for one CA and verified
+/// against a dozen times or so, where 6 teeth beat both 4 (cheaper table,
+/// longer walk) and 8 (shorter walk, four times the table).
+pub const PREPARED_TEETH: u32 = 6;
 
 /// An affine curve point, or the point at infinity.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -287,10 +287,21 @@ impl Curve {
     /// costs about one [`Curve::mul_mul_add`], and each `mul_gen_add`
     /// after it about a third of one.
     pub fn prepare(&self, q: &Point) -> PreparedPoint {
+        self.prepare_teeth(q, PREPARED_TEETH)
+    }
+
+    /// [`Curve::prepare`] with a comb of `teeth` teeth: `2^teeth − 1`
+    /// entries and `⌈bits/teeth⌉` columns. Fewer teeth build a smaller
+    /// table, faster, and walk more columns per multiplication.
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ teeth ≤ 8`.
+    pub fn prepare_teeth(&self, q: &Point, teeth: u32) -> PreparedPoint {
+        assert!((1..=8).contains(&teeth), "a comb has 1 to 8 teeth");
         PreparedPoint {
             point: q.clone(),
             arith: Arc::clone(&self.arith),
-            comb: self.arith.engine.prepare(q, PREPARED_TEETH),
+            comb: self.arith.engine.prepare(q, teeth),
         }
     }
 

@@ -48,7 +48,7 @@ mod jacobian;
 mod mont;
 pub mod pairing;
 
-pub use curve::{Curve, Point, PreparedPoint};
+pub use curve::{Curve, Point, PreparedPoint, PREPARED_TEETH};
 pub use curves::{secp160r1, secp192r1, secp256k1, tiny19};
 pub use field::{Fp, Fp2, Fp2El};
 pub use pairing::{gen_pairing_group, MillerPrecomp, PairingGroup};

@@ -3,10 +3,16 @@
 use crate::digest::Digest;
 
 /// Incremental HMAC.
+///
+/// Both pads are absorbed when the key is set: `inner` has hashed
+/// `K ⊕ ipad` and `outer` has hashed `K ⊕ opad`. A keyed instance cloned
+/// per message (the envelope's tags, the snapshot's synthetic IVs, HKDF's
+/// blocks) therefore pays only the compressions of its message and of the
+/// inner digest.
 #[derive(Clone)]
 pub struct Hmac<D: Digest> {
     inner: D,
-    opad_key: Vec<u8>,
+    outer: D,
 }
 
 impl<D: Digest> Hmac<D> {
@@ -19,10 +25,12 @@ impl<D: Digest> Hmac<D> {
         };
         k.resize(D::BLOCK_SIZE, 0);
         let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
-        let opad_key: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
+        let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
         let mut inner = D::new();
         inner.update(&ipad);
-        Hmac { inner, opad_key }
+        let mut outer = D::new();
+        outer.update(&opad);
+        Hmac { inner, outer }
     }
 
     /// Absorbs message data.
@@ -33,8 +41,7 @@ impl<D: Digest> Hmac<D> {
     /// Produces the tag.
     pub fn finalize(self) -> Vec<u8> {
         let inner_digest = self.inner.finalize();
-        let mut outer = D::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -131,6 +138,18 @@ mod tests {
         bad[0] ^= 1;
         assert!(!Hmac::<Sha256>::verify(b"key", b"msg", &bad));
         assert!(!Hmac::<Sha256>::verify(b"key", b"msg", &tag[..31]));
+    }
+
+    #[test]
+    fn a_keyed_instance_cloned_per_message_matches_one_shot_tags() {
+        for key in [&b"k"[..], &[0xaa; 64], &[0x5c; 131]] {
+            let keyed = Hmac::<Sha256>::new(key);
+            for msg in [&b"first message"[..], b"", &[0x36; 200]] {
+                let mut h = keyed.clone();
+                h.update(msg);
+                assert_eq!(h.finalize(), Hmac::<Sha256>::mac(key, msg));
+            }
+        }
     }
 
     #[test]

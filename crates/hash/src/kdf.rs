@@ -21,8 +21,9 @@ pub fn hkdf_expand(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
     let mut t: Vec<u8> = Vec::new();
     let mut counter = 1u8;
+    let keyed = Hmac::<Sha256>::new(prk);
     while out.len() < len {
-        let mut h = Hmac::<Sha256>::new(prk);
+        let mut h = keyed.clone();
         h.update(&t);
         h.update(info);
         h.update(&[counter]);

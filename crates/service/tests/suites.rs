@@ -12,15 +12,18 @@
 //!    migrates a group across the crossover at a full rekey.
 //! 4. **Golden**: `Fixed(Proposed)` planning is bit-for-bit the legacy
 //!    planner.
+//! 5. **Credentials travel with the member**: a BD+ECDSA member keeps one
+//!    certificate and key through rekeys, merges, handoffs and recovery.
 
 use std::sync::Arc;
 
 use egka_core::suite::SuiteId;
-use egka_core::{Pkg, SecurityProfile, UserId};
-use egka_energy::{CpuModel, OpCounts, Transceiver};
+use egka_core::{Credential, Pkg, SecurityProfile, UserId};
+use egka_energy::{CpuModel, OpCounts, Scheme, Transceiver};
 use egka_hash::ChaChaRng;
 use egka_service::{
-    plan_group, plan_group_suite, CostModel, KeyService, MembershipEvent, SuitePolicy,
+    plan_group, plan_group_suite, CostModel, KeyService, MemStore, MembershipEvent, StoreConfig,
+    SuitePolicy,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -365,5 +368,80 @@ fn suite_closed_forms_price_the_instrumented_service_runs() {
         assert_eq!(measured.exps(), expect.exps(), "{}", id.key());
         assert_eq!(measured.tx_bits, expect.tx_bits, "{}", id.key());
         assert_eq!(measured.rx_bits, expect.rx_bits, "{}", id.key());
+    }
+}
+
+/// The certificate and secret key of an ECDSA credential, as bytes.
+fn ecdsa_bytes(c: &Credential) -> (Vec<u8>, Vec<u8>) {
+    match c {
+        Credential::Ecdsa { key, cert, .. } => (cert.encode(), key.d.to_bytes_be()),
+        other => panic!(
+            "a BD+ECDSA member carries a {:?} credential",
+            other.scheme()
+        ),
+    }
+}
+
+/// The credential `id` carries in group `gid`, if its session holds one.
+fn carried(svc: &KeyService, gid: u64, id: UserId) -> Option<(Vec<u8>, Vec<u8>)> {
+    let s = svc.session(gid).expect("a live group");
+    let m = &s.members[s.position_of(id).expect("a member")];
+    m.cred.as_deref().map(ecdsa_bytes)
+}
+
+#[test]
+fn a_bd_ecdsa_member_keeps_its_credential_through_rekey_merge_handoff_and_recovery() {
+    let store = StoreConfig::new(Arc::new(MemStore::new())).snapshot_every(0);
+    let builder = || {
+        KeyService::builder()
+            .shards(2)
+            .seed(0xce27)
+            .suite_policy(SuitePolicy::Fixed(SuiteId::BdEcdsa))
+            .store(store.clone())
+    };
+    let issued = |u: u32| ecdsa_bytes(&pkg().authority().credential(Scheme::Ecdsa, UserId(u)));
+    let (alice, bob) = (UserId(1), UserId(11));
+    let check = |svc: &KeyService, step: &str| {
+        assert_eq!(carried(svc, 1, alice), Some(issued(1)), "{step}: U1");
+        if svc.session(1).unwrap().contains(bob) {
+            assert_eq!(carried(svc, 1, bob), Some(issued(11)), "{step}: U11");
+        }
+    };
+
+    let mut svc = builder().build(Arc::clone(pkg()));
+    svc.create_group(1, &(0..4).map(UserId).collect::<Vec<_>>())
+        .unwrap();
+    svc.create_group(2, &(10..13).map(UserId).collect::<Vec<_>>())
+        .unwrap();
+    check(&svc, "create");
+
+    svc.submit(1, MembershipEvent::Join(UserId(50))).unwrap();
+    svc.submit(1, MembershipEvent::Leave(UserId(3))).unwrap();
+    svc.tick();
+    assert!(svc.session(1).unwrap().contains(UserId(50)));
+    check(&svc, "rekey");
+
+    svc.submit(1, MembershipEvent::MergeWith(2)).unwrap();
+    svc.tick();
+    assert!(svc.session(1).unwrap().contains(bob), "the merge folded");
+    check(&svc, "merge");
+
+    let to = 1 - svc.shard_of(1);
+    svc.move_group(1, to).unwrap();
+    svc.submit(1, MembershipEvent::Leave(UserId(50))).unwrap();
+    svc.tick();
+    assert_eq!(svc.shard_of(1), to);
+    check(&svc, "handoff");
+
+    svc.snapshot_now();
+    let (mut recovered, _) = builder().recover(Arc::clone(pkg())).unwrap();
+    for s in [&mut svc, &mut recovered] {
+        s.submit(1, MembershipEvent::Join(UserId(60))).unwrap();
+        s.tick();
+    }
+    check(&recovered, "snapshot + recover");
+    assert_eq!(recovered.group_key(1), svc.group_key(1));
+    for u in recovered.session(1).unwrap().member_ids() {
+        assert_eq!(carried(&recovered, 1, u), carried(&svc, 1, u), "{u:?}");
     }
 }

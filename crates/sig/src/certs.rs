@@ -91,7 +91,8 @@ pub enum CaSignature {
 /// A minimal X.509-like certificate binding an identity to a public key.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Certificate {
-    /// Monotonic serial number assigned by the CA.
+    /// Serial number, chosen by the issuer's caller (a pure function of
+    /// the subject, so independent issuers agree on the bytes).
     pub serial: u64,
     /// Issuer name.
     pub issuer: Vec<u8>,
@@ -238,7 +239,6 @@ impl Certificate {
 /// A certifying authority issuing certificates under one scheme.
 pub struct CertificateAuthority {
     name: Vec<u8>,
-    next_serial: u64,
     signer: CaSigner,
 }
 
@@ -267,7 +267,6 @@ impl CertificateAuthority {
         let key = dsa.keygen(rng);
         CertificateAuthority {
             name: name.to_vec(),
-            next_serial: 1,
             signer: CaSigner::Dsa { dsa, key },
         }
     }
@@ -277,7 +276,6 @@ impl CertificateAuthority {
         let key = ecdsa.keygen(rng);
         CertificateAuthority {
             name: name.to_vec(),
-            next_serial: 1,
             signer: CaSigner::Ecdsa { ecdsa, key },
         }
     }
@@ -292,18 +290,19 @@ impl CertificateAuthority {
         }
     }
 
-    /// Issues a certificate for `(subject, key)`.
+    /// Issues a certificate with `serial` for `(subject, key)`. The CA
+    /// keeps no state between issues, so the certificate depends only on
+    /// the arguments and the draws from `rng` (the signing nonce).
     ///
     /// # Panics
     /// Panics if the subject key's scheme differs from the CA's scheme.
     pub fn issue<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         rng: &mut R,
         subject: &[u8],
         key: SubjectKey,
+        serial: u64,
     ) -> Certificate {
-        let serial = self.next_serial;
-        self.next_serial += 1;
         let mut cert = Certificate {
             serial,
             issuer: self.name.clone(),
@@ -400,11 +399,6 @@ impl CertStore {
             CertCheck::Rejected
         }
     }
-
-    /// Looks up a cached certificate by subject.
-    pub fn by_subject(&self, subject: &[u8]) -> Option<&Certificate> {
-        self.trusted.values().find(|c| c.subject == subject)
-    }
 }
 
 #[cfg(test)]
@@ -424,10 +418,10 @@ mod tests {
 
     #[test]
     fn issue_and_verify_ecdsa_cert() {
-        let (mut ca, ecdsa) = ecdsa_ca();
+        let (ca, ecdsa) = ecdsa_ca();
         let mut rng = ChaChaRng::seed_from_u64(1);
         let user = ecdsa.keygen(&mut rng);
-        let cert = ca.issue(&mut rng, b"user-1", SubjectKey::Ecdsa(user.q));
+        let cert = ca.issue(&mut rng, b"user-1", SubjectKey::Ecdsa(user.q), 1);
         assert!(ca.public().verify(&cert));
         assert_eq!(cert.scheme(), CertScheme::Ecdsa);
     }
@@ -436,28 +430,28 @@ mod tests {
     fn issue_and_verify_dsa_cert() {
         let mut rng = ChaChaRng::seed_from_u64(2);
         let dsa = Dsa::new(egka_bigint::gen_schnorr_group(&mut rng, 256, 96));
-        let mut ca = CertificateAuthority::new_dsa(&mut rng, b"egka-ca", dsa.clone());
+        let ca = CertificateAuthority::new_dsa(&mut rng, b"egka-ca", dsa.clone());
         let user = dsa.keygen(&mut rng);
-        let cert = ca.issue(&mut rng, b"user-1", SubjectKey::Dsa(user.y));
+        let cert = ca.issue(&mut rng, b"user-1", SubjectKey::Dsa(user.y), 1);
         assert!(ca.public().verify(&cert));
         assert_eq!(cert.scheme(), CertScheme::Dsa);
     }
 
     #[test]
     fn tampered_cert_rejected() {
-        let (mut ca, ecdsa) = ecdsa_ca();
+        let (ca, ecdsa) = ecdsa_ca();
         let mut rng = ChaChaRng::seed_from_u64(3);
         let user = ecdsa.keygen(&mut rng);
-        let mut cert = ca.issue(&mut rng, b"user-1", SubjectKey::Ecdsa(user.q));
+        let mut cert = ca.issue(&mut rng, b"user-1", SubjectKey::Ecdsa(user.q), 1);
         cert.subject = b"user-2".to_vec(); // rebind to another identity
         assert!(!ca.public().verify(&cert));
     }
 
     #[test]
     fn prepared_ca_agrees_with_plain_verify() {
-        let (mut ca, ecdsa) = ecdsa_ca();
+        let (ca, ecdsa) = ecdsa_ca();
         let mut rng = ChaChaRng::seed_from_u64(11);
-        let mut other_ca = CertificateAuthority::new_ecdsa(&mut rng, b"egka-ca", ecdsa.clone());
+        let other_ca = CertificateAuthority::new_ecdsa(&mut rng, b"egka-ca", ecdsa.clone());
         let capub = ca.public();
         let CaPublic::Ecdsa(_, key) = &capub else {
             unreachable!("an ECDSA CA")
@@ -479,11 +473,11 @@ mod tests {
         };
         for i in 0..6u8 {
             let user = ecdsa.keygen(&mut rng);
-            let good = ca.issue(&mut rng, &[i], SubjectKey::Ecdsa(user.q.clone()));
+            let good = ca.issue(&mut rng, &[i], SubjectKey::Ecdsa(user.q.clone()), i.into());
             let cases = [
                 (good.clone(), true),
                 (
-                    other_ca.issue(&mut rng, &[i], SubjectKey::Ecdsa(user.q)),
+                    other_ca.issue(&mut rng, &[i], SubjectKey::Ecdsa(user.q), i.into()),
                     false,
                 ),
                 (
@@ -524,11 +518,34 @@ mod tests {
     }
 
     #[test]
+    fn issuing_is_a_function_of_its_arguments() {
+        let (ca, ecdsa) = ecdsa_ca();
+        let mut rng = ChaChaRng::seed_from_u64(12);
+        let keys: Vec<_> = (0..3).map(|_| ecdsa.keygen(&mut rng)).collect();
+        let issue = |i: usize| {
+            let mut rng = ChaChaRng::seed_from_u64(100 + i as u64);
+            ca.issue(
+                &mut rng,
+                &[i as u8],
+                SubjectKey::Ecdsa(keys[i].q.clone()),
+                i as u64,
+            )
+        };
+        let forward: Vec<Certificate> = (0..3).map(issue).collect();
+        let backward: Vec<Certificate> = (0..3).rev().map(issue).collect();
+        for (i, cert) in forward.iter().enumerate() {
+            assert_eq!(cert, &backward[2 - i]);
+            assert_eq!(cert.serial, i as u64);
+            assert!(ca.public().verify(cert));
+        }
+    }
+
+    #[test]
     fn store_caches_verifications() {
-        let (mut ca, ecdsa) = ecdsa_ca();
+        let (ca, ecdsa) = ecdsa_ca();
         let mut rng = ChaChaRng::seed_from_u64(4);
         let user = ecdsa.keygen(&mut rng);
-        let cert = ca.issue(&mut rng, b"user-1", SubjectKey::Ecdsa(user.q));
+        let cert = ca.issue(&mut rng, b"user-1", SubjectKey::Ecdsa(user.q), 1);
         let capub = ca.public();
         let mut store = CertStore::new();
         assert_eq!(
@@ -540,15 +557,14 @@ mod tests {
             CertCheck::AlreadyTrusted
         );
         assert_eq!(store.len(), 1);
-        assert!(store.by_subject(b"user-1").is_some());
     }
 
     #[test]
     fn store_rejects_subject_mismatch() {
-        let (mut ca, ecdsa) = ecdsa_ca();
+        let (ca, ecdsa) = ecdsa_ca();
         let mut rng = ChaChaRng::seed_from_u64(5);
         let user = ecdsa.keygen(&mut rng);
-        let cert = ca.issue(&mut rng, b"user-1", SubjectKey::Ecdsa(user.q));
+        let cert = ca.issue(&mut rng, b"user-1", SubjectKey::Ecdsa(user.q), 1);
         let mut store = CertStore::new();
         assert_eq!(
             store.check(&cert, b"user-2", &ca.public()),
@@ -559,10 +575,10 @@ mod tests {
 
     #[test]
     fn store_rejects_forged_cert() {
-        let (mut ca, ecdsa) = ecdsa_ca();
+        let (ca, ecdsa) = ecdsa_ca();
         let mut rng = ChaChaRng::seed_from_u64(6);
         let user = ecdsa.keygen(&mut rng);
-        let mut cert = ca.issue(&mut rng, b"user-1", SubjectKey::Ecdsa(user.q.clone()));
+        let mut cert = ca.issue(&mut rng, b"user-1", SubjectKey::Ecdsa(user.q.clone()), 1);
         // Swap in a different key without re-signing.
         let other = ecdsa.keygen(&mut rng);
         cert.key = SubjectKey::Ecdsa(other.q);
@@ -576,20 +592,20 @@ mod tests {
     #[test]
     fn cross_scheme_verification_fails() {
         let mut rng = ChaChaRng::seed_from_u64(7);
-        let (mut eca, ecdsa) = ecdsa_ca();
+        let (eca, ecdsa) = ecdsa_ca();
         let dsa = Dsa::new(egka_bigint::gen_schnorr_group(&mut rng, 256, 96));
         let dca = CertificateAuthority::new_dsa(&mut rng, b"dsa-ca", dsa);
         let user = ecdsa.keygen(&mut rng);
-        let cert = eca.issue(&mut rng, b"u", SubjectKey::Ecdsa(user.q));
+        let cert = eca.issue(&mut rng, b"u", SubjectKey::Ecdsa(user.q), 1);
         assert!(!dca.public().verify(&cert));
     }
 
     #[test]
     fn encode_decode_roundtrip() {
-        let (mut ca, ecdsa) = ecdsa_ca();
+        let (ca, ecdsa) = ecdsa_ca();
         let mut rng = ChaChaRng::seed_from_u64(9);
         let user = ecdsa.keygen(&mut rng);
-        let cert = ca.issue(&mut rng, b"user-9", SubjectKey::Ecdsa(user.q));
+        let cert = ca.issue(&mut rng, b"user-9", SubjectKey::Ecdsa(user.q), 1);
         let decoded = Certificate::decode(&cert.encode()).expect("roundtrip");
         assert_eq!(decoded, cert);
         assert!(ca.public().verify(&decoded));
@@ -597,10 +613,10 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncated_and_trailing() {
-        let (mut ca, ecdsa) = ecdsa_ca();
+        let (ca, ecdsa) = ecdsa_ca();
         let mut rng = ChaChaRng::seed_from_u64(10);
         let user = ecdsa.keygen(&mut rng);
-        let cert = ca.issue(&mut rng, b"u", SubjectKey::Ecdsa(user.q));
+        let cert = ca.issue(&mut rng, b"u", SubjectKey::Ecdsa(user.q), 1);
         let enc = cert.encode();
         assert!(Certificate::decode(&enc[..enc.len() - 1]).is_none());
         let mut padded = enc.clone();
@@ -610,12 +626,12 @@ mod tests {
 
     #[test]
     fn fingerprints_differ_per_subject() {
-        let (mut ca, ecdsa) = ecdsa_ca();
+        let (ca, ecdsa) = ecdsa_ca();
         let mut rng = ChaChaRng::seed_from_u64(8);
         let u1 = ecdsa.keygen(&mut rng);
         let u2 = ecdsa.keygen(&mut rng);
-        let c1 = ca.issue(&mut rng, b"u1", SubjectKey::Ecdsa(u1.q));
-        let c2 = ca.issue(&mut rng, b"u2", SubjectKey::Ecdsa(u2.q));
+        let c1 = ca.issue(&mut rng, b"u1", SubjectKey::Ecdsa(u1.q), 1);
+        let c2 = ca.issue(&mut rng, b"u2", SubjectKey::Ecdsa(u2.q), 2);
         assert_ne!(c1.fingerprint(), c2.fingerprint());
     }
 }

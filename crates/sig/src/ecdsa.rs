@@ -48,14 +48,23 @@ pub struct EcdsaSignature {
 #[derive(Clone, Debug)]
 pub struct EcdsaPreparedKey {
     q: Point,
+    teeth: u32,
     comb: Arc<OnceLock<PreparedPoint>>,
 }
 
 impl EcdsaPreparedKey {
-    /// Wraps `q`; no work is done until a verification needs the comb.
+    /// Wraps `q`; no work is done until a verification needs the comb,
+    /// which gets the curve's default [`egka_ec::PREPARED_TEETH`].
     pub fn new(q: Point) -> Self {
+        Self::with_teeth(q, egka_ec::PREPARED_TEETH)
+    }
+
+    /// [`EcdsaPreparedKey::new`] with a comb of `teeth` teeth (see
+    /// [`Curve::prepare_teeth`]), for keys of which many are held at once.
+    pub fn with_teeth(q: Point, teeth: u32) -> Self {
         EcdsaPreparedKey {
             q,
+            teeth,
             comb: Arc::default(),
         }
     }
@@ -141,7 +150,8 @@ impl Ecdsa {
     ) -> bool {
         let c = &self.curve;
         self.verify_with(&key.q, msg, sig, |u1, u2| {
-            c.mul_gen_add(u1, u2, key.comb.get_or_init(|| c.prepare(&key.q)))
+            let comb = key.comb.get_or_init(|| c.prepare_teeth(&key.q, key.teeth));
+            c.mul_gen_add(u1, u2, comb)
         })
     }
 
@@ -187,8 +197,14 @@ mod tests {
     /// [`Ecdsa::verify`], asserting that [`Ecdsa::verify_prepared`] agrees.
     fn verify(e: &Ecdsa, q: &Point, msg: &[u8], sig: &EcdsaSignature) -> bool {
         let plain = e.verify(q, msg, sig);
-        let key = EcdsaPreparedKey::new(q.clone());
-        assert_eq!(e.verify_prepared(&key, msg, sig), plain, "{sig:?}");
+        for teeth in [1, 4, egka_ec::PREPARED_TEETH, 8] {
+            let key = EcdsaPreparedKey::with_teeth(q.clone(), teeth);
+            assert_eq!(
+                e.verify_prepared(&key, msg, sig),
+                plain,
+                "{teeth} teeth: {sig:?}"
+            );
+        }
         plain
     }
 

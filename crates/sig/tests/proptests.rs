@@ -131,9 +131,9 @@ proptest! {
         use egka_sig::{CertificateAuthority, SubjectKey, CertStore, CertCheck};
         let e = ecdsa();
         let mut rng = ChaChaRng::seed_from_u64(seed);
-        let mut ca = CertificateAuthority::new_ecdsa(&mut rng, b"prop-ca", e.clone());
+        let ca = CertificateAuthority::new_ecdsa(&mut rng, b"prop-ca", e.clone());
         let user = e.keygen(&mut rng);
-        let cert = ca.issue(&mut rng, &subject, SubjectKey::Ecdsa(user.q));
+        let cert = ca.issue(&mut rng, &subject, SubjectKey::Ecdsa(user.q), seed);
         // Round-trips the wire encoding and verifies.
         let decoded = egka_sig::Certificate::decode(&cert.encode()).unwrap();
         prop_assert!(ca.public().verify(&decoded));

@@ -38,17 +38,22 @@
 //!   the generator's comb and the CA key's prepared comb together
 //!   ([`egka_sig::Ecdsa::verify_prepared`]), on secp160r1.
 //!
+//! * **GQ commitment recovery** — the per-member check
+//!   ([`egka_sig::GqParams::recover_commitment`]) from the signer's
+//!   identity (hash, inversion, two-base power) vs from the `H(ID)⁻¹` its
+//!   key carries ([`GqSecretKey::h_inv`]), on a Toy-size modulus.
+//!
 //! It also records single timings with no pair: variable-base EC scalar
-//! mult on a non-generator point, ECDSA sign and verify on secp160r1, DSA
-//! verify under the Schnorr group, and GQ commitment recovery
-//! ([`egka_sig::GqParams::recover_commitment`], the per-member check).
+//! mult on a non-generator point, ECDSA sign and verify on secp160r1, and
+//! DSA verify under the Schnorr group.
 //!
 //! The artifact (`BENCH_primitives.json`, schema `egka-primitives/1`)
 //! carries each pair as `*_ns` plus a `*_speedup` ratio; `bench_diff`
-//! holds `field_mul_speedup` above 4× and `modmul_1024_speedup`,
+//! holds `field_mul_speedup` above 4×, `modmul_1024_speedup`,
 //! `fixed_base_mul_speedup`, `fixed_base_modexp_speedup`,
 //! `inverse_1024_speedup`, `gq_extract_speedup` and
-//! `ecdsa_cert_verify_speedup` above 2× in CI.
+//! `ecdsa_cert_verify_speedup` above 2×, and `gq_verify_speedup` above
+//! its floor in CI.
 //! `--check-determinism`
 //! regenerates every workload from the seed and asserts the result
 //! fingerprint reproduces.
@@ -64,7 +69,7 @@ use egka_ec::{secp160r1, Curve, PairingGroup, Point};
 use egka_hash::ChaChaRng;
 use egka_sig::{
     CaPublic, CaSignature, Certificate, CertificateAuthority, Dsa, DsaSignature, Ecdsa,
-    EcdsaSignature, GqPkg, SubjectKey,
+    EcdsaSignature, GqPkg, GqSecretKey, SubjectKey,
 };
 use rand::SeedableRng;
 
@@ -497,32 +502,55 @@ fn bench_dsa(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> f64 {
 }
 
 /// GQ commitment recovery `t = s^e · H(ID)^{−c}` (the per-member check
-/// of SSN's implicit authentication), in ns per member.
-fn bench_gq_verify(seed: u64, fp: &mut Fnv) -> f64 {
+/// of SSN's implicit authentication, and the core of every GQ verify), in
+/// ns per member: from the identity alone (hash, invert, two-base power)
+/// vs from the signer's carried `H(ID)⁻¹` (the two-base power). Old and
+/// new alternate, as in [`bench_cert_verify`].
+fn bench_gq_verify(seed: u64, fp: &mut Fnv) -> Pair {
     let mut rng = ChaChaRng::seed_from_u64(seed ^ 0x60);
     let pkg = GqPkg::setup_with_e_bits(&mut rng, 128, 41);
     let p = &pkg.params;
     let n = 16usize;
     let ids: Vec<Vec<u8>> = (0..n).map(|i| format!("member-{i}").into_bytes()).collect();
+    let keys: Vec<GqSecretKey> = ids.iter().map(|id| pkg.extract(id)).collect();
     let commits: Vec<(Ubig, Ubig)> = (0..n).map(|_| p.commit(&mut rng)).collect();
     let t_agg =
         p.aggregate_commitments(&commits.iter().map(|(_, t)| t.clone()).collect::<Vec<_>>());
     let c = p.shared_challenge(&t_agg, b"bench epoch");
-    let values: Vec<(&[u8], &Ubig, Ubig)> = (0..n)
+    let values: Vec<(&GqSecretKey, &Ubig, Ubig)> = (0..n)
         .map(|i| {
-            let s = p.respond(&pkg.extract(&ids[i]), &commits[i].0, &c);
-            (ids[i].as_slice(), &commits[i].1, s)
+            (
+                &keys[i],
+                &commits[i].1,
+                p.respond(&keys[i], &commits[i].0, &c),
+            )
         })
         .collect();
-    for (id, t, s) in &values {
-        assert_eq!(p.recover_commitment(id, s, &c).as_ref(), Some(*t));
+    let plain = |key: &GqSecretKey, s: &Ubig| p.recover_commitment(&p.h_inv(&key.id), s, &c);
+    for (key, t, s) in &values {
+        assert_eq!(&plain(key, s), *t);
+        assert_eq!(&p.recover_commitment(key.h_inv(p), s, &c), *t);
         fp.push(&s.to_bytes_be());
     }
-    per_op_ns(8, || {
-        for (id, t, s) in &values {
-            assert_eq!(p.recover_commitment(id, s, &c).as_ref(), Some(*t));
-        }
-    }) / n as f64
+    let rounds = 8;
+    let (mut old_ns, mut new_ns) = (0.0, 0.0);
+    for _ in 0..rounds {
+        old_ns += per_op_ns(1, || {
+            for (key, t, s) in &values {
+                assert_eq!(&plain(key, s), *t);
+            }
+        });
+        new_ns += per_op_ns(1, || {
+            for (key, t, s) in &values {
+                assert_eq!(&p.recover_commitment(key.h_inv(p), s, &c), *t);
+            }
+        });
+    }
+    let per = f64::from(rounds) * n as f64;
+    Pair {
+        old_ns: old_ns / per,
+        new_ns: new_ns / per,
+    }
 }
 
 fn main() {
@@ -559,8 +587,8 @@ fn main() {
     cert_verify.print("ecdsa_cert_verify");
     let dsa_verify_ns = bench_dsa(seed, &group, &mut fp);
     println!("{:24} {dsa_verify_ns:>12.0} ns", "dsa_verify");
-    let gq_verify_ns = bench_gq_verify(seed, &mut fp);
-    println!("{:24} {gq_verify_ns:>12.0} ns", "gq_verify");
+    let gq_verify = bench_gq_verify(seed, &mut fp);
+    gq_verify.print("gq_verify");
     let fingerprint = fp.0;
     println!("\nworkload fingerprint {fingerprint:016x}");
 
@@ -625,7 +653,9 @@ fn main() {
          \"ecdsa_cert_verify_ns\": {:.0},\n  \
          \"ecdsa_cert_verify_speedup\": {:.3},\n  \
          \"dsa_verify_ns\": {dsa_verify_ns:.0},\n  \
-         \"gq_verify_ns\": {gq_verify_ns:.0},\n  \
+         \"plain_gq_verify_ns\": {:.0},\n  \
+         \"gq_verify_ns\": {:.0},\n  \
+         \"gq_verify_speedup\": {:.3},\n  \
          \"wall_ms\": {wall_ms:.1}\n}}\n",
         field_mul.old_ns,
         field_mul.new_ns,
@@ -654,6 +684,9 @@ fn main() {
         cert_verify.old_ns,
         cert_verify.new_ns,
         cert_verify.speedup(),
+        gq_verify.old_ns,
+        gq_verify.new_ns,
+        gq_verify.speedup(),
     );
     let json_path = arg_value("--json").unwrap_or_else(|| "BENCH_primitives.json".into());
     if json_path != "-" {

@@ -227,17 +227,12 @@ impl AuthKit {
                 let (ecdsa, ca) = authority.ecdsa_public();
                 let (mut keys, mut certs, mut prepared) = (Vec::new(), Vec::new(), Vec::new());
                 for c in creds {
-                    let Credential::Ecdsa {
-                        key,
-                        cert,
-                        prepared: p,
-                    } = &**c
-                    else {
+                    let Credential::Ecdsa(c) = &**c else {
                         panic!("{wrong}")
                     };
-                    keys.push(key.clone());
-                    certs.push(cert.clone());
-                    prepared.push(p.clone());
+                    keys.push(c.key.clone());
+                    certs.push(c.cert.clone());
+                    prepared.push(c.prepared.clone());
                 }
                 AuthKit::Ecdsa {
                     scheme: ecdsa.clone(),
@@ -253,7 +248,7 @@ impl AuthKit {
                 let (keys, certs) = creds
                     .iter()
                     .map(|c| match &**c {
-                        Credential::Dsa { key, cert } => (key.clone(), cert.clone()),
+                        Credential::Dsa(c) => (c.key.clone(), c.cert.clone()),
                         _ => panic!("{wrong}"),
                     })
                     .unzip();
@@ -593,25 +588,22 @@ impl AuthBdRun {
     /// Like [`AuthBdRun::finish`], but also assembles a
     /// [`crate::GroupSession`] over `params` so the run can seed service
     /// state: each member carries its BD share and the credential it ran
-    /// with (`creds`, ring order), and `gq_keys` (ring order) fill the
-    /// ID-key slots the session schema requires. The BD group of `params`
-    /// must be the one the run executed over.
+    /// with (`creds`, ring order). The BD group of `params` must be the
+    /// one the run executed over.
     ///
     /// The authenticated-BD baselines have no §7 dynamics — a membership
     /// change re-runs the whole protocol — so the GQ commitment slots are
     /// left zeroed; nothing ever reads them for these suites.
     ///
     /// # Panics
-    /// Panics if the run has not finished, keys diverged, or `gq_keys`
-    /// or `creds` does not match the ring.
+    /// Panics if the run has not finished, keys diverged, or `creds` does
+    /// not match the ring.
     pub fn finish_session(
         self,
         params: &crate::params::Params,
-        gq_keys: &[egka_sig::GqSecretKey],
         creds: &[Arc<Credential>],
     ) -> (RunReport, crate::GroupSession) {
         assert!(self.exec.is_done(), "finish() before the run completed");
-        assert_eq!(gq_keys.len(), self.exec.n(), "one GQ key per member");
         assert_eq!(creds.len(), self.exec.n(), "one credential per member");
         let members: Vec<crate::MemberState> = (0..self.exec.n())
             .map(|i| {
@@ -619,7 +611,6 @@ impl AuthBdRun {
                 let share = state.share.as_ref().expect("round 1 done");
                 crate::MemberState {
                     id: state.id,
-                    gq_key: gq_keys[i].clone(),
                     r: share.r.clone(),
                     z: share.z.clone(),
                     tau: Ubig::zero(),

@@ -22,16 +22,18 @@ use std::sync::Arc;
 
 use egka_bigint::{mod_mul, mod_pow, mod_pow_fixed, Ubig};
 use egka_energy::complexity::{JOIN_M1_BITS, JOIN_MNN_BITS, JOIN_MN_BITS, JOIN_M_NEW_BITS};
-use egka_energy::{CompOp, Meter, OpCounts, Scheme};
+use egka_energy::{CompOp, Meter, Scheme};
 use egka_hash::ChaChaRng;
 use egka_sig::{GqSecretKey, GqSignature};
+use egka_symmetric::Envelope;
 use rand::SeedableRng;
 
-use crate::dynamics::{k_star, open_key, seal_key};
+use crate::dynamics::{k_star, open_key, read_signed, seal_key, signed, GroupEnvelope};
 use crate::group::{GroupSession, MemberState};
 use crate::ident::UserId;
 use crate::machine::{Dest, Engine, Execution, Faults, Metered, Outgoing, Phase, PhaseOut, Pump};
 use crate::proposed::NodeReport;
+use crate::suite::{suite_run_over_exec, SuiteRun};
 use crate::wire::{kind, Reader, Writer};
 
 /// Result of a Join run.
@@ -47,9 +49,9 @@ struct NodeState {
     params: Arc<Params>,
     meter: Meter,
     rng: ChaChaRng,
-    /// The old group key's symmetric material (old members; unused by the
-    /// newcomer, who has not seen `K`).
-    key_material: Vec<u8>,
+    /// The old group key `K` (old members; unused by the newcomer, who
+    /// has not seen it).
+    old_key: GroupEnvelope,
     u1_id: UserId,
     un_id: UserId,
     // Role outputs consumed by the wrapper's session assembly.
@@ -63,7 +65,7 @@ struct NodeState {
     k_dh: Option<Ubig>,
 }
 
-use crate::params::Params;
+use crate::params::{Credential, Params};
 
 impl Metered for NodeState {
     fn meter(&self) -> &Meter {
@@ -71,24 +73,14 @@ impl Metered for NodeState {
     }
 }
 
-/// Parses and signature-checks the newcomer's announcement (done
+/// Checks the newcomer's announcement `m_{n+1} = U_{n+1} ‖ z_{n+1} ‖
+/// σ_{n+1}` against `newcomer`, its expected identity and `H(ID)⁻¹` (done
 /// independently by `U_1` and `U_n`). Returns the announced share.
-fn verify_announce(s: &mut NodeState, payload: &[u8]) -> Ubig {
-    let mut r = Reader::new(payload);
-    let id = r.get_id().expect("announce id");
-    let z = r.get_ubig().expect("announce z");
-    let sig_s = r.get_ubig().expect("announce sig s");
-    let sig_c = r.get_ubig().expect("announce sig c");
-    r.expect_end().expect("no trailing bytes");
-    let mut body = Writer::new();
-    body.put_id(id).put_ubig(&z);
-    let ok = s.params.gq.verify(
-        &id.to_bytes(),
-        &body.finish(),
-        &GqSignature { s: sig_s, c: sig_c },
-    );
+fn verify_announce(s: &mut NodeState, payload: &[u8], newcomer: &(UserId, Ubig)) -> Ubig {
+    let z = read_signed(&s.params.gq, payload, (newcomer.0, &newcomer.1));
     s.meter.record(CompOp::SignVerify(Scheme::Gq));
-    assert!(ok, "newcomer announcement signature rejected");
+    assert!(z.is_some(), "newcomer announcement signature rejected");
+    let [z] = z.expect("checked above");
     z
 }
 
@@ -110,18 +102,21 @@ pub struct JoinRun {
     exec: Execution<NodeState>,
     base: GroupSession,
     newcomer: UserId,
-    newcomer_key: GqSecretKey,
+    newcomer_cred: Arc<Credential>,
 }
 
 impl JoinRun {
-    /// Prepares the run; see [`join`] for the protocol contract.
+    /// Prepares the run; see [`join`] for the protocol contract. The
+    /// newcomer signs with the GQ key of `newcomer_cred` and joins the
+    /// session carrying it.
     ///
     /// # Panics
-    /// Panics if the session has fewer than 3 members.
+    /// Panics if the session has fewer than 3 members or `newcomer_cred`
+    /// is not a GQ credential.
     pub fn new(
         session: &GroupSession,
         newcomer: UserId,
-        newcomer_key: &GqSecretKey,
+        newcomer_cred: &Arc<Credential>,
         seed: u64,
         composable: bool,
         faults: &Faults,
@@ -132,8 +127,20 @@ impl JoinRun {
         let key_material = session.key_material();
         let u1 = session.members[0].clone();
         let un = session.members[n - 1].clone();
-        let newcomer_id = newcomer;
-        let nk = newcomer_key.clone();
+        let nk = newcomer_cred
+            .as_gq()
+            .expect("a newcomer joins with its GQ key")
+            .clone();
+        // U_1 and U_n check the announcement under H(U_{n+1})⁻¹: the one
+        // the newcomer's key carries, unless the key is another identity's
+        // and so proves nothing about U_{n+1}.
+        let expected = if nk.id == newcomer.to_bytes() {
+            nk.h_inv(&params.gq).clone()
+        } else {
+            params.gq.h_inv(&newcomer.to_bytes())
+        };
+        let expected = (newcomer, expected);
+        let un_inv = un.gq().h_inv(&params.gq).clone();
         let z2 = session.z_of(1).clone();
         let zn = session.z_of(n - 1).clone();
         let old_key = session.key.clone();
@@ -149,7 +156,7 @@ impl JoinRun {
                 rng: ChaChaRng::seed_from_u64(
                     seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
                 ),
-                key_material: key_material.clone(),
+                old_key: GroupEnvelope::new(key_material.clone()),
                 u1_id: u1.id,
                 un_id: un.id,
                 new_r1: None,
@@ -161,10 +168,16 @@ impl JoinRun {
                 k_dh: None,
             };
             let phases = if i == n {
-                newcomer_phases(newcomer_id, nk.clone(), [net_ids[0], net_ids[n - 1]])
+                newcomer_phases(
+                    newcomer,
+                    nk.clone(),
+                    un_inv.clone(),
+                    [net_ids[0], net_ids[n - 1]],
+                )
             } else if i == 0 {
                 controller_phases(
                     u1.clone(),
+                    expected.clone(),
                     z2.clone(),
                     zn.clone(),
                     old_key.clone(),
@@ -174,6 +187,7 @@ impl JoinRun {
             } else if i == n - 1 {
                 sponsor_phases(
                     un.clone(),
+                    expected.clone(),
                     net_ids
                         .iter()
                         .enumerate()
@@ -191,29 +205,8 @@ impl JoinRun {
             exec,
             base: session.clone(),
             newcomer,
-            newcomer_key: newcomer_key.clone(),
+            newcomer_cred: Arc::clone(newcomer_cred),
         }
-    }
-
-    /// One non-blocking scheduling sweep.
-    pub fn pump(&mut self) -> Pump {
-        self.exec.pump()
-    }
-
-    /// True iff every participant derived the new key.
-    pub fn is_done(&self) -> bool {
-        self.exec.is_done()
-    }
-
-    /// Ops + traffic spent so far (aborted-attempt accounting).
-    pub fn partial_counts(&self) -> OpCounts {
-        self.exec.partial_counts()
-    }
-
-    /// Virtual milliseconds this run has spent on its radio clock (`None`
-    /// off-radio).
-    pub fn virtual_elapsed_ms(&self) -> Option<f64> {
-        self.exec.virtual_now_ms()
     }
 
     /// Assembles the outcome.
@@ -238,7 +231,6 @@ impl JoinRun {
         let nc_state = self.exec.machine(n).state();
         members.push(MemberState {
             id: self.newcomer,
-            gq_key: self.newcomer_key.clone(),
             r: nc_state.new_r.clone().expect("newcomer exponent"),
             z: nc_state.new_z.clone().expect("newcomer share"),
             // The newcomer has not yet committed a (τ, t); a fresh pair is
@@ -246,7 +238,7 @@ impl JoinRun {
             // "none".
             tau: Ubig::zero(),
             t: Ubig::zero(),
-            cred: None,
+            cred: Some(self.newcomer_cred),
         });
         let reports: Vec<NodeReport> = (0..=n)
             .map(|i| NodeReport {
@@ -270,35 +262,35 @@ impl JoinRun {
     }
 }
 
-/// `U_{n+1}`: announce, authenticate the sponsor, open the handoff.
+suite_run_over_exec!(JoinRun, 0, |run| {
+    let out = run.finish();
+    (out.reports, out.session)
+});
+
+/// `U_{n+1}`: announce, authenticate the sponsor (whose `H(U_n)⁻¹` is
+/// `un_inv`), open the handoff.
 fn newcomer_phases(
     id: UserId,
     gq_key: GqSecretKey,
+    un_inv: Ubig,
     announce_to: [egka_medium::NodeId; 2],
 ) -> Vec<Phase<NodeState>> {
     vec![
         Phase::immediate(move |s: &mut NodeState, _| {
             let share = crate::bd::round1_share(&mut s.rng, &s.params.bd);
             s.meter.record(CompOp::ModExp); // z_{n+1}
-            let mut body = Writer::new();
-            body.put_id(id).put_ubig(&share.z);
-            let sig = s.params.gq.sign(&mut s.rng, &gq_key, &body.finish());
+            let payload = signed(&s.params.gq, &mut s.rng, (id, &gq_key), &[&share.z]);
             s.meter.record(CompOp::SignGen(Scheme::Gq));
-            let mut w = Writer::new();
-            w.put_id(id)
-                .put_ubig(&share.z)
-                .put_ubig(&sig.s)
-                .put_ubig(&sig.c);
             s.new_r = Some(share.r);
             s.new_z = Some(share.z);
             PhaseOut::Send(vec![Outgoing {
                 to: Dest::Multicast(announce_to.to_vec()),
                 kind: kind::JOIN_ANNOUNCE,
-                payload: w.finish(),
+                payload,
                 nominal_bits: JOIN_M_NEW_BITS,
             }])
         }),
-        Phase::gather(kind::JOIN_SPONSOR, 1, |s: &mut NodeState, pkts| {
+        Phase::gather(kind::JOIN_SPONSOR, 1, move |s: &mut NodeState, pkts| {
             let (sealed_kdh, zn_seen, sig) = read_sponsor(&pkts[0].payload, s.un_id);
             // Verify σ''_n over exactly the bytes U_n signed: sealed ‖ z_n.
             let mut signed = Writer::new();
@@ -306,7 +298,7 @@ fn newcomer_phases(
             let ok = s
                 .params
                 .gq
-                .verify(&s.un_id.to_bytes(), &signed.finish(), &sig);
+                .verify_with_inverse(&un_inv, &signed.finish(), &sig);
             s.meter.record(CompOp::SignVerify(Scheme::Gq));
             assert!(ok, "sponsor signature rejected");
             let r = s.new_r.as_ref().expect("announced");
@@ -321,7 +313,8 @@ fn newcomer_phases(
             assert_eq!(id, s.un_id);
             let sealed = r.get_bytes().expect("handoff envelope");
             let k_dh = s.k_dh.clone().expect("derived");
-            let (ks, _) = open_key(&k_dh.to_bytes_be(), sealed, s.un_id).expect("valid handoff");
+            let dh = Envelope::from_key_material(&k_dh.to_bytes_be());
+            let (ks, _) = open_key(&dh, sealed, s.un_id).expect("valid handoff");
             s.meter.record(CompOp::SymDec);
             let key = mod_mul(&ks, &k_dh, &s.params.bd.p);
             s.derived = Some(key.clone());
@@ -334,6 +327,7 @@ fn newcomer_phases(
 /// group with `K*`, then read the sponsor's `K_DH`.
 fn controller_phases(
     member: MemberState,
+    newcomer: (UserId, Ubig),
     z2: Ubig,
     zn: Ubig,
     old_key: Ubig,
@@ -342,7 +336,7 @@ fn controller_phases(
 ) -> Vec<Phase<NodeState>> {
     vec![
         Phase::gather(kind::JOIN_ANNOUNCE, 1, move |s: &mut NodeState, pkts| {
-            let z_new = verify_announce(s, &pkts[0].payload);
+            let z_new = verify_announce(s, &pkts[0].payload, &newcomer);
             let r1p = loop {
                 let r = egka_bigint::random_below(&mut s.rng, &s.params.bd.q);
                 if !r.is_zero() {
@@ -363,7 +357,7 @@ fn controller_phases(
             } else {
                 None
             };
-            let sealed = seal_key(&mut s.rng, &s.key_material, &ks, member.id, z1p.as_ref());
+            let sealed = seal_key(&mut s.rng, s.old_key.get(), &ks, member.id, z1p.as_ref());
             s.meter.record(CompOp::SymEnc);
             let mut w = Writer::new();
             w.put_id(member.id).put_bytes(&sealed);
@@ -391,7 +385,7 @@ fn controller_phases(
         Phase::gather(kind::JOIN_SPONSOR, 1, |s: &mut NodeState, pkts| {
             let (sealed_kdh, _zn, _sig) = read_sponsor(&pkts[0].payload, s.un_id);
             let (kdh, _) =
-                open_key(&s.key_material, &sealed_kdh, s.un_id).expect("valid K_DH envelope");
+                open_key(s.old_key.get(), &sealed_kdh, s.un_id).expect("valid K_DH envelope");
             s.meter.record(CompOp::SymDec);
             let key = mod_mul(s.k_star.as_ref().expect("computed"), &kdh, &s.params.bd.p);
             s.derived = Some(key.clone());
@@ -404,19 +398,20 @@ fn controller_phases(
 /// newcomer under the DH key.
 fn sponsor_phases(
     member: MemberState,
+    newcomer: (UserId, Ubig),
     everyone_else: Vec<egka_medium::NodeId>,
     newcomer_ep: egka_medium::NodeId,
 ) -> Vec<Phase<NodeState>> {
     vec![
         Phase::gather(kind::JOIN_ANNOUNCE, 1, move |s: &mut NodeState, pkts| {
-            let z_new = verify_announce(s, &pkts[0].payload);
+            let z_new = verify_announce(s, &pkts[0].payload, &newcomer);
             let k_dh = mod_pow(&z_new, &member.r, &s.params.bd.p);
             s.meter.record(CompOp::ModExp);
-            let sealed = seal_key(&mut s.rng, &s.key_material, &k_dh, member.id, None);
+            let sealed = seal_key(&mut s.rng, s.old_key.get(), &k_dh, member.id, None);
             s.meter.record(CompOp::SymEnc);
             let mut body = Writer::new();
             body.put_bytes(&sealed).put_ubig(&member.z);
-            let sig = s.params.gq.sign(&mut s.rng, &member.gq_key, &body.finish());
+            let sig = s.params.gq.sign(&mut s.rng, member.gq(), &body.finish());
             s.meter.record(CompOp::SignGen(Scheme::Gq));
             let mut w = Writer::new();
             w.put_id(member.id)
@@ -439,10 +434,10 @@ fn sponsor_phases(
             let id = r.get_id().expect("controller id");
             assert_eq!(id, s.u1_id);
             let sealed = r.get_bytes().expect("controller envelope");
-            let (ks, _z1) = open_key(&s.key_material, sealed, s.u1_id).expect("valid K* envelope");
+            let (ks, _z1) = open_key(s.old_key.get(), sealed, s.u1_id).expect("valid K* envelope");
             s.meter.record(CompOp::SymDec);
-            let dh_material = s.k_dh.as_ref().expect("bridged").to_bytes_be();
-            let sealed2 = seal_key(&mut s.rng, &dh_material, &ks, s.un_id, None);
+            let dh = Envelope::from_key_material(&s.k_dh.as_ref().expect("bridged").to_bytes_be());
+            let sealed2 = seal_key(&mut s.rng, &dh, &ks, s.un_id, None);
             s.meter.record(CompOp::SymEnc);
             let mut w = Writer::new();
             w.put_id(s.un_id).put_bytes(&sealed2);
@@ -473,7 +468,7 @@ fn bystander_phases() -> Vec<Phase<NodeState>> {
             let mut r = Reader::new(&pkts[0].payload);
             let _ = r.get_id().expect("controller id");
             let sealed = r.get_bytes().expect("controller envelope");
-            let (ks, _z1) = open_key(&s.key_material, sealed, s.u1_id).expect("valid K* envelope");
+            let (ks, _z1) = open_key(s.old_key.get(), sealed, s.u1_id).expect("valid K* envelope");
             s.meter.record(CompOp::SymDec);
             s.k_star = Some(ks);
             PhaseOut::Send(Vec::new())
@@ -481,7 +476,7 @@ fn bystander_phases() -> Vec<Phase<NodeState>> {
         Phase::gather(kind::JOIN_SPONSOR, 1, |s: &mut NodeState, pkts| {
             let (sealed_kdh, _zn, _sig) = read_sponsor(&pkts[0].payload, s.un_id);
             let (kdh, _) =
-                open_key(&s.key_material, &sealed_kdh, s.un_id).expect("valid K_DH envelope");
+                open_key(s.old_key.get(), &sealed_kdh, s.un_id).expect("valid K_DH envelope");
             s.meter.record(CompOp::SymDec);
             let key = mod_mul(s.k_star.as_ref().expect("opened"), &kdh, &s.params.bd.p);
             s.derived = Some(key.clone());
@@ -512,7 +507,7 @@ pub fn join(
     let mut run = JoinRun::new(
         session,
         newcomer,
-        newcomer_key,
+        &Arc::new(Credential::Gq(newcomer_key.clone())),
         seed,
         composable,
         &Faults::none(),
@@ -625,6 +620,29 @@ mod tests {
         let nk = new_member(&pkg, 4);
         let out = join(&s0, UserId(4), &nk, 8, false);
         assert!(out.session.invariant_holds());
+    }
+
+    #[test]
+    fn an_announcement_another_identity_signed_is_rejected() {
+        let (pkg, _) = session(3, 6);
+        let gq = &pkg.params().gq;
+        let mut rng = ChaChaRng::seed_from_u64(0x4a6e);
+        let (newcomer, other) = (new_member(&pkg, 9), new_member(&pkg, 8));
+        let (u9, u8) = (
+            (UserId(9), newcomer.h_inv(gq)),
+            (UserId(8), other.h_inv(gq)),
+        );
+        let z = Ubig::from_u64(0xfeed);
+        // U8's own announcement, validly signed: accepted only where U8 is
+        // the expected newcomer.
+        let by_other = signed(gq, &mut rng, (UserId(8), &other), &[&z]);
+        assert_eq!(read_signed(gq, &by_other, u8), Some([z.clone()]));
+        assert_eq!(read_signed::<1>(gq, &by_other, u9), None);
+        // Naming U9 under U8's key fails the signature.
+        let forged = signed(gq, &mut rng, (UserId(9), &other), &[&z]);
+        assert_eq!(read_signed::<1>(gq, &forged, u9), None);
+        let honest = signed(gq, &mut rng, (UserId(9), &newcomer), &[&z]);
+        assert_eq!(read_signed(gq, &honest, u9), Some([z]));
     }
 
     #[test]

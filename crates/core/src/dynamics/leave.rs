@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use egka_bigint::{mod_product, Ubig};
 use egka_energy::complexity::{LP_R1_BITS, LP_R2_BITS};
-use egka_energy::{CompOp, Meter, OpCounts, Scheme};
+use egka_energy::{CompOp, Meter, Scheme};
 use egka_hash::ChaChaRng;
 use egka_sig::GqSecretKey;
 use rand::SeedableRng;
@@ -33,6 +33,7 @@ use crate::ident::UserId;
 use crate::machine::{Dest, Engine, Execution, Faults, Metered, Outgoing, Phase, PhaseOut, Pump};
 use crate::params::Params;
 use crate::proposed::NodeReport;
+use crate::suite::{suite_run_over_exec, SuiteRun};
 use crate::wire::{kind, Reader, Writer};
 
 /// Result of a Leave or Partition run.
@@ -54,6 +55,8 @@ struct NodeState {
     n_rem: usize,
     id: UserId,
     gq_key: GqSecretKey,
+    /// Each survivor's `H(U_j)⁻¹`, new-ring order (one list per run).
+    h_invs: Arc<[Ubig]>,
     params: Arc<Params>,
     meter: Meter,
     rng: ChaChaRng,
@@ -191,12 +194,10 @@ fn node_machine(state: NodeState, peers: Vec<egka_medium::NodeId>) -> Engine<Nod
     ));
     // ---- Verification + key ----
     phases.push(Phase::immediate(move |s: &mut NodeState, _| {
-        let id_bytes: Vec<Vec<u8>> = s.ring_ids.iter().map(|u| u.to_bytes().to_vec()).collect();
-        let id_refs: Vec<&[u8]> = id_bytes.iter().map(|v| v.as_slice()).collect();
         let ok = s
             .params
             .gq
-            .aggregate_verify(&id_refs, &s.ss, &s.challenge, &s.bind);
+            .aggregate_verify(&s.h_invs, &s.ss, &s.challenge, &s.bind);
         s.meter.record(CompOp::SignVerify(Scheme::Gq));
         assert!(ok, "batch verification (eq. 10/12) failed");
         assert!(bd::lemma1_holds(&s.params.bd, &s.xs), "Lemma 1 failed");
@@ -265,6 +266,10 @@ impl LeaveRun {
         }
         let v = refreshes.iter().filter(|&&r| r).count();
         let ring_ids: Vec<UserId> = remaining.iter().map(|&p| session.members[p].id).collect();
+        let h_invs: Arc<[Ubig]> = remaining
+            .iter()
+            .map(|&p| session.members[p].gq().h_inv(&params.gq).clone())
+            .collect();
 
         let exec = Execution::new(&ring_ids, faults, |k, net_ids| {
             let p = remaining[k];
@@ -273,7 +278,8 @@ impl LeaveRun {
                 k,
                 n_rem,
                 id: m.id,
-                gq_key: m.gq_key.clone(),
+                gq_key: m.gq().clone(),
+                h_invs: Arc::clone(&h_invs),
                 params: Arc::clone(&params),
                 meter: Meter::new(),
                 rng: ChaChaRng::seed_from_u64(
@@ -314,27 +320,6 @@ impl LeaveRun {
         }
     }
 
-    /// One non-blocking scheduling sweep.
-    pub fn pump(&mut self) -> Pump {
-        self.exec.pump()
-    }
-
-    /// True iff every survivor derived the new key.
-    pub fn is_done(&self) -> bool {
-        self.exec.is_done()
-    }
-
-    /// Ops + traffic spent so far (aborted-attempt accounting).
-    pub fn partial_counts(&self) -> OpCounts {
-        self.exec.partial_counts()
-    }
-
-    /// Virtual milliseconds this run has spent on its radio clock (`None`
-    /// off-radio).
-    pub fn virtual_elapsed_ms(&self) -> Option<f64> {
-        self.exec.virtual_now_ms()
-    }
-
     /// Assembles the outcome.
     ///
     /// # Panics
@@ -365,7 +350,6 @@ impl LeaveRun {
                 let m = &self.base.members[self.remaining[k]];
                 MemberState {
                     id: m.id,
-                    gq_key: m.gq_key.clone(),
                     r: s.r.clone(),
                     z: s.z.clone(),
                     tau: s.tau.clone(),
@@ -398,6 +382,11 @@ impl LeaveRun {
         }
     }
 }
+
+suite_run_over_exec!(LeaveRun, 0, |run| {
+    let out = run.finish();
+    (out.reports, out.session)
+});
 
 /// Single-user Leave: `leaver` is the position in `session`'s ring.
 ///

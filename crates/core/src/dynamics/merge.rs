@@ -22,17 +22,18 @@ use std::sync::Arc;
 
 use egka_bigint::{mod_mul, mod_pow, mod_pow_fixed, Ubig};
 use egka_energy::complexity::{MERGE_R1_BITS, MERGE_R2_BITS, MERGE_R3_BITS};
-use egka_energy::{CompOp, Meter, OpCounts, Scheme};
+use egka_energy::{CompOp, Meter, Scheme};
 use egka_hash::ChaChaRng;
-use egka_sig::GqSignature;
+use egka_symmetric::Envelope;
 use rand::SeedableRng;
 
-use crate::dynamics::{k_star, open_key, seal_key};
+use crate::dynamics::{k_star, open_key, read_signed, seal_key, signed, GroupEnvelope};
 use crate::group::{GroupSession, MemberState};
 use crate::ident::UserId;
 use crate::machine::{Dest, Engine, Execution, Faults, Metered, Outgoing, Phase, PhaseOut, Pump};
 use crate::params::Params;
 use crate::proposed::NodeReport;
+use crate::suite::{suite_run_over_exec, SuiteRun};
 use crate::wire::{kind, Reader, Writer};
 
 /// Result of a Merge run.
@@ -49,8 +50,8 @@ struct NodeState {
     params: Arc<Params>,
     meter: Meter,
     rng: ChaChaRng,
-    /// Own group's old-key symmetric material.
-    km: Vec<u8>,
+    /// Own group's old key.
+    old_key: GroupEnvelope,
     derived: Option<Ubig>,
     // Controller scratch/outputs.
     r_new: Option<Ubig>,
@@ -74,6 +75,8 @@ struct CtrlSpec {
     group_key: Ubig,
     /// The peer controller's identity.
     peer_id: UserId,
+    /// The peer controller's `H(ID)⁻¹`.
+    peer_inv: Ubig,
     /// `z_2` for A; `z_{n+2}` for B (own group's second member).
     z_second: Ubig,
     /// `z_n` for A; `z_{n+m}` for B (own group's edge share).
@@ -90,6 +93,7 @@ fn controller_phases(
         member,
         group_key,
         peer_id,
+        peer_inv,
         z_second,
         z_edge,
     } = spec;
@@ -108,45 +112,28 @@ fn controller_phases(
             };
             let z_new = mod_pow_fixed(&s.params.bd.g, &r_new, &s.params.bd.p);
             s.meter.record(CompOp::ModExp);
-            let mut body = Writer::new();
-            body.put_id(member.id)
-                .put_ubig(&z_new)
-                .put_ubig(&edge_for_announce);
-            let sig = s.params.gq.sign(&mut s.rng, &member.gq_key, &body.finish());
+            let payload = signed(
+                &s.params.gq,
+                &mut s.rng,
+                (member.id, member.gq()),
+                &[&z_new, &edge_for_announce],
+            );
             s.meter.record(CompOp::SignGen(Scheme::Gq));
-            let mut w = Writer::new();
-            w.put_id(member.id)
-                .put_ubig(&z_new)
-                .put_ubig(&edge_for_announce)
-                .put_ubig(&sig.s)
-                .put_ubig(&sig.c);
             s.r_new = Some(r_new);
             s.z_new = Some(z_new);
             PhaseOut::Send(vec![Outgoing {
                 to: Dest::Multicast(vec![peer_ctrl]),
                 kind: kind::MERGE_R1,
-                payload: w.finish(),
+                payload,
                 nominal_bits: MERGE_R1_BITS,
             }])
         }),
         // ---- Round 2: verify peer, derive DH, compute the half-key ----
         Phase::gather(kind::MERGE_R1, 1, move |s: &mut NodeState, pkts| {
-            let mut r = Reader::new(&pkts[0].payload);
-            let id = r.get_id().expect("r1 id");
-            let z_peer = r.get_ubig().expect("r1 z~");
-            let edge_peer = r.get_ubig().expect("r1 edge z");
-            let sig_s = r.get_ubig().expect("r1 sig s");
-            let sig_c = r.get_ubig().expect("r1 sig c");
-            r.expect_end().expect("no trailing bytes");
-            let mut body = Writer::new();
-            body.put_id(id).put_ubig(&z_peer).put_ubig(&edge_peer);
-            let ok = s.params.gq.verify(
-                &id.to_bytes(),
-                &body.finish(),
-                &GqSignature { s: sig_s, c: sig_c },
-            );
+            let peer = read_signed(&s.params.gq, &pkts[0].payload, (peer_id, &peer_inv));
             s.meter.record(CompOp::SignVerify(Scheme::Gq));
-            assert!(ok, "merge round-1 signature rejected");
+            assert!(peer.is_some(), "merge round-1 signature rejected");
+            let [z_peer, edge_peer] = peer.expect("checked above");
             let r_new = s.r_new.as_ref().expect("refreshed");
             let k_dh = mod_pow(&z_peer, r_new, &s.params.bd.p);
             s.meter.record(CompOp::ModExp);
@@ -168,9 +155,10 @@ fn controller_phases(
             s.meter.record(CompOp::ModExp);
             s.meter.record(CompOp::ModExp);
             // Seal the half-key under the group key and under the DH key.
-            let env_group = seal_key(&mut s.rng, &s.km, &half, member2.id, None);
+            let env_group = seal_key(&mut s.rng, s.old_key.get(), &half, member2.id, None);
             s.meter.record(CompOp::SymEnc);
-            let env_dh = seal_key(&mut s.rng, &k_dh.to_bytes_be(), &half, member2.id, None);
+            let dh = Envelope::from_key_material(&k_dh.to_bytes_be());
+            let env_dh = seal_key(&mut s.rng, &dh, &half, member2.id, None);
             s.meter.record(CompOp::SymEnc);
             let mut w = Writer::new();
             w.put_id(member2.id)
@@ -194,11 +182,10 @@ fn controller_phases(
             let _env_group = r.get_bytes().expect("r2 group envelope");
             let env_dh = r.get_bytes().expect("r2 dh envelope").to_vec();
             r.expect_end().expect("no trailing bytes");
-            let dh_material = s.k_dh.as_ref().expect("derived").to_bytes_be();
-            let (peer_half, _) =
-                open_key(&dh_material, &env_dh, peer_id).expect("valid DH envelope");
+            let dh = Envelope::from_key_material(&s.k_dh.as_ref().expect("derived").to_bytes_be());
+            let (peer_half, _) = open_key(&dh, &env_dh, peer_id).expect("valid DH envelope");
             s.meter.record(CompOp::SymDec);
-            let env = seal_key(&mut s.rng, &s.km, &peer_half, own_id, None);
+            let env = seal_key(&mut s.rng, s.old_key.get(), &peer_half, own_id, None);
             s.meter.record(CompOp::SymEnc);
             let mut w = Writer::new();
             w.put_id(own_id).put_bytes(&env);
@@ -231,7 +218,8 @@ fn bystander_phases(ctrl_id: UserId) -> Vec<Phase<NodeState>> {
             let id = r.get_id().expect("r2 id");
             assert_eq!(id, ctrl_id);
             let env_group = r.get_bytes().expect("r2 group envelope");
-            let (own_half, _) = open_key(&s.km, env_group, ctrl_id).expect("valid envelope");
+            let (own_half, _) =
+                open_key(s.old_key.get(), env_group, ctrl_id).expect("valid envelope");
             s.meter.record(CompOp::SymDec);
             let _env_dh = r.get_bytes().expect("r2 dh envelope");
             r.expect_end().expect("no trailing bytes");
@@ -243,7 +231,7 @@ fn bystander_phases(ctrl_id: UserId) -> Vec<Phase<NodeState>> {
             let id3 = r3.get_id().expect("r3 id");
             assert_eq!(id3, ctrl_id);
             let env3 = r3.get_bytes().expect("r3 envelope");
-            let (peer_half, _) = open_key(&s.km, env3, ctrl_id).expect("valid envelope");
+            let (peer_half, _) = open_key(s.old_key.get(), env3, ctrl_id).expect("valid envelope");
             s.meter.record(CompOp::SymDec);
             let key = mod_mul(
                 s.own_half.as_ref().expect("own half"),
@@ -282,6 +270,8 @@ impl MergeRun {
         let kb_material = b.key_material();
         let u1 = a.members[0].clone();
         let un1 = b.members[0].clone();
+        let u1_inv = u1.gq().h_inv(&params.gq).clone();
+        let un1_inv = un1.gq().h_inv(&params.gq).clone();
 
         // Node order: group A (0..n), then group B (n..n+m).
         let mut ids = a.member_ids();
@@ -300,11 +290,11 @@ impl MergeRun {
                     // Bystanders never draw randomness.
                     ChaChaRng::seed_from_u64(seed ^ 0xdead ^ i as u64)
                 },
-                km: if in_a {
+                old_key: GroupEnvelope::new(if in_a {
                     ka_material.clone()
                 } else {
                     kb_material.clone()
-                },
+                }),
                 derived: None,
                 r_new: None,
                 z_new: None,
@@ -318,6 +308,7 @@ impl MergeRun {
                         member: u1.clone(),
                         group_key: a.key.clone(),
                         peer_id: un1.id,
+                        peer_inv: un1_inv.clone(),
                         z_second: a.z_of(1).clone(),
                         z_edge: a.z_of(n - 1).clone(),
                     },
@@ -332,6 +323,7 @@ impl MergeRun {
                         member: un1.clone(),
                         group_key: b.key.clone(),
                         peer_id: u1.id,
+                        peer_inv: u1_inv.clone(),
                         z_second: b.z_of(1).clone(),
                         z_edge: b.z_of(m - 1).clone(),
                     },
@@ -354,27 +346,6 @@ impl MergeRun {
             a: a.clone(),
             b: b.clone(),
         }
-    }
-
-    /// One non-blocking scheduling sweep.
-    pub fn pump(&mut self) -> Pump {
-        self.exec.pump()
-    }
-
-    /// True iff every member of both rings derived the merged key.
-    pub fn is_done(&self) -> bool {
-        self.exec.is_done()
-    }
-
-    /// Ops + traffic spent so far (aborted-attempt accounting).
-    pub fn partial_counts(&self) -> OpCounts {
-        self.exec.partial_counts()
-    }
-
-    /// Virtual milliseconds this run has spent on its radio clock (`None`
-    /// off-radio).
-    pub fn virtual_elapsed_ms(&self) -> Option<f64> {
-        self.exec.virtual_now_ms()
     }
 
     /// Assembles the outcome.
@@ -430,6 +401,11 @@ impl MergeRun {
         }
     }
 }
+
+suite_run_over_exec!(MergeRun, 0, |run| {
+    let out = run.finish();
+    (out.reports, out.session)
+});
 
 /// Merges `a` and `b` (which must share parameters — same PKG).
 ///
@@ -562,6 +538,28 @@ mod tests {
         for s in &sessions {
             assert_ne!(out.session.key, s.key);
         }
+    }
+
+    #[test]
+    fn a_round1_message_another_identity_signed_is_rejected() {
+        let mut rng = ChaChaRng::seed_from_u64(0x6d72);
+        let pkg = Pkg::setup(&mut rng, SecurityProfile::Toy);
+        let gq = &pkg.params().gq;
+        let (peer_key, other_key) = (pkg.extract(UserId(4)), pkg.extract(UserId(7)));
+        let peer = (UserId(4), peer_key.h_inv(gq));
+        let (z, edge) = (Ubig::from_u64(0x5eed), Ubig::from_u64(0xed9e));
+        let shares = Some([z.clone(), edge.clone()]);
+        // U7's own round-1 message, validly signed: accepted only where U7
+        // is the expected peer controller.
+        let by_other = signed(gq, &mut rng, (UserId(7), &other_key), &[&z, &edge]);
+        let u7 = (UserId(7), other_key.h_inv(gq));
+        assert_eq!(read_signed(gq, &by_other, u7), shares);
+        assert_eq!(read_signed::<2>(gq, &by_other, peer), None);
+        // Naming the peer under U7's key fails the signature.
+        let forged = signed(gq, &mut rng, (UserId(4), &other_key), &[&z, &edge]);
+        assert_eq!(read_signed::<2>(gq, &forged, peer), None);
+        let honest = signed(gq, &mut rng, (UserId(4), &peer_key), &[&z, &edge]);
+        assert_eq!(read_signed(gq, &honest, peer), shares);
     }
 
     #[test]

@@ -36,7 +36,10 @@ pub use join::{join, JoinOutcome, JoinRun};
 pub use leave::{leave, partition, LeaveOutcome, LeaveRun};
 pub use merge::{merge, merge_many, MergeOutcome, MergeRun};
 
+use std::cell::OnceCell;
+
 use egka_bigint::{mod_mul, mod_pow2, SchnorrGroup, Ubig};
+use egka_sig::{GqParams, GqSecretKey, GqSignature};
 use egka_symmetric::Envelope;
 use rand::Rng;
 
@@ -71,16 +74,80 @@ pub(crate) fn k_star(
     mod_mul(key, &t, p)
 }
 
+/// The body `U ‖ v_1 ‖ … ‖ v_k` a [`signed`] message signs.
+fn signed_body(id: UserId, values: &[&Ubig]) -> Writer {
+    let mut w = Writer::new();
+    w.put_id(id);
+    for v in values {
+        w.put_ubig(v);
+    }
+    w
+}
+
+/// `U ‖ v_1 ‖ … ‖ v_k ‖ σ` with `σ` by `key` over the rest: Join's
+/// announcement `m_{n+1}` and Merge's round-1 message.
+pub(crate) fn signed<R: Rng + ?Sized>(
+    gq: &GqParams,
+    rng: &mut R,
+    (id, key): (UserId, &GqSecretKey),
+    values: &[&Ubig],
+) -> bytes::Bytes {
+    let sig = gq.sign(rng, key, &signed_body(id, values).finish());
+    let mut w = signed_body(id, values);
+    w.put_ubig(&sig.s).put_ubig(&sig.c);
+    w.finish()
+}
+
+/// The values of a [`signed`] message, if it names `signer` and its
+/// signature verifies under `h_inv = H(signer)⁻¹`. A message another
+/// identity signed, however valid, is not `signer`'s.
+pub(crate) fn read_signed<const K: usize>(
+    gq: &GqParams,
+    payload: &[u8],
+    (signer, h_inv): (UserId, &Ubig),
+) -> Option<[Ubig; K]> {
+    let mut r = Reader::new(payload);
+    let id = r.get_id().expect("signed message id");
+    let values: [Ubig; K] = std::array::from_fn(|_| r.get_ubig().expect("signed value"));
+    let s = r.get_ubig().expect("signature s");
+    let c = r.get_ubig().expect("signature c");
+    r.expect_end().expect("no trailing bytes");
+    let body = signed_body(id, &values.each_ref()).finish();
+    (id == signer && gq.verify_with_inverse(h_inv, &body, &GqSignature { s, c })).then_some(values)
+}
+
+/// One node's old group key `K` as symmetric key material, with its
+/// [`Envelope`] derived on first use. A node that seals or opens under `K`
+/// twice derives the envelope once; each node derives its own.
+pub(crate) struct GroupEnvelope {
+    material: Vec<u8>,
+    env: OnceCell<Envelope>,
+}
+
+impl GroupEnvelope {
+    pub(crate) fn new(material: Vec<u8>) -> Self {
+        GroupEnvelope {
+            material,
+            env: OnceCell::new(),
+        }
+    }
+
+    /// The envelope under `K`.
+    pub(crate) fn get(&self) -> &Envelope {
+        self.env
+            .get_or_init(|| Envelope::from_key_material(&self.material))
+    }
+}
+
 /// Seals `key_value ‖ sender_id` (and optionally an extra share) under
-/// symmetric key material, as the paper's `E_K(K* ‖ U)`.
+/// `env`, as the paper's `E_K(K* ‖ U)`.
 pub(crate) fn seal_key<R: Rng + ?Sized>(
     rng: &mut R,
-    key_material: &[u8],
+    env: &Envelope,
     key_value: &Ubig,
     sender: UserId,
     extra_share: Option<&Ubig>,
 ) -> Vec<u8> {
-    let env = Envelope::from_key_material(key_material);
     let mut w = Writer::new();
     w.put_ubig(key_value).put_id(sender);
     match extra_share {
@@ -94,11 +161,10 @@ pub(crate) fn seal_key<R: Rng + ?Sized>(
 /// paper's "checks if the identity was decrypted correctly to ensure the
 /// validity of K*". Returns `(key_value, extra_share)`.
 pub(crate) fn open_key(
-    key_material: &[u8],
+    env: &Envelope,
     sealed: &[u8],
     expect_sender: UserId,
 ) -> Option<(Ubig, Option<Ubig>)> {
-    let env = Envelope::from_key_material(key_material);
     let plain = env.open(sealed).ok()?;
     let mut r = Reader::new(&plain);
     let key_value = r.get_ubig().ok()?;
@@ -148,14 +214,16 @@ mod tests {
     fn seal_open_roundtrip_with_identity_check() {
         let mut rng = ChaChaRng::seed_from_u64(1);
         let k = Ubig::from_hex("aabbccdd00112233").unwrap();
-        let sealed = seal_key(&mut rng, b"group key", &k, UserId(3), None);
-        let (got, extra) = open_key(b"group key", &sealed, UserId(3)).unwrap();
+        let env = GroupEnvelope::new(b"group key".to_vec());
+        let sealed = seal_key(&mut rng, env.get(), &k, UserId(3), None);
+        let (got, extra) = open_key(env.get(), &sealed, UserId(3)).unwrap();
         assert_eq!(got, k);
         assert!(extra.is_none());
         // Wrong expected sender fails the identity check.
-        assert!(open_key(b"group key", &sealed, UserId(4)).is_none());
+        assert!(open_key(env.get(), &sealed, UserId(4)).is_none());
         // Wrong key material fails the MAC.
-        assert!(open_key(b"other key", &sealed, UserId(3)).is_none());
+        let other = Envelope::from_key_material(b"other key");
+        assert!(open_key(&other, &sealed, UserId(3)).is_none());
     }
 
     #[test]
@@ -163,8 +231,9 @@ mod tests {
         let mut rng = ChaChaRng::seed_from_u64(2);
         let k = Ubig::from_u64(42);
         let z = Ubig::from_hex("deadbeef").unwrap();
-        let sealed = seal_key(&mut rng, b"km", &k, UserId(0), Some(&z));
-        let (_, extra) = open_key(b"km", &sealed, UserId(0)).unwrap();
+        let env = Envelope::from_key_material(b"km");
+        let sealed = seal_key(&mut rng, &env, &k, UserId(0), Some(&z));
+        let (_, extra) = open_key(&env, &sealed, UserId(0)).unwrap();
         assert_eq!(extra, Some(z));
     }
 }

@@ -28,8 +28,6 @@ use crate::wire::{DecodeError, Reader, Writer};
 pub struct MemberState {
     /// Identity.
     pub id: UserId,
-    /// Extracted GQ ID key.
-    pub gq_key: GqSecretKey,
     /// Current BD exponent `r_i`.
     pub r: Ubig,
     /// Current public share `z_i = g^{r_i}` (known to the whole group).
@@ -38,12 +36,27 @@ pub struct MemberState {
     pub tau: Ubig,
     /// Last GQ commitment `t_i = τ_i^e` (known to the whole group).
     pub t: Ubig,
-    /// The baseline credential the member signs with (BD+SOK, BD+ECDSA,
-    /// BD+DSA), issued once by the PKG's authority and carried from step
-    /// to step like `gq_key`. `None` for the other suites and after
-    /// [`GroupSession::decode_state`]: a credential is a function of
-    /// (authority, id), so the next baseline step re-issues the same one.
+    /// The credential the member signs with, issued once by the PKG and
+    /// carried from step to step: its GQ ID key (proposed, SSN) or a
+    /// baseline's credential (BD+SOK, BD+ECDSA, BD+DSA). A session's state
+    /// keeps only GQ keys, so a baseline member decodes with `None`: a
+    /// credential is a function of (PKG, id), and the next step that
+    /// needs one re-issues the same.
     pub cred: Option<Arc<Credential>>,
+}
+
+impl MemberState {
+    /// The member's GQ ID key.
+    ///
+    /// # Panics
+    /// Panics if the member carries no GQ credential: only the proposed
+    /// suite's dynamics ask, and its members always carry one.
+    pub fn gq(&self) -> &GqSecretKey {
+        self.cred
+            .as_deref()
+            .and_then(Credential::as_gq)
+            .expect("a proposed-suite member carries its GQ key")
+    }
 }
 
 /// A group that has agreed on a key.
@@ -103,20 +116,26 @@ impl GroupSession {
     }
 
     /// Serializes the full per-member session state (identities, BD
-    /// exponents, public shares, GQ commitments and extracted ID keys)
-    /// plus the group key — everything the §7 dynamics consume — into `w`.
-    /// Baseline credentials are not written; see [`MemberState::cred`].
+    /// exponents, public shares, GQ commitments and GQ ID keys) plus the
+    /// group key — everything the §7 dynamics consume — into `w`. A member
+    /// without a GQ key writes an empty identity and a zero key, and
+    /// baseline credentials are not written; see [`MemberState::cred`].
     ///
     /// The shared [`Params`] are deliberately *not* written: they belong
     /// to the PKG the service runs on, and a store that duplicated them
     /// per group could silently resurrect a session under the wrong
     /// algebra. [`GroupSession::decode_state`] takes them from the caller.
     pub fn encode_state(&self, w: &mut Writer) {
+        let zero = Ubig::zero();
         w.put_u32(self.members.len() as u32);
         for m in &self.members {
+            let (gq_id, s_id) = match m.cred.as_deref().and_then(Credential::as_gq) {
+                Some(key) => (key.id.as_slice(), &key.s_id),
+                None => (&[][..], &zero),
+            };
             w.put_id(m.id)
-                .put_bytes(&m.gq_key.id)
-                .put_ubig(&m.gq_key.s_id)
+                .put_bytes(gq_id)
+                .put_ubig(s_id)
                 .put_ubig(&m.r)
                 .put_ubig(&m.z)
                 .put_ubig(&m.tau)
@@ -138,12 +157,12 @@ impl GroupSession {
             let s_id = r.get_ubig()?;
             members.push(MemberState {
                 id,
-                gq_key: GqSecretKey { id: gq_id, s_id },
                 r: r.get_ubig()?,
                 z: r.get_ubig()?,
                 tau: r.get_ubig()?,
                 t: r.get_ubig()?,
-                cred: None,
+                cred: (!gq_id.is_empty())
+                    .then(|| Arc::new(Credential::Gq(GqSecretKey::new(gq_id, s_id)))),
             });
         }
         let key = r.get_ubig()?;
@@ -213,7 +232,7 @@ mod tests {
         assert_eq!(back.n(), session.n());
         for (a, b) in back.members.iter().zip(&session.members) {
             assert_eq!(a.id, b.id);
-            assert_eq!(a.gq_key, b.gq_key);
+            assert_eq!(a.gq(), b.gq());
             assert_eq!(a.r, b.r);
             assert_eq!(a.z, b.z);
             assert_eq!(a.tau, b.tau);
@@ -226,6 +245,36 @@ mod tests {
             let mut r = Reader::new(&buf[..cut]);
             assert!(crate::GroupSession::decode_state(&mut r, pkg.params()).is_err());
         }
+    }
+
+    /// The state bytes of a two-member Toy session, pinned: a GQ member
+    /// writes its identity and `S_ID`, and snapshots and the seal cache of
+    /// proposed groups depend on these bytes.
+    #[test]
+    fn state_encoding_is_pinned() {
+        use crate::wire::Writer;
+        let mut rng = ChaChaRng::seed_from_u64(0x9177);
+        let pkg = Pkg::setup(&mut rng, SecurityProfile::Toy);
+        let keys = pkg.extract_group(2);
+        let (_, session) = proposed::run(pkg.params(), &keys, 3, RunConfig::default());
+        let mut w = Writer::new();
+        session.encode_state(&mut w);
+        let hex: String = w.finish().iter().map(|b| format!("{b:02x}")).collect();
+        let pinned = concat!(
+            "00000002000000000004000000000020a9b8ccea892bb560a604b41691d84a82",
+            "576ec810eb1bce5e17a15ac8f3e79ca0000cdc5a4f579b4fe9cbc341ec020020",
+            "b0ad4020cdfcd74e32bfb83ae054404c4ba9d999c31ba49f83171bffc52af6c0",
+            "00203c0f8dd22e415beb26be4ed372679ceec6760ba54392f7765d85eef2c969",
+            "45ea0020c2aecfa6e6446d53930d687b99f5b7313664b7b2cf7e0f28ca6ba64d",
+            "b9e7142b00000001000400000001002058f69eec88084a969d56d4b104e2e2a7",
+            "7a3d1eb2dd675fd67b08f97638dfb5de000c128aacbe7d6e9c8f76f0ea690020",
+            "24420eae1e620ed0e70c2f474232259cfbd644581d32ddf88f1d359dccc859f8",
+            "002048ed4f47649db5d9020bbd579f1efcca83f23916f3764ec1070ce6703c0d",
+            "03d300207722ce779f12e9aacb6057dadb086123e22ef2e5b0d1c2c53dc5e61a",
+            "cb4def6000202d882408da0f97eae66cbacd7dd67c97cb87cb46e9436f3fb3f1",
+            "6df2b817e0d4",
+        );
+        assert_eq!(hex, pinned);
     }
 
     #[test]

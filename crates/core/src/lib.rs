@@ -72,6 +72,9 @@ pub use ident::UserId;
 pub use machine::{
     Dest, Faults, Outgoing, ProtocolFault, Pump, RadioSpec, RoundMachine, SessionKey, Step,
 };
-pub use params::{paper_fixture, Authority, Credential, Params, Pkg, SecurityProfile};
+pub use params::{
+    paper_fixture, Authority, Credential, DsaCredential, EcdsaCredential, Params, Pkg,
+    SecurityProfile,
+};
 pub use proposed::{Fault, NodeReport, RunConfig, RunReport};
 pub use suite::{suite, StepCtx, Suite, SuiteId, SuiteOutcome, SuiteRun};

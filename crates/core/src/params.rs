@@ -17,9 +17,9 @@
 //!
 //! Next to the GQ master key, a [`Pkg`] holds the [`Authority`] that issues
 //! the baselines' credentials: an ECDSA CA, a DSA CA and a SOK PKG. Issuing
-//! is one-time setup, as Extract is: a member's [`Credential`] is a function
-//! of the authority and its id, so it is issued once and travels with the
-//! member (`MemberState::cred`).
+//! is one-time setup, as Extract is: a member's [`Credential`] (its GQ ID
+//! key or a baseline's) is a function of the PKG and its id, so it is
+//! issued once and travels with the member (`MemberState::cred`).
 
 use std::sync::OnceLock;
 
@@ -122,7 +122,19 @@ impl Pkg {
 
     /// Extracts the ID-based key for `id` (paper's Extract).
     pub fn extract(&self, id: UserId) -> GqSecretKey {
+        #[cfg(test)]
+        EXTRACTIONS.with(|n| n.set(n.get() + 1));
         self.gq_pkg.extract(&id.to_bytes())
+    }
+
+    /// Issues `id`'s credential under `scheme`: its GQ ID key by
+    /// [`Pkg::extract`], any other by the [`Authority`]. The result
+    /// depends only on the PKG and the arguments.
+    pub fn credential(&self, scheme: Scheme, id: UserId) -> Credential {
+        match scheme {
+            Scheme::Gq => Credential::Gq(self.extract(id)),
+            _ => self.authority.credential(scheme, id),
+        }
     }
 
     /// Extracts keys for ids `0..n` (the usual test group).
@@ -134,6 +146,12 @@ impl Pkg {
     pub fn authority(&self) -> &Authority {
         &self.authority
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`Pkg::extract`] calls on this thread, for tests that count them.
+    pub(crate) static EXTRACTIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Seed of every [`Authority`]. It is a constant, as the fixtures' seeds
@@ -189,40 +207,61 @@ pub struct Authority {
     sok: OnceLock<SokPkg>,
 }
 
-/// A baseline member's credential, issued by an [`Authority`].
-// Variant sizes differ by scheme; a member carries one behind an `Arc`.
-#[allow(clippy::large_enum_variant)]
+/// A member's credential, issued by a [`Pkg`] ([`Pkg::credential`]): the
+/// GQ ID key the proposed suite and SSN sign with, or a baseline's key.
+/// Every live member carries one, so the certificate schemes' large
+/// payloads are boxed and a GQ credential stays small.
 #[derive(Clone, Debug)]
 pub enum Credential {
-    /// An ECDSA key pair, its certificate, and its public point prepared
-    /// for verification (the comb is built on first use and shared by
-    /// every clone).
-    Ecdsa {
-        /// The member's key pair.
-        key: EcdsaKeyPair,
-        /// The CA's certificate over `key.q`.
-        cert: Certificate,
-        /// `key.q`, prepared.
-        prepared: EcdsaPreparedKey,
-    },
+    /// A GQ ID key extracted by the PKG, carrying the public `H(ID)⁻¹`
+    /// its signatures verify under.
+    Gq(GqSecretKey),
+    /// An ECDSA key pair and its certificate.
+    Ecdsa(Box<EcdsaCredential>),
     /// A DSA key pair and its certificate.
-    Dsa {
-        /// The member's key pair.
-        key: DsaKeyPair,
-        /// The CA's certificate over `key.y`.
-        cert: Certificate,
-    },
+    Dsa(Box<DsaCredential>),
     /// A SOK ID key extracted by the authority's SOK PKG.
     Sok(SokSecretKey),
+}
+
+/// An ECDSA key pair, its certificate, and its public point prepared for
+/// verification (the comb is built on first use and shared by every
+/// clone).
+#[derive(Clone, Debug)]
+pub struct EcdsaCredential {
+    /// The member's key pair.
+    pub key: EcdsaKeyPair,
+    /// The CA's certificate over `key.q`.
+    pub cert: Certificate,
+    /// `key.q`, prepared.
+    pub prepared: EcdsaPreparedKey,
+}
+
+/// A DSA key pair and its certificate.
+#[derive(Clone, Debug)]
+pub struct DsaCredential {
+    /// The member's key pair.
+    pub key: DsaKeyPair,
+    /// The CA's certificate over `key.y`.
+    pub cert: Certificate,
 }
 
 impl Credential {
     /// The signature scheme the credential signs with.
     pub fn scheme(&self) -> Scheme {
         match self {
-            Credential::Ecdsa { .. } => Scheme::Ecdsa,
-            Credential::Dsa { .. } => Scheme::Dsa,
+            Credential::Gq(_) => Scheme::Gq,
+            Credential::Ecdsa(_) => Scheme::Ecdsa,
+            Credential::Dsa(_) => Scheme::Dsa,
             Credential::Sok(_) => Scheme::Sok,
+        }
+    }
+
+    /// The GQ ID key, if this is a GQ credential.
+    pub fn as_gq(&self) -> Option<&GqSecretKey> {
+        match self {
+            Credential::Gq(key) => Some(key),
+            _ => None,
         }
     }
 }
@@ -291,7 +330,8 @@ impl Authority {
     /// the authority and the arguments.
     ///
     /// # Panics
-    /// Panics for [`Scheme::Gq`], whose keys the [`Pkg`] extracts.
+    /// Panics for [`Scheme::Gq`], whose keys the [`Pkg`] extracts
+    /// ([`Pkg::credential`]).
     pub fn credential(&self, scheme: Scheme, id: UserId) -> Credential {
         let mut rng = authority_rng(scheme, Some(id));
         let serial = u64::from(id.0);
@@ -302,18 +342,18 @@ impl Authority {
                 let subject = SubjectKey::Ecdsa(key.q.clone());
                 let cert = issuer.ca.issue(&mut rng, &id.to_bytes(), subject, serial);
                 let prepared = EcdsaPreparedKey::with_teeth(key.q.clone(), MEMBER_KEY_TEETH);
-                Credential::Ecdsa {
+                Credential::Ecdsa(Box::new(EcdsaCredential {
                     key,
                     cert,
                     prepared,
-                }
+                }))
             }
             Scheme::Dsa => {
                 let issuer = self.dsa();
                 let key = issuer.scheme.keygen(&mut rng);
                 let subject = SubjectKey::Dsa(key.y.clone());
                 let cert = issuer.ca.issue(&mut rng, &id.to_bytes(), subject, serial);
-                Credential::Dsa { key, cert }
+                Credential::Dsa(Box::new(DsaCredential { key, cert }))
             }
             Scheme::Sok => Credential::Sok(self.sok().extract(&id.to_bytes())),
             Scheme::Gq => panic!("GQ keys are extracted by the PKG, not issued"),
@@ -391,14 +431,51 @@ mod tests {
         }
     }
 
+    #[test]
+    fn carried_inverse_is_the_inverse_of_the_id_hash() {
+        use crate::group::{GroupSession, MemberState};
+        use crate::wire::{Reader, Writer};
+        let mut rng = ChaChaRng::seed_from_u64(6);
+        for pkg in [Pkg::setup(&mut rng, SecurityProfile::Toy), paper_fixture()] {
+            let gq = &pkg.params().gq;
+            let ids = [0u32, 7, 1 << 20, u32::MAX].map(UserId);
+            let session = GroupSession {
+                params: pkg.params().clone(),
+                members: ids
+                    .iter()
+                    .map(|&id| MemberState {
+                        id,
+                        r: Ubig::one(),
+                        z: Ubig::one(),
+                        tau: Ubig::zero(),
+                        t: Ubig::zero(),
+                        cred: Some(std::sync::Arc::new(pkg.credential(Scheme::Gq, id))),
+                    })
+                    .collect(),
+                key: Ubig::one(),
+            };
+            let mut w = Writer::new();
+            session.encode_state(&mut w);
+            let buf = w.finish();
+            let decoded = GroupSession::decode_state(&mut Reader::new(&buf), pkg.params()).unwrap();
+            for (m, d) in session.members.iter().zip(&decoded.members) {
+                let want = egka_bigint::mod_inverse(&gq.hash_id(&m.id.to_bytes()), &gq.n).unwrap();
+                assert_eq!(m.gq().h_inv(gq), &want, "extracted {:?}", m.id);
+                assert_eq!(d.gq().h_inv(gq), &want, "decoded {:?}", m.id);
+                assert_eq!(d.gq(), m.gq());
+            }
+        }
+    }
+
     /// Everything an issued credential consists of, as bytes.
     fn credential_bytes(c: &Credential) -> Vec<Vec<u8>> {
         match c {
-            Credential::Ecdsa {
-                key,
-                cert,
-                prepared,
-            } => {
+            Credential::Ecdsa(c) => {
+                let EcdsaCredential {
+                    key,
+                    cert,
+                    prepared,
+                } = &**c;
                 assert_eq!(prepared.point(), &key.q);
                 let (x, y) = key.q.xy().expect("a finite public key");
                 vec![
@@ -408,13 +485,18 @@ mod tests {
                     cert.encode(),
                 ]
             }
-            Credential::Dsa { key, cert } => {
-                vec![key.x.to_bytes_be(), key.y.to_bytes_be(), cert.encode()]
+            Credential::Dsa(c) => {
+                vec![
+                    c.key.x.to_bytes_be(),
+                    c.key.y.to_bytes_be(),
+                    c.cert.encode(),
+                ]
             }
             Credential::Sok(key) => {
                 let (x, y) = key.s_id.xy().expect("a finite ID key");
                 vec![key.id.clone(), x.to_bytes_be(), y.to_bytes_be()]
             }
+            Credential::Gq(key) => vec![key.id.clone(), key.s_id.to_bytes_be()],
         }
     }
 
@@ -446,19 +528,20 @@ mod tests {
         let authority = Authority::default();
         let mut store = egka_sig::CertStore::new();
         for u in [UserId(3), UserId(70_000)] {
-            let Credential::Ecdsa { cert, .. } = authority.credential(Scheme::Ecdsa, u) else {
+            let Credential::Ecdsa(c) = authority.credential(Scheme::Ecdsa, u) else {
                 unreachable!("an ECDSA credential")
             };
+            let cert = c.cert;
             assert_eq!(cert.serial, u64::from(u.0));
             let ca = authority.ecdsa_public().1;
             assert_eq!(
                 store.check(&cert, &u.to_bytes(), ca),
                 egka_sig::CertCheck::NewlyVerified
             );
-            let Credential::Dsa { cert, .. } = authority.credential(Scheme::Dsa, u) else {
+            let Credential::Dsa(c) = authority.credential(Scheme::Dsa, u) else {
                 unreachable!("a DSA credential")
             };
-            assert!(authority.dsa_public().1.verify(&cert));
+            assert!(authority.dsa_public().1.verify(&c.cert));
         }
     }
 

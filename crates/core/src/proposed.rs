@@ -40,9 +40,9 @@ use crate::group::{GroupSession, MemberState};
 use crate::ident::{ring_position, UserId};
 use crate::machine::{
     two_round_script, Dest, Engine, Execution, Faults, Metered, Outgoing, PhaseOut, ProtocolFault,
-    Pump,
 };
-use crate::params::Params;
+use crate::params::{Credential, Params};
+use crate::suite::suite_run_over_exec;
 use crate::wire::{kind, Reader, Writer};
 
 /// Fault injection for the retransmission path.
@@ -126,6 +126,8 @@ struct NodeState {
     idx: usize,
     id: UserId,
     ring: Vec<UserId>,
+    /// Each ring member's `H(U_j)⁻¹`, ring order (one list per run).
+    h_invs: Arc<[Ubig]>,
     key: GqSecretKey,
     params: Arc<Params>,
     meter: Meter,
@@ -261,12 +263,10 @@ fn node_machine(state: NodeState) -> Engine<NodeState> {
         // node evaluates the same deterministic checks, so failure is
         // simultaneous and the retransmission restart stays in lock step.
         move |s: &mut NodeState| {
-            let ids: Vec<Vec<u8>> = s.ring.iter().map(|u| u.to_bytes().to_vec()).collect();
-            let id_refs: Vec<&[u8]> = ids.iter().map(|v| v.as_slice()).collect();
             let batch_ok = s
                 .params
                 .gq
-                .aggregate_verify(&id_refs, &s.ss, &s.challenge, &s.bind);
+                .aggregate_verify(&s.h_invs, &s.ss, &s.challenge, &s.bind);
             // One priced batch verification, however it came out.
             s.meter.record(CompOp::SignVerify(Scheme::Gq));
             if !batch_ok || !bd::lemma1_holds(&s.params.bd, &s.xs) {
@@ -296,40 +296,37 @@ pub struct GkaRun {
     exec: Execution<NodeState>,
     params: Params,
     ring: Vec<UserId>,
+    creds: Vec<Arc<Credential>>,
 }
 
 impl GkaRun {
-    /// Prepares a run for `n = keys.len()` users with optional fault
-    /// injection on the private medium.
+    /// Prepares a run for the `n = creds.len()` holders of the GQ
+    /// credentials `creds` (ring order) with optional fault injection on
+    /// the private medium. The session carries the same credentials.
     ///
     /// # Panics
-    /// Panics if fewer than two keys are supplied or if
-    /// `config.max_attempts` is zero.
+    /// Panics if fewer than two credentials are supplied, if one is not a
+    /// GQ credential, or if `config.max_attempts` is zero.
     pub fn new(
         params: &Params,
-        keys: &[GqSecretKey],
+        creds: &[Arc<Credential>],
         seed: u64,
         config: RunConfig,
         faults: &Faults,
     ) -> Self {
-        let n = keys.len();
+        let n = creds.len();
         assert!(n >= 2, "a group needs at least two members");
         assert!(config.max_attempts >= 1, "a run needs at least one attempt");
-        // Identities come from the extracted keys (a merged ring's members
-        // are not numbered 0..n), positions from slice order.
-        let ring: Vec<UserId> = keys
-            .iter()
-            .map(|k| {
-                let b: [u8; 4] = k.id.as_slice().try_into().expect("32-bit identities");
-                UserId::from_bytes(b)
-            })
-            .collect();
+        let keys = gq_keys(creds);
+        let ring = key_ring(&keys);
+        let h_invs: Arc<[Ubig]> = keys.iter().map(|k| k.h_inv(&params.gq).clone()).collect();
         let shared = Arc::new(params.clone());
         let exec = Execution::new(&ring, faults, |i, _net_ids| {
             node_machine(NodeState {
                 idx: i,
                 id: ring[i],
                 ring: ring.clone(),
+                h_invs: Arc::clone(&h_invs),
                 key: keys[i].clone(),
                 params: Arc::clone(&shared),
                 meter: Meter::new(),
@@ -357,29 +354,8 @@ impl GkaRun {
             exec,
             params: params.clone(),
             ring,
+            creds: creds.to_vec(),
         }
-    }
-
-    /// One non-blocking scheduling sweep; see [`Execution::pump`].
-    pub fn pump(&mut self) -> Pump {
-        self.exec.pump()
-    }
-
-    /// True iff every member derived the key.
-    pub fn is_done(&self) -> bool {
-        self.exec.is_done()
-    }
-
-    /// Ops + traffic spent so far — the cost a scheduler charges for an
-    /// aborted (stalled) attempt.
-    pub fn partial_counts(&self) -> OpCounts {
-        self.exec.partial_counts()
-    }
-
-    /// Virtual milliseconds this run has spent on its radio clock (`None`
-    /// off-radio).
-    pub fn virtual_elapsed_ms(&self) -> Option<f64> {
-        self.exec.virtual_now_ms()
     }
 
     /// Assembles the reports and the post-agreement session.
@@ -408,12 +384,11 @@ impl GkaRun {
                     let share = state.share.as_ref().expect("share set");
                     MemberState {
                         id: state.id,
-                        gq_key: state.key.clone(),
                         r: share.r.clone(),
                         z: share.z.clone(),
                         tau: state.tau.clone(),
                         t: state.t.clone(),
-                        cred: None,
+                        cred: Some(Arc::clone(&self.creds[i])),
                     }
                 })
                 .collect(),
@@ -428,6 +403,11 @@ impl GkaRun {
     }
 }
 
+suite_run_over_exec!(GkaRun, 1, |run| {
+    let (report, session) = run.finish();
+    (report.nodes, session)
+});
+
 /// Runs the proposed protocol for `n = keys.len()` users and returns the
 /// per-node reports plus the resulting [`GroupSession`] (input state for
 /// the dynamic protocols).
@@ -441,15 +421,48 @@ pub fn run(
     seed: u64,
     config: RunConfig,
 ) -> (RunReport, GroupSession) {
-    let mut gka = GkaRun::new(params, keys, seed, config, &Faults::none());
+    let mut gka = GkaRun::new(params, &gq_creds(keys), seed, config, &Faults::none());
     gka.exec.run_to_completion();
     gka.finish()
+}
+
+/// `keys` as the GQ credentials [`GkaRun::new`] and
+/// [`crate::ssn::SsnRun::new`] take.
+pub fn gq_creds(keys: &[GqSecretKey]) -> Vec<Arc<Credential>> {
+    keys.iter()
+        .map(|k| Arc::new(Credential::Gq(k.clone())))
+        .collect()
+}
+
+/// The GQ keys of `creds`.
+///
+/// # Panics
+/// Panics if a credential is not a GQ credential.
+pub(crate) fn gq_keys(creds: &[Arc<Credential>]) -> Vec<&GqSecretKey> {
+    creds
+        .iter()
+        .map(|c| c.as_gq().expect("a GQ protocol runs on GQ credentials"))
+        .collect()
+}
+
+/// The ring the holders of `keys` form: identities from the extracted
+/// keys (a merged ring's members are not numbered 0..n), positions from
+/// slice order.
+pub(crate) fn key_ring(keys: &[&GqSecretKey]) -> Vec<UserId> {
+    keys.iter()
+        .map(|k| {
+            let b: [u8; 4] = k.id.as_slice().try_into().expect("32-bit identities");
+            UserId::from_bytes(b)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Pump;
     use crate::params::{Pkg, SecurityProfile};
+    use crate::suite::SuiteRun;
 
     fn setup(n: u32) -> (Params, Vec<GqSecretKey>) {
         let mut rng = ChaChaRng::seed_from_u64(0x50524f50);
@@ -547,7 +560,7 @@ mod tests {
                 on_attempt: 0,
             }),
         };
-        let mut gka = GkaRun::new(&params, &keys, 11, config, &Faults::none());
+        let mut gka = GkaRun::new(&params, &gq_creds(&keys), 11, config, &Faults::none());
         let mut last = Pump::Progressed;
         while last == Pump::Progressed {
             last = gka.pump();
@@ -565,7 +578,7 @@ mod tests {
             detached: vec![UserId(2)],
             ..Faults::default()
         };
-        let mut gka = GkaRun::new(&params, &keys, 5, RunConfig::default(), &faults);
+        let mut gka = GkaRun::new(&params, &gq_creds(&keys), 5, RunConfig::default(), &faults);
         // Pump until quiescent: never blocks, never completes.
         for _ in 0..32 {
             if gka.pump() == Pump::Stalled {
@@ -587,8 +600,9 @@ mod tests {
         let (ra, _) = run(&params, &keys_a, 77, RunConfig::default());
         let (rb, _) = run(&params, &keys_b, 78, RunConfig::default());
 
-        let mut a = GkaRun::new(&params, &keys_a, 77, RunConfig::default(), &Faults::none());
-        let mut b = GkaRun::new(&params, &keys_b, 78, RunConfig::default(), &Faults::none());
+        let (creds_a, creds_b) = (gq_creds(&keys_a), gq_creds(&keys_b));
+        let mut a = GkaRun::new(&params, &creds_a, 77, RunConfig::default(), &Faults::none());
+        let mut b = GkaRun::new(&params, &creds_b, 78, RunConfig::default(), &Faults::none());
         while !(a.is_done() && b.is_done()) {
             a.pump();
             b.pump();

@@ -42,8 +42,9 @@ use crate::ident::{ring_position, UserId};
 use crate::machine::{
     two_round_script, Dest, Engine, Execution, Faults, Metered, Outgoing, PhaseOut, Pump,
 };
-use crate::params::Params;
-use crate::proposed::{NodeReport, RunReport};
+use crate::params::{Credential, Params};
+use crate::proposed::{gq_creds, gq_keys, key_ring, NodeReport, RunReport};
+use crate::suite::{suite_run_over_exec, SuiteRun};
 use crate::wire::{kind, Reader, Writer};
 
 struct NodeState {
@@ -52,6 +53,8 @@ struct NodeState {
     /// Member identities in ring order (positions are ring indices; wire
     /// messages carry identities, which are looked up here).
     ring: Arc<Vec<UserId>>,
+    /// Each ring member's `H(U_j)⁻¹`, ring order (one list per run).
+    h_invs: Arc<[Ubig]>,
     key: GqSecretKey,
     params: Arc<Params>,
     meter: Meter,
@@ -171,11 +174,7 @@ fn node_machine(state: NodeState, n: usize) -> Engine<NodeState> {
                 let c = challenge(&s.params, s.ring[j], &s.zs[j], &s.xs[j], &s.ts[j], &z_prod);
                 // t_j == s_j^e · H(U_j)^{−c_j}: priced as two modular
                 // exponentiations and one inversion.
-                let t_rec = s
-                    .params
-                    .gq
-                    .recover_commitment(&s.ring[j].to_bytes(), &s.ss[j], &c)
-                    .expect("unit");
+                let t_rec = s.params.gq.recover_commitment(&s.h_invs[j], &s.ss[j], &c);
                 s.meter.record(CompOp::ModExp);
                 s.meter.record(CompOp::ModExp);
                 s.meter.record(CompOp::ModInv);
@@ -203,26 +202,23 @@ fn node_machine(state: NodeState, n: usize) -> Engine<NodeState> {
 /// One in-flight SSN run (pumpable; see [`crate::proposed::GkaRun`]).
 pub struct SsnRun {
     exec: Execution<NodeState>,
+    creds: Vec<Arc<Credential>>,
 }
 
 impl SsnRun {
-    /// Prepares a run for `keys.len()` users.
+    /// Prepares a run for the `creds.len()` holders of the GQ credentials
+    /// `creds` (ring order; arbitrary ids are fine: wire messages carry
+    /// identities, looked up by ring position).
     ///
     /// # Panics
-    /// Panics if fewer than two keys are supplied or identities are not
-    /// `U0..U(n-1)`.
-    pub fn new(params: &Params, keys: &[GqSecretKey], seed: u64, faults: &Faults) -> Self {
-        let n = keys.len();
+    /// Panics if fewer than two credentials are supplied or one is not a
+    /// GQ credential.
+    pub fn new(params: &Params, creds: &[Arc<Credential>], seed: u64, faults: &Faults) -> Self {
+        let n = creds.len();
         assert!(n >= 2, "a group needs at least two members");
-        // Identities come from the extracted keys (arbitrary ids are fine:
-        // wire messages carry identities, looked up by ring position).
-        let ids: Vec<UserId> = keys
-            .iter()
-            .map(|k| {
-                let b: [u8; 4] = k.id.as_slice().try_into().expect("32-bit identities");
-                UserId::from_bytes(b)
-            })
-            .collect();
+        let keys = gq_keys(creds);
+        let ids = key_ring(&keys);
+        let h_invs: Arc<[Ubig]> = keys.iter().map(|k| k.h_inv(&params.gq).clone()).collect();
         let ring = Arc::new(ids.clone());
         let shared = Arc::new(params.clone());
         let exec = Execution::new(&ids, faults, |i, _| {
@@ -231,6 +227,7 @@ impl SsnRun {
                     idx: i,
                     id: ids[i],
                     ring: Arc::clone(&ring),
+                    h_invs: Arc::clone(&h_invs),
                     key: keys[i].clone(),
                     params: Arc::clone(&shared),
                     meter: Meter::new(),
@@ -248,59 +245,40 @@ impl SsnRun {
                 n,
             )
         });
-        SsnRun { exec }
-    }
-
-    /// One non-blocking scheduling sweep.
-    pub fn pump(&mut self) -> Pump {
-        self.exec.pump()
-    }
-
-    /// True iff every member derived the key.
-    pub fn is_done(&self) -> bool {
-        self.exec.is_done()
-    }
-
-    /// Ops + traffic spent so far — the cost a scheduler charges for an
-    /// aborted (stalled) attempt.
-    pub fn partial_counts(&self) -> egka_energy::OpCounts {
-        self.exec.partial_counts()
-    }
-
-    /// Virtual milliseconds this run has spent on its radio clock (`None`
-    /// off-radio).
-    pub fn virtual_elapsed_ms(&self) -> Option<f64> {
-        self.exec.virtual_now_ms()
+        SsnRun {
+            exec,
+            creds: creds.to_vec(),
+        }
     }
 
     /// Like [`SsnRun::finish`], but also assembles a
-    /// [`crate::GroupSession`] over `params` so the run can seed service
+    /// [`crate::GroupSession`] over the run's parameters so it can seed service
     /// state. SSN has no §7 dynamics — a membership change re-runs the
-    /// whole protocol — but each member's BD share and GQ commitment are
-    /// genuinely held, so they are carried faithfully.
+    /// whole protocol — but each member's BD share, GQ commitment and GQ
+    /// credential are genuinely held, so they are carried faithfully.
     ///
     /// # Panics
     /// Panics if the run has not finished or keys diverged.
-    pub fn finish_session(self, params: &Params) -> (RunReport, crate::GroupSession) {
+    pub fn finish_session(self) -> (RunReport, crate::GroupSession) {
         assert!(self.exec.is_done(), "finish() before the run completed");
+        let params = (*self.exec.machine(0).state().params).clone();
         let members: Vec<crate::MemberState> = (0..self.exec.n())
             .map(|i| {
                 let state = self.exec.machine(i).state();
                 let share = state.share.as_ref().expect("round 1 done");
                 crate::MemberState {
                     id: state.id,
-                    gq_key: state.key.clone(),
                     r: share.r.clone(),
                     z: share.z.clone(),
                     tau: state.tau.clone(),
                     t: state.ts[state.idx].clone(),
-                    cred: None,
+                    cred: Some(Arc::clone(&self.creds[i])),
                 }
             })
             .collect();
         let report = self.finish();
         let session = crate::GroupSession {
-            params: params.clone(),
+            params,
             key: report.nodes[0].key.clone(),
             members,
         };
@@ -329,12 +307,17 @@ impl SsnRun {
     }
 }
 
+suite_run_over_exec!(SsnRun, 1, |run| {
+    let (report, session) = run.finish_session();
+    (report.nodes, session)
+});
+
 /// Runs the SSN protocol for `keys.len()` users.
 ///
 /// # Panics
 /// Panics on any failed implicit-authentication check (honest runs only).
 pub fn run(params: &Params, keys: &[GqSecretKey], seed: u64) -> RunReport {
-    let mut ssn = SsnRun::new(params, keys, seed, &Faults::none());
+    let mut ssn = SsnRun::new(params, &gq_creds(keys), seed, &Faults::none());
     loop {
         match ssn.pump() {
             Pump::Done => return ssn.finish(),

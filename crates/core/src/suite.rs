@@ -27,12 +27,13 @@
 //! closed-form hooks price, and what makes Table 5's 10–100× headline
 //! reproducible at the service layer.
 //!
-//! What a member carries survives the re-run. Its GQ key is extracted once
-//! and its baseline credential (SOK key, or ECDSA/DSA key pair and
-//! certificate) is issued once by the PKG's [`crate::params::Authority`];
-//! both travel with the member in its `MemberState` (a merge takes them
-//! from both sessions), so a step extracts and issues only for the ids
-//! that arrive with it.
+//! What a member carries survives the re-run. Its credential — the GQ ID
+//! key the proposed suite and SSN sign with, or a baseline's SOK key or
+//! ECDSA/DSA key pair and certificate — is issued once by the PKG
+//! ([`Pkg::credential`]) and travels with the member in its `MemberState`
+//! (a merge takes them from both sessions), so a step issues credentials
+//! only for the ids that arrive with it, and only of the scheme it signs
+//! with: a BD+ECDSA step extracts no GQ key.
 //!
 //! ```
 //! use egka_core::suite::{suite, SuiteId, StepCtx};
@@ -61,7 +62,6 @@ use egka_energy::complexity::{
     proposed_join, proposed_merge, proposed_partition, InitialProtocol, RoleCounts,
 };
 use egka_energy::{CompOp, OpCounts, Scheme};
-use egka_sig::GqSecretKey;
 
 use crate::authbd::{AuthBdRun, AuthKit};
 use crate::dynamics::{JoinRun, LeaveRun, MergeRun};
@@ -159,7 +159,8 @@ impl SuiteId {
 /// Per-step execution context a scheduler hands to a suite's run
 /// constructors.
 pub struct StepCtx<'a> {
-    /// The PKG that extracts the keys of members no session holds yet.
+    /// The PKG that issues the credentials of members no session holds
+    /// yet.
     pub pkg: &'a Pkg,
     /// The (retry-salted) step seed: all of the step's randomness derives
     /// from it via [`mix`].
@@ -218,6 +219,43 @@ pub trait SuiteRun: Send {
     fn finish(self: Box<Self>) -> SuiteOutcome;
 }
 
+/// Implements [`SuiteRun`] for a step run over one `exec`
+/// ([`crate::machine::Execution`]) field, with `gka_runs` full initial-GKA
+/// executions: the step's surface is its execution's, and `finish` maps
+/// the step to its `(reports, session)`.
+macro_rules! suite_run_over_exec {
+    ($run:ty, $gka_runs:expr, |$step:ident| $finish:block) => {
+        impl $crate::suite::SuiteRun for $run {
+            fn pump(&mut self) -> $crate::machine::Pump {
+                self.exec.pump()
+            }
+
+            fn is_done(&self) -> bool {
+                self.exec.is_done()
+            }
+
+            fn partial_counts(&self) -> egka_energy::OpCounts {
+                self.exec.partial_counts()
+            }
+
+            fn virtual_elapsed_ms(&self) -> f64 {
+                self.exec.virtual_now_ms().unwrap_or(0.0)
+            }
+
+            fn finish(self: Box<Self>) -> $crate::suite::SuiteOutcome {
+                let $step = *self;
+                let (reports, session) = $finish;
+                $crate::suite::SuiteOutcome {
+                    reports,
+                    session,
+                    gka_runs: $gka_runs,
+                }
+            }
+        }
+    };
+}
+pub(crate) use suite_run_over_exec;
+
 /// One GKA protocol behind a uniform, object-safe surface: run
 /// constructors for the initial agreement and every §7 dynamic, plus the
 /// closed-form group-total costs the planner prices them with.
@@ -238,7 +276,7 @@ pub trait Suite: Send + Sync {
 
     // ---- run constructors ----
 
-    /// The initial GKA over `members` (keys extracted from `ctx.pkg`).
+    /// The initial GKA over `members` (credentials issued by `ctx.pkg`).
     fn initial(&self, ctx: &StepCtx<'_>, params: &Params, members: &[UserId]) -> Box<dyn SuiteRun>;
 
     /// One newcomer joins `session`.
@@ -277,8 +315,8 @@ pub trait Suite: Send + Sync {
 
     /// Full re-run of the initial GKA over `members` (the planner's
     /// fallback step): [`Suite::initial`], except that every member of
-    /// `session` keeps the key it carries and only the others are
-    /// extracted.
+    /// `session` keeps the credential it carries for the suite's scheme
+    /// and only the others are issued one.
     fn full_rekey(
         &self,
         ctx: &StepCtx<'_>,
@@ -360,26 +398,13 @@ pub fn roles_total(roles: &[RoleCounts]) -> OpCounts {
     total
 }
 
-/// Each member's GQ key: the one a session in `sessions` already carries,
-/// else a fresh extraction. Extract is the PKG's one-off provisioning
-/// step, so a rekey extracts only the ids that join with it.
-fn session_keys(pkg: &Pkg, sessions: &[&GroupSession], members: &[UserId]) -> Vec<GqSecretKey> {
-    members
-        .iter()
-        .map(|&u| {
-            sessions
-                .iter()
-                .find_map(|s| s.position_of(u).map(|i| s.members[i].gq_key.clone()))
-                .unwrap_or_else(|| pkg.extract(u))
-        })
-        .collect()
-}
-
 /// Each member's `scheme` credential: the one a session in `sessions`
-/// already carries, else a fresh issue by the PKG's authority. Issuing is
-/// one-off setup, like Extract, so a baseline step issues credentials
-/// only for the ids that arrive with it (and for every id of a session
-/// decoded from a snapshot, which carries none).
+/// already carries, else a fresh issue by the PKG ([`Pkg::credential`]:
+/// Extract for GQ, the authority for the rest). Issuing is one-off setup,
+/// so a step issues credentials only for the ids that arrive with it (and
+/// for every id of a session that carries none of `scheme`: a baseline
+/// group switching to the proposed suite, or a baseline session decoded
+/// from a snapshot).
 fn session_creds(
     pkg: &Pkg,
     scheme: Scheme,
@@ -393,7 +418,7 @@ fn session_creds(
                 .iter()
                 .find_map(|s| s.position_of(u).and_then(|i| s.members[i].cred.clone()))
                 .filter(|c| c.scheme() == scheme)
-                .unwrap_or_else(|| Arc::new(pkg.authority().credential(scheme, u)))
+                .unwrap_or_else(|| Arc::new(pkg.credential(scheme, u)))
         })
         .collect()
 }
@@ -409,8 +434,8 @@ impl Suite for ProposedSuite {
     }
 
     fn initial(&self, ctx: &StepCtx<'_>, params: &Params, members: &[UserId]) -> Box<dyn SuiteRun> {
-        let keys = session_keys(ctx.pkg, &[], members);
-        Box::new(ProposedInitial(gka_run(ctx, params, &keys)))
+        let creds = session_creds(ctx.pkg, Scheme::Gq, &[], members);
+        Box::new(gka_run(ctx, params, &creds))
     }
 
     fn full_rekey(
@@ -419,8 +444,8 @@ impl Suite for ProposedSuite {
         session: &GroupSession,
         members: &[UserId],
     ) -> Box<dyn SuiteRun> {
-        let keys = session_keys(ctx.pkg, &[session], members);
-        Box::new(ProposedInitial(gka_run(ctx, &session.params, &keys)))
+        let creds = session_creds(ctx.pkg, Scheme::Gq, &[session], members);
+        Box::new(gka_run(ctx, &session.params, &creds))
     }
 
     fn join_one(
@@ -429,15 +454,15 @@ impl Suite for ProposedSuite {
         session: &GroupSession,
         newcomer: UserId,
     ) -> Box<dyn SuiteRun> {
-        let key = ctx.pkg.extract(newcomer);
-        Box::new(ProposedJoin(JoinRun::new(
+        let creds = session_creds(ctx.pkg, Scheme::Gq, &[], &[newcomer]);
+        Box::new(JoinRun::new(
             session,
             newcomer,
-            &key,
+            &creds[0],
             ctx.seed,
             ctx.composable_joins,
             &ctx.faults(),
-        )))
+        ))
     }
 
     fn partition(
@@ -454,12 +479,7 @@ impl Suite for ProposedSuite {
                     .expect("planner only removes live members")
             })
             .collect();
-        Box::new(ProposedPartition(LeaveRun::new(
-            session,
-            &positions,
-            ctx.seed,
-            &ctx.faults(),
-        )))
+        Box::new(LeaveRun::new(session, &positions, ctx.seed, &ctx.faults()))
     }
 
     fn merge_newcomers(
@@ -468,12 +488,12 @@ impl Suite for ProposedSuite {
         session: &GroupSession,
         newcomers: &[UserId],
     ) -> Box<dyn SuiteRun> {
-        let keys = session_keys(ctx.pkg, &[], newcomers);
+        let creds = session_creds(ctx.pkg, Scheme::Gq, &[], newcomers);
         // The merge half's seed (and its loss/radio salt) derives from the
         // step seed, so a retried attempt re-rolls both halves.
         let merge_seed = mix(ctx.seed, 0x6d);
         Box::new(ProposedMergeNewcomers {
-            gka: Some(gka_run(ctx, &session.params, &keys)),
+            gka: Some(gka_run(ctx, &session.params, &creds)),
             merge: None,
             base: session.clone(),
             merge_seed,
@@ -490,12 +510,7 @@ impl Suite for ProposedSuite {
         host: &GroupSession,
         other: &GroupSession,
     ) -> Box<dyn SuiteRun> {
-        Box::new(ProposedMerge(MergeRun::new(
-            host,
-            other,
-            ctx.seed,
-            &ctx.faults(),
-        )))
+        Box::new(MergeRun::new(host, other, ctx.seed, &ctx.faults()))
     }
 
     fn join_total(&self, n: u64, composable: bool) -> OpCounts {
@@ -535,126 +550,10 @@ impl Suite for ProposedSuite {
     }
 }
 
-/// The proposed initial GKA over the holders of `keys`, on the step's seed
-/// and primary medium.
-fn gka_run(ctx: &StepCtx<'_>, params: &Params, keys: &[GqSecretKey]) -> GkaRun {
-    GkaRun::new(params, keys, ctx.seed, RunConfig::default(), &ctx.faults())
-}
-
-struct ProposedInitial(GkaRun);
-
-impl SuiteRun for ProposedInitial {
-    fn pump(&mut self) -> Pump {
-        self.0.pump()
-    }
-
-    fn is_done(&self) -> bool {
-        self.0.is_done()
-    }
-
-    fn partial_counts(&self) -> OpCounts {
-        self.0.partial_counts()
-    }
-
-    fn virtual_elapsed_ms(&self) -> f64 {
-        self.0.virtual_elapsed_ms().unwrap_or(0.0)
-    }
-
-    fn finish(self: Box<Self>) -> SuiteOutcome {
-        let (report, session) = self.0.finish();
-        SuiteOutcome {
-            reports: report.nodes,
-            session,
-            gka_runs: 1,
-        }
-    }
-}
-
-struct ProposedJoin(JoinRun);
-
-impl SuiteRun for ProposedJoin {
-    fn pump(&mut self) -> Pump {
-        self.0.pump()
-    }
-
-    fn is_done(&self) -> bool {
-        self.0.is_done()
-    }
-
-    fn partial_counts(&self) -> OpCounts {
-        self.0.partial_counts()
-    }
-
-    fn virtual_elapsed_ms(&self) -> f64 {
-        self.0.virtual_elapsed_ms().unwrap_or(0.0)
-    }
-
-    fn finish(self: Box<Self>) -> SuiteOutcome {
-        let out = self.0.finish();
-        SuiteOutcome {
-            reports: out.reports,
-            session: out.session,
-            gka_runs: 0,
-        }
-    }
-}
-
-struct ProposedPartition(LeaveRun);
-
-impl SuiteRun for ProposedPartition {
-    fn pump(&mut self) -> Pump {
-        self.0.pump()
-    }
-
-    fn is_done(&self) -> bool {
-        self.0.is_done()
-    }
-
-    fn partial_counts(&self) -> OpCounts {
-        self.0.partial_counts()
-    }
-
-    fn virtual_elapsed_ms(&self) -> f64 {
-        self.0.virtual_elapsed_ms().unwrap_or(0.0)
-    }
-
-    fn finish(self: Box<Self>) -> SuiteOutcome {
-        let out = self.0.finish();
-        SuiteOutcome {
-            reports: out.reports,
-            session: out.session,
-            gka_runs: 0,
-        }
-    }
-}
-
-struct ProposedMerge(MergeRun);
-
-impl SuiteRun for ProposedMerge {
-    fn pump(&mut self) -> Pump {
-        self.0.pump()
-    }
-
-    fn is_done(&self) -> bool {
-        self.0.is_done()
-    }
-
-    fn partial_counts(&self) -> OpCounts {
-        self.0.partial_counts()
-    }
-
-    fn virtual_elapsed_ms(&self) -> f64 {
-        self.0.virtual_elapsed_ms().unwrap_or(0.0)
-    }
-
-    fn finish(self: Box<Self>) -> SuiteOutcome {
-        let out = self.0.finish();
-        SuiteOutcome {
-            reports: out.reports,
-            session: out.session,
-            gka_runs: 0,
-        }
-    }
+/// The proposed initial GKA over the holders of `creds`, on the step's
+/// seed and primary medium.
+fn gka_run(ctx: &StepCtx<'_>, params: &Params, creds: &[Arc<Credential>]) -> GkaRun {
+    GkaRun::new(params, creds, ctx.seed, RunConfig::default(), &ctx.faults())
 }
 
 /// The batched join: the newcomers' own initial GKA, then one Merge of the
@@ -678,7 +577,7 @@ impl SuiteRun for ProposedMergeNewcomers {
             return match gka.pump() {
                 Pump::Done => {
                     let gka = self.gka.take().expect("checked above");
-                    self.carried_virtual_ms += gka.virtual_elapsed_ms().unwrap_or(0.0);
+                    self.carried_virtual_ms += gka.virtual_elapsed_ms();
                     let (report, newcomer_session) = gka.finish();
                     for node in &report.nodes {
                         self.carried.merge(&node.counts);
@@ -718,7 +617,7 @@ impl SuiteRun for ProposedMergeNewcomers {
             (None, Some(merge)) => merge.virtual_elapsed_ms(),
             (None, None) => unreachable!("one half is always active"),
         };
-        self.carried_virtual_ms + active.unwrap_or(0.0)
+        self.carried_virtual_ms + active
     }
 
     fn finish(mut self: Box<Self>) -> SuiteOutcome {
@@ -741,21 +640,21 @@ impl SuiteRun for ProposedMergeNewcomers {
 struct BaselineSuite(SuiteId);
 
 impl BaselineSuite {
-    /// The scheme the suite's members sign with; `None` for SSN, which
-    /// signs with the GQ keys.
-    fn scheme(&self) -> Option<Scheme> {
+    /// The scheme the suite's members sign with (SSN signs with the GQ
+    /// keys).
+    fn scheme(&self) -> Scheme {
         match self.0 {
-            SuiteId::BdSok => Some(Scheme::Sok),
-            SuiteId::BdEcdsa => Some(Scheme::Ecdsa),
-            SuiteId::BdDsa => Some(Scheme::Dsa),
-            SuiteId::Ssn => None,
+            SuiteId::BdSok => Scheme::Sok,
+            SuiteId::BdEcdsa => Scheme::Ecdsa,
+            SuiteId::BdDsa => Scheme::Dsa,
+            SuiteId::Ssn => Scheme::Gq,
             SuiteId::Proposed => unreachable!("the proposed suite is not a baseline"),
         }
     }
 
     /// The full protocol run over `members` — the baseline realization of
-    /// every step. Members of `sessions` keep the GQ keys and credentials
-    /// they carry; only the others are extracted and issued.
+    /// every step. Members of `sessions` keep the credentials they carry;
+    /// only the others are issued one.
     fn rerun(
         &self,
         ctx: &StepCtx<'_>,
@@ -765,20 +664,16 @@ impl BaselineSuite {
     ) -> Box<dyn SuiteRun> {
         assert!(members.len() >= 2, "a group needs at least two members");
         let faults = ctx.faults();
-        let gq_keys = session_keys(ctx.pkg, sessions, members);
-        let inner = match self.scheme() {
-            Some(scheme) => {
-                let creds = session_creds(ctx.pkg, scheme, sessions, members);
-                let kit = AuthKit::issued(ctx.pkg.authority(), scheme, members, &creds);
-                let run = AuthBdRun::new(&params.bd, &kit, ctx.seed, &faults, |_, _| false);
-                BaselineInner::AuthBd(run, creds)
-            }
-            None => BaselineInner::Ssn(SsnRun::new(params, &gq_keys, ctx.seed, &faults)),
-        };
-        Box::new(BaselineRun {
-            inner,
+        let scheme = self.scheme();
+        let creds = session_creds(ctx.pkg, scheme, sessions, members);
+        if scheme == Scheme::Gq {
+            return Box::new(SsnRun::new(params, &creds, ctx.seed, &faults));
+        }
+        let kit = AuthKit::issued(ctx.pkg.authority(), scheme, members, &creds);
+        Box::new(AuthBdStep {
+            run: AuthBdRun::new(&params.bd, &kit, ctx.seed, &faults, |_, _| false),
             params: params.clone(),
-            gq_keys,
+            creds,
         })
     }
 }
@@ -849,55 +744,34 @@ impl Suite for BaselineSuite {
     }
 }
 
-enum BaselineInner {
-    /// The run and the credentials (ring order) its members sign with.
-    AuthBd(AuthBdRun, Vec<Arc<Credential>>),
-    Ssn(SsnRun),
-}
-
-struct BaselineRun {
-    inner: BaselineInner,
+/// An authenticated-BD baseline step: the run, the parameters its session
+/// is assembled over, and the credentials (ring order) its members sign
+/// with and carry on.
+struct AuthBdStep {
+    run: AuthBdRun,
     params: Params,
-    gq_keys: Vec<GqSecretKey>,
+    creds: Vec<Arc<Credential>>,
 }
 
-impl SuiteRun for BaselineRun {
+impl SuiteRun for AuthBdStep {
     fn pump(&mut self) -> Pump {
-        match &mut self.inner {
-            BaselineInner::AuthBd(run, _) => run.pump(),
-            BaselineInner::Ssn(run) => run.pump(),
-        }
+        self.run.pump()
     }
 
     fn is_done(&self) -> bool {
-        match &self.inner {
-            BaselineInner::AuthBd(run, _) => run.is_done(),
-            BaselineInner::Ssn(run) => run.is_done(),
-        }
+        self.run.is_done()
     }
 
     fn partial_counts(&self) -> OpCounts {
-        match &self.inner {
-            BaselineInner::AuthBd(run, _) => run.partial_counts(),
-            BaselineInner::Ssn(run) => run.partial_counts(),
-        }
+        self.run.partial_counts()
     }
 
     fn virtual_elapsed_ms(&self) -> f64 {
-        match &self.inner {
-            BaselineInner::AuthBd(run, _) => run.virtual_elapsed_ms(),
-            BaselineInner::Ssn(run) => run.virtual_elapsed_ms(),
-        }
-        .unwrap_or(0.0)
+        self.run.virtual_elapsed_ms().unwrap_or(0.0)
     }
 
     fn finish(self: Box<Self>) -> SuiteOutcome {
-        let (report, session) = match self.inner {
-            BaselineInner::AuthBd(run, creds) => {
-                run.finish_session(&self.params, &self.gq_keys, &creds)
-            }
-            BaselineInner::Ssn(run) => run.finish_session(&self.params),
-        };
+        let (report, session) = self.run.finish_session(&self.params, &self.creds);
         SuiteOutcome {
             reports: report.nodes,
             session,
@@ -995,75 +869,132 @@ mod tests {
         }
     }
 
-    /// Marks every key `session` carries (`s_id` + 1), so a key that was
-    /// extracted again would show.
-    fn marked(mut session: GroupSession) -> GroupSession {
-        for m in &mut session.members {
-            m.gq_key.s_id = m.gq_key.s_id.add_ref(&egka_bigint::Ubig::one());
-        }
-        session
-    }
-
-    /// The key `session` carries for `id`.
-    fn carried(session: &GroupSession, id: UserId) -> &GqSecretKey {
-        &session.members[session.position_of(id).expect("a member")].gq_key
+    /// [`Pkg::extract`] calls on this thread while `f` runs.
+    fn extractions<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let count = || crate::params::EXTRACTIONS.with(std::cell::Cell::get);
+        let before = count();
+        let out = f();
+        (out, count() - before)
     }
 
     #[test]
     fn steps_reuse_carried_keys_and_extract_only_newcomers() {
         let pkg = pkg();
         let faults_for = |_s: u64| Faults::none();
-        // BD+ECDSA carries GQ keys without signing with them, so marked
-        // keys still agree.
-        let s = suite(SuiteId::BdEcdsa);
-        let agreed = |ids: [u32; 3], seed: u64| {
-            let members = ids.map(UserId);
-            let mut run = s.initial(&ctx(pkg, &faults_for, seed), pkg.params(), &members);
+        let finish = |mut run: Box<dyn SuiteRun>| {
             run_to_done(run.as_mut());
-            marked(run.finish().session)
+            run.finish().session
         };
-        let (host, other) = (agreed([1, 2, 3], 0x51), agreed([20, 21, 22], 0x52));
+        for id in [SuiteId::Proposed, SuiteId::Ssn] {
+            let s = suite(id);
+            let agreed = |ids: [u32; 3], seed: u64| {
+                let members = ids.map(UserId);
+                let (session, n) = extractions(|| {
+                    finish(s.initial(&ctx(pkg, &faults_for, seed), pkg.params(), &members))
+                });
+                assert_eq!(n, 3, "{}: an initial GKA extracts every key", id.key());
+                session
+            };
+            let (host, other) = (agreed([1, 2, 3], 0x51), agreed([20, 21, 22], 0x52));
 
-        let ids = [UserId(2), UserId(21), UserId(99)];
-        let keys = session_keys(pkg, &[&host, &other], &ids);
-        assert_eq!(&keys[0], carried(&host, UserId(2)));
-        assert_eq!(&keys[1], carried(&other, UserId(21)));
-        assert_eq!(keys[2], pkg.extract(UserId(99)), "a newcomer is extracted");
-        assert_ne!(keys[0], pkg.extract(UserId(2)));
+            let ids = [UserId(2), UserId(21), UserId(99)];
+            let (creds, n) = extractions(|| session_creds(pkg, Scheme::Gq, &[&host, &other], &ids));
+            assert_eq!(n, 1, "only the newcomer is extracted");
+            assert!(Arc::ptr_eq(&creds[0], cred_of(&host, UserId(2))));
+            assert!(Arc::ptr_eq(&creds[1], cred_of(&other, UserId(21))));
+            assert_eq!(creds[2].as_gq(), Some(&pkg.extract(UserId(99))));
 
-        let mut merge = s.merge_groups(&ctx(pkg, &faults_for, 0x53), &host, &other);
-        run_to_done(merge.as_mut());
-        let merged = merge.finish().session;
-        assert_eq!(merged.n(), 6);
-        for m in &merged.members {
-            let from = if host.contains(m.id) { &host } else { &other };
-            assert_eq!(&m.gq_key, carried(from, m.id), "{:?}", m.id);
+            let (merged, n) =
+                extractions(|| finish(s.merge_groups(&ctx(pkg, &faults_for, 0x53), &host, &other)));
+            assert_eq!((merged.n(), n), (6, 0), "{}", id.key());
+            for m in &merged.members {
+                let from = if host.contains(m.id) { &host } else { &other };
+                assert_eq!(m.gq(), from.members[from.position_of(m.id).unwrap()].gq());
+            }
+
+            let members = [UserId(3), UserId(1), UserId(99)];
+            let (rekeyed, n) =
+                extractions(|| finish(s.full_rekey(&ctx(pkg, &faults_for, 0x54), &host, &members)));
+            assert_eq!(n, 1, "{}: one arrival, one extraction", id.key());
+            assert_eq!(rekeyed.member_ids(), members);
+            assert!(Arc::ptr_eq(
+                cred_of(&rekeyed, UserId(3)),
+                cred_of(&host, UserId(3))
+            ));
+            assert!(Arc::ptr_eq(
+                cred_of(&rekeyed, UserId(1)),
+                cred_of(&host, UserId(1))
+            ));
+            assert_eq!(rekeyed.members[2].gq(), &pkg.extract(UserId(99)));
         }
+    }
 
-        let members = [UserId(3), UserId(1), UserId(99)];
-        let mut rekey = s.full_rekey(&ctx(pkg, &faults_for, 0x54), &host, &members);
-        run_to_done(rekey.as_mut());
-        let rekeyed = rekey.finish().session;
-        assert_eq!(rekeyed.member_ids(), members);
-        assert_eq!(&rekeyed.members[0].gq_key, carried(&host, UserId(3)));
-        assert_eq!(&rekeyed.members[1].gq_key, carried(&host, UserId(1)));
-        assert_eq!(rekeyed.members[2].gq_key, pkg.extract(UserId(99)));
+    #[test]
+    fn baseline_steps_extract_no_gq_key() {
+        let pkg = pkg();
+        let faults_for = |_s: u64| Faults::none();
+        let s = suite(SuiteId::BdEcdsa);
+        let finish = |mut run: Box<dyn SuiteRun>| {
+            run_to_done(run.as_mut());
+            run.finish().session
+        };
+        let c = |seed| ctx(pkg, &faults_for, seed);
+        let ids = |r: std::ops::Range<u32>| r.map(UserId).collect::<Vec<_>>();
+        let (host, n) = extractions(|| finish(s.initial(&c(0x71), pkg.params(), &ids(0..4))));
+        assert_eq!(n, 0, "initial");
+        let (other, _) = extractions(|| finish(s.initial(&c(0x72), pkg.params(), &ids(10..13))));
+        let (joined, n) = extractions(|| finish(s.join_one(&c(0x73), &host, UserId(50))));
+        assert_eq!((joined.n(), n), (5, 0), "join_one");
+        let (parted, n) = extractions(|| finish(s.partition(&c(0x74), &joined, &[UserId(1)])));
+        assert_eq!((parted.n(), n), (4, 0), "partition");
+        let (merged, n) = extractions(|| finish(s.merge_groups(&c(0x75), &parted, &other)));
+        assert_eq!((merged.n(), n), (7, 0), "merge_groups");
+        assert!(merged
+            .members
+            .iter()
+            .all(|m| m.cred.as_ref().is_some_and(|c| c.scheme() == Scheme::Ecdsa)));
+    }
+
+    #[test]
+    fn a_round_trip_through_a_baseline_gets_the_first_gq_key_back() {
+        let pkg = pkg();
+        let faults_for = |_s: u64| Faults::none();
+        let finish = |mut run: Box<dyn SuiteRun>| {
+            run_to_done(run.as_mut());
+            run.finish().session
+        };
+        let members: Vec<UserId> = [4u32, 8, 15].map(UserId).to_vec();
+        let c = |seed| ctx(pkg, &faults_for, seed);
+        let first = finish(suite(SuiteId::Proposed).initial(&c(0x81), pkg.params(), &members));
+        let ecdsa = finish(suite(SuiteId::BdEcdsa).full_rekey(&c(0x82), &first, &members));
+        assert!(ecdsa
+            .members
+            .iter()
+            .all(|m| m.cred.as_ref().unwrap().as_gq().is_none()));
+        let (back, n) =
+            extractions(|| finish(suite(SuiteId::Proposed).full_rekey(&c(0x83), &ecdsa, &members)));
+        assert_eq!(n, 3, "the baseline carried no GQ key");
+        for (a, b) in first.members.iter().zip(&back.members) {
+            assert_eq!(a.gq(), b.gq(), "{:?}", a.id);
+            assert_eq!(
+                b.gq().h_inv(&pkg.params().gq),
+                a.gq().h_inv(&pkg.params().gq)
+            );
+        }
     }
 
     /// The credential `session` carries for `id`.
     fn cred_of(session: &GroupSession, id: UserId) -> &Arc<Credential> {
         let m = &session.members[session.position_of(id).expect("a member")];
-        m.cred
-            .as_ref()
-            .expect("a baseline member carries a credential")
+        m.cred.as_ref().expect("a member carries a credential")
     }
 
     /// A credential's certificate and secret key, as bytes.
     fn cert_and_key(c: &Credential) -> (Vec<u8>, Vec<u8>) {
         match c {
-            Credential::Ecdsa { key, cert, .. } => (cert.encode(), key.d.to_bytes_be()),
-            Credential::Dsa { key, cert } => (cert.encode(), key.x.to_bytes_be()),
-            Credential::Sok(_) => unreachable!("certificate schemes only"),
+            Credential::Ecdsa(c) => (c.cert.encode(), c.key.d.to_bytes_be()),
+            Credential::Dsa(c) => (c.cert.encode(), c.key.x.to_bytes_be()),
+            Credential::Sok(_) | Credential::Gq(_) => unreachable!("certificate schemes only"),
         }
     }
 

@@ -202,9 +202,11 @@ proptest! {
         let (rb, _) = proposed::run(params, &keys_b, seed ^ 1, RunConfig::default());
 
         use egka_core::machine::Faults;
-        use egka_core::proposed::GkaRun;
-        let mut a = GkaRun::new(params, &keys_a, seed, RunConfig::default(), &Faults::none());
-        let mut b = GkaRun::new(params, &keys_b, seed ^ 1, RunConfig::default(), &Faults::none());
+        use egka_core::proposed::{gq_creds, GkaRun};
+        use egka_core::SuiteRun;
+        let (creds_a, creds_b) = (gq_creds(&keys_a), gq_creds(&keys_b));
+        let mut a = GkaRun::new(params, &creds_a, seed, RunConfig::default(), &Faults::none());
+        let mut b = GkaRun::new(params, &creds_b, seed ^ 1, RunConfig::default(), &Faults::none());
         // Deliberately lopsided round-robin: b gets two quanta per sweep.
         while !(a.is_done() && b.is_done()) {
             a.pump();

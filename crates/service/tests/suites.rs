@@ -374,7 +374,7 @@ fn suite_closed_forms_price_the_instrumented_service_runs() {
 /// The certificate and secret key of an ECDSA credential, as bytes.
 fn ecdsa_bytes(c: &Credential) -> (Vec<u8>, Vec<u8>) {
     match c {
-        Credential::Ecdsa { key, cert, .. } => (cert.encode(), key.d.to_bytes_be()),
+        Credential::Ecdsa(c) => (c.cert.encode(), c.key.d.to_bytes_be()),
         other => panic!(
             "a BD+ECDSA member carries a {:?} credential",
             other.scheme()

@@ -21,17 +21,18 @@
 //! protocol's "Sign Ver" row in Table 1 a constant 1.
 //!
 //! Both checks recover a commitment as one two-base exponentiation,
-//! `s^e · (H(ID)⁻¹)^c` ([`egka_bigint::mod_pow2`]), over identity inverses
-//! `H(ID)⁻¹ mod n` held in a bounded cache: members' ids recur on every
-//! rekey, and one inversion mod `n` costs about as much as the
-//! exponentiation itself. The cache holds public values only.
+//! `s^e · (H(ID)⁻¹)^c` ([`egka_bigint::mod_pow2`]), over the signer's
+//! public `H(ID)⁻¹ mod n`. An inversion mod `n` costs about as much as the
+//! exponentiation itself, so each [`GqSecretKey`] carries its own
+//! inverse: [`GqPkg::extract`] computes it from the `H(ID)` it already
+//! holds, and the protocols hand verifiers the inverses their peers' keys
+//! carry. [`GqParams::verify`] takes only an identity and inverts afresh.
 //!
 //! Security parameters follow the paper: 512-bit prime factors (1024-bit
 //! `n`), 160-bit challenges, and a prime `e` one bit longer than the
 //! challenge (classic GQ requires `e > 2^l` for soundness).
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use egka_bigint::{
     gcd, gen_prime, mod_inverse, mod_mul, mod_pow, mod_pow2, mod_product, mod_sub, random_unit,
@@ -42,20 +43,6 @@ use rand::Rng;
 
 /// Domain-separation tag for identity hashing.
 const ID_TAG: &[u8] = b"egka.gq.id.v1";
-
-/// Bound on identities whose inverse is cached per modulus (flush-on-full).
-const ID_INVERSE_CAP: usize = 1024;
-
-/// Bound on moduli with an identity cache (flush-on-full).
-const MODULI_CAP: usize = 8;
-
-/// `H(ID)⁻¹ mod n`, first by modulus limbs, then by identity.
-type IdInverses = HashMap<Vec<u64>, HashMap<Vec<u8>, Ubig>>;
-
-fn id_inverse_cache() -> &'static Mutex<IdInverses> {
-    static CACHE: OnceLock<Mutex<IdInverses>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
 
 /// Public parameters of a GQ instance: `(n, e)` plus the hash conventions.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,14 +64,46 @@ pub struct GqMasterKey {
     pub d: Ubig,
 }
 
-/// A user's extracted ID key `S_ID = H(ID)^d mod n`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A user's extracted ID key `S_ID = H(ID)^d mod n`, with the public
+/// `H(ID)⁻¹ mod n` its signatures verify under.
+#[derive(Clone, Debug)]
 pub struct GqSecretKey {
     /// The identity the key was extracted for.
     pub id: Vec<u8>,
     /// `H(ID)^d mod n`.
     pub s_id: Ubig,
+    /// `H(ID)⁻¹ mod n`: set by [`GqPkg::extract`], or on first use for a
+    /// key rebuilt by [`GqSecretKey::new`]. Clones share it.
+    h_inv: Arc<OnceLock<Ubig>>,
 }
+
+impl GqSecretKey {
+    /// A key rebuilt from its identity and `S_ID` (decoded state). Its
+    /// `H(ID)⁻¹` is computed on first use.
+    pub fn new(id: Vec<u8>, s_id: Ubig) -> Self {
+        GqSecretKey {
+            id,
+            s_id,
+            h_inv: Arc::default(),
+        }
+    }
+
+    /// `H(ID)⁻¹ mod n` for the key's identity under `params` — the public
+    /// value a peer verifies this key's signatures with.
+    pub fn h_inv(&self, params: &GqParams) -> &Ubig {
+        self.h_inv.get_or_init(|| params.h_inv(&self.id))
+    }
+}
+
+/// Keys are equal when their identity and `S_ID` are: the inverse is a
+/// function of the identity.
+impl PartialEq for GqSecretKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id && self.s_id == other.s_id
+    }
+}
+
+impl Eq for GqSecretKey {}
 
 /// A GQ signature `σ = (s, c)`.
 ///
@@ -182,16 +201,19 @@ impl GqPkg {
     /// reduced modulo that factor minus one, then Garner's recombination
     /// `s = s_q + q·((s_p − s_q)·q⁻¹ mod p)`. Two half-size exponentiations
     /// cost about a quarter of one `mod_pow(H(ID), d, n)`, with the same
-    /// result.
+    /// result. The key also gets `H(ID)⁻¹`, one inversion of the `H(ID)`
+    /// at hand.
     pub fn extract(&self, id: &[u8]) -> GqSecretKey {
         let h = self.params.hash_id(id);
         let GqMasterKey { p, q, .. } = &self.master;
         let s_p = mod_pow(&h, &self.crt.dp, p);
         let s_q = mod_pow(&h, &self.crt.dq, q);
         let t = mod_mul(&mod_sub(&s_p, &s_q, p), &self.crt.q_inv, p);
+        let h_inv = mod_inverse(&h, &self.params.n).expect("H(ID) is a unit mod n");
         GqSecretKey {
             id: id.to_vec(),
             s_id: s_q.add_ref(&q.mul_ref(&t)),
+            h_inv: Arc::new(OnceLock::from(h_inv)),
         }
     }
 
@@ -221,49 +243,33 @@ impl GqParams {
         GqSignature { s, c }
     }
 
+    /// `H(ID)⁻¹ mod n`, computed afresh (a key carries its own; see
+    /// [`GqSecretKey::h_inv`]).
+    pub fn h_inv(&self, id: &[u8]) -> Ubig {
+        mod_inverse(&self.hash_id(id), &self.n).expect("H(ID) is a unit mod n")
+    }
+
     /// Verifies `σ = (s, c)` on `msg` for identity `id` (paper's Verify):
     /// recomputes `t' = s^e · H(ID)^{−c}` and checks `c == H(t', msg)`.
+    /// Inverts `H(ID)` on every call; a verifier holding the signer's
+    /// inverse calls [`GqParams::verify_with_inverse`].
     pub fn verify(&self, id: &[u8], msg: &[u8], sig: &GqSignature) -> bool {
+        self.verify_with_inverse(&self.h_inv(id), msg, sig)
+    }
+
+    /// [`GqParams::verify`] under the signer's `h_inv = H(ID)⁻¹ mod n`.
+    pub fn verify_with_inverse(&self, h_inv: &Ubig, msg: &[u8], sig: &GqSignature) -> bool {
         if sig.s.is_zero() || sig.s >= self.n {
             return false;
         }
-        match self.recover_commitment(id, &sig.s, &sig.c) {
-            Some(t) => self.challenge(&t, msg) == sig.c,
-            None => false,
-        }
+        self.challenge(&self.recover_commitment(h_inv, &sig.s, &sig.c), msg) == sig.c
     }
 
     /// The commitment `t = s^e · H(ID)^{−c} mod n` that a response `s` to
-    /// challenge `c` by identity `id` answers — one two-base exponentiation
-    /// over the cached `H(ID)⁻¹`. Returns `None` if `H(ID)` is not
-    /// invertible (cannot happen for honest hashes).
-    pub fn recover_commitment(&self, id: &[u8], s: &Ubig, c: &Ubig) -> Option<Ubig> {
-        let h_inv = self.id_inverse(id)?;
-        Some(mod_pow2(s, &self.e, &h_inv, c, &self.n))
-    }
-
-    /// `H(ID)⁻¹ mod n`, from a bounded cache shared by every instance with
-    /// this modulus.
-    fn id_inverse(&self, id: &[u8]) -> Option<Ubig> {
-        let cached = id_inverse_cache()
-            .lock()
-            .unwrap()
-            .get(self.n.limbs())
-            .and_then(|ids| ids.get(id).cloned());
-        if cached.is_some() {
-            return cached;
-        }
-        let h_inv = mod_inverse(&self.hash_id(id), &self.n)?;
-        let mut cache = id_inverse_cache().lock().unwrap();
-        if cache.len() >= MODULI_CAP && !cache.contains_key(self.n.limbs()) {
-            cache.clear();
-        }
-        let ids = cache.entry(self.n.limbs().to_vec()).or_default();
-        if ids.len() >= ID_INVERSE_CAP {
-            ids.clear();
-        }
-        ids.insert(id.to_vec(), h_inv.clone());
-        Some(h_inv)
+    /// challenge `c` by the signer with `h_inv = H(ID)⁻¹` answers — one
+    /// two-base exponentiation.
+    pub fn recover_commitment(&self, h_inv: &Ubig, s: &Ubig, c: &Ubig) -> Ubig {
+        mod_pow2(s, &self.e, h_inv, c, &self.n)
     }
 
     // ----- split API used by the GKA protocol -----
@@ -295,35 +301,29 @@ impl GqParams {
     }
 
     /// The paper's batch verification (eq. (2)): checks
-    /// `c == H((∏ s_i)^e · (∏ H(U_i))^{−c}, bind)`.
+    /// `c == H((∏ s_i)^e · (∏ H(U_i))^{−c}, bind)`, given each signer's
+    /// `H(U_i)⁻¹` in `h_invs`.
     ///
     /// Costs two modular exponentiations regardless of the number of
     /// signers — this is the row that makes the proposed scheme's Table 1
     /// column constant. Here they run as one two-base exponentiation, and
-    /// the identity product's inverse is a product of cached inverses.
+    /// `(∏ H(U_i))⁻¹` is the product of the signers' inverses.
     pub fn aggregate_verify(
         &self,
-        ids: &[&[u8]],
+        h_invs: &[Ubig],
         responses: &[Ubig],
         c: &Ubig,
         bind: &[u8],
     ) -> bool {
-        if ids.is_empty() || ids.len() != responses.len() {
+        if h_invs.is_empty() || h_invs.len() != responses.len() {
             return false;
         }
         if responses.iter().any(|s| s.is_zero() || s >= &self.n) {
             return false;
         }
         let s_prod = mod_product(responses, &self.n);
-        // (∏ h_i)⁻¹ = ∏ h_i⁻¹, so the cached inverses give the same t.
-        let mut h_inv = MulChain::new(&self.n);
-        for id in ids {
-            match self.id_inverse(id) {
-                Some(inv) => h_inv.mul(&inv),
-                None => return false,
-            }
-        }
-        let t = mod_pow2(&s_prod, &self.e, &h_inv.value(), c, &self.n);
+        let h_inv = mod_product(h_invs, &self.n);
+        let t = mod_pow2(&s_prod, &self.e, &h_inv, c, &self.n);
         &self.shared_challenge(&t, bind) == c
     }
 }
@@ -440,8 +440,8 @@ mod tests {
             .zip(&taus)
             .map(|(k, tau)| pkg.params.respond(k, tau, &c))
             .collect();
-        let id_refs: Vec<&[u8]> = ids.iter().map(|v| v.as_slice()).collect();
-        assert!(pkg.params.aggregate_verify(&id_refs, &responses, &c, bind));
+        let h_invs: Vec<Ubig> = keys.iter().map(|k| k.h_inv(&pkg.params).clone()).collect();
+        assert!(pkg.params.aggregate_verify(&h_invs, &responses, &c, bind));
     }
 
     #[test]
@@ -470,8 +470,8 @@ mod tests {
             .collect();
         // Corrupt user 2's response.
         responses[2] = mod_mul(&responses[2], &Ubig::from_u64(3), &pkg.params.n);
-        let id_refs: Vec<&[u8]> = ids.iter().map(|v| v.as_slice()).collect();
-        assert!(!pkg.params.aggregate_verify(&id_refs, &responses, &c, bind));
+        let h_invs: Vec<Ubig> = keys.iter().map(|k| k.h_inv(&pkg.params).clone()).collect();
+        assert!(!pkg.params.aggregate_verify(&h_invs, &responses, &c, bind));
     }
 
     #[test]
@@ -495,16 +495,20 @@ mod tests {
             .zip(&taus)
             .map(|(k, tau)| pkg.params.respond(k, tau, &c))
             .collect();
-        assert!(!pkg.params.aggregate_verify(&ids, &responses, &c, b"bind-2"));
+        let h_invs: Vec<Ubig> = keys.iter().map(|k| k.h_inv(&pkg.params).clone()).collect();
+        assert!(!pkg
+            .params
+            .aggregate_verify(&h_invs, &responses, &c, b"bind-2"));
     }
 
     #[test]
     fn aggregate_verify_rejects_shape_mismatch() {
         let pkg = pkg();
         assert!(!pkg.params.aggregate_verify(&[], &[], &Ubig::one(), b""));
+        let h_inv = pkg.params.h_inv(b"a");
         assert!(!pkg
             .params
-            .aggregate_verify(&[b"a".as_slice()], &[], &Ubig::one(), b""));
+            .aggregate_verify(&[h_inv], &[], &Ubig::one(), b""));
     }
 
     /// Security note made concrete (see DESIGN.md §security-notes): the
@@ -564,26 +568,16 @@ mod tests {
         let p = &pkg.params;
         for id in [b"alice".as_slice(), b"bob", b""] {
             let fresh = mod_inverse(&p.hash_id(id), &p.n).unwrap();
-            assert_eq!(p.id_inverse(id).unwrap(), fresh, "miss");
-            assert_eq!(p.id_inverse(id).unwrap(), fresh, "hit");
-        }
-    }
-
-    #[test]
-    fn cached_inverses_stay_correct_across_a_flush() {
-        let pkg = pkg();
-        let p = &pkg.params;
-        let ids: Vec<Vec<u8>> = (0..ID_INVERSE_CAP + 40)
-            .map(|i| format!("flush-{i}").into_bytes())
-            .collect();
-        for id in &ids {
-            p.id_inverse(id).unwrap();
-        }
-        let cached = id_inverse_cache().lock().unwrap()[p.n.limbs()].len();
-        assert!(cached <= ID_INVERSE_CAP, "{cached} entries");
-        for id in ids.iter().step_by(97).chain(ids.last()) {
-            let fresh = mod_inverse(&p.hash_id(id), &p.n).unwrap();
-            assert_eq!(p.id_inverse(id).unwrap(), fresh);
+            assert_eq!(p.h_inv(id), fresh);
+            let extracted = pkg.extract(id);
+            assert_eq!(extracted.h_inv.get(), Some(&fresh), "set by extract");
+            // A rebuilt key fills its inverse on first use, for every clone.
+            let rebuilt = GqSecretKey::new(id.to_vec(), extracted.s_id.clone());
+            let clone = rebuilt.clone();
+            assert!(clone.h_inv.get().is_none());
+            assert_eq!(rebuilt.h_inv(p), &fresh, "decoded");
+            assert_eq!(clone.h_inv.get(), Some(&fresh), "shared by clones");
+            assert_eq!(rebuilt, extracted);
         }
     }
 
@@ -592,15 +586,14 @@ mod tests {
         let a = pkg();
         let b = GqPkg::setup_with_e_bits(&mut ChaChaRng::seed_from_u64(0x4752), 128, 41);
         assert_ne!(a.params.n, b.params.n);
+        let key = a.extract(b"shared");
         for p in [&a.params, &b.params, &a.params] {
             let fresh = mod_inverse(&p.hash_id(b"shared"), &p.n).unwrap();
-            assert_eq!(p.id_inverse(b"shared").unwrap(), fresh);
-            let sig = p.sign(
-                &mut ChaChaRng::seed_from_u64(10),
-                &a.extract(b"shared"),
-                b"m",
-            );
+            assert_eq!(p.h_inv(b"shared"), fresh);
+            assert_eq!(key.h_inv(p) == &fresh, p == &a.params, "carried from a");
+            let sig = p.sign(&mut ChaChaRng::seed_from_u64(10), &key, b"m");
             assert_eq!(p.verify(b"shared", b"m", &sig), p == &a.params);
+            assert_eq!(p.verify_with_inverse(&fresh, b"m", &sig), p == &a.params);
         }
     }
 
@@ -610,19 +603,31 @@ mod tests {
         let p = &pkg.params;
         let mut rng = ChaChaRng::seed_from_u64(11);
         let ids = [b"w0".as_slice(), b"w1", b"w2"];
+        // Keys as decoded state rebuilds them: inverses filled on first use.
+        let keys: Vec<GqSecretKey> = ids
+            .iter()
+            .map(|id| GqSecretKey::new(id.to_vec(), pkg.extract(id).s_id))
+            .collect();
         let (taus, ts): (Vec<Ubig>, Vec<Ubig>) = ids.iter().map(|_| p.commit(&mut rng)).unzip();
         let c = p.shared_challenge(&p.aggregate_commitments(&ts), b"Z");
-        let mut responses: Vec<Ubig> = ids
+        let mut responses: Vec<Ubig> = keys
             .iter()
             .zip(&taus)
-            .map(|(id, tau)| p.respond(&pkg.extract(id), tau, &c))
+            .map(|(key, tau)| p.respond(key, tau, &c))
             .collect();
+        let h_invs: Vec<Ubig> = keys.iter().map(|k| k.h_inv(p).clone()).collect();
         assert!(
-            p.aggregate_verify(&ids, &responses, &c, b"Z"),
-            "warms the cache"
+            p.aggregate_verify(&h_invs, &responses, &c, b"Z"),
+            "fills the inverses"
         );
         responses[1] = mod_mul(&responses[1], &Ubig::from_u64(5), &p.n);
-        assert!(!p.aggregate_verify(&ids, &responses, &c, b"Z"));
+        let h_invs: Vec<Ubig> = keys.iter().map(|k| k.h_inv(p).clone()).collect();
+        assert!(!p.aggregate_verify(&h_invs, &responses, &c, b"Z"));
+        // Another signer's inverse in a slot rejects an honest group too.
+        responses[1] = p.respond(&keys[1], &taus[1], &c);
+        assert!(p.aggregate_verify(&h_invs, &responses, &c, b"Z"));
+        let swapped = [h_invs[0].clone(), h_invs[0].clone(), h_invs[2].clone()];
+        assert!(!p.aggregate_verify(&swapped, &responses, &c, b"Z"));
     }
 
     #[test]
@@ -631,11 +636,12 @@ mod tests {
         let p = &pkg.params;
         let (tau, t) = p.commit(&mut ChaChaRng::seed_from_u64(12));
         let c = p.shared_challenge(&t, b"bind");
-        let s = p.respond(&pkg.extract(b"carol"), &tau, &c);
+        let key = pkg.extract(b"carol");
+        let s = p.respond(&key, &tau, &c);
         let h_inv = mod_inverse(&p.hash_id(b"carol"), &p.n).unwrap();
         let two_powers = mod_mul(&mod_pow(&s, &p.e, &p.n), &mod_pow(&h_inv, &c, &p.n), &p.n);
-        assert_eq!(p.recover_commitment(b"carol", &s, &c), Some(two_powers));
-        assert_eq!(p.recover_commitment(b"carol", &s, &c), Some(t));
+        assert_eq!(p.recover_commitment(key.h_inv(p), &s, &c), two_powers);
+        assert_eq!(p.recover_commitment(&h_inv, &s, &c), t);
     }
 
     #[test]
@@ -648,8 +654,7 @@ mod tests {
         let (tau, t) = pkg.params.commit(&mut rng);
         let c = pkg.params.shared_challenge(&t, b"bind");
         let s = pkg.params.respond(&key, &tau, &c);
-        assert!(pkg
-            .params
-            .aggregate_verify(&[b"solo".as_slice()], &[s], &c, b"bind"));
+        let h_inv = key.h_inv(&pkg.params).clone();
+        assert!(pkg.params.aggregate_verify(&[h_inv], &[s], &c, b"bind"));
     }
 }

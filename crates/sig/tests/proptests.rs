@@ -81,12 +81,12 @@ proptest! {
             .zip(&taus)
             .map(|(k, tau)| pkg.params.respond(k, tau, &c))
             .collect();
-        let id_refs: Vec<&[u8]> = ids.iter().map(|v| v.as_slice()).collect();
-        prop_assert!(pkg.params.aggregate_verify(&id_refs, &responses, &c, b"bind"));
+        let h_invs: Vec<Ubig> = keys.iter().map(|k| k.h_inv(&pkg.params).clone()).collect();
+        prop_assert!(pkg.params.aggregate_verify(&h_invs, &responses, &c, b"bind"));
         // Corrupt one response by a random factor; must be detected.
         let v = victim % n;
         responses[v] = egka_bigint::mod_mul(&responses[v], &Ubig::from_u64(factor), &pkg.params.n);
-        prop_assert!(!pkg.params.aggregate_verify(&id_refs, &responses, &c, b"bind"));
+        prop_assert!(!pkg.params.aggregate_verify(&h_invs, &responses, &c, b"bind"));
     }
 
     #[test]

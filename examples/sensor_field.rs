@@ -18,7 +18,7 @@
 //! ```
 
 use egka::prelude::*;
-use egka_core::proposed::GkaRun;
+use egka_core::proposed::{gq_creds, GkaRun};
 use egka_energy::complexity::{bd_reexec, DynamicEvent};
 
 /// A pair of AA cells ≈ 2 × 1.5 V × 2500 mAh ≈ 27 kJ usable.
@@ -43,7 +43,13 @@ fn main() {
         }),
         ..Faults::default()
     };
-    let mut gka = GkaRun::new(pkg.params(), &keys[..n0], 1, RunConfig::default(), &faults);
+    let mut gka = GkaRun::new(
+        pkg.params(),
+        &gq_creds(&keys[..n0]),
+        1,
+        RunConfig::default(),
+        &faults,
+    );
     loop {
         match gka.pump() {
             Pump::Progressed => {}
@@ -51,7 +57,7 @@ fn main() {
             other => panic!("deployment GKA must complete, got {other:?}"),
         }
     }
-    let air_ms = gka.virtual_elapsed_ms().expect("radio clock");
+    let air_ms = gka.virtual_elapsed_ms();
     let (report, mut session) = gka.finish();
     let initial_mj = total_energy_mj(&cpu, &radio, &report.nodes[0].counts);
     // `extract_group` hands out identities U0..U15 in order.

@@ -86,7 +86,7 @@ pub mod prelude {
     pub use egka_bigint::{SchnorrGroup, Ubig};
     pub use egka_core::{
         authbd, dynamics, proposed, ssn, suite::suite, AuthKit, Fault, Faults, GroupSession,
-        Params, Pkg, Pump, RadioSpec, RunConfig, SecurityProfile, Suite, SuiteId, UserId,
+        Params, Pkg, Pump, RadioSpec, RunConfig, SecurityProfile, Suite, SuiteId, SuiteRun, UserId,
     };
     pub use egka_energy::{
         complexity::InitialProtocol, total_energy_mj, CompOp, CpuModel, Meter, OpCounts, Scheme,

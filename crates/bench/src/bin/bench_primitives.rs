@@ -526,7 +526,7 @@ fn bench_gq_verify(seed: u64, fp: &mut Fnv) -> Pair {
             )
         })
         .collect();
-    let plain = |key: &GqSecretKey, s: &Ubig| p.recover_commitment(&p.h_inv(&key.id), s, &c);
+    let plain = |key: &GqSecretKey, s: &Ubig| p.recover_commitment(&p.h_inv(key.id()), s, &c);
     for (key, t, s) in &values {
         assert_eq!(&plain(key, s), *t);
         assert_eq!(&p.recover_commitment(key.h_inv(p), s, &c), *t);

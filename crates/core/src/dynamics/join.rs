@@ -134,7 +134,7 @@ impl JoinRun {
         // U_1 and U_n check the announcement under H(U_{n+1})⁻¹: the one
         // the newcomer's key carries, unless the key is another identity's
         // and so proves nothing about U_{n+1}.
-        let expected = if nk.id == newcomer.to_bytes() {
+        let expected = if nk.id() == newcomer.to_bytes() {
             nk.h_inv(&params.gq).clone()
         } else {
             params.gq.h_inv(&newcomer.to_bytes())

@@ -130,7 +130,7 @@ impl GroupSession {
         w.put_u32(self.members.len() as u32);
         for m in &self.members {
             let (gq_id, s_id) = match m.cred.as_deref().and_then(Credential::as_gq) {
-                Some(key) => (key.id.as_slice(), &key.s_id),
+                Some(key) => (key.id(), &key.s_id),
                 None => (&[][..], &zero),
             };
             w.put_id(m.id)

@@ -496,7 +496,7 @@ mod tests {
                 let (x, y) = key.s_id.xy().expect("a finite ID key");
                 vec![key.id.clone(), x.to_bytes_be(), y.to_bytes_be()]
             }
-            Credential::Gq(key) => vec![key.id.clone(), key.s_id.to_bytes_be()],
+            Credential::Gq(key) => vec![key.id().to_vec(), key.s_id.to_bytes_be()],
         }
     }
 

@@ -451,7 +451,7 @@ pub(crate) fn gq_keys(creds: &[Arc<Credential>]) -> Vec<&GqSecretKey> {
 pub(crate) fn key_ring(keys: &[&GqSecretKey]) -> Vec<UserId> {
     keys.iter()
         .map(|k| {
-            let b: [u8; 4] = k.id.as_slice().try_into().expect("32-bit identities");
+            let b: [u8; 4] = k.id().try_into().expect("32-bit identities");
             UserId::from_bytes(b)
         })
         .collect()

@@ -33,7 +33,9 @@
 //! ([`Pkg::credential`]) and travels with the member in its `MemberState`
 //! (a merge takes them from both sessions), so a step issues credentials
 //! only for the ids that arrive with it, and only of the scheme it signs
-//! with: a BD+ECDSA step extracts no GQ key.
+//! with: a BD+ECDSA step extracts no GQ key. A proposed Merge that folds a
+//! baseline group in extracts its members' GQ keys, since any member of
+//! the merged ring may sign a later step.
 //!
 //! ```
 //! use egka_core::suite::{suite, SuiteId, StepCtx};
@@ -56,6 +58,7 @@
 //! }
 //! ```
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use egka_energy::complexity::{
@@ -65,7 +68,7 @@ use egka_energy::{CompOp, OpCounts, Scheme};
 
 use crate::authbd::{AuthBdRun, AuthKit};
 use crate::dynamics::{JoinRun, LeaveRun, MergeRun};
-use crate::group::GroupSession;
+use crate::group::{GroupSession, MemberState};
 use crate::ident::UserId;
 use crate::machine::{Faults, Pump};
 use crate::params::{Credential, Params, Pkg};
@@ -423,6 +426,21 @@ fn session_creds(
         .collect()
 }
 
+/// `session` with every member carrying a credential for `scheme`, by
+/// [`session_creds`]'s rule; borrowed when every member already does.
+fn carrying<'s>(pkg: &Pkg, scheme: Scheme, session: &'s GroupSession) -> Cow<'s, GroupSession> {
+    let carries = |m: &MemberState| m.cred.as_ref().is_some_and(|c| c.scheme() == scheme);
+    if session.members.iter().all(carries) {
+        return Cow::Borrowed(session);
+    }
+    let creds = session_creds(pkg, scheme, &[session], &session.member_ids());
+    let mut session = session.clone();
+    for (member, cred) in session.members.iter_mut().zip(creds) {
+        member.cred = Some(cred);
+    }
+    Cow::Owned(session)
+}
+
 // ===================== the proposed suite =====================
 
 /// The paper's proposal (§4 initial GKA + native §7 dynamics).
@@ -510,7 +528,11 @@ impl Suite for ProposedSuite {
         host: &GroupSession,
         other: &GroupSession,
     ) -> Box<dyn SuiteRun> {
-        Box::new(MergeRun::new(host, other, ctx.seed, &ctx.faults()))
+        // Either group may come from a baseline suite; every member of the
+        // merged ring may sign a later step, so all of them carry GQ keys.
+        let host = carrying(ctx.pkg, Scheme::Gq, host);
+        let other = carrying(ctx.pkg, Scheme::Gq, other);
+        Box::new(MergeRun::new(&host, &other, ctx.seed, &ctx.faults()))
     }
 
     fn join_total(&self, n: u64, composable: bool) -> OpCounts {
@@ -980,6 +1002,43 @@ mod tests {
                 b.gq().h_inv(&pkg.params().gq),
                 a.gq().h_inv(&pkg.params().gq)
             );
+        }
+    }
+
+    #[test]
+    fn a_proposed_merge_issues_gq_keys_to_members_of_a_baseline_group() {
+        let pkg = pkg();
+        let faults_for = |_s: u64| Faults::none();
+        let finish = |mut run: Box<dyn SuiteRun>| {
+            run_to_done(run.as_mut());
+            run.finish().session
+        };
+        let c = |seed| ctx(pkg, &faults_for, seed);
+        let ids = |r: std::ops::Range<u32>| r.map(UserId).collect::<Vec<_>>();
+        let proposed = suite(SuiteId::Proposed);
+        let host = finish(proposed.initial(&c(0x91), pkg.params(), &ids(0..4)));
+        let ecdsa = finish(suite(SuiteId::BdEcdsa).initial(&c(0x92), pkg.params(), &ids(10..13)));
+        // A baseline group as a snapshot restores it: no credentials.
+        let mut bare = ecdsa.clone();
+        for m in &mut bare.members {
+            m.cred = None;
+        }
+        for (other, what) in [(&ecdsa, "ECDSA credentials"), (&bare, "no credentials")] {
+            for (a, b) in [(&host, other), (other, &host)] {
+                let (merged, n) = extractions(|| finish(proposed.merge_groups(&c(0x93), a, b)));
+                assert_eq!((merged.n(), n), (7, 3), "{what}: only the baseline members");
+                for m in &merged.members {
+                    assert_eq!(m.gq(), &pkg.extract(m.id), "{what}: {:?}", m.id);
+                    if host.contains(m.id) {
+                        assert!(Arc::ptr_eq(cred_of(&merged, m.id), cred_of(&host, m.id)));
+                    }
+                }
+                // A former baseline member controls a later Leave.
+                let leavers = [merged.members[0].id, UserId(11)];
+                let parted = finish(proposed.partition(&c(0x94), &merged, &leavers));
+                assert_eq!(parted.n(), 5, "{what}");
+                assert!(parted.invariant_holds(), "{what}");
+            }
         }
     }
 

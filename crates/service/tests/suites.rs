@@ -445,3 +445,66 @@ fn a_bd_ecdsa_member_keeps_its_credential_through_rekey_merge_handoff_and_recove
         assert_eq!(carried(&recovered, 1, u), carried(&svc, 1, u), "{u:?}");
     }
 }
+
+/// Whether every member of group `gid` carries a GQ key.
+fn all_carry_gq(svc: &KeyService, gid: u64) -> bool {
+    let s = svc.session(gid).expect("a live group");
+    s.members
+        .iter()
+        .all(|m| m.cred.as_ref().is_some_and(|c| c.scheme() == Scheme::Gq))
+}
+
+#[test]
+fn proposed_merges_fold_bd_ecdsa_groups_live_and_after_recovery() {
+    let store = StoreConfig::new(Arc::new(MemStore::new())).snapshot_every(0);
+    let builder = || {
+        KeyService::builder()
+            .shards(2)
+            .seed(0x3e76)
+            .suite_policy(sensor_cheapest())
+            .store(store.clone())
+    };
+    let mut svc = builder().build(Arc::clone(pkg()));
+    // Two proposed groups and two BD+ECDSA pairs (the sensor radio's
+    // crossover lies between 3 and 10 members).
+    let founded = [
+        (1, 0..6, SuiteId::Proposed),
+        (2, 10..12, SuiteId::BdEcdsa),
+        (3, 20..22, SuiteId::BdEcdsa),
+        (4, 30..36, SuiteId::Proposed),
+    ];
+    for (gid, ids, suite) in founded {
+        svc.create_group(gid, &ids.map(UserId).collect::<Vec<_>>())
+            .unwrap();
+        assert_eq!(svc.suite_of(gid), Some(suite), "group {gid}");
+    }
+    svc.snapshot_now();
+    let (mut recovered, _) = builder().recover(Arc::clone(pkg())).unwrap();
+
+    for s in [&mut svc, &mut recovered] {
+        // A proposed host folds a BD+ECDSA target with its native Merge;
+        // a BD+ECDSA host's re-run migrates to proposed at the merged size
+        // and folds a proposed target.
+        s.submit(1, MembershipEvent::MergeWith(2)).unwrap();
+        s.submit(3, MembershipEvent::MergeWith(4)).unwrap();
+        s.tick();
+        for (gid, n) in [(1, 8), (3, 8)] {
+            assert_eq!(s.session(gid).unwrap().n(), n, "group {gid} merged");
+            assert_eq!(s.suite_of(gid), Some(SuiteId::Proposed));
+            assert!(all_carry_gq(s, gid), "group {gid}");
+        }
+        // Later native steps may have any member sign, the former BD+ECDSA
+        // members included.
+        for (gid, u) in [(1, 0), (1, 10), (3, 21), (3, 30)] {
+            s.submit(gid, MembershipEvent::Leave(UserId(u))).unwrap();
+        }
+        s.tick();
+        for gid in [1, 3] {
+            assert_eq!(s.session(gid).unwrap().n(), 6, "group {gid} left");
+            assert!(s.session(gid).unwrap().invariant_holds());
+        }
+    }
+    for gid in [1, 3] {
+        assert_eq!(recovered.group_key(gid), svc.group_key(gid), "group {gid}");
+    }
+}

@@ -66,10 +66,13 @@ pub struct GqMasterKey {
 
 /// A user's extracted ID key `S_ID = H(ID)^d mod n`, with the public
 /// `H(ID)⁻¹ mod n` its signatures verify under.
+///
+/// The carried inverse belongs to the key's identity under the modulus of
+/// the PKG that extracted it, so the identity is read-only.
 #[derive(Clone, Debug)]
 pub struct GqSecretKey {
     /// The identity the key was extracted for.
-    pub id: Vec<u8>,
+    id: Vec<u8>,
     /// `H(ID)^d mod n`.
     pub s_id: Ubig,
     /// `H(ID)⁻¹ mod n`: set by [`GqPkg::extract`], or on first use for a
@@ -88,10 +91,23 @@ impl GqSecretKey {
         }
     }
 
-    /// `H(ID)⁻¹ mod n` for the key's identity under `params` — the public
-    /// value a peer verifies this key's signatures with.
+    /// The identity the key was extracted for.
+    pub fn id(&self) -> &[u8] {
+        &self.id
+    }
+
+    /// `H(ID)⁻¹ mod n` for the key's identity — the public value a peer
+    /// verifies this key's signatures with. `params` must be those of the
+    /// PKG that extracted the key: a rebuilt key computes its inverse
+    /// under them on first use, and every later call returns that value
+    /// (checked against `params` in debug builds).
     pub fn h_inv(&self, params: &GqParams) -> &Ubig {
-        self.h_inv.get_or_init(|| params.h_inv(&self.id))
+        let inv = self.h_inv.get_or_init(|| params.h_inv(&self.id));
+        debug_assert!(
+            mod_mul(inv, &params.hash_id(&self.id), &params.n).is_one(),
+            "H(ID)^-1 carried under another PKG's modulus"
+        );
+        inv
     }
 }
 
@@ -587,14 +603,24 @@ mod tests {
         let b = GqPkg::setup_with_e_bits(&mut ChaChaRng::seed_from_u64(0x4752), 128, 41);
         assert_ne!(a.params.n, b.params.n);
         let key = a.extract(b"shared");
+        let carried = key.h_inv(&a.params).clone();
         for p in [&a.params, &b.params, &a.params] {
             let fresh = mod_inverse(&p.hash_id(b"shared"), &p.n).unwrap();
             assert_eq!(p.h_inv(b"shared"), fresh);
-            assert_eq!(key.h_inv(p) == &fresh, p == &a.params, "carried from a");
+            assert_eq!(carried == fresh, p == &a.params, "carried from a");
             let sig = p.sign(&mut ChaChaRng::seed_from_u64(10), &key, b"m");
             assert_eq!(p.verify(b"shared", b"m", &sig), p == &a.params);
             assert_eq!(p.verify_with_inverse(&fresh, b"m", &sig), p == &a.params);
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "another PKG's modulus")]
+    fn carried_inverse_is_checked_against_the_params_it_is_read_under() {
+        let a = pkg();
+        let b = GqPkg::setup_with_e_bits(&mut ChaChaRng::seed_from_u64(0x4752), 128, 41);
+        a.extract(b"shared").h_inv(&b.params);
     }
 
     #[test]

@@ -20,18 +20,19 @@
 //!   exponentiation ([`MontField::mul_chain`]).
 //! * **Fixed-base EC scalar mult** — generic wNAF `curve.mul(k, G)` vs the
 //!   comb-backed [`Curve::mul_gen`].
-//! * **Fixed-base modexp** — the kernel's windowed [`mod_pow`] vs
-//!   [`mod_pow_fixed`] (exponent-sized comb), on q-sized exponents under a
-//!   Schnorr modulus — the BD/DSA shape.
+//! * **Fixed-base modexp** — the windowed [`Modulus::pow`] on the group's
+//!   held modulus vs [`SchnorrGroup::g_pow`] (the generator's `q`-sized
+//!   comb), on q-sized exponents under a Schnorr modulus — the BD/DSA
+//!   shape.
 //! * **Fixed-argument pairing** — full Miller loop vs
 //!   [`PairingGroup::pairing_fixed`] over a cached [`egka_ec::MillerPrecomp`].
 //! * **1024-bit inverse** — the allocating extended Euclid
-//!   ([`ext_gcd_mod`]) vs [`mod_inverse`], Kaliski's almost inverse on 16
-//!   fixed limbs, on random values modulo a 1024-bit odd modulus.
+//!   ([`ext_gcd_mod`]) vs [`Modulus::inverse`], Kaliski's almost inverse
+//!   on 16 fixed limbs, on random values modulo a 1024-bit odd modulus.
 //! * **1024-bit product chain** — a fold of [`egka_bigint::mod_mul`] vs
-//!   [`mod_product`] (one [`egka_bigint::MulChain`] in Montgomery form), on
+//!   [`Modulus::product`] (one [`egka_bigint::MulChain`] in Montgomery form), on
 //!   the 16-factor products of BD's Lemma 1 and GQ's aggregation.
-//! * **GQ Extract** — `mod_pow(H(ID), d, n)` vs the CRT [`GqPkg::extract`]
+//! * **GQ Extract** — `H(ID)^d mod n` vs the CRT [`GqPkg::extract`]
 //!   on the paper's 1024-bit fixture modulus.
 //! * **ECDSA certificate verification** — [`Ecdsa::verify`] under the CA's
 //!   point (Straus over wNAF tables) vs [`CaPublic::verify`], which walks
@@ -62,8 +63,8 @@ use std::time::Instant;
 
 use egka_bench::{arg_value, has_flag};
 use egka_bigint::{
-    ext_gcd_mod, gen_schnorr_group, mod_inverse, mod_mul, mod_pow, mod_pow_fixed, mod_product,
-    random_below, random_bits, MontField, SchnorrGroup, Ubig,
+    ext_gcd_mod, gen_schnorr_group, mod_mul, random_below, random_bits, Modulus, MontField,
+    SchnorrGroup, Ubig,
 };
 use egka_ec::{secp160r1, Curve, PairingGroup, Point};
 use egka_hash::ChaChaRng;
@@ -206,20 +207,21 @@ fn bench_modmul(seed: u64, fp: &mut Fnv) -> Pair {
 
 /// A 1024-bit odd modulus and values below it: every one is inverted, and
 /// the values form 16-factor products.
-fn inverse_workload(seed: u64, fp: &mut Fnv) -> (Ubig, Vec<Ubig>) {
+fn inverse_workload(seed: u64, fp: &mut Fnv) -> (Modulus, Vec<Ubig>) {
     let mut rng = ChaChaRng::seed_from_u64(seed ^ 0x1a7);
     let mut m = random_bits(&mut rng, 1024);
     m.set_bit(0);
     let values: Vec<Ubig> = (0..64).map(|_| random_below(&mut rng, &m)).collect();
+    let m = Modulus::new(m).expect("odd");
     for a in &values {
         let (g, x) = ext_gcd_mod(a, &m);
-        let new = mod_inverse(a, &m);
+        let new = m.inverse(a);
         assert_eq!(new, g.is_one().then_some(x), "mod_inverse disagrees");
         fp.push(&new.map_or(vec![0], |x| x.to_bytes_be()));
     }
     for chunk in values.chunks(16) {
-        let new = mod_product(chunk, &m);
-        assert_eq!(new, fold_mod_mul(chunk, &m), "mod_product disagrees");
+        let new = m.product(chunk);
+        assert_eq!(new, fold_mod_mul(chunk, &m), "Modulus::product disagrees");
         fp.push(&new.to_bytes_be());
     }
     (m, values)
@@ -241,7 +243,7 @@ fn bench_inverse(seed: u64, fp: &mut Fnv) -> (Pair, Pair) {
         i += 1;
     });
     let new_ns = per_op_ns(128, || {
-        std::hint::black_box(mod_inverse(&values[i % values.len()], &m));
+        std::hint::black_box(m.inverse(&values[i % values.len()]));
         i += 1;
     });
     let inverse = Pair { old_ns, new_ns };
@@ -251,7 +253,7 @@ fn bench_inverse(seed: u64, fp: &mut Fnv) -> (Pair, Pair) {
         i += 1;
     }) / 16.0;
     let new_ns = per_op_ns(64, || {
-        std::hint::black_box(mod_product(chunks[i % chunks.len()], &m));
+        std::hint::black_box(m.product(chunks[i % chunks.len()]));
         i += 1;
     }) / 16.0;
     (inverse, Pair { old_ns, new_ns })
@@ -274,7 +276,7 @@ fn extract_workload(fp: &mut Fnv) -> (GqPkg, Vec<Vec<u8>>) {
 
 /// The pre-CRT Extract: one exponentiation by the full 1024-bit `d`.
 fn plain_extract(pkg: &GqPkg, id: &[u8]) -> Ubig {
-    mod_pow(&pkg.params.hash_id(id), &pkg.master().d, &pkg.params.n)
+    pkg.params.n.pow(&pkg.params.hash_id(id), &pkg.master().d)
 }
 
 fn bench_extract(fp: &mut Fnv) -> Pair {
@@ -333,12 +335,8 @@ fn modexp_workload(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> Vec<Ubig> {
     let mut rng = ChaChaRng::seed_from_u64(seed ^ 0x90d);
     let exps: Vec<Ubig> = (0..64).map(|_| random_below(&mut rng, &group.q)).collect();
     for e in &exps {
-        let new = mod_pow_fixed(&group.g, e, &group.p);
-        assert_eq!(
-            new,
-            mod_pow(&group.g, e, &group.p),
-            "mod_pow_fixed disagrees"
-        );
+        let new = group.g_pow(e);
+        assert_eq!(new, group.p.pow(&group.g, e), "g_pow disagrees");
         fp.push(&new.to_bytes_be());
     }
     exps
@@ -349,11 +347,11 @@ fn bench_modexp(seed: u64, group: &SchnorrGroup, fp: &mut Fnv) -> Pair {
     let mut i = 0usize;
     // The generic shape: a 4-bit window walk over the whole exponent.
     let old_ns = per_op_ns(128, || {
-        std::hint::black_box(mod_pow(&group.g, &exps[i % exps.len()], &group.p));
+        std::hint::black_box(group.p.pow(&group.g, &exps[i % exps.len()]));
         i += 1;
     });
     let new_ns = per_op_ns(128, || {
-        std::hint::black_box(mod_pow_fixed(&group.g, &exps[i % exps.len()], &group.p));
+        std::hint::black_box(group.g_pow(&exps[i % exps.len()]));
         i += 1;
     });
     Pair { old_ns, new_ns }

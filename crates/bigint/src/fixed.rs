@@ -1,64 +1,118 @@
-//! Fixed-base precomputation: shared Montgomery kernels and Lim–Lee
-//! comb tables for repeated exponentiation of the same base.
+//! Precomputation owned by long-lived parameters: a [`Modulus`] holds its
+//! Montgomery kernel, and `FixedBase` is a Lim–Lee comb for a base
+//! exponentiated again and again under one.
 //!
-//! Two observations drive this module. First, building a kernel
-//! ([`MontField::new`]) costs two full-width divisions (`R mod n`,
-//! `R² mod n`), and the protocols exponentiate under a handful of
-//! long-lived moduli (the BD prime `p`, the DSA prime, the GQ ring `n`)
-//! thousands of times — so kernels are interned in a bounded global cache
-//! (`mont_ctx`). Second, most of those exponentiations share one *base*
-//! too (the group generator `g`), which a Lim–Lee comb turns from
-//! `≈ bits` squarings + `bits/4` multiplies into `bits/TEETH` of each
-//! (`FixedBase`, [`mod_pow_fixed`]): a ≥4× saving at 1024-bit sizes on
-//! top of the shared kernel.
-//!
-//! Both caches are keyed by value (limb vectors), so distinct `Ubig`
-//! instances of the same modulus/base share entries; both are bounded
-//! and flush wholesale when full, which keeps transient moduli (e.g.
-//! Miller–Rabin candidates during group generation) from pinning memory.
+//! Building a kernel ([`MontField::new`]) costs two full-width divisions,
+//! and the protocols exponentiate under a handful of moduli fixed at Setup
+//! thousands of times, so the parameters hold each as a [`Modulus`], built
+//! once and shared by clones. Most of those exponentiations share one
+//! *base* too, the group generator `g`, which a comb turns from `≈ bits`
+//! squarings + `bits/4` multiplies into `bits/TEETH` of each (≥4× at
+//! 1024-bit sizes); [`crate::SchnorrGroup::g_pow`] walks it.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
-use crate::mont::{with_limbs, Fe, Kernel, Limbs, MontField};
+use crate::mont::{with_limbs, Fe, Kernel, Limbs, MontField, MulChain, MAX_LIMBS};
 use crate::ubig::Ubig;
 
 /// Comb teeth: exponent bits are split into this many interleaved rows.
 const TEETH: u32 = 8;
 
-/// Bound on cached kernels (flush-on-full).
-const CTX_CAP: usize = 64;
-
-/// Bound on cached fixed-base tables (flush-on-full).
-const FIXED_CAP: usize = 32;
-
-fn ctx_cache() -> &'static Mutex<HashMap<Vec<u64>, Arc<Kernel>>> {
-    static CACHE: OnceLock<Mutex<HashMap<Vec<u64>, Arc<Kernel>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-type FixedKey = (Vec<u64>, Vec<u64>, u32);
-
-fn fixed_cache() -> &'static Mutex<HashMap<FixedKey, Arc<FixedBase>>> {
-    static CACHE: OnceLock<Mutex<HashMap<FixedKey, Arc<FixedBase>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The interned kernel for modulus `m`, or `None` when `m` is even,
-/// `m <= 1`, or wider than 16 limbs (see [`Kernel::new`]).
+/// An odd modulus `m > 1` of at most 16 limbs together with its
+/// Montgomery kernel, built once.
 ///
-/// Kernels are built outside the cache lock, so two threads racing on a
-/// new modulus may both build one; the loser's build is discarded.
-pub(crate) fn mont_ctx(m: &Ubig) -> Option<Arc<Kernel>> {
-    if let Some(ctx) = ctx_cache().lock().unwrap().get(m.limbs()) {
-        return Some(Arc::clone(ctx));
+/// Cloning bumps an `Arc`, so a parameter set cloned per session shares
+/// one kernel. Equality and `Debug` go by value, and the handle derefs to
+/// its [`Ubig`] for read-only use.
+///
+/// ```
+/// use egka_bigint::{mod_pow, Modulus, Ubig};
+///
+/// let m = Modulus::new(Ubig::from_u64(1_000_003)).expect("odd and > 1");
+/// let (a, e) = (Ubig::from_u64(5), Ubig::from_u64(77));
+/// assert_eq!(m.pow(&a, &e), mod_pow(&a, &e, &m));
+/// assert!(Modulus::new(Ubig::from_u64(1024)).is_none());
+/// ```
+#[derive(Clone)]
+pub struct Modulus(Arc<(Ubig, Kernel)>);
+
+impl Modulus {
+    /// The handle for `m`, or `None` when `m` is even, `m <= 1`, or `m` is
+    /// wider than 16 limbs.
+    pub fn new(m: Ubig) -> Option<Self> {
+        if m.is_even() || m.is_one() {
+            return None;
+        }
+        let kernel = match m.limbs().len() {
+            0..=4 => Limbs::L4(MontField::new(&m)),
+            5..=8 => Limbs::L8(MontField::new(&m)),
+            9..=MAX_LIMBS => Limbs::L16(MontField::new(&m)),
+            _ => return None,
+        };
+        Some(Modulus(Arc::new((m, kernel))))
     }
-    let ctx = Arc::new(Kernel::new(m)?);
-    let mut cache = ctx_cache().lock().unwrap();
-    if cache.len() >= CTX_CAP {
-        cache.clear();
+
+    pub(crate) fn kernel(&self) -> &Kernel {
+        &self.0 .1
     }
-    Some(Arc::clone(cache.entry(m.limbs().to_vec()).or_insert(ctx)))
+
+    /// True when both handles share one kernel (one is a clone of the
+    /// other).
+    pub fn ptr_eq(a: &Modulus, b: &Modulus) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// `a^e mod m`.
+    pub fn pow(&self, a: &Ubig, e: &Ubig) -> Ubig {
+        with_limbs!(self.kernel(), f => f.to_ubig(&f.pow(&f.to_mont(a), e.limbs())))
+    }
+
+    /// `a^x · b^y mod m`: one two-base (Straus) exponentiation, so both
+    /// powers share their squarings.
+    pub fn pow2(&self, a: &Ubig, x: &Ubig, b: &Ubig, y: &Ubig) -> Ubig {
+        with_limbs!(self.kernel(), f => {
+            f.to_ubig(&f.pow2(&f.to_mont(a), x.limbs(), &f.to_mont(b), y.limbs()))
+        })
+    }
+
+    /// `a⁻¹ mod m`, or `None` when `gcd(a, m) ≠ 1`: Kaliski's almost
+    /// inverse on the kernel's limbs, with no division and no allocation.
+    pub fn inverse(&self, a: &Ubig) -> Option<Ubig> {
+        with_limbs!(self.kernel(), f => f.inv(&f.to_mont(a)).map(|x| f.to_ubig(&x)))
+    }
+
+    /// `∏ factors mod m` as one [`MulChain`] (1 for no factors).
+    pub fn product<'a>(&self, factors: impl IntoIterator<Item = &'a Ubig>) -> Ubig {
+        let mut chain = MulChain::new(self);
+        for x in factors {
+            chain.mul(x);
+        }
+        chain.value()
+    }
+}
+
+impl Deref for Modulus {
+    type Target = Ubig;
+
+    fn deref(&self) -> &Ubig {
+        &self.0 .0
+    }
+}
+
+impl PartialEq for Modulus {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Modulus {}
+
+impl fmt::Debug for Modulus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 /// A Lim–Lee fixed-base comb over one `(base, modulus)` pair at one kernel
@@ -133,62 +187,31 @@ impl<const N: usize> Comb<N> {
     }
 }
 
-/// A comb at whichever kernel width its modulus needs.
-pub(crate) type FixedBase = Limbs<Comb<4>, Comb<8>, Comb<16>>;
+/// A comb at whichever kernel width its modulus needs. Its `Debug` names
+/// it without printing the table.
+pub(crate) struct FixedBase(Limbs<Comb<4>, Comb<8>, Comb<16>>);
+
+impl fmt::Debug for FixedBase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("FixedBase")
+    }
+}
 
 impl FixedBase {
+    /// The comb of `base` under `m`, sized for `cap_bits`-bit exponents.
+    pub(crate) fn new(base: &Ubig, m: &Modulus, cap_bits: u32) -> Self {
+        FixedBase(match m.kernel() {
+            Limbs::L4(f) => Limbs::L4(Comb::new(base, f, cap_bits)),
+            Limbs::L8(f) => Limbs::L8(Comb::new(base, f, cap_bits)),
+            Limbs::L16(f) => Limbs::L16(Comb::new(base, f, cap_bits)),
+        })
+    }
+
     /// `base^e mod m` via the comb. Falls back to the windowed kernel
     /// exponentiation when `e` overflows the comb's `TEETH · cols` bit
-    /// capacity (exponents in this workspace are reduced below the
-    /// modulus, so the fallback never fires on protocol paths).
+    /// capacity.
     pub(crate) fn pow(&self, e: &Ubig) -> Ubig {
-        with_limbs!(self, comb => comb.pow(e))
-    }
-}
-
-/// The interned comb for `(base, m)` sized for `cap_bits`-bit exponents;
-/// builds (and caches) on first use. `None` when `m` has no kernel (see
-/// [`mont_ctx`]).
-pub(crate) fn fixed_base(base: &Ubig, m: &Ubig, cap_bits: u32) -> Option<Arc<FixedBase>> {
-    let cap_bits = cap_bits.max(1);
-    let key = (m.limbs().to_vec(), base.limbs().to_vec(), cap_bits);
-    if let Some(fb) = fixed_cache().lock().unwrap().get(&key) {
-        return Some(Arc::clone(fb));
-    }
-    let ctx = mont_ctx(m)?;
-    let fb = Arc::new(match &*ctx {
-        Limbs::L4(f) => Limbs::L4(Comb::new(base, f, cap_bits)),
-        Limbs::L8(f) => Limbs::L8(Comb::new(base, f, cap_bits)),
-        Limbs::L16(f) => Limbs::L16(Comb::new(base, f, cap_bits)),
-    });
-    let mut cache = fixed_cache().lock().unwrap();
-    if cache.len() >= FIXED_CAP {
-        cache.clear();
-    }
-    Some(Arc::clone(cache.entry(key).or_insert(fb)))
-}
-
-/// `base^e mod m` through the fixed-base comb cache — a drop-in for
-/// [`crate::mod_pow`] at call sites whose base recurs (generators).
-/// Moduli without a kernel (even, or wider than 16 limbs) fall back to
-/// the generic path.
-///
-/// The comb capacity is bucketed to the next multiple of 64 bits above
-/// `e.bit_length()`, so exponents of similar size (e.g. everything below
-/// a subgroup order `q`) share one table and short exponents never pay
-/// for a modulus-sized column walk.
-///
-/// # Panics
-/// Panics if `m` is zero or one.
-pub fn mod_pow_fixed(base: &Ubig, e: &Ubig, m: &Ubig) -> Ubig {
-    assert!(!m.is_zero() && !m.is_one(), "modulus must be > 1");
-    if e.is_zero() {
-        return Ubig::one();
-    }
-    let bucket = e.bit_length().div_ceil(64).max(1) * 64;
-    match fixed_base(base, m, bucket) {
-        Some(fb) => fb.pow(e),
-        None => crate::modular::mod_pow(base, e, m),
+        with_limbs!(&self.0, comb => comb.pow(e))
     }
 }
 
@@ -196,6 +219,8 @@ pub fn mod_pow_fixed(base: &Ubig, e: &Ubig, m: &Ubig) -> Ubig {
 mod tests {
     use super::*;
     use crate::modular::mod_pow;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     fn u(v: u64) -> Ubig {
         Ubig::from_u64(v)
@@ -203,11 +228,12 @@ mod tests {
 
     #[test]
     fn comb_matches_mod_pow_small() {
-        let m = u(1_000_003);
+        let m = Modulus::new(u(1_000_003)).unwrap();
         for base in [0u64, 1, 2, 123_456, 999_999] {
+            let comb = FixedBase::new(&u(base), &m, 20);
             for e in [0u64, 1, 2, 3, 788, 789, 1_000_002] {
                 assert_eq!(
-                    mod_pow_fixed(&u(base), &u(e), &m),
+                    comb.pow(&u(e)),
                     mod_pow(&u(base), &u(e), &m),
                     "base {base} e {e}"
                 );
@@ -220,59 +246,87 @@ mod tests {
         let m = Ubig::from_hex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
             .unwrap(); // odd
         let base = Ubig::from_hex("aabbccddeeff00112233445566778899").unwrap();
+        let comb = FixedBase::new(&base, &Modulus::new(m.clone()).unwrap(), m.bit_length());
         for e in [
             Ubig::from_u64(65_537),
             Ubig::from_hex("ffffffffffffffffffffffffffffffff").unwrap(),
             m.checked_sub(&Ubig::one()).unwrap(),
         ] {
-            assert_eq!(mod_pow_fixed(&base, &e, &m), mod_pow(&base, &e, &m));
+            assert_eq!(comb.pow(&e), mod_pow(&base, &e, &m));
         }
+    }
+
+    /// A small Schnorr group, whose generator's comb is sized to `q`.
+    fn group() -> crate::SchnorrGroup {
+        crate::gen_schnorr_group(&mut SmallRng::seed_from_u64(41), 256, 96)
     }
 
     #[test]
     fn oversized_exponent_falls_back() {
-        let m = u(9973);
-        let fb = fixed_base(&u(5), &m, 64).unwrap();
-        let cols = with_limbs!(&*fb, comb => comb.cols);
-        let e = Ubig::one().shl_bits(TEETH * cols + 3);
-        assert_eq!(fb.pow(&e), mod_pow(&u(5), &e, &m));
-    }
-
-    #[test]
-    fn even_modulus_falls_back() {
-        assert_eq!(mod_pow_fixed(&u(3), &u(5), &u(1024)), u(243));
+        // Exponents at and beyond 2^bits(q) overflow the q-sized comb.
+        let g = group();
+        let bits = g.q.bit_length();
+        for e in [
+            Ubig::one().shl_bits(bits),
+            Ubig::one().shl_bits(bits + 3).add_ref(&u(5)),
+            g.p.checked_sub(&Ubig::one()).unwrap(),
+        ] {
+            assert_eq!(g.g_pow(&e), mod_pow(&g.g, &e, &g.p), "e {e}");
+        }
     }
 
     #[test]
     fn contexts_are_shared() {
-        let m = u(1_000_003);
-        let a = mont_ctx(&m).unwrap();
-        let b = mont_ctx(&Ubig::from_u64(1_000_003)).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        // A clone shares its kernel; an equal modulus built apart does not.
+        let a = Modulus::new(u(1_000_003)).unwrap();
+        let b = a.clone();
+        let c = Modulus::new(u(1_000_003)).unwrap();
+        assert!(Modulus::ptr_eq(&a, &b));
+        assert_eq!(a, c);
+        assert!(!Modulus::ptr_eq(&a, &c));
+        let (x, e) = (u(5), u(77));
+        assert_eq!(b.pow(&x, &e), c.pow(&x, &e));
     }
 
     #[test]
     fn combs_are_shared_per_base() {
-        let m = u(1_000_003);
-        let a = fixed_base(&u(7), &m, 64).unwrap();
-        let b = fixed_base(&u(7), &m, 64).unwrap();
-        let c = fixed_base(&u(8), &m, 64).unwrap();
-        let d = fixed_base(&u(7), &m, 128).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert!(!Arc::ptr_eq(&a, &d));
+        // A group's clones share its kernels and its generator's comb; an
+        // equal group built apart builds its own.
+        let g = group();
+        let h = g.clone();
+        let rebuilt =
+            crate::SchnorrGroup::new(Ubig::clone(&g.p), Ubig::clone(&g.q), g.g.clone()).unwrap();
+        assert!(crate::SchnorrGroup::ptr_eq(&g, &h));
+        assert_eq!(rebuilt, g);
+        assert!(!crate::SchnorrGroup::ptr_eq(&rebuilt, &g));
+        let e = g.q.checked_sub(&u(2)).unwrap();
+        assert_eq!(h.g_pow(&e), rebuilt.g_pow(&e));
+    }
+
+    #[test]
+    fn even_modulus_falls_back() {
+        // An even modulus (like 0 and 1) has no kernel, so no handle; the
+        // free function takes its plain square-and-multiply path.
+        for m in [0, 1, 1024] {
+            assert!(Modulus::new(u(m)).is_none(), "m = {m}");
+        }
+        assert_eq!(mod_pow(&u(3), &u(5), &u(1024)), u(243));
     }
 
     #[test]
     fn short_exponent_bucket_matches_long() {
-        // The same (base, m) queried with a 60-bit then a 160-bit exponent
-        // uses two differently-sized combs; both must agree with mod_pow.
-        let m = Ubig::from_hex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
-            .unwrap();
-        let base = u(2);
-        let short = Ubig::from_hex("fedcba987654321").unwrap();
-        let long = Ubig::from_hex("ffeeddccbbaa99887766554433221100aabbccdd").unwrap();
-        assert_eq!(mod_pow_fixed(&base, &short, &m), mod_pow(&base, &short, &m));
-        assert_eq!(mod_pow_fixed(&base, &long, &m), mod_pow(&base, &long, &m));
+        // The one q-sized comb serves every exponent below 2^bits(q),
+        // however short.
+        let g = group();
+        let q_minus_1 = g.q.checked_sub(&Ubig::one()).unwrap();
+        for e in [
+            Ubig::zero(),
+            Ubig::one(),
+            u(0xfedc_ba98),
+            Ubig::from_hex("fedcba987654321").unwrap(),
+            q_minus_1,
+        ] {
+            assert_eq!(g.g_pow(&e), mod_pow(&g.g, &e, &g.p), "e {e}");
+        }
     }
 }

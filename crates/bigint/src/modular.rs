@@ -1,10 +1,11 @@
-//! Modular arithmetic on [`Ubig`]: add/sub/mul/pow mod m, products, gcd,
-//! inverse, Jacobi symbol.
+//! Modular arithmetic on [`Ubig`]: add/sub/mul/pow mod m, gcd, inverse,
+//! Jacobi symbol.
 
 use core::cmp::Ordering;
 
+use crate::fixed::Modulus;
 use crate::limbs;
-use crate::mont::{MulChain, MAX_LIMBS};
+use crate::mont::MAX_LIMBS;
 use crate::ubig::Ubig;
 
 /// `(a + b) mod m`. Operands need not be reduced.
@@ -28,24 +29,14 @@ pub fn mod_mul(a: &Ubig, b: &Ubig, m: &Ubig) -> Ubig {
     a.mul_ref(b).rem_ref(m)
 }
 
-/// `∏ factors mod m` as one [`MulChain`] (1 for no factors).
-///
-/// # Panics
-/// Panics if `m` is zero or one.
-pub fn mod_product<'a>(factors: impl IntoIterator<Item = &'a Ubig>, m: &Ubig) -> Ubig {
-    let mut chain = MulChain::new(m);
-    for x in factors {
-        chain.mul(x);
-    }
-    chain.value()
-}
-
 /// `a^e mod m`.
 ///
 /// Runs on the fixed-limb Montgomery kernel ([`crate::mont`]) for every
-/// odd modulus of up to 16 limbs, reusing interned kernels, and falls
-/// back to binary square-and-multiply with explicit reductions for even
-/// or wider moduli.
+/// odd modulus of up to 16 limbs, and falls back to binary
+/// square-and-multiply with explicit reductions for even or wider moduli.
+/// The kernel is built for this one call; a caller exponentiating under
+/// the same modulus again holds a [`crate::Modulus`] and calls
+/// [`crate::Modulus::pow`].
 ///
 /// # Panics
 /// Panics if `m` is zero or one.
@@ -54,8 +45,8 @@ pub fn mod_pow(a: &Ubig, e: &Ubig, m: &Ubig) -> Ubig {
     if e.is_zero() {
         return Ubig::one();
     }
-    if let Some(ctx) = crate::fixed::mont_ctx(m) {
-        return ctx.pow(a, e);
+    if let Some(m) = Modulus::new(m.clone()) {
+        return m.pow(a, e);
     }
     let base = a.rem_ref(m);
     let mut acc = Ubig::one();
@@ -66,20 +57,6 @@ pub fn mod_pow(a: &Ubig, e: &Ubig, m: &Ubig) -> Ubig {
         }
     }
     acc
-}
-
-/// `a^x · b^y mod m` — one two-base (Straus) exponentiation, so both
-/// powers share their squarings. Moduli without a kernel multiply two
-/// [`mod_pow`]s.
-///
-/// # Panics
-/// Panics if `m` is zero or one.
-pub fn mod_pow2(a: &Ubig, x: &Ubig, b: &Ubig, y: &Ubig, m: &Ubig) -> Ubig {
-    assert!(!m.is_zero() && !m.is_one(), "modulus must be > 1");
-    match crate::fixed::mont_ctx(m) {
-        Some(ctx) => ctx.pow2(a, x, b, y),
-        None => mod_mul(&mod_pow(a, x, m), &mod_pow(b, y, m), m),
-    }
 }
 
 /// Greatest common divisor (binary GCD).
@@ -247,11 +224,12 @@ pub fn ext_gcd_mod(a: &Ubig, m: &Ubig) -> (Ubig, Ubig) {
 /// Modular inverse: `a^-1 mod m`, or `None` when `gcd(a, m) != 1`.
 ///
 /// Every odd modulus of up to 16 limbs runs Kaliski's almost inverse on
-/// its interned kernel's 4, 8 or 16 limbs, with no division and no
-/// allocation; even or wider moduli fall back to [`ext_gcd_mod`].
+/// a kernel's 4, 8 or 16 limbs, built for this one call (a caller holding
+/// a [`crate::Modulus`] calls [`crate::Modulus::inverse`]); even or wider
+/// moduli fall back to [`ext_gcd_mod`].
 pub fn mod_inverse(a: &Ubig, m: &Ubig) -> Option<Ubig> {
-    if let Some(ctx) = crate::fixed::mont_ctx(m) {
-        return ctx.inverse(a);
+    if let Some(m) = Modulus::new(m.clone()) {
+        return m.inverse(a);
     }
     let (g, x) = ext_gcd_mod(a, m);
     g.is_one().then_some(x)
@@ -432,7 +410,7 @@ mod tests {
             m[0] |= 1;
             m[limbs - 1] = m[limbs - 1].max(1);
             let m = Ubig::from_limbs(m);
-            prop_assert!(crate::fixed::mont_ctx(&m).is_some());
+            prop_assert!(crate::Modulus::new(m.clone()).is_some());
             let a = Ubig::from_limbs(a_raw);
             let inv = mod_inverse(&a, &m);
             prop_assert_eq!(&inv, &inverse_ref(&a, &m));
@@ -474,7 +452,7 @@ mod tests {
         moduli.push(Ubig::one().shl_bits(1024).checked_sub(&u(3)).unwrap());
         let wide = Ubig::one().shl_bits(1100).add_ref(&u(7));
         for m in &moduli {
-            let kernel = crate::fixed::mont_ctx(m).is_some();
+            let kernel = crate::Modulus::new(m.clone()).is_some();
             assert_eq!(kernel, m.is_odd() && m.limbs().len() <= 16, "m = {m}");
             let m_minus_1 = m.checked_sub(&Ubig::one()).unwrap();
             for a in [
@@ -501,7 +479,7 @@ mod tests {
         // Non-units of a kernel modulus with known factors 3 and k.
         let k = odd_bits(1000, 9);
         let m = k.mul_ref(&u(3));
-        assert!(crate::fixed::mont_ctx(&m).is_some());
+        assert!(crate::Modulus::new(m.clone()).is_some());
         for a in [u(3), u(6), k.clone(), k.shl_bits(1), k.mul_ref(&u(3))] {
             assert_eq!(mod_inverse(&a, &m), None, "a = {a}");
         }

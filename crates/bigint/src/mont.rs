@@ -18,8 +18,7 @@
 //! (1024 bits), at the narrowest of 4, 8 or 16 limbs that holds it
 //! (`Limbs`); `egka-ec` picks its own 1–4 limb widths for curve fields.
 
-use std::sync::Arc;
-
+use crate::fixed::Modulus;
 use crate::ubig::Ubig;
 
 /// A field element in Montgomery form, reduced into `[0, m)`.
@@ -347,33 +346,30 @@ impl<const N: usize> MontField<N> {
     }
 }
 
-/// A product modulo `m` on the interned kernel, with no division and no
+/// A product modulo a [`Modulus`] on its kernel, with no division and no
 /// allocation per product.
 ///
 /// The chain holds `acc = value·Rᵉ mod m` and leaves the power `e` of the
 /// Montgomery radix `R` to the end: a Montgomery product `acc·x·R⁻¹` with
 /// a plain factor `x` costs one kernel multiply and lowers `e` by one, so
 /// no factor is converted in. [`MulChain::value`] divides the `Rᵉ` out
-/// once, with a few squarings of `R mod m`. Moduli without a kernel (even,
-/// or wider than 16 limbs) multiply with [`crate::mod_mul`].
+/// once, with a few squarings of `R mod m`.
 ///
 /// ```
-/// use egka_bigint::{MulChain, Ubig};
+/// use egka_bigint::{Modulus, MulChain, Ubig};
 ///
-/// let m = Ubig::from_u64(1_000_003);
+/// let m = Modulus::new(Ubig::from_u64(1_000_003)).expect("odd and > 1");
 /// let mut chain = MulChain::pow(&Ubig::from_u64(5), &Ubig::from_u64(3), &m);
 /// chain.mul(&Ubig::from_u64(7));
 /// assert_eq!(chain.value(), Ubig::from_u64(125 * 7));
 /// ```
 #[derive(Clone, Debug)]
-pub struct MulChain(Chain);
-
-#[derive(Clone, Debug)]
-enum Chain {
-    /// `acc = value·Rᵉ mod m`, reduced, in the kernel's low limbs; `e ≤ 1`.
-    Kernel(Arc<Kernel>, [u64; MAX_LIMBS], i64),
-    /// The plain product, then the modulus.
-    Plain(Ubig, Ubig),
+pub struct MulChain {
+    m: Modulus,
+    /// `acc = value·Rᵉ mod m`, reduced, in the kernel's low limbs.
+    acc: [u64; MAX_LIMBS],
+    /// The power `e ≤ 1` of `R` in `acc`.
+    e: i64,
 }
 
 fn widen<const N: usize>(a: [u64; N]) -> [u64; MAX_LIMBS] {
@@ -425,59 +421,43 @@ impl<const N: usize> MontField<N> {
 
 impl MulChain {
     /// The chain holding 1, modulo `m`.
-    ///
-    /// # Panics
-    /// Panics if `m` is zero or one.
-    pub fn new(m: &Ubig) -> Self {
-        assert!(!m.is_zero() && !m.is_one(), "modulus must be > 1");
-        MulChain(match crate::fixed::mont_ctx(m) {
-            Some(k) => Chain::Kernel(k, widen([1]), 0),
-            None => Chain::Plain(Ubig::one(), m.clone()),
-        })
+    pub fn new(m: &Modulus) -> Self {
+        MulChain {
+            m: m.clone(),
+            acc: widen([1]),
+            e: 0,
+        }
     }
 
     /// The chain holding `base^e mod m`.
-    ///
-    /// # Panics
-    /// Panics if `m` is zero or one.
-    pub fn pow(base: &Ubig, e: &Ubig, m: &Ubig) -> Self {
-        MulChain(match crate::fixed::mont_ctx(m) {
-            Some(k) => {
-                let acc = with_limbs!(&*k, f => widen(f.pow(&f.to_mont(base), e.limbs()).0));
-                Chain::Kernel(k, acc, 1)
-            }
-            None => Chain::Plain(crate::mod_pow(base, e, m), m.clone()),
-        })
+    pub fn pow(base: &Ubig, e: &Ubig, m: &Modulus) -> Self {
+        let acc = with_limbs!(m.kernel(), f => widen(f.pow(&f.to_mont(base), e.limbs()).0));
+        MulChain {
+            m: m.clone(),
+            acc,
+            e: 1,
+        }
     }
 
     /// `self · x`.
     pub fn mul(&mut self, x: &Ubig) {
-        match &mut self.0 {
-            Chain::Kernel(k, acc, e) => {
-                *acc = with_limbs!(&**k, f => widen(f.mul_plain(&narrow(acc), x)));
-                *e -= 1;
-            }
-            Chain::Plain(acc, m) => *acc = crate::mod_mul(acc, x, m),
-        }
+        self.acc = with_limbs!(self.m.kernel(), f => widen(f.mul_plain(&narrow(&self.acc), x)));
+        self.e -= 1;
     }
 
     /// `self · other`, for a chain under the same modulus.
     pub fn mul_chain(&mut self, other: &MulChain) {
-        match (&mut self.0, &other.0) {
-            (Chain::Kernel(k, acc, e), Chain::Kernel(_, b, eb)) => {
-                *acc = with_limbs!(&**k, f => widen(f.redc_mul(&narrow(acc), &narrow(b))));
-                *e += eb - 1;
-            }
-            _ => self.mul(&other.value()),
-        }
+        let b = &other.acc;
+        self.acc =
+            with_limbs!(self.m.kernel(), f => widen(f.redc_mul(&narrow(&self.acc), &narrow(b))));
+        self.e += other.e - 1;
     }
 
     /// The product as a plain integer in `[0, m)`.
     pub fn value(&self) -> Ubig {
-        match &self.0 {
-            Chain::Kernel(_, acc, 0) => Ubig::from_limbs(acc.to_vec()),
-            Chain::Kernel(k, acc, e) => with_limbs!(&**k, f => f.unscale(&narrow(acc), *e)),
-            Chain::Plain(acc, _) => acc.clone(),
+        match self.e {
+            0 => Ubig::from_limbs(self.acc.to_vec()),
+            e => with_limbs!(self.m.kernel(), f => f.unscale(&narrow(&self.acc), e)),
         }
     }
 }
@@ -509,39 +489,6 @@ pub(crate) use with_limbs;
 
 /// The kernel at the narrowest width that holds its modulus.
 pub(crate) type Kernel = Limbs<MontField<4>, MontField<8>, MontField<16>>;
-
-impl Kernel {
-    /// The kernel for `m`, or `None` when `m` is even, `m <= 1`, or `m` is
-    /// wider than [`MAX_LIMBS`] limbs.
-    pub(crate) fn new(m: &Ubig) -> Option<Self> {
-        if m.is_even() || m.is_one() {
-            return None;
-        }
-        Some(match m.limbs().len() {
-            0..=4 => Limbs::L4(MontField::new(m)),
-            5..=8 => Limbs::L8(MontField::new(m)),
-            9..=MAX_LIMBS => Limbs::L16(MontField::new(m)),
-            _ => return None,
-        })
-    }
-
-    /// `a^e mod m`.
-    pub(crate) fn pow(&self, a: &Ubig, e: &Ubig) -> Ubig {
-        with_limbs!(self, f => f.to_ubig(&f.pow(&f.to_mont(a), e.limbs())))
-    }
-
-    /// `a^x · b^y mod m`.
-    pub(crate) fn pow2(&self, a: &Ubig, x: &Ubig, b: &Ubig, y: &Ubig) -> Ubig {
-        with_limbs!(self, f => {
-            f.to_ubig(&f.pow2(&f.to_mont(a), x.limbs(), &f.to_mont(b), y.limbs()))
-        })
-    }
-
-    /// `a⁻¹ mod m`, or `None` when `a` is not a unit.
-    pub(crate) fn inverse(&self, a: &Ubig) -> Option<Ubig> {
-        with_limbs!(self, f => f.inv(&f.to_mont(a)).map(|x| f.to_ubig(&x)))
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -747,7 +694,7 @@ mod tests {
     fn mod_pow_on_even_and_over_wide_moduli() {
         let even = odd_modulus(1024, 10).add_ref(&Ubig::one());
         let wide = odd_modulus(1088, 11); // 17 limbs: the fallback path
-        assert!(Kernel::new(&even).is_none() && Kernel::new(&wide).is_none());
+        assert!(Modulus::new(even.clone()).is_none() && Modulus::new(wide.clone()).is_none());
         let a = odd_modulus(900, 12);
         for m in [&even, &wide] {
             for e in [Ubig::zero(), Ubig::one(), u(65537), odd_modulus(160, 13)] {
@@ -759,6 +706,7 @@ mod tests {
     #[test]
     fn straus_matches_two_powers() {
         let m = odd_modulus(1024, 14);
+        let modulus = Modulus::new(m.clone()).unwrap();
         let (a, b) = (odd_modulus(1000, 15), odd_modulus(700, 16));
         let long = odd_modulus(161, 17);
         let short = odd_modulus(20, 18);
@@ -771,28 +719,25 @@ mod tests {
             (&zero, &zero),
         ] {
             let expect = mod_mul(&pow_ref(&a, x, &m), &pow_ref(&b, y, &m), &m);
-            assert_eq!(crate::mod_pow2(&a, x, &b, y, &m), expect, "x {x} y {y}");
+            assert_eq!(modulus.pow2(&a, x, &b, y), expect, "x {x} y {y}");
         }
     }
 
     #[test]
     fn mul_chain_matches_mod_mul_folds() {
-        let even = odd_modulus(1024, 19).add_ref(&Ubig::one());
-        let wide = odd_modulus(1088, 20);
         for m in [
             odd_modulus(61, 21),
             odd_modulus(256, 22),
             odd_modulus(1024, 23),
-            even,
-            wide,
         ] {
             // Factors below m, above it, and wider than any kernel.
             let xs: Vec<Ubig> = (0..24u64)
                 .map(|i| odd_modulus([40, 1000, 1100][i as usize % 3], 100 + i))
                 .collect();
             let fold = xs.iter().fold(Ubig::one(), |acc, x| mod_mul(&acc, x, &m));
-            assert_eq!(crate::mod_product(&xs, &m), fold, "m = {m}");
-            assert_eq!(crate::mod_product(&[], &m), Ubig::one());
+            let m = Modulus::new(m).unwrap();
+            assert_eq!(m.product(&xs), fold, "m = {m:?}");
+            assert_eq!(m.product(&[]), Ubig::one());
             assert_eq!(MulChain::new(&m).value(), Ubig::one());
             // BD's key chain: a = b^e, then a ·= x and key ·= a, in turn.
             let e = odd_modulus(160, 24);
@@ -806,8 +751,8 @@ mod tests {
                 key.mul_chain(&a);
                 a_ref = mod_mul(&a_ref, x, &m);
                 key_ref = mod_mul(&key_ref, &a_ref, &m);
-                assert_eq!(a.value(), a_ref, "m = {m}");
-                assert_eq!(key.value(), key_ref, "m = {m}");
+                assert_eq!(a.value(), a_ref, "m = {m:?}");
+                assert_eq!(key.value(), key_ref, "m = {m:?}");
             }
         }
     }

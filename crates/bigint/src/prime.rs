@@ -8,8 +8,11 @@
 //! * [`gen_schnorr_group`] — primes `(p, q)` with `q | p - 1` and a generator
 //!   `g` of the order-`q` subgroup of `Z_p^*` (the BD group).
 
+use std::sync::Arc;
+
 use rand::Rng;
 
+use crate::fixed::{FixedBase, Modulus};
 use crate::modular::{mod_mul, mod_pow};
 use crate::rng::{random_below, random_bits};
 use crate::ubig::Ubig;
@@ -56,18 +59,22 @@ pub fn is_prime<R: Rng + ?Sized>(n: &Ubig, rng: &mut R) -> bool {
     miller_rabin(n, MR_ROUNDS, rng)
 }
 
-/// Miller–Rabin with `rounds` random bases. `n` must be odd and > 3.
+/// Miller–Rabin with `rounds` random bases, all on one kernel for `n`
+/// (plain exponentiations past 1024 bits). `n` must be odd and > 3.
 fn miller_rabin<R: Rng + ?Sized>(n: &Ubig, rounds: u32, rng: &mut R) -> bool {
     let one = Ubig::one();
     let two = Ubig::from_u64(2);
     let n_minus_1 = n.checked_sub(&one).unwrap();
     let s = n_minus_1.trailing_zeros().unwrap();
     let d = n_minus_1.shr_bits(s);
+    let m = Modulus::new(n.clone());
 
     'witness: for _ in 0..rounds {
         // base in [2, n-2]
         let a = random_below(rng, &n_minus_1.checked_sub(&two).unwrap()).add_ref(&two);
-        let mut x = mod_pow(&a, &d, n);
+        let mut x = m
+            .as_ref()
+            .map_or_else(|| mod_pow(&a, &d, n), |m| m.pow(&a, &d));
         if x.is_one() || x == n_minus_1 {
             continue 'witness;
         }
@@ -103,30 +110,77 @@ pub fn gen_prime<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> Ubig {
 
 /// A Schnorr group: primes `p` (modulus) and `q` (subgroup order) with
 /// `q | p - 1`, and a generator `g` of the order-`q` subgroup.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Built once by [`SchnorrGroup::new`] (or [`gen_schnorr_group`]), it owns
+/// the kernels of `p` and `q` and the Lim–Lee comb of `g`, sized to `q`'s
+/// bit length. A clone shares all three. The fields are public for reading:
+/// the comb belongs to the values they held at construction.
+#[derive(Clone, Debug)]
 pub struct SchnorrGroup {
     /// Large prime modulus (paper: 1024-bit).
-    pub p: Ubig,
+    pub p: Modulus,
     /// Prime subgroup order (paper: 160-bit).
-    pub q: Ubig,
+    pub q: Modulus,
     /// Generator of the order-`q` subgroup of `Z_p^*`.
     pub g: Ubig,
+    g_comb: Arc<FixedBase>,
 }
 
 impl SchnorrGroup {
-    /// Checks the defining invariants (primality probabilistic).
+    /// The group `(p, q, g)`, with its kernels and comb built; `None` when
+    /// `p` or `q` is even, at most 1, or wider than 1024 bits. The group's
+    /// invariants are checked by [`SchnorrGroup::validate`].
+    pub fn new(p: Ubig, q: Ubig, g: Ubig) -> Option<Self> {
+        Some(Self::from_moduli(Modulus::new(p)?, Modulus::new(q)?, g))
+    }
+
+    fn from_moduli(p: Modulus, q: Modulus, g: Ubig) -> Self {
+        let g_comb = Arc::new(FixedBase::new(&g, &p, q.bit_length()));
+        SchnorrGroup { p, q, g, g_comb }
+    }
+
+    /// `g^e mod p` through the generator's comb. An exponent of more bits
+    /// than `q` takes the windowed exponentiation instead.
+    pub fn g_pow(&self, e: &Ubig) -> Ubig {
+        self.g_comb.pow(e)
+    }
+
+    /// True when `a` and `b` share their kernels and comb (one is a clone
+    /// of the other).
+    pub fn ptr_eq(a: &SchnorrGroup, b: &SchnorrGroup) -> bool {
+        Modulus::ptr_eq(&a.p, &b.p)
+            && Modulus::ptr_eq(&a.q, &b.q)
+            && Arc::ptr_eq(&a.g_comb, &b.g_comb)
+    }
+
+    /// Checks the defining invariants (primality probabilistic): `p` and
+    /// `q` prime, `q | p − 1`, and `1 < g < p` of order `q`.
     pub fn validate<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         let p_minus_1 = self.p.checked_sub(&Ubig::one()).unwrap();
         is_prime(&self.p, rng)
             && is_prime(&self.q, rng)
             && p_minus_1.rem_ref(&self.q).is_zero()
-            && !self.g.is_one()
-            && mod_pow(&self.g, &self.q, &self.p).is_one()
+            && Ubig::one() < self.g
+            && self.g < *self.p
+            && self.p.pow(&self.g, &self.q).is_one()
     }
 }
 
+/// Groups are equal when `(p, q, g)` are: the kernels and the comb are
+/// functions of them.
+impl PartialEq for SchnorrGroup {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.p, &self.q, &self.g) == (&other.p, &other.q, &other.g)
+    }
+}
+
+impl Eq for SchnorrGroup {}
+
 /// Generates a Schnorr group with `p_bits`-bit `p` and `q_bits`-bit `q`
 /// (paper: 1024 / 160).
+///
+/// # Panics
+/// Panics unless `q_bits + 1 < p_bits ≤ 1024`.
 pub fn gen_schnorr_group<R: Rng + ?Sized>(rng: &mut R, p_bits: u32, q_bits: u32) -> SchnorrGroup {
     assert!(p_bits > q_bits + 1, "p must be much larger than q");
     let q = gen_prime(rng, q_bits);
@@ -141,6 +195,7 @@ pub fn gen_schnorr_group<R: Rng + ?Sized>(rng: &mut R, p_bits: u32, q_bits: u32)
         if p.bit_length() != p_bits || !is_prime(&p, rng) {
             continue;
         }
+        let p = Modulus::new(p).expect("an odd prime");
         // g = h^((p-1)/q) for random h; retry until g != 1.
         let p_minus_1 = p.checked_sub(&one).unwrap();
         let exp = p_minus_1.div_rem(&q).0;
@@ -149,9 +204,10 @@ pub fn gen_schnorr_group<R: Rng + ?Sized>(rng: &mut R, p_bits: u32, q_bits: u32)
             if h.is_zero() || h.is_one() {
                 continue;
             }
-            let g = mod_pow(&h, &exp, &p);
+            let g = p.pow(&h, &exp);
             if !g.is_one() {
-                return SchnorrGroup { p, q, g };
+                let q = Modulus::new(q).expect("an odd prime");
+                return SchnorrGroup::from_moduli(p, q, g);
             }
         }
     }
@@ -216,5 +272,29 @@ mod tests {
         assert!(grp.validate(&mut rng));
         assert_eq!(grp.p.bit_length(), 256);
         assert_eq!(grp.q.bit_length(), 96);
+    }
+
+    #[test]
+    fn unreduced_generators_fail_validation() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let grp = gen_schnorr_group(&mut rng, 256, 96);
+        let with_g = |g: Ubig| SchnorrGroup::new(Ubig::clone(&grp.p), Ubig::clone(&grp.q), g);
+        assert!(with_g(grp.g.clone()).unwrap().validate(&mut rng));
+        // p + 1 ≡ 1 and g₀ + p ≡ g₀: both pass `g^q ≡ 1`, neither is reduced.
+        let unreduced = [grp.p.add_ref(&Ubig::one()), grp.g.add_ref(&grp.p)];
+        for g in unreduced.into_iter().chain([Ubig::zero(), Ubig::one()]) {
+            assert!(!with_g(g.clone()).unwrap().validate(&mut rng), "g = {g}");
+        }
+    }
+
+    #[test]
+    fn new_rejects_even_moduli() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let grp = gen_schnorr_group(&mut rng, 256, 96);
+        let (p, q, g) = (Ubig::clone(&grp.p), Ubig::clone(&grp.q), grp.g.clone());
+        let even = |x: &Ubig| x.add_ref(&Ubig::one());
+        assert!(SchnorrGroup::new(even(&p), q.clone(), g.clone()).is_none());
+        assert!(SchnorrGroup::new(p.clone(), even(&q), g.clone()).is_none());
+        assert_eq!(SchnorrGroup::new(p, q, g), Some(grp));
     }
 }

@@ -19,10 +19,7 @@
 //! Functions here are pure algebra; operation metering happens at the
 //! protocol layer (every function documents what the paper charges for it).
 
-use egka_bigint::{
-    mod_mul, mod_pow, mod_pow2, mod_pow_fixed, mod_product, random_below, MulChain, SchnorrGroup,
-    Ubig,
-};
+use egka_bigint::{mod_mul, random_below, MulChain, SchnorrGroup, Ubig};
 use rand::Rng;
 
 /// A user's Round-1 state: the secret exponent and the public share.
@@ -42,7 +39,7 @@ pub fn round1_share<R: Rng + ?Sized>(rng: &mut R, group: &SchnorrGroup) -> Share
             break r;
         }
     };
-    let z = mod_pow_fixed(&group.g, &r, &group.p);
+    let z = group.g_pow(&r);
     Share { r, z }
 }
 
@@ -56,14 +53,14 @@ pub fn round1_share<R: Rng + ?Sized>(rng: &mut R, group: &SchnorrGroup) -> Share
 /// `z_prev`.
 pub fn round2_x(group: &SchnorrGroup, r: &Ubig, z_prev: &Ubig, z_next: &Ubig) -> Ubig {
     let neg_r = group.q.checked_sub(r).expect("r_i < q");
-    mod_pow2(z_next, r, z_prev, &neg_r, &group.p)
+    group.p.pow2(z_next, r, z_prev, &neg_r)
 }
 
 /// Lemma 1: `∏ X_i ≡ 1 (mod p)`. Used by the proposed protocol to detect a
 /// corrupted Round-2 value before deriving the key (all-multiply, no
 /// exponentiations).
 pub fn lemma1_holds(group: &SchnorrGroup, xs: &[Ubig]) -> bool {
-    mod_product(xs, &group.p).is_one()
+    group.p.product(xs).is_one()
 }
 
 /// Derives the group key for the user at ring position 0 of `ring_xs`.
@@ -94,7 +91,7 @@ pub fn compute_key_reference(group: &SchnorrGroup, rs: &[Ubig]) -> Ubig {
     let mut key = Ubig::one();
     for i in 0..n {
         let prod = mod_mul(&rs[i], &rs[(i + 1) % n], &group.q);
-        key = mod_mul(&key, &mod_pow(&group.g, &prod, &group.p), &group.p);
+        key = mod_mul(&key, &group.g_pow(&prod), &group.p);
     }
     key
 }
@@ -127,6 +124,7 @@ pub fn run_plain<R: Rng + ?Sized>(rng: &mut R, group: &SchnorrGroup, n: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egka_bigint::mod_pow;
     use egka_hash::ChaChaRng;
     use rand::SeedableRng;
 
@@ -221,7 +219,7 @@ mod tests {
         let mut rng = ChaChaRng::seed_from_u64(5);
         let s = round1_share(&mut rng, &g);
         assert!(mod_pow(&s.z, &g.q, &g.p).is_one());
-        assert!(!s.r.is_zero() && s.r < g.q);
+        assert!(!s.r.is_zero() && s.r < *g.q);
     }
 
     #[test]

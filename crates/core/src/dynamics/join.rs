@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use egka_bigint::{mod_mul, mod_pow, mod_pow_fixed, Ubig};
+use egka_bigint::{mod_mul, Ubig};
 use egka_energy::complexity::{JOIN_M1_BITS, JOIN_MNN_BITS, JOIN_MN_BITS, JOIN_M_NEW_BITS};
 use egka_energy::{CompOp, Meter, Scheme};
 use egka_hash::ChaChaRng;
@@ -302,7 +302,7 @@ fn newcomer_phases(
             s.meter.record(CompOp::SignVerify(Scheme::Gq));
             assert!(ok, "sponsor signature rejected");
             let r = s.new_r.as_ref().expect("announced");
-            let k_dh = mod_pow(&zn_seen, r, &s.params.bd.p);
+            let k_dh = s.params.bd.p.pow(&zn_seen, r);
             s.meter.record(CompOp::ModExp);
             s.k_dh = Some(k_dh);
             PhaseOut::Send(Vec::new())
@@ -351,7 +351,7 @@ fn controller_phases(
             s.meter.record(CompOp::ModExp);
             // Composable mode: also derive and ship z'_1 (one extra exp).
             let z1p = if composable {
-                let z = mod_pow_fixed(&s.params.bd.g, &r1p, &s.params.bd.p);
+                let z = s.params.bd.g_pow(&r1p);
                 s.meter.record(CompOp::ModExp);
                 Some(z)
             } else {
@@ -371,7 +371,7 @@ fn controller_phases(
                 // Paper-exact mode: z'_1 exists mathematically but is never
                 // divulged; the omniscient session bookkeeping recomputes
                 // it un-metered (a real peer could not).
-                mod_pow_fixed(&s.params.bd.g, &r1p, &s.params.bd.p)
+                s.params.bd.g_pow(&r1p)
             }));
             s.new_r1 = Some(r1p);
             s.k_star = Some(ks);
@@ -405,7 +405,7 @@ fn sponsor_phases(
     vec![
         Phase::gather(kind::JOIN_ANNOUNCE, 1, move |s: &mut NodeState, pkts| {
             let z_new = verify_announce(s, &pkts[0].payload, &newcomer);
-            let k_dh = mod_pow(&z_new, &member.r, &s.params.bd.p);
+            let k_dh = s.params.bd.p.pow(&z_new, &member.r);
             s.meter.record(CompOp::ModExp);
             let sealed = seal_key(&mut s.rng, s.old_key.get(), &k_dh, member.id, None);
             s.meter.record(CompOp::SymEnc);
@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn k_star_equals_the_inversion_form() {
-        use egka_bigint::mod_inverse;
+        use egka_bigint::{mod_inverse, mod_pow};
         use rand::SeedableRng;
         for seed in 1..=4u64 {
             let mut rng = egka_hash::ChaChaRng::seed_from_u64(0x4b53 ^ seed);

@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use egka_bigint::{mod_product, Ubig};
+use egka_bigint::Ubig;
 use egka_energy::complexity::{LP_R1_BITS, LP_R2_BITS};
 use egka_energy::{CompOp, Meter, Scheme};
 use egka_hash::ChaChaRng;
@@ -148,7 +148,7 @@ fn node_machine(state: NodeState, peers: Vec<egka_medium::NodeId>) -> Engine<Nod
             );
             s.meter.record(CompOp::ModExp);
             s.meter.record(CompOp::ModInv);
-            let z_prod = mod_product(&s.zs, &s.params.bd.p);
+            let z_prod = s.params.bd.p.product(&s.zs);
             let t_agg = s.params.gq.aggregate_commitments(&s.ts);
             s.bind = z_prod.to_bytes_be();
             s.challenge = s.params.gq.shared_challenge(&t_agg, &s.bind);

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use egka_bigint::{mod_mul, mod_pow, mod_pow_fixed, Ubig};
+use egka_bigint::{mod_mul, Ubig};
 use egka_energy::complexity::{MERGE_R1_BITS, MERGE_R2_BITS, MERGE_R3_BITS};
 use egka_energy::{CompOp, Meter, Scheme};
 use egka_hash::ChaChaRng;
@@ -110,7 +110,7 @@ fn controller_phases(
                     break r;
                 }
             };
-            let z_new = mod_pow_fixed(&s.params.bd.g, &r_new, &s.params.bd.p);
+            let z_new = s.params.bd.g_pow(&r_new);
             s.meter.record(CompOp::ModExp);
             let payload = signed(
                 &s.params.gq,
@@ -135,7 +135,7 @@ fn controller_phases(
             assert!(peer.is_some(), "merge round-1 signature rejected");
             let [z_peer, edge_peer] = peer.expect("checked above");
             let r_new = s.r_new.as_ref().expect("refreshed");
-            let k_dh = mod_pow(&z_peer, r_new, &s.params.bd.p);
+            let k_dh = s.params.bd.p.pow(&z_peer, r_new);
             s.meter.record(CompOp::ModExp);
             // K*_A = K_A · (z_2 z_n)^{−r_1} · (z_2 z_{n+m})^{r'_1}
             // K*_B = K_B · (z_n z_{n+2})^{r'_{n+1}} · (z_{n+2} z_{n+m})^{−r_{n+1}}

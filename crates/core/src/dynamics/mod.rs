@@ -38,7 +38,7 @@ pub use merge::{merge, merge_many, MergeOutcome, MergeRun};
 
 use std::cell::OnceCell;
 
-use egka_bigint::{mod_mul, mod_pow2, SchnorrGroup, Ubig};
+use egka_bigint::{mod_mul, SchnorrGroup, Ubig};
 use egka_sig::{GqParams, GqSecretKey, GqSignature};
 use egka_symmetric::Envelope;
 use rand::Rng;
@@ -64,13 +64,7 @@ pub(crate) fn k_star(
 ) -> Ubig {
     let p = &bd.p;
     let neg_r = bd.q.checked_sub(r).expect("r < q");
-    let t = mod_pow2(
-        &mod_mul(z_a, z_b, p),
-        &neg_r,
-        &mod_mul(z_a, z_c, p),
-        r_new,
-        p,
-    );
+    let t = p.pow2(&mod_mul(z_a, z_b, p), &neg_r, &mod_mul(z_a, z_c, p), r_new);
     mod_mul(key, &t, p)
 }
 

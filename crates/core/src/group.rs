@@ -177,10 +177,10 @@ impl GroupSession {
     /// `z_i = g^{r_i}` for every member (test/debug helper; a real node
     /// cannot evaluate this, it requires all secrets).
     pub fn invariant_holds(&self) -> bool {
-        use egka_bigint::{mod_mul, mod_pow};
+        use egka_bigint::mod_mul;
         let g = &self.params.bd;
         for m in &self.members {
-            if mod_pow(&g.g, &m.r, &g.p) != m.z {
+            if g.g_pow(&m.r) != m.z {
                 return false;
             }
         }
@@ -190,7 +190,7 @@ impl GroupSession {
             let prod = mod_mul(&self.members[i].r, &self.members[(i + 1) % n].r, &g.q);
             exp = egka_bigint::mod_add(&exp, &prod, &g.q);
         }
-        mod_pow(&g.g, &exp, &g.p) == self.key
+        g.g_pow(&exp) == self.key
     }
 }
 
@@ -211,6 +211,36 @@ mod tests {
         assert_eq!(session.n(), 4);
         assert_eq!(session.pred(0), 3);
         assert_eq!(session.succ(3), 0);
+    }
+
+    #[test]
+    fn clones_and_decoded_sessions_share_the_pkgs_kernels_and_comb() {
+        use crate::wire::{Reader, Writer};
+        use egka_bigint::{Modulus, SchnorrGroup, Ubig};
+        let mut rng = ChaChaRng::seed_from_u64(0x5a4e);
+        let pkg = Pkg::setup(&mut rng, SecurityProfile::Toy);
+        let keys = pkg.extract_group(4);
+        let (_, session) = proposed::run(pkg.params(), &keys, 3, RunConfig::default());
+        let mut w = Writer::new();
+        session.encode_state(&mut w);
+        let buf = w.finish();
+        let decoded =
+            crate::GroupSession::decode_state(&mut Reader::new(&buf), pkg.params()).unwrap();
+        let own = pkg.params();
+        for params in [&own.clone(), &session.params, &decoded.params] {
+            assert!(SchnorrGroup::ptr_eq(&params.bd, &own.bd));
+            assert!(Modulus::ptr_eq(&params.gq.n, &own.gq.n));
+            assert!(Modulus::ptr_eq(&params.gq.n, &pkg.gq().params.n));
+        }
+        // Equal values built apart share nothing.
+        let rebuilt = SchnorrGroup::new(
+            Ubig::clone(&own.bd.p),
+            Ubig::clone(&own.bd.q),
+            own.bd.g.clone(),
+        )
+        .unwrap();
+        assert_eq!(rebuilt, own.bd);
+        assert!(!SchnorrGroup::ptr_eq(&rebuilt, &own.bd));
     }
 
     #[test]

@@ -367,11 +367,7 @@ impl Authority {
 /// every construction).
 pub fn paper_fixture() -> Pkg {
     let h = |s: &str| Ubig::from_hex(s).expect("valid fixture hex");
-    let bd = SchnorrGroup {
-        p: h(BD_P_HEX),
-        q: h(BD_Q_HEX),
-        g: h(BD_G_HEX),
-    };
+    let bd = SchnorrGroup::new(h(BD_P_HEX), h(BD_Q_HEX), h(BD_G_HEX)).expect("odd fixture moduli");
     let gq_pkg = GqPkg::from_master(h(GQ_P_HEX), h(GQ_Q_HEX), h(GQ_E_HEX));
     Pkg::from_parts(bd, gq_pkg, SecurityProfile::Paper)
 }

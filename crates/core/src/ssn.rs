@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use egka_bigint::{mod_pow, mod_product, Ubig};
+use egka_bigint::Ubig;
 use egka_energy::complexity::InitialProtocol;
 use egka_energy::{CompOp, Meter};
 use egka_hash::{hash_to_below, ChaChaRng};
@@ -134,7 +134,7 @@ fn node_machine(state: NodeState, n: usize) -> Engine<NodeState> {
             );
             s.meter.record(CompOp::ModExp); // X_i
             s.meter.record(CompOp::ModInv);
-            let z_prod = mod_product(&s.zs, &s.params.bd.p);
+            let z_prod = s.params.bd.p.product(&s.zs);
             let c = challenge(&s.params, s.id, &share.z, &x, &s.ts[s.idx], &z_prod);
             let resp = s.params.gq.respond(&s.key, &s.tau, &c);
             s.meter.record(CompOp::ModExp); // S^{c_i}
@@ -166,7 +166,7 @@ fn node_machine(state: NodeState, n: usize) -> Engine<NodeState> {
         // Per-sender implicit authentication + key (with confirmation
         // exponent).
         move |s: &mut NodeState| {
-            let z_prod = mod_product(&s.zs, &s.params.bd.p);
+            let z_prod = s.params.bd.p.product(&s.zs);
             for j in 0..n {
                 if j == s.idx {
                     continue;
@@ -190,7 +190,7 @@ fn node_machine(state: NodeState, n: usize) -> Engine<NodeState> {
                 &z_prod.to_bytes_be(),
                 &s.params.bd.q,
             );
-            let key = mod_pow(&k_bd, &kc, &s.params.bd.p);
+            let key = s.params.bd.p.pow(&k_bd, &kc);
             s.meter.record(CompOp::ModExp);
             s.derived = Some(key.clone());
             PhaseOut::Done(key)

@@ -3,19 +3,21 @@
 //! A [`Fp`] wraps an odd prime modulus; field elements are plain [`Ubig`]
 //! values reduced into `[0, p)`, and each multiplication is a `Ubig`
 //! product followed by a division. Exponentiation ([`Fp::pow`],
-//! [`Fp::sqrt`]) runs on `egka-bigint`'s fixed-limb Montgomery kernel. This is the field of the public API: affine points, the
-//! affine group law, point compression, and the `F_p²` Miller loop of the
-//! pairing. Scalar multiplication does not run here: it converts its points
-//! once into the crate's fixed-limb Montgomery field, which neither
-//! allocates nor divides (see [`crate::curve`]).
+//! [`Fp::sqrt`]) and inversion run on `egka-bigint`'s fixed-limb
+//! Montgomery kernel, which the field holds with its modulus. This is the
+//! field of the public API: affine points, the affine group law, point
+//! compression, and the `F_p²` Miller loop of the pairing. Scalar
+//! multiplication does not run here: it converts its points once into the
+//! crate's fixed-limb Montgomery field, which neither allocates nor
+//! divides (see [`crate::curve`]).
 
-use egka_bigint::{mod_inverse, mod_pow, Ubig};
+use egka_bigint::{Modulus, Ubig};
 use rand::Rng;
 
 /// A prime field `F_p` for an odd prime `p`.
 #[derive(Clone, Debug)]
 pub struct Fp {
-    p: Ubig,
+    p: Modulus,
     /// `(p + 1) / 4`, defined only when `p ≡ 3 (mod 4)` (square-root exponent).
     sqrt_exp: Option<Ubig>,
 }
@@ -24,13 +26,11 @@ impl Fp {
     /// Builds a field context.
     ///
     /// # Panics
-    /// Panics if `p` is even or `p <= 1`. Primality is the caller's
-    /// responsibility (checked in curve constructors and tests).
+    /// Panics if `p` is even, `p <= 1` or `p` is wider than 1024 bits.
+    /// Primality is the caller's responsibility (checked in curve
+    /// constructors and tests).
     pub fn new(p: Ubig) -> Self {
-        assert!(
-            p.is_odd() && !p.is_one(),
-            "field modulus must be an odd prime"
-        );
+        let p = Modulus::new(p).expect("field modulus must be an odd prime");
         let sqrt_exp = if p.low_u64() & 3 == 3 {
             Some(p.add_ref(&Ubig::one()).shr_bits(2))
         } else {
@@ -67,7 +67,7 @@ impl Fp {
     /// `(a + b) mod p` for reduced operands.
     pub fn add(&self, a: &Ubig, b: &Ubig) -> Ubig {
         let s = a.add_ref(b);
-        if s >= self.p {
+        if s >= *self.p {
             s.checked_sub(&self.p).unwrap()
         } else {
             s
@@ -110,7 +110,7 @@ impl Fp {
     /// `a^e mod p` (4-bit fixed window on the fixed-limb Montgomery
     /// kernel).
     pub fn pow(&self, a: &Ubig, e: &Ubig) -> Ubig {
-        mod_pow(a, e, &self.p)
+        self.p.pow(a, e)
     }
 
     /// `a^{-1} mod p`, or `None` for `a = 0`.
@@ -118,7 +118,7 @@ impl Fp {
         if a.is_zero() {
             return None;
         }
-        mod_inverse(a, &self.p)
+        self.p.inverse(a)
     }
 
     /// Legendre symbol test: true iff `a` is a non-zero quadratic residue.
@@ -136,7 +136,7 @@ impl Fp {
         if a.is_zero() {
             return Some(Ubig::zero());
         }
-        let r = mod_pow(a, e, &self.p);
+        let r = self.p.pow(a, e);
         if self.sqr(&r) == self.reduce(a) {
             Some(r)
         } else {

@@ -4,7 +4,7 @@
 //! bits (Table 3, note 1). The certificate-based BD baseline signs its
 //! round-2 message with this scheme and ships a 263-byte DSA certificate.
 
-use egka_bigint::{mod_inverse, mod_mul, mod_pow, mod_pow_fixed, random_below, SchnorrGroup, Ubig};
+use egka_bigint::{mod_mul, random_below, SchnorrGroup, Ubig};
 use egka_hash::hash_to_below;
 use rand::Rng;
 
@@ -59,25 +59,25 @@ impl Dsa {
                 break x;
             }
         };
-        let y = mod_pow_fixed(&self.group.g, &x, &self.group.p);
+        let y = self.group.g_pow(&x);
         DsaKeyPair { x, y }
     }
 
     /// Signs `msg` (retries internally on the measure-zero `r = 0` / `s = 0`
     /// degeneracies, per FIPS 186).
     pub fn sign<R: Rng + ?Sized>(&self, rng: &mut R, key: &DsaKeyPair, msg: &[u8]) -> DsaSignature {
-        let (p, q, g) = (&self.group.p, &self.group.q, &self.group.g);
+        let q = &self.group.q;
         let h = self.hash_msg(msg);
         loop {
             let k = random_below(rng, q);
             if k.is_zero() {
                 continue;
             }
-            let r = mod_pow_fixed(g, &k, p).rem_ref(q);
+            let r = self.group.g_pow(&k).rem_ref(q);
             if r.is_zero() {
                 continue;
             }
-            let k_inv = mod_inverse(&k, q).expect("q prime, k != 0");
+            let k_inv = q.inverse(&k).expect("q prime, k != 0");
             let s = mod_mul(&k_inv, &h.add_ref(&mod_mul(&key.x, &r, q)), q);
             if s.is_zero() {
                 continue;
@@ -88,18 +88,18 @@ impl Dsa {
 
     /// Verifies `(r, s)` on `msg` under public key `y`.
     pub fn verify(&self, y: &Ubig, msg: &[u8], sig: &DsaSignature) -> bool {
-        let (p, q, g) = (&self.group.p, &self.group.q, &self.group.g);
-        if sig.r.is_zero() || &sig.r >= q || sig.s.is_zero() || &sig.s >= q {
+        let (p, q) = (&self.group.p, &self.group.q);
+        if sig.r.is_zero() || sig.r >= **q || sig.s.is_zero() || sig.s >= **q {
             return false;
         }
-        let w = match mod_inverse(&sig.s, q) {
+        let w = match q.inverse(&sig.s) {
             Some(w) => w,
             None => return false,
         };
         let h = self.hash_msg(msg);
         let u1 = mod_mul(&h, &w, q);
         let u2 = mod_mul(&sig.r, &w, q);
-        let v = mod_mul(&mod_pow_fixed(g, &u1, p), &mod_pow(y, &u2, p), p).rem_ref(q);
+        let v = mod_mul(&self.group.g_pow(&u1), &p.pow(y, &u2), p).rem_ref(q);
         v == sig.r
     }
 }
@@ -151,7 +151,7 @@ mod tests {
         let kp = d.keygen(&mut rng);
         let sig = d.sign(&mut rng, &kp, b"m");
         let bad_r = DsaSignature {
-            r: d.group().q.clone(),
+            r: Ubig::clone(&d.group().q),
             s: sig.s.clone(),
         };
         assert!(!d.verify(&kp.y, b"m", &bad_r));

@@ -21,7 +21,7 @@
 //! protocol's "Sign Ver" row in Table 1 a constant 1.
 //!
 //! Both checks recover a commitment as one two-base exponentiation,
-//! `s^e · (H(ID)⁻¹)^c` ([`egka_bigint::mod_pow2`]), over the signer's
+//! `s^e · (H(ID)⁻¹)^c` ([`egka_bigint::Modulus::pow2`]), over the signer's
 //! public `H(ID)⁻¹ mod n`. An inversion mod `n` costs about as much as the
 //! exponentiation itself, so each [`GqSecretKey`] carries its own
 //! inverse: [`GqPkg::extract`] computes it from the `H(ID)` it already
@@ -35,8 +35,7 @@
 use std::sync::{Arc, OnceLock};
 
 use egka_bigint::{
-    gcd, gen_prime, mod_inverse, mod_mul, mod_pow, mod_pow2, mod_product, mod_sub, random_unit,
-    MulChain, Ubig,
+    gcd, gen_prime, mod_inverse, mod_mul, mod_sub, random_unit, Modulus, MulChain, Ubig,
 };
 use egka_hash::{challenge_hash, hash_to_unit};
 use rand::Rng;
@@ -47,8 +46,8 @@ const ID_TAG: &[u8] = b"egka.gq.id.v1";
 /// Public parameters of a GQ instance: `(n, e)` plus the hash conventions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GqParams {
-    /// RSA modulus `n = p'·q'`.
-    pub n: Ubig,
+    /// RSA modulus `n = p'·q'`, with its kernel.
+    pub n: Modulus,
     /// Public (verification) exponent, a prime with `e > 2^l`.
     pub e: Ubig,
 }
@@ -56,10 +55,10 @@ pub struct GqParams {
 /// The PKG's master key.
 #[derive(Clone, Debug)]
 pub struct GqMasterKey {
-    /// First prime factor.
-    pub p: Ubig,
-    /// Second prime factor.
-    pub q: Ubig,
+    /// First prime factor, with its kernel.
+    pub p: Modulus,
+    /// Second prime factor, with its kernel.
+    pub q: Modulus,
     /// Extraction exponent `d = e⁻¹ mod Φ(n)`.
     pub d: Ubig,
 }
@@ -199,13 +198,15 @@ impl GqPkg {
             .mul_ref(&q.checked_sub(&Ubig::one()).unwrap());
         let d = mod_inverse(&e, &phi).expect("fixture e must be a unit mod phi");
         let one = Ubig::one();
+        let odd = |m: Ubig| Modulus::new(m).expect("odd prime factors");
+        let (p, q) = (odd(p), odd(q));
         let crt = Crt {
             dp: d.rem_ref(&p.checked_sub(&one).expect("p' > 1")),
             dq: d.rem_ref(&q.checked_sub(&one).expect("q' > 1")),
-            q_inv: mod_inverse(&q, &p).expect("distinct primes"),
+            q_inv: p.inverse(&q).expect("distinct primes"),
         };
         GqPkg {
-            params: GqParams { n, e },
+            params: GqParams { n: odd(n), e },
             master: GqMasterKey { p, q, d },
             crt,
         }
@@ -222,10 +223,10 @@ impl GqPkg {
     pub fn extract(&self, id: &[u8]) -> GqSecretKey {
         let h = self.params.hash_id(id);
         let GqMasterKey { p, q, .. } = &self.master;
-        let s_p = mod_pow(&h, &self.crt.dp, p);
-        let s_q = mod_pow(&h, &self.crt.dq, q);
+        let s_p = p.pow(&h, &self.crt.dp);
+        let s_q = q.pow(&h, &self.crt.dq);
         let t = mod_mul(&mod_sub(&s_p, &s_q, p), &self.crt.q_inv, p);
-        let h_inv = mod_inverse(&h, &self.params.n).expect("H(ID) is a unit mod n");
+        let h_inv = self.params.n.inverse(&h).expect("H(ID) is a unit mod n");
         GqSecretKey {
             id: id.to_vec(),
             s_id: s_q.add_ref(&q.mul_ref(&t)),
@@ -253,7 +254,7 @@ impl GqParams {
     /// Signs `msg` under `key` (paper's Sign).
     pub fn sign<R: Rng + ?Sized>(&self, rng: &mut R, key: &GqSecretKey, msg: &[u8]) -> GqSignature {
         let tau = random_unit(rng, &self.n);
-        let t = mod_pow(&tau, &self.e, &self.n);
+        let t = self.n.pow(&tau, &self.e);
         let c = self.challenge(&t, msg);
         let s = self.respond(key, &tau, &c);
         GqSignature { s, c }
@@ -262,7 +263,9 @@ impl GqParams {
     /// `H(ID)⁻¹ mod n`, computed afresh (a key carries its own; see
     /// [`GqSecretKey::h_inv`]).
     pub fn h_inv(&self, id: &[u8]) -> Ubig {
-        mod_inverse(&self.hash_id(id), &self.n).expect("H(ID) is a unit mod n")
+        self.n
+            .inverse(&self.hash_id(id))
+            .expect("H(ID) is a unit mod n")
     }
 
     /// Verifies `σ = (s, c)` on `msg` for identity `id` (paper's Verify):
@@ -275,7 +278,7 @@ impl GqParams {
 
     /// [`GqParams::verify`] under the signer's `h_inv = H(ID)⁻¹ mod n`.
     pub fn verify_with_inverse(&self, h_inv: &Ubig, msg: &[u8], sig: &GqSignature) -> bool {
-        if sig.s.is_zero() || sig.s >= self.n {
+        if sig.s.is_zero() || sig.s >= *self.n {
             return false;
         }
         self.challenge(&self.recover_commitment(h_inv, &sig.s, &sig.c), msg) == sig.c
@@ -285,7 +288,7 @@ impl GqParams {
     /// challenge `c` by the signer with `h_inv = H(ID)⁻¹` answers — one
     /// two-base exponentiation.
     pub fn recover_commitment(&self, h_inv: &Ubig, s: &Ubig, c: &Ubig) -> Ubig {
-        mod_pow2(s, &self.e, h_inv, c, &self.n)
+        self.n.pow2(s, &self.e, h_inv, c)
     }
 
     // ----- split API used by the GKA protocol -----
@@ -293,7 +296,7 @@ impl GqParams {
     /// Round-1 commitment: samples `τ` and returns `(τ, t = τ^e)`.
     pub fn commit<R: Rng + ?Sized>(&self, rng: &mut R) -> (Ubig, Ubig) {
         let tau = random_unit(rng, &self.n);
-        let t = mod_pow(&tau, &self.e, &self.n);
+        let t = self.n.pow(&tau, &self.e);
         (tau, t)
     }
 
@@ -313,7 +316,7 @@ impl GqParams {
 
     /// Aggregates commitments: `T = ∏ t_i mod n`.
     pub fn aggregate_commitments(&self, ts: &[Ubig]) -> Ubig {
-        mod_product(ts, &self.n)
+        self.n.product(ts)
     }
 
     /// The paper's batch verification (eq. (2)): checks
@@ -334,12 +337,12 @@ impl GqParams {
         if h_invs.is_empty() || h_invs.len() != responses.len() {
             return false;
         }
-        if responses.iter().any(|s| s.is_zero() || s >= &self.n) {
+        if responses.iter().any(|s| s.is_zero() || *s >= *self.n) {
             return false;
         }
-        let s_prod = mod_product(responses, &self.n);
-        let h_inv = mod_product(h_invs, &self.n);
-        let t = mod_pow2(&s_prod, &self.e, &h_inv, c, &self.n);
+        let s_prod = self.n.product(responses);
+        let h_inv = self.n.product(h_invs);
+        let t = self.n.pow2(&s_prod, &self.e, &h_inv, c);
         &self.shared_challenge(&t, bind) == c
     }
 }
@@ -347,6 +350,7 @@ impl GqParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egka_bigint::mod_pow;
     use egka_hash::ChaChaRng;
     use rand::SeedableRng;
 
@@ -419,7 +423,7 @@ mod tests {
     fn verify_rejects_out_of_range_s() {
         let pkg = pkg();
         let sig = GqSignature {
-            s: pkg.params.n.clone(),
+            s: Ubig::clone(&pkg.params.n),
             c: Ubig::from_u64(1),
         };
         assert!(!pkg.params.verify(b"alice", b"msg", &sig));

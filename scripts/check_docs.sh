@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Docs-consistency gate (CI lint job): every crate, bench binary, churn
-# preset, example or vendored shim that docs/*.md or README.md mentions must
+# Docs-consistency gate (CI lint job): every crate, item path, bench binary,
+# churn preset, example or vendored shim that docs/*.md or README.md mentions must
 # actually exist in the workspace, so a rename or deletion can't silently
 # strand the prose.
 set -euo pipefail
@@ -19,6 +19,24 @@ for name in $(grep -rhoP 'egka[-_][a-z0-9]+(?![a-z0-9/-])' "${pages[@]}" | sort 
     echo "docs mention crate '$name' but crates/$dir does not exist" >&2
     fail=1
   fi
+done
+
+# Item paths (`egka_foo::Bar`, `egka_foo::module::item`): every segment
+# must be a `pub` item, or a `pub use` re-export, in crates/foo/src.
+for path in $(grep -rhoP 'egka_[a-z0-9]+(::[A-Za-z_][A-Za-z0-9_]*)+' "${pages[@]}" | sort -u); do
+  dir=crates/${path%%::*}
+  dir=${dir/egka_/}/src
+  [[ -d "$dir" ]] || continue # the crate check above reports it
+  rest=${path#*::}
+  for seg in ${rest//::/ }; do
+    if ! find "$dir" -name '*.rs' -exec cat {} + | SEG="$seg" perl -0777 -ne '
+      $s = quotemeta $ENV{SEG};
+      exit !(/^\s*pub\s+(?:(?:const|async|unsafe)\s+)*(?:fn|struct|enum|trait|type|const|static|mod)\s+$s\b/m
+        || /^\s*pub\s+use\s[^;]*\b$s\b[^;]*;/m)'; then
+      echo "docs mention '$path' but '$seg' is not a pub item or re-export in $dir" >&2
+      fail=1
+    fi
+  done
 done
 
 # `--bin foo` must be an egka-bench binary.
@@ -58,4 +76,4 @@ if [[ $fail -ne 0 ]]; then
   echo "docs are out of date with the workspace — fix the prose or restore the artifact" >&2
   exit 1
 fi
-echo "docs consistent: every mentioned crate, binary, preset, example and shim exists"
+echo "docs consistent: every mentioned crate, item path, binary, preset, example and shim exists"

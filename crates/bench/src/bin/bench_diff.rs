@@ -23,8 +23,9 @@
 //!   check. Instead, the in-binary old/new ratios, which cancel the
 //!   runner's speed, must clear absolute floors: `field_mul_speedup` 4×,
 //!   `modmul_1024_speedup`, `fixed_base_mul_speedup`,
-//!   `fixed_base_modexp_speedup`, `inverse_1024_speedup`,
-//!   `gq_extract_speedup` and `ecdsa_cert_verify_speedup` 2×, and
+//!   `fixed_base_modexp_speedup`, `pairing_fixed_speedup`,
+//!   `inverse_1024_speedup`, `gq_extract_speedup` and
+//!   `ecdsa_cert_verify_speedup` 2×, and
 //!   `gq_verify_speedup` (commitment recovery from the carried `H(ID)⁻¹`
 //!   vs from the identity, measured at 1.9–2.1×) 1.5×. Wall time is
 //!   perfbench's job.
@@ -38,11 +39,12 @@ use egka_bench::json::Json;
 const SCHEMAS: [&str; 2] = ["egka-churn/1", "egka-primitives/1"];
 
 /// Floors on the primitives artifact's in-binary old/new ratios.
-const SPEEDUP_FLOORS: [(&str, f64); 8] = [
+const SPEEDUP_FLOORS: [(&str, f64); 9] = [
     ("field_mul_speedup", 4.0),
     ("modmul_1024_speedup", 2.0),
     ("fixed_base_mul_speedup", 2.0),
     ("fixed_base_modexp_speedup", 2.0),
+    ("pairing_fixed_speedup", 2.0),
     ("inverse_1024_speedup", 2.0),
     ("gq_extract_speedup", 2.0),
     ("ecdsa_cert_verify_speedup", 2.0),
@@ -221,6 +223,7 @@ mod tests {
       "modmul_1024_speedup": 3.488,
       "fixed_base_mul_speedup": 3.387,
       "fixed_base_modexp_speedup": 3.983,
+      "pairing_fixed_speedup": 4.926,
       "inverse_1024_speedup": 4.262,
       "gq_extract_speedup": 3.381,
       "ecdsa_cert_verify_speedup": 3.104,
@@ -385,6 +388,12 @@ mod tests {
                 "a ratio below its floor",
                 "\"modmul_1024_speedup\": 3.488",
                 "\"modmul_1024_speedup\": 1.9",
+                true,
+            ),
+            (
+                "the fixed-argument pairing below its floor",
+                "\"pairing_fixed_speedup\": 4.926",
+                "\"pairing_fixed_speedup\": 1.95",
                 true,
             ),
             (

@@ -52,8 +52,8 @@
 //! carries each pair as `*_ns` plus a `*_speedup` ratio; `bench_diff`
 //! holds `field_mul_speedup` above 4×, `modmul_1024_speedup`,
 //! `fixed_base_mul_speedup`, `fixed_base_modexp_speedup`,
-//! `inverse_1024_speedup`, `gq_extract_speedup` and
-//! `ecdsa_cert_verify_speedup` above 2×, and `gq_verify_speedup` above
+//! `pairing_fixed_speedup`, `inverse_1024_speedup`, `gq_extract_speedup`
+//! and `ecdsa_cert_verify_speedup` above 2×, and `gq_verify_speedup` above
 //! its floor in CI.
 //! `--check-determinism`
 //! regenerates every workload from the seed and asserts the result

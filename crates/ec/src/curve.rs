@@ -1,12 +1,14 @@
 //! Short-Weierstrass elliptic curves `y² = x³ + a·x + b` over a prime field.
 //!
 //! Points are exposed in affine `Ubig` coordinates ([`Point`]), and the
-//! affine group law ([`Curve::add`], [`Curve::double`]) runs on the `Ubig`
-//! field [`Fp`]. Scalar multiplication — where essentially all curve time
-//! is spent (ECDSA and SOK signing/verifying) — converts its points once
-//! into fixed-limb Montgomery coordinates and runs Jacobian width-5 wNAF,
-//! Straus and Lim–Lee comb evaluation there (the private `jacobian`
-//! module), with no allocation or division per field operation.
+//! affine group law ([`Curve::add`], [`Curve::double`]) runs on the field
+//! [`Fp`], one kernel call per operation. Scalar multiplication — where
+//! essentially all curve time is spent (ECDSA and SOK signing/verifying) —
+//! converts its points once into the Montgomery form of the field's own
+//! fixed-limb kernel and runs Jacobian width-5 wNAF, Straus and Lim–Lee
+//! comb evaluation there (the private `jacobian` module), with no
+//! allocation or division per field operation. Signature scalars modulo
+//! the subgroup order run on an [`Fp`] over that order.
 
 use std::sync::Arc;
 
@@ -15,7 +17,7 @@ use rand::Rng;
 
 use crate::field::Fp;
 use crate::jacobian::{AnyComb, AnyEngine};
-use crate::mont::{with_width, AnyField, MAX_LIMBS};
+use crate::mont::{with_width, MAX_LIMBS};
 
 /// Teeth of a [`Curve::prepare`]d point's comb: 63 entries and
 /// `⌈bits/6⌉` columns. A prepared key is built for one CA and verified
@@ -94,16 +96,16 @@ struct Arith {
     /// Arithmetic modulo the subgroup order (`None` for an even or
     /// over-wide order; only pairing-group generation's full-group curve,
     /// of even order `p + 1`, has one).
-    scalars: Option<AnyField>,
+    scalars: Option<Fp>,
 }
 
 impl Curve {
     /// Builds a curve. The generator is checked to lie on the curve and to
-    /// have the claimed order.
+    /// have the claimed order. The field's modulus is at most 256 bits
+    /// ([`Fp::new`] refuses a wider one).
     ///
     /// # Panics
-    /// Panics if the field modulus is wider than 256 bits, or the generator
-    /// is off-curve or `order · gen ≠ ∞`.
+    /// Panics if the generator is off-curve or `order · gen ≠ ∞`.
     pub fn new(
         name: &'static str,
         field: Fp,
@@ -113,17 +115,12 @@ impl Curve {
         cofactor: Ubig,
         gen: Point,
     ) -> Self {
-        assert!(
-            field.bits() <= 64 * MAX_LIMBS as u32,
-            "{name}: field wider than the {}-bit fixed-limb capacity",
-            64 * MAX_LIMBS
-        );
         let a = field.reduce(&a);
         let b = field.reduce(&b);
         let arith = Arc::new(Arith {
             engine: AnyEngine::new(&field, &a, &gen, &order),
             scalars: (order.is_odd() && order.bit_length() <= 64 * MAX_LIMBS as u32)
-                .then(|| AnyField::new(&order)),
+                .then(|| Fp::new(order.clone())),
         });
         let c = Curve {
             name,
@@ -340,7 +337,7 @@ impl Curve {
     /// that kernel against `Ubig` multiply-and-reduce.
     #[doc(hidden)]
     pub fn field_mul_chain(&self, a: &Ubig, b: &Ubig, rounds: u32) -> Ubig {
-        with_width!(&self.arith.engine, e => e.field().mul_chain(a, b, rounds))
+        with_width!(self.field.kernel(), k => k.mul_chain(a, b, rounds))
     }
 
     /// True when `other` shares this curve's fixed-limb arithmetic, and
@@ -350,7 +347,7 @@ impl Curve {
         Arc::ptr_eq(&self.arith, &other.arith)
     }
 
-    fn scalars(&self) -> &AnyField {
+    fn scalars(&self) -> &Fp {
         self.arith
             .scalars
             .as_ref()

@@ -1,23 +1,30 @@
 //! Prime-field arithmetic contexts on `Ubig` values.
 //!
-//! A [`Fp`] wraps an odd prime modulus; field elements are plain [`Ubig`]
-//! values reduced into `[0, p)`, and each multiplication is a `Ubig`
-//! product followed by a division. Exponentiation ([`Fp::pow`],
-//! [`Fp::sqrt`]) and inversion run on `egka-bigint`'s fixed-limb
-//! Montgomery kernel, which the field holds with its modulus. This is the
-//! field of the public API: affine points, the affine group law, point
-//! compression, and the `F_p²` Miller loop of the pairing. Scalar
-//! multiplication does not run here: it converts its points once into the
-//! crate's fixed-limb Montgomery field, which neither allocates nor
-//! divides (see [`crate::curve`]).
+//! A [`Fp`] wraps an odd prime modulus of at most 256 bits; field elements
+//! are plain [`Ubig`] values reduced into `[0, p)`. The field holds one
+//! fixed-limb Montgomery kernel for its modulus, at the narrowest limb
+//! width that fits it, and every product, power, inverse and square root
+//! runs there: one conversion in and one out, with no division unless an
+//! input is wider than the kernel. Addition and subtraction stay on
+//! `Ubig`. This is the crate's one prime field: affine points, the affine
+//! group law, point compression, the `F_p²` Miller loop of the pairing and
+//! arithmetic modulo a curve's subgroup order all run on it. Scalar
+//! multiplication converts its points once into the same kernel and stays
+//! there (see [`crate::curve`]).
 
-use egka_bigint::{Modulus, Ubig};
+use egka_bigint::Ubig;
 use rand::Rng;
+
+use crate::mont::{width_of, with_width, MontField, Width};
+
+/// The Montgomery kernel of one modulus, at its limb width.
+pub(crate) type Kernel = Width<MontField<1>, MontField<2>, MontField<3>, MontField<4>>;
 
 /// A prime field `F_p` for an odd prime `p`.
 #[derive(Clone, Debug)]
 pub struct Fp {
-    p: Modulus,
+    p: Ubig,
+    kernel: Kernel,
     /// `(p + 1) / 4`, defined only when `p ≡ 3 (mod 4)` (square-root exponent).
     sqrt_exp: Option<Ubig>,
 }
@@ -26,17 +33,32 @@ impl Fp {
     /// Builds a field context.
     ///
     /// # Panics
-    /// Panics if `p` is even, `p <= 1` or `p` is wider than 1024 bits.
+    /// Panics if `p` is even, `p <= 1` or `p` is wider than 256 bits.
     /// Primality is the caller's responsibility (checked in curve
     /// constructors and tests).
     pub fn new(p: Ubig) -> Self {
-        let p = Modulus::new(p).expect("field modulus must be an odd prime");
+        let kernel = match width_of(&p) {
+            1 => Width::W1(MontField::new(&p)),
+            2 => Width::W2(MontField::new(&p)),
+            3 => Width::W3(MontField::new(&p)),
+            _ => Width::W4(MontField::new(&p)),
+        };
         let sqrt_exp = if p.low_u64() & 3 == 3 {
             Some(p.add_ref(&Ubig::one()).shr_bits(2))
         } else {
             None
         };
-        Fp { p, sqrt_exp }
+        Fp {
+            p,
+            kernel,
+            sqrt_exp,
+        }
+    }
+
+    /// The Montgomery kernel every product runs on; scalar multiplication
+    /// computes in it too.
+    pub(crate) fn kernel(&self) -> &Kernel {
+        &self.kernel
     }
 
     /// The modulus `p`.
@@ -61,13 +83,13 @@ impl Fp {
 
     /// Reduces an arbitrary integer into the field.
     pub fn reduce(&self, a: &Ubig) -> Ubig {
-        a.rem_ref(&self.p)
+        with_width!(&self.kernel, k => k.to_ubig(&k.to_mont(a)))
     }
 
     /// `(a + b) mod p` for reduced operands.
     pub fn add(&self, a: &Ubig, b: &Ubig) -> Ubig {
         let s = a.add_ref(b);
-        if s >= *self.p {
+        if s >= self.p {
             s.checked_sub(&self.p).unwrap()
         } else {
             s
@@ -92,14 +114,14 @@ impl Fp {
         }
     }
 
-    /// `(a * b) mod p`.
+    /// `(a * b) mod p`, for any `a` and `b`.
     pub fn mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        a.mul_ref(b).rem_ref(&self.p)
+        with_width!(&self.kernel, k => k.to_ubig(&k.mul(&k.to_mont(a), &k.to_mont(b))))
     }
 
     /// `a² mod p`.
     pub fn sqr(&self, a: &Ubig) -> Ubig {
-        a.square().rem_ref(&self.p)
+        with_width!(&self.kernel, k => k.to_ubig(&k.sqr(&k.to_mont(a))))
     }
 
     /// `a * k mod p` for a small scalar.
@@ -107,18 +129,15 @@ impl Fp {
         self.mul(a, &Ubig::from_u64(k))
     }
 
-    /// `a^e mod p` (4-bit fixed window on the fixed-limb Montgomery
-    /// kernel).
+    /// `a^e mod p` (4-bit fixed window).
     pub fn pow(&self, a: &Ubig, e: &Ubig) -> Ubig {
-        self.p.pow(a, e)
+        with_width!(&self.kernel, k => k.to_ubig(&k.pow(&k.to_mont(a), e.limbs())))
     }
 
-    /// `a^{-1} mod p`, or `None` for `a = 0`.
+    /// `a^{-1} mod p`, or `None` for `a ≡ 0` (or, for a composite
+    /// modulus, any non-unit).
     pub fn inv(&self, a: &Ubig) -> Option<Ubig> {
-        if a.is_zero() {
-            return None;
-        }
-        self.p.inverse(a)
+        with_width!(&self.kernel, k => k.inv(&k.to_mont(a)).map(|x| k.to_ubig(&x)))
     }
 
     /// Legendre symbol test: true iff `a` is a non-zero quadratic residue.
@@ -133,15 +152,11 @@ impl Fp {
     /// Panics if the field modulus is not `≡ 3 (mod 4)`.
     pub fn sqrt(&self, a: &Ubig) -> Option<Ubig> {
         let e = self.sqrt_exp.as_ref().expect("sqrt requires p ≡ 3 (mod 4)");
-        if a.is_zero() {
-            return Some(Ubig::zero());
-        }
-        let r = self.p.pow(a, e);
-        if self.sqr(&r) == self.reduce(a) {
-            Some(r)
-        } else {
-            None
-        }
+        with_width!(&self.kernel, k => {
+            let a = k.to_mont(a);
+            let r = k.pow(&a, e.limbs());
+            (k.sqr(&r) == a).then(|| k.to_ubig(&r))
+        })
     }
 
     /// Uniformly random field element.
@@ -254,8 +269,8 @@ impl Fp2 {
         }
     }
 
-    /// `a · b` (schoolbook; Karatsuba in `F_p²` saves one base mul but the
-    /// pairing loop is dominated by the 3 base muls either way).
+    /// `a · b` in three base products (Karatsuba: the cross term is
+    /// `(a0 + a1)(b0 + b1) − a0·b0 − a1·b1`).
     pub fn mul(&self, a: &Fp2El, b: &Fp2El) -> Fp2El {
         let f = &self.base;
         let t0 = f.mul(&a.c0, &b.c0);
@@ -452,8 +467,8 @@ mod tests {
 
     #[test]
     fn large_field_sqrt() {
-        // 1024-bit-ish prime ≡ 3 mod 4: use a known 127-bit Mersenne 2^127-1 ≡ 3 mod 4?
-        // 2^127 - 1 ≡ 3 (mod 4) since 2^127 ≡ 0 (mod 4).
+        // A two-limb prime ≡ 3 (mod 4): the Mersenne prime 2^127 − 1
+        // (2^127 ≡ 0 (mod 4)), so the kernel's upper limb is partly empty.
         let p = Ubig::one().shl_bits(127).checked_sub(&Ubig::one()).unwrap();
         let f = Fp::new(p);
         let mut rng = ChaChaRng::seed_from_u64(1);

@@ -1,5 +1,6 @@
 //! The scalar-multiplication engine: Jacobian point arithmetic on
-//! fixed-limb Montgomery coordinates ([`crate::mont`]).
+//! fixed-limb Montgomery coordinates, in the curve field's own kernel
+//! ([`crate::field::Fp`]).
 //!
 //! [`crate::curve::Curve`] converts affine `Ubig` points in once, runs every
 //! doubling and addition here without allocating or dividing, and converts
@@ -15,7 +16,7 @@ use egka_bigint::Ubig;
 
 use crate::curve::Point;
 use crate::field::Fp;
-use crate::mont::{width_of, with_width, Fe, MontField, Width};
+use crate::mont::{with_width, Fe, MontField, Width};
 
 /// An affine point (never the identity).
 #[derive(Clone, Copy, Debug)]
@@ -97,17 +98,15 @@ pub(crate) type AnyEngine = Width<Engine<1>, Engine<2>, Engine<3>, Engine<4>>;
 pub(crate) type AnyComb = Width<Comb<1>, Comb<2>, Comb<3>, Comb<4>>;
 
 impl AnyEngine {
-    /// Builds the engine for `y² = x³ + a·x + b` over `field` (the `b`
-    /// coefficient never enters the addition formulas).
-    ///
-    /// # Panics
-    /// Panics if the field modulus is wider than 256 bits.
+    /// Builds the engine for `y² = x³ + a·x + b` over `field`, on a
+    /// clone of the field's kernel (the `b` coefficient never enters the
+    /// addition formulas; `a` is reduced).
     pub(crate) fn new(field: &Fp, a: &Ubig, gen: &Point, order: &Ubig) -> Self {
-        match width_of(field.modulus()) {
-            1 => Width::W1(Engine::new(field, a, gen, order)),
-            2 => Width::W2(Engine::new(field, a, gen, order)),
-            3 => Width::W3(Engine::new(field, a, gen, order)),
-            _ => Width::W4(Engine::new(field, a, gen, order)),
+        match field.kernel() {
+            Width::W1(f) => Width::W1(Engine::new(f.clone(), a, gen, order)),
+            Width::W2(f) => Width::W2(Engine::new(f.clone(), a, gen, order)),
+            Width::W3(f) => Width::W3(Engine::new(f.clone(), a, gen, order)),
+            Width::W4(f) => Width::W4(Engine::new(f.clone(), a, gen, order)),
         }
     }
 
@@ -140,11 +139,11 @@ impl AnyEngine {
 }
 
 impl<const N: usize> Engine<N> {
-    fn new(field: &Fp, a: &Ubig, gen: &Point, order: &Ubig) -> Self {
-        let f = MontField::new(field.modulus());
-        let a_is_minus_3 = field.add(a, &Ubig::from_u64(3)).is_zero();
+    fn new(f: MontField<N>, a: &Ubig, gen: &Point, order: &Ubig) -> Self {
+        let a = f.to_mont(a);
+        let a_is_minus_3 = f.add(&a, &f.to_mont(&Ubig::from_u64(3))).is_zero();
         let mut e = Engine {
-            a: f.to_mont(a),
+            a,
             f,
             a_is_minus_3,
             gen: None,
@@ -154,11 +153,6 @@ impl<const N: usize> Engine<N> {
         };
         e.gen = e.point_in(gen);
         e
-    }
-
-    /// The fixed-limb field the engine computes in.
-    pub(crate) fn field(&self) -> &MontField<N> {
-        &self.f
     }
 
     fn point_in(&self, p: &Point) -> Option<Aff<N>> {

@@ -13,8 +13,9 @@
 //!
 //! This crate provides the real machinery behind those rows:
 //!
-//! * [`field`] — prime fields `F_p` (Montgomery-backed) and the quadratic
-//!   extension `F_p²` with `i² = −1`;
+//! * [`field`] — the prime field `F_p`, every product on one fixed-limb
+//!   Montgomery kernel that scalar multiplication shares, and the
+//!   quadratic extension `F_p²` with `i² = −1`;
 //! * [`curve`] — short-Weierstrass curves, SEC1 point compression, and
 //!   scalar multiplication (wNAF, Straus, Lim–Lee comb) on allocation-free
 //!   fixed-limb Montgomery coordinates in Jacobian form;

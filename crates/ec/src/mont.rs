@@ -1,6 +1,7 @@
 //! The curve fields' limb widths. The fixed-limb Montgomery kernel itself
 //! ([`Fe<N>`], [`MontField<N>`]) lives in `egka-bigint`; this module
-//! picks its limb count for each curve modulus.
+//! picks its limb count for each modulus, and [`crate::field::Fp::new`]
+//! builds the one kernel at that width.
 //!
 //! [`MAX_LIMBS`] (4) covers every modulus the crate builds: the 160–256
 //! bit curve fields and orders, the 194-bit pairing field and the toy
@@ -15,7 +16,7 @@ pub(crate) use egka_bigint::{Fe, MontField};
 pub(crate) const MAX_LIMBS: usize = 4;
 
 /// One value per supported limb width, chosen once from a modulus size.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) enum Width<T1, T2, T3, T4> {
     W1(T1),
     W2(T2),
@@ -52,38 +53,12 @@ pub(crate) fn width_of(m: &Ubig) -> usize {
     n
 }
 
-/// Montgomery arithmetic modulo a prime of any supported width, with
-/// plain-integer inputs and outputs (one conversion in, one out).
-pub(crate) type AnyField = Width<MontField<1>, MontField<2>, MontField<3>, MontField<4>>;
-
-impl AnyField {
-    /// Builds the context for an odd prime `m` of at most 256 bits.
-    pub(crate) fn new(m: &Ubig) -> Self {
-        match width_of(m) {
-            1 => Width::W1(MontField::new(m)),
-            2 => Width::W2(MontField::new(m)),
-            3 => Width::W3(MontField::new(m)),
-            _ => Width::W4(MontField::new(m)),
-        }
-    }
-
-    /// `a·b mod m`.
-    pub(crate) fn mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        with_width!(self, f => f.to_ubig(&f.mul(&f.to_mont(a), &f.to_mont(b))))
-    }
-
-    /// `a⁻¹ mod m`, or `None` for `a ≡ 0`.
-    pub(crate) fn inv(&self, a: &Ubig) -> Option<Ubig> {
-        with_width!(self, f => f.inv(&f.to_mont(a)).map(|x| f.to_ubig(&x)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pairing::{gen_pairing_group, PairingGroup};
-    use crate::{secp160r1, secp192r1, secp256k1};
-    use egka_bigint::{mod_add, mod_inverse, mod_mul, mod_sub};
+    use crate::{secp160r1, secp192r1, secp256k1, Fp};
+    use egka_bigint::{mod_add, mod_inverse, mod_mul, mod_pow, mod_sub};
     use egka_hash::ChaChaRng;
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -141,12 +116,36 @@ mod tests {
         );
     }
 
+    /// [`check`] at `m`'s width, then every kernel-backed operation of
+    /// the public [`Fp`] against the free `egka_bigint` references.
     fn check_any(m: &Ubig, a: &Ubig, b: &Ubig) {
         match width_of(m) {
             1 => check::<1>(m, a, b),
             2 => check::<2>(m, a, b),
             3 => check::<3>(m, a, b),
             _ => check::<4>(m, a, b),
+        }
+        let f = Fp::new(m.clone());
+        let ra = a.rem_ref(m);
+        let k = b.low_u64();
+        assert_eq!(f.mul(a, b), mod_mul(a, b, m), "Fp::mul, m = {m}");
+        assert_eq!(f.sqr(a), mod_mul(a, a, m), "Fp::sqr");
+        assert_eq!(
+            f.mul_u64(a, k),
+            mod_mul(a, &Ubig::from_u64(k), m),
+            "Fp::mul_u64"
+        );
+        assert_eq!(f.reduce(a), ra, "Fp::reduce");
+        assert_eq!(
+            f.inv(a),
+            mod_inverse(&ra, m).filter(|_| !ra.is_zero()),
+            "Fp::inv"
+        );
+        assert_eq!(f.pow(a, b), mod_pow(a, b, m), "Fp::pow");
+        if f.is_3_mod_4() {
+            let sq = mod_mul(a, a, m);
+            let r = f.sqrt(&sq).expect("a square has a root");
+            assert_eq!(mod_mul(&r, &r, m), sq, "Fp::sqrt");
         }
     }
 
@@ -184,7 +183,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fixed-limb capacity")]
     fn wider_than_256_bits_is_refused() {
-        width_of(&Ubig::one().shl_bits(256));
+        Fp::new(Ubig::one().shl_bits(256).add_ref(&Ubig::one()));
     }
 
     proptest! {

@@ -180,13 +180,13 @@ impl PairingGroup {
         for i in (0..bits - 1).rev() {
             // acc ← acc² · tangent_{V}(φQ); V ← 2V
             acc = fp2.sqr(&acc);
-            if let Some(line) = self.tangent_eval(&v, &phi_x, &qy) {
+            if let Some(line) = self.line_eval(&v, None, &phi_x, &qy) {
                 acc = fp2.mul(&acc, &line);
             }
             v = self.curve.double(&v);
             if order.bit(i) {
                 // acc ← acc · line_{V,P}(φQ); V ← V + P
-                if let Some(line) = self.chord_eval(&v, p_pt, &phi_x, &qy) {
+                if let Some(line) = self.line_eval(&v, Some(p_pt), &phi_x, &qy) {
                     acc = fp2.mul(&acc, &line);
                 }
                 v = self.curve.add(&v, p_pt);
@@ -208,10 +208,10 @@ impl PairingGroup {
         let mut v = p_pt.clone();
         let bits = order.bit_length();
         for i in (0..bits - 1).rev() {
-            lines.push(self.tangent_coeffs(&v));
+            lines.push(self.line_coeffs(&v, None));
             v = self.curve.double(&v);
             if order.bit(i) {
-                lines.push(self.chord_coeffs(&v, p_pt));
+                lines.push(self.line_coeffs(&v, Some(p_pt)));
                 v = self.curve.add(&v, p_pt);
             }
         }
@@ -260,62 +260,48 @@ impl PairingGroup {
         self.final_exponentiation(&acc)
     }
 
-    /// `(λ, A = λ·x_V − y_V)` of the tangent at `V`, or `None` when
-    /// vertical. The line's value at `φ(Q)` is `(A − λ·φ_x) + i·q_y`.
-    fn tangent_coeffs(&self, v: &Point) -> Option<(Ubig, Ubig)> {
+    /// The Miller line at `V`: the tangent when `p` is `None`, else the
+    /// chord through `V` and `P`. Returns its slope λ with `V`'s
+    /// coordinates, or `None` when the line is vertical (its value lands
+    /// in `F_p`, which the final exponentiation annihilates).
+    fn line<'v>(&self, v: &'v Point, p: Option<&Point>) -> Option<(Ubig, &'v Ubig, &'v Ubig)> {
         let f = self.curve.field();
         let (vx, vy) = v.xy()?;
-        if vy.is_zero() {
-            return None;
-        }
-        let lambda = f.mul(
-            &f.add(&f.mul_u64(&f.sqr(vx), 3), &Ubig::one()),
-            &f.inv(&f.mul_u64(vy, 2)).expect("vy != 0"),
-        );
+        let lambda = match p {
+            // Vertical tangent at a 2-torsion point.
+            None if vy.is_zero() => return None,
+            // λ = (3x² + 1) / 2y  (curve a = 1)
+            None => f.mul(
+                &f.add(&f.mul_u64(&f.sqr(vx), 3), &Ubig::one()),
+                &f.inv(&f.mul_u64(vy, 2)).expect("vy != 0"),
+            ),
+            Some(p) => {
+                let (px, py) = p.xy()?;
+                if vx == px {
+                    return None; // V = ±P
+                }
+                f.mul(&f.sub(py, vy), &f.inv(&f.sub(px, vx)).expect("px != vx"))
+            }
+        };
+        Some((lambda, vx, vy))
+    }
+
+    /// `(λ, A = λ·x_V − y_V)` of the Miller line at `V`, for
+    /// [`PairingGroup::precompute`]. The line's value at `φ(Q)` is
+    /// `(A − λ·φ_x) + i·q_y`.
+    fn line_coeffs(&self, v: &Point, p: Option<&Point>) -> Option<(Ubig, Ubig)> {
+        let f = self.curve.field();
+        let (lambda, vx, vy) = self.line(v, p)?;
         let a = f.sub(&f.mul(&lambda, vx), vy);
         Some((lambda, a))
     }
 
-    /// `(λ, A)` of the chord through `V` and `P`, or `None` when vertical.
-    fn chord_coeffs(&self, v: &Point, p: &Point) -> Option<(Ubig, Ubig)> {
+    /// The Miller line at `V` evaluated at `φ(Q) = (φ_x, i·q_y)`, for
+    /// [`PairingGroup::pairing`]: `g = (i·q_y) − y_V − λ·(φ_x − x_V)`,
+    /// one multiply.
+    fn line_eval(&self, v: &Point, p: Option<&Point>, phi_x: &Ubig, qy: &Ubig) -> Option<Fp2El> {
         let f = self.curve.field();
-        let (vx, vy) = v.xy()?;
-        let (px, py) = p.xy()?;
-        if vx == px {
-            return None;
-        }
-        let lambda = f.mul(&f.sub(py, vy), &f.inv(&f.sub(px, vx)).expect("px != vx"));
-        let a = f.sub(&f.mul(&lambda, vx), vy);
-        Some((lambda, a))
-    }
-
-    /// Tangent line at `V` evaluated at `φ(Q) = (φ_x, i·q_y)`; `None` when the
-    /// line is vertical (eliminated by the final exponentiation).
-    fn tangent_eval(&self, v: &Point, phi_x: &Ubig, qy: &Ubig) -> Option<Fp2El> {
-        let f = self.curve.field();
-        let (vx, vy) = v.xy()?;
-        if vy.is_zero() {
-            return None; // vertical tangent at a 2-torsion point
-        }
-        // λ = (3x² + 1) / 2y  (curve a = 1)
-        let lambda = f.mul(
-            &f.add(&f.mul_u64(&f.sqr(vx), 3), &Ubig::one()),
-            &f.inv(&f.mul_u64(vy, 2)).expect("vy != 0"),
-        );
-        // g = (i·qy) − vy − λ·(φ_x − vx)  →  c0 = −vy − λ(φ_x − vx), c1 = qy
-        let c0 = f.sub(&f.mul(&lambda, &f.sub(vx, phi_x)), vy);
-        Some(Fp2El { c0, c1: qy.clone() })
-    }
-
-    /// Line through `V` and `P` evaluated at `φ(Q)`; `None` when vertical.
-    fn chord_eval(&self, v: &Point, p: &Point, phi_x: &Ubig, qy: &Ubig) -> Option<Fp2El> {
-        let f = self.curve.field();
-        let (vx, vy) = v.xy()?;
-        let (px, py) = p.xy()?;
-        if vx == px {
-            return None; // vertical chord (V = −P or V = P with vertical handling)
-        }
-        let lambda = f.mul(&f.sub(py, vy), &f.inv(&f.sub(px, vx)).expect("px != vx"));
+        let (lambda, vx, vy) = self.line(v, p)?;
         let c0 = f.sub(&f.mul(&lambda, &f.sub(vx, phi_x)), vy);
         Some(Fp2El { c0, c1: qy.clone() })
     }

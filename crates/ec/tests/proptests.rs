@@ -1,6 +1,9 @@
 //! Property tests on the elliptic-curve substrate: field axioms, curve
 //! group laws (on both the exhaustive toy curve and secp160r1), point
-//! compression, and pairing bilinearity.
+//! compression and decompression of arbitrary bytes, and pairing
+//! bilinearity.
+
+use std::sync::OnceLock;
 
 use egka_bigint::{mod_add, mod_mul, Ubig};
 use egka_ec::{secp160r1, tiny19, Curve, Fp, PairingGroup, Point};
@@ -79,6 +82,56 @@ proptest! {
         prop_assert_eq!(direct, via_scalar);
         // negation: P + (−P) = ∞
         prop_assert!(c.add(&p, &c.neg(&p)).is_infinity());
+    }
+}
+
+/// The curves whose points cross the wire compressed: secp160r1 (ECDSA
+/// keys) and the paper's pairing curve (SOK signature points).
+fn wire_curves() -> &'static [Curve] {
+    static CURVES: OnceLock<Vec<Curve>> = OnceLock::new();
+    CURVES.get_or_init(|| vec![secp160r1(), PairingGroup::paper_fixture().curve().clone()])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `decompress` is the wire boundary for peer-sent points: on any
+    /// bytes it returns without panicking, and a point it accepts lies on
+    /// the curve and survives a compress/decompress round trip. (The bytes
+    /// themselves need not: `03‖0…0` decodes to the 2-torsion point
+    /// `(0, 0)` of the pairing curve, which re-encodes with `02`.)
+    #[test]
+    fn decompress_survives_arbitrary_bytes(
+        byte in any::<u8>(),
+        sec1_tag in any::<bool>(),
+        body in prop::collection::vec(any::<u8>(), 0..40),
+        shape in 0u8..3,
+    ) {
+        for c in wire_curves() {
+            let (p, len) = (c.field().modulus(), c.field().byte_len());
+            // Half the prefixes are a SEC1 tag, 02 or 03; the rest any byte.
+            let prefix = if sec1_tag { 2 | (byte & 1) } else { byte };
+            let x = match shape {
+                // Any length.
+                0 => body.clone(),
+                // The encoding's length, x < p.
+                1 => Ubig::from_bytes_be(&body).rem_ref(p).to_bytes_be_padded(len),
+                // The encoding's length, x ≥ p.
+                _ => {
+                    let k = Ubig::from_bytes_be(&body[..body.len().min(2)]);
+                    p.add_ref(&k).to_bytes_be_padded(len)
+                }
+            };
+            let bytes = [&[prefix][..], &x].concat();
+            let decoded = c.decompress(&bytes);
+            if shape == 2 {
+                prop_assert_eq!(&decoded, &None, "x ≥ p accepted on {}", c.name);
+            }
+            if let Some(pt) = decoded {
+                prop_assert!(c.is_on_curve(&pt), "{}: {:02x?}", c.name, bytes);
+                prop_assert_eq!(c.decompress(&c.compress(&pt)), Some(pt));
+            }
+        }
     }
 }
 

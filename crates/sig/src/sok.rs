@@ -222,6 +222,34 @@ mod tests {
     }
 
     #[test]
+    fn rejects_points_outside_the_subgroup() {
+        // (0, 0) is the 2-torsion point of y² = x³ + x: on the curve but
+        // outside the order-q subgroup. The pairing's final exponentiation
+        // kills it in ê(Q_M, S2), so only the subgroup check stops
+        // S2 + (0, 0).
+        let pkg = pkg();
+        let curve = pkg.params.group().curve();
+        let torsion = Point::affine(Ubig::zero(), Ubig::zero());
+        assert!(curve.is_on_curve(&torsion));
+        let mut rng = ChaChaRng::seed_from_u64(7);
+        let key = pkg.extract(b"alice");
+        let sig = pkg.params.sign(&mut rng, &key, b"m");
+        assert!(pkg.params.verify(b"alice", b"m", &sig));
+        let s1_moved = SokSignature {
+            s1: curve.add(&sig.s1, &torsion),
+            s2: sig.s2.clone(),
+        };
+        let s2_moved = SokSignature {
+            s1: sig.s1.clone(),
+            s2: curve.add(&sig.s2, &torsion),
+        };
+        for bad in [s1_moved, s2_moved] {
+            assert!(curve.is_on_curve(&bad.s1) && curve.is_on_curve(&bad.s2));
+            assert!(!pkg.params.verify(b"alice", b"m", &bad));
+        }
+    }
+
+    #[test]
     fn signatures_are_randomized() {
         let pkg = pkg();
         let mut rng = ChaChaRng::seed_from_u64(5);
